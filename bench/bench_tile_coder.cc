@@ -2,8 +2,8 @@
  * @file
  * End-to-end tile-coder throughput: full `encodeTileLayers` /
  * `decodeTileLayers` jobs (DWT + quantization + bitplane passes +
- * range coding) measured at every SIMD dispatch level, for the three
- * workloads that bracket Earth+'s operating points:
+ * range coding, EPC4 framing) measured at every SIMD dispatch level,
+ * for the three workloads that bracket Earth+'s operating points:
  *
  *   dense        natural-image-like content, every subband busy
  *   sparse_delta mostly mid-gray change-delta tiles with a few change
@@ -16,7 +16,7 @@
  *
  * With `--latency` the binary instead measures single-tile encode and
  * decode latency (p50/p99 wall-ms) for dense 256x256 and 1024x1024
- * tiles under the chunked (EPC3) coder at 1/2/4/hw pool threads —
+ * tiles under the chunked (EPC4) coder at 1/2/4/hw pool threads —
  * the metric the sub-tile chunk parallelism exists to improve. Rows
  * are named tile_latency_{encode,decode}/dense{edge}/t{n} and the
  * JSON bench name is "tile_latency" (gated by ci/perf_gate.py on
@@ -191,7 +191,6 @@ runLatencyMode(int samplesSmall, const std::string &jsonPath)
         raster::Plane tile =
             denseTile(edge, edge, 400 + static_cast<uint64_t>(edge));
         TileCoderParams params;
-        params.chunkRows = kDefaultChunkRows;
         const int layers = 2;
         size_t budget = static_cast<size_t>(edge) * edge * 2 / 8;
         auto encoded = encodeTileLayers(tile, params, layers, budget);
@@ -206,7 +205,8 @@ runLatencyMode(int samplesSmall, const std::string &jsonPath)
                 encodeTileLayers(tile, params, layers, budget);
             });
             Percentiles dec = latencyPercentiles(samples, [&]() {
-                decodeTileLayers(edge, edge, params, spans);
+                decodeTileLayers(edge, edge, params, spans,
+                                 StreamVersion::V3);
             });
             auto report = [&](const char *dir, const Percentiles &p) {
                 std::string name = std::string("tile_latency_") + dir +
@@ -258,7 +258,6 @@ runProgressiveMode(int reps, int edge, const std::string &jsonPath)
     ep.bitsPerPixel = 2.0;
     ep.layers = 3;
     ep.tileSize = edge;
-    ep.progressive = true;
     std::vector<uint8_t> stream = codec::encode(img, ep).serialize();
     size_t floor = codec::streamHeaderFloor(stream);
 
@@ -424,7 +423,8 @@ main(int argc, char **argv)
                     std::vector<ChunkSpan> spans;
                     for (const auto &layer : tile)
                         spans.push_back({layer.data(), layer.size()});
-                    decodeTileLayers(edge, edge, c.params, spans);
+                    decodeTileLayers(edge, edge, c.params, spans,
+                                     StreamVersion::V3);
                 }
             });
 

@@ -10,7 +10,8 @@
 #   tsan    TSan build of the concurrent archive/serving/codec suites
 #   chaos   fault-injection sweep: failpoint + crash-consistency +
 #           net-fault suites plus the progressive-stream truncation
-#           fuzz across several EARTHPLUS_CHAOS_SEED values, plus the
+#           fuzz and the stream-walker mutation fuzz across several
+#           EARTHPLUS_CHAOS_SEED values, plus the
 #           chaos probe with its recovery-counter gate — and the same
 #           suites again under ASan
 #   coverage instrumented (--coverage) build + full ctest, gcov line
@@ -233,16 +234,18 @@ run_chaos() {
     # structure, so a few seeds buy coverage cheaply.
     # The progressive-stream truncation fuzz rides along: each seed
     # cuts EPC4 streams at a different set of unrecorded offsets and
-    # asserts every one fails with a typed error instead of a crash.
+    # asserts every one fails with a typed error instead of a crash —
+    # and so does the stream-walker mutation fuzz, whose seed picks the
+    # length-word rewrites and byte flips it feeds tryDeserialize().
     configure_and_build
     cmake --build "$BUILD_DIR" -j \
           --target failpoint_test crash_consistency_test net_test \
-                   progressive_test earthplus_chaos_probe
+                   progressive_test stream_fuzz_test earthplus_chaos_probe
     for seed in 1 7 1234; do
         echo "chaos: seed $seed"
         EARTHPLUS_CHAOS_SEED=$seed ctest --test-dir "$BUILD_DIR" \
             --output-on-failure \
-            -R 'failpoint_test|crash_consistency_test|net_test|progressive_test'
+            -R 'failpoint_test|crash_consistency_test|net_test|progressive_test|stream_fuzz_test'
     done
 
     # The chaos probe drives the archive's recovery paths (torn tail,
@@ -263,9 +266,10 @@ run_chaos() {
           -DCMAKE_BUILD_TYPE=Debug \
           -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
     cmake --build "$SAN_BUILD_DIR" -j \
-          --target failpoint_test crash_consistency_test progressive_test
+          --target failpoint_test crash_consistency_test progressive_test \
+                   stream_fuzz_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure \
-          -R 'failpoint_test|crash_consistency_test|progressive_test'
+          -R 'failpoint_test|crash_consistency_test|progressive_test|stream_fuzz_test'
 }
 
 run_coverage() {
@@ -306,9 +310,10 @@ run_asan() {
           -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
     cmake --build "$SAN_BUILD_DIR" -j \
           --target ground_test uplink_planner_test codec_test simd_test \
-                   golden_stream_test net_test progressive_test
+                   golden_stream_test net_test progressive_test \
+                   stream_fuzz_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure \
-          -R 'ground_test|uplink_planner_test|codec_test|simd_test|golden_stream_test|net_test|progressive_test'
+          -R 'ground_test|uplink_planner_test|codec_test|simd_test|golden_stream_test|net_test|progressive_test|stream_fuzz_test'
 }
 
 case "$MODE" in

@@ -1,8 +1,7 @@
 /**
  * @file
  * Ground-segment query CLI: serve a tile rectangle from an encoded
- * archive (a sharded archive directory; a legacy single-file archive
- * is migrated on open).
+ * archive (a sharded archive directory).
  *
  *   ground_query --demo archive.epar
  *       Build a small demonstration archive (full download at day 1,

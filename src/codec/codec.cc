@@ -49,26 +49,18 @@ codecMetrics()
     return m;
 }
 
-// "EPC2": bumped from EPC1 when layer chunks gained per-tile length
-// framing, so streams from the old format are rejected instead of
-// decoding as garbage. Still accepted for decode (chunkRows == 0).
+// Stream magics, one per container version (docs/ARCHITECTURE.md):
+// "EPC2" (v1) frames one unframed entropy stream per tile sub-chunk,
+// "EPC3" (v2) adds the chunkRows header field and row-slab entropy
+// chunks, "EPC4" (v3) keeps that framing but makes every chunk payload
+// a run of independently flushed per-plane segments (plus a raw
+// maxPlane byte in layer 0) whose framing records truncation points.
+// encode() writes only EPC4; the other two stay decodable.
 constexpr uint32_t kMagicV1 = 0x32435045;
-
-// "EPC3": adds the chunkRows header field and frames each tile's
-// per-layer sub-chunk into length-prefixed row-slab entropy chunks
-// (the sub-tile parallelism format). Emitted when chunkRows > 0 and
-// progressive framing is off.
 constexpr uint32_t kMagicV2 = 0x33435045;
-
-// "EPC4": same header layout as EPC3, but each chunk-layer payload is
-// a sequence of independently flushed per-plane segments (plus a raw
-// maxPlane byte in layer 0) whose inline framing records truncation
-// points — the stream decodes best-effort from any prefix cut at a
-// recorded point. Emitted when chunkRows > 0 and progressive framing
-// is on.
 constexpr uint32_t kMagicV3 = 0x34435045;
 
-/** Fixed serialized header size in bytes (v2 adds 4 for chunkRows). */
+/** Fixed serialized header size in bytes (v2/v3 add 4 for chunkRows). */
 constexpr size_t kFixedHeader =
     4 +          // magic
     6 * 4 +      // width, height, tileSize, dwtLevels, layers, flags
@@ -104,63 +96,11 @@ formatError(const char *fmt, ...)
     return buf;
 }
 
-/**
- * Segment-level check of a possibly partial EPC4 chunk payload: the
- * cut must land between segments (or right after the layer-0 header
- * byte), never inside a segment word or body.
- */
-bool
-validChunkPayloadPrefix(const uint8_t *data, size_t size, bool layer0)
+/** Fixed header plus the chunkRows field V2/V3 streams carry. */
+size_t
+fixedHeaderBytes(const EncodedImage &e)
 {
-    if (layer0) {
-        if (size == 0)
-            return true;
-        ++data;
-        --size;
-    }
-    return forEachSegment(data, size, [](const SegmentView &) {});
-}
-
-/** Chunk-frame walk of the partial tile sub-chunk that ends a cut. */
-bool
-validTilePrefix(const uint8_t *data, size_t size, bool layer0)
-{
-    size_t pos = 0;
-    while (pos != size) {
-        if (size - pos < 4)
-            return false;
-        uint32_t ecLen = util::readPodAt<uint32_t>(data, pos);
-        pos += 4;
-        if (ecLen > size - pos)
-            return validChunkPayloadPrefix(data + pos, size - pos,
-                                           layer0);
-        pos += ecLen;
-    }
-    return true;
-}
-
-/**
- * True iff `size` bytes are a valid prefix of an EPC4 layer payload
- * over `nCodedTiles` sub-chunks — i.e. the cut that shortened the
- * enclosing stream landed on a recorded truncation point.
- */
-bool
-validLayerPrefix(const uint8_t *data, size_t size, size_t nCodedTiles,
-                 bool layer0)
-{
-    size_t pos = 0;
-    for (size_t t = 0; t < nCodedTiles; ++t) {
-        if (pos == size)
-            return true;
-        if (size - pos < 4)
-            return false;
-        uint32_t subLen = util::readPodAt<uint32_t>(data, pos);
-        pos += 4;
-        if (subLen > size - pos)
-            return validTilePrefix(data + pos, size - pos, layer0);
-        pos += subLen;
-    }
-    return pos == size;
+    return kFixedHeader + (e.version != StreamVersion::V1 ? 4 : 0);
 }
 
 } // anonymous namespace
@@ -177,10 +117,10 @@ EncodedImage::payloadBytes() const
 size_t
 EncodedImage::headerBytes() const
 {
-    // Fixed header (+ chunkRows in v2) + packed coded-tile bitmap +
-    // per-layer length fields.
-    return kFixedHeader + (chunkRows > 0 ? 4 : 0) +
-           (tileCoded.size() + 7) / 8 + 4 * layerChunks.size();
+    // Fixed header + packed coded-tile bitmap + per-layer length
+    // fields.
+    return fixedHeaderBytes(*this) + (tileCoded.size() + 7) / 8 +
+           4 * layerChunks.size();
 }
 
 size_t
@@ -195,8 +135,7 @@ EncodedImage::totalBytesForLayers(int layerCount) const
     if (layerCount < 0 ||
         layerCount > static_cast<int>(layerChunks.size()))
         layerCount = static_cast<int>(layerChunks.size());
-    size_t total = kFixedHeader + (chunkRows > 0 ? 4 : 0) +
-                   (tileCoded.size() + 7) / 8 +
+    size_t total = fixedHeaderBytes(*this) + (tileCoded.size() + 7) / 8 +
                    4 * static_cast<size_t>(layerCount);
     for (int l = 0; l < layerCount; ++l)
         total += layerChunks[static_cast<size_t>(l)].size();
@@ -221,8 +160,9 @@ EncodedImage::serialize() const
     std::vector<uint8_t> out;
     EP_ASSERT(!truncated, "cannot re-serialize a truncated stream");
     out.reserve(totalBytes());
-    appendPod(out, chunkRows > 0 ? (progressive ? kMagicV3 : kMagicV2)
-                                 : kMagicV1);
+    appendPod(out, version == StreamVersion::V1   ? kMagicV1
+                   : version == StreamVersion::V2 ? kMagicV2
+                                                  : kMagicV3);
     appendPod(out, static_cast<uint32_t>(width));
     appendPod(out, static_cast<uint32_t>(height));
     appendPod(out, static_cast<uint32_t>(tileSize));
@@ -233,7 +173,7 @@ EncodedImage::serialize() const
                      (static_cast<uint32_t>(losslessDepth) << 8);
     appendPod(out, flags);
     appendPod(out, quantStep);
-    if (chunkRows > 0)
+    if (version != StreamVersion::V1)
         appendPod(out, static_cast<uint32_t>(chunkRows));
     appendPod(out, static_cast<uint32_t>(tileCoded.size()));
     // Packed coded-tile bitmap.
@@ -259,16 +199,16 @@ EncodedImage::deserialize(const std::vector<uint8_t> &bytes)
 namespace {
 
 /**
- * The shared parse behind deserialize()/tryDeserialize(). Every field
- * is validated before use: a truncated or corrupt stream must produce
- * a typed error (with the diagnostic deserialize() dies with in
- * `msg`) instead of out-of-bounds reads or absurd allocations. A
- * progressive stream cut at a recorded truncation point parses
- * successfully with `e.truncated` set.
+ * Parse and validate the fixed header and coded-tile bitmap into `e`.
+ * Every field is validated before use: a truncated or corrupt header
+ * produces a typed error (with the diagnostic deserialize() dies with
+ * in `msg`) instead of out-of-bounds reads or absurd allocations.
+ * `floor` receives the offset just past the bitmap, `nCoded` the
+ * number of coded tiles.
  */
 StreamError
-parseStream(const uint8_t *data, size_t len, EncodedImage &e,
-            std::string &msg)
+parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
+            size_t &floor, size_t &nCoded, std::string &msg)
 {
     constexpr uint32_t kMaxDim = 1u << 20;      // 1M pixels per edge
     constexpr uint64_t kMaxPixels = 1ull << 28; // ~1 GB decoded plane
@@ -283,15 +223,17 @@ parseStream(const uint8_t *data, size_t len, EncodedImage &e,
     uint32_t magic = 0;
     if (!tryReadPod(data, len, pos, magic))
         return cut();
-    if (magic != kMagicV1 && magic != kMagicV2 && magic != kMagicV3) {
+    // Version-gated decode: the magic alone selects the stream layout.
+    if (magic == kMagicV1) {
+        e.version = StreamVersion::V1;
+    } else if (magic == kMagicV2) {
+        e.version = StreamVersion::V2;
+    } else if (magic == kMagicV3) {
+        e.version = StreamVersion::V3;
+    } else {
         msg = "bad encoded-image magic";
         return StreamError::Corrupt;
     }
-    // Version-gated decode: the magic alone selects the stream layout,
-    // and v1 (EPC2) streams stay decodable forever — chunkRows == 0
-    // routes them through the original unframed tile-chunk path.
-    const bool framed = magic != kMagicV1;
-    e.progressive = magic == kMagicV3;
     uint32_t width = 0;
     uint32_t height = 0;
     uint32_t tileSize = 0;
@@ -354,7 +296,8 @@ parseStream(const uint8_t *data, size_t len, EncodedImage &e,
         msg = "encoded image has invalid quantizer step";
         return StreamError::Corrupt;
     }
-    if (framed) {
+    e.chunkRows = 0;
+    if (e.version != StreamVersion::V1) {
         uint32_t chunkRows = 0;
         if (!tryReadPod(data, len, pos, chunkRows))
             return cut();
@@ -386,42 +329,194 @@ parseStream(const uint8_t *data, size_t len, EncodedImage &e,
         return StreamError::Truncated;
     }
     e.tileCoded.resize(tiles);
-    size_t nCoded = 0;
+    nCoded = 0;
     for (size_t i = 0; i < tiles; ++i) {
         e.tileCoded[i] = (data[pos + i / 8] >> (i % 8)) & 1u;
         nCoded += e.tileCoded[i];
     }
-    pos += packed;
-    for (int l = 0; l < e.layers; ++l) {
-        if (e.progressive && pos == len) {
-            // Clean cut at a layer boundary: the remaining layers
-            // never arrived; decode degrades to the layers present.
-            e.truncated = true;
-            return StreamError::None;
-        }
-        uint32_t size = 0;
-        if (!tryReadPod(data, len, pos, size))
-            return cut();
-        if (size > len - pos) {
-            if (e.progressive &&
-                validLayerPrefix(data + pos, len - pos, nCoded,
-                                 l == 0)) {
-                // Recorded mid-layer truncation point: keep the
-                // partial layer; its segments decode best-effort.
-                e.layerChunks.emplace_back(data + pos, data + len);
-                e.truncated = true;
-                return StreamError::None;
-            }
-            msg = formatError(
-                "encoded image stream truncated in layer %d: chunk "
-                "of %u bytes but only %zu remain",
-                l, size, len - pos);
-            return StreamError::Truncated;
-        }
-        e.layerChunks.emplace_back(data + pos, data + pos + size);
-        pos += size;
-    }
+    floor = pos + packed;
     return StreamError::None;
+}
+
+/** How walkStream() ended. */
+enum class WalkEnd
+{
+    Complete, ///< Every declared layer is present and well framed.
+    Cut,      ///< The bytes ran out first (see StreamWalk::onPoint).
+    Corrupt,  ///< A length word overruns its enclosing structure.
+    Stopped,  ///< The point visitor ended the walk.
+};
+
+/** What walkStream() found. */
+struct StreamWalk
+{
+    /** Header verdict; the walk below the header ran only on None. */
+    StreamError header = StreamError::None;
+    /** Offset just past the coded-tile bitmap. */
+    size_t floor = 0;
+    WalkEnd end = WalkEnd::Complete;
+    /** Offset where the walk ended. */
+    size_t at = 0;
+    /** A Cut walk ended on a recorded truncation point (v3 only). */
+    bool onPoint = false;
+    /** Payload of every layer reached; the last one may be partial. */
+    std::vector<ChunkSpan> layers;
+};
+
+/**
+ * The one walker of the stream container grammar (docs/ARCHITECTURE.md)
+ * behind parseStream(), truncationPoints() and truncateStream();
+ * streamHeaderFloor() needs only its first stage, parseHeader().
+ * It walks the header, then layer -> tile sub-chunk -> entropy
+ * chunk (v2/v3) -> segment (v3), as far as the bytes allow. Every
+ * length word must fit inside the structure that encloses it, so a
+ * walk that does not end Corrupt leaves the stream framed consistently
+ * down to the segment level. On v3 streams `visit(offset)` sees every
+ * recorded truncation point in ascending order and returns false to
+ * stop the walk; a Cut lands on a recorded point exactly when the last
+ * point visited is the end of the bytes.
+ */
+template <typename Visit>
+StreamWalk
+walkStream(const uint8_t *data, size_t len, EncodedImage &head,
+           std::string &msg, Visit &&visit)
+{
+    StreamWalk w;
+    size_t nCoded = 0;
+    w.header = parseHeader(data, len, head, w.floor, nCoded, msg);
+    if (w.header != StreamError::None)
+        return w;
+    const bool v3 = head.version == StreamVersion::V3;
+    size_t pos = w.floor;
+    size_t lastPoint = SIZE_MAX;
+    auto finish = [&](WalkEnd end) {
+        w.end = end;
+        w.at = pos;
+        w.onPoint = end == WalkEnd::Cut && v3 && lastPoint == len;
+        return false;
+    };
+    auto point = [&] {
+        lastPoint = pos;
+        return !v3 || visit(pos) || finish(WalkEnd::Stopped);
+    };
+    // `n` more bytes inside a structure that ends at `end`.
+    auto need = [&](size_t n, size_t end) {
+        if (n > end - pos)
+            return finish(WalkEnd::Corrupt);
+        return n <= len - pos || finish(WalkEnd::Cut);
+    };
+    // A u32 length word framing `word >> shift` bytes inside `end`;
+    // `bodyEnd` receives the end of the framed body.
+    auto frame = [&](size_t end, int shift, size_t &bodyEnd) {
+        if (!need(4, end))
+            return false;
+        size_t n = util::readPodAt<uint32_t>(data, pos) >> shift;
+        pos += 4;
+        bodyEnd = pos + n;
+        return n <= end - pos || finish(WalkEnd::Corrupt);
+    };
+    auto skipTo = [&](size_t to) {
+        if (!need(to - pos, to))
+            return false;
+        pos = to;
+        return true;
+    };
+
+    if (!point())
+        return w;
+    for (int l = 0; l < head.layers; ++l) {
+        size_t layerEnd = 0;
+        if (!frame(SIZE_MAX, 0, layerEnd))
+            return w;
+        w.layers.push_back({data + pos, std::min(layerEnd, len) - pos});
+        if (!point())
+            return w;
+        for (size_t t = 0; t < nCoded; ++t) {
+            size_t subEnd = 0;
+            if (!frame(layerEnd, 0, subEnd) || !point())
+                return w;
+            if (head.version == StreamVersion::V1) {
+                if (!skipTo(subEnd))
+                    return w;
+                continue;
+            }
+            while (pos < subEnd) {
+                size_t chunkEnd = 0;
+                if (!frame(subEnd, 0, chunkEnd) || !point())
+                    return w;
+                if (!v3) {
+                    if (!skipTo(chunkEnd))
+                        return w;
+                    continue;
+                }
+                // Layer 0 leads each chunk with its raw maxPlane byte.
+                if (l == 0 && pos < chunkEnd &&
+                    (!skipTo(pos + 1) || !point()))
+                    return w;
+                while (pos < chunkEnd) {
+                    size_t segEnd = 0;
+                    if (!frame(chunkEnd, 2, segEnd) || !skipTo(segEnd) ||
+                        !point())
+                        return w;
+                }
+            }
+        }
+        if (pos != layerEnd) {
+            finish(WalkEnd::Corrupt);
+            return w;
+        }
+    }
+    w.at = pos;
+    return w;
+}
+
+/**
+ * The shared parse behind deserialize()/tryDeserialize(): a v3 stream
+ * cut at a recorded truncation point parses with `e.truncated` set,
+ * any other cut is StreamError::Truncated.
+ */
+StreamError
+parseStream(const uint8_t *data, size_t len, EncodedImage &e,
+            std::string &msg)
+{
+    StreamWalk w =
+        walkStream(data, len, e, msg, [](size_t) { return true; });
+    if (w.header != StreamError::None)
+        return w.header;
+    if (w.end == WalkEnd::Corrupt) {
+        msg = formatError("encoded image layer %zu is mis-framed at byte "
+                          "%zu", w.layers.size() - 1, w.at);
+        return StreamError::Corrupt;
+    }
+    if (w.end == WalkEnd::Cut && !w.onPoint) {
+        msg = formatError("encoded image stream truncated at byte %zu, "
+                          "which is not a recorded truncation point",
+                          len);
+        return StreamError::Truncated;
+    }
+    e.truncated = w.end == WalkEnd::Cut;
+    for (const ChunkSpan &layer : w.layers)
+        e.layerChunks.emplace_back(layer.data, layer.data + layer.size);
+    return StreamError::None;
+}
+
+/**
+ * Walk a complete progressive stream for truncationPoints() and
+ * truncateStream(); fatal() on anything else.
+ */
+template <typename Visit>
+void
+walkProgressive(const uint8_t *data, size_t len, Visit &&visit)
+{
+    EncodedImage head;
+    std::string msg;
+    StreamWalk w = walkStream(data, len, head, msg, visit);
+    if (w.header != StreamError::None)
+        fatal("%s", msg.c_str());
+    if (head.version != StreamVersion::V3)
+        fatal("stream is not progressive (EPC4): no truncation points");
+    if (w.end == WalkEnd::Cut || w.end == WalkEnd::Corrupt)
+        fatal("corrupt progressive stream at offset %zu", w.at);
 }
 
 } // anonymous namespace
@@ -450,132 +545,23 @@ EncodedImage::tryDeserialize(const uint8_t *data, size_t len,
     return err;
 }
 
-namespace {
-
-/** The header facts the truncation walkers need, parsed cheaply. */
-struct StreamShape
+bool
+isProgressive(const uint8_t *data, size_t len)
 {
-    uint32_t magic = 0;
-    int layers = 0;
-    size_t nCoded = 0; ///< Coded tiles (set bits in the bitmap).
-    size_t floor = 0;  ///< Offset just past the coded-tile bitmap.
-};
-
-/** Minimal header read for the walkers; fatal() on a broken header. */
-StreamShape
-readShape(const uint8_t *data, size_t len)
-{
-    StreamShape sh;
-    size_t pos = 0;
-    auto rd32 = [&]() -> uint32_t {
-        if (len - pos < 4)
-            fatal("encoded image stream truncated");
-        uint32_t v = util::readPodAt<uint32_t>(data, pos);
-        pos += 4;
-        return v;
-    };
-    sh.magic = rd32();
-    if (sh.magic != kMagicV1 && sh.magic != kMagicV2 &&
-        sh.magic != kMagicV3)
-        fatal("bad encoded-image magic");
-    rd32(); // width
-    rd32(); // height
-    rd32(); // tileSize
-    rd32(); // dwtLevels
-    sh.layers = static_cast<int>(rd32());
-    rd32(); // flags
-    if (len - pos < 8)
-        fatal("encoded image stream truncated");
-    pos += 8; // quantStep
-    if (sh.magic != kMagicV1)
-        rd32(); // chunkRows
-    uint32_t tiles = rd32();
-    size_t packed = (static_cast<size_t>(tiles) + 7) / 8;
-    if (packed > len - pos)
-        fatal("encoded image stream truncated in tile bitmap");
-    for (size_t i = 0; i < tiles; ++i)
-        sh.nCoded += (data[pos + i / 8] >> (i % 8)) & 1u;
-    pos += packed;
-    sh.floor = pos;
-    return sh;
+    return len >= 4 && util::readPodAt<uint32_t>(data, 0) == kMagicV3;
 }
-
-/**
- * Visit every recorded truncation point of a complete progressive
- * stream in ascending order; `fn(offset)` returning false stops the
- * walk. The set visited here is exactly the set of prefix lengths
- * parseStream() accepts — tests/progressive_test.cc pins the two
- * against each other. fatal() on non-progressive or overrunning
- * framing (the input must be a full, valid EPC4 stream).
- */
-template <typename Fn>
-void
-walkTruncationPoints(const uint8_t *data, size_t len, Fn &&fn)
-{
-    StreamShape sh = readShape(data, len);
-    if (sh.magic != kMagicV3)
-        fatal("stream is not progressive (EPC4): no truncation points");
-    auto need = [&](size_t pos, size_t n) {
-        if (n > len - pos)
-            fatal("corrupt progressive stream at offset %zu", pos);
-    };
-    if (!fn(sh.floor))
-        return;
-    size_t pos = sh.floor;
-    for (int l = 0; l < sh.layers && pos < len; ++l) {
-        need(pos, 4);
-        uint32_t layerLen = util::readPodAt<uint32_t>(data, pos);
-        pos += 4;
-        need(pos, layerLen);
-        if (!fn(pos))
-            return;
-        const size_t layerEnd = pos + layerLen;
-        for (size_t t = 0; t < sh.nCoded && pos < layerEnd; ++t) {
-            need(pos, 4);
-            uint32_t subLen = util::readPodAt<uint32_t>(data, pos);
-            pos += 4;
-            need(pos, subLen);
-            if (!fn(pos))
-                return;
-            const size_t subEnd = pos + subLen;
-            while (pos < subEnd) {
-                need(pos, 4);
-                uint32_t ecLen = util::readPodAt<uint32_t>(data, pos);
-                pos += 4;
-                need(pos, ecLen);
-                if (!fn(pos))
-                    return;
-                const size_t chunkEnd = pos + ecLen;
-                if (l == 0 && pos < chunkEnd) {
-                    ++pos; // raw maxPlane byte heads the chunk
-                    if (!fn(pos))
-                        return;
-                }
-                while (pos < chunkEnd) {
-                    need(pos, 4);
-                    uint32_t segWord =
-                        util::readPodAt<uint32_t>(data, pos);
-                    pos += 4;
-                    size_t segLen = segWord >> 2;
-                    need(pos, segLen);
-                    pos += segLen;
-                    if (!fn(pos))
-                        return;
-                }
-                pos = chunkEnd;
-            }
-            pos = subEnd;
-        }
-        pos = layerEnd;
-    }
-}
-
-} // anonymous namespace
 
 size_t
 streamHeaderFloor(const uint8_t *data, size_t len)
 {
-    return readShape(data, len).floor;
+    EncodedImage head;
+    std::string msg;
+    size_t floor = 0;
+    size_t nCoded = 0;
+    if (parseHeader(data, len, head, floor, nCoded, msg) !=
+        StreamError::None)
+        fatal("%s", msg.c_str());
+    return floor;
 }
 
 size_t
@@ -588,7 +574,7 @@ std::vector<size_t>
 truncationPoints(const uint8_t *data, size_t len)
 {
     std::vector<size_t> points;
-    walkTruncationPoints(data, len, [&](size_t off) {
+    walkProgressive(data, len, [&](size_t off) {
         points.push_back(off);
         return true;
     });
@@ -604,14 +590,9 @@ truncationPoints(const std::vector<uint8_t> &bytes)
 std::vector<uint8_t>
 truncateStream(const uint8_t *data, size_t len, size_t budget)
 {
-    if (budget >= len) {
-        if (readShape(data, len).magic != kMagicV3)
-            fatal("stream is not progressive (EPC4): cannot truncate");
-        return std::vector<uint8_t>(data, data + len);
-    }
     size_t best = 0;
     bool any = false;
-    walkTruncationPoints(data, len, [&](size_t off) {
+    walkProgressive(data, len, [&](size_t off) {
         if (off > budget)
             return false;
         best = off;
@@ -619,7 +600,7 @@ truncateStream(const uint8_t *data, size_t len, size_t budget)
         return true;
     });
     EP_ASSERT(any, "budget %zu below the stream header floor", budget);
-    return std::vector<uint8_t>(data, data + best);
+    return std::vector<uint8_t>(data, data + (budget >= len ? len : best));
 }
 
 std::vector<uint8_t>
@@ -726,7 +707,9 @@ encode(const raster::Plane &img, const EncodeParams &params)
 {
     telemetry::TraceSpan encodeSpan("codec.encode", "codec");
     EP_ASSERT(params.layers >= 1, "need at least one quality layer");
-    EP_ASSERT(params.chunkRows >= 0, "negative chunk height");
+    EP_ASSERT(params.chunkRows > 0,
+              "EPC4 streams need a positive chunk height, not %d",
+              params.chunkRows);
     EP_ASSERT(params.bitsPerPixel > 0.0 || params.lossless,
               "non-positive bit budget");
     EP_ASSERT(!params.lossless || params.wavelet == Wavelet::LeGall53,
@@ -752,9 +735,6 @@ encode(const raster::Plane &img, const EncodeParams &params)
     out.losslessDepth = params.losslessDepth;
     out.quantStep = params.quantStep;
     out.chunkRows = params.chunkRows;
-    // Progressive framing needs the chunked container; chunkRows == 0
-    // keeps emitting the legacy v1 format.
-    out.progressive = params.progressive && params.chunkRows > 0;
     out.tileCoded.assign(static_cast<size_t>(grid.tileCount()), 0);
 
     TileCoderParams tp;
@@ -764,7 +744,6 @@ encode(const raster::Plane &img, const EncodeParams &params)
     tp.losslessDepth = params.losslessDepth;
     tp.quantStep = params.quantStep;
     tp.chunkRows = params.chunkRows;
-    tp.progressive = out.progressive;
 
     std::vector<int> codedTiles;
     for (int t = 0; t < grid.tileCount(); ++t) {
@@ -896,8 +875,7 @@ encode(const raster::Plane &img, const EncodeParams &params)
                     perChunk.push_back(task->get());
                 }
             }
-            appendTile(assembleChunkLayers(std::move(perChunk), layers,
-                                           tp.chunkRows > 0));
+            appendTile(assembleChunkLayers(std::move(perChunk), layers));
             window.pop_front();
             topUp();
         }
@@ -921,6 +899,7 @@ namespace {
 struct SlicedStream
 {
     TileCoderParams tp;
+    StreamVersion version = StreamVersion::V3;
     int maxLayers = 0;
     /** Flat indices of coded tiles, ascending. */
     std::vector<int> codedTiles;
@@ -952,7 +931,7 @@ sliceStream(const EncodedImage &e, const raster::TileGrid &grid,
     s.tp.losslessDepth = e.losslessDepth;
     s.tp.quantStep = e.quantStep;
     s.tp.chunkRows = e.chunkRows;
-    s.tp.progressive = e.progressive;
+    s.version = e.version;
 
     s.slotOfTile.assign(static_cast<size_t>(grid.tileCount()), -1);
     for (int t = 0; t < grid.tileCount(); ++t) {
@@ -1021,7 +1000,8 @@ decode(const EncodedImage &e, int maxLayers)
             raster::TileRect r =
                 grid.rect(s.codedTiles[static_cast<size_t>(slot)]);
             out.paste(decodeTileLayers(r.width, r.height, s.tp,
-                                       s.spans[static_cast<size_t>(slot)]),
+                                       s.spans[static_cast<size_t>(slot)],
+                                       s.version),
                       r.x0, r.y0);
         });
     return out;
@@ -1047,7 +1027,8 @@ decodeTiles(const EncodedImage &e, const std::vector<int> &tiles,
             return raster::Plane(r.width, r.height, 0.0f);
         codecMetrics().tilesDecoded.add();
         return decodeTileLayers(r.width, r.height, s.tp,
-                                s.spans[static_cast<size_t>(slot)]);
+                                s.spans[static_cast<size_t>(slot)],
+                                s.version);
     });
 }
 

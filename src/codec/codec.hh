@@ -64,25 +64,17 @@ struct EncodeParams
     int layers = 1;
     /**
      * Rows per entropy chunk inside each tile (see
-     * TileCoderParams::chunkRows). 0 selects the legacy v1 format
-     * with one unframed entropy stream per tile.
+     * TileCoderParams::chunkRows); must be positive.
      */
     int chunkRows = kDefaultChunkRows;
-    /**
-     * Emit the progressive v3 (EPC4) stream format, whose inline
-     * segment framing records truncation points so the stream can be
-     * cut to any byte budget after encoding (truncateStream()) and
-     * still decode best-effort. Requires chunkRows > 0 (chunkRows ==
-     * 0 keeps the v1 format regardless). The default: new streams
-     * are truncatable. Set false for byte-compatible v2 (EPC3)
-     * output.
-     */
-    bool progressive = true;
 };
 
 /**
  * An encoded plane: container header, coded-tile flags and one byte
- * chunk per quality layer.
+ * chunk per quality layer. encode() always produces the progressive
+ * V3 (EPC4) layout, whose inline segment framing records truncation
+ * points, so a stream can be cut to any byte budget after encoding
+ * (truncateStream()) and still decode best-effort.
  */
 struct EncodedImage
 {
@@ -95,17 +87,13 @@ struct EncodedImage
     bool lossless = false;
     int losslessDepth = 8;
     double quantStep = 1.0 / 512.0;
+    /** Container version, from the magic (encode() writes V3). */
+    StreamVersion version = StreamVersion::V3;
     /**
-     * Entropy chunk height in rows: 0 for v1 (EPC2) streams, > 0 for
-     * v2 (EPC3) streams whose per-tile sub-chunks are internally
-     * framed into row-slab entropy chunks.
+     * Entropy chunk height in rows; 0 in V1 streams, whose tile
+     * sub-chunks are unframed.
      */
-    int chunkRows = 0;
-    /**
-     * True for v3 (EPC4) streams: chunk payloads carry the segment
-     * framing that records truncation points (see forEachSegment()).
-     */
-    bool progressive = false;
+    int chunkRows = kDefaultChunkRows;
     /**
      * True when the parsed stream was cut at a recorded truncation
      * point: the last layer chunk may be a partial prefix and later
@@ -121,7 +109,7 @@ struct EncodedImage
      * little-endian length followed by that tile's self-contained
      * range-coded sub-chunk, so tiles encode and decode as independent
      * parallel jobs while the assembled stream stays deterministic.
-     * In v2 streams each tile sub-chunk is itself a sequence of
+     * In V2/V3 streams each tile sub-chunk is itself a sequence of
      * length-prefixed entropy chunks (see docs/ARCHITECTURE.md).
      */
     std::vector<std::vector<uint8_t>> layerChunks;
@@ -167,6 +155,13 @@ struct EncodedImage
                                       EncodedImage &out,
                                       std::string *message = nullptr);
 };
+
+/**
+ * True when `data` starts with the progressive (EPC4) magic — the one
+ * stream version that records truncation points. Reads the magic
+ * only; truncationPoints() and truncateStream() validate the rest.
+ */
+bool isProgressive(const uint8_t *data, size_t len);
 
 /**
  * Header floor of a serialized stream: the byte offset just past the

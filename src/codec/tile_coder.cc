@@ -33,18 +33,17 @@ lastWordMask(int width)
 
 /** First row of chunk `chunk` on the params' slab grid. */
 int
-chunkRow0(const TileCoderParams &params, int height, int chunk)
+chunkRow0(const TileCoderParams &params, int chunk)
 {
-    int rowsPer = params.chunkRows <= 0 ? height : params.chunkRows;
-    return chunk * rowsPer;
+    return chunk * params.chunkRows;
 }
 
 /** Row count of chunk `chunk` (the last slab may be short). */
 int
 chunkRows(const TileCoderParams &params, int height, int chunk)
 {
-    int rowsPer = params.chunkRows <= 0 ? height : params.chunkRows;
-    return std::min(rowsPer, height - chunkRow0(params, height, chunk));
+    return std::min(params.chunkRows,
+                    height - chunkRow0(params, chunk));
 }
 
 /**
@@ -190,57 +189,6 @@ runSigScan(const ScanGrid &g, Coder &&coder)
     }
 }
 
-/** Encoder-side scan actions: bits come from the plane-bit mask. */
-template <typename Encoder>
-struct EncoderScan
-{
-    Encoder &enc;
-    const uint64_t *planeBits;
-    int words;
-    const uint8_t *sign;
-
-    int
-    code(size_t, int y, int w, int b, BitModel &model)
-    {
-        int bit = static_cast<int>(
-            (planeBits[static_cast<size_t>(y) * words + w] >> b) & 1u);
-        enc.encodeBit(model, bit);
-        return bit;
-    }
-
-    void significant(size_t i) { enc.encodeBitRaw(sign[i]); }
-};
-
-/**
- * Progressive-encode tee: the real per-segment coder and the
- * EPC3-accounting shadow consume the identical (probability, bit)
- * sequence while the shared context model updates exactly once, so
- * the shadow's byte count reproduces the EPC3 coder's rate decisions
- * exactly and the real stream stays decodable under the same model
- * evolution.
- */
-struct DualEncoder
-{
-    RangeEncoder &real;
-    RangeEncoder &shadow;
-
-    void
-    encodeBit(BitModel &model, int bit)
-    {
-        uint16_t p = model.prob();
-        real.encodeBitProb(p, bit);
-        shadow.encodeBitProb(p, bit);
-        model.update(static_cast<uint32_t>(bit != 0));
-    }
-
-    void
-    encodeBitRaw(int bit)
-    {
-        real.encodeBitRaw(bit);
-        shadow.encodeBitRaw(bit);
-    }
-};
-
 /** Decoder-side scan actions: bits come from the stream. */
 struct DecoderScan
 {
@@ -321,6 +269,55 @@ transformTile(const raster::Plane &tile, const TileCoderParams &params)
     return out;
 }
 
+/**
+ * The encode tee: the real per-segment coder and the rate-accounting
+ * shadow consume the identical (probability, bit) sequence while the
+ * shared context model updates exactly once, so the shadow's byte
+ * count reproduces the EPC3 coder's rate decisions exactly and the
+ * real stream stays decodable under the same model evolution.
+ */
+struct TileEncoder::DualEncoder
+{
+    RangeEncoder &real;
+    RangeEncoder &shadow;
+
+    void
+    encodeBit(BitModel &model, int bit)
+    {
+        uint16_t p = model.prob();
+        real.encodeBitProb(p, bit);
+        shadow.encodeBitProb(p, bit);
+        model.update(static_cast<uint32_t>(bit != 0));
+    }
+
+    void
+    encodeBitRaw(int bit)
+    {
+        real.encodeBitRaw(bit);
+        shadow.encodeBitRaw(bit);
+    }
+};
+
+/** Encoder-side scan actions: bits come from the plane-bit mask. */
+struct TileEncoder::EncoderScan
+{
+    DualEncoder &enc;
+    const uint64_t *planeBits;
+    int words;
+    const uint8_t *sign;
+
+    int
+    code(size_t, int y, int w, int b, BitModel &model)
+    {
+        int bit = static_cast<int>(
+            (planeBits[static_cast<size_t>(y) * words + w] >> b) & 1u);
+        enc.encodeBit(model, bit);
+        return bit;
+    }
+
+    void significant(size_t i) { enc.encodeBitRaw(sign[i]); }
+};
+
 TileEncoder::TileEncoder(const TileCoefficients &coeffs, int row0,
                          int rows, const TileCoderParams &params)
     : params_(params), width_(coeffs.width), height_(rows),
@@ -384,20 +381,20 @@ TileEncoder::beginPlane(int plane)
                            static_cast<size_t>(y) * wordsPerRow_);
 }
 
-template <typename Encoder>
-void
-TileEncoder::encodeSigPass(Encoder &enc)
+// The pass bodies are `inline` so the compiler folds them into
+// encodePlanes(), their only caller, which keeps the per-bit hot loop
+// free of calls.
+inline void
+TileEncoder::encodeSigPass(DualEncoder &enc)
 {
     runSigScan<false>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
                  visitedBits_.data(), dilation_.data(), orient_, &ctx_},
-        EncoderScan<Encoder>{enc, planeBits_.data(), wordsPerRow_,
-                             sign_});
+        EncoderScan{enc, planeBits_.data(), wordsPerRow_, sign_});
 }
 
-template <typename Encoder>
-void
-TileEncoder::encodeRefinePass(Encoder &enc)
+inline void
+TileEncoder::encodeRefinePass(DualEncoder &enc)
 {
     const size_t nWords = refinableBits_.size();
     for (size_t w = 0; w < nWords; ++w) {
@@ -412,20 +409,17 @@ TileEncoder::encodeRefinePass(Encoder &enc)
     }
 }
 
-template <typename Encoder>
-void
-TileEncoder::encodeCleanupPass(Encoder &enc)
+inline void
+TileEncoder::encodeCleanupPass(DualEncoder &enc)
 {
     runSigScan<true>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
                  visitedBits_.data(), dilation_.data(), orient_, &ctx_},
-        EncoderScan<Encoder>{enc, planeBits_.data(), wordsPerRow_,
-                             sign_});
+        EncoderScan{enc, planeBits_.data(), wordsPerRow_, sign_});
 }
 
-template <typename Encoder>
-void
-TileEncoder::encodePass(Encoder &enc, int plane, int pass)
+inline void
+TileEncoder::encodePass(DualEncoder &enc, int plane, int pass)
 {
     if (pass == 0) {
         beginPlane(plane);
@@ -438,38 +432,9 @@ TileEncoder::encodePass(Encoder &enc, int plane, int pass)
 }
 
 int
-TileEncoder::encodePlanes(RangeEncoder &enc, size_t byteLimit,
+TileEncoder::encodePlanes(std::vector<uint8_t> &payload,
+                          RangeEncoder &shadow, size_t shadowByteLimit,
                           int maxPlanes)
-{
-    EP_ASSERT(headerDone_, "encodePlanes before encodeHeader");
-    if (done())
-        return 0;
-    int planesThisCall = 0;
-    // Every pass is preceded by a continue bit so the decoder needs no
-    // side information about where the budget ran out. Once the final
-    // pass of plane 0 is emitted no terminator is needed: the decoder
-    // stops by itself when nextPlane_ goes negative.
-    while (nextPlane_ >= 0 && planesThisCall < maxPlanes &&
-           enc.bytesWritten() < byteLimit) {
-        enc.encodeBitRaw(1);
-        encodePass(enc, nextPlane_, nextPass_);
-        ++nextPass_;
-        if (nextPass_ == 3) {
-            nextPass_ = 0;
-            --nextPlane_;
-            ++planesCoded_;
-            ++planesThisCall;
-        }
-    }
-    if (nextPlane_ >= 0)
-        enc.encodeBitRaw(0);
-    return planesThisCall;
-}
-
-int
-TileEncoder::encodePlanesSegmented(std::vector<uint8_t> &payload,
-                                   RangeEncoder &shadow,
-                                   size_t shadowByteLimit, int maxPlanes)
 {
     EP_ASSERT(headerDone_, "encodePlanes before encodeHeader");
     if (done())
@@ -477,9 +442,9 @@ TileEncoder::encodePlanesSegmented(std::vector<uint8_t> &payload,
     int planesThisCall = 0;
     std::vector<uint8_t> seg;
     // The loop conditions — checked before every pass — are exactly
-    // the EPC3 encodePlanes() conditions, evaluated against the
-    // shadow coder, so a segment break never changes which passes are
-    // emitted; it only changes how the real bits are framed. Each
+    // the EPC3 coder's, evaluated against the shadow, so a segment
+    // break never changes which passes are emitted; it only changes
+    // how the real bits are framed. Each
     // segment holds the consecutive passes of one plane coded within
     // this layer (the first segment of a layer may resume mid-plane).
     while (nextPlane_ >= 0 && planesThisCall < maxPlanes &&
@@ -715,11 +680,12 @@ encodeTileChunk(const TileCoefficients &coeffs,
                 size_t tileByteBudget)
 {
     EP_ASSERT(layers >= 1, "need at least one quality layer");
-    EP_ASSERT(!params.progressive || params.chunkRows > 0,
-              "progressive (EPC4) streams require chunked framing");
+    EP_ASSERT(params.chunkRows > 0,
+              "EPC4 streams need a positive chunk height, not %d",
+              params.chunkRows);
     EP_ASSERT(chunk >= 0 && chunk < chunkCount(params, coeffs.height),
               "chunk %d out of range", chunk);
-    const int row0 = chunkRow0(params, coeffs.height, chunk);
+    const int row0 = chunkRow0(params, chunk);
     const int rows = chunkRows(params, coeffs.height, chunk);
 
     // Row-proportional share of the tile budget, computed without
@@ -750,51 +716,29 @@ encodeTileChunk(const TileCoefficients &coeffs,
             int total = coder.maxPlane() + 1;
             maxPlanes = (total + layers - 1) / layers;
         }
-        if (params.progressive) {
-            // EPC4: real bits go into per-plane segments in `stream`;
-            // the shadow coder replays the EPC3 layer stream (header,
-            // continue and pass bits) purely for rate accounting, so
-            // `spent` evolves exactly as it would for EPC3 and the
-            // pass schedule is identical.
-            shadowBuf.clear();
-            RangeEncoder shadow(shadowBuf);
-            if (layer == 0) {
-                coder.encodeHeader(shadow);
-                stream.push_back(
-                    static_cast<uint8_t>(coder.maxPlane() + 1));
-            }
-            coder.encodePlanesSegmented(
-                stream, shadow, shadow.bytesWritten() + remaining,
-                maxPlanes);
-            shadow.flush();
-            spent += shadowBuf.size();
-            continue;
+        // Real bits go into per-plane segments in `stream`; the shadow
+        // coder replays the EPC3 layer stream (header, continue and
+        // pass bits) purely for rate accounting, so `spent` evolves
+        // exactly as it did for EPC3 and the pass schedule is identical.
+        shadowBuf.clear();
+        RangeEncoder shadow(shadowBuf);
+        if (layer == 0) {
+            coder.encodeHeader(shadow);
+            stream.push_back(static_cast<uint8_t>(coder.maxPlane() + 1));
         }
-        RangeEncoder enc(stream);
-        if (layer == 0)
-            coder.encodeHeader(enc);
-        coder.encodePlanes(enc, enc.bytesWritten() + remaining,
-                           maxPlanes);
-        enc.flush();
-        spent += stream.size();
+        coder.encodePlanes(stream, shadow,
+                           shadow.bytesWritten() + remaining, maxPlanes);
+        shadow.flush();
+        spent += shadowBuf.size();
     }
     return out;
 }
 
 std::vector<std::vector<uint8_t>>
 assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
-                    int layers, bool framed)
+                    int layers)
 {
     std::vector<std::vector<uint8_t>> out(static_cast<size_t>(layers));
-    if (!framed) {
-        EP_ASSERT(perChunk.size() == 1,
-                  "unframed (v1) streams hold exactly one chunk, not %zu",
-                  perChunk.size());
-        for (int l = 0; l < layers; ++l)
-            out[static_cast<size_t>(l)] =
-                std::move(perChunk[0][static_cast<size_t>(l)]);
-        return out;
-    }
     for (int l = 0; l < layers; ++l) {
         std::vector<uint8_t> &layer = out[static_cast<size_t>(l)];
         for (auto &chunk : perChunk) {
@@ -814,9 +758,6 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
 {
     EP_ASSERT(layers >= 1, "need at least one quality layer");
     TileCoefficients coeffs = transformTile(tile, params);
-    if (params.chunkRows <= 0)
-        return encodeTileChunk(coeffs, params, 0, layers, byteBudget);
-
     const int chunks = chunkCount(params, coeffs.height);
     std::vector<std::vector<std::vector<uint8_t>>> perChunk(
         static_cast<size_t>(chunks));
@@ -827,21 +768,25 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
                 coeffs, params, static_cast<int>(c), layers, byteBudget);
         },
         1);
-    return assembleChunkLayers(std::move(perChunk), layers, true);
+    return assembleChunkLayers(std::move(perChunk), layers);
 }
 
 raster::Plane
 decodeTileLayers(int width, int height, const TileCoderParams &params,
-                 const std::vector<ChunkSpan> &layerSpans)
+                 const std::vector<ChunkSpan> &layerSpans,
+                 StreamVersion version)
 {
-    const int chunks = chunkCount(params, height);
+    const bool progressive = version == StreamVersion::V3;
+    // A v1 tile is one unframed chunk covering every row.
+    const bool v1 = version == StreamVersion::V1;
+    const int chunks = v1 ? 1 : chunkCount(params, height);
     const size_t nLayers = layerSpans.size();
 
     // Split every layer span into its per-chunk windows up front
-    // (spans[chunk][layer]); v1 streams are one unframed chunk.
+    // (spans[chunk][layer]).
     std::vector<std::vector<ChunkSpan>> spans(
         static_cast<size_t>(chunks), std::vector<ChunkSpan>(nLayers));
-    if (params.chunkRows <= 0) {
+    if (v1) {
         for (size_t l = 0; l < nLayers; ++l)
             spans[0][l] = layerSpans[l];
     } else {
@@ -855,7 +800,7 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
                     // recorded truncation point: the chunks that never
                     // arrived simply keep their empty spans. For v2
                     // framing a short sub-chunk is corruption.
-                    if (params.progressive)
+                    if (progressive)
                         break;
                     fatal("tile chunk %d length prefix truncated in "
                           "layer %zu",
@@ -864,7 +809,7 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
                 uint32_t len = util::readPodAt<uint32_t>(base, pos);
                 pos += 4;
                 if (len > size - pos) {
-                    if (params.progressive) {
+                    if (progressive) {
                         // The cut landed inside this chunk: decode the
                         // segments that did arrive.
                         spans[static_cast<size_t>(c)][l] = {base + pos,
@@ -894,10 +839,9 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
     // skips the loop machinery entirely.
     std::vector<uint8_t> chunkFull(static_cast<size_t>(chunks), 0);
     auto decodeChunk = [&](int64_t c) {
-        const int row0 =
-            chunkRow0(params, height, static_cast<int>(c));
+        const int row0 = v1 ? 0 : chunkRow0(params, static_cast<int>(c));
         const int rows =
-            chunkRows(params, height, static_cast<int>(c));
+            v1 ? height : chunkRows(params, height, static_cast<int>(c));
         const size_t base =
             static_cast<size_t>(row0) * static_cast<size_t>(width);
         TileDecoder dec(width, rows, params, magnitude.data() + base,
@@ -906,7 +850,7 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
         bool headerSeen = false;
         for (size_t l = 0; l < nLayers; ++l) {
             const ChunkSpan &s = spans[static_cast<size_t>(c)][l];
-            if (params.progressive) {
+            if (progressive) {
                 const uint8_t *p = s.data;
                 size_t sz = s.size;
                 if (l == 0) {

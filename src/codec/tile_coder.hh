@@ -24,14 +24,18 @@
  * neighbor — so encoded streams are byte-identical to the original
  * per-pixel coder; `tests/golden_stream_test.cc` pins that.
  *
- * Sub-tile parallelism: when `TileCoderParams::chunkRows > 0` the tile
- * is partitioned into full-width row slabs ("chunks"), each coded by
+ * Sub-tile parallelism: the tile is partitioned into full-width row
+ * slabs ("chunks") of `TileCoderParams::chunkRows` rows, each coded by
  * an independent TileEncoder/TileDecoder pair — own range coder, own
  * context set, own significance state. Chunks are embarrassingly
  * parallel and the per-layer stream frames them in fixed chunk order
  * with u32 length prefixes, so the bytes are identical at every thread
- * count. `chunkRows == 0` keeps the original single unframed stream
- * (the v1 / EPC2 wire format) byte-for-byte.
+ * count.
+ *
+ * Only the progressive v3 (EPC4) layout is ever encoded. The decoder
+ * still reads v1 (EPC2: one unframed entropy stream per tile) and v2
+ * (EPC3: framed chunks, one range-coded stream each) — see
+ * StreamVersion.
  */
 
 #ifndef EARTHPLUS_CODEC_TILE_CODER_HH
@@ -49,14 +53,26 @@
 namespace earthplus::codec {
 
 /**
- * Default chunk height for chunked (v2) encoding. Chosen so the
- * default 64-px tile grid stays single-chunk (framing adds only the
- * one length prefix per layer) while an oversized 1024×1024 tile
+ * Default chunk height. Chosen so the default 64-px tile grid stays
+ * single-chunk (framing adds only the one length prefix per layer)
+ * while an oversized 1024×1024 tile
  * splits into 8 independently codable slabs — enough to keep four
  * lanes busy on the latency path without shrinking the context-model
  * training window to the point of hurting compression.
  */
 constexpr int kDefaultChunkRows = 128;
+
+/**
+ * Container version of an encoded stream, decided once from its magic
+ * (docs/ARCHITECTURE.md). Only V3 is ever encoded; V1 and V2 stay
+ * decodable because the ground archive may hold them.
+ */
+enum class StreamVersion : uint8_t
+{
+    V1 = 1, ///< "EPC2": one unframed entropy stream per tile sub-chunk.
+    V2 = 2, ///< "EPC3": length-framed row-slab entropy chunks.
+    V3 = 3, ///< "EPC4": V2 framing around per-plane truncation segments.
+};
 
 /** Tunables shared by the tile encoder and decoder. */
 struct TileCoderParams
@@ -76,33 +92,16 @@ struct TileCoderParams
     /** Deadzone quantizer step for the lossy path. */
     double quantStep = 1.0 / 512.0;
     /**
-     * Rows per entropy chunk. 0 (the default) selects the legacy
-     * single unframed entropy stream — the v1 wire format. Any
-     * positive value selects the framed chunked format (v2), even
-     * when the tile fits in one chunk, so a stream's framing is
-     * decided by the params alone, never by the tile size.
+     * Rows per entropy chunk; must be positive. V1 decode ignores it:
+     * a V1 tile sub-chunk is one unframed stream.
      */
-    int chunkRows = 0;
-    /**
-     * Progressive (EPC4) entropy framing. Requires chunkRows > 0.
-     * Each chunk-layer payload becomes a sequence of independently
-     * flushed per-plane segments (see forEachSegment()) so any
-     * segment boundary is a recorded truncation point; the pass
-     * schedule — which planes land in which layer — is decided by a
-     * shadow coder fed the exact EPC3 bit sequence, so the decoded
-     * pixels of a full-length EPC4 stream are bit-exact with the
-     * EPC3 decode of the same input. False keeps the v1/v2 formats
-     * byte-identical.
-     */
-    bool progressive = false;
+    int chunkRows = kDefaultChunkRows;
 };
 
 /** Number of entropy chunks a `height`-row tile codes into. */
 inline int
 chunkCount(const TileCoderParams &params, int height)
 {
-    if (params.chunkRows <= 0)
-        return 1;
     return (height + params.chunkRows - 1) / params.chunkRows;
 }
 
@@ -151,11 +150,10 @@ TileCoefficients transformTile(const raster::Plane &tile,
  * Encoder for one entropy chunk (a row slab) of a transformed tile.
  *
  * Usage: construct over `[row0, row0 + rows)` of the coefficients
- * (borrowed — the TileCoefficients must outlive the encoder), call
- * encodeHeader() once, then call encodePlanes() one or more times
- * (once per quality layer) until done() or the byte budget runs out.
- * A single chunk spanning the whole tile reproduces the original
- * whole-tile coder bit for bit.
+ * (borrowed — the TileCoefficients must outlive the encoder), code the
+ * header into layer 0's rate-accounting shadow with encodeHeader(),
+ * then call encodePlanes() once per quality layer until done() or the
+ * byte budget runs out.
  */
 class TileEncoder
 {
@@ -173,38 +171,25 @@ class TileEncoder
     void encodeHeader(RangeEncoder &enc);
 
     /**
-     * Encode remaining bitplanes into `enc` until either all planes are
-     * coded, `maxPlanes` planes have been coded by this call, or the
-     * encoder's bytesWritten() reaches `byteLimit`.
-     *
-     * The number of planes produced is coded into the stream itself, so
-     * the decoder needs no side information.
-     *
-     * @return Number of planes coded by this call.
-     */
-    int encodePlanes(RangeEncoder &enc, size_t byteLimit, int maxPlanes);
-
-    /**
-     * Progressive (EPC4) variant of encodePlanes(): emit the same
-     * passes the EPC3 coder would, but framed into independently
-     * flushed per-plane segments appended to `payload` (see
-     * forEachSegment() for the framing). All rate decisions are made
-     * against `shadow`, which receives the exact EPC3 bit sequence —
-     * header bits, continue bits, pass bits — so the pass schedule,
-     * and therefore the fully decoded pixels, match EPC3 bit for bit.
-     * The caller owns the shadow's per-layer lifecycle (construct,
+     * Emit the next passes framed into independently flushed per-plane
+     * segments appended to `payload` (see forEachSegment() for the
+     * framing). All rate decisions are made against `shadow`, which
+     * receives the exact EPC3 bit sequence — header bits, continue
+     * bits, pass bits — so the pass schedule, and with it every EPC4
+     * byte, is what the retired EPC3 coder produced for the same
+     * budget, and the fully decoded pixels match its decode bit for
+     * bit. The caller owns the shadow's per-layer lifecycle (construct,
      * encodeHeader() on layer 0, flush, account its size as spent).
      *
      * @param payload Destination chunk-layer payload (appended to).
-     * @param shadow EPC3-accounting coder for this layer.
+     * @param shadow Rate-accounting coder for this layer.
      * @param shadowByteLimit Stop when shadow.bytesWritten() reaches
-     *        this (the EPC3 byteLimit for this layer).
+     *        this (the layer's byte limit).
      * @param maxPlanes Cap on planes completed by this call.
      * @return Number of planes completed by this call.
      */
-    int encodePlanesSegmented(std::vector<uint8_t> &payload,
-                              RangeEncoder &shadow,
-                              size_t shadowByteLimit, int maxPlanes);
+    int encodePlanes(std::vector<uint8_t> &payload, RangeEncoder &shadow,
+                     size_t shadowByteLimit, int maxPlanes);
 
     /** True once every bitplane has been emitted. */
     bool done() const;
@@ -237,15 +222,15 @@ class TileEncoder
     int planesCoded_;
     bool headerDone_;
 
-    /// The pass bodies are templated on the encoder so the EPC4 path
-    /// can tee bits through a real+shadow pair (see DualEncoder in
-    /// tile_coder.cc) while EPC3 keeps the plain RangeEncoder.
-    template <typename Encoder>
-    void encodePass(Encoder &enc, int plane, int pass);
+    /// Tees every bit into a segment coder and the rate shadow.
+    struct DualEncoder;
+    /// Encoder-side scan actions of the shared significance scans.
+    struct EncoderScan;
+    void encodePass(DualEncoder &enc, int plane, int pass);
     void beginPlane(int plane);
-    template <typename Encoder> void encodeSigPass(Encoder &enc);
-    template <typename Encoder> void encodeRefinePass(Encoder &enc);
-    template <typename Encoder> void encodeCleanupPass(Encoder &enc);
+    void encodeSigPass(DualEncoder &enc);
+    void encodeRefinePass(DualEncoder &enc);
+    void encodeCleanupPass(DualEncoder &enc);
 };
 
 /**
@@ -275,7 +260,7 @@ class TileDecoder
                 uint32_t *magnitude, uint8_t *sign, uint8_t *lowPlane,
                 const uint8_t *orient);
 
-    /** Read the chunk header. */
+    /** Read the range-coded chunk header (V1/V2). */
     void decodeHeader(RangeDecoder &dec);
 
     /**
@@ -286,11 +271,14 @@ class TileDecoder
      */
     void decodeHeaderRaw(uint32_t maxPlanePlus1);
 
-    /** Decode the next group of bitplanes (one encodePlanes() call). */
+    /**
+     * Decode the next group of bitplanes of a V1/V2 layer stream,
+     * which marks every pass with an in-stream continue bit.
+     */
     void decodePlanes(RangeDecoder &dec);
 
     /**
-     * Decode exactly `passes` coding passes from `dec` (one EPC4
+     * Decode exactly `passes` coding passes from `dec` (one V3
      * segment); stops early only when every plane is already decoded.
      */
     void decodePassRun(RangeDecoder &dec, int passes);
@@ -348,7 +336,7 @@ struct ChunkSpan
     size_t size = 0;
 };
 
-/** One parsed segment of a progressive (EPC4) chunk-layer payload. */
+/** One parsed segment of a V3 (EPC4) chunk-layer payload. */
 struct SegmentView
 {
     const uint8_t *data = nullptr; ///< Flushed range-coded bytes.
@@ -357,7 +345,7 @@ struct SegmentView
 };
 
 /**
- * Walk the segments of a progressive (EPC4) chunk-layer payload (the
+ * Walk the segments of a V3 (EPC4) chunk-layer payload (the
  * layer-0 header byte must already be stripped by the caller). Each
  * segment is framed as `u32 segWord | body` with
  * `segWord = byteLen << 2 | (passCount - 1)`; this inline framing is
@@ -388,19 +376,19 @@ forEachSegment(const uint8_t *data, size_t size, Fn &&fn)
 
 /**
  * Entropy-code one chunk (row slab) of a transformed tile: all
- * `layers` quality layers into private per-layer streams (one flushed
- * range coder per layer). Pure function of (coeffs, params, chunk) —
- * safe to run on any thread in any order; the per-tile stream is
- * assembled from these in fixed chunk order (assembleChunkLayers).
+ * `layers` quality layers into private per-layer segment payloads.
+ * Pure function of (coeffs, params, chunk) — safe to run on any thread
+ * in any order; the per-tile stream is assembled from these in fixed
+ * chunk order (assembleChunkLayers).
  *
  * @param coeffs Transformed tile.
- * @param params Coder configuration; chunkRows fixes the slab grid.
+ * @param params Coder configuration; chunkRows (> 0) fixes the slabs.
  * @param chunk Chunk index in [0, chunkCount(params, coeffs.height)).
  * @param layers Number of SNR-progressive layers (>= 1).
  * @param tileByteBudget Whole-tile entropy byte budget across all
  *        layers (ignored when params.lossless); this chunk takes its
  *        row-proportional share.
- * @return One stream per layer for this chunk.
+ * @return One payload per layer for this chunk.
  */
 std::vector<std::vector<uint8_t>>
 encodeTileChunk(const TileCoefficients &coeffs,
@@ -408,15 +396,13 @@ encodeTileChunk(const TileCoefficients &coeffs,
                 size_t tileByteBudget);
 
 /**
- * Assemble per-chunk per-layer streams (perChunk[chunk][layer]) into
- * the tile's per-layer sub-chunks. `framed` (the v2 format) prefixes
- * every chunk stream with its u32 byte length, in chunk order;
- * unframed (v1) requires exactly one chunk and passes its streams
- * through untouched.
+ * Assemble per-chunk per-layer payloads (perChunk[chunk][layer]) into
+ * the tile's per-layer sub-chunks: every chunk payload prefixed with
+ * its u32 byte length, in chunk order.
  */
 std::vector<std::vector<uint8_t>>
 assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
-                    int layers, bool framed);
+                    int layers);
 
 /**
  * Encode one tile completely, as a single self-contained job.
@@ -442,12 +428,14 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
 /**
  * Decode one tile from its per-layer sub-chunks (the inverse of
  * encodeTileLayers); spans may cover fewer layers than were encoded
- * for a lower-quality prefix decode. With params.chunkRows > 0 the
- * framed chunks decode in parallel when the pool has idle lanes.
+ * for a lower-quality prefix decode. `version` selects the sub-chunk
+ * layout; framed (V2/V3) chunks decode in parallel when the pool has
+ * idle lanes.
  */
 raster::Plane
 decodeTileLayers(int width, int height, const TileCoderParams &params,
-                 const std::vector<ChunkSpan> &layerSpans);
+                 const std::vector<ChunkSpan> &layerSpans,
+                 StreamVersion version);
 
 } // namespace earthplus::codec
 

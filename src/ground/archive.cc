@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 
@@ -196,18 +195,16 @@ struct ScanResult
 };
 
 /**
- * Scan one container file (a shard, or a legacy single-file archive),
- * recovering the valid record prefix. A *torn-write* tail — one that
- * begins with our own record magic, or is too short to judge — stops
- * the scan; when `rewriteTail` is set that garbage is cut off so the
- * next append starts on a clean tail. A tail that provably was never
+ * Scan one shard container file, recovering the valid record prefix.
+ * A *torn-write* tail — one that begins with our own record magic, or
+ * is too short to judge — stops the scan and is cut off so the next
+ * append starts on a clean tail. A tail that provably was never
  * ours (>= 4 readable bytes with the wrong record magic: a foreign
  * writer grew the shard) is a fail-closed error instead — nothing is
  * truncated, the bytes are preserved for forensics.
  */
 ScanResult
-scanContainerFile(const std::string &path, std::vector<RecordEntry> &out,
-                  bool rewriteTail)
+scanContainerFile(const std::string &path, std::vector<RecordEntry> &out)
 {
     ScanResult result;
     ScanReport &report = result.report;
@@ -314,7 +311,7 @@ scanContainerFile(const std::string &path, std::vector<RecordEntry> &out,
             static_cast<unsigned long long>(pos));
         return result;
     }
-    if (report.truncatedTail && rewriteTail) {
+    if (report.truncatedTail) {
         // Drop the garbage so the next append starts on a clean tail.
         // The truncate is one metadata operation: the valid prefix is
         // never rewritten, so a crash here cannot lose it.
@@ -374,14 +371,6 @@ readFileRange(const std::string &path, uint64_t offset, size_t size)
     return bytes;
 }
 
-/** Directory holding `path` ("." when the path has no parent). */
-std::string
-parentDirOf(const std::string &path)
-{
-    fs::path parent = fs::path(path).parent_path();
-    return parent.empty() ? std::string(".") : parent.string();
-}
-
 /** Shard container file name for shard `idx`. */
 std::string
 shardFileName(const std::string &dir, int idx)
@@ -389,23 +378,6 @@ shardFileName(const std::string &dir, int idx)
     char name[32];
     std::snprintf(name, sizeof(name), "shard-%03d.epar", idx);
     return (fs::path(dir) / name).string();
-}
-
-/** True when `path` is a pre-sharding single-file archive. */
-bool
-isLegacyArchiveFile(const std::string &path)
-{
-    std::error_code ec;
-    if (!fs::is_regular_file(path, ec))
-        return false;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    uint8_t magic[4] = {0, 0, 0, 0};
-    size_t got = std::fread(magic, 1, sizeof(magic), f);
-    std::fclose(f);
-    return got == sizeof(magic) &&
-           readPodAt<uint32_t>(magic, 0) == kFileMagic;
 }
 
 } // anonymous namespace
@@ -441,26 +413,6 @@ Archive::Archive(const std::string &path, const ArchiveOptions &options,
         err_ = nullptr;
         return;
     }
-    if (!path_.empty()) {
-        if (!recoverInterruptedMigration()) {
-            err_ = nullptr;
-            return;
-        }
-        if (archive_io::crashed()) {
-            makeGhostShards(shards);
-            err_ = nullptr;
-            return;
-        }
-        if (isLegacyArchiveFile(path_)) {
-            migrateLegacyFile(shards);
-            // A simulated crash mid-migration leaves no usable shard
-            // set; degrade to a discardable ghost instance.
-            if (shards_.empty() && archive_io::crashed())
-                makeGhostShards(shards);
-            err_ = nullptr;
-            return;
-        }
-    }
     openShards(shards);
     err_ = nullptr;
 }
@@ -491,23 +443,6 @@ Archive::openFail(OpenErrorKind kind, std::string detail)
         err_->detail = std::move(detail);
     }
     return false;
-}
-
-void
-Archive::makeGhostShards(int shardCount)
-{
-    // Empty-path shards behave like the memory-backed mode: every
-    // later append lands in memory only, which is exactly what a
-    // dead process's writes amount to.
-    shards_.clear();
-    globalRecords_.clear();
-    scanReport_ = ScanReport{};
-    for (int s = 0; s < shardCount; ++s) {
-        auto shard = std::make_unique<Shard>();
-        shard->appendOffset = kFileHeaderBytes;
-        shard->scan.validBytes = shard->appendOffset;
-        shards_.push_back(std::move(shard));
-    }
 }
 
 Archive::~Archive()
@@ -543,6 +478,12 @@ Archive::openShards(int shardCount)
     bool manifestExisted = false;
     if (!path_.empty()) {
         std::error_code ec;
+        if (fs::exists(path_, ec) && !fs::is_directory(path_, ec))
+            return openFail(
+                OpenErrorKind::NotADirectory,
+                strfmt("archive path '%s' exists but is not a directory "
+                       "(archives are directories; the file is left "
+                       "untouched)", path_.c_str()));
         fs::create_directories(path_, ec);
         if (ec)
             return openFail(
@@ -728,7 +669,7 @@ Archive::openShards(int shardCount)
     for (size_t s = 0; s < shards_.size(); ++s) {
         Shard &shard = *shards_[s];
         std::vector<RecordEntry> entries;
-        ScanResult scan = scanContainerFile(shard.path, entries, true);
+        ScanResult scan = scanContainerFile(shard.path, entries);
         if (scan.error != OpenErrorKind::None)
             return openFail(scan.error, std::move(scan.detail));
         shard.scan = scan.report;
@@ -745,115 +686,6 @@ Archive::openShards(int shardCount)
         scanReport_.validBytes += shard.scan.validBytes;
         scanReport_.truncatedTail |= shard.scan.truncatedTail;
     }
-    return true;
-}
-
-bool
-Archive::recoverInterruptedMigration()
-{
-    // Finish (or clean up after) a legacy migration that crashed
-    // between steps. The migration sequence is: replay into
-    // '<path>.migrating' (legacy file stays authoritative at <path>),
-    // rename <path> -> '<path>.legacy-done', rename the staging
-    // directory into place, remove the aside file. A crash before the
-    // first rename leaves the legacy file authoritative (the stale
-    // staging directory is rebuilt); a crash between the renames is
-    // completed here; a leftover aside file after a completed swap is
-    // removed.
-    std::string stagingPath = path_ + ".migrating";
-    std::string asidePath = path_ + ".legacy-done";
-    std::error_code ec;
-    if (!fs::exists(path_, ec) && fs::exists(asidePath, ec)) {
-        if (!fs::exists(stagingPath, ec))
-            return openFail(
-                OpenErrorKind::BadMigration,
-                strfmt("archive '%s': interrupted migration left only "
-                       "'%s' — recover it manually", path_.c_str(),
-                       asidePath.c_str()));
-        warn("archive '%s': completing interrupted legacy migration",
-             path_.c_str());
-        if (!archive_io::renameFile(stagingPath, path_))
-            return openFail(
-                OpenErrorKind::BadMigration,
-                strfmt("cannot finish migration of archive '%s'",
-                       path_.c_str()));
-        archive_io::syncDir(parentDirOf(path_));
-    }
-    if (fs::exists(path_, ec) && fs::exists(asidePath, ec)) {
-        if (!archive_io::removeFile(asidePath))
-            warn("cannot remove migrated legacy archive '%s'",
-                 asidePath.c_str());
-    }
-    return true;
-}
-
-bool
-Archive::migrateLegacyFile(int shardCount)
-{
-    // One-time migration of a pre-sharding single-file archive. The
-    // legacy file stays authoritative at path_ until a complete
-    // sharded replica exists: records are replayed into a staging
-    // directory first, then swapped into place with two renames (see
-    // recoverInterruptedMigration() for the crash story). Each rename
-    // is followed by a directory fsync so the swap is durable before
-    // the legacy bytes are removed.
-    std::string stagingPath = path_ + ".migrating";
-    std::string asidePath = path_ + ".legacy-done";
-    archive_io::removeAll(stagingPath); // stale partial replay, if any
-
-    std::vector<RecordEntry> entries;
-    ScanResult legacyScan = scanContainerFile(path_, entries, false);
-    if (legacyScan.error != OpenErrorKind::None)
-        return openFail(legacyScan.error,
-                        std::move(legacyScan.detail));
-    {
-        ArchiveOptions stagingOptions = options_;
-        stagingOptions.shardCount = shardCount;
-        Archive staging(stagingPath, stagingOptions);
-        for (const RecordEntry &entry : entries) {
-            if (archive_io::crashed())
-                break;
-            std::vector<uint8_t> payload = readFileRange(
-                path_, entry.payloadOffset,
-                static_cast<size_t>(entry.meta.payloadBytes));
-            if (crc32(payload.data(), payload.size()) !=
-                entry.payloadCrc)
-                fatal("legacy archive '%s': payload CRC mismatch "
-                      "during migration", path_.c_str());
-            staging.append(entry.meta, payload);
-        }
-        // The replica must be on disk before the swap makes it
-        // authoritative.
-        staging.sync();
-    }
-
-    if (!archive_io::renameFile(path_, asidePath))
-        return openFail(
-            OpenErrorKind::BadMigration,
-            strfmt("cannot move legacy archive '%s' aside",
-                   path_.c_str()));
-    if (!archive_io::renameFile(stagingPath, path_))
-        return openFail(
-            OpenErrorKind::BadMigration,
-            strfmt("cannot move migrated archive into place at '%s'",
-                   path_.c_str()));
-    archive_io::syncDir(parentDirOf(path_));
-    if (!archive_io::removeFile(asidePath))
-        warn("cannot remove migrated legacy archive '%s'",
-             asidePath.c_str());
-
-    // A simulated crash anywhere above leaves the on-disk swap
-    // incomplete; the caller degrades this instance to a ghost and
-    // the next (real) open finishes or redoes the migration.
-    if (archive_io::crashed())
-        return true;
-
-    if (!openShards(shardCount))
-        return false;
-    scanReport_.migratedLegacy = true;
-    scanReport_.truncatedTail |= legacyScan.report.truncatedTail;
-    inform("archive '%s': migrated %zu legacy records into %d shards",
-           path_.c_str(), globalRecords_.size(), shardCount);
     return true;
 }
 
@@ -1293,7 +1125,6 @@ Archive::rewriteAllShardsLocked(
     scanReport_.validBytes = 0;
     // Every shard was just rewritten cleanly, so an open-time
     // truncated tail no longer describes the on-disk state.
-    // (migratedLegacy stays: it records how this open started.)
     scanReport_.truncatedTail = false;
     for (const auto &shardPtr : shards_) {
         after += shardPtr->appendOffset;
@@ -1347,15 +1178,13 @@ Archive::applyStoragePressure(uint64_t targetBytes)
     // size down to its header floor; spread the byte deficit
     // proportionally over those truncatable spans so quality degrades
     // evenly across the archive instead of zeroing out whole records.
-    constexpr char kV3Magic[4] = {'E', 'P', 'C', '4'};
     uint64_t need = before - targetBytes;
     uint64_t cuttable = 0;
     std::vector<size_t> floors(records.size(), 0);
     std::vector<uint8_t> progressive(records.size(), 0);
     for (size_t i = 0; i < records.size(); ++i) {
         const std::vector<uint8_t> &payload = records[i].second;
-        if (payload.size() < 4 ||
-            std::memcmp(payload.data(), kV3Magic, 4) != 0) {
+        if (!codec::isProgressive(payload.data(), payload.size())) {
             ++report.recordsSkipped;
             continue;
         }

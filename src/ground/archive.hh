@@ -24,10 +24,8 @@
  *                captureDay f64 | referenceDay f64 | payloadBytes u64 |
  *                payloadCrc u32 | payload bytes
  *
- * The shard container format is byte-identical to the pre-sharding
- * single-file archive format; opening a path that is a regular file
- * with the "EPAR" magic migrates it in place into the sharded layout
- * (see ScanReport::migratedLegacy).
+ * A path that names an existing regular file is refused at open
+ * (OpenErrorKind::NotADirectory) and the file is left untouched.
  *
  * Appends go to the end of a shard file; open() scans every shard to
  * rebuild the in-memory indexes and is corruption-tolerant per shard:
@@ -74,9 +72,9 @@ enum class SyncPolicy
      * Never fdatasync on the append path: an acknowledged append can
      * be lost to power failure (never to a process crash — the write
      * itself completes before the acknowledgement). Metadata
-     * operations (manifest creation, migration and compaction
-     * renames) still get the full temp-fsync-rename-dirsync
-     * choreography under every policy.
+     * operations (manifest creation and compaction renames) still get
+     * the full temp-fsync-rename-dirsync choreography under every
+     * policy.
      */
     None,
     /** fdatasync a shard once every syncIntervalBytes appended to it:
@@ -112,7 +110,7 @@ enum class OpenErrorKind
     BadManifest,    ///< Manifest unreadable or malformed.
     Unwritable,     ///< Cannot create the directory/manifest/shards.
     ForeignData,    ///< A shard grew a tail we provably never wrote.
-    BadMigration,   ///< Interrupted legacy migration beyond recovery.
+    NotADirectory,  ///< The path exists but is not a directory.
 };
 
 /**
@@ -179,8 +177,6 @@ struct ScanReport
     uint64_t validBytes = 0;
     /** True when any shard discarded a corrupt/truncated tail. */
     bool truncatedTail = false;
-    /** True when a pre-sharding single-file archive was migrated. */
-    bool migratedLegacy = false;
 };
 
 /**
@@ -248,11 +244,9 @@ class Archive
     /**
      * Open (or create) an archive.
      *
-     * A non-empty path names a directory (created as needed). When
-     * the path is an existing regular file carrying the pre-sharding
-     * "EPAR" magic, it is migrated into the sharded layout in place:
-     * the file is renamed aside, its records are redistributed into
-     * shards in append order, and the original is removed on success.
+     * A non-empty path names a directory (created as needed); an
+     * existing regular file at the path is an open error
+     * (OpenErrorKind::NotADirectory) and is never modified.
      *
      * @param path Directory path; empty for a memory-backed archive.
      * @param shardCount Shards to create (<= 0 picks
@@ -446,20 +440,12 @@ class Archive
     Archive(const std::string &path, const ArchiveOptions &options,
             ArchiveOpenError *error);
     bool openShards(int shardCount);
-    bool recoverInterruptedMigration();
-    bool migrateLegacyFile(int shardCount);
     /**
      * Record an open failure: stores into the caller-provided error
      * slot when one exists (open() path), fatal()s otherwise
      * (constructor path). Returns false for tail-calling.
      */
     bool openFail(OpenErrorKind kind, std::string detail);
-    /**
-     * Degrade to an empty memory-backed shard set after the simulated
-     * crash latch trips mid-open: the instance stays safe to destroy
-     * and query but persists nothing (the harness discards it).
-     */
-    void makeGhostShards(int shardCount);
     /**
      * Write one record into `shard` (file or memory) and push it onto
      * the shard's record list. Requires shard.mutex held; follow with

@@ -277,14 +277,4 @@ removeFile(const std::string &path)
     return !ec;
 }
 
-bool
-removeAll(const std::string &path)
-{
-    if (ghostBoundary())
-        return true;
-    std::error_code ec;
-    fs::remove_all(path, ec);
-    return !ec;
-}
-
 } // namespace earthplus::ground::archive_io

@@ -93,10 +93,6 @@ bool truncateFile(const std::string &path, uint64_t size);
  *  ghost-succeeds after a crash. */
 bool removeFile(const std::string &path);
 
-/** Recursively remove a directory tree, tolerating absence. False on
- *  failure; ghost-succeeds after a crash. */
-bool removeAll(const std::string &path);
-
 } // namespace earthplus::ground::archive_io
 
 #endif // EARTHPLUS_GROUND_ARCHIVE_IO_HH

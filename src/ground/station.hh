@@ -44,9 +44,8 @@ struct GroundSegmentParams
     /** Phase of the first daily contact. */
     double contactPhaseDays = 0.0;
     /**
-     * Archive directory path; empty keeps the archive in memory. A
-     * path naming a pre-sharding single-file archive is migrated into
-     * the sharded directory layout on open. Each GroundStation owns
+     * Archive directory path; empty keeps the archive in memory. Each
+     * GroundStation owns
      * its directory exclusively — concurrent simulations
      * (core::runSimulationsBatch jobs) must use distinct paths or
      * leave this empty, or their interleaved appends corrupt the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -307,8 +306,7 @@ TileServer::parseRecord(size_t recordIdx, int quality) const
     PayloadView view = archive_.payloadView(recordIdx);
     const uint8_t *data = view.data();
     size_t size = view.size();
-    if (quality >= 0 && quality < 100 && size >= 4 &&
-        std::memcmp(data, "EPC4", 4) == 0) {
+    if (quality >= 0 && quality < 100 && codec::isProgressive(data, size)) {
         // Serve from a truncated prefix: the largest recorded
         // truncation point within quality% of the payload bytes
         // (never below the header floor). The parse borrows the

@@ -387,12 +387,6 @@ class TileServer
     /** Serving statistics windowed since construction / resetStats(). */
     StatsView statsView() const;
 
-    /**
-     * @deprecated Alias of statsView(), kept for source compatibility
-     * with pre-StatsView callers; new code should use statsView().
-     */
-    StatsView stats() const { return statsView(); }
-
     /** Reset the statistics window (cache contents are kept). */
     void resetStats();
 

@@ -161,9 +161,7 @@ bool
 decodeQuery(const Frame &frame, uint64_t &requestId,
             ground::TileQuery &query)
 {
-    if (frame.magic != kQueryMagic ||
-        (frame.body.size() != kQueryBodyBytes &&
-         frame.body.size() != kQueryBodyBytesV1))
+    if (frame.magic != kQueryMagic || frame.body.size() != kQueryBodyBytes)
         return false;
     const uint8_t *p = frame.body.data();
     requestId = util::readPodAt<uint64_t>(p, 0);
@@ -175,10 +173,7 @@ decodeQuery(const Frame &frame, uint64_t &requestId,
     query.width = util::readPodAt<int32_t>(p, 32);
     query.height = util::readPodAt<int32_t>(p, 36);
     query.maxLayers = util::readPodAt<int32_t>(p, 40);
-    // Version-1 peers stop here; they always want full fidelity.
-    query.quality = frame.body.size() == kQueryBodyBytes
-        ? util::readPodAt<int32_t>(p, 44)
-        : -1;
+    query.quality = util::readPodAt<int32_t>(p, 44);
     return true;
 }
 

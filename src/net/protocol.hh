@@ -47,18 +47,15 @@ constexpr uint32_t kResultMagic = 0x52545045u;
 
 /**
  * Protocol version spoken by this build (bumped on layout change).
- * Version 2 appends a quality hint (i32, offset 44) to the EPTQ body;
- * version-1 peers omit it and are still served (quality defaults to
- * -1, full fidelity).
+ * Version 2 appended a quality hint (i32, offset 44) to the EPTQ body;
+ * peers of any other version are refused at the handshake.
  */
 constexpr uint32_t kProtocolVersion = 2;
 
 /** Bytes in the fixed frame header (magic, version, len, crc). */
 constexpr size_t kFrameHeaderBytes = 16;
-/** Body size of a version-2 EPTQ frame (v1 bodies are 4 shorter). */
+/** Body size of an EPTQ frame. */
 constexpr size_t kQueryBodyBytes = 48;
-/** Body size of a version-1 EPTQ frame (no quality field). */
-constexpr size_t kQueryBodyBytesV1 = 44;
 /** Fixed (pre-pixel) body size of an EPTR frame. */
 constexpr size_t kResultFixedBodyBytes = 52;
 /** Largest body any frame may declare; larger prefixes are rejected
@@ -129,10 +126,9 @@ std::vector<uint8_t> encodeResult(uint64_t requestId,
                                   const ground::TileResult &result);
 
 /**
- * Decode an EPTQ frame body. Accepts both the 48-byte version-2 body
- * and the 44-byte version-1 body (quality defaults to -1, full
- * fidelity). False when the frame is not a query or the body size is
- * neither; the query fields themselves are validated later by
+ * Decode an EPTQ frame body. False when the frame is not a query or
+ * the body is not kQueryBodyBytes long (the server treats either as a
+ * protocol error); the query fields themselves are validated later by
  * TileQuery::validate() (the single validation authority — network
  * input gets no private clamping path).
  */

@@ -494,10 +494,7 @@ Server::loop()
             }
             // Always answer with our version so the peer can report
             // the mismatch; an incompatible peer is then dropped.
-            // Version-1 peers are still served: their queries simply
-            // lack the quality hint (decodeQuery defaults it to -1).
-            bool compatible = frame.version == kProtocolVersion ||
-                frame.version == 1;
+            bool compatible = frame.version == kProtocolVersion;
             conn.handshaken = compatible;
             conn.closeAfterFlush = !compatible;
             return sendFrame(conn, encodeHello(kProtocolVersion)) &&

@@ -13,6 +13,7 @@
 #include "codec/codec.hh"
 #include "codec/kernels.hh"
 #include "raster/metrics.hh"
+#include "test_data.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
@@ -283,15 +284,11 @@ TEST(Codec, SerializeRoundTripAcrossModes)
 TEST(CodecDeath, DeserializeRejectsTruncatedStreams)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    raster::Plane img = testImage(128, 128, 21);
-    EncodeParams p;
-    p.bitsPerPixel = 1.0;
-    p.layers = 2;
-    // Non-progressive: a progressive (EPC4) stream cut at a recorded
-    // truncation point parses successfully instead of dying
-    // (tests/progressive_test.cc covers that path).
-    p.progressive = false;
-    std::vector<uint8_t> bytes = encode(img, p).serialize();
+    // EPC3 records no truncation points, so every cut must die (an
+    // EPC4 stream cut at a recorded point parses instead;
+    // tests/progressive_test.cc covers that path).
+    std::vector<uint8_t> bytes = testdata::load("lossless_150x110_epc3.bin");
+    ASSERT_GT(bytes.size(), 45u);
 
     // Cut inside the fixed header, the tile bitmap region, and the
     // last layer chunk: each must fail with a clear message, never
@@ -592,9 +589,10 @@ TEST(Codec, ChunkedStreamByteIdenticalAcrossSimdLevels)
 
 TEST(Codec, V1StreamsStillDecode)
 {
-    // chunkRows == 0 emits the legacy EPC2 format, which must stay
-    // writable and decodable forever (the ground archive holds such
-    // streams); chunkRows > 0 emits EPC3. Both reconstruct losslessly.
+    // EPC2 (v1) and EPC3 (v2) are decode-only, but the ground archive
+    // may hold them: the checked-in encodes of this lossless image must
+    // keep reconstructing it exactly and re-serializing byte for byte,
+    // as must the EPC4 stream encode() writes today.
     raster::Plane img = testImage(150, 110, 32);
     for (auto &v : img.data())
         v = std::round(v * 255.0f) / 255.0f;
@@ -602,26 +600,18 @@ TEST(Codec, V1StreamsStillDecode)
     p.lossless = true;
     p.wavelet = Wavelet::LeGall53;
     p.tileSize = 96;
-
-    p.chunkRows = 0;
-    std::vector<uint8_t> v1 = encode(img, p).serialize();
     p.chunkRows = 48;
-    p.progressive = false;
-    std::vector<uint8_t> v2 = encode(img, p).serialize();
-
-    // The magic spells out the version ("EPC2" vs "EPC3"); default
-    // params (progressive) emit "EPC4".
-    EXPECT_EQ(std::memcmp(v1.data(), "EPC2", 4), 0);
-    EXPECT_EQ(std::memcmp(v2.data(), "EPC3", 4), 0);
-    p.progressive = true;
-    std::vector<uint8_t> v3 = encode(img, p).serialize();
-    EXPECT_EQ(std::memcmp(v3.data(), "EPC4", 4), 0);
-
+    const std::vector<uint8_t> streams[] = {
+        testdata::load("lossless_150x110_epc2.bin"),
+        testdata::load("lossless_150x110_epc3.bin"),
+        encode(img, p).serialize()};
+    const StreamVersion versions[] = {StreamVersion::V1, StreamVersion::V2,
+                                      StreamVersion::V3};
     for (int v = 0; v < 3; ++v) {
-        const std::vector<uint8_t> &bytes = v == 0 ? v1 : v == 1 ? v2 : v3;
-        EncodedImage back = EncodedImage::deserialize(bytes);
+        EncodedImage back = EncodedImage::deserialize(streams[v]);
+        EXPECT_EQ(back.version, versions[v]);
         EXPECT_EQ(back.chunkRows, v == 0 ? 0 : 48);
-        EXPECT_EQ(back.progressive, v == 2);
+        EXPECT_EQ(back.serialize(), streams[v]);
         raster::Plane dec = decode(back);
         for (size_t i = 0; i < img.data().size(); ++i)
             ASSERT_NEAR(img.data()[i], dec.data()[i], 1e-6)
@@ -632,31 +622,40 @@ TEST(Codec, V1StreamsStillDecode)
 TEST(CodecDeath, TruncatedChunkLengthPrefixIsFatal)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    raster::Plane tile = testImage(96, 96, 33);
-    TileCoderParams tp;
-    tp.chunkRows = 32; // 3 framed chunks per layer stream
-    auto layers = encodeTileLayers(tile, tp, 1, 96 * 96 * 2 / 8);
-    const std::vector<uint8_t> &layer0 = layers[0];
+    // Tile 0 of the checked-in EPC3 stream: a 96x96 lossless tile
+    // framed as two 48-row entropy chunks. EPC3 has no truncation
+    // points, so a short framed chunk is corruption, never a prefix.
+    EncodedImage e =
+        EncodedImage::deserialize(testdata::load("lossless_150x110_epc3.bin"));
+    ASSERT_EQ(e.version, StreamVersion::V2);
+    const std::vector<uint8_t> &layer = e.layerChunks[0];
+    uint32_t subLen = 0;
+    std::memcpy(&subLen, layer.data(), 4);
+    const std::vector<uint8_t> layer0(layer.begin() + 4,
+                                      layer.begin() + 4 + subLen);
     ASSERT_GT(layer0.size(), 8u);
-    auto spanOf = [](const std::vector<uint8_t> &v) {
-        return std::vector<ChunkSpan>{{v.data(), v.size()}};
+    TileCoderParams tp;
+    tp.lossless = true;
+    tp.wavelet = Wavelet::LeGall53;
+    tp.chunkRows = 48;
+    auto decodeV2 = [&](const std::vector<uint8_t> &v) {
+        return decodeTileLayers(96, 96, tp, {{v.data(), v.size()}},
+                                StreamVersion::V2);
     };
 
     // Cut inside the very first length prefix.
     std::vector<uint8_t> cut(layer0.begin(), layer0.begin() + 2);
-    EXPECT_EXIT(decodeTileLayers(96, 96, tp, spanOf(cut)),
-                ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(decodeV2(cut), ::testing::ExitedWithCode(1),
                 "length prefix truncated");
     // Cut inside the last chunk's payload.
     std::vector<uint8_t> short2(layer0.begin(), layer0.end() - 2);
-    EXPECT_EXIT(decodeTileLayers(96, 96, tp, spanOf(short2)),
-                ::testing::ExitedWithCode(1), "truncated");
+    EXPECT_EXIT(decodeV2(short2), ::testing::ExitedWithCode(1),
+                "truncated");
     // A framed length larger than the remaining stream.
     std::vector<uint8_t> bad = layer0;
     uint32_t huge = 0x7FFFFFFFu;
     std::memcpy(bad.data(), &huge, 4);
-    EXPECT_EXIT(decodeTileLayers(96, 96, tp, spanOf(bad)),
-                ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(decodeV2(bad), ::testing::ExitedWithCode(1),
                 "bytes framed but only");
 }
 

@@ -3,8 +3,8 @@
  * Crash-consistency sweep for the sharded archive.
  *
  * The harness simulates a process kill at EVERY injected write
- * boundary of an append / compact / append workload (plus a legacy
- * migration workload), reopens the archive from whatever the "dead"
+ * boundary of an append / compact / append workload (plus a storage-
+ * pressure rewrite), reopens the archive from whatever the "dead"
  * process left on disk, and asserts the durability contract from
  * docs/RELIABILITY.md:
  *
@@ -57,24 +57,14 @@ class TempPath
     explicit TempPath(const std::string &name)
         : path_(::testing::TempDir() + name)
     {
-        removeEverything();
+        std::filesystem::remove_all(path_);
     }
 
-    ~TempPath() { removeEverything(); }
+    ~TempPath() { std::filesystem::remove_all(path_); }
 
     const std::string &str() const { return path_; }
 
   private:
-    void
-    removeEverything()
-    {
-        std::filesystem::remove_all(path_);
-        // Migration staging siblings: a crashed iteration must not
-        // leak state into the next one.
-        std::filesystem::remove_all(path_ + ".migrating");
-        std::filesystem::remove_all(path_ + ".legacy-done");
-    }
-
     std::string path_;
 };
 
@@ -295,7 +285,6 @@ progressivePayloadFor(uint64_t salt)
     img.clampTo(0.0f, 1.0f);
     codec::EncodeParams ep;
     ep.bitsPerPixel = 3.0;
-    ep.progressive = true;
     return cache.emplace(salt, codec::encode(img, ep).serialize())
         .first->second;
 }
@@ -416,79 +405,6 @@ TEST(CrashConsistency, EveryBoundaryOfStoragePressure)
                                "pressure boundary " +
                                    std::to_string(k) + "/" +
                                    std::to_string(boundaries));
-        if (::testing::Test::HasFatalFailure())
-            return;
-    }
-}
-
-TEST(CrashConsistency, EveryBoundaryOfLegacyMigration)
-{
-    ChaosGuard guard;
-    // Build a legacy single-file archive: the shard container format
-    // is byte-identical to the pre-sharding format, so a one-shard
-    // archive's container doubles as a legacy file.
-    TempPath donorDir("crash_migration_donor");
-    std::vector<AckedRecord> expected;
-    {
-        ArchiveOptions opt;
-        opt.shardCount = 1;
-        Archive donor(donorDir.str(), opt);
-        for (int i = 0; i < 4; ++i) {
-            RecordMeta meta;
-            meta.locationId = 10 + i;
-            meta.band = 0;
-            meta.captureDay = 3.0 + i;
-            meta.fullDownload = true;
-            std::vector<uint8_t> payload =
-                payloadFor(500 + i, 140 + i * 31);
-            donor.append(meta, payload);
-            expected.push_back({10 + i, 3.0 + i, std::move(payload)});
-        }
-    }
-    std::string donorShard = donorDir.str() + "/shard-000.epar";
-
-    // Dry-run the migration to enumerate its boundaries.
-    ArchiveOptions opt;
-    opt.shardCount = 2;
-    uint64_t boundaries = 0;
-    {
-        TempPath legacy("crash_migration_dry.epar");
-        std::filesystem::copy_file(donorShard, legacy.str());
-        Schedule s;
-        s.trigger = Trigger::NthHit;
-        s.n = 1ULL << 60;
-        failpoint::arm("archive.io.crash", s);
-        auto &fp = failpoint::site("archive.io.crash");
-        uint64_t before = fp.hitCount();
-        ArchiveOpenError err;
-        auto migrated = Archive::open(legacy.str(), opt, &err);
-        ASSERT_TRUE(migrated) << err.detail;
-        boundaries = fp.hitCount() - before;
-        failpoint::disarmAll();
-    }
-    ASSERT_GT(boundaries, 5u);
-
-    for (uint64_t k = 1; k <= boundaries; ++k) {
-        TempPath legacy("crash_migration_sweep.epar");
-        std::filesystem::copy_file(donorShard, legacy.str());
-        Schedule s;
-        s.trigger = Trigger::NthHit;
-        s.n = k;
-        failpoint::arm("archive.io.crash", s);
-        {
-            ArchiveOpenError err;
-            auto dying = Archive::open(legacy.str(), opt, &err);
-            // A crash mid-open may yield a ghost archive or a typed
-            // error; either way nothing about it is trusted.
-        }
-        EXPECT_TRUE(archive_io::crashed())
-            << "migration boundary " << k << " never fired";
-        // "Reboot" and reopen: the interrupted migration must either
-        // roll forward or leave the legacy file recoverable — all
-        // pre-migration records intact in both cases.
-        verifyRecovery(legacy.str(), expected,
-                       "migration boundary " + std::to_string(k) + "/" +
-                           std::to_string(boundaries));
         if (::testing::Test::HasFatalFailure())
             return;
     }

@@ -5,11 +5,17 @@
  * The encoded byte stream is a wire/storage format: the ground archive
  * persists it and the downlink replays it, so any change to the coder
  * must either be byte-identical or come with an explicit format
- * migration. These tests pin CRC32s of encoded streams for fixed
+ * migration. These tests pin all three stream versions over fixed
  * synthetic tiles across {CDF97, lossy 5/3, lossless} x odd/even tile
- * sizes x layer counts, recorded from the original per-pixel raster
- * coder — the bitset pass engine (and any future rewrite) must
- * reproduce them exactly, at every SIMD dispatch level.
+ * sizes x layer counts, at every SIMD dispatch level:
+ *
+ *  - v3 (EPC4) is what the encoder writes: kGoldenV3 pins its bytes,
+ *    and its decode must be bit-exact with the v2 decode of the same
+ *    tile.
+ *  - v1 (EPC2) and v2 (EPC3) are decode-only. Their tile streams,
+ *    recorded by the last encoder that wrote them, are checked in under
+ *    tests/data/; the kGolden/kGoldenV2 CRC tables verify the loaded
+ *    bytes and decoded-pixel CRCs pin the decoders.
  *
  * Fixture content is generated from Rng only (integer-based
  * xoshiro256**) with no libm calls, so the tiles — and therefore the
@@ -29,6 +35,7 @@
 #include "codec/tile_coder.hh"
 #include "ground/crc32.hh"
 #include "raster/plane.hh"
+#include "test_data.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
@@ -92,10 +99,10 @@ struct GoldenFixture
     uint32_t crc;     ///< CRC32 of the concatenated layer chunks.
 };
 
-// Recorded from the pre-bitset per-pixel coder (PR 3 state); see the
-// file comment. Regenerating: print totals/CRCs from encodeGolden()
-// below and update — but only alongside a deliberate, documented
-// stream-format change.
+// V1 (EPC2 unframed) fixtures: size and CRC32 of the concatenated
+// layer streams in tests/data/golden_epc2_tiles.bin, recorded from the
+// original per-pixel coder and reproduced by every encoder rewrite
+// until v1 encoding was retired.
 const GoldenFixture kGolden[] = {
     {"textured", 64, 64, "cdf97", 1, 1096u, 0x5D41161Du},
     {"textured", 64, 64, "cdf97", 3, 1106u, 0xEC9D49E4u},
@@ -141,12 +148,9 @@ const GoldenFixture kGolden[] = {
 /**
  * V2 (EPC3 chunked) fixtures: the same tiles coded with chunkRows =
  * 32, so every fixture splits into at least two framed entropy chunks
- * (64x64 -> 2, 61x47 -> 2, 130x70 -> 3) and the per-chunk headers,
- * length prefixes and budget splits are all pinned. Recorded
- * deliberately when the chunked format was introduced — the PR 6
- * migration, see the worked example in docs/ARCHITECTURE.md.
- * Regenerate by running this binary with EARTHPLUS_PRINT_GOLDEN=1 and
- * pasting the printed rows.
+ * (64x64 -> 2, 61x47 -> 2, 130x70 -> 3); their streams are in
+ * tests/data/golden_epc3_tiles.bin. Recorded when the chunked format
+ * was introduced — the first worked example in docs/ARCHITECTURE.md.
  */
 constexpr int kGoldenV2ChunkRows = 32;
 const GoldenFixture kGoldenV2[] = {
@@ -171,8 +175,8 @@ const GoldenFixture kGoldenV2[] = {
 };
 
 /**
- * V3 (EPC4 progressive) fixtures: the same tiles coded with chunkRows
- * = 32 and progressive segment framing, pinning the segment words,
+ * V3 (EPC4 progressive) fixtures: the kGoldenV2 tiles, in the same
+ * order, coded with chunkRows = 32 and progressive segment framing, pinning the segment words,
  * per-segment coder flushes and the shadow-coder budget accounting.
  * Recorded deliberately when the progressive format was introduced —
  * the EPC4 migration, see the second worked example in
@@ -199,6 +203,28 @@ const GoldenFixture kGoldenV3[] = {
     {"sparse", 130, 70, "lossy53", 3, 742u, 0xDB5C99F0u},
     {"sparse", 130, 70, "lossless", 3, 669u, 0xAE84D12Au},
 };
+
+// CRC32 of the decoded float pixels of every kGolden / kGoldenV2
+// fixture, recorded with its bytes: decoding is all that is left of v1
+// and v2, so decoding is what these pin.
+const uint32_t kDecodedV1[] = {
+    0x2353B43Eu, 0x2353B43Eu, 0x8216FDC9u, 0x8216FDC9u, 0x58A1F0D2u,
+    0x58A1F0D2u, 0x7B5912B4u, 0x7B5912B4u, 0x2DC909E3u, 0x2DC909E3u,
+    0x50319440u, 0x50319440u, 0x227BE1C5u, 0x227BE1C5u, 0x03CA8FCEu,
+    0x03CA8FCEu, 0xBBA68888u, 0xBBA68888u, 0x8227BB1Au, 0x8227BB1Au,
+    0x18EF4AF9u, 0x18EF4AF9u, 0x217D5E30u, 0x217D5E30u, 0x08377752u,
+    0x08377752u, 0x65F99890u, 0x65F99890u, 0xE388AF9Fu, 0xE388AF9Fu,
+    0xE10E9CA9u, 0xE10E9CA9u, 0x6F53A3E2u, 0x6F53A3E2u, 0x8F01FC25u,
+    0x8F01FC25u,
+};
+const uint32_t kDecodedV2[] = {
+    0x401B2936u, 0x401B2936u, 0xE9E6023Du, 0xE9E6023Du, 0x58A1F0D2u,
+    0x58A1F0D2u, 0x2AAA151Fu, 0x50319440u, 0x12709A22u, 0xCAF46159u,
+    0xBBA68888u, 0x8227BB1Au, 0x18EF4AF9u, 0x217D5E30u, 0x08377752u,
+    0xE388AF9Fu, 0x6F53A3E2u, 0x8F01FC25u,
+};
+static_assert(std::size(kDecodedV1) == std::size(kGolden));
+static_assert(std::size(kDecodedV2) == std::size(kGoldenV2));
 
 /** The fixture's exact tile content and coder configuration. */
 void
@@ -227,28 +253,32 @@ buildGolden(const GoldenFixture &f, raster::Plane &tile,
         : static_cast<size_t>(f.w) * static_cast<size_t>(f.h) * 2 / 8;
 }
 
-/** Encode one fixture and return (total bytes, CRC32 of the chunks). */
+/** Total bytes and CRC32 of the concatenated layer streams. */
 std::pair<size_t, uint32_t>
-encodeGolden(const GoldenFixture &f, int chunkRows = 0,
-             bool progressive = false)
+layersCrc(const std::vector<std::vector<uint8_t>> &layers)
 {
-    raster::Plane tile(1, 1);
-    TileCoderParams params;
-    size_t budget = 0;
-    buildGolden(f, tile, params, budget);
-    params.chunkRows = chunkRows;
-    params.progressive = progressive;
-    auto chunks = encodeTileLayers(tile, params, f.layers, budget);
     uint32_t crc = 0;
     size_t total = 0;
     bool first = true;
-    for (const auto &c : chunks) {
+    for (const auto &c : layers) {
         crc = first ? ground::crc32(c.data(), c.size())
                     : ground::crc32Update(crc, c.data(), c.size());
         first = false;
         total += c.size();
     }
     return {total, crc};
+}
+
+/** Encode one fixture as EPC4 with kGoldenV2ChunkRows-row chunks. */
+std::vector<std::vector<uint8_t>>
+encodeGolden(const GoldenFixture &f)
+{
+    raster::Plane tile(1, 1);
+    TileCoderParams params;
+    size_t budget = 0;
+    buildGolden(f, tile, params, budget);
+    params.chunkRows = kGoldenV2ChunkRows;
+    return encodeTileLayers(tile, params, f.layers, budget);
 }
 
 std::string
@@ -259,48 +289,111 @@ fixtureName(const GoldenFixture &f)
            std::to_string(f.layers);
 }
 
-} // namespace
-
-TEST(GoldenStream, StreamsMatchRecordedFormatAtEveryLevel)
+/**
+ * Split a fixture file's records into per-fixture layer streams,
+ * checking each fixture's bytes against its recorded size and CRC.
+ */
+std::vector<std::vector<std::vector<uint8_t>>>
+loadGoldenTiles(const char *file, const GoldenFixture *fixtures,
+                size_t count)
 {
+    std::vector<std::vector<uint8_t>> records = testdata::loadRecords(file);
+    std::vector<std::vector<std::vector<uint8_t>>> tiles;
+    size_t next = 0;
+    for (size_t i = 0; i < count; ++i) {
+        const GoldenFixture &f = fixtures[i];
+        std::vector<std::vector<uint8_t>> layers;
+        for (int l = 0; l < f.layers && next < records.size(); ++l)
+            layers.push_back(records[next++]);
+        auto [bytes, crc] = layersCrc(layers);
+        EXPECT_EQ(bytes, f.bytes) << file << ": " << fixtureName(f);
+        EXPECT_EQ(crc, f.crc) << file << ": " << fixtureName(f);
+        tiles.push_back(std::move(layers));
+    }
+    EXPECT_EQ(next, records.size()) << file << " holds extra records";
+    return tiles;
+}
+
+/** Decode one fixture's layer streams as `version`. */
+raster::Plane
+decodeGolden(const GoldenFixture &f,
+             const std::vector<std::vector<uint8_t>> &layers,
+             int chunkRows, StreamVersion version)
+{
+    raster::Plane tile(1, 1);
+    TileCoderParams params;
+    size_t budget = 0;
+    buildGolden(f, tile, params, budget);
+    params.chunkRows = chunkRows;
+    std::vector<ChunkSpan> spans;
+    for (const auto &c : layers)
+        spans.push_back({c.data(), c.size()});
+    return decodeTileLayers(f.w, f.h, params, spans, version);
+}
+
+uint32_t
+pixelCrc(const raster::Plane &p)
+{
+    return ground::crc32(
+        reinterpret_cast<const uint8_t *>(p.data().data()),
+        p.data().size() * sizeof(float));
+}
+
+/** Expect `dec` to reproduce the fixture tile exactly. */
+void
+expectLossless(const GoldenFixture &f, const raster::Plane &dec)
+{
+    raster::Plane tile(1, 1);
+    TileCoderParams params;
+    size_t budget = 0;
+    buildGolden(f, tile, params, budget);
+    bool exact = dec.data().size() == tile.data().size();
+    for (size_t i = 0; exact && i < tile.data().size(); ++i)
+        exact = std::fabs(tile.data()[i] - dec.data()[i]) < 1e-6f;
+    EXPECT_TRUE(exact) << fixtureName(f);
+}
+
+/**
+ * Shared body of the v1/v2 pins: the checked-in streams match their
+ * CRC table and decode to the recorded pixels at every SIMD level
+ * (exactly to the source tile, in lossless mode).
+ */
+void
+expectDecodesAsRecorded(const char *file, const GoldenFixture *fixtures,
+                        const uint32_t *decodedCrcs, size_t count,
+                        int chunkRows, StreamVersion version)
+{
+    auto tiles = loadGoldenTiles(file, fixtures, count);
+    ASSERT_EQ(tiles.size(), count);
     util::simd::Level prev = util::simd::activeLevel();
     for (util::simd::Level l : kernels::availableLevels()) {
         util::simd::setActiveLevel(l);
-        for (const GoldenFixture &f : kGolden) {
-            auto [bytes, crc] = encodeGolden(f);
-            EXPECT_EQ(bytes, f.bytes)
+        for (size_t i = 0; i < count; ++i) {
+            const GoldenFixture &f = fixtures[i];
+            raster::Plane dec = decodeGolden(f, tiles[i], chunkRows,
+                                             version);
+            EXPECT_EQ(pixelCrc(dec), decodedCrcs[i])
                 << fixtureName(f) << " at " << util::simd::levelName(l);
-            EXPECT_EQ(crc, f.crc)
-                << fixtureName(f) << " at " << util::simd::levelName(l);
+            if (std::string(f.mode) == "lossless")
+                expectLossless(f, dec);
         }
     }
     util::simd::setActiveLevel(prev);
 }
 
-TEST(GoldenStream, V2ChunkedStreamsMatchRecordedFormatAtEveryLevel)
+} // namespace
+
+TEST(GoldenStream, V1StreamsDecodeAsRecordedAtEveryLevel)
 {
-    if (std::getenv("EARTHPLUS_PRINT_GOLDEN") != nullptr) {
-        // Regeneration mode: print table rows to paste into kGoldenV2.
-        for (const GoldenFixture &f : kGoldenV2) {
-            auto [bytes, crc] = encodeGolden(f, kGoldenV2ChunkRows);
-            std::printf("    {\"%s\", %d, %d, \"%s\", %d, %zuu, "
-                        "0x%08Xu},\n",
-                        f.content, f.w, f.h, f.mode, f.layers, bytes,
-                        crc);
-        }
-    }
-    util::simd::Level prev = util::simd::activeLevel();
-    for (util::simd::Level l : kernels::availableLevels()) {
-        util::simd::setActiveLevel(l);
-        for (const GoldenFixture &f : kGoldenV2) {
-            auto [bytes, crc] = encodeGolden(f, kGoldenV2ChunkRows);
-            EXPECT_EQ(bytes, f.bytes)
-                << fixtureName(f) << " at " << util::simd::levelName(l);
-            EXPECT_EQ(crc, f.crc)
-                << fixtureName(f) << " at " << util::simd::levelName(l);
-        }
-    }
-    util::simd::setActiveLevel(prev);
+    expectDecodesAsRecorded("golden_epc2_tiles.bin", kGolden, kDecodedV1,
+                            std::size(kGolden), 0, StreamVersion::V1);
+}
+
+TEST(GoldenStream, V2StreamsDecodeAsRecordedAtEveryLevel)
+{
+    expectDecodesAsRecorded("golden_epc3_tiles.bin", kGoldenV2,
+                            kDecodedV2, std::size(kGoldenV2),
+                            kGoldenV2ChunkRows, StreamVersion::V2);
 }
 
 TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
@@ -308,8 +401,7 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
     if (std::getenv("EARTHPLUS_PRINT_GOLDEN") != nullptr) {
         // Regeneration mode: print table rows to paste into kGoldenV3.
         for (const GoldenFixture &f : kGoldenV3) {
-            auto [bytes, crc] =
-                encodeGolden(f, kGoldenV2ChunkRows, true);
+            auto [bytes, crc] = layersCrc(encodeGolden(f));
             std::printf("    {\"%s\", %d, %d, \"%s\", %d, %zuu, "
                         "0x%08Xu},\n",
                         f.content, f.w, f.h, f.mode, f.layers, bytes,
@@ -325,8 +417,7 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
     for (util::simd::Level l : kernels::availableLevels()) {
         util::simd::setActiveLevel(l);
         for (const GoldenFixture &f : kGoldenV3) {
-            auto [bytes, crc] =
-                encodeGolden(f, kGoldenV2ChunkRows, true);
+            auto [bytes, crc] = layersCrc(encodeGolden(f));
             EXPECT_EQ(bytes, f.bytes)
                 << fixtureName(f) << " at " << util::simd::levelName(l);
             EXPECT_EQ(crc, f.crc)
@@ -337,8 +428,7 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
     for (int threads : {1, 2, 7, util::ThreadPool::defaultThreadCount()}) {
         util::ThreadPool::setGlobalThreads(threads);
         for (const GoldenFixture &f : kGoldenV3) {
-            auto [bytes, crc] =
-                encodeGolden(f, kGoldenV2ChunkRows, true);
+            auto [bytes, crc] = layersCrc(encodeGolden(f));
             EXPECT_EQ(bytes, f.bytes)
                 << fixtureName(f) << " with " << threads << " threads";
             EXPECT_EQ(crc, f.crc)
@@ -349,58 +439,25 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
         util::ThreadPool::defaultThreadCount());
 }
 
-/** Shared body for the v1/v2/v3 round-trip checks. */
-static void
-roundTripFixtures(const GoldenFixture *fixtures, size_t count,
-                  int chunkRows, bool progressive = false)
+TEST(GoldenStream, V3FixturesDecodeBitExactlyWithCheckedInV2)
 {
-    for (size_t fi = 0; fi < count; ++fi) {
-        const GoldenFixture &f = fixtures[fi];
-        raster::Plane tile(1, 1);
-        TileCoderParams params;
-        size_t budget = 0;
-        buildGolden(f, tile, params, budget);
-        params.chunkRows = chunkRows;
-        params.progressive = progressive;
-        auto chunks = encodeTileLayers(tile, params, f.layers, budget);
-        std::vector<ChunkSpan> spans;
-        for (const auto &c : chunks)
-            spans.push_back({c.data(), c.size()});
-        raster::Plane dec = decodeTileLayers(f.w, f.h, params, spans);
-        ASSERT_EQ(dec.width(), f.w);
-        ASSERT_EQ(dec.height(), f.h);
-        if (params.lossless) {
-            bool exact = true;
-            for (size_t i = 0; i < tile.data().size(); ++i)
-                exact = exact &&
-                        std::fabs(tile.data()[i] - dec.data()[i]) < 1e-6f;
-            EXPECT_TRUE(exact) << fixtureName(f);
-        } else {
-            // Coarse sanity: decoded values stay in range and the
-            // mid-gray background of sparse tiles survives.
-            for (float v : dec.data()) {
-                ASSERT_GE(v, 0.0f);
-                ASSERT_LE(v, 1.0f);
-            }
-        }
+    // The shadow coder replays the EPC3 rate decisions, so every full
+    // EPC4 stream reconstructs exactly the pixels its EPC3 twin does.
+    ASSERT_EQ(std::size(kGoldenV3), std::size(kGoldenV2));
+    auto v2 = loadGoldenTiles("golden_epc3_tiles.bin", kGoldenV2,
+                              std::size(kGoldenV2));
+    ASSERT_EQ(v2.size(), std::size(kGoldenV2));
+    for (size_t i = 0; i < std::size(kGoldenV3); ++i) {
+        const GoldenFixture &f = kGoldenV3[i];
+        ASSERT_EQ(fixtureName(f), fixtureName(kGoldenV2[i]));
+        raster::Plane fromV3 = decodeGolden(f, encodeGolden(f),
+                                            kGoldenV2ChunkRows,
+                                            StreamVersion::V3);
+        raster::Plane fromV2 = decodeGolden(f, v2[i], kGoldenV2ChunkRows,
+                                            StreamVersion::V2);
+        EXPECT_EQ(pixelCrc(fromV3), kDecodedV2[i]) << fixtureName(f);
+        EXPECT_EQ(fromV3.data(), fromV2.data()) << fixtureName(f);
+        if (std::string(f.mode) == "lossless")
+            expectLossless(f, fromV3);
     }
-}
-
-TEST(GoldenStream, FixturesRoundTrip)
-{
-    // The CRCs pin the bytes; this pins that those bytes still decode
-    // to a sane tile (and exactly, in lossless mode).
-    roundTripFixtures(kGolden, std::size(kGolden), 0);
-}
-
-TEST(GoldenStream, V2FixturesRoundTrip)
-{
-    roundTripFixtures(kGoldenV2, std::size(kGoldenV2),
-                      kGoldenV2ChunkRows);
-}
-
-TEST(GoldenStream, V3FixturesRoundTrip)
-{
-    roundTripFixtures(kGoldenV3, std::size(kGoldenV3),
-                      kGoldenV2ChunkRows, true);
 }

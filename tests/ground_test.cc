@@ -30,6 +30,7 @@
 #include "ground/tile_server.hh"
 #include "raster/metrics.hh"
 #include "synth/dataset.hh"
+#include "test_data.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
 #include "util/telemetry.hh"
@@ -317,7 +318,6 @@ TEST(Archive, AppendScanReopen)
     Archive reopened(path.str());
     ASSERT_EQ(reopened.recordCount(), 2u);
     EXPECT_FALSE(reopened.scanReport().truncatedTail);
-    EXPECT_FALSE(reopened.scanReport().migratedLegacy);
     RecordEntry r0 = reopened.record(0);
     EXPECT_EQ(r0.meta.locationId, 3);
     EXPECT_EQ(r0.meta.satelliteId, 1);
@@ -450,105 +450,6 @@ TEST(Archive, CorruptShardPayloadTailDiscarded)
     EXPECT_EQ(recovered.recordCount(), 0u);
 }
 
-TEST(Archive, MigratesLegacySingleFileArchive)
-{
-    // A shard container *is* the legacy single-file format, so a
-    // 1-shard archive's container doubles as a legacy fixture.
-    TempPath stage("archive_legacy_stage.epar");
-    TempPath path("archive_legacy.epar");
-    std::vector<RecordMeta> metas;
-    std::vector<std::vector<uint8_t>> payloads;
-    {
-        Archive onefile(stage.str(), 1);
-        for (int i = 0; i < 6; ++i) {
-            RecordMeta meta;
-            meta.locationId = i % 3; // several chains, one container
-            meta.band = i % 2;
-            meta.captureDay = 1.0 + i;
-            meta.fullDownload = (i < 3);
-            meta.referenceDay = i < 3 ? -1.0 : 1.0 + (i % 3);
-            payloads.push_back(randomPayload(300 + 37 * i,
-                                             200 + static_cast<uint64_t>(i)));
-            metas.push_back(meta);
-            onefile.append(meta, payloads.back());
-        }
-        std::filesystem::copy_file(stage.str() + "/shard-000.epar",
-                                   path.str());
-    }
-
-    // Opening the bare file migrates it into the sharded layout. The
-    // global interleave across shards changes (reopen order is
-    // shard-scan order), but every (location, band) chain must keep
-    // its records in original append order with identical bytes —
-    // chains are the unit the tile server consumes.
-    Archive migrated(path.str());
-    EXPECT_TRUE(migrated.scanReport().migratedLegacy);
-    EXPECT_TRUE(std::filesystem::is_directory(path.str()));
-    ASSERT_EQ(migrated.recordCount(), metas.size());
-    for (int loc = 0; loc < 3; ++loc) {
-        for (int band = 0; band < 2; ++band) {
-            std::vector<size_t> expected;
-            for (size_t i = 0; i < metas.size(); ++i)
-                if (metas[i].locationId == loc && metas[i].band == band)
-                    expected.push_back(i);
-            std::vector<size_t> got = migrated.chain(loc, band);
-            ASSERT_EQ(got.size(), expected.size())
-                << "location " << loc << " band " << band;
-            for (size_t j = 0; j < got.size(); ++j) {
-                RecordEntry rec = migrated.record(got[j]);
-                size_t i = expected[j];
-                EXPECT_DOUBLE_EQ(rec.meta.captureDay,
-                                 metas[i].captureDay);
-                EXPECT_EQ(rec.meta.fullDownload, metas[i].fullDownload);
-                EXPECT_EQ(migrated.loadPayload(got[j]), payloads[i]);
-            }
-        }
-    }
-
-    // Round trip: a reopen is a plain sharded open, nothing left to
-    // migrate, and every chain still resolves.
-    Archive reopened(path.str());
-    EXPECT_FALSE(reopened.scanReport().migratedLegacy);
-    ASSERT_EQ(reopened.recordCount(), metas.size());
-    for (int loc = 0; loc < 3; ++loc)
-        for (int band = 0; band < 2; ++band)
-            EXPECT_EQ(reopened.chain(loc, band).size(), 1u)
-                << "location " << loc << " band " << band;
-}
-
-TEST(Archive, FinishesInterruptedMigrationSwap)
-{
-    // Simulate a crash between the migration's two renames: the
-    // staging directory is complete, the legacy file sits aside, and
-    // nothing is at the archive path. Opening must finish the swap.
-    TempPath path("archive_interrupted.epar");
-    TempPath staging("archive_interrupted.epar.migrating");
-    TempPath aside("archive_interrupted.epar.legacy-done");
-    auto payload = randomPayload(600, 55);
-    {
-        Archive complete(staging.str());
-        RecordMeta meta;
-        meta.locationId = 4;
-        meta.captureDay = 1.0;
-        meta.fullDownload = true;
-        complete.append(meta, payload);
-    }
-    // The aside legacy file (its content is irrelevant to recovery).
-    {
-        std::FILE *f = std::fopen(aside.str().c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fputs("stale legacy bytes", f);
-        std::fclose(f);
-    }
-
-    Archive recovered(path.str());
-    EXPECT_TRUE(std::filesystem::is_directory(path.str()));
-    EXPECT_FALSE(std::filesystem::exists(staging.str()));
-    EXPECT_FALSE(std::filesystem::exists(aside.str()));
-    ASSERT_EQ(recovered.recordCount(), 1u);
-    EXPECT_EQ(recovered.loadPayload(recovered.chain(4, 0)[0]), payload);
-}
-
 TEST(Archive, CrossShardCompact)
 {
     TempPath path("archive_xshard_compact.epar");
@@ -677,7 +578,6 @@ appendProgressiveCapture(Archive &archive, int locationId, double day,
 {
     codec::EncodeParams ep;
     ep.bitsPerPixel = 4.0;
-    ep.progressive = true;
     RecordMeta meta;
     meta.locationId = locationId;
     meta.captureDay = day;
@@ -743,15 +643,11 @@ TEST(ArchivePressure, SkipsNonProgressiveRecordsAndReportsFloor)
 
     // A pre-progressive (EPC3) record: pressure must leave it
     // byte-identical.
-    codec::EncodeParams ep;
-    ep.bitsPerPixel = 4.0;
-    ep.progressive = false;
     RecordMeta meta;
     meta.locationId = 1;
     meta.captureDay = 1.0;
     meta.fullDownload = true;
-    std::vector<uint8_t> legacy =
-        codec::encode(testPlane(128, 96, 61), ep).serialize();
+    std::vector<uint8_t> legacy = testdata::load("plane_128x128_epc3.bin");
     archive.append(meta, legacy);
 
     // Target far below what header floors allow: the pass degrades
@@ -805,12 +701,11 @@ TEST(ArchivePressure, V2RecordArchivesReopenUnchanged)
     // existed reopens and serves byte-identically; pressure never
     // rewrites what it cannot truncate.
     TempPath path("archive_pressure_v2.epar");
+    // The checked-in EPC3 encode of this plane at 4 bpp.
     raster::Plane img = testPlane(128, 128, 63);
-    codec::EncodeParams ep;
-    ep.bitsPerPixel = 4.0;
-    ep.progressive = false;
-    std::vector<uint8_t> payload = codec::encode(img, ep).serialize();
-    ASSERT_EQ(std::memcmp(payload.data(), "EPC3", 4), 0);
+    std::vector<uint8_t> payload = testdata::load("plane_128x128_epc3.bin");
+    ASSERT_EQ(codec::EncodedImage::deserialize(payload).version,
+              codec::StreamVersion::V2);
     {
         Archive archive(path.str());
         RecordMeta meta;
@@ -932,6 +827,35 @@ TEST(ArchiveOpen, ForeignTailFailsClosedAndPreservesTheBytes)
     // Fail-closed means exactly that: the foreign bytes are evidence,
     // never auto-truncated like one of our own torn tails would be.
     EXPECT_EQ(std::filesystem::file_size(shard), grown);
+}
+
+TEST(ArchiveOpen, RegularFilePathFailsClosedAndIsLeftUntouched)
+{
+    // A file at the archive path — here a lone shard container, the
+    // layout a pre-sharding archive used — is not an archive: the open
+    // must refuse with a typed error and never touch the bytes.
+    TempPath donor("archive_open_file_donor.epar");
+    TempPath path("archive_open_file.epar");
+    {
+        Archive archive(donor.str(), 1);
+        RecordMeta meta;
+        meta.captureDay = 1.0;
+        meta.fullDownload = true;
+        archive.append(meta, randomPayload(300, 43));
+    }
+    std::filesystem::copy_file(donor.str() + "/shard-000.epar",
+                               path.str());
+    auto slurp = [](const std::string &p) {
+        std::ifstream in(p, std::ios::binary);
+        return std::vector<char>(std::istreambuf_iterator<char>(in),
+                                 std::istreambuf_iterator<char>());
+    };
+    std::vector<char> before = slurp(path.str());
+    ASSERT_FALSE(before.empty());
+    expectOpenFails(path.str(), OpenErrorKind::NotADirectory,
+                    "regular file at the archive path");
+    EXPECT_TRUE(std::filesystem::is_regular_file(path.str()));
+    EXPECT_EQ(slurp(path.str()), before);
 }
 
 // ----------------------------------------------------- codec::decodeTiles
@@ -1274,15 +1198,11 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
 TEST(TileServer, QualityHintIgnoredOnPreProgressiveRecords)
 {
     Archive archive("");
-    raster::Plane img = testPlane(128, 128, 91);
-    codec::EncodeParams ep;
-    ep.bitsPerPixel = 4.0;
-    ep.progressive = false;
     RecordMeta meta;
     meta.locationId = 1;
     meta.captureDay = 1.0;
     meta.fullDownload = true;
-    archive.append(meta, codec::encode(img, ep).serialize());
+    archive.append(meta, testdata::load("plane_128x128_epc3.bin"));
 
     TileServer server(archive);
     TileQuery q;
@@ -1375,8 +1295,6 @@ TEST(TileServer, StatsViewWindowsTheRegistry)
     EXPECT_GT(stats.tilesDecoded, 0u);
     EXPECT_GT(stats.tilesCacheHit, 0u);
     EXPECT_GE(stats.coalesceClaims, stats.tilesDecoded);
-    // stats() stays as a deprecated alias of statsView().
-    EXPECT_EQ(server.stats().queries, 2u);
     server.resetStats();
     EXPECT_EQ(server.statsView().queries, 0u);
     EXPECT_EQ(server.statsView().tilesDecoded, 0u);

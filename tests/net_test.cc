@@ -25,11 +25,13 @@
 
 #include "codec/codec.hh"
 #include "ground/archive.hh"
+#include "ground/crc32.hh"
 #include "ground/tile_server.hh"
 #include "net/client.hh"
 #include "net/protocol.hh"
 #include "net/server.hh"
 #include "raster/tile.hh"
+#include "util/bytes.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
 #include "util/telemetry.hh"
@@ -142,34 +144,6 @@ TEST(NetProtocol, QueryRoundTrip)
     EXPECT_EQ(back.height, q.height);
     EXPECT_EQ(back.maxLayers, q.maxLayers);
     EXPECT_EQ(back.quality, q.quality);
-}
-
-// A version-1 peer's 44-byte query body (no quality field) still
-// decodes; the missing hint defaults to -1 (full fidelity).
-TEST(NetProtocol, V1QueryBodyDecodesWithDefaultQuality)
-{
-    TileQuery q;
-    q.locationId = 7;
-    q.band = 1;
-    q.day = 3.5;
-    q.width = 64;
-    q.height = 64;
-    q.quality = 80; // must NOT survive the v1 wire
-
-    std::vector<uint8_t> bytes = encodeQuery(123, q);
-    FrameReader reader;
-    reader.feed(bytes.data(), bytes.size());
-    Frame frame;
-    ASSERT_TRUE(reader.next(frame));
-    ASSERT_EQ(frame.body.size(), kQueryBodyBytes);
-    frame.body.resize(kQueryBodyBytesV1); // what a v1 peer sends
-
-    uint64_t id = 0;
-    TileQuery back;
-    ASSERT_TRUE(decodeQuery(frame, id, back));
-    EXPECT_EQ(id, 123u);
-    EXPECT_EQ(back.locationId, q.locationId);
-    EXPECT_EQ(back.quality, -1);
 }
 
 TEST(NetProtocol, ResultRoundTripWithPixels)
@@ -494,6 +468,67 @@ TEST(NetServer, VersionMismatchIsRefusedAfterReportingOurs)
     // The well-versed client still works.
     TileClient client;
     EXPECT_TRUE(client.connect("127.0.0.1", fx.port()));
+}
+
+TEST(NetServer, QueryBodyWithoutQualityIsAProtocolError)
+{
+    // The retired version-1 EPTQ body: 44 bytes, no quality field,
+    // with a valid CRC. decodeQuery() refuses it, so the server drops
+    // the connection instead of answering.
+    std::vector<uint8_t> full = encodeQuery(7, fullQuery());
+    const auto bodyBegin =
+        full.begin() + static_cast<ptrdiff_t>(kFrameHeaderBytes);
+    std::vector<uint8_t> body(bodyBegin, bodyBegin + 44);
+    Frame frame;
+    frame.magic = kQueryMagic;
+    frame.version = kProtocolVersion;
+    frame.body = body;
+    uint64_t id = 0;
+    TileQuery q;
+    EXPECT_FALSE(decodeQuery(frame, id, q));
+
+    std::vector<uint8_t> shortQuery;
+    util::appendPod(shortQuery, kQueryMagic);
+    util::appendPod(shortQuery, kProtocolVersion);
+    util::appendPod(shortQuery, static_cast<uint32_t>(body.size()));
+    util::appendPod(shortQuery, crc32(body.data(), body.size()));
+    shortQuery.insert(shortQuery.end(), body.begin(), body.end());
+
+    LoopbackServer fx;
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(fx.port());
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    FrameReader reader;
+    Frame reply;
+    auto nextFrame = [&]() -> bool {
+        for (;;) {
+            if (reader.next(reply))
+                return true;
+            uint8_t buf[4096];
+            ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+            if (n > 0)
+                reader.feed(buf, static_cast<size_t>(n));
+            else if (n == 0 || errno != EINTR)
+                return false;
+        }
+    };
+    std::vector<uint8_t> hello = encodeHello(kProtocolVersion);
+    ASSERT_EQ(::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(hello.size()));
+    ASSERT_TRUE(nextFrame());
+    EXPECT_EQ(reply.magic, kHelloMagic);
+
+    ASSERT_EQ(::send(fd, shortQuery.data(), shortQuery.size(),
+                     MSG_NOSIGNAL),
+              static_cast<ssize_t>(shortQuery.size()));
+    EXPECT_FALSE(nextFrame()) << "server must close, not answer";
+    ::close(fd);
 }
 
 TEST(NetServer, QueriesBeforeHandshakeDropTheConnection)

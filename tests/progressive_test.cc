@@ -2,7 +2,7 @@
  * @file
  * Property tests for the progressive (EPC4) stream format: truncation
  * points, best-effort prefix decode, budget-cut rate control and
- * bit-exactness against the non-progressive (EPC3) coder.
+ * bit-exactness against checked-in EPC3 streams of the same inputs.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 #include "codec/codec.hh"
 #include "raster/metrics.hh"
+#include "test_data.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 
@@ -58,17 +59,6 @@ edgyImage(int w, int h, uint64_t seed)
     return p;
 }
 
-/** Decode a (possibly truncated) serialized stream; fatal on reject. */
-raster::Plane
-decodeBytes(const std::vector<uint8_t> &bytes)
-{
-    EncodedImage e;
-    StreamError err = EncodedImage::tryDeserialize(bytes.data(),
-                                                   bytes.size(), e);
-    EXPECT_EQ(err, StreamError::None);
-    return decode(e);
-}
-
 } // namespace
 
 struct ProgressiveCase
@@ -77,6 +67,8 @@ struct ProgressiveCase
     int layers;
     int chunkRows;
     bool edgy;
+    /** Record in progressive_epc3_refs.bin: this case as EPC3. */
+    size_t epc3Ref;
 };
 
 class Progressive : public ::testing::TestWithParam<ProgressiveCase>
@@ -87,8 +79,8 @@ class Progressive : public ::testing::TestWithParam<ProgressiveCase>
  * The heart of the format contract: decoding at every recorded
  * truncation point never crashes, quality (PSNR against the source)
  * is monotone non-decreasing in prefix length, and the full-length
- * progressive decode is bit-exact with the EPC3 decode of the same
- * input under the same parameters.
+ * progressive decode is bit-exact with the decode of the checked-in
+ * EPC3 stream of the same input under the same parameters.
  */
 TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
 {
@@ -110,10 +102,13 @@ TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
         p.bitsPerPixel = 1.5;
 
     std::vector<uint8_t> v4 = encode(img, p).serialize();
-    ASSERT_EQ(std::memcmp(v4.data(), "EPC4", 4), 0);
+    ASSERT_TRUE(isProgressive(v4.data(), v4.size()));
 
-    p.progressive = false;
-    raster::Plane v3dec = decode(encode(img, p));
+    std::vector<std::vector<uint8_t>> refs =
+        testdata::loadRecords("progressive_epc3_refs.bin");
+    ASSERT_LT(c.epc3Ref, refs.size());
+    raster::Plane v3dec =
+        decode(EncodedImage::deserialize(refs[c.epc3Ref]));
 
     std::vector<size_t> points = truncationPoints(v4);
     ASSERT_GE(points.size(), 2u);
@@ -152,7 +147,7 @@ TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
         lastPsnr = std::max(lastPsnr, q);
         if (cut == v4.size()) {
             // Untruncated EPC4 must reconstruct bit-exactly what EPC3
-            // reconstructs: the shadow coder reproduces its rate
+            // reconstructed: the shadow coder reproduces its rate
             // decisions, so the decoded pixels are identical.
             ASSERT_EQ(dec.data().size(), v3dec.data().size());
             EXPECT_EQ(std::memcmp(dec.data().data(),
@@ -165,12 +160,12 @@ TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, Progressive,
-    ::testing::Values(ProgressiveCase{false, 1, 32, false},
-                      ProgressiveCase{false, 3, 32, false},
-                      ProgressiveCase{false, 3, 32, true},
-                      ProgressiveCase{false, 5, 16, false},
-                      ProgressiveCase{true, 1, 32, false},
-                      ProgressiveCase{true, 3, 48, true}));
+    ::testing::Values(ProgressiveCase{false, 1, 32, false, 0},
+                      ProgressiveCase{false, 3, 32, false, 1},
+                      ProgressiveCase{false, 3, 32, true, 2},
+                      ProgressiveCase{false, 5, 16, false, 3},
+                      ProgressiveCase{true, 1, 32, false, 4},
+                      ProgressiveCase{true, 3, 48, true, 5}));
 
 /**
  * truncateStream() honors any byte budget from the header floor to
@@ -317,19 +312,19 @@ TEST(ProgressiveDeath, TruncatedImagesCannotReserialize)
                 ::testing::KilledBySignal(SIGABRT), "floor");
 }
 
-/** Non-progressive streams have no truncation points to offer. */
+/** EPC2/EPC3 streams have no truncation points to offer. */
 TEST(ProgressiveDeath, NonProgressiveStreamsRejectTruncation)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    raster::Plane img = testImage(96, 96, 11);
-    EncodeParams p;
-    p.tileSize = 96;
-    p.progressive = false;
-    std::vector<uint8_t> v3 = encode(img, p).serialize();
-    EXPECT_EXIT(truncationPoints(v3), ::testing::ExitedWithCode(1),
-                "not progressive");
-    EXPECT_EXIT(truncateStream(v3, v3.size() / 2),
-                ::testing::ExitedWithCode(1), "not progressive");
+    for (const char *name :
+         {"lossless_150x110_epc2.bin", "lossless_150x110_epc3.bin"}) {
+        std::vector<uint8_t> old = testdata::load(name);
+        EXPECT_FALSE(isProgressive(old.data(), old.size())) << name;
+        EXPECT_EXIT(truncationPoints(old), ::testing::ExitedWithCode(1),
+                    "not progressive");
+        EXPECT_EXIT(truncateStream(old, old.size() / 2),
+                    ::testing::ExitedWithCode(1), "not progressive");
+    }
 }
 
 /**
