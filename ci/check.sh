@@ -18,7 +18,8 @@
 #           coverage emitted as a JSON artifact, and a gate failing
 #           when src/codec line coverage drops below the recorded
 #           baseline (ci/coverage_gate.py)
-#   docs    API-doc check (Doxygen when installed + doc-comment lint)
+#   docs    API-doc check (Doxygen when installed + doc-comment lint +
+#           every registered metric listed in docs/OBSERVABILITY.md)
 #   all     everything above, in that order (default)
 #
 # Environment:

@@ -24,6 +24,12 @@ installed, full parse) and on minimal dev containers (no doxygen):
    regression (a new undocumented symbol) in environments where
    doxygen is not installed.
 
+3. Always check the metric inventory: every metric name passed as a
+   string literal to `telemetry::counter|gauge|histogram("...")` in a
+   source file under src/ must appear, in backticks, in
+   docs/OBSERVABILITY.md — a metric nobody documented is one nobody
+   can find in a snapshot.
+
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 """
 
@@ -40,6 +46,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINT_SCOPE = ["src/ground", "src/core"]
 # Directories whose headers must carry an @file block.
 FILE_DOC_SCOPE = ["src"]
+# The metric inventory every registered metric name must appear in.
+METRIC_DOC = "docs/OBSERVABILITY.md"
+# A registry lookup by literal name, qualified or (inside the telemetry
+# namespace) bare, possibly wrapped onto the next line.
+METRIC_RE = re.compile(
+    r"(?<![\w.>])(?:telemetry::)?(counter|gauge|histogram)\(\s*\"([^\"]+)\"")
 
 DECL_RE = re.compile(r"^(class|struct|enum)\s+[A-Za-z_]")
 FORWARD_DECL_RE = re.compile(r"^(class|struct)\s+\w+;\s*$")
@@ -152,6 +164,31 @@ def run_lint():
     return findings
 
 
+def registered_metrics():
+    """(name, kind, "path:line") of every literal metric registration."""
+    found = []
+    for root, _dirs, files in os.walk(os.path.join(REPO, "src")):
+        for name in sorted(files):
+            if not name.endswith((".cc", ".hh")):
+                continue
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            rel = os.path.relpath(path, REPO)
+            for m in METRIC_RE.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                found.append((m.group(2), m.group(1), f"{rel}:{line}"))
+    return sorted(found)
+
+
+def run_metric_inventory():
+    with open(os.path.join(REPO, METRIC_DOC), encoding="utf-8") as f:
+        doc = f.read()
+    return [f"{where}: {kind} '{name}' is not listed in {METRIC_DOC}"
+            for name, kind, where in registered_metrics()
+            if f"`{name}`" not in doc]
+
+
 def run_doxygen():
     doxygen = shutil.which("doxygen")
     if not doxygen:
@@ -178,6 +215,7 @@ def run_doxygen():
 def main():
     failures = run_doxygen()
     failures += run_lint()
+    failures += run_metric_inventory()
     if failures:
         print("docs_check: FAILED")
         for f in failures:

@@ -697,13 +697,15 @@ struct TileStage
 {
     std::shared_ptr<OnceTask<Coeffs>> transform;
     std::vector<std::shared_ptr<OnceTask<ChunkStreams>>> chunks;
+    raster::TileRect rect{};
     size_t budget = 0;
 };
 
 } // anonymous namespace
 
 EncodedImage
-encode(const raster::Plane &img, const EncodeParams &params)
+encode(const raster::Plane &img, const EncodeParams &params,
+       raster::Plane *reconstruction)
 {
     telemetry::TraceSpan encodeSpan("codec.encode", "codec");
     EP_ASSERT(params.layers >= 1, "need at least one quality layer");
@@ -736,6 +738,8 @@ encode(const raster::Plane &img, const EncodeParams &params)
     out.quantStep = params.quantStep;
     out.chunkRows = params.chunkRows;
     out.tileCoded.assign(static_cast<size_t>(grid.tileCount()), 0);
+    if (reconstruction)
+        *reconstruction = raster::Plane(img.width(), img.height(), 0.0f);
 
     TileCoderParams tp;
     tp.dwtLevels = params.dwtLevels;
@@ -781,11 +785,16 @@ encode(const raster::Plane &img, const EncodeParams &params)
         // per-tile encode. With one tile this deliberately skips the
         // pipeline so encodeTileLayers' own chunk fan-out still gets
         // the whole pool — that is the oversized-tile latency case.
+        raster::Plane decoded;
         for (int t : codedTiles) {
             telemetry::TraceSpan tileSpan("codec.tile", "codec");
             raster::TileRect r = grid.rect(t);
             raster::Plane tile = img.crop(r.x0, r.y0, r.width, r.height);
-            appendTile(encodeTileLayers(tile, tp, layers, budgetFor(r)));
+            appendTile(encodeTileLayers(tile, tp, layers, budgetFor(r),
+                                        reconstruction ? &decoded
+                                                       : nullptr));
+            if (reconstruction)
+                reconstruction->paste(decoded, r.x0, r.y0);
         }
         return out;
     }
@@ -808,6 +817,7 @@ encode(const raster::Plane &img, const EncodeParams &params)
                nextTile < codedTiles.size()) {
             raster::TileRect r = grid.rect(codedTiles[nextTile]);
             TileStage st;
+            st.rect = r;
             st.budget = budgetFor(r);
             st.transform = std::make_shared<OnceTask<Coeffs>>(
                 [&img, r, &tp] {
@@ -827,22 +837,45 @@ encode(const raster::Plane &img, const EncodeParams &params)
     };
 
     // Fan one resolved transform out into its entropy-chunk tasks.
-    // Called at most once per stage (guarded by chunks.empty()).
+    // Called at most once per stage (guarded by chunks.empty()). With a
+    // reconstruction requested, every chunk task also writes its
+    // decoder-equivalent slab, and whichever finishes last rebuilds the
+    // tile and pastes it: reconstruction rides the entropy lanes, never
+    // the assembly lane. Tiles own disjoint rectangles, so concurrent
+    // pastes never touch the same pixel.
     auto submitChunks = [&](TileStage &st) {
         if (!st.chunks.empty())
             return;
         Coeffs coeffs = st.transform->get();
         const int chunks = chunkCount(tp, coeffs->height);
+        std::shared_ptr<DecodedTile> decoded;
+        std::shared_ptr<std::atomic<int>> pending;
+        if (reconstruction) {
+            decoded = std::make_shared<DecodedTile>(coeffs->width,
+                                                    coeffs->height, tp);
+            pending = std::make_shared<std::atomic<int>>(chunks);
+        }
         st.chunks.reserve(static_cast<size_t>(chunks));
         for (int c = 0; c < chunks; ++c) {
             auto task = std::make_shared<OnceTask<ChunkStreams>>(
-                [coeffs, &tp, c, layers, budget = st.budget] {
-                    telemetry::TraceSpan span("codec.entropy_chunk",
-                                              "codec");
-                    telemetry::ScopedTimer timer(
-                        codecMetrics().entropyChunkNs);
-                    return encodeTileChunk(*coeffs, tp, c, layers,
-                                           budget);
+                [coeffs, &tp, c, layers, budget = st.budget, decoded,
+                 pending, reconstruction, r = st.rect] {
+                    ChunkStreams streams;
+                    {
+                        telemetry::TraceSpan span("codec.entropy_chunk",
+                                                  "codec");
+                        telemetry::ScopedTimer timer(
+                            codecMetrics().entropyChunkNs);
+                        streams = encodeTileChunk(*coeffs, tp, c, layers,
+                                                  budget, decoded.get());
+                    }
+                    if (decoded && pending->fetch_sub(1) == 1) {
+                        telemetry::TraceSpan span("codec.reconstruct_tile",
+                                                  "codec");
+                        reconstruction->paste(decoded->reconstruct(tp),
+                                              r.x0, r.y0);
+                    }
+                    return streams;
                 });
             pool.submit([task] { task->run(); });
             st.chunks.push_back(std::move(task));

@@ -208,8 +208,15 @@ std::vector<uint8_t> truncateStream(const std::vector<uint8_t> &bytes,
  * @param img Pixel data in [0, 1].
  * @param params Encoding configuration; params.roi, when set, must match
  *               the plane's tile grid.
+ * @param reconstruction When non-null, receives exactly what decode()
+ *               of the returned stream produces (zeros outside the
+ *               ROI), rebuilt from each tile's final encoder state
+ *               instead of by entropy-decoding the bytes — the
+ *               decoder-equivalent state rule of docs/ARCHITECTURE.md.
+ *               Null costs nothing extra.
  */
-EncodedImage encode(const raster::Plane &img, const EncodeParams &params);
+EncodedImage encode(const raster::Plane &img, const EncodeParams &params,
+                    raster::Plane *reconstruction = nullptr);
 
 /**
  * Decode an encoded plane.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <memory>
 
 #include "codec/kernels.hh"
 #include "util/bytes.hh"
@@ -481,6 +482,44 @@ TileEncoder::encodePlanes(std::vector<uint8_t> &payload,
     return planesThisCall;
 }
 
+bool
+TileEncoder::decoderState(uint32_t *magnitude, uint8_t *sign,
+                          uint8_t *lowPlane) const
+{
+    // The chunk stopped at plane P = nextPlane_ (-1 once done) after
+    // nextPass_ passes of it. Pass 0 coded exactly the visited
+    // coefficients and pass 1 the refinable ones; planes above P were
+    // coded for every coefficient. visitedBits_/refinableBits_ still
+    // describe plane P + 1 when nextPass_ == 0, so they are read only
+    // when a pass of P ran.
+    const int P = nextPlane_;
+    const uint32_t above = ~0u << (P + 1);
+    const uint32_t through = P >= 0 ? ~0u << P : ~0u;
+    const uint8_t lowAbove = static_cast<uint8_t>(P + 1);
+    const uint8_t lowThrough = static_cast<uint8_t>(P >= 0 ? P : 0);
+    for (int y = 0; y < height_; ++y) {
+        const size_t rowBase =
+            static_cast<size_t>(y) * static_cast<size_t>(width_);
+        const size_t wordBase =
+            static_cast<size_t>(y) * static_cast<size_t>(wordsPerRow_);
+        for (int x = 0; x < width_; ++x) {
+            const size_t w = wordBase + static_cast<size_t>(x >> 6);
+            uint64_t coded = 0;
+            if (nextPass_ > 0)
+                coded |= visitedBits_[w];
+            if (nextPass_ > 1)
+                coded |= refinableBits_[w];
+            const bool c = ((coded >> (x & 63)) & 1u) != 0;
+            const size_t i = rowBase + static_cast<size_t>(x);
+            const uint32_t m = magnitude_[i] & (c ? through : above);
+            magnitude[i] = m;
+            sign[i] = m != 0 ? sign_[i] : 0;
+            lowPlane[i] = c ? lowThrough : lowAbove;
+        }
+    }
+    return done();
+}
+
 TileDecoder::TileDecoder(int width, int rows,
                          const TileCoderParams &params,
                          uint32_t *magnitude, uint8_t *sign,
@@ -674,10 +713,31 @@ reconstructTile(int width, int height, const TileCoderParams &params,
     return out;
 }
 
+DecodedTile::DecodedTile(int width, int height,
+                         const TileCoderParams &params)
+    : width(width), height(height)
+{
+    size_t n = static_cast<size_t>(width) * static_cast<size_t>(height);
+    magnitude.assign(n, 0);
+    sign.assign(n, 0);
+    lowPlane.assign(n, 0);
+    chunkDone.assign(static_cast<size_t>(chunkCount(params, height)), 0);
+}
+
+raster::Plane
+DecodedTile::reconstruct(const TileCoderParams &params) const
+{
+    bool fullyDecoded = true;
+    for (uint8_t d : chunkDone)
+        fullyDecoded = fullyDecoded && d != 0;
+    return reconstructTile(width, height, params, magnitude.data(),
+                           sign.data(), lowPlane.data(), fullyDecoded);
+}
+
 std::vector<std::vector<uint8_t>>
 encodeTileChunk(const TileCoefficients &coeffs,
                 const TileCoderParams &params, int chunk, int layers,
-                size_t tileByteBudget)
+                size_t tileByteBudget, DecodedTile *decoded)
 {
     EP_ASSERT(layers >= 1, "need at least one quality layer");
     EP_ASSERT(params.chunkRows > 0,
@@ -731,6 +791,21 @@ encodeTileChunk(const TileCoefficients &coeffs,
         shadow.flush();
         spent += shadowBuf.size();
     }
+    if (decoded) {
+        EP_ASSERT(decoded->width == coeffs.width &&
+                      decoded->height == coeffs.height,
+                  "decoded tile %dx%d does not match coefficients %dx%d",
+                  decoded->width, decoded->height, coeffs.width,
+                  coeffs.height);
+        const size_t base =
+            static_cast<size_t>(row0) * static_cast<size_t>(coeffs.width);
+        decoded->chunkDone[static_cast<size_t>(chunk)] =
+            coder.decoderState(decoded->magnitude.data() + base,
+                               decoded->sign.data() + base,
+                               decoded->lowPlane.data() + base)
+                ? 1
+                : 0;
+    }
     return out;
 }
 
@@ -754,20 +829,28 @@ assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
 
 std::vector<std::vector<uint8_t>>
 encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
-                 int layers, size_t byteBudget)
+                 int layers, size_t byteBudget,
+                 raster::Plane *reconstruction)
 {
     EP_ASSERT(layers >= 1, "need at least one quality layer");
     TileCoefficients coeffs = transformTile(tile, params);
     const int chunks = chunkCount(params, coeffs.height);
     std::vector<std::vector<std::vector<uint8_t>>> perChunk(
         static_cast<size_t>(chunks));
+    std::unique_ptr<DecodedTile> decoded;
+    if (reconstruction)
+        decoded = std::make_unique<DecodedTile>(coeffs.width,
+                                                coeffs.height, params);
     util::ThreadPool::global().parallelFor(
         0, chunks,
         [&](int64_t c) {
-            perChunk[static_cast<size_t>(c)] = encodeTileChunk(
-                coeffs, params, static_cast<int>(c), layers, byteBudget);
+            perChunk[static_cast<size_t>(c)] =
+                encodeTileChunk(coeffs, params, static_cast<int>(c),
+                                layers, byteBudget, decoded.get());
         },
         1);
+    if (reconstruction)
+        *reconstruction = decoded->reconstruct(params);
     return assembleChunkLayers(std::move(perChunk), layers);
 }
 
@@ -777,9 +860,13 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
                  StreamVersion version)
 {
     const bool progressive = version == StreamVersion::V3;
-    // A v1 tile is one unframed chunk covering every row.
+    // A v1 tile is one unframed chunk covering every row, whatever
+    // params.chunkRows says (0 in a parsed V1 header).
     const bool v1 = version == StreamVersion::V1;
-    const int chunks = v1 ? 1 : chunkCount(params, height);
+    TileCoderParams layout = params;
+    if (v1)
+        layout.chunkRows = height;
+    const int chunks = chunkCount(layout, height);
     const size_t nLayers = layerSpans.size();
 
     // Split every layer span into its per-chunk windows up front
@@ -827,26 +914,21 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
         }
     }
 
-    size_t n = static_cast<size_t>(width) * static_cast<size_t>(height);
-    std::vector<uint32_t> magnitude(n, 0);
-    std::vector<uint8_t> sign(n, 0);
-    std::vector<uint8_t> lowPlane(n, 0);
+    DecodedTile state(width, height, layout);
     std::vector<uint8_t> orient =
         subbandOrientation(width, height, params.dwtLevels);
 
     // Chunks write disjoint row slabs of the shared tile buffers, so
     // decoding them concurrently is race-free; a single-chunk tile
     // skips the loop machinery entirely.
-    std::vector<uint8_t> chunkFull(static_cast<size_t>(chunks), 0);
     auto decodeChunk = [&](int64_t c) {
-        const int row0 = v1 ? 0 : chunkRow0(params, static_cast<int>(c));
-        const int rows =
-            v1 ? height : chunkRows(params, height, static_cast<int>(c));
+        const int row0 = chunkRow0(layout, static_cast<int>(c));
+        const int rows = chunkRows(layout, height, static_cast<int>(c));
         const size_t base =
             static_cast<size_t>(row0) * static_cast<size_t>(width);
-        TileDecoder dec(width, rows, params, magnitude.data() + base,
-                        sign.data() + base, lowPlane.data() + base,
-                        orient.data() + base);
+        TileDecoder dec(width, rows, params, state.magnitude.data() + base,
+                        state.sign.data() + base,
+                        state.lowPlane.data() + base, orient.data() + base);
         bool headerSeen = false;
         for (size_t l = 0; l < nLayers; ++l) {
             const ChunkSpan &s = spans[static_cast<size_t>(c)][l];
@@ -876,7 +958,7 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
                 dec.decodeHeader(rd);
             dec.decodePlanes(rd);
         }
-        chunkFull[static_cast<size_t>(c)] =
+        state.chunkDone[static_cast<size_t>(c)] =
             headerSeen && dec.fullyDecoded() ? 1 : 0;
     };
     if (chunks == 1)
@@ -884,11 +966,7 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
     else
         util::ThreadPool::global().parallelFor(0, chunks, decodeChunk, 1);
 
-    bool fullyDecoded = true;
-    for (uint8_t f : chunkFull)
-        fullyDecoded = fullyDecoded && f != 0;
-    return reconstructTile(width, height, params, magnitude.data(),
-                           sign.data(), lowPlane.data(), fullyDecoded);
+    return state.reconstruct(params);
 }
 
 } // namespace earthplus::codec

@@ -200,6 +200,22 @@ class TileEncoder
     /** Highest magnitude bitplane present (-1 for an all-zero slab). */
     int maxPlane() const { return maxPlane_; }
 
+    /**
+     * Write the coefficient state a TileDecoder reaches after decoding
+     * every pass emitted so far — the decoder-equivalent state of
+     * docs/ARCHITECTURE.md — into caller-owned slab buffers of
+     * `width * rows` entries, laid out like TileDecoder's outputs.
+     * With the chunk stopped at plane P after k passes of P, a
+     * coefficient coded in those k passes keeps its magnitude bits
+     * down to P and gets lowPlane P; every other coefficient keeps the
+     * bits above P and gets lowPlane P + 1; the sign is set only where
+     * the magnitude is non-zero.
+     *
+     * @return done(), the decoder's fullyDecoded() for this chunk.
+     */
+    bool decoderState(uint32_t *magnitude, uint8_t *sign,
+                      uint8_t *lowPlane) const;
+
   private:
     TileCoderParams params_;
     int width_;
@@ -329,6 +345,32 @@ raster::Plane reconstructTile(int width, int height,
                               const uint8_t *sign, const uint8_t *lowPlane,
                               bool fullyDecoded);
 
+/**
+ * The coefficient state one tile decodes to, ahead of
+ * reconstructTile(): per-coefficient magnitude bits, signs and lowest
+ * decoded plane, plus whether each row-slab chunk decoded every plane.
+ * decodeTileLayers() fills it from the stream; encodeTileChunk() fills
+ * it from the encoder's own state (TileEncoder::decoderState()), which
+ * for an untruncated stream is the same state bit for bit. Chunks own
+ * disjoint row slabs, so they fill it concurrently.
+ */
+struct DecodedTile
+{
+    /** Zeroed buffers for a `width` x `height` tile cut into chunks. */
+    DecodedTile(int width, int height, const TileCoderParams &params);
+
+    int width;
+    int height;
+    std::vector<uint32_t> magnitude;
+    std::vector<uint8_t> sign;
+    std::vector<uint8_t> lowPlane;
+    /** Per chunk: 1 once every coded bitplane was decoded. */
+    std::vector<uint8_t> chunkDone;
+
+    /** reconstructTile() of this state. */
+    raster::Plane reconstruct(const TileCoderParams &params) const;
+};
+
 /** A read-only byte window into a larger entropy-coded chunk. */
 struct ChunkSpan
 {
@@ -388,12 +430,14 @@ forEachSegment(const uint8_t *data, size_t size, Fn &&fn)
  * @param tileByteBudget Whole-tile entropy byte budget across all
  *        layers (ignored when params.lossless); this chunk takes its
  *        row-proportional share.
+ * @param decoded When non-null, a DecodedTile of the whole tile that
+ *        receives this chunk's decoder-equivalent slab and done flag.
  * @return One payload per layer for this chunk.
  */
 std::vector<std::vector<uint8_t>>
 encodeTileChunk(const TileCoefficients &coeffs,
                 const TileCoderParams &params, int chunk, int layers,
-                size_t tileByteBudget);
+                size_t tileByteBudget, DecodedTile *decoded = nullptr);
 
 /**
  * Assemble per-chunk per-layer payloads (perChunk[chunk][layer]) into
@@ -419,11 +463,15 @@ assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
  * @param layers Number of SNR-progressive layers (>= 1).
  * @param byteBudget Total entropy-coded byte budget across all layers
  *        (ignored when params.lossless).
+ * @param reconstruction When non-null, receives the tile exactly as
+ *        decodeTileLayers() would decode the returned sub-chunks,
+ *        rebuilt from the encoder's coefficient state.
  * @return One sub-chunk per layer.
  */
 std::vector<std::vector<uint8_t>>
 encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
-                 int layers, size_t byteBudget);
+                 int layers, size_t byteBudget,
+                 raster::Plane *reconstruction = nullptr);
 
 /**
  * Decode one tile from its per-layer sub-chunks (the inverse of

@@ -9,6 +9,7 @@
 #include "raster/resample.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
+#include "util/telemetry.hh"
 
 namespace earthplus::core {
 
@@ -35,17 +36,28 @@ removeClouds(const raster::Plane &p, const raster::Bitmap &cloudMask)
     return out;
 }
 
+/** One band's downlink stream and what the ground decodes it to. */
+struct EncodedBand
+{
+    codec::EncodedImage encoded;
+    /** decode() of `encoded`, taken from the encoder's own state. */
+    raster::Plane decoded;
+};
+
 /**
  * Encode every band of `img`, each over its own ROI (§5: bands are
  * handled separately — different areas change in different bands).
- * Zeroes cloudy pixels first.
+ * Zeroes cloudy pixels first. `decoded` receives each band's
+ * reconstruction as the encoder builds it, so the ground side never
+ * entropy-decodes the stream it was just handed.
  */
 size_t
 encodeBands(const raster::Image &img, const raster::Bitmap &cloudMask,
             const std::vector<raster::TileMask> &rois,
             const SystemParams &params,
             std::vector<codec::EncodedImage> &encoded,
-            std::vector<size_t> &bandBytes)
+            std::vector<size_t> &bandBytes,
+            std::vector<raster::Plane> &decoded)
 {
     // Bands are independent encode jobs; each band's per-tile jobs
     // nest inline when the pool is already saturated.
@@ -58,14 +70,18 @@ encodeBands(const raster::Image &img, const raster::Bitmap &cloudMask,
             ep.tileSize = params.tileSize;
             ep.layers = params.layers;
             ep.roi = &rois[b];
-            return codec::encode(clean, ep);
+            EncodedBand band;
+            band.encoded = codec::encode(clean, ep, &band.decoded);
+            return band;
         });
     size_t bytes = 0;
     bandBytes.clear();
-    for (auto &enc : results) {
-        bandBytes.push_back(enc.totalBytes());
+    decoded.clear();
+    for (auto &band : results) {
+        bandBytes.push_back(band.encoded.totalBytes());
         bytes += bandBytes.back();
-        encoded.push_back(std::move(enc));
+        encoded.push_back(std::move(band.encoded));
+        decoded.push_back(std::move(band.decoded));
     }
     return bytes;
 }
@@ -92,26 +108,30 @@ meanRoiFraction(const std::vector<raster::TileMask> &rois)
 /**
  * Ground reconstruction: decoded ROI tiles pasted over a fill image
  * (the ground's copy of the reference, or flat gray when absent).
+ * `decoded` holds each band's decode, as encodeBands() produced it.
  */
 raster::Image
-reconstruct(const std::vector<codec::EncodedImage> &encoded,
+reconstruct(const std::vector<raster::Plane> &decoded,
             const std::vector<raster::TileMask> &rois,
             const raster::Image *fill, int width, int height,
             int tileSize)
 {
+    static telemetry::Histogram &reconstructNs =
+        telemetry::histogram("core.reconstruct_ns");
+    telemetry::TraceSpan span("core.reconstruct", "core");
+    telemetry::ScopedTimer timer(reconstructNs);
     raster::TileGrid grid(width, height, tileSize);
-    // Bands decode independently; addBand order stays deterministic.
-    auto planes = util::parallelMap(encoded.size(), [&](size_t b) {
+    // Bands paste independently; addBand order stays deterministic.
+    auto planes = util::parallelMap(decoded.size(), [&](size_t b) {
         raster::Plane plane(width, height, 0.5f);
         if (fill && static_cast<int>(b) < fill->bandCount())
             plane = fill->band(static_cast<int>(b));
-        raster::Plane decoded = codec::decode(encoded[b]);
         const raster::TileMask &roi = rois[b];
         for (int t = 0; t < grid.tileCount(); ++t) {
             if (!roi.get(t))
                 continue;
             raster::TileRect r = grid.rect(t);
-            plane.paste(decoded.crop(r.x0, r.y0, r.width, r.height),
+            plane.paste(decoded[b].crop(r.x0, r.y0, r.width, r.height),
                         r.x0, r.y0);
         }
         return plane;
@@ -163,6 +183,13 @@ EarthPlusSystem::cacheFor(int satelliteId)
         it = caches_.emplace(satelliteId,
                              OnboardCache(params_.refDownsample)).first;
     return it->second;
+}
+
+const raster::Image *
+EarthPlusSystem::groundMirror(int satelliteId, int locationId) const
+{
+    auto it = groundMirror_.find(std::make_pair(satelliteId, locationId));
+    return it == groundMirror_.end() ? nullptr : &it->second;
 }
 
 UplinkPlan
@@ -264,20 +291,17 @@ EarthPlusSystem::process(const synth::Capture &capture)
     }
 
     auto t2 = std::chrono::steady_clock::now();
+    std::vector<raster::Plane> decoded;
     res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
                                     res.encodedBands,
-                                    res.bandDownlinkBytes);
+                                    res.bandDownlinkBytes, decoded);
     res.encodeSec = secondsSince(t2);
     res.downloadedTileFraction = meanRoiFraction(rois);
 
     // Ground side: reconstruct from the mirror of the satellite's
     // reference and offer the result as a fresh reference.
-    auto key = std::make_pair(sat, loc);
-    const raster::Image *fill = nullptr;
-    auto itMirror = groundMirror_.find(key);
-    if (itMirror != groundMirror_.end())
-        fill = &itMirror->second;
-    res.reconstructed = reconstruct(res.encodedBands, rois, fill, img.width(),
+    const raster::Image *fill = groundMirror(sat, loc);
+    res.reconstructed = reconstruct(decoded, rois, fill, img.width(),
                                     img.height(), params_.tileSize);
     res.reconstructed.info() = img.info();
     res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
@@ -322,13 +346,14 @@ KodanSystem::process(const synth::Capture &capture)
     std::vector<raster::TileMask> rois = uniformRois(roi, img.bandCount());
 
     auto t2 = std::chrono::steady_clock::now();
+    std::vector<raster::Plane> decoded;
     res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
                                     res.encodedBands,
-                                    res.bandDownlinkBytes);
+                                    res.bandDownlinkBytes, decoded);
     res.encodeSec = secondsSince(t2);
     res.downloadedTileFraction = roi.fractionSet();
 
-    res.reconstructed = reconstruct(res.encodedBands, rois, nullptr, img.width(),
+    res.reconstructed = reconstruct(decoded, rois, nullptr, img.width(),
                                     img.height(), params_.tileSize);
     res.reconstructed.info() = img.info();
     res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
@@ -339,6 +364,13 @@ SatRoISystem::SatRoISystem(std::vector<synth::BandSpec> bands,
                            const SystemParams &params)
     : bands_(std::move(bands)), params_(params)
 {
+}
+
+const raster::Image *
+SatRoISystem::fixedReference(int locationId) const
+{
+    auto it = fixedRef_.find(locationId);
+    return it == fixedRef_.end() ? nullptr : &it->second;
 }
 
 ProcessResult
@@ -359,10 +391,10 @@ SatRoISystem::process(const synth::Capture &capture)
         return res;
     }
 
-    auto itRef = fixedRef_.find(loc);
-    bool haveRef = itRef != fixedRef_.end();
+    const raster::Image *ref = fixedReference(loc);
+    bool haveRef = ref != nullptr;
     res.referenceAgeDays =
-        haveRef ? day - itRef->second.info().captureDay
+        haveRef ? day - ref->info().captureDay
                 : std::numeric_limits<double>::infinity();
 
     auto itFull = lastFullDownload_.find(loc);
@@ -390,7 +422,7 @@ SatRoISystem::process(const synth::Capture &capture)
             static_cast<size_t>(img.bandCount()), [&](size_t b) {
                 change::ChangeDetection det = change::detectChanges(
                     img.band(static_cast<int>(b)),
-                    itRef->second.band(static_cast<int>(b)), cp, &valid);
+                    ref->band(static_cast<int>(b)), cp, &valid);
                 raster::TileMask roi = det.changedTiles;
                 roi.subtract(cd.tileMask);
                 return roi;
@@ -399,14 +431,14 @@ SatRoISystem::process(const synth::Capture &capture)
     }
 
     auto t2 = std::chrono::steady_clock::now();
+    std::vector<raster::Plane> decoded;
     res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
                                     res.encodedBands,
-                                    res.bandDownlinkBytes);
+                                    res.bandDownlinkBytes, decoded);
     res.encodeSec = secondsSince(t2);
     res.downloadedTileFraction = meanRoiFraction(rois);
 
-    const raster::Image *fill = haveRef ? &itRef->second : nullptr;
-    res.reconstructed = reconstruct(res.encodedBands, rois, fill, img.width(),
+    res.reconstructed = reconstruct(decoded, rois, ref, img.width(),
                                     img.height(), params_.tileSize);
     res.reconstructed.info() = img.info();
     res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
@@ -440,13 +472,14 @@ DownloadAllSystem::process(const synth::Capture &capture)
     raster::Bitmap noClouds(img.width(), img.height(), false);
 
     auto t2 = std::chrono::steady_clock::now();
+    std::vector<raster::Plane> decoded;
     res.downlinkBytes = encodeBands(img, noClouds, rois, params_,
                                     res.encodedBands,
-                                    res.bandDownlinkBytes);
+                                    res.bandDownlinkBytes, decoded);
     res.encodeSec = secondsSince(t2);
     res.downloadedTileFraction = 1.0;
 
-    res.reconstructed = reconstruct(res.encodedBands, rois, nullptr, img.width(),
+    res.reconstructed = reconstruct(decoded, rois, nullptr, img.width(),
                                     img.height(), params_.tileSize);
     res.reconstructed.info() = img.info();
     res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);

@@ -89,7 +89,12 @@ struct ProcessResult
      * ground segment packetizes and archives). Empty when dropped.
      */
     std::vector<codec::EncodedImage> encodedBands;
-    /** Ground-side reconstruction (empty when dropped). */
+    /**
+     * Ground-side reconstruction (empty when dropped): each band's
+     * decoded ROI tiles over the system's fill. Built from the
+     * encoder's own coefficient state, bit-identical to decoding
+     * `encodedBands` (docs/ARCHITECTURE.md).
+     */
     raster::Image reconstructed;
 };
 
@@ -142,6 +147,14 @@ class EarthPlusSystem : public OnboardSystem
     /** On-board cache of one satellite (created on demand). */
     OnboardCache &cacheFor(int satelliteId);
 
+    /**
+     * The ground's full-resolution mirror of one satellite's cached
+     * reference for one location — the fill process() pastes decoded
+     * tiles over — or null when the satellite holds none.
+     */
+    const raster::Image *groundMirror(int satelliteId,
+                                      int locationId) const;
+
   private:
     std::vector<synth::BandSpec> bands_;
     SystemParams params_;
@@ -188,6 +201,12 @@ class SatRoISystem : public OnboardSystem
     ProcessResult process(const synth::Capture &capture) override;
 
     const char *name() const override { return "SatRoI"; }
+
+    /**
+     * The frozen reference of one location — the fill process() pastes
+     * decoded tiles over — or null before the first good full download.
+     */
+    const raster::Image *fixedReference(int locationId) const;
 
   private:
     std::vector<synth::BandSpec> bands_;

@@ -14,6 +14,7 @@
 #include "codec/kernels.hh"
 #include "raster/metrics.hh"
 #include "test_data.hh"
+#include "util/bytes.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
@@ -693,4 +694,173 @@ TEST(Codec, FlatImageIsTiny)
     EXPECT_LT(enc.totalBytes(), 400u);
     raster::Plane dec = decode(enc);
     EXPECT_GT(raster::psnr(img, dec), 50.0);
+}
+
+namespace {
+
+/** True when two planes have the same shape and the same bits. */
+bool
+bitIdentical(const raster::Plane &a, const raster::Plane &b)
+{
+    return a.width() == b.width() && a.height() == b.height() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.data().size() * sizeof(float)) == 0;
+}
+
+/**
+ * Where every entropy chunk of an untruncated EPC4 stream stopped:
+ * the number of passes coded into its last, unfinished plane (0..2),
+ * or 3 once the chunk coded every plane. Read from the stream's own
+ * framing — the layer-0 maxPlane + 1 byte and the segment pass counts.
+ */
+std::vector<int>
+chunkStops(const EncodedImage &e)
+{
+    size_t coded = 0;
+    for (uint8_t f : e.tileCoded)
+        coded += f;
+    // planes[slot][chunk], passes[slot][chunk].
+    std::vector<std::vector<int>> planes(coded), passes(coded);
+    for (size_t l = 0; l < e.layerChunks.size(); ++l) {
+        const uint8_t *layer = e.layerChunks[l].data();
+        size_t pos = 0;
+        for (size_t slot = 0; slot < coded; ++slot) {
+            const uint32_t subLen = util::readPodAt<uint32_t>(layer, pos);
+            pos += 4;
+            const size_t end = pos + subLen;
+            for (size_t c = 0; pos < end; ++c) {
+                const uint32_t len = util::readPodAt<uint32_t>(layer, pos);
+                pos += 4;
+                const uint8_t *payload = layer + pos;
+                size_t size = len;
+                if (l == 0) {
+                    planes[slot].push_back(payload[0]);
+                    passes[slot].push_back(0);
+                    ++payload;
+                    --size;
+                }
+                EXPECT_TRUE(forEachSegment(
+                    payload, size, [&](const SegmentView &seg) {
+                        passes[slot][c] += seg.passes;
+                    }));
+                pos += len;
+            }
+        }
+    }
+    std::vector<int> stops;
+    for (size_t slot = 0; slot < coded; ++slot)
+        for (size_t c = 0; c < planes[slot].size(); ++c)
+            stops.push_back(passes[slot][c] == 3 * planes[slot][c]
+                                ? 3
+                                : passes[slot][c] % 3);
+    return stops;
+}
+
+} // namespace
+
+TEST(Codec, EncoderReconstructionMatchesDecode)
+{
+    // The decoder-equivalent state rule (docs/ARCHITECTURE.md): the
+    // reconstruction encode() builds from its own coefficient state is
+    // bit-identical to decoding the stream it wrote, in memory and
+    // after a serialize round trip — over every wavelet mode, layer
+    // count, chunk height and tile size, on ragged images, ROI
+    // subsets and budgets starved enough to stop mid-plane. The sweep
+    // runs through the serial path (one lane) and the staged pipeline
+    // (four lanes).
+    struct Mode
+    {
+        Wavelet wavelet;
+        bool lossless;
+        double bpp;
+    };
+    // 0.02 and 0.1 bpp are the starved budgets: at 0.02 bpp a chunk
+    // spends its bytes in the cleanup pass of its first planes and so
+    // stops on a plane boundary; at 0.1 bpp chunks also stop after
+    // pass 0 or pass 1 of a plane.
+    const Mode modes[] = {{Wavelet::CDF97, false, 0.02},
+                          {Wavelet::CDF97, false, 0.1},
+                          {Wavelet::CDF97, false, 1.0},
+                          {Wavelet::LeGall53, false, 0.02},
+                          {Wavelet::LeGall53, false, 0.1},
+                          {Wavelet::LeGall53, false, 1.0},
+                          {Wavelet::LeGall53, true, 2.0}};
+    const std::pair<int, int> shapes[] = {{150, 110}, {97, 201}};
+
+    int compared = 0;
+    int starvedStops[4] = {0, 0, 0, 0};
+    for (int threads : {1, 4}) {
+        util::ThreadPool::setGlobalThreads(threads);
+        for (const auto &[w, h] : shapes) {
+            raster::Plane img = testImage(w, h, 40u + static_cast<uint64_t>(w));
+            for (int tileSize : {32, 64, 128}) {
+                raster::TileGrid grid(w, h, tileSize);
+                raster::TileMask all(grid, true);
+                raster::TileMask subset(grid);
+                for (int t = 0; t < grid.tileCount(); ++t)
+                    subset.set(t, t % 3 != 1);
+                for (const Mode &m : modes) {
+                    for (int layers = 1; layers <= 3; ++layers) {
+                        for (int chunkRows : {16, 128}) {
+                            for (const raster::TileMask *roi :
+                                 {&all, &subset}) {
+                                SCOPED_TRACE(testing::Message()
+                                             << "threads=" << threads
+                                             << " " << w << "x" << h
+                                             << " tile=" << tileSize
+                                             << " wavelet="
+                                             << static_cast<int>(m.wavelet)
+                                             << " lossless=" << m.lossless
+                                             << " bpp=" << m.bpp
+                                             << " layers=" << layers
+                                             << " chunkRows=" << chunkRows
+                                             << " roi="
+                                             << (roi == &all ? "all"
+                                                             : "subset"));
+                                EncodeParams p;
+                                p.wavelet = m.wavelet;
+                                p.lossless = m.lossless;
+                                p.bitsPerPixel = m.bpp;
+                                p.layers = layers;
+                                p.chunkRows = chunkRows;
+                                p.tileSize = tileSize;
+                                p.roi = roi;
+                                raster::Plane recon;
+                                EncodedImage e = encode(img, p, &recon);
+                                ASSERT_TRUE(bitIdentical(recon, decode(e)));
+                                ASSERT_TRUE(bitIdentical(
+                                    recon, decode(EncodedImage::deserialize(
+                                               e.serialize()))));
+                                compared += 2;
+                                if (m.bpp < 0.5)
+                                    for (int stop : chunkStops(e))
+                                        ++starvedStops[stop];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    util::ThreadPool::setGlobalThreads(
+        util::ThreadPool::defaultThreadCount());
+    EXPECT_EQ(compared, 2 * 2 * 3 * 7 * 3 * 2 * 2 * 2);
+    // The starved budgets really do stop chunks after pass 0 and after
+    // pass 1 of a plane, the two states in which only part of the
+    // plane's coefficients carry their plane bit.
+    EXPECT_GT(starvedStops[1], 0);
+    EXPECT_GT(starvedStops[2], 0);
+}
+
+TEST(Codec, EncoderReconstructionOfEmptyRoiIsZero)
+{
+    raster::Plane img = testImage(97, 201, 41);
+    raster::TileGrid grid(97, 201, 64);
+    raster::TileMask none(grid);
+    EncodeParams p;
+    p.roi = &none;
+    raster::Plane recon(1, 1, 0.5f);
+    EncodedImage e = encode(img, p, &recon);
+    EXPECT_TRUE(bitIdentical(recon, decode(e)));
+    EXPECT_TRUE(bitIdentical(recon, raster::Plane(97, 201, 0.0f)));
 }

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "core/systems.hh"
+#include "raster/metrics.hh"
 #include "synth/dataset.hh"
 
 using namespace earthplus;
@@ -67,6 +70,107 @@ struct SystemsFixture
         return -1.0;
     }
 };
+
+/**
+ * The decode-based ground reconstruction: every band's stream is
+ * entropy-decoded and its coded tiles are pasted over the fill (flat
+ * gray without one). The systems build the same image from the
+ * encoder's own state; this oracle is the reference they must match.
+ */
+raster::Image
+decodeOracle(const ProcessResult &res, const raster::Image *fill)
+{
+    raster::Image out;
+    for (size_t b = 0; b < res.encodedBands.size(); ++b) {
+        const codec::EncodedImage &e = res.encodedBands[b];
+        const int band = static_cast<int>(b);
+        raster::Plane plane(e.width, e.height, 0.5f);
+        if (fill && band < fill->bandCount())
+            plane = fill->band(band);
+        raster::Plane decoded = codec::decode(e);
+        raster::TileGrid grid(e.width, e.height, e.tileSize);
+        for (int t = 0; t < grid.tileCount(); ++t) {
+            if (!e.tileCoded[static_cast<size_t>(t)])
+                continue;
+            raster::TileRect r = grid.rect(t);
+            plane.paste(decoded.crop(r.x0, r.y0, r.width, r.height), r.x0,
+                        r.y0);
+        }
+        out.addBand(std::move(plane));
+    }
+    return out;
+}
+
+/** Mean per-band PSNR over cloud-free pixels, 99 dB for exact bands. */
+double
+oraclePsnr(const raster::Image &truth, const raster::Image &recon,
+           const raster::Bitmap &cloudTruth)
+{
+    raster::Bitmap valid = cloudTruth;
+    valid.invert();
+    double sum = 0.0;
+    for (int b = 0; b < truth.bandCount(); ++b) {
+        double p = raster::psnr(truth.band(b), recon.band(b), &valid);
+        sum += std::isinf(p) ? 99.0 : p;
+    }
+    return truth.bandCount() ? sum / truth.bandCount() : 0.0;
+}
+
+/** Same band count, shapes and bits. */
+bool
+bitIdentical(const raster::Image &a, const raster::Image &b)
+{
+    if (a.bandCount() != b.bandCount())
+        return false;
+    for (int i = 0; i < a.bandCount(); ++i) {
+        const raster::Plane &pa = a.band(i);
+        const raster::Plane &pb = b.band(i);
+        if (pa.width() != pb.width() || pa.height() != pb.height() ||
+            std::memcmp(pa.data().data(), pb.data().data(),
+                        pa.data().size() * sizeof(float)) != 0)
+            return false;
+    }
+    return true;
+}
+
+/** What one oracle run compared. */
+struct OracleTally
+{
+    int compared = 0; ///< Captures not dropped, checked against decode.
+    int filled = 0;   ///< ... of them pasted over a reference fill.
+    int deltas = 0;   ///< ... of them reference-based (not full).
+};
+
+/**
+ * Process one capture every third day over two months and check each
+ * one that is not dropped against the decode oracle. `before()` runs
+ * ahead of each capture and returns the fill that process() will
+ * paste over (null for flat gray); it is copied before process() can
+ * change it.
+ */
+template <typename Before>
+OracleTally
+runDecodeOracle(SystemsFixture &f, OnboardSystem &sys, Before &&before)
+{
+    OracleTally tally;
+    for (int d = 60; d <= 120; d += 3) {
+        SCOPED_TRACE(testing::Message() << sys.name() << " day " << d);
+        std::optional<raster::Image> fill;
+        if (const raster::Image *img = before())
+            fill = *img;
+        synth::Capture cap = f.sim->capture(d + 0.3, 0);
+        ProcessResult res = sys.process(cap);
+        if (res.dropped)
+            continue;
+        raster::Image expect = decodeOracle(res, fill ? &*fill : nullptr);
+        EXPECT_TRUE(bitIdentical(res.reconstructed, expect));
+        EXPECT_EQ(res.psnr, oraclePsnr(cap.image, expect, cap.cloudTruth));
+        ++tally.compared;
+        tally.filled += fill ? 1 : 0;
+        tally.deltas += res.fullDownload ? 0 : 1;
+    }
+    return tally;
+}
 
 } // namespace
 
@@ -270,4 +374,35 @@ TEST(SystemsComparison, EarthPlusUsesLessDownlinkAtSimilarQuality)
     // Kodan re-encodes everything; the fair comparison is at matched
     // bandwidth (Fig. 11). Here we assert the absolute quality floor.
     EXPECT_GT(ep.psnr, 35.0);
+}
+
+TEST(SystemsOracle, ReconstructionMatchesDecode)
+{
+    // Every system's ground reconstruction and PSNR come from the
+    // encoder's own state; they must equal decoding the downlinked
+    // streams and pasting them over the same fill.
+    SystemsFixture f;
+    ReferenceStore ground(0.01);
+    UplinkPlanner::Params up;
+    up.downsampleFactor = 16;
+    EarthPlusSystem earthPlus(f.config.bands, f.params, up, ground);
+    orbit::DailyByteBudget budget(1e12);
+    OracleTally ep = runDecodeOracle(f, earthPlus, [&] {
+        earthPlus.prepareCapture(0, 0, budget);
+        return earthPlus.groundMirror(0, 0);
+    });
+    EXPECT_GE(ep.compared, 5);
+    EXPECT_GE(ep.deltas, 1); // reference-based tiles over the mirror
+
+    SatRoISystem satRoI(f.config.bands, f.params);
+    OracleTally sr = runDecodeOracle(
+        f, satRoI, [&] { return satRoI.fixedReference(0); });
+    EXPECT_GE(sr.compared, 5);
+    EXPECT_GE(sr.filled, 1); // pasted over the frozen reference
+
+    KodanSystem kodan(f.config.bands, f.params);
+    DownloadAllSystem all(f.config.bands, f.params);
+    auto gray = [] { return static_cast<const raster::Image *>(nullptr); };
+    EXPECT_GE(runDecodeOracle(f, kodan, gray).compared, 5);
+    EXPECT_GE(runDecodeOracle(f, all, gray).compared, 5);
 }
