@@ -19,7 +19,8 @@
 #           when src/codec line coverage drops below the recorded
 #           baseline (ci/coverage_gate.py)
 #   docs    API-doc check (Doxygen when installed + doc-comment lint +
-#           every registered metric listed in docs/OBSERVABILITY.md)
+#           docs/OBSERVABILITY.md's metric inventory matched against
+#           the metrics registered under src/, both ways)
 #   all     everything above, in that order (default)
 #
 # Environment:

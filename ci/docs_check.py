@@ -24,11 +24,14 @@ installed, full parse) and on minimal dev containers (no doxygen):
    regression (a new undocumented symbol) in environments where
    doxygen is not installed.
 
-3. Always check the metric inventory: every metric name passed as a
-   string literal to `telemetry::counter|gauge|histogram("...")` in a
-   source file under src/ must appear, in backticks, in
-   docs/OBSERVABILITY.md — a metric nobody documented is one nobody
-   can find in a snapshot.
+3. Always check the metric inventory in both directions: every metric
+   name passed as a string literal to
+   `telemetry::counter|gauge|histogram("...")` in a source file under
+   src/ must appear, in backticks, in docs/OBSERVABILITY.md — a metric
+   nobody documented is one nobody can find in a snapshot — and every
+   backticked dotted name in that file's Counters/Gauges/Histograms
+   bullets must be registered that way — an inventory entry whose
+   metric is gone sends readers after a name no snapshot holds.
 
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 """
@@ -52,6 +55,14 @@ METRIC_DOC = "docs/OBSERVABILITY.md"
 # namespace) bare, possibly wrapped onto the next line.
 METRIC_RE = re.compile(
     r"(?<![\w.>])(?:telemetry::)?(counter|gauge|histogram)\(\s*\"([^\"]+)\"")
+# One inventory bullet of METRIC_DOC, up to the next bullet or blank
+# line.
+INVENTORY_RE = re.compile(
+    r"^- \*\*(?:Counters|Gauges|Histograms)\*\*(.*?)(?=^- |^\s*$)",
+    re.M | re.S)
+# A backticked metric name inside a bullet; the other backticked words
+# there (`quality`, `ServeError::Shed`, ...) are not dotted lowercase.
+DOC_METRIC_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)`")
 
 DECL_RE = re.compile(r"^(class|struct|enum)\s+[A-Za-z_]")
 FORWARD_DECL_RE = re.compile(r"^(class|struct)\s+\w+;\s*$")
@@ -184,9 +195,19 @@ def registered_metrics():
 def run_metric_inventory():
     with open(os.path.join(REPO, METRIC_DOC), encoding="utf-8") as f:
         doc = f.read()
-    return [f"{where}: {kind} '{name}' is not listed in {METRIC_DOC}"
-            for name, kind, where in registered_metrics()
-            if f"`{name}`" not in doc]
+    registered = registered_metrics()
+    findings = [f"{where}: {kind} '{name}' is not listed in {METRIC_DOC}"
+                for name, kind, where in registered
+                if f"`{name}`" not in doc]
+    names = {name for name, _kind, _where in registered}
+    for bullet in INVENTORY_RE.finditer(doc):
+        for m in DOC_METRIC_RE.finditer(bullet.group(1)):
+            if m.group(1) not in names:
+                line = doc.count("\n", 0, bullet.start(1) + m.start()) + 1
+                findings.append(
+                    f"{METRIC_DOC}:{line}: '{m.group(1)}' is not "
+                    f"registered by literal name under src/")
+    return findings
 
 
 def run_doxygen():

@@ -33,14 +33,6 @@ RangeEncoder::grow(uint64_t need)
 }
 
 void
-RangeEncoder::encodeBitsRaw(uint32_t value, int nbits)
-{
-    EP_ASSERT(!flushed_, "encode after flush");
-    for (int i = nbits - 1; i >= 0; --i)
-        encodeBitRaw(static_cast<int>((value >> i) & 1u));
-}
-
-void
 RangeEncoder::flush()
 {
     EP_ASSERT(!flushed_, "double flush");

@@ -101,27 +101,11 @@ class RangeEncoder
     encodeBit(BitModel &model, int bit)
     {
         uint32_t b = static_cast<uint32_t>(bit != 0);
-        encodeBitProb(model.prob(), bit);
-        model.update(b);
-    }
-
-    /**
-     * Encode one bit under a caller-supplied probability without
-     * touching any model. This is the tee primitive of the progressive
-     * (EPC4) encoder: two coders (the real per-segment stream and the
-     * EPC3-accounting shadow) consume the identical (probability, bit)
-     * sequence while the shared BitModel is updated exactly once by
-     * the caller — so the shadow's byte count reproduces the EPC3
-     * coder's rate decisions bit for bit.
-     */
-    void
-    encodeBitProb(uint16_t prob, int bit)
-    {
-        uint32_t b = static_cast<uint32_t>(bit != 0);
-        uint32_t bound = (range_ >> BitModel::kModelBits) * prob;
+        uint32_t bound = (range_ >> BitModel::kModelBits) * model.prob();
         uint32_t mask = 0u - b;
         low_ += bound & mask;
         range_ = bound + ((range_ - 2 * bound) & mask);
+        model.update(b);
         if (range_ < kRangeTop)
             normalize();
     }
@@ -135,9 +119,6 @@ class RangeEncoder
         if (range_ < kRangeTop)
             normalize();
     }
-
-    /** Encode `nbits` raw bits of `value`, most significant first. */
-    void encodeBitsRaw(uint32_t value, int nbits);
 
     /**
      * Flush the coder state and trim the destination vector to the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "codec/kernels.hh"
@@ -270,39 +271,10 @@ transformTile(const raster::Plane &tile, const TileCoderParams &params)
     return out;
 }
 
-/**
- * The encode tee: the real per-segment coder and the rate-accounting
- * shadow consume the identical (probability, bit) sequence while the
- * shared context model updates exactly once, so the shadow's byte
- * count reproduces the EPC3 coder's rate decisions exactly and the
- * real stream stays decodable under the same model evolution.
- */
-struct TileEncoder::DualEncoder
-{
-    RangeEncoder &real;
-    RangeEncoder &shadow;
-
-    void
-    encodeBit(BitModel &model, int bit)
-    {
-        uint16_t p = model.prob();
-        real.encodeBitProb(p, bit);
-        shadow.encodeBitProb(p, bit);
-        model.update(static_cast<uint32_t>(bit != 0));
-    }
-
-    void
-    encodeBitRaw(int bit)
-    {
-        real.encodeBitRaw(bit);
-        shadow.encodeBitRaw(bit);
-    }
-};
-
 /** Encoder-side scan actions: bits come from the plane-bit mask. */
 struct TileEncoder::EncoderScan
 {
-    DualEncoder &enc;
+    RangeEncoder &enc;
     const uint64_t *planeBits;
     int words;
     const uint8_t *sign;
@@ -323,7 +295,7 @@ TileEncoder::TileEncoder(const TileCoefficients &coeffs, int row0,
                          int rows, const TileCoderParams &params)
     : params_(params), width_(coeffs.width), height_(rows),
       wordsPerRow_(packedWords(coeffs.width)), maxPlane_(-1),
-      planesCoded_(0), headerDone_(false)
+      planesCoded_(0)
 {
     EP_ASSERT(width_ > 0 && rows > 0 && row0 >= 0 &&
                   row0 + rows <= coeffs.height,
@@ -352,14 +324,6 @@ TileEncoder::TileEncoder(const TileCoefficients &coeffs, int row0,
     nextPass_ = 0;
 }
 
-void
-TileEncoder::encodeHeader(RangeEncoder &enc)
-{
-    EP_ASSERT(!headerDone_, "tile header already coded");
-    enc.encodeBitsRaw(static_cast<uint32_t>(maxPlane_ + 1), 5);
-    headerDone_ = true;
-}
-
 bool
 TileEncoder::done() const
 {
@@ -386,7 +350,7 @@ TileEncoder::beginPlane(int plane)
 // encodePlanes(), their only caller, which keeps the per-bit hot loop
 // free of calls.
 inline void
-TileEncoder::encodeSigPass(DualEncoder &enc)
+TileEncoder::encodeSigPass(RangeEncoder &enc)
 {
     runSigScan<false>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
@@ -395,7 +359,7 @@ TileEncoder::encodeSigPass(DualEncoder &enc)
 }
 
 inline void
-TileEncoder::encodeRefinePass(DualEncoder &enc)
+TileEncoder::encodeRefinePass(RangeEncoder &enc)
 {
     const size_t nWords = refinableBits_.size();
     for (size_t w = 0; w < nWords; ++w) {
@@ -411,7 +375,7 @@ TileEncoder::encodeRefinePass(DualEncoder &enc)
 }
 
 inline void
-TileEncoder::encodeCleanupPass(DualEncoder &enc)
+TileEncoder::encodeCleanupPass(RangeEncoder &enc)
 {
     runSigScan<true>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
@@ -420,7 +384,7 @@ TileEncoder::encodeCleanupPass(DualEncoder &enc)
 }
 
 inline void
-TileEncoder::encodePass(DualEncoder &enc, int plane, int pass)
+TileEncoder::encodePass(RangeEncoder &enc, int plane, int pass)
 {
     if (pass == 0) {
         beginPlane(plane);
@@ -433,31 +397,28 @@ TileEncoder::encodePass(DualEncoder &enc, int plane, int pass)
 }
 
 int
-TileEncoder::encodePlanes(std::vector<uint8_t> &payload,
-                          RangeEncoder &shadow, size_t shadowByteLimit,
+TileEncoder::encodePlanes(std::vector<uint8_t> &payload, size_t byteLimit,
                           int maxPlanes)
 {
-    EP_ASSERT(headerDone_, "encodePlanes before encodeHeader");
-    if (done())
-        return 0;
     int planesThisCall = 0;
-    std::vector<uint8_t> seg;
-    // The loop conditions — checked before every pass — are exactly
-    // the EPC3 coder's, evaluated against the shadow, so a segment
-    // break never changes which passes are emitted; it only changes
-    // how the real bits are framed. Each
-    // segment holds the consecutive passes of one plane coded within
-    // this layer (the first segment of a layer may resume mid-plane).
+    // Checked before every pass: the bytes this layer's payload holds
+    // if the open segment ended now — the segments already emitted,
+    // the open segment's framing word and the bytes its coder has
+    // written — must still be under the limit. Each segment holds the
+    // consecutive passes of one plane coded within this layer (the
+    // first segment of a layer may resume mid-plane). The segment is
+    // coded in place behind its framing word, which is filled in once
+    // the flushed length is known.
     while (nextPlane_ >= 0 && planesThisCall < maxPlanes &&
-           shadow.bytesWritten() < shadowByteLimit) {
-        seg.clear();
-        RangeEncoder real(seg);
-        DualEncoder dual{real, shadow};
+           payload.size() + sizeof(uint32_t) < byteLimit) {
+        const size_t wordPos = payload.size();
+        const size_t segStart = wordPos + sizeof(uint32_t);
+        payload.resize(segStart);
+        RangeEncoder enc(payload);
         const int plane = nextPlane_;
         int passes = 0;
         do {
-            shadow.encodeBitRaw(1); // EPC3 continue bit (rate only).
-            encodePass(dual, plane, nextPass_);
+            encodePass(enc, plane, nextPass_);
             ++nextPass_;
             ++passes;
             if (nextPass_ == 3) {
@@ -467,18 +428,15 @@ TileEncoder::encodePlanes(std::vector<uint8_t> &payload,
                 ++planesThisCall;
             }
         } while (nextPlane_ == plane && planesThisCall < maxPlanes &&
-                 shadow.bytesWritten() < shadowByteLimit);
-        real.flush();
-        EP_ASSERT(seg.size() < (1u << 30) && passes <= 3,
+                 segStart + enc.bytesWritten() < byteLimit);
+        enc.flush();
+        const size_t len = payload.size() - segStart;
+        EP_ASSERT(len < (1u << 30) && passes <= 3,
                   "segment overflows its framing word");
-        util::appendPod(
-            payload,
-            static_cast<uint32_t>(seg.size() << 2) |
-                static_cast<uint32_t>(passes - 1));
-        payload.insert(payload.end(), seg.begin(), seg.end());
+        const uint32_t word = static_cast<uint32_t>(len << 2) |
+                              static_cast<uint32_t>(passes - 1);
+        std::memcpy(payload.data() + wordPos, &word, sizeof(word));
     }
-    if (nextPlane_ >= 0)
-        shadow.encodeBitRaw(0); // EPC3 trailing continue bit.
     return planesThisCall;
 }
 
@@ -760,11 +718,14 @@ encodeTileChunk(const TileCoefficients &coeffs,
     TileEncoder coder(coeffs, row0, rows, params);
     std::vector<std::vector<uint8_t>> out(static_cast<size_t>(layers));
     size_t spent = 0;
-    std::vector<uint8_t> shadowBuf;
     for (int layer = 0; layer < layers; ++layer) {
         std::vector<uint8_t> &stream = out[static_cast<size_t>(layer)];
+        if (layer == 0)
+            stream.push_back(static_cast<uint8_t>(coder.maxPlane() + 1));
         // Cumulative budget through this layer grows linearly so each
-        // layer carries a roughly equal share of the bits.
+        // layer carries a roughly equal share of the bits. Everything
+        // the chunk writes counts against it: the header byte, every
+        // segment's framing word and its flushed body.
         size_t cumBudget = params.lossless
             ? byteBudget
             : byteBudget * static_cast<size_t>(layer + 1) /
@@ -776,20 +737,8 @@ encodeTileChunk(const TileCoefficients &coeffs,
             int total = coder.maxPlane() + 1;
             maxPlanes = (total + layers - 1) / layers;
         }
-        // Real bits go into per-plane segments in `stream`; the shadow
-        // coder replays the EPC3 layer stream (header, continue and
-        // pass bits) purely for rate accounting, so `spent` evolves
-        // exactly as it did for EPC3 and the pass schedule is identical.
-        shadowBuf.clear();
-        RangeEncoder shadow(shadowBuf);
-        if (layer == 0) {
-            coder.encodeHeader(shadow);
-            stream.push_back(static_cast<uint8_t>(coder.maxPlane() + 1));
-        }
-        coder.encodePlanes(stream, shadow,
-                           shadow.bytesWritten() + remaining, maxPlanes);
-        shadow.flush();
-        spent += shadowBuf.size();
+        coder.encodePlanes(stream, remaining, maxPlanes);
+        spent += stream.size();
     }
     if (decoded) {
         EP_ASSERT(decoded->width == coeffs.width &&

@@ -150,10 +150,10 @@ TileCoefficients transformTile(const raster::Plane &tile,
  * Encoder for one entropy chunk (a row slab) of a transformed tile.
  *
  * Usage: construct over `[row0, row0 + rows)` of the coefficients
- * (borrowed — the TileCoefficients must outlive the encoder), code the
- * header into layer 0's rate-accounting shadow with encodeHeader(),
- * then call encodePlanes() once per quality layer until done() or the
- * byte budget runs out.
+ * (borrowed — the TileCoefficients must outlive the encoder), write
+ * the raw `maxPlane() + 1` header byte at the head of layer 0's
+ * payload, then call encodePlanes() once per quality layer until
+ * done() or the byte budget runs out.
  */
 class TileEncoder
 {
@@ -167,29 +167,23 @@ class TileEncoder
     TileEncoder(const TileCoefficients &coeffs, int row0, int rows,
                 const TileCoderParams &params);
 
-    /** Emit the chunk header (max magnitude bitplane of the slab). */
-    void encodeHeader(RangeEncoder &enc);
-
     /**
      * Emit the next passes framed into independently flushed per-plane
      * segments appended to `payload` (see forEachSegment() for the
-     * framing). All rate decisions are made against `shadow`, which
-     * receives the exact EPC3 bit sequence — header bits, continue
-     * bits, pass bits — so the pass schedule, and with it every EPC4
-     * byte, is what the retired EPC3 coder produced for the same
-     * budget, and the fully decoded pixels match its decode bit for
-     * bit. The caller owns the shadow's per-layer lifecycle (construct,
-     * encodeHeader() on layer 0, flush, account its size as spent).
+     * framing). Before every pass the encoder compares the bytes the
+     * payload would hold if the open segment ended now — the segments
+     * already emitted, the open segment's framing word and the bytes
+     * its coder has written — with `byteLimit`, and stops once they
+     * reach it. A call therefore overshoots its limit by at most the
+     * last pass it started plus that segment's flush.
      *
      * @param payload Destination chunk-layer payload (appended to).
-     * @param shadow Rate-accounting coder for this layer.
-     * @param shadowByteLimit Stop when shadow.bytesWritten() reaches
-     *        this (the layer's byte limit).
+     * @param byteLimit Stop once payload.size() would reach this.
      * @param maxPlanes Cap on planes completed by this call.
      * @return Number of planes completed by this call.
      */
-    int encodePlanes(std::vector<uint8_t> &payload, RangeEncoder &shadow,
-                     size_t shadowByteLimit, int maxPlanes);
+    int encodePlanes(std::vector<uint8_t> &payload, size_t byteLimit,
+                     int maxPlanes);
 
     /** True once every bitplane has been emitted. */
     bool done() const;
@@ -236,17 +230,14 @@ class TileEncoder
     int nextPlane_;
     int nextPass_; ///< 0 = sig-propagation, 1 = refinement, 2 = cleanup.
     int planesCoded_;
-    bool headerDone_;
 
-    /// Tees every bit into a segment coder and the rate shadow.
-    struct DualEncoder;
     /// Encoder-side scan actions of the shared significance scans.
     struct EncoderScan;
-    void encodePass(DualEncoder &enc, int plane, int pass);
+    void encodePass(RangeEncoder &enc, int plane, int pass);
     void beginPlane(int plane);
-    void encodeSigPass(DualEncoder &enc);
-    void encodeRefinePass(DualEncoder &enc);
-    void encodeCleanupPass(DualEncoder &enc);
+    void encodeSigPass(RangeEncoder &enc);
+    void encodeRefinePass(RangeEncoder &enc);
+    void encodeCleanupPass(RangeEncoder &enc);
 };
 
 /**

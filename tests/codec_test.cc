@@ -774,15 +774,15 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
         bool lossless;
         double bpp;
     };
-    // 0.02 and 0.1 bpp are the starved budgets: at 0.02 bpp a chunk
+    // 0.02 and 0.25 bpp are the starved budgets: at 0.02 bpp a chunk
     // spends its bytes in the cleanup pass of its first planes and so
-    // stops on a plane boundary; at 0.1 bpp chunks also stop after
+    // stops on a plane boundary; at 0.25 bpp chunks also stop after
     // pass 0 or pass 1 of a plane.
     const Mode modes[] = {{Wavelet::CDF97, false, 0.02},
-                          {Wavelet::CDF97, false, 0.1},
+                          {Wavelet::CDF97, false, 0.25},
                           {Wavelet::CDF97, false, 1.0},
                           {Wavelet::LeGall53, false, 0.02},
-                          {Wavelet::LeGall53, false, 0.1},
+                          {Wavelet::LeGall53, false, 0.25},
                           {Wavelet::LeGall53, false, 1.0},
                           {Wavelet::LeGall53, true, 2.0}};
     const std::pair<int, int> shapes[] = {{150, 110}, {97, 201}};

@@ -176,31 +176,33 @@ const GoldenFixture kGoldenV2[] = {
 
 /**
  * V3 (EPC4 progressive) fixtures: the kGoldenV2 tiles, in the same
- * order, coded with chunkRows = 32 and progressive segment framing, pinning the segment words,
- * per-segment coder flushes and the shadow-coder budget accounting.
- * Recorded deliberately when the progressive format was introduced —
- * the EPC4 migration, see the second worked example in
+ * order, coded with chunkRows = 32 and progressive segment framing,
+ * pinning the segment words, per-segment coder flushes and the
+ * encoder's stop on real payload bytes. Recorded deliberately when the
+ * progressive format was introduced (the EPC4 migration) and again
+ * when rate control moved off the shadow coder, which moved only the
+ * lossy layers = 3 rows — see the second and fourth worked examples in
  * docs/ARCHITECTURE.md. Regenerate by running this binary with
  * EARTHPLUS_PRINT_GOLDEN=1 and pasting the printed rows.
  */
 const GoldenFixture kGoldenV3[] = {
     {"textured", 64, 64, "cdf97", 1, 1241u, 0xDB3052E5u},
-    {"textured", 64, 64, "cdf97", 3, 1282u, 0x0B1E90A2u},
+    {"textured", 64, 64, "cdf97", 3, 1273u, 0x3604E32Eu},
     {"textured", 64, 64, "lossy53", 1, 1295u, 0x5D52D9D6u},
-    {"textured", 64, 64, "lossy53", 3, 1328u, 0xA63E8A93u},
+    {"textured", 64, 64, "lossy53", 3, 1099u, 0x6AB8482Au},
     {"textured", 64, 64, "lossless", 1, 3012u, 0x8A0F402Du},
     {"textured", 64, 64, "lossless", 3, 3028u, 0xE1C3B152u},
-    {"textured", 61, 47, "cdf97", 3, 931u, 0xBDA15D8Au},
+    {"textured", 61, 47, "cdf97", 3, 921u, 0x85BA07D4u},
     {"textured", 61, 47, "lossless", 3, 2220u, 0xB0CD3AB3u},
-    {"textured", 130, 70, "cdf97", 3, 2914u, 0x9493E43Du},
-    {"textured", 130, 70, "lossy53", 3, 2982u, 0x8536B78Du},
+    {"textured", 130, 70, "cdf97", 3, 2634u, 0xFF2B1337u},
+    {"textured", 130, 70, "lossy53", 3, 2422u, 0x7C740DBEu},
     {"textured", 130, 70, "lossless", 3, 6642u, 0x11DD4BCEu},
     {"sparse", 64, 64, "cdf97", 1, 632u, 0xE499A07Au},
-    {"sparse", 64, 64, "lossy53", 3, 472u, 0x111D49B0u},
+    {"sparse", 64, 64, "lossy53", 3, 472u, 0x335B2169u},
     {"sparse", 64, 64, "lossless", 3, 425u, 0xF4D7574Au},
-    {"sparse", 61, 47, "cdf97", 3, 610u, 0x25A134DAu},
+    {"sparse", 61, 47, "cdf97", 3, 611u, 0xEDEFC790u},
     {"sparse", 61, 47, "lossless", 1, 400u, 0x7A7DFCD0u},
-    {"sparse", 130, 70, "lossy53", 3, 742u, 0xDB5C99F0u},
+    {"sparse", 130, 70, "lossy53", 3, 752u, 0x768DC1DEu},
     {"sparse", 130, 70, "lossless", 3, 669u, 0xAE84D12Au},
 };
 
@@ -441,15 +443,20 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
 
 TEST(GoldenStream, V3FixturesDecodeBitExactlyWithCheckedInV2)
 {
-    // The shadow coder replays the EPC3 rate decisions, so every full
-    // EPC4 stream reconstructs exactly the pixels its EPC3 twin does.
+    // Lossless coding is never budget-bound, so EPC4 codes every plane
+    // EPC3 did and reconstructs exactly the pixels its EPC3 twin does.
+    // Lossy EPC4 stops on its own payload bytes, so its schedule (and
+    // its pixels) differ from EPC3's by design.
     ASSERT_EQ(std::size(kGoldenV3), std::size(kGoldenV2));
     auto v2 = loadGoldenTiles("golden_epc3_tiles.bin", kGoldenV2,
                               std::size(kGoldenV2));
     ASSERT_EQ(v2.size(), std::size(kGoldenV2));
+    int compared = 0;
     for (size_t i = 0; i < std::size(kGoldenV3); ++i) {
         const GoldenFixture &f = kGoldenV3[i];
         ASSERT_EQ(fixtureName(f), fixtureName(kGoldenV2[i]));
+        if (std::string(f.mode) != "lossless")
+            continue;
         raster::Plane fromV3 = decodeGolden(f, encodeGolden(f),
                                             kGoldenV2ChunkRows,
                                             StreamVersion::V3);
@@ -457,7 +464,8 @@ TEST(GoldenStream, V3FixturesDecodeBitExactlyWithCheckedInV2)
                                             StreamVersion::V2);
         EXPECT_EQ(pixelCrc(fromV3), kDecodedV2[i]) << fixtureName(f);
         EXPECT_EQ(fromV3.data(), fromV2.data()) << fixtureName(f);
-        if (std::string(f.mode) == "lossless")
-            expectLossless(f, fromV3);
+        expectLossless(f, fromV3);
+        ++compared;
     }
+    EXPECT_EQ(compared, 7);
 }

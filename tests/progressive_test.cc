@@ -1,8 +1,9 @@
 /**
  * @file
  * Property tests for the progressive (EPC4) stream format: truncation
- * points, best-effort prefix decode, budget-cut rate control and
- * bit-exactness against checked-in EPC3 streams of the same inputs.
+ * points, best-effort prefix decode, budget-cut rate control, the
+ * encoder's real-byte rate control, and lossless bit-exactness against
+ * checked-in EPC3 streams of the same inputs.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <thread>
 
 #include "codec/codec.hh"
+#include "codec/tile_coder.hh"
 #include "raster/metrics.hh"
 #include "test_data.hh"
 #include "util/parallel.hh"
@@ -67,7 +69,11 @@ struct ProgressiveCase
     int layers;
     int chunkRows;
     bool edgy;
-    /** Record in progressive_epc3_refs.bin: this case as EPC3. */
+    /**
+     * Record in progressive_epc3_refs.bin: this case as EPC3. Only the
+     * lossless cases compare against it; a lossy EPC4 encode stops on
+     * its own payload bytes, so its schedule differs from EPC3's.
+     */
     size_t epc3Ref;
 };
 
@@ -78,9 +84,9 @@ class Progressive : public ::testing::TestWithParam<ProgressiveCase>
 /**
  * The heart of the format contract: decoding at every recorded
  * truncation point never crashes, quality (PSNR against the source)
- * is monotone non-decreasing in prefix length, and the full-length
- * progressive decode is bit-exact with the decode of the checked-in
- * EPC3 stream of the same input under the same parameters.
+ * is monotone non-decreasing in prefix length, and a full-length
+ * lossless decode is bit-exact with the decode of the checked-in EPC3
+ * stream of the same input under the same parameters.
  */
 TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
 {
@@ -103,12 +109,6 @@ TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
 
     std::vector<uint8_t> v4 = encode(img, p).serialize();
     ASSERT_TRUE(isProgressive(v4.data(), v4.size()));
-
-    std::vector<std::vector<uint8_t>> refs =
-        testdata::loadRecords("progressive_epc3_refs.bin");
-    ASSERT_LT(c.epc3Ref, refs.size());
-    raster::Plane v3dec =
-        decode(EncodedImage::deserialize(refs[c.epc3Ref]));
 
     std::vector<size_t> points = truncationPoints(v4);
     ASSERT_GE(points.size(), 2u);
@@ -145,10 +145,15 @@ TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
         EXPECT_GE(q, lastPsnr - 0.05)
             << "cut at " << cut << " of " << v4.size();
         lastPsnr = std::max(lastPsnr, q);
-        if (cut == v4.size()) {
-            // Untruncated EPC4 must reconstruct bit-exactly what EPC3
-            // reconstructed: the shadow coder reproduces its rate
-            // decisions, so the decoded pixels are identical.
+        if (cut == v4.size() && c.lossless) {
+            // Lossless coding is never budget-bound: every plane is
+            // coded in both formats, so the untruncated EPC4 stream
+            // reconstructs bit-exactly what EPC3 reconstructed.
+            std::vector<std::vector<uint8_t>> refs =
+                testdata::loadRecords("progressive_epc3_refs.bin");
+            ASSERT_LT(c.epc3Ref, refs.size());
+            raster::Plane v3dec =
+                decode(EncodedImage::deserialize(refs[c.epc3Ref]));
             ASSERT_EQ(dec.data().size(), v3dec.data().size());
             EXPECT_EQ(std::memcmp(dec.data().data(),
                                   v3dec.data().data(),
@@ -201,6 +206,63 @@ TEST(Progressive, TruncateStreamHonorsEveryBudget)
         std::vector<uint8_t> cut = truncateStream(v4, points[i]);
         EXPECT_EQ(cut.size(), points[i]);
     }
+}
+
+/**
+ * The encoder's rate control counts the bytes it actually writes: a
+ * chunk starts a segment only while its payload — the header byte and
+ * every earlier segment's framing word and flushed body — is still
+ * under the chunk's row share of the tile budget, so everything before
+ * the last segment fits that share.
+ */
+TEST(Progressive, EncoderStopsOnRealPayloadBytes)
+{
+    const int kTile = 64;
+    int chunksChecked = 0;
+    int budgetBound = 0;
+    for (bool edgy : {false, true}) {
+        raster::Plane img = edgy ? edgyImage(kTile, kTile, 93)
+                                 : testImage(kTile, kTile, 92);
+        for (Wavelet wavelet : {Wavelet::CDF97, Wavelet::LeGall53}) {
+            for (int chunkRows : {16, 64}) {
+                TileCoderParams params;
+                params.wavelet = wavelet;
+                params.chunkRows = chunkRows;
+                TileCoefficients coeffs = transformTile(img, params);
+                for (double bpp = 0.25; bpp <= 2.0; bpp += 0.25) {
+                    const size_t budget =
+                        static_cast<size_t>(bpp * kTile * kTile / 8.0);
+                    for (int c = 0; c < chunkCount(params, kTile); ++c) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "edgy=" << edgy << " wavelet="
+                                     << static_cast<int>(wavelet)
+                                     << " chunkRows=" << chunkRows
+                                     << " bpp=" << bpp << " chunk=" << c);
+                        const size_t share = budget * chunkRows / kTile;
+                        std::vector<uint8_t> payload =
+                            encodeTileChunk(coeffs, params, c, 1, budget)
+                                .at(0);
+                        ASSERT_FALSE(payload.empty());
+                        size_t lastSegment = 1;
+                        size_t pos = 1;
+                        ASSERT_TRUE(forEachSegment(
+                            payload.data() + 1, payload.size() - 1,
+                            [&](const SegmentView &seg) {
+                                lastSegment = pos;
+                                pos += sizeof(uint32_t) + seg.size;
+                            }));
+                        EXPECT_LT(lastSegment, share);
+                        ++chunksChecked;
+                        if (payload.size() >= share)
+                            ++budgetBound;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(chunksChecked, 2 * 2 * (4 + 1) * 8);
+    // The budget really binds: most chunks run past their share.
+    EXPECT_GT(budgetBound, chunksChecked / 2);
 }
 
 /**
