@@ -483,8 +483,9 @@ runTracePhase(const Archive &archive, const std::string &path)
             netClient.query(q, r);
         }
     }
-    // One fresh encode so the trace holds codec pipeline spans (the
-    // archive build ran before tracing was enabled).
+    // One fresh encode so the trace holds the codec's per-stage
+    // spans, codec.transform and codec.entropy_chunk (the archive
+    // build ran before tracing was enabled).
     codec::EncodeParams ep;
     ep.bitsPerPixel = 2.0;
     ep.tileSize = kTileSize;

@@ -104,10 +104,13 @@ run_benches() {
 
     # Telemetry artifact gate: the snapshot must parse with the
     # documented shape and the trace must be valid Chrome trace-event
-    # JSON with >= 1 complete event per instrumented subsystem.
+    # JSON with >= 1 complete event per instrumented subsystem, and
+    # must hold the codec's per-stage spans.
     python3 ci/trace_check.py \
         --metrics "$ARTIFACTS_DIR/telemetry_snapshot.json" \
-        --trace "$ARTIFACTS_DIR/telemetry_trace.json"
+        --trace "$ARTIFACTS_DIR/telemetry_trace.json" \
+        --require-span codec.transform \
+        --require-span codec.entropy_chunk
     python3 ci/trace_check.py \
         --metrics "$ARTIFACTS_DIR/telemetry_tile_coder.json"
 }
@@ -206,15 +209,15 @@ run_tsan() {
     # TSan configuration: the sharded archive's per-shard locking, the
     # tile server's request coalescing and its background prefetcher
     # must be race-free under concurrent serveBatch + append — and the
-    # codec's chunk-parallel encode/decode (per-chunk range coders
-    # fanned over the pool, plus the staged encode pipeline) must be
-    # race-free under concurrent encodes — and the telemetry layer's
-    # sharded counters/histograms and trace buffers must be race-free
-    # under concurrent recording — and the EPT serving front's
-    # event-loop/pool handoff (serveAsync completions crossing to the
-    # loop thread over the wake pipe) must be race-free under
-    # pipelined load. Scoped to the suites that contain the
-    # concurrency tests.
+    # codec's parallel encode/decode (tile jobs pasting disjoint
+    # reconstruction rectangles, per-chunk range coders fanned over
+    # the pool) must be race-free under concurrent encodes — and the
+    # telemetry layer's sharded counters/histograms and trace buffers
+    # must be race-free under concurrent recording — and the EPT
+    # serving front's event-loop/pool handoff (serveAsync completions
+    # crossing to the loop thread over the wake pipe) must be
+    # race-free under pipelined load. Scoped to the suites that
+    # contain the concurrency tests.
     local tsan_dir="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
     # shellcheck disable=SC2086
     cmake -B "$tsan_dir" -S . ${CMAKE_ARGS:-} \

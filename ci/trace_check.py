@@ -14,13 +14,18 @@ Two checks, both asserting structure rather than numbers:
 
 Usage:
     python3 ci/trace_check.py --metrics <metrics.json> --trace <trace.json>
+        [--require-counter NAME]... [--require-span NAME]...
 
 Either flag may be given alone. The repeatable --require-counter NAME
 flag additionally asserts that the metrics snapshot contains counter
 NAME with a value > 0 — the chaos job uses it to prove the recovery
 counters (archive.tail_truncated, archive.fsync_failures) actually
-moved during the fault run. Exits non-zero with a diagnostic when a
-file is missing, unparsable, or structurally wrong.
+moved during the fault run. The repeatable --require-span NAME flag
+mirrors it for the trace: at least one complete event named NAME must
+be present — the bench job uses it to prove the codec's per-stage
+spans (codec.transform, codec.entropy_chunk) were recorded. Exits
+non-zero with a diagnostic when a file is missing, unparsable, or
+structurally wrong.
 """
 
 import argparse
@@ -72,12 +77,13 @@ def check_metrics(path, required_counters=()):
              if required_counters else ""))
 
 
-def check_trace(path):
+def check_trace(path, required_spans=()):
     trace = load(path, "trace")
     events = trace.get("traceEvents")
     if not isinstance(events, list):
         fail(f"{path}: missing 'traceEvents' array")
     complete = {}
+    names = set()
     for ev in events:
         if not isinstance(ev, dict) or ev.get("ph") != "X":
             continue
@@ -85,13 +91,20 @@ def check_trace(path):
             if field not in ev:
                 fail(f"{path}: complete event lacks '{field}': {ev}")
         complete[ev["cat"]] = complete.get(ev["cat"], 0) + 1
+        names.add(ev["name"])
     missing = [c for c in REQUIRED_CATEGORIES if not complete.get(c)]
     if missing:
         fail(f"{path}: no complete events for subsystem(s): "
              f"{', '.join(missing)} (got {complete})")
+    for name in required_spans:
+        if name not in names:
+            fail(f"{path}: required span '{name}' is absent "
+                 f"(have: {', '.join(sorted(names)) or 'none'})")
     total = sum(complete.values())
     print(f"trace_check: {path}: {total} complete events across "
-          f"{len(complete)} categories")
+          f"{len(complete)} categories"
+          + (f"; required spans OK: {', '.join(required_spans)}"
+             if required_spans else ""))
 
 
 def main():
@@ -102,15 +115,21 @@ def main():
                         metavar="NAME",
                         help="assert the metrics snapshot has counter "
                              "NAME with value > 0 (repeatable)")
+    parser.add_argument("--require-span", action="append", default=[],
+                        metavar="NAME",
+                        help="assert the trace has at least one complete "
+                             "event named NAME (repeatable)")
     args = parser.parse_args()
     if not args.metrics and not args.trace:
         fail("nothing to check: pass --metrics and/or --trace")
     if args.require_counter and not args.metrics:
         fail("--require-counter needs --metrics")
+    if args.require_span and not args.trace:
+        fail("--require-span needs --trace")
     if args.metrics:
         check_metrics(args.metrics, args.require_counter)
     if args.trace:
-        check_trace(args.trace)
+        check_trace(args.trace, args.require_span)
     print("trace_check: OK")
 
 

@@ -1,17 +1,11 @@
 #include "codec/codec.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <climits>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <functional>
-#include <future>
-#include <memory>
 
 #include "util/bytes.hh"
 #include "util/logging.hh"
@@ -23,7 +17,7 @@ namespace earthplus::codec {
 namespace {
 
 /**
- * Codec-pipeline metrics, resolved once per process. Registry entries
+ * Codec metrics, resolved once per process. Registry entries
  * are leaked, so the references stay valid forever.
  */
 struct CodecMetrics
@@ -32,14 +26,6 @@ struct CodecMetrics
         telemetry::counter("codec.tiles_encoded");
     telemetry::Counter &tilesDecoded =
         telemetry::counter("codec.tiles_decoded");
-    telemetry::Histogram &transformNs =
-        telemetry::histogram("codec.transform_ns");
-    telemetry::Histogram &entropyChunkNs =
-        telemetry::histogram("codec.entropy_chunk_ns");
-    telemetry::Counter &stalls =
-        telemetry::counter("codec.pipeline.stalls");
-    telemetry::Histogram &stallNs =
-        telemetry::histogram("codec.pipeline.stall_ns");
 };
 
 CodecMetrics &
@@ -609,100 +595,6 @@ truncateStream(const std::vector<uint8_t> &bytes, size_t budget)
     return truncateStream(bytes.data(), bytes.size(), budget);
 }
 
-namespace {
-
-/**
- * A run-once pipeline task whose owner can steal it: run() executes
- * the function on the first caller and is a no-op for everyone else,
- * so the task can sit in the pool queue AND be claimed directly by
- * the thread that needs its result — whoever gets there first wins.
- * This is what keeps every lane busy in the staged encode pipeline:
- * the assembling thread never parks behind a task the pool has not
- * scheduled yet, it just runs it.
- *
- * run() never throws (exceptions land in the shared future, rethrown
- * by get()), which makes settle() safe to call during unwinding.
- */
-template <typename R>
-class OnceTask
-{
-  public:
-    explicit OnceTask(std::function<R()> fn)
-        : fn_(std::move(fn)), future_(promise_.get_future().share())
-    {
-    }
-
-    void
-    run()
-    {
-        if (claimed_.exchange(true))
-            return;
-        try {
-            promise_.set_value(fn_());
-        } catch (...) {
-            promise_.set_exception(std::current_exception());
-        }
-    }
-
-    /** Steal-or-wait: run it here if unclaimed, else await the owner. */
-    const R &
-    get()
-    {
-        run();
-        return future_.get();
-    }
-
-    /** True once the result (or its exception) is available. */
-    bool
-    ready() const
-    {
-        return future_.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready;
-    }
-
-    /**
-     * True once some lane owns the task. claimed() && !ready() means
-     * a get() would genuinely wait on another lane — the pipeline's
-     * stall metric keys on exactly that state.
-     */
-    bool
-    claimed() const
-    {
-        return claimed_.load(std::memory_order_acquire);
-    }
-
-    /** Force completion without observing the result; never throws. */
-    void
-    settle()
-    {
-        run();
-        future_.wait();
-    }
-
-  private:
-    std::function<R()> fn_;
-    std::atomic<bool> claimed_{false};
-    std::promise<R> promise_;
-    std::shared_future<R> future_;
-};
-
-using Coeffs = std::shared_ptr<const TileCoefficients>;
-using ChunkStreams = std::vector<std::vector<uint8_t>>;
-
-/**
- * One tile's slot in the staged encode pipeline: the DWT+quant task,
- * then (once it resolves) one entropy task per row-slab chunk.
- */
-struct TileStage
-{
-    std::shared_ptr<OnceTask<Coeffs>> transform;
-    std::vector<std::shared_ptr<OnceTask<ChunkStreams>>> chunks;
-    raster::TileRect rect{};
-    size_t budget = 0;
-};
-
-} // anonymous namespace
-
 EncodedImage
 encode(const raster::Plane &img, const EncodeParams &params,
        raster::Plane *reconstruction)
@@ -769,160 +661,33 @@ encode(const raster::Plane &img, const EncodeParams &params,
                                   static_cast<double>(pixels) / 8.0);
     };
 
-    auto appendTile = [&](ChunkStreams tileLayers) {
-        codecMetrics().tilesEncoded.add();
-        for (int l = 0; l < layers; ++l) {
-            const auto &sub = tileLayers[static_cast<size_t>(l)];
-            auto &chunk = out.layerChunks[static_cast<size_t>(l)];
-            appendPod(chunk, static_cast<uint32_t>(sub.size()));
-            chunk.insert(chunk.end(), sub.begin(), sub.end());
-        }
-    };
-
-    util::ThreadPool &pool = util::ThreadPool::global();
-    if (!pool.canFanOut() || codedTiles.size() <= 1) {
-        // Serial (or nested, or single-tile) path: plain in-order
-        // per-tile encode. With one tile this deliberately skips the
-        // pipeline so encodeTileLayers' own chunk fan-out still gets
-        // the whole pool — that is the oversized-tile latency case.
-        raster::Plane decoded;
-        for (int t : codedTiles) {
-            telemetry::TraceSpan tileSpan("codec.tile", "codec");
-            raster::TileRect r = grid.rect(t);
+    // One job per coded tile: the tile's DWT, chunk entropy coding
+    // and (when asked) reconstruction all run inside encodeTileLayers,
+    // and tiles own disjoint rectangles, so concurrent pastes never
+    // touch the same pixel. Sub-chunks are appended in flat tile-index
+    // order, so the stream is byte-identical at every thread count.
+    util::orderedReduce(
+        codedTiles.size(),
+        [&](size_t i) {
+            raster::TileRect r = grid.rect(codedTiles[i]);
             raster::Plane tile = img.crop(r.x0, r.y0, r.width, r.height);
-            appendTile(encodeTileLayers(tile, tp, layers, budgetFor(r),
-                                        reconstruction ? &decoded
-                                                       : nullptr));
+            raster::Plane decoded;
+            auto tileLayers =
+                encodeTileLayers(tile, tp, layers, budgetFor(r),
+                                 reconstruction ? &decoded : nullptr);
             if (reconstruction)
                 reconstruction->paste(decoded, r.x0, r.y0);
-        }
-        return out;
-    }
-
-    // Staged pipeline: DWT+quant of tile N+k overlaps entropy coding
-    // of tile N. A bounded lookahead window of transform tasks feeds
-    // per-chunk entropy tasks as transforms resolve; the caller
-    // assembles finished tiles in flat tile-index order, stealing any
-    // unclaimed task it is about to wait on (OnceTask) so no lane
-    // idles. Every task is a pure function of its inputs and the
-    // assembly order is fixed, so the stream is byte-identical to the
-    // serial path at every thread count.
-    const size_t lookahead =
-        2 * static_cast<size_t>(pool.threadCount());
-    std::deque<TileStage> window;
-    size_t nextTile = 0;
-
-    auto topUp = [&] {
-        while (window.size() < lookahead &&
-               nextTile < codedTiles.size()) {
-            raster::TileRect r = grid.rect(codedTiles[nextTile]);
-            TileStage st;
-            st.rect = r;
-            st.budget = budgetFor(r);
-            st.transform = std::make_shared<OnceTask<Coeffs>>(
-                [&img, r, &tp] {
-                    telemetry::TraceSpan span("codec.transform",
-                                              "codec");
-                    telemetry::ScopedTimer timer(
-                        codecMetrics().transformNs);
-                    raster::Plane tile =
-                        img.crop(r.x0, r.y0, r.width, r.height);
-                    return std::make_shared<const TileCoefficients>(
-                        transformTile(tile, tp));
-                });
-            pool.submit([t = st.transform] { t->run(); });
-            window.push_back(std::move(st));
-            ++nextTile;
-        }
-    };
-
-    // Fan one resolved transform out into its entropy-chunk tasks.
-    // Called at most once per stage (guarded by chunks.empty()). With a
-    // reconstruction requested, every chunk task also writes its
-    // decoder-equivalent slab, and whichever finishes last rebuilds the
-    // tile and pastes it: reconstruction rides the entropy lanes, never
-    // the assembly lane. Tiles own disjoint rectangles, so concurrent
-    // pastes never touch the same pixel.
-    auto submitChunks = [&](TileStage &st) {
-        if (!st.chunks.empty())
-            return;
-        Coeffs coeffs = st.transform->get();
-        const int chunks = chunkCount(tp, coeffs->height);
-        std::shared_ptr<DecodedTile> decoded;
-        std::shared_ptr<std::atomic<int>> pending;
-        if (reconstruction) {
-            decoded = std::make_shared<DecodedTile>(coeffs->width,
-                                                    coeffs->height, tp);
-            pending = std::make_shared<std::atomic<int>>(chunks);
-        }
-        st.chunks.reserve(static_cast<size_t>(chunks));
-        for (int c = 0; c < chunks; ++c) {
-            auto task = std::make_shared<OnceTask<ChunkStreams>>(
-                [coeffs, &tp, c, layers, budget = st.budget, decoded,
-                 pending, reconstruction, r = st.rect] {
-                    ChunkStreams streams;
-                    {
-                        telemetry::TraceSpan span("codec.entropy_chunk",
-                                                  "codec");
-                        telemetry::ScopedTimer timer(
-                            codecMetrics().entropyChunkNs);
-                        streams = encodeTileChunk(*coeffs, tp, c, layers,
-                                                  budget, decoded.get());
-                    }
-                    if (decoded && pending->fetch_sub(1) == 1) {
-                        telemetry::TraceSpan span("codec.reconstruct_tile",
-                                                  "codec");
-                        reconstruction->paste(decoded->reconstruct(tp),
-                                              r.x0, r.y0);
-                    }
-                    return streams;
-                });
-            pool.submit([task] { task->run(); });
-            st.chunks.push_back(std::move(task));
-        }
-    };
-
-    try {
-        topUp();
-        while (!window.empty()) {
-            // Opportunistically fan out the entropy work of every
-            // transformed tile in the window, not just the front one.
-            for (TileStage &st : window)
-                if (st.chunks.empty() && st.transform->ready())
-                    submitChunks(st);
-            TileStage &front = window.front();
-            submitChunks(front); // steals the transform if unclaimed
-            std::vector<ChunkStreams> perChunk;
-            perChunk.reserve(front.chunks.size());
-            for (auto &task : front.chunks) {
-                if (task->claimed() && !task->ready()) {
-                    // Another lane owns this chunk and has not
-                    // finished: the assembly lane genuinely stalls.
-                    codecMetrics().stalls.add();
-                    telemetry::TraceSpan stallSpan(
-                        "codec.pipeline.stall", "codec");
-                    telemetry::ScopedTimer stall(
-                        codecMetrics().stallNs);
-                    perChunk.push_back(task->get());
-                } else {
-                    perChunk.push_back(task->get());
-                }
+            return tileLayers;
+        },
+        [&](size_t, std::vector<std::vector<uint8_t>> tileLayers) {
+            codecMetrics().tilesEncoded.add();
+            for (int l = 0; l < layers; ++l) {
+                const auto &sub = tileLayers[static_cast<size_t>(l)];
+                auto &chunk = out.layerChunks[static_cast<size_t>(l)];
+                appendPod(chunk, static_cast<uint32_t>(sub.size()));
+                chunk.insert(chunk.end(), sub.begin(), sub.end());
             }
-            appendTile(assembleChunkLayers(std::move(perChunk), layers));
-            window.pop_front();
-            topUp();
-        }
-    } catch (...) {
-        // Tasks capture `img`, `tp` and window state by reference;
-        // force every outstanding one to completion (settle never
-        // throws) before unwinding the frame they point into.
-        for (TileStage &st : window) {
-            st.transform->settle();
-            for (auto &task : st.chunks)
-                task->settle();
-        }
-        throw;
-    }
+        });
     return out;
 }
 

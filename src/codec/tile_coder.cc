@@ -10,10 +10,30 @@
 #include "util/bytes.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
+#include "util/telemetry.hh"
 
 namespace earthplus::codec {
 
 namespace {
+
+/**
+ * Per-stage encode timers, resolved once per process. Registry entries
+ * are leaked, so the references stay valid forever.
+ */
+struct StageMetrics
+{
+    telemetry::Histogram &transformNs =
+        telemetry::histogram("codec.transform_ns");
+    telemetry::Histogram &entropyChunkNs =
+        telemetry::histogram("codec.entropy_chunk_ns");
+};
+
+StageMetrics &
+stageMetrics()
+{
+    static StageMetrics m;
+    return m;
+}
 
 /** Highest usable magnitude bitplane (5-bit header limit). */
 constexpr int kMaxPlaneLimit = 30;
@@ -758,6 +778,13 @@ encodeTileChunk(const TileCoefficients &coeffs,
     return out;
 }
 
+namespace {
+
+/**
+ * Assemble per-chunk per-layer payloads (perChunk[chunk][layer]) into
+ * the tile's per-layer sub-chunks: every chunk payload prefixed with
+ * its u32 byte length, in chunk order.
+ */
 std::vector<std::vector<uint8_t>>
 assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
                     int layers)
@@ -776,13 +803,20 @@ assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
     return out;
 }
 
+} // anonymous namespace
+
 std::vector<std::vector<uint8_t>>
 encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
                  int layers, size_t byteBudget,
                  raster::Plane *reconstruction)
 {
     EP_ASSERT(layers >= 1, "need at least one quality layer");
-    TileCoefficients coeffs = transformTile(tile, params);
+    TileCoefficients coeffs;
+    {
+        telemetry::TraceSpan span("codec.transform", "codec");
+        telemetry::ScopedTimer timer(stageMetrics().transformNs);
+        coeffs = transformTile(tile, params);
+    }
     const int chunks = chunkCount(params, coeffs.height);
     std::vector<std::vector<std::vector<uint8_t>>> perChunk(
         static_cast<size_t>(chunks));
@@ -793,13 +827,17 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
     util::ThreadPool::global().parallelFor(
         0, chunks,
         [&](int64_t c) {
+            telemetry::TraceSpan span("codec.entropy_chunk", "codec");
+            telemetry::ScopedTimer timer(stageMetrics().entropyChunkNs);
             perChunk[static_cast<size_t>(c)] =
                 encodeTileChunk(coeffs, params, static_cast<int>(c),
                                 layers, byteBudget, decoded.get());
         },
         1);
-    if (reconstruction)
+    if (reconstruction) {
+        telemetry::TraceSpan span("codec.reconstruct_tile", "codec");
         *reconstruction = decoded->reconstruct(params);
+    }
     return assembleChunkLayers(std::move(perChunk), layers);
 }
 

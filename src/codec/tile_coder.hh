@@ -124,9 +124,9 @@ struct TileContexts
 /**
  * One tile's quantized wavelet coefficients in sign/magnitude form —
  * the output of the DWT+quantization stage and the input of the
- * entropy stage. Splitting the stages apart is what lets the codec
- * pipeline them (transform tile N+1 while tile N is entropy coded)
- * and fan the entropy work of one tile across row-slab chunks.
+ * entropy stage. encodeTileLayers() transforms a tile once and then
+ * fans the entropy work across its row-slab chunks, all of which read
+ * this one buffer.
  */
 struct TileCoefficients
 {
@@ -411,8 +411,8 @@ forEachSegment(const uint8_t *data, size_t size, Fn &&fn)
  * Entropy-code one chunk (row slab) of a transformed tile: all
  * `layers` quality layers into private per-layer segment payloads.
  * Pure function of (coeffs, params, chunk) — safe to run on any thread
- * in any order; the per-tile stream is assembled from these in fixed
- * chunk order (assembleChunkLayers).
+ * in any order; encodeTileLayers() assembles the per-tile stream from
+ * these in fixed chunk order.
  *
  * @param coeffs Transformed tile.
  * @param params Coder configuration; chunkRows (> 0) fixes the slabs.
@@ -431,15 +431,6 @@ encodeTileChunk(const TileCoefficients &coeffs,
                 size_t tileByteBudget, DecodedTile *decoded = nullptr);
 
 /**
- * Assemble per-chunk per-layer payloads (perChunk[chunk][layer]) into
- * the tile's per-layer sub-chunks: every chunk payload prefixed with
- * its u32 byte length, in chunk order.
- */
-std::vector<std::vector<uint8_t>>
-assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
-                    int layers);
-
-/**
  * Encode one tile completely, as a single self-contained job.
  *
  * Runs the DWT + quantization and codes all `layers` quality layers
@@ -447,7 +438,9 @@ assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
  * params.chunkRows). The output depends only on the tile pixels and
  * the parameters — chunks fan out across the global pool when it has
  * idle lanes, and the fixed assembly order makes the bytes identical
- * at every thread count.
+ * at every thread count. Every call records one `codec.transform_ns`
+ * sample and one `codec.entropy_chunk_ns` sample per chunk, with a
+ * matching trace span for each.
  *
  * @param tile Pixel data, values in [0, 1].
  * @param params Coder configuration.

@@ -195,24 +195,16 @@ ThreadPool::parallelFor(int64_t begin, int64_t end,
                         const std::function<void(int64_t)> &body,
                         int64_t grain)
 {
-    tryParallelFor(begin, end, body, grain);
-}
-
-bool
-ThreadPool::tryParallelFor(int64_t begin, int64_t end,
-                           const std::function<void(int64_t)> &body,
-                           int64_t grain)
-{
     int64_t count = end - begin;
     if (count <= 0)
-        return false;
+        return;
 
     // A lone iteration is not a parallel region: run it directly with
     // no depth marker, so parallelism nested inside it (chunk-parallel
     // decode of one tile) still reaches the pool.
     if (count == 1) {
         body(begin);
-        return false;
+        return;
     }
 
     // A multi-iteration region is a "pool.parallel_for" span whether
@@ -226,7 +218,7 @@ ThreadPool::tryParallelFor(int64_t begin, int64_t end,
         DepthGuard depth;
         for (int64_t i = begin; i < end; ++i)
             body(i);
-        return false;
+        return;
     }
     poolMetrics().fanouts.add();
 
@@ -276,7 +268,6 @@ ThreadPool::tryParallelFor(int64_t begin, int64_t end,
     }
     if (state->firstError.load())
         std::rethrow_exception(state->error);
-    return true;
 }
 
 BackgroundQueue::BackgroundQueue(size_t maxDepth)

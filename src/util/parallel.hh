@@ -5,11 +5,13 @@
  * ordered-map/reduce helpers.
  *
  * This is the concurrency engine underneath the tile-granular pipeline:
- * the codec encodes tiles as independent jobs, the systems layer fans
- * bands out, and the simulation layer fans whole (location, system)
- * runs across a constellation. All of them share one process-wide pool
- * (ThreadPool::global()) sized by the EARTHPLUS_THREADS environment
- * variable (default: hardware concurrency).
+ * the codec encodes every coded tile as one orderedReduce() job (which
+ * in turn fans the tile's row-slab entropy chunks), the systems layer
+ * fans bands out, and the simulation layer fans whole (location,
+ * system) runs across a constellation. All of them share one
+ * process-wide pool (ThreadPool::global()) sized by the
+ * EARTHPLUS_THREADS environment variable (default: hardware
+ * concurrency).
  *
  * Determinism: parallelMap() writes result i into slot i and
  * orderedReduce() consumes results in index order, so the output of a
@@ -17,9 +19,11 @@
  * count or scheduling — the property the codec's golden test guards.
  *
  * Nesting: a parallel region entered from inside a pool worker (e.g.
- * the codec's per-tile loop reached from a per-band job) executes
- * inline on the calling thread instead of re-entering the pool, so
- * nested parallelism can never deadlock the fixed-size pool.
+ * the codec's tile loop reached from a per-band job) executes inline
+ * on the calling thread instead of re-entering the pool, so nested
+ * parallelism can never deadlock the fixed-size pool. A one-item
+ * range is not a parallel region, so work nested inside it (a lone
+ * coded tile's chunk fan-out) still reaches the pool.
  */
 
 #ifndef EARTHPLUS_UTIL_PARALLEL_HH
@@ -102,42 +106,17 @@ class ThreadPool
      * particular execution order; use parallelMap()/orderedReduce()
      * when results must be assembled deterministically.
      *
+     * A range of exactly one iteration runs the body directly WITHOUT
+     * entering a nested-region scope: a lone item is not a parallel
+     * region, and parallelism nested inside it (the chunk fan-out of
+     * a lone coded tile) must still be able to reach the pool.
+     *
      * The first exception thrown by any iteration is rethrown on the
      * calling thread after the loop drains.
      */
     void parallelFor(int64_t begin, int64_t end,
                      const std::function<void(int64_t)> &body,
                      int64_t grain = 0);
-
-    /**
-     * parallelFor() that reports whether the loop actually fanned out
-     * across pool lanes. False means every iteration ran serially on
-     * the calling thread — a single-lane pool, a nested parallel
-     * region (worker thread or InlineRegion), or a range too small to
-     * split. Callers that *structure* work around the fan-out (the
-     * codec's chunked entropy stages) use this so a nested call
-     * degrades to a deliberate serial pass instead of quietly
-     * serializing inside what looks like a parallel region.
-     *
-     * A range of exactly one iteration runs the body directly WITHOUT
-     * entering a nested-region scope: a lone item is not a parallel
-     * region, and parallelism nested inside it (chunk-parallel decode
-     * of a single tile) must still be able to reach the pool.
-     */
-    bool tryParallelFor(int64_t begin, int64_t end,
-                        const std::function<void(int64_t)> &body,
-                        int64_t grain = 0);
-
-    /**
-     * True when a parallelFor from the calling thread could fan into
-     * the pool: multi-lane pool and not already inside a parallel
-     * region. A cheap pre-check for code that picks between a staged
-     * parallel structure and a plain serial loop up front.
-     */
-    bool canFanOut() const
-    {
-        return threads_ > 1 && !onWorkerThread();
-    }
 
     /**
      * The process-wide pool, created on first use with

@@ -18,6 +18,7 @@
 #include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
+#include "util/telemetry.hh"
 
 using namespace earthplus;
 using namespace earthplus::codec;
@@ -543,25 +544,141 @@ TEST(Codec, ChunkedStreamByteIdenticalAcrossThreadCounts)
     // The chunked (v2) determinism guarantee: tiles split into several
     // row-slab entropy chunks must still produce one exact stream at
     // every thread count — chunk jobs are pure functions assembled in
-    // fixed order, never dependent on scheduling.
-    raster::Plane img = testImage(300, 200, 30);
-    EncodeParams p;
-    p.bitsPerPixel = 1.5;
-    p.layers = 2;
-    p.tileSize = 96;   // ragged grid: 96- and 8-row tiles
-    p.chunkRows = 32;  // full tiles code as 3 chunks each
+    // fixed order, never dependent on scheduling. The same encode
+    // issued from inside a parallelMap item, where the tile loop and
+    // the chunk fan-out run inline, must give the same bytes and the
+    // same reconstruction. Inputs: a ragged grid of 96- and 8-row
+    // tiles at 32-row chunks (full tiles code as 3 chunks each), and
+    // one lone 512-px tile at the default chunk height (4 chunks).
+    struct Input
+    {
+        raster::Plane img;
+        EncodeParams p;
+    };
+    EncodeParams ragged;
+    ragged.bitsPerPixel = 1.5;
+    ragged.layers = 2;
+    ragged.tileSize = 96;
+    ragged.chunkRows = 32;
+    EncodeParams lone;
+    lone.bitsPerPixel = 1.5;
+    lone.layers = 2;
+    lone.tileSize = 512;
+    const Input inputs[] = {{testImage(300, 200, 30), ragged},
+                            {testImage(512, 512, 31), lone}};
 
-    util::ThreadPool::setGlobalThreads(1);
-    std::vector<uint8_t> serial = encode(img, p).serialize();
-    raster::Plane serialDec = decode(EncodedImage::deserialize(serial));
+    for (const Input &in : inputs) {
+        SCOPED_TRACE(testing::Message() << "tile=" << in.p.tileSize);
+        util::ThreadPool::setGlobalThreads(1);
+        raster::Plane serialRecon;
+        std::vector<uint8_t> serial =
+            encode(in.img, in.p, &serialRecon).serialize();
+        raster::Plane serialDec = decode(EncodedImage::deserialize(serial));
 
-    for (int threads : {2, 7, util::ThreadPool::defaultThreadCount()}) {
-        util::ThreadPool::setGlobalThreads(threads);
-        std::vector<uint8_t> bytes = encode(img, p).serialize();
-        EXPECT_EQ(bytes, serial) << "threads=" << threads;
-        raster::Plane dec = decode(EncodedImage::deserialize(bytes));
-        EXPECT_EQ(dec.data(), serialDec.data()) << "threads=" << threads;
+        for (int threads : {2, 7, util::ThreadPool::defaultThreadCount()}) {
+            util::ThreadPool::setGlobalThreads(threads);
+            raster::Plane recon;
+            std::vector<uint8_t> bytes =
+                encode(in.img, in.p, &recon).serialize();
+            EXPECT_EQ(bytes, serial) << "threads=" << threads;
+            EXPECT_EQ(recon.data(), serialRecon.data())
+                << "threads=" << threads;
+            raster::Plane dec = decode(EncodedImage::deserialize(bytes));
+            EXPECT_EQ(dec.data(), serialDec.data()) << "threads=" << threads;
+
+            auto nested = util::parallelMap(2, [&](size_t i) {
+                std::pair<std::vector<uint8_t>, raster::Plane> r;
+                if (i == 0)
+                    r.first = encode(in.img, in.p, &r.second).serialize();
+                return r;
+            });
+            EXPECT_EQ(nested[0].first, serial)
+                << "nested, threads=" << threads;
+            EXPECT_EQ(nested[0].second.data(), serialRecon.data())
+                << "nested, threads=" << threads;
+        }
     }
+    util::ThreadPool::setGlobalThreads(
+        util::ThreadPool::defaultThreadCount());
+}
+
+TEST(Codec, LoneCodedTileFansItsChunksAcrossThePool)
+{
+    // A lone coded tile is a one-item tile loop, which is not a
+    // parallel region: the tile's own chunk fan-out still reaches the
+    // pool. One 512-px tile at the default chunk height codes as four
+    // chunks.
+    raster::Plane img = testImage(512, 512, 43);
+    EncodeParams p;
+    p.tileSize = 512;
+    ASSERT_EQ(chunkCount(TileCoderParams{}, 512), 4);
+
+    telemetry::Counter &fanOuts =
+        telemetry::counter("pool.parallel_for.fanout");
+    telemetry::Counter &serialRegions =
+        telemetry::counter("pool.parallel_for.serial");
+    util::ThreadPool::setGlobalThreads(4);
+    const uint64_t fan0 = fanOuts.value();
+    const uint64_t serial0 = serialRegions.value();
+    encode(img, p);
+    EXPECT_EQ(fanOuts.value() - fan0, 1u);
+    EXPECT_EQ(serialRegions.value() - serial0, 0u);
+    util::ThreadPool::setGlobalThreads(
+        util::ThreadPool::defaultThreadCount());
+}
+
+TEST(Codec, StageHistogramsRecordOnEveryEncodePath)
+{
+    // Every encode records its stage timers — one codec.transform_ns
+    // sample per coded tile, one codec.entropy_chunk_ns sample per
+    // entropy chunk — whether its tile loop fans out at top level,
+    // runs inline inside a parallelMap item (an on-board band encode)
+    // or runs on a single-lane pool.
+    raster::Plane img = testImage(200, 136, 42);
+    EncodeParams p;
+    p.bitsPerPixel = 1.0;
+    p.tileSize = 64;
+    p.chunkRows = 32; // 64-row tiles code as 2 chunks, the 8-row edge as 1
+    raster::TileGrid grid(img.width(), img.height(), p.tileSize);
+    raster::TileMask roi(grid);
+    uint64_t tiles = 0;
+    uint64_t chunks = 0;
+    for (int t = 0; t < grid.tileCount(); ++t) {
+        if (t % 3 == 1)
+            continue;
+        roi.set(t, true);
+        ++tiles;
+        chunks += static_cast<uint64_t>(
+            (grid.rect(t).height + p.chunkRows - 1) / p.chunkRows);
+    }
+    p.roi = &roi;
+    ASSERT_GT(tiles, 1u);
+    ASSERT_GT(chunks, tiles);
+
+    telemetry::Histogram &transformNs =
+        telemetry::histogram("codec.transform_ns");
+    telemetry::Histogram &entropyChunkNs =
+        telemetry::histogram("codec.entropy_chunk_ns");
+    auto expectRecorded = [&](const char *path, auto &&run) {
+        SCOPED_TRACE(path);
+        const uint64_t transform0 = transformNs.count();
+        const uint64_t entropy0 = entropyChunkNs.count();
+        run();
+        EXPECT_EQ(transformNs.count() - transform0, tiles);
+        EXPECT_EQ(entropyChunkNs.count() - entropy0, chunks);
+    };
+
+    util::ThreadPool::setGlobalThreads(4);
+    expectRecorded("top level, 4 lanes", [&] { encode(img, p); });
+    expectRecorded("inside a parallelMap item", [&] {
+        util::parallelMap(2, [&](size_t i) {
+            if (i == 0)
+                encode(img, p);
+            return 0;
+        });
+    });
+    util::ThreadPool::setGlobalThreads(1);
+    expectRecorded("1 lane", [&] { encode(img, p); });
     util::ThreadPool::setGlobalThreads(
         util::ThreadPool::defaultThreadCount());
 }
@@ -766,8 +883,7 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     // after a serialize round trip — over every wavelet mode, layer
     // count, chunk height and tile size, on ragged images, ROI
     // subsets and budgets starved enough to stop mid-plane. The sweep
-    // runs through the serial path (one lane) and the staged pipeline
-    // (four lanes).
+    // runs on one lane and on four.
     struct Mode
     {
         Wavelet wavelet;

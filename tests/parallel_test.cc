@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the thread-pool work-scheduling substrate: submit,
  * parallelFor coverage and exception propagation, deterministic
- * parallelMap/orderedReduce, nesting, and the global-pool knobs.
+ * parallelMap/orderedReduce, nesting and its fan-out counters, and the
+ * global-pool knobs.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <thread>
 
 #include "util/parallel.hh"
+#include "util/telemetry.hh"
 
 using namespace earthplus::util;
 
@@ -111,67 +113,85 @@ TEST(ThreadPool, GlobalPoolResizes)
               ThreadPool::defaultThreadCount());
 }
 
-TEST(ThreadPool, TryParallelForReportsFanOut)
+namespace {
+
+uint64_t
+fanOuts()
+{
+    return earthplus::telemetry::counter("pool.parallel_for.fanout").value();
+}
+
+uint64_t
+serialRegions()
+{
+    return earthplus::telemetry::counter("pool.parallel_for.serial").value();
+}
+
+} // namespace
+
+TEST(ThreadPool, ParallelForCountsFanOuts)
 {
     ThreadPool pool(4);
     std::atomic<int> count{0};
     auto body = [&](int64_t) { count.fetch_add(1); };
 
     // Multi-lane pool, real range: fans out.
-    EXPECT_TRUE(pool.tryParallelFor(0, 100, body));
+    uint64_t fan0 = fanOuts();
+    uint64_t serial0 = serialRegions();
+    pool.parallelFor(0, 100, body);
     EXPECT_EQ(count.load(), 100);
+    EXPECT_EQ(fanOuts() - fan0, 1u);
+    EXPECT_EQ(serialRegions() - serial0, 0u);
 
-    // Empty and single-iteration ranges never count as a fan-out,
-    // but a single iteration still executes.
+    // Empty and single-iteration ranges are no parallel region at
+    // all, but a single iteration still executes.
     count.store(0);
-    EXPECT_FALSE(pool.tryParallelFor(3, 3, body));
+    fan0 = fanOuts();
+    serial0 = serialRegions();
+    pool.parallelFor(3, 3, body);
     EXPECT_EQ(count.load(), 0);
-    EXPECT_FALSE(pool.tryParallelFor(3, 4, body));
+    pool.parallelFor(3, 4, body);
     EXPECT_EQ(count.load(), 1);
+    EXPECT_EQ(fanOuts() - fan0, 0u);
+    EXPECT_EQ(serialRegions() - serial0, 0u);
 
-    // Single-lane pool: serial, reported as such.
+    // Single-lane pool: a serial region.
     ThreadPool serial(1);
     count.store(0);
-    EXPECT_FALSE(serial.tryParallelFor(0, 100, body));
+    fan0 = fanOuts();
+    serial0 = serialRegions();
+    serial.parallelFor(0, 100, body);
     EXPECT_EQ(count.load(), 100);
+    EXPECT_EQ(fanOuts() - fan0, 0u);
+    EXPECT_EQ(serialRegions() - serial0, 1u);
 
-    // Nested region (inside a worker-run iteration): serial.
-    std::atomic<bool> nestedFannedOut{true};
+    // Nested regions (inside an iteration of a fanned-out loop) run
+    // serially: one fan-out for the outer loop, one serial region per
+    // inner loop.
+    fan0 = fanOuts();
+    serial0 = serialRegions();
     pool.parallelFor(0, 8, [&](int64_t) {
-        if (!pool.tryParallelFor(0, 8, [](int64_t) {}))
-            nestedFannedOut.store(false);
+        pool.parallelFor(0, 8, [](int64_t) {});
     });
-    EXPECT_FALSE(nestedFannedOut.load());
+    EXPECT_EQ(fanOuts() - fan0, 1u);
+    EXPECT_EQ(serialRegions() - serial0, 8u);
 }
 
 TEST(ThreadPool, SingleIterationDoesNotBlockNestedFanOut)
 {
     // A one-item parallelFor is not a parallel region: work nested
-    // inside it (chunk-parallel decode of a single tile) must still
+    // inside it (the chunk fan-out of a lone coded tile) must still
     // reach the pool instead of silently serializing.
     ThreadPool pool(4);
-    bool fannedOut = false;
     std::atomic<int> count{0};
+    uint64_t fan0 = fanOuts();
+    uint64_t serial0 = serialRegions();
     pool.parallelFor(0, 1, [&](int64_t) {
-        fannedOut = pool.tryParallelFor(
-            0, 64, [&](int64_t) { count.fetch_add(1); });
+        pool.parallelFor(0, 64, [&](int64_t) { count.fetch_add(1); });
     });
-    EXPECT_TRUE(fannedOut);
     EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPool, CanFanOutReflectsPoolAndNesting)
-{
-    ThreadPool pool(4);
-    EXPECT_TRUE(pool.canFanOut());
-    ThreadPool serial(1);
-    EXPECT_FALSE(serial.canFanOut());
-    std::atomic<bool> insideWorker{true};
-    pool.parallelFor(0, 4, [&](int64_t) {
-        if (pool.canFanOut())
-            insideWorker.store(false);
-    });
-    EXPECT_TRUE(insideWorker.load());
+    EXPECT_EQ(fanOuts() - fan0, 1u);
+    EXPECT_EQ(serialRegions() - serial0, 0u);
 }
 
 TEST(ThreadPool, ParallelForCompletesWhileWorkersAreParked)
