@@ -205,8 +205,7 @@ runLatencyMode(int samplesSmall, const std::string &jsonPath)
                 encodeTileLayers(tile, params, layers, budget);
             });
             Percentiles dec = latencyPercentiles(samples, [&]() {
-                decodeTileLayers(edge, edge, params, spans,
-                                 StreamVersion::V3);
+                decodeTileLayers(edge, edge, params, spans);
             });
             auto report = [&](const char *dir, const Percentiles &p) {
                 std::string name = std::string("tile_latency_") + dir +
@@ -423,8 +422,7 @@ main(int argc, char **argv)
                     std::vector<ChunkSpan> spans;
                     for (const auto &layer : tile)
                         spans.push_back({layer.data(), layer.size()});
-                    decodeTileLayers(edge, edge, c.params, spans,
-                                     StreamVersion::V3);
+                    decodeTileLayers(edge, edge, c.params, spans);
                 }
             });
 

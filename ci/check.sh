@@ -10,7 +10,7 @@
 #   tsan    TSan build of the concurrent archive/serving/codec suites
 #   chaos   fault-injection sweep: failpoint + crash-consistency +
 #           net-fault suites plus the progressive-stream truncation
-#           fuzz and the stream-walker mutation fuzz across several
+#           fuzz and the stream mutation fuzz across several
 #           EARTHPLUS_CHAOS_SEED values, plus the
 #           chaos probe with its recovery-counter gate — and the same
 #           suites again under ASan
@@ -240,8 +240,9 @@ run_chaos() {
     # The progressive-stream truncation fuzz rides along: each seed
     # cuts EPC4 streams at a different set of unrecorded offsets and
     # asserts every one fails with a typed error instead of a crash —
-    # and so does the stream-walker mutation fuzz, whose seed picks the
-    # length-word rewrites and byte flips it feeds tryDeserialize().
+    # and so does the stream mutation fuzz, whose seed picks the
+    # length-word rewrites and byte flips it feeds tryDeserialize(),
+    # and which decodes every mutant the walker accepts.
     configure_and_build
     cmake --build "$BUILD_DIR" -j \
           --target failpoint_test crash_consistency_test net_test \

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 
 #include "util/bytes.hh"
 #include "util/logging.hh"
@@ -26,6 +25,8 @@ struct CodecMetrics
         telemetry::counter("codec.tiles_encoded");
     telemetry::Counter &tilesDecoded =
         telemetry::counter("codec.tiles_decoded");
+    telemetry::Histogram &decodeTileNs =
+        telemetry::histogram("codec.decode_tile_ns");
 };
 
 CodecMetrics &
@@ -35,22 +36,18 @@ codecMetrics()
     return m;
 }
 
-// Stream magics, one per container version (docs/ARCHITECTURE.md):
-// "EPC2" (v1) frames one unframed entropy stream per tile sub-chunk,
-// "EPC3" (v2) adds the chunkRows header field and row-slab entropy
-// chunks, "EPC4" (v3) keeps that framing but makes every chunk payload
-// a run of independently flushed per-plane segments (plus a raw
-// maxPlane byte in layer 0) whose framing records truncation points.
-// encode() writes only EPC4; the other two stay decodable.
-constexpr uint32_t kMagicV1 = 0x32435045;
-constexpr uint32_t kMagicV2 = 0x33435045;
-constexpr uint32_t kMagicV3 = 0x34435045;
+// The stream magic, "EPC4" (docs/ARCHITECTURE.md): row-slab entropy
+// chunks whose payloads are runs of independently flushed per-plane
+// segments (plus a raw maxPlane byte in layer 0), so the framing
+// records truncation points. A future layout gets a new magic.
+constexpr uint32_t kMagic = 0x34435045;
 
-/** Fixed serialized header size in bytes (v2/v3 add 4 for chunkRows). */
+/** Fixed serialized header size in bytes. */
 constexpr size_t kFixedHeader =
     4 +          // magic
     6 * 4 +      // width, height, tileSize, dwtLevels, layers, flags
     8 +          // quantStep
+    4 +          // chunkRows
     4;           // tile count
 
 using util::appendPod;
@@ -82,13 +79,6 @@ formatError(const char *fmt, ...)
     return buf;
 }
 
-/** Fixed header plus the chunkRows field V2/V3 streams carry. */
-size_t
-fixedHeaderBytes(const EncodedImage &e)
-{
-    return kFixedHeader + (e.version != StreamVersion::V1 ? 4 : 0);
-}
-
 } // anonymous namespace
 
 size_t
@@ -105,7 +95,7 @@ EncodedImage::headerBytes() const
 {
     // Fixed header + packed coded-tile bitmap + per-layer length
     // fields.
-    return fixedHeaderBytes(*this) + (tileCoded.size() + 7) / 8 +
+    return kFixedHeader + (tileCoded.size() + 7) / 8 +
            4 * layerChunks.size();
 }
 
@@ -121,7 +111,7 @@ EncodedImage::totalBytesForLayers(int layerCount) const
     if (layerCount < 0 ||
         layerCount > static_cast<int>(layerChunks.size()))
         layerCount = static_cast<int>(layerChunks.size());
-    size_t total = fixedHeaderBytes(*this) + (tileCoded.size() + 7) / 8 +
+    size_t total = kFixedHeader + (tileCoded.size() + 7) / 8 +
                    4 * static_cast<size_t>(layerCount);
     for (int l = 0; l < layerCount; ++l)
         total += layerChunks[static_cast<size_t>(l)].size();
@@ -146,9 +136,7 @@ EncodedImage::serialize() const
     std::vector<uint8_t> out;
     EP_ASSERT(!truncated, "cannot re-serialize a truncated stream");
     out.reserve(totalBytes());
-    appendPod(out, version == StreamVersion::V1   ? kMagicV1
-                   : version == StreamVersion::V2 ? kMagicV2
-                                                  : kMagicV3);
+    appendPod(out, kMagic);
     appendPod(out, static_cast<uint32_t>(width));
     appendPod(out, static_cast<uint32_t>(height));
     appendPod(out, static_cast<uint32_t>(tileSize));
@@ -159,8 +147,7 @@ EncodedImage::serialize() const
                      (static_cast<uint32_t>(losslessDepth) << 8);
     appendPod(out, flags);
     appendPod(out, quantStep);
-    if (version != StreamVersion::V1)
-        appendPod(out, static_cast<uint32_t>(chunkRows));
+    appendPod(out, static_cast<uint32_t>(chunkRows));
     appendPod(out, static_cast<uint32_t>(tileCoded.size()));
     // Packed coded-tile bitmap.
     for (size_t i = 0; i < tileCoded.size(); i += 8) {
@@ -209,14 +196,7 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
     uint32_t magic = 0;
     if (!tryReadPod(data, len, pos, magic))
         return cut();
-    // Version-gated decode: the magic alone selects the stream layout.
-    if (magic == kMagicV1) {
-        e.version = StreamVersion::V1;
-    } else if (magic == kMagicV2) {
-        e.version = StreamVersion::V2;
-    } else if (magic == kMagicV3) {
-        e.version = StreamVersion::V3;
-    } else {
+    if (magic != kMagic) {
         msg = "bad encoded-image magic";
         return StreamError::Corrupt;
     }
@@ -282,18 +262,15 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
         msg = "encoded image has invalid quantizer step";
         return StreamError::Corrupt;
     }
-    e.chunkRows = 0;
-    if (e.version != StreamVersion::V1) {
-        uint32_t chunkRows = 0;
-        if (!tryReadPod(data, len, pos, chunkRows))
-            return cut();
-        if (chunkRows == 0 || chunkRows > kMaxDim) {
-            msg = formatError(
-                "encoded image has invalid chunk height %u", chunkRows);
-            return StreamError::Corrupt;
-        }
-        e.chunkRows = static_cast<int>(chunkRows);
+    uint32_t chunkRows = 0;
+    if (!tryReadPod(data, len, pos, chunkRows))
+        return cut();
+    if (chunkRows == 0 || chunkRows > kMaxDim) {
+        msg = formatError("encoded image has invalid chunk height %u",
+                          chunkRows);
+        return StreamError::Corrupt;
     }
+    e.chunkRows = static_cast<int>(chunkRows);
     uint32_t tiles = 0;
     if (!tryReadPod(data, len, pos, tiles))
         return cut();
@@ -343,7 +320,7 @@ struct StreamWalk
     WalkEnd end = WalkEnd::Complete;
     /** Offset where the walk ended. */
     size_t at = 0;
-    /** A Cut walk ended on a recorded truncation point (v3 only). */
+    /** A Cut walk ended on a recorded truncation point. */
     bool onPoint = false;
     /** Payload of every layer reached; the last one may be partial. */
     std::vector<ChunkSpan> layers;
@@ -354,13 +331,13 @@ struct StreamWalk
  * behind parseStream(), truncationPoints() and truncateStream();
  * streamHeaderFloor() needs only its first stage, parseHeader().
  * It walks the header, then layer -> tile sub-chunk -> entropy
- * chunk (v2/v3) -> segment (v3), as far as the bytes allow. Every
- * length word must fit inside the structure that encloses it, so a
- * walk that does not end Corrupt leaves the stream framed consistently
- * down to the segment level. On v3 streams `visit(offset)` sees every
- * recorded truncation point in ascending order and returns false to
- * stop the walk; a Cut lands on a recorded point exactly when the last
- * point visited is the end of the bytes.
+ * chunk -> segment, as far as the bytes allow. Every length word must
+ * fit inside the structure that encloses it, so a walk that does not
+ * end Corrupt leaves the stream framed consistently down to the
+ * segment level. `visit(offset)` sees every recorded truncation point
+ * in ascending order and returns false to stop the walk; a Cut lands
+ * on a recorded point exactly when the last point visited is the end
+ * of the bytes.
  */
 template <typename Visit>
 StreamWalk
@@ -372,18 +349,17 @@ walkStream(const uint8_t *data, size_t len, EncodedImage &head,
     w.header = parseHeader(data, len, head, w.floor, nCoded, msg);
     if (w.header != StreamError::None)
         return w;
-    const bool v3 = head.version == StreamVersion::V3;
     size_t pos = w.floor;
     size_t lastPoint = SIZE_MAX;
     auto finish = [&](WalkEnd end) {
         w.end = end;
         w.at = pos;
-        w.onPoint = end == WalkEnd::Cut && v3 && lastPoint == len;
+        w.onPoint = end == WalkEnd::Cut && lastPoint == len;
         return false;
     };
     auto point = [&] {
         lastPoint = pos;
-        return !v3 || visit(pos) || finish(WalkEnd::Stopped);
+        return visit(pos) || finish(WalkEnd::Stopped);
     };
     // `n` more bytes inside a structure that ends at `end`.
     auto need = [&](size_t n, size_t end) {
@@ -421,20 +397,10 @@ walkStream(const uint8_t *data, size_t len, EncodedImage &head,
             size_t subEnd = 0;
             if (!frame(layerEnd, 0, subEnd) || !point())
                 return w;
-            if (head.version == StreamVersion::V1) {
-                if (!skipTo(subEnd))
-                    return w;
-                continue;
-            }
             while (pos < subEnd) {
                 size_t chunkEnd = 0;
                 if (!frame(subEnd, 0, chunkEnd) || !point())
                     return w;
-                if (!v3) {
-                    if (!skipTo(chunkEnd))
-                        return w;
-                    continue;
-                }
                 // Layer 0 leads each chunk with its raw maxPlane byte.
                 if (l == 0 && pos < chunkEnd &&
                     (!skipTo(pos + 1) || !point()))
@@ -457,9 +423,9 @@ walkStream(const uint8_t *data, size_t len, EncodedImage &head,
 }
 
 /**
- * The shared parse behind deserialize()/tryDeserialize(): a v3 stream
- * cut at a recorded truncation point parses with `e.truncated` set,
- * any other cut is StreamError::Truncated.
+ * The shared parse behind deserialize()/tryDeserialize(): a stream cut
+ * at a recorded truncation point parses with `e.truncated` set, any
+ * other cut is StreamError::Truncated.
  */
 StreamError
 parseStream(const uint8_t *data, size_t len, EncodedImage &e,
@@ -487,22 +453,21 @@ parseStream(const uint8_t *data, size_t len, EncodedImage &e,
 }
 
 /**
- * Walk a complete progressive stream for truncationPoints() and
- * truncateStream(); fatal() on anything else.
+ * Walk a stream that parses — complete, or cut at a recorded
+ * truncation point — for truncationPoints() and truncateStream();
+ * fatal() on anything else.
  */
 template <typename Visit>
 void
-walkProgressive(const uint8_t *data, size_t len, Visit &&visit)
+walkParsedStream(const uint8_t *data, size_t len, Visit &&visit)
 {
     EncodedImage head;
     std::string msg;
     StreamWalk w = walkStream(data, len, head, msg, visit);
     if (w.header != StreamError::None)
         fatal("%s", msg.c_str());
-    if (head.version != StreamVersion::V3)
-        fatal("stream is not progressive (EPC4): no truncation points");
-    if (w.end == WalkEnd::Cut || w.end == WalkEnd::Corrupt)
-        fatal("corrupt progressive stream at offset %zu", w.at);
+    if ((w.end == WalkEnd::Cut && !w.onPoint) || w.end == WalkEnd::Corrupt)
+        fatal("corrupt encoded-image stream at offset %zu", w.at);
 }
 
 } // anonymous namespace
@@ -531,12 +496,6 @@ EncodedImage::tryDeserialize(const uint8_t *data, size_t len,
     return err;
 }
 
-bool
-isProgressive(const uint8_t *data, size_t len)
-{
-    return len >= 4 && util::readPodAt<uint32_t>(data, 0) == kMagicV3;
-}
-
 size_t
 streamHeaderFloor(const uint8_t *data, size_t len)
 {
@@ -560,7 +519,7 @@ std::vector<size_t>
 truncationPoints(const uint8_t *data, size_t len)
 {
     std::vector<size_t> points;
-    walkProgressive(data, len, [&](size_t off) {
+    walkParsedStream(data, len, [&](size_t off) {
         points.push_back(off);
         return true;
     });
@@ -578,7 +537,7 @@ truncateStream(const uint8_t *data, size_t len, size_t budget)
 {
     size_t best = 0;
     bool any = false;
-    walkProgressive(data, len, [&](size_t off) {
+    walkParsedStream(data, len, [&](size_t off) {
         if (off > budget)
             return false;
         best = off;
@@ -697,7 +656,6 @@ namespace {
 struct SlicedStream
 {
     TileCoderParams tp;
-    StreamVersion version = StreamVersion::V3;
     int maxLayers = 0;
     /** Flat indices of coded tiles, ascending. */
     std::vector<int> codedTiles;
@@ -708,9 +666,11 @@ struct SlicedStream
 };
 
 /**
- * Slice each layer chunk into validated per-tile sub-chunk spans. The
- * spans point into `e`'s chunk storage, so the stream must outlive the
- * returned view.
+ * Slice each layer chunk into per-tile sub-chunk spans (forEachFramed:
+ * in a layer cut short, the tiles that never arrived keep empty spans
+ * and reconstruct from earlier layers, or as zeros). The spans point
+ * into `e`'s chunk storage, so the stream must outlive the returned
+ * view.
  */
 SlicedStream
 sliceStream(const EncodedImage &e, const raster::TileGrid &grid,
@@ -729,7 +689,6 @@ sliceStream(const EncodedImage &e, const raster::TileGrid &grid,
     s.tp.losslessDepth = e.losslessDepth;
     s.tp.quantStep = e.quantStep;
     s.tp.chunkRows = e.chunkRows;
-    s.version = e.version;
 
     s.slotOfTile.assign(static_cast<size_t>(grid.tileCount()), -1);
     for (int t = 0; t < grid.tileCount(); ++t) {
@@ -744,37 +703,10 @@ sliceStream(const EncodedImage &e, const raster::TileGrid &grid,
                    std::vector<ChunkSpan>(static_cast<size_t>(maxLayers)));
     for (int layer = 0; layer < maxLayers; ++layer) {
         const auto &chunk = e.layerChunks[static_cast<size_t>(layer)];
-        size_t pos = 0;
-        for (size_t slot = 0; slot < s.codedTiles.size(); ++slot) {
-            if (pos + 4 > chunk.size()) {
-                // A truncated progressive stream legitimately ends
-                // mid-layer: the remaining tiles keep empty spans and
-                // reconstruct from earlier layers (or as zeros).
-                if (e.truncated)
-                    break;
-                fatal("layer %d chunk truncated before tile %d",
-                      layer, s.codedTiles[slot]);
-            }
-            uint32_t len;
-            std::memcpy(&len, chunk.data() + pos, 4);
-            pos += 4;
-            if (len > chunk.size() - pos) {
-                if (e.truncated) {
-                    // The cut landed inside this tile's sub-chunk:
-                    // hand the decoder the prefix that did arrive.
-                    s.spans[slot][static_cast<size_t>(layer)] =
-                        ChunkSpan{chunk.data() + pos,
-                                  chunk.size() - pos};
-                    break;
-                }
-                fatal("layer %d chunk truncated inside tile %d: "
-                      "sub-chunk of %u bytes but only %zu remain",
-                      layer, s.codedTiles[slot], len, chunk.size() - pos);
-            }
-            s.spans[slot][static_cast<size_t>(layer)] =
-                ChunkSpan{chunk.data() + pos, len};
-            pos += len;
-        }
+        forEachFramed(chunk.data(), chunk.size(), s.codedTiles.size(),
+                      [&](size_t slot, ChunkSpan span) {
+                          s.spans[slot][static_cast<size_t>(layer)] = span;
+                      });
     }
     return s;
 }
@@ -794,12 +726,12 @@ decode(const EncodedImage &e, int maxLayers)
     util::ThreadPool::global().parallelFor(
         0, static_cast<int64_t>(s.codedTiles.size()), [&](int64_t slot) {
             telemetry::TraceSpan span("codec.decode_tile", "codec");
+            telemetry::ScopedTimer timer(codecMetrics().decodeTileNs);
             codecMetrics().tilesDecoded.add();
             raster::TileRect r =
                 grid.rect(s.codedTiles[static_cast<size_t>(slot)]);
             out.paste(decodeTileLayers(r.width, r.height, s.tp,
-                                       s.spans[static_cast<size_t>(slot)],
-                                       s.version),
+                                       s.spans[static_cast<size_t>(slot)]),
                       r.x0, r.y0);
         });
     return out;
@@ -823,10 +755,10 @@ decodeTiles(const EncodedImage &e, const std::vector<int> &tiles,
         int slot = s.slotOfTile[static_cast<size_t>(t)];
         if (slot < 0)
             return raster::Plane(r.width, r.height, 0.0f);
+        telemetry::ScopedTimer timer(codecMetrics().decodeTileNs);
         codecMetrics().tilesDecoded.add();
         return decodeTileLayers(r.width, r.height, s.tp,
-                                s.spans[static_cast<size_t>(slot)],
-                                s.version);
+                                s.spans[static_cast<size_t>(slot)]);
     });
 }
 

@@ -7,6 +7,10 @@
  * region-of-interest mask (only ROI tiles are coded, as in Earth+'s
  * changed-tile encoding), and SNR-progressive quality layers (used for
  * downlink-bandwidth adaptation, §5 "Handling bandwidth fluctuation").
+ *
+ * There is one stream format, "EPC4" (docs/ARCHITECTURE.md): every
+ * stream this module writes or reads is progressive, so any stream
+ * that parses can be cut at its recorded truncation points.
  */
 
 #ifndef EARTHPLUS_CODEC_CODEC_HH
@@ -71,10 +75,10 @@ struct EncodeParams
 
 /**
  * An encoded plane: container header, coded-tile flags and one byte
- * chunk per quality layer. encode() always produces the progressive
- * V3 (EPC4) layout, whose inline segment framing records truncation
- * points, so a stream can be cut to any byte budget after encoding
- * (truncateStream()) and still decode best-effort.
+ * chunk per quality layer, in the EPC4 layout, whose inline segment
+ * framing records truncation points, so a stream can be cut to any
+ * byte budget after encoding (truncateStream()) and still decode
+ * best-effort.
  */
 struct EncodedImage
 {
@@ -87,12 +91,7 @@ struct EncodedImage
     bool lossless = false;
     int losslessDepth = 8;
     double quantStep = 1.0 / 512.0;
-    /** Container version, from the magic (encode() writes V3). */
-    StreamVersion version = StreamVersion::V3;
-    /**
-     * Entropy chunk height in rows; 0 in V1 streams, whose tile
-     * sub-chunks are unframed.
-     */
+    /** Entropy chunk height in rows (positive). */
     int chunkRows = kDefaultChunkRows;
     /**
      * True when the parsed stream was cut at a recorded truncation
@@ -109,8 +108,8 @@ struct EncodedImage
      * little-endian length followed by that tile's self-contained
      * range-coded sub-chunk, so tiles encode and decode as independent
      * parallel jobs while the assembled stream stays deterministic.
-     * In V2/V3 streams each tile sub-chunk is itself a sequence of
-     * length-prefixed entropy chunks (see docs/ARCHITECTURE.md).
+     * Each tile sub-chunk is itself a sequence of length-prefixed
+     * entropy chunks (see docs/ARCHITECTURE.md).
      */
     std::vector<std::vector<uint8_t>> layerChunks;
 
@@ -144,8 +143,8 @@ struct EncodedImage
 
     /**
      * Non-fatal parse: on success fills `out` (possibly with
-     * `out.truncated` set when a progressive stream was cut at a
-     * recorded truncation point) and returns StreamError::None; on
+     * `out.truncated` set when the stream was cut at a recorded
+     * truncation point) and returns StreamError::None; on
      * failure returns the typed error and, when `message` is non-null,
      * the diagnostic deserialize() would have died with. Never
      * fatal()s — this is the entry point for untrusted or
@@ -157,17 +156,9 @@ struct EncodedImage
 };
 
 /**
- * True when `data` starts with the progressive (EPC4) magic — the one
- * stream version that records truncation points. Reads the magic
- * only; truncationPoints() and truncateStream() validate the rest.
- */
-bool isProgressive(const uint8_t *data, size_t len);
-
-/**
  * Header floor of a serialized stream: the byte offset just past the
  * fixed header and coded-tile bitmap — the smallest prefix any decode
- * needs. Valid for every stream version; fatal() on a stream too
- * corrupt to measure.
+ * needs. fatal() on a stream too corrupt to measure.
  */
 size_t streamHeaderFloor(const uint8_t *data, size_t len);
 
@@ -175,12 +166,13 @@ size_t streamHeaderFloor(const uint8_t *data, size_t len);
 size_t streamHeaderFloor(const std::vector<uint8_t> &bytes);
 
 /**
- * All recorded truncation points of a serialized progressive (EPC4)
- * stream, in ascending order. The first entry is the header floor and
- * the last is the full stream length; cutting the stream at any entry
+ * All recorded truncation points of a serialized stream that
+ * tryDeserialize() accepts (complete, or itself cut at a recorded
+ * point), in ascending order. The first entry is the header floor and
+ * the last is the stream length; cutting the stream at any entry
  * yields a prefix that tryDeserialize() accepts and decode()
  * reconstructs best-effort, and cutting anywhere else yields
- * StreamError::Truncated. fatal() on non-progressive streams.
+ * StreamError::Truncated. fatal() on a stream that does not parse.
  */
 std::vector<size_t> truncationPoints(const uint8_t *data, size_t len);
 
@@ -188,12 +180,13 @@ std::vector<size_t> truncationPoints(const uint8_t *data, size_t len);
 std::vector<size_t> truncationPoints(const std::vector<uint8_t> &bytes);
 
 /**
- * Cut a serialized progressive (EPC4) stream to the largest recorded
- * truncation point that fits `budget` bytes — rate control without
- * re-encoding. The result always satisfies `size() <= budget`;
- * budgets at or above the stream length return the stream unchanged.
- * fatal() when `budget` is below the header floor or the stream is
- * not progressive.
+ * Cut a serialized stream that tryDeserialize() accepts to the largest
+ * recorded truncation point that fits `budget` bytes — rate control
+ * without re-encoding. Cutting an already cut stream again gives the
+ * same bytes as cutting the complete stream to the same budget. The
+ * result always satisfies `size() <= budget`; budgets at or above the
+ * stream length return the stream unchanged. fatal() when `budget` is
+ * below the header floor or the stream does not parse.
  */
 std::vector<uint8_t> truncateStream(const uint8_t *data, size_t len,
                                     size_t budget);
@@ -222,7 +215,10 @@ EncodedImage encode(const raster::Plane &img, const EncodeParams &params,
  * Decode an encoded plane.
  *
  * Tiles outside the encoded ROI are filled with zeros — Earth+ overlays
- * decoded changed tiles onto the ground's reference copy.
+ * decoded changed tiles onto the ground's reference copy. Decoding a
+ * stream that parsed (including one cut at a recorded truncation
+ * point) never fatal()s. Each coded tile records one
+ * `codec.decode_tile_ns` sample.
  *
  * @param maxLayers Decode only the first maxLayers quality layers
  *                  (-1 = all). Fewer layers = lower quality, fewer bytes.
@@ -237,6 +233,7 @@ raster::Plane decode(const EncodedImage &enc, int maxLayers = -1);
  * subset decodes in isolation. Returns one plane per requested tile in
  * request order; tiles outside the encoded ROI come back as zero
  * planes of the tile's rectangle (same fill decode() would produce).
+ * Each requested coded tile records one `codec.decode_tile_ns` sample.
  *
  * @param tiles Flat tile indices within the image's tile grid.
  * @param maxLayers Decode only the first maxLayers layers (-1 = all).

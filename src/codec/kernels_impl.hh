@@ -50,6 +50,23 @@ bitcastF(uint32_t v)
     return f;
 }
 
+// Two's-complement wrapping int32 add/sub: what every vector lane
+// computes, without the scalar UB on overflow. Valid streams never
+// overflow, so this only pins what hostile coefficients decode to.
+inline int32_t
+wrapAdd(int32_t a, int32_t b)
+{
+    return static_cast<int32_t>(static_cast<uint32_t>(a) +
+                                static_cast<uint32_t>(b));
+}
+
+inline int32_t
+wrapSub(int32_t a, int32_t b)
+{
+    return static_cast<int32_t>(static_cast<uint32_t>(a) -
+                                static_cast<uint32_t>(b));
+}
+
 // Overflow-safe float->int32 conversions mirroring the x86
 // cvttps/cvtps sentinel (0x80000000 for out-of-range and NaN) instead
 // of invoking UB; no float lies strictly between 2^31-128 and 2^31,
@@ -179,8 +196,9 @@ struct Kernels
                       subtract ? T::isub(cur, upd) : T::iadd(cur, upd));
         }
         for (; i < m; ++i) {
-            int32_t upd = (src[i + o0] + src[i + o1] + bias) >> sh;
-            dst[i] = subtract ? dst[i] - upd : dst[i] + upd;
+            int32_t upd =
+                wrapAdd(wrapAdd(src[i + o0], src[i + o1]), bias) >> sh;
+            dst[i] = subtract ? wrapSub(dst[i], upd) : wrapAdd(dst[i], upd);
         }
     }
 
@@ -643,7 +661,7 @@ struct Kernels
             }
             float half = bitcastF(static_cast<uint32_t>(126 + low[i]) << 23);
             int32_t r = roundToI32((static_cast<float>(m) + half) * toInt);
-            coeffs[i] = sign[i] ? -r : r;
+            coeffs[i] = sign[i] ? wrapSub(0, r) : r;
         }
     }
 

@@ -61,8 +61,8 @@ struct ScalarTraits
     static void istore(int32_t *p, I v) { *p = v; }
     static I iset(int32_t v) { return v; }
     static I izero() { return 0; }
-    static I iadd(I a, I b) { return a + b; }
-    static I isub(I a, I b) { return a - b; }
+    static I iadd(I a, I b) { return wrapAdd(a, b); }
+    static I isub(I a, I b) { return wrapSub(a, b); }
     static I iandnot(I mask, I v) { return ~mask & v; }
     static I ixor(I a, I b) { return a ^ b; }
     static I ishl(I v, int k) { return static_cast<I>(

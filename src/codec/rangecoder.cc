@@ -56,13 +56,4 @@ RangeDecoder::RangeDecoder(const uint8_t *data, size_t size)
         code_ = (code_ << 8) | nextByte();
 }
 
-uint32_t
-RangeDecoder::decodeBitsRaw(int nbits)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < nbits; ++i)
-        v = (v << 1) | static_cast<uint32_t>(decodeBitRaw());
-    return v;
-}
-
 } // namespace earthplus::codec

@@ -227,9 +227,6 @@ class RangeDecoder
         return static_cast<int>(mask & 1u);
     }
 
-    /** Decode `nbits` raw bits, most significant first. */
-    uint32_t decodeBitsRaw(int nbits);
-
     /** Bytes consumed so far. */
     size_t
     bytesRead() const

@@ -35,7 +35,7 @@ stageMetrics()
     return m;
 }
 
-/** Highest usable magnitude bitplane (5-bit header limit). */
+/** Highest usable magnitude bitplane of the u32 magnitudes. */
 constexpr int kMaxPlaneLimit = 30;
 
 /** Words needed to pack one `width`-pixel row. */
@@ -517,13 +517,7 @@ TileDecoder::TileDecoder(int width, int rows,
 }
 
 void
-TileDecoder::decodeHeader(RangeDecoder &dec)
-{
-    decodeHeaderRaw(dec.decodeBitsRaw(5));
-}
-
-void
-TileDecoder::decodeHeaderRaw(uint32_t maxPlanePlus1)
+TileDecoder::decodeHeaderByte(uint32_t maxPlanePlus1)
 {
     uint32_t v = std::min(
         maxPlanePlus1, static_cast<uint32_t>(kMaxPlaneLimit + 1));
@@ -602,23 +596,9 @@ TileDecoder::decodePass(RangeDecoder &dec, int plane, int pass)
 }
 
 void
-TileDecoder::decodePlanes(RangeDecoder &dec)
-{
-    while (nextPlane_ >= 0 && dec.decodeBitRaw() == 1) {
-        decodePass(dec, nextPlane_, nextPass_);
-        ++nextPass_;
-        if (nextPass_ == 3) {
-            nextPass_ = 0;
-            --nextPlane_;
-            ++planesCoded_;
-        }
-    }
-}
-
-void
 TileDecoder::decodePassRun(RangeDecoder &dec, int passes)
 {
-    // EPC4 segments carry their pass count in the framing word, so no
+    // Segments carry their pass count in the framing word, so no
     // in-stream continue bits exist: decode exactly what is framed.
     for (int i = 0; i < passes && nextPlane_ >= 0; ++i) {
         decodePass(dec, nextPlane_, nextPass_);
@@ -843,65 +823,22 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
 
 raster::Plane
 decodeTileLayers(int width, int height, const TileCoderParams &params,
-                 const std::vector<ChunkSpan> &layerSpans,
-                 StreamVersion version)
+                 const std::vector<ChunkSpan> &layerSpans)
 {
-    const bool progressive = version == StreamVersion::V3;
-    // A v1 tile is one unframed chunk covering every row, whatever
-    // params.chunkRows says (0 in a parsed V1 header).
-    const bool v1 = version == StreamVersion::V1;
-    TileCoderParams layout = params;
-    if (v1)
-        layout.chunkRows = height;
-    const int chunks = chunkCount(layout, height);
+    const int chunks = chunkCount(params, height);
     const size_t nLayers = layerSpans.size();
 
     // Split every layer span into its per-chunk windows up front
-    // (spans[chunk][layer]).
+    // (spans[chunk][layer]); chunks that never arrived keep empty
+    // spans.
     std::vector<std::vector<ChunkSpan>> spans(
         static_cast<size_t>(chunks), std::vector<ChunkSpan>(nLayers));
-    if (v1) {
-        for (size_t l = 0; l < nLayers; ++l)
-            spans[0][l] = layerSpans[l];
-    } else {
-        for (size_t l = 0; l < nLayers; ++l) {
-            const uint8_t *base = layerSpans[l].data;
-            const size_t size = layerSpans[l].size;
-            size_t pos = 0;
-            for (int c = 0; c < chunks; ++c) {
-                if (size - pos < 4) {
-                    // A progressive stream may have been cut at a
-                    // recorded truncation point: the chunks that never
-                    // arrived simply keep their empty spans. For v2
-                    // framing a short sub-chunk is corruption.
-                    if (progressive)
-                        break;
-                    fatal("tile chunk %d length prefix truncated in "
-                          "layer %zu",
-                          c, l);
-                }
-                uint32_t len = util::readPodAt<uint32_t>(base, pos);
-                pos += 4;
-                if (len > size - pos) {
-                    if (progressive) {
-                        // The cut landed inside this chunk: decode the
-                        // segments that did arrive.
-                        spans[static_cast<size_t>(c)][l] = {base + pos,
-                                                            size - pos};
-                        pos = size;
-                        break;
-                    }
-                    fatal("tile chunk %d truncated in layer %zu: %u "
-                          "bytes framed but only %zu remain",
-                          c, l, len, size - pos);
-                }
-                spans[static_cast<size_t>(c)][l] = {base + pos, len};
-                pos += len;
-            }
-        }
-    }
+    for (size_t l = 0; l < nLayers; ++l)
+        forEachFramed(layerSpans[l].data, layerSpans[l].size,
+                      static_cast<size_t>(chunks),
+                      [&](size_t c, ChunkSpan span) { spans[c][l] = span; });
 
-    DecodedTile state(width, height, layout);
+    DecodedTile state(width, height, params);
     std::vector<uint8_t> orient =
         subbandOrientation(width, height, params.dwtLevels);
 
@@ -909,44 +846,29 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
     // decoding them concurrently is race-free; a single-chunk tile
     // skips the loop machinery entirely.
     auto decodeChunk = [&](int64_t c) {
-        const int row0 = chunkRow0(layout, static_cast<int>(c));
-        const int rows = chunkRows(layout, height, static_cast<int>(c));
+        const int row0 = chunkRow0(params, static_cast<int>(c));
+        const int rows = chunkRows(params, height, static_cast<int>(c));
         const size_t base =
             static_cast<size_t>(row0) * static_cast<size_t>(width);
         TileDecoder dec(width, rows, params, state.magnitude.data() + base,
                         state.sign.data() + base,
                         state.lowPlane.data() + base, orient.data() + base);
-        bool headerSeen = false;
+        // Layer 0 leads with the raw maxPlane + 1 byte; a chunk whose
+        // header never arrived (cut before it) reconstructs as zeros.
+        const std::vector<ChunkSpan> &layers = spans[static_cast<size_t>(c)];
+        if (nLayers == 0 || layers[0].size == 0)
+            return;
+        dec.decodeHeaderByte(layers[0].data[0]);
         for (size_t l = 0; l < nLayers; ++l) {
-            const ChunkSpan &s = spans[static_cast<size_t>(c)][l];
-            if (progressive) {
-                const uint8_t *p = s.data;
-                size_t sz = s.size;
-                if (l == 0) {
-                    // EPC4 carries maxPlane + 1 as the first payload
-                    // byte; a chunk whose header never arrived (cut
-                    // before it) reconstructs as zeros.
-                    if (sz == 0)
-                        break;
-                    dec.decodeHeaderRaw(p[0]);
-                    headerSeen = true;
-                    ++p;
-                    --sz;
-                }
-                forEachSegment(p, sz, [&](const SegmentView &seg) {
-                    RangeDecoder rd(seg.data, seg.size);
-                    dec.decodePassRun(rd, seg.passes);
-                });
-                continue;
-            }
-            headerSeen = true;
-            RangeDecoder rd(s.data, s.size);
-            if (l == 0)
-                dec.decodeHeader(rd);
-            dec.decodePlanes(rd);
+            const size_t skip = l == 0 ? 1 : 0;
+            forEachSegment(layers[l].data + skip, layers[l].size - skip,
+                           [&](const SegmentView &seg) {
+                               RangeDecoder rd(seg.data, seg.size);
+                               dec.decodePassRun(rd, seg.passes);
+                           });
         }
         state.chunkDone[static_cast<size_t>(c)] =
-            headerSeen && dec.fullyDecoded() ? 1 : 0;
+            dec.fullyDecoded() ? 1 : 0;
     };
     if (chunks == 1)
         decodeChunk(0);

@@ -32,10 +32,10 @@
  * with u32 length prefixes, so the bytes are identical at every thread
  * count.
  *
- * Only the progressive v3 (EPC4) layout is ever encoded. The decoder
- * still reads v1 (EPC2: one unframed entropy stream per tile) and v2
- * (EPC3: framed chunks, one range-coded stream each) — see
- * StreamVersion.
+ * Each chunk layer's payload is the EPC4 segment layout: in layer 0 a
+ * raw `maxPlane + 1` byte, then one independently flushed range-coded
+ * segment per run of passes of one plane, behind a framing word that
+ * records a truncation point (see forEachSegment()).
  */
 
 #ifndef EARTHPLUS_CODEC_TILE_CODER_HH
@@ -62,18 +62,6 @@ namespace earthplus::codec {
  */
 constexpr int kDefaultChunkRows = 128;
 
-/**
- * Container version of an encoded stream, decided once from its magic
- * (docs/ARCHITECTURE.md). Only V3 is ever encoded; V1 and V2 stay
- * decodable because the ground archive may hold them.
- */
-enum class StreamVersion : uint8_t
-{
-    V1 = 1, ///< "EPC2": one unframed entropy stream per tile sub-chunk.
-    V2 = 2, ///< "EPC3": length-framed row-slab entropy chunks.
-    V3 = 3, ///< "EPC4": V2 framing around per-plane truncation segments.
-};
-
 /** Tunables shared by the tile encoder and decoder. */
 struct TileCoderParams
 {
@@ -91,10 +79,7 @@ struct TileCoderParams
     int losslessDepth = 8;
     /** Deadzone quantizer step for the lossy path. */
     double quantStep = 1.0 / 512.0;
-    /**
-     * Rows per entropy chunk; must be positive. V1 decode ignores it:
-     * a V1 tile sub-chunk is one unframed stream.
-     */
+    /** Rows per entropy chunk; must be positive. */
     int chunkRows = kDefaultChunkRows;
 };
 
@@ -247,8 +232,9 @@ class TileEncoder
  * The output pointers are borrowed and pre-offset to the slab's first
  * row; a chunk writes only its own `width * rows` elements, which is
  * what makes chunk-parallel decode of one tile race-free. Usage:
- * construct, call decodeHeader() once, call decodePlanes() once per
- * encoded layer chunk; reconstruct the full tile afterwards with
+ * construct, pass layer 0's leading payload byte to decodeHeaderByte(),
+ * then call decodePassRun() once per segment, in stream order, across
+ * every layer that arrived; reconstruct the full tile afterwards with
  * reconstructTile().
  */
 class TileDecoder
@@ -267,26 +253,17 @@ class TileDecoder
                 uint32_t *magnitude, uint8_t *sign, uint8_t *lowPlane,
                 const uint8_t *orient);
 
-    /** Read the range-coded chunk header (V1/V2). */
-    void decodeHeader(RangeDecoder &dec);
-
     /**
-     * Initialize from a raw EPC4 header byte (`maxPlane + 1`, carried
-     * in the framing instead of the coded stream). Values above the
-     * 5-bit header limit are clamped so a corrupt byte can never
-     * drive an out-of-range bitplane shift.
+     * Initialize from the chunk's raw header byte (`maxPlane + 1`, the
+     * first byte of its layer-0 payload). Values above the bitplane
+     * limit are clamped so a corrupt byte can never drive an
+     * out-of-range bitplane shift.
      */
-    void decodeHeaderRaw(uint32_t maxPlanePlus1);
+    void decodeHeaderByte(uint32_t maxPlanePlus1);
 
     /**
-     * Decode the next group of bitplanes of a V1/V2 layer stream,
-     * which marks every pass with an in-stream continue bit.
-     */
-    void decodePlanes(RangeDecoder &dec);
-
-    /**
-     * Decode exactly `passes` coding passes from `dec` (one V3
-     * segment); stops early only when every plane is already decoded.
+     * Decode exactly `passes` coding passes from `dec` (one segment);
+     * stops early only when every plane is already decoded.
      */
     void decodePassRun(RangeDecoder &dec, int passes);
 
@@ -369,7 +346,30 @@ struct ChunkSpan
     size_t size = 0;
 };
 
-/** One parsed segment of a V3 (EPC4) chunk-layer payload. */
+/**
+ * The decoder's one slicing rule for a run of `u32 length | bytes`
+ * records — a layer chunk's tile sub-chunks, or a sub-chunk's entropy
+ * chunks: invokes `fn(index, span)` for up to `count` records, in
+ * order. A run that ends early was cut at a recorded truncation point,
+ * so a record cut short yields the prefix that arrived and the records
+ * after it are not visited; the stream walker has already rejected
+ * every other shortfall.
+ */
+template <typename Fn>
+inline void
+forEachFramed(const uint8_t *data, size_t size, size_t count, Fn &&fn)
+{
+    size_t pos = 0;
+    for (size_t i = 0; i < count && size - pos >= 4; ++i) {
+        const uint32_t len = util::readPodAt<uint32_t>(data, pos);
+        pos += 4;
+        const size_t avail = len < size - pos ? len : size - pos;
+        fn(i, ChunkSpan{data + pos, avail});
+        pos += avail;
+    }
+}
+
+/** One parsed segment of a chunk-layer payload. */
 struct SegmentView
 {
     const uint8_t *data = nullptr; ///< Flushed range-coded bytes.
@@ -378,9 +378,9 @@ struct SegmentView
 };
 
 /**
- * Walk the segments of a V3 (EPC4) chunk-layer payload (the
- * layer-0 header byte must already be stripped by the caller). Each
- * segment is framed as `u32 segWord | body` with
+ * Walk the segments of a chunk-layer payload (the layer-0 header byte
+ * must already be stripped by the caller). Each segment is framed as
+ * `u32 segWord | body` with
  * `segWord = byteLen << 2 | (passCount - 1)`; this inline framing is
  * the truncation index — every offset where the walk lands cleanly
  * between segments is a recorded truncation point. Invokes
@@ -460,14 +460,15 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
 /**
  * Decode one tile from its per-layer sub-chunks (the inverse of
  * encodeTileLayers); spans may cover fewer layers than were encoded
- * for a lower-quality prefix decode. `version` selects the sub-chunk
- * layout; framed (V2/V3) chunks decode in parallel when the pool has
- * idle lanes.
+ * for a lower-quality prefix decode, and any span may be a prefix of
+ * its sub-chunk (a stream cut at a recorded truncation point): a
+ * chunk whose framing ends early decodes the whole segments that
+ * arrived, and the chunks after it keep what earlier layers gave
+ * them. Chunks decode in parallel when the pool has idle lanes.
  */
 raster::Plane
 decodeTileLayers(int width, int height, const TileCoderParams &params,
-                 const std::vector<ChunkSpan> &layerSpans,
-                 StreamVersion version);
+                 const std::vector<ChunkSpan> &layerSpans);
 
 } // namespace earthplus::codec
 

@@ -1174,32 +1174,22 @@ Archive::applyStoragePressure(uint64_t targetBytes)
         records.emplace_back(entry.meta, std::move(payload));
     }
 
-    // Each progressive (EPC4) payload can shrink from its current
-    // size down to its header floor; spread the byte deficit
-    // proportionally over those truncatable spans so quality degrades
-    // evenly across the archive instead of zeroing out whole records.
+    // Each payload can shrink from its current size down to its
+    // header floor; spread the byte deficit proportionally over those
+    // truncatable spans so quality degrades evenly across the archive
+    // instead of zeroing out whole records.
     uint64_t need = before - targetBytes;
     uint64_t cuttable = 0;
     std::vector<size_t> floors(records.size(), 0);
-    std::vector<uint8_t> progressive(records.size(), 0);
     for (size_t i = 0; i < records.size(); ++i) {
         const std::vector<uint8_t> &payload = records[i].second;
-        if (!codec::isProgressive(payload.data(), payload.size())) {
-            ++report.recordsSkipped;
-            continue;
-        }
-        size_t floor = codec::streamHeaderFloor(payload);
-        if (payload.size() <= floor) {
-            ++report.recordsSkipped;
-            continue;
-        }
-        progressive[i] = 1;
-        floors[i] = floor;
-        cuttable += payload.size() - floor;
+        floors[i] = codec::streamHeaderFloor(payload);
+        cuttable += payload.size() - floors[i];
     }
     if (cuttable == 0) {
-        // Nothing can shrink: every record is pre-progressive or
-        // already at its floor. Report the floor instead of evicting.
+        // Nothing can shrink: every record is already at its floor.
+        // Report the floor instead of evicting.
+        report.recordsSkipped = records.size();
         report.atFloor = true;
         return report;
     }
@@ -1209,8 +1199,6 @@ Archive::applyStoragePressure(uint64_t targetBytes)
         : 1.0 - static_cast<double>(need) /
                     static_cast<double>(cuttable);
     for (size_t i = 0; i < records.size(); ++i) {
-        if (!progressive[i])
-            continue;
         std::vector<uint8_t> &payload = records[i].second;
         size_t span = payload.size() - floors[i];
         size_t budget =

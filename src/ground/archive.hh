@@ -159,12 +159,12 @@ struct PressureReport
     uint64_t bytesReclaimed = 0;
     /** Records whose payloads were cut to a smaller truncation point. */
     size_t recordsTruncated = 0;
-    /** Records that could not shrink: non-progressive (pre-EPC4)
-     *  payloads and streams already at their header floor. */
+    /** Records that could not shrink: streams already cut to their
+     *  header floor. */
     size_t recordsSkipped = 0;
     /** True when the pass hit the archive's degradation floor — every
-     *  payload is non-progressive or already fully truncated — while
-     *  still above the requested target. */
+     *  payload already cut to its header floor — while still above
+     *  the requested target. */
     bool atFloor = false;
 };
 
@@ -361,13 +361,15 @@ class Archive
 
     /**
      * Degrade the archive in place to fit `targetBytes` of shard-file
-     * storage, truncating progressive (EPC4) payloads at recorded
-     * truncation points instead of evicting records: every record —
-     * and every acknowledged append — survives the pass, at reduced
-     * quality. The byte deficit is spread proportionally over the
-     * truncatable span of every progressive payload; non-progressive
-     * records are left byte-identical (and counted in
-     * PressureReport::recordsSkipped).
+     * storage, truncating payloads at recorded truncation points
+     * instead of evicting records: every record — and every
+     * acknowledged append — survives the pass, at reduced quality.
+     * The byte deficit is spread proportionally over the truncatable
+     * span (payload size minus header floor) of every payload; a
+     * record that cannot shrink is left byte-identical (and counted in
+     * PressureReport::recordsSkipped). Every payload must be an
+     * encoded-image stream; one that does not parse is fatal, like a
+     * CRC mismatch.
      *
      * Durability follows compact(): each shard's records are staged to
      * 'shard-NNN.epar.tmp', fsynced, renamed over the live shard, and

@@ -91,8 +91,8 @@ packetizeToBudget(uint32_t streamId,
     }
     EP_ASSERT(allow > 0, "contact budget %zu cannot fit one packet",
               byteBudget);
-    // truncateStream() itself rejects non-progressive payloads and
-    // budgets below the stream's header floor.
+    // truncateStream() itself rejects payloads that do not parse as a
+    // stream and budgets below the stream's header floor.
     std::vector<uint8_t> cut = codec::truncateStream(payload, allow);
     return packetize(streamId, cut, payloadBytesPerPacket);
 }

@@ -306,7 +306,7 @@ TileServer::parseRecord(size_t recordIdx, int quality) const
     PayloadView view = archive_.payloadView(recordIdx);
     const uint8_t *data = view.data();
     size_t size = view.size();
-    if (quality >= 0 && quality < 100 && codec::isProgressive(data, size)) {
+    if (quality >= 0 && quality < 100) {
         // Serve from a truncated prefix: the largest recorded
         // truncation point within quality% of the payload bytes
         // (never below the header floor). The parse borrows the

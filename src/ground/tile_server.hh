@@ -129,10 +129,9 @@ struct TileQuery
     int maxLayers = -1;
     /**
      * Byte-budget fidelity hint: -1 serves full fidelity; 0..100
-     * decodes each progressive (EPC4) record from the largest
-     * recorded truncation point within that percentage of its payload
-     * bytes (never below the header floor) — a fast low-fidelity
-     * first answer. Pre-progressive records ignore the hint. A
+     * decodes each record from the largest recorded truncation point
+     * within that percentage of its payload bytes (never below the
+     * header floor) — a fast low-fidelity first answer. A
      * reduced-quality serve schedules a background full-quality
      * decode of the same records, so a repeated query refines from
      * the cache.
@@ -470,10 +469,9 @@ class TileServer
 
     /**
      * Parse record `recordIdx`'s payload honoring the quality hint:
-     * progressive payloads with quality in [0, 100) parse from the
-     * largest recorded truncation point within that percentage of
-     * their bytes (never below the header floor); everything else
-     * parses in full.
+     * with quality in [0, 100) it parses from the largest recorded
+     * truncation point within that percentage of its bytes (never
+     * below the header floor); otherwise it parses in full.
      */
     codec::EncodedImage parseRecord(size_t recordIdx,
                                     int quality) const;

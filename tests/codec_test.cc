@@ -6,14 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "codec/codec.hh"
 #include "codec/kernels.hh"
 #include "raster/metrics.hh"
-#include "test_data.hh"
 #include "util/bytes.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
@@ -268,12 +269,16 @@ TEST(Codec, SerializeRoundTripAcrossModes)
             p.lossless = true;
             p.wavelet = Wavelet::LeGall53;
         }
+        p.chunkRows = 48;
         EncodedImage enc = encode(img, p);
-        EncodedImage back = EncodedImage::deserialize(enc.serialize());
+        const std::vector<uint8_t> bytes = enc.serialize();
+        EncodedImage back = EncodedImage::deserialize(bytes);
+        EXPECT_EQ(back.serialize(), bytes);
         EXPECT_EQ(back.width, enc.width);
         EXPECT_EQ(back.height, enc.height);
         EXPECT_EQ(back.tileSize, enc.tileSize);
         EXPECT_EQ(back.dwtLevels, enc.dwtLevels);
+        EXPECT_EQ(back.chunkRows, 48);
         EXPECT_EQ(back.lossless, enc.lossless);
         EXPECT_EQ(back.tileCoded, enc.tileCoded);
         ASSERT_EQ(back.layerChunks.size(), enc.layerChunks.size());
@@ -286,22 +291,47 @@ TEST(Codec, SerializeRoundTripAcrossModes)
 TEST(CodecDeath, DeserializeRejectsTruncatedStreams)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    // EPC3 records no truncation points, so every cut must die (an
-    // EPC4 stream cut at a recorded point parses instead;
-    // tests/progressive_test.cc covers that path).
-    std::vector<uint8_t> bytes = testdata::load("lossless_150x110_epc3.bin");
-    ASSERT_GT(bytes.size(), 45u);
+    // A cut at a recorded truncation point parses (progressive_test
+    // covers that path); a cut anywhere else is a typed Truncated
+    // from tryDeserialize and fatal from deserialize.
+    raster::Plane img = testImage(150, 110, 32);
+    for (auto &v : img.data())
+        v = std::round(v * 255.0f) / 255.0f;
+    EncodeParams p;
+    p.lossless = true;
+    p.wavelet = Wavelet::LeGall53;
+    p.tileSize = 96;
+    p.chunkRows = 48;
+    std::vector<uint8_t> bytes = encode(img, p).serialize();
+    std::vector<size_t> points = truncationPoints(bytes);
+    const size_t floor = points.front();
+    ASSERT_EQ(floor, 45u); // 44-byte fixed header + 1 bitmap byte
 
-    // Cut inside the fixed header, the tile bitmap region, and the
-    // last layer chunk: each must fail with a clear message, never
-    // read out of bounds.
-    for (size_t cut : {size_t(3), size_t(20), size_t(45),
-                       bytes.size() - 1}) {
+    // Cut inside the fixed header and the tile bitmap, just past a few
+    // recorded points inside the layer chunks, and one byte short of
+    // the end: each must fail with a clear message, never read out of
+    // bounds.
+    std::vector<size_t> cuts = {3, 20, floor - 1, bytes.size() - 1};
+    const size_t step = std::max<size_t>(1, points.size() / 6);
+    for (size_t i = 1; i + 1 < points.size(); i += step)
+        if (points[i] + 1 < points[i + 1])
+            cuts.push_back(points[i] + 1);
+    ASSERT_GE(cuts.size(), 8u);
+    for (size_t cut : cuts) {
+        ASSERT_FALSE(std::binary_search(points.begin(), points.end(), cut))
+            << "cut at " << cut;
         std::vector<uint8_t> trunc(bytes.begin(),
                                    bytes.begin() +
                                        static_cast<ptrdiff_t>(cut));
+        EncodedImage e;
+        std::string msg;
+        EXPECT_EQ(EncodedImage::tryDeserialize(trunc.data(), trunc.size(),
+                                               e, &msg),
+                  StreamError::Truncated)
+            << "cut at " << cut;
+        EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
         EXPECT_EXIT(EncodedImage::deserialize(trunc),
-                    ::testing::ExitedWithCode(1), "truncated|magic")
+                    ::testing::ExitedWithCode(1), "truncated")
             << "cut at " << cut;
     }
 }
@@ -703,78 +733,6 @@ TEST(Codec, ChunkedStreamByteIdenticalAcrossSimdLevels)
             << "at " << util::simd::levelName(l);
     }
     util::simd::setActiveLevel(prev);
-}
-
-TEST(Codec, V1StreamsStillDecode)
-{
-    // EPC2 (v1) and EPC3 (v2) are decode-only, but the ground archive
-    // may hold them: the checked-in encodes of this lossless image must
-    // keep reconstructing it exactly and re-serializing byte for byte,
-    // as must the EPC4 stream encode() writes today.
-    raster::Plane img = testImage(150, 110, 32);
-    for (auto &v : img.data())
-        v = std::round(v * 255.0f) / 255.0f;
-    EncodeParams p;
-    p.lossless = true;
-    p.wavelet = Wavelet::LeGall53;
-    p.tileSize = 96;
-    p.chunkRows = 48;
-    const std::vector<uint8_t> streams[] = {
-        testdata::load("lossless_150x110_epc2.bin"),
-        testdata::load("lossless_150x110_epc3.bin"),
-        encode(img, p).serialize()};
-    const StreamVersion versions[] = {StreamVersion::V1, StreamVersion::V2,
-                                      StreamVersion::V3};
-    for (int v = 0; v < 3; ++v) {
-        EncodedImage back = EncodedImage::deserialize(streams[v]);
-        EXPECT_EQ(back.version, versions[v]);
-        EXPECT_EQ(back.chunkRows, v == 0 ? 0 : 48);
-        EXPECT_EQ(back.serialize(), streams[v]);
-        raster::Plane dec = decode(back);
-        for (size_t i = 0; i < img.data().size(); ++i)
-            ASSERT_NEAR(img.data()[i], dec.data()[i], 1e-6)
-                << "pixel " << i;
-    }
-}
-
-TEST(CodecDeath, TruncatedChunkLengthPrefixIsFatal)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    // Tile 0 of the checked-in EPC3 stream: a 96x96 lossless tile
-    // framed as two 48-row entropy chunks. EPC3 has no truncation
-    // points, so a short framed chunk is corruption, never a prefix.
-    EncodedImage e =
-        EncodedImage::deserialize(testdata::load("lossless_150x110_epc3.bin"));
-    ASSERT_EQ(e.version, StreamVersion::V2);
-    const std::vector<uint8_t> &layer = e.layerChunks[0];
-    uint32_t subLen = 0;
-    std::memcpy(&subLen, layer.data(), 4);
-    const std::vector<uint8_t> layer0(layer.begin() + 4,
-                                      layer.begin() + 4 + subLen);
-    ASSERT_GT(layer0.size(), 8u);
-    TileCoderParams tp;
-    tp.lossless = true;
-    tp.wavelet = Wavelet::LeGall53;
-    tp.chunkRows = 48;
-    auto decodeV2 = [&](const std::vector<uint8_t> &v) {
-        return decodeTileLayers(96, 96, tp, {{v.data(), v.size()}},
-                                StreamVersion::V2);
-    };
-
-    // Cut inside the very first length prefix.
-    std::vector<uint8_t> cut(layer0.begin(), layer0.begin() + 2);
-    EXPECT_EXIT(decodeV2(cut), ::testing::ExitedWithCode(1),
-                "length prefix truncated");
-    // Cut inside the last chunk's payload.
-    std::vector<uint8_t> short2(layer0.begin(), layer0.end() - 2);
-    EXPECT_EXIT(decodeV2(short2), ::testing::ExitedWithCode(1),
-                "truncated");
-    // A framed length larger than the remaining stream.
-    std::vector<uint8_t> bad = layer0;
-    uint32_t huge = 0x7FFFFFFFu;
-    std::memcpy(bad.data(), &huge, 4);
-    EXPECT_EXIT(decodeV2(bad), ::testing::ExitedWithCode(1),
-                "bytes framed but only");
 }
 
 TEST(Codec, ConcurrentChunkedEncodesShareThePoolSafely)

@@ -30,7 +30,6 @@
 #include "ground/tile_server.hh"
 #include "raster/metrics.hh"
 #include "synth/dataset.hh"
-#include "test_data.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
 #include "util/telemetry.hh"
@@ -635,23 +634,29 @@ TEST(ArchivePressure, FitsTargetAndKeepsEveryRecordDecodable)
     EXPECT_EQ(again.recordsTruncated, 0u);
 }
 
-TEST(ArchivePressure, SkipsNonProgressiveRecordsAndReportsFloor)
+TEST(ArchivePressure, SkipsRecordsAtTheirFloorAndReportsFloor)
 {
     TempPath path("archive_pressure_mixed.epar");
     Archive archive(path.str());
     appendProgressiveCapture(archive, 0, 1.0, testPlane(128, 96, 60));
 
-    // A pre-progressive (EPC3) record: pressure must leave it
-    // byte-identical.
+    // A record already cut to its header floor cannot shrink:
+    // pressure must leave it byte-identical.
+    codec::EncodeParams ep;
+    ep.bitsPerPixel = 4.0;
+    std::vector<uint8_t> full =
+        codec::encode(testPlane(128, 128, 63), ep).serialize();
+    std::vector<uint8_t> atFloor =
+        codec::truncateStream(full, codec::streamHeaderFloor(full));
+    ASSERT_LT(atFloor.size(), full.size());
     RecordMeta meta;
     meta.locationId = 1;
     meta.captureDay = 1.0;
     meta.fullDownload = true;
-    std::vector<uint8_t> legacy = testdata::load("plane_128x128_epc3.bin");
-    archive.append(meta, legacy);
+    archive.append(meta, atFloor);
 
     // Target far below what header floors allow: the pass degrades
-    // every progressive record to its floor and reports atFloor.
+    // every other record to its floor and reports atFloor.
     PressureReport report = archive.applyStoragePressure(1);
     EXPECT_TRUE(report.atFloor);
     EXPECT_EQ(report.recordsTruncated, 1u);
@@ -662,7 +667,51 @@ TEST(ArchivePressure, SkipsNonProgressiveRecordsAndReportsFloor)
     EXPECT_EQ(cut.size(),
               codec::streamHeaderFloor(cut.data(), cut.size()));
     expectRecordParses(archive, 0);
-    EXPECT_EQ(archive.loadPayload(1), legacy);
+    EXPECT_EQ(archive.loadPayload(1), atFloor);
+
+    // Everything is at its floor now: a second pass skips every
+    // record and rewrites nothing.
+    PressureReport again = archive.applyStoragePressure(1);
+    EXPECT_TRUE(again.atFloor);
+    EXPECT_EQ(again.recordsTruncated, 0u);
+    EXPECT_EQ(again.recordsSkipped, 2u);
+    EXPECT_EQ(again.bytesReclaimed, 0u);
+}
+
+TEST(ArchivePressure, SecondPassCutsAlreadyDegradedRecords)
+{
+    // A degraded record is a stream cut at a recorded truncation
+    // point; a later, tighter pass must cut it again, and the
+    // quality hint must serve it, instead of dying on the prefix.
+    TempPath path("archive_pressure_twice.epar");
+    Archive archive(path.str());
+    raster::Plane img = testPlane(128, 128, 64);
+    appendProgressiveCapture(archive, 1, 1.0, img);
+    const uint64_t full = archive.fileBytes();
+    PressureReport first = archive.applyStoragePressure(full * 7 / 10);
+    EXPECT_EQ(first.recordsTruncated, 1u);
+    std::vector<uint8_t> once = archive.loadPayload(0);
+
+    PressureReport second = archive.applyStoragePressure(full * 4 / 10);
+    EXPECT_EQ(second.recordsTruncated, 1u);
+    EXPECT_FALSE(second.atFloor);
+    EXPECT_LE(archive.fileBytes(), full * 4 / 10);
+    std::vector<uint8_t> twice = archive.loadPayload(0);
+    ASSERT_LT(twice.size(), once.size());
+    EXPECT_EQ(std::memcmp(twice.data(), once.data(), twice.size()), 0);
+    expectRecordParses(archive, 0);
+
+    TileServer server(archive);
+    TileQuery q;
+    q.locationId = 1;
+    q.day = 1.5;
+    q.width = 128;
+    q.height = 128;
+    q.quality = 50;
+    TileResult r = server.serve(q);
+    ASSERT_TRUE(r.ok());
+    EXPECT_GT(raster::psnr(img, r.pixels), 15.0);
+    server.waitForPrefetchIdle();
 }
 
 TEST(ArchivePressure, DegradedArchiveReopensAndServes)
@@ -693,44 +742,6 @@ TEST(ArchivePressure, DegradedArchiveReopensAndServes)
     // Degraded but recognizable: early layers carry most of the
     // signal, so even a halved record reconstructs the scene.
     EXPECT_GT(raster::psnr(img, r.pixels), 20.0);
-}
-
-TEST(ArchivePressure, V2RecordArchivesReopenUnchanged)
-{
-    // An archive written entirely before the progressive format
-    // existed reopens and serves byte-identically; pressure never
-    // rewrites what it cannot truncate.
-    TempPath path("archive_pressure_v2.epar");
-    // The checked-in EPC3 encode of this plane at 4 bpp.
-    raster::Plane img = testPlane(128, 128, 63);
-    std::vector<uint8_t> payload = testdata::load("plane_128x128_epc3.bin");
-    ASSERT_EQ(codec::EncodedImage::deserialize(payload).version,
-              codec::StreamVersion::V2);
-    {
-        Archive archive(path.str());
-        RecordMeta meta;
-        meta.locationId = 1;
-        meta.captureDay = 1.0;
-        meta.fullDownload = true;
-        archive.append(meta, payload);
-        PressureReport report = archive.applyStoragePressure(1);
-        EXPECT_TRUE(report.atFloor);
-        EXPECT_EQ(report.recordsTruncated, 0u);
-        EXPECT_EQ(report.recordsSkipped, 1u);
-    }
-
-    Archive reopened(path.str());
-    ASSERT_EQ(reopened.recordCount(), 1u);
-    EXPECT_EQ(reopened.loadPayload(0), payload);
-    TileServer server(reopened);
-    TileQuery q;
-    q.locationId = 1;
-    q.day = 1.5;
-    q.width = 128;
-    q.height = 128;
-    TileResult r = server.serve(q);
-    ASSERT_TRUE(r.ok());
-    EXPECT_GT(raster::psnr(img, r.pixels), 30.0);
 }
 
 // -------------------------------------------------- typed open failures
@@ -1193,32 +1204,6 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
     ASSERT_TRUE(warm.ok());
     EXPECT_EQ(warm.tilesDecoded, 0);
     EXPECT_EQ(warm.tilesFromCache, 4);
-}
-
-TEST(TileServer, QualityHintIgnoredOnPreProgressiveRecords)
-{
-    Archive archive("");
-    RecordMeta meta;
-    meta.locationId = 1;
-    meta.captureDay = 1.0;
-    meta.fullDownload = true;
-    archive.append(meta, testdata::load("plane_128x128_epc3.bin"));
-
-    TileServer server(archive);
-    TileQuery q;
-    q.locationId = 1;
-    q.day = 1.5;
-    q.width = 128;
-    q.height = 128;
-    TileResult full = server.serve(q);
-    TileQuery reduced = q;
-    reduced.quality = 5;
-    TileResult hinted = server.serve(reduced);
-    ASSERT_TRUE(full.ok());
-    ASSERT_TRUE(hinted.ok());
-    for (int y = 0; y < full.pixels.height(); ++y)
-        for (int x = 0; x < full.pixels.width(); ++x)
-            ASSERT_EQ(hinted.pixels.at(x, y), full.pixels.at(x, y));
 }
 
 TEST(TileServer, ServeAsyncMatchesServeAndRunsCompletion)

@@ -2,8 +2,7 @@
  * @file
  * Property tests for the progressive (EPC4) stream format: truncation
  * points, best-effort prefix decode, budget-cut rate control, the
- * encoder's real-byte rate control, and lossless bit-exactness against
- * checked-in EPC3 streams of the same inputs.
+ * encoder's real-byte rate control, and exact lossless round trips.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "codec/codec.hh"
 #include "codec/tile_coder.hh"
 #include "raster/metrics.hh"
-#include "test_data.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 
@@ -69,12 +67,6 @@ struct ProgressiveCase
     int layers;
     int chunkRows;
     bool edgy;
-    /**
-     * Record in progressive_epc3_refs.bin: this case as EPC3. Only the
-     * lossless cases compare against it; a lossy EPC4 encode stops on
-     * its own payload bytes, so its schedule differs from EPC3's.
-     */
-    size_t epc3Ref;
 };
 
 class Progressive : public ::testing::TestWithParam<ProgressiveCase>
@@ -85,8 +77,7 @@ class Progressive : public ::testing::TestWithParam<ProgressiveCase>
  * The heart of the format contract: decoding at every recorded
  * truncation point never crashes, quality (PSNR against the source)
  * is monotone non-decreasing in prefix length, and a full-length
- * lossless decode is bit-exact with the decode of the checked-in EPC3
- * stream of the same input under the same parameters.
+ * lossless decode reproduces the 8-bit source image exactly.
  */
 TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
 {
@@ -108,7 +99,6 @@ TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
         p.bitsPerPixel = 1.5;
 
     std::vector<uint8_t> v4 = encode(img, p).serialize();
-    ASSERT_TRUE(isProgressive(v4.data(), v4.size()));
 
     std::vector<size_t> points = truncationPoints(v4);
     ASSERT_GE(points.size(), 2u);
@@ -146,31 +136,27 @@ TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
             << "cut at " << cut << " of " << v4.size();
         lastPsnr = std::max(lastPsnr, q);
         if (cut == v4.size() && c.lossless) {
-            // Lossless coding is never budget-bound: every plane is
-            // coded in both formats, so the untruncated EPC4 stream
-            // reconstructs bit-exactly what EPC3 reconstructed.
-            std::vector<std::vector<uint8_t>> refs =
-                testdata::loadRecords("progressive_epc3_refs.bin");
-            ASSERT_LT(c.epc3Ref, refs.size());
-            raster::Plane v3dec =
-                decode(EncodedImage::deserialize(refs[c.epc3Ref]));
-            ASSERT_EQ(dec.data().size(), v3dec.data().size());
-            EXPECT_EQ(std::memcmp(dec.data().data(),
-                                  v3dec.data().data(),
-                                  dec.data().size() * sizeof(float)),
-                      0);
+            // Lossless coding is never budget-bound: the untruncated
+            // stream codes every plane and gives back the 8-bit
+            // source, code value for code value.
+            ASSERT_EQ(dec.data().size(), img.data().size());
+            size_t mismatched = 0;
+            for (size_t i = 0; i < img.data().size(); ++i)
+                mismatched += std::lround(dec.data()[i] * 255.0f) !=
+                              std::lround(img.data()[i] * 255.0f);
+            EXPECT_EQ(mismatched, 0u);
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, Progressive,
-    ::testing::Values(ProgressiveCase{false, 1, 32, false, 0},
-                      ProgressiveCase{false, 3, 32, false, 1},
-                      ProgressiveCase{false, 3, 32, true, 2},
-                      ProgressiveCase{false, 5, 16, false, 3},
-                      ProgressiveCase{true, 1, 32, false, 4},
-                      ProgressiveCase{true, 3, 48, true, 5}));
+    ::testing::Values(ProgressiveCase{false, 1, 32, false},
+                      ProgressiveCase{false, 3, 32, false},
+                      ProgressiveCase{false, 3, 32, true},
+                      ProgressiveCase{false, 5, 16, false},
+                      ProgressiveCase{true, 1, 32, false},
+                      ProgressiveCase{true, 3, 48, true}));
 
 /**
  * truncateStream() honors any byte budget from the header floor to
@@ -205,6 +191,37 @@ TEST(Progressive, TruncateStreamHonorsEveryBudget)
     for (size_t i = 1; i + 1 < points.size(); i += points.size() / 7) {
         std::vector<uint8_t> cut = truncateStream(v4, points[i]);
         EXPECT_EQ(cut.size(), points[i]);
+    }
+}
+
+/**
+ * A stream already cut at a recorded point is a stream like any other:
+ * its truncation points are the whole stream's points up to the cut,
+ * and cutting it again gives exactly the bytes a cut of the whole
+ * stream to the same budget gives.
+ */
+TEST(Progressive, CutStreamsCutAgainLikeTheWholeStream)
+{
+    raster::Plane img = testImage(200, 140, 11);
+    EncodeParams p;
+    p.tileSize = 96;
+    p.layers = 3;
+    p.bitsPerPixel = 1.0;
+    std::vector<uint8_t> v4 = encode(img, p).serialize();
+    std::vector<size_t> points = truncationPoints(v4);
+    ASSERT_GE(points.size(), 8u);
+    for (size_t k = 0; k + 1 < points.size(); k += points.size() / 7) {
+        std::vector<uint8_t> cut = truncateStream(v4, points[k]);
+        ASSERT_EQ(cut.size(), points[k]);
+        EXPECT_EQ(truncationPoints(cut),
+                  std::vector<size_t>(points.begin(),
+                                      points.begin() +
+                                          static_cast<ptrdiff_t>(k + 1)));
+        for (size_t budget : {points.front(), points[k / 2] + 1,
+                              points[k] + 1, v4.size()})
+            EXPECT_EQ(truncateStream(cut, budget),
+                      truncateStream(v4, std::min(budget, cut.size())))
+                << "cut " << points[k] << ", budget " << budget;
     }
 }
 
@@ -372,21 +389,6 @@ TEST(ProgressiveDeath, TruncatedImagesCannotReserialize)
                 "truncated");
     EXPECT_EXIT(truncateStream(v4, streamHeaderFloor(v4) - 1),
                 ::testing::KilledBySignal(SIGABRT), "floor");
-}
-
-/** EPC2/EPC3 streams have no truncation points to offer. */
-TEST(ProgressiveDeath, NonProgressiveStreamsRejectTruncation)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    for (const char *name :
-         {"lossless_150x110_epc2.bin", "lossless_150x110_epc3.bin"}) {
-        std::vector<uint8_t> old = testdata::load(name);
-        EXPECT_FALSE(isProgressive(old.data(), old.size())) << name;
-        EXPECT_EXIT(truncationPoints(old), ::testing::ExitedWithCode(1),
-                    "not progressive");
-        EXPECT_EXIT(truncateStream(old, old.size() / 2),
-                    ::testing::ExitedWithCode(1), "not progressive");
-    }
 }
 
 /**

@@ -30,22 +30,6 @@ TEST(RangeCoder, RawBitsRoundtrip)
         EXPECT_EQ(dec.decodeBitRaw(), b);
 }
 
-TEST(RangeCoder, RawMultiBitValuesRoundtrip)
-{
-    std::vector<uint8_t> buf;
-    RangeEncoder enc(buf);
-    std::vector<uint32_t> values = {0, 1, 31, 255, 1023, 65535, 123456};
-    std::vector<int> widths = {1, 2, 5, 8, 10, 16, 20};
-    // Most significant bit first, the order decodeBitsRaw() reads.
-    for (size_t i = 0; i < values.size(); ++i)
-        for (int b = widths[i] - 1; b >= 0; --b)
-            enc.encodeBitRaw(static_cast<int>((values[i] >> b) & 1u));
-    enc.flush();
-    RangeDecoder dec(buf.data(), buf.size());
-    for (size_t i = 0; i < values.size(); ++i)
-        EXPECT_EQ(dec.decodeBitsRaw(widths[i]), values[i]);
-}
-
 class RangeCoderBias : public ::testing::TestWithParam<double>
 {
 };

@@ -1,16 +1,18 @@
 /**
  * @file
  * Seeded mutation fuzz of the stream container walker behind
- * codec::EncodedImage::tryDeserialize().
+ * codec::EncodedImage::tryDeserialize() and of the decoder behind it.
  *
- * Inputs are the checked-in EPC2/EPC3 streams (tests/data/) and fresh
- * EPC4 encodes. Each mutant rewrites one of the container's length
- * words — a layer chunkLen, a tile subLen, an entropy-chunk ecLen or
- * an EPC4 segWord — and/or flips bytes, and may be cut short. Every
- * mutant must come back as a parsed image or a typed StreamError; the
- * asan and chaos legs of ci/check.sh run this suite under ASan, so an
- * out-of-bounds read fails it. EARTHPLUS_CHAOS_SEED selects the
- * mutation stream.
+ * Inputs are fresh EPC4 encodes covering lossy and lossless coding,
+ * one to five layers, several chunk heights and tile sizes, and an ROI
+ * subset. Each mutant rewrites one of the container's length words — a
+ * layer chunkLen, a tile subLen, an entropy-chunk ecLen or a segWord —
+ * and/or flips bytes, and may be cut short. Every mutant must come back
+ * as a parsed image or a typed StreamError, and every parsed image must
+ * decode, whole and tile by tile, without dying; the asan and chaos
+ * legs of ci/check.sh run this suite under ASan+UBSan, so an
+ * out-of-bounds access or undefined arithmetic fails it.
+ * EARTHPLUS_CHAOS_SEED selects the mutation stream.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +24,7 @@
 #include <vector>
 
 #include "codec/codec.hh"
-#include "test_data.hh"
+#include "raster/tile.hh"
 #include "util/bytes.hh"
 #include "util/rng.hh"
 
@@ -71,23 +73,19 @@ walkGrammar(const std::vector<uint8_t> &bytes, const EncodedImage &e,
             const size_t subEnd = body(words.sub, layerEnd, 0);
             if (subEnd == 0)
                 return false;
-            while (e.version != StreamVersion::V1 && pos < subEnd) {
+            while (pos < subEnd) {
                 const size_t ecEnd = body(words.ec, subEnd, 0);
                 if (ecEnd == 0)
                     return false;
-                if (e.version == StreamVersion::V3) {
-                    if (l == 0 && pos < ecEnd)
-                        ++pos; // raw maxPlane byte
-                    while (pos < ecEnd) {
-                        const size_t segEnd = body(words.seg, ecEnd, 2);
-                        if (segEnd == 0)
-                            return false;
-                        pos = segEnd;
-                    }
+                if (l == 0 && pos < ecEnd)
+                    ++pos; // raw maxPlane byte
+                while (pos < ecEnd) {
+                    const size_t segEnd = body(words.seg, ecEnd, 2);
+                    if (segEnd == 0)
+                        return false;
+                    pos = segEnd;
                 }
-                pos = ecEnd;
             }
-            pos = subEnd;
         }
         if (pos != layerEnd)
             return false;
@@ -144,12 +142,14 @@ mutate(const std::vector<uint8_t> &base, const LengthWords &words,
 }
 
 /**
- * Fuzz `inputs`: every mutant parses or fails typed, and accepted
- * streams are internally consistent. Both outcomes must occur.
+ * Fuzz `inputs`: every mutant parses or fails typed, accepted streams
+ * are internally consistent, and every accepted stream decodes — the
+ * whole plane, and its first and last tiles on their own. Both
+ * outcomes must occur.
  */
 void
 fuzzStreams(const std::vector<std::vector<uint8_t>> &inputs,
-            uint64_t salt)
+            uint64_t salt, int mutantsPerInput)
 {
     const char *env = std::getenv("EARTHPLUS_CHAOS_SEED");
     Rng rng(salt * 7919 + (env ? std::strtoull(env, nullptr, 10) : 0ULL));
@@ -160,7 +160,7 @@ fuzzStreams(const std::vector<std::vector<uint8_t>> &inputs,
         LengthWords words;
         ASSERT_TRUE(
             walkGrammar(base, EncodedImage::deserialize(base), words));
-        for (int i = 0; i < 2000; ++i) {
+        for (int i = 0; i < mutantsPerInput; ++i) {
             std::vector<uint8_t> m = mutate(base, words, rng);
             EncodedImage e;
             std::string msg;
@@ -169,11 +169,20 @@ fuzzStreams(const std::vector<std::vector<uint8_t>> &inputs,
             if (err == StreamError::None) {
                 ++accepted;
                 EXPECT_LE(e.totalBytesForLayers(-1), m.size());
-                EXPECT_TRUE(!e.truncated ||
-                            e.version == StreamVersion::V3);
                 LengthWords seen;
                 EXPECT_TRUE(e.truncated || walkGrammar(m, e, seen))
                     << "accepted a mis-framed stream";
+                raster::Plane whole = decode(e);
+                EXPECT_EQ(whole.width(), e.width);
+                EXPECT_EQ(whole.height(), e.height);
+                const int last =
+                    static_cast<int>(e.tileCoded.size()) - 1;
+                std::vector<raster::Plane> tiles =
+                    decodeTiles(e, {0, last});
+                ASSERT_EQ(tiles.size(), 2u);
+                raster::TileGrid grid(e.width, e.height, e.tileSize);
+                EXPECT_EQ(tiles[1].width(), grid.rect(last).width);
+                EXPECT_EQ(tiles[1].height(), grid.rect(last).height);
             } else {
                 ++rejected;
                 EXPECT_TRUE(err == StreamError::Truncated ||
@@ -184,6 +193,49 @@ fuzzStreams(const std::vector<std::vector<uint8_t>> &inputs,
     }
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(rejected, 0u);
+}
+
+/** Smooth structure + mild noise (the progressive matrix content). */
+raster::Plane
+smoothImage(int w, int h, uint64_t seed)
+{
+    raster::Plane p(w, h);
+    Rng rng(seed);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            p.at(x, y) = 0.5f +
+                         0.3f * std::sin(x * 0.045f) *
+                             std::cos(y * 0.06f) +
+                         0.1f * std::sin((x + y) * 0.15f) +
+                         static_cast<float>(rng.normal(0.0, 0.01));
+    p.clampTo(0.0f, 1.0f);
+    return p;
+}
+
+/** Step edges + texture, stressing many bitplanes. */
+raster::Plane
+edgyImage(int w, int h, uint64_t seed)
+{
+    raster::Plane p(w, h);
+    Rng rng(seed);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x) {
+            float v = ((x / 17 + y / 23) & 1) ? 0.85f : 0.15f;
+            v += 0.08f * std::sin(x * 0.9f) * std::sin(y * 0.7f);
+            v += static_cast<float>(rng.normal(0.0, 0.02));
+            p.at(x, y) = v;
+        }
+    p.clampTo(0.0f, 1.0f);
+    return p;
+}
+
+/** Round every pixel to 8 bits, as lossless inputs are. */
+raster::Plane
+eightBit(raster::Plane p)
+{
+    for (auto &v : p.data())
+        v = std::round(v * 255.0f) / 255.0f;
+    return p;
 }
 
 /** Fresh EPC4 streams: multi-layer, multi-chunk, lossy and lossless. */
@@ -208,33 +260,93 @@ freshEpc4Streams()
     p.tileSize = 64;
     p.chunkRows = kDefaultChunkRows;
     out.push_back(encode(img, p).serialize());
-    for (auto &v : img.data())
-        v = std::round(v * 255.0f) / 255.0f;
     p.lossless = true;
     p.wavelet = Wavelet::LeGall53;
     p.layers = 2;
     p.chunkRows = 48;
-    out.push_back(encode(img, p).serialize());
+    out.push_back(encode(eightBit(img), p).serialize());
     return out;
+}
+
+/**
+ * The configurations the retired v1/v2 fixture corpus covered, encoded
+ * as EPC4: the six progressive_test matrix cases, a lossless 150x110
+ * image in 96-px tiles with 48-row chunks, and a 128x128 image at
+ * 4 bpp in the default 64-px tiles.
+ */
+std::vector<std::vector<uint8_t>>
+matrixStreams()
+{
+    struct Case
+    {
+        bool lossless;
+        int layers;
+        int chunkRows;
+        bool edgy;
+    };
+    const Case cases[] = {{false, 1, 32, false}, {false, 3, 32, false},
+                          {false, 3, 32, true},  {false, 5, 16, false},
+                          {true, 1, 32, false},  {true, 3, 48, true}};
+    std::vector<std::vector<uint8_t>> out;
+    for (const Case &c : cases) {
+        raster::Plane img = c.edgy ? edgyImage(150, 110, 91)
+                                   : smoothImage(150, 110, 90);
+        EncodeParams p;
+        p.tileSize = 96;
+        p.layers = c.layers;
+        p.chunkRows = c.chunkRows;
+        if (c.lossless) {
+            p.lossless = true;
+            p.wavelet = Wavelet::LeGall53;
+            img = eightBit(img);
+        } else {
+            p.bitsPerPixel = 1.5;
+        }
+        out.push_back(encode(img, p).serialize());
+    }
+    EncodeParams lossless;
+    lossless.lossless = true;
+    lossless.wavelet = Wavelet::LeGall53;
+    lossless.tileSize = 96;
+    lossless.chunkRows = 48;
+    out.push_back(
+        encode(eightBit(smoothImage(150, 110, 32)), lossless).serialize());
+    EncodeParams dense;
+    dense.bitsPerPixel = 4.0;
+    out.push_back(encode(smoothImage(128, 128, 63), dense).serialize());
+    return out;
+}
+
+/** An ROI subset: 3 of the 6 tiles coded, over 2 layers. */
+std::vector<uint8_t>
+roiStream()
+{
+    raster::Plane img = edgyImage(150, 110, 94);
+    raster::TileGrid grid(img.width(), img.height(), 64);
+    raster::TileMask roi(grid);
+    for (int t : {1, 3, 5})
+        roi.set(t, true);
+    EncodeParams p;
+    p.bitsPerPixel = 2.0;
+    p.layers = 2;
+    p.chunkRows = 32;
+    p.roi = &roi;
+    return encode(img, p).serialize();
 }
 
 } // namespace
 
-TEST(StreamFuzz, MutatedEpc2StreamsParseOrFailTyped)
+TEST(StreamFuzz, MutatedStreamsParseOrFailTypedAndDecode)
 {
-    fuzzStreams({testdata::load("lossless_150x110_epc2.bin")}, 2);
+    fuzzStreams(freshEpc4Streams(), 4, 1000);
 }
 
-TEST(StreamFuzz, MutatedEpc3StreamsParseOrFailTyped)
+TEST(StreamFuzz, MutatedMatrixStreamsParseOrFailTypedAndDecode)
 {
-    std::vector<std::vector<uint8_t>> inputs =
-        testdata::loadRecords("progressive_epc3_refs.bin");
-    inputs.push_back(testdata::load("lossless_150x110_epc3.bin"));
-    inputs.push_back(testdata::load("plane_128x128_epc3.bin"));
-    fuzzStreams(inputs, 3);
+    fuzzStreams(matrixStreams(), 3, 500);
 }
 
-TEST(StreamFuzz, MutatedEpc4StreamsParseOrFailTyped)
+TEST(StreamFuzz, MutatedRoiStreamParsesOrFailsTypedAndDecodes)
 {
-    fuzzStreams(freshEpc4Streams(), 4);
+    fuzzStreams({roiStream()}, 5, 1000);
 }
