@@ -1,7 +1,7 @@
 /**
  * @file
- * End-to-end tile-coder throughput: full `encodeTileLayers` /
- * `decodeTileLayers` jobs (DWT + quantization + bitplane passes +
+ * End-to-end tile-coder throughput: full `encodeTile` /
+ * `decodeTile` jobs (DWT + quantization + bitplane passes +
  * range coding, EPC4 framing) measured at every SIMD dispatch level,
  * for the three workloads that bracket Earth+'s operating points:
  *
@@ -23,12 +23,13 @@
  * p99_ms; the /thw rows are informational only, since CI machines
  * disagree on core count).
  *
- * With `--progressive` the binary measures the progressive (EPC4)
- * rate-control path instead: one dense image is encoded once, cut
- * with codec::truncateStream() at a ladder of byte budgets, and each
- * prefix decoded — emitting the PSNR-vs-budget rate–distortion rows
- * (progressive_rd/p{pct}: psnr_db + decode ms per budget) plus a
- * truncate_stream throughput row (MB/s of the cut itself). The JSON
+ * With `--progressive` the binary measures the post-encode rate
+ * control path instead: one dense 512x512 image is encoded once with
+ * 64-px tiles, cut with codec::truncateStream() at a ladder of byte
+ * budgets, and each cut decoded — emitting the rate–distortion rows
+ * (progressive_rd/p{pct}: whole-image psnr_db, the worst 64-row band's
+ * worst_band_db and decode ms per budget) plus a truncate_stream
+ * throughput row (MB/s of the cut itself). The JSON
  * bench name is "tile_coder_progressive"; all rows are informational
  * (recorded, not gated — see docs/BENCHMARKS.md).
  *
@@ -133,7 +134,6 @@ struct WorkloadCase
     const char *name;
     std::vector<raster::Plane> tiles;
     TileCoderParams params;
-    int layers;
     size_t byteBudget; ///< Per tile; ignored in lossless mode.
 };
 
@@ -191,21 +191,18 @@ runLatencyMode(int samplesSmall, const std::string &jsonPath)
         raster::Plane tile =
             denseTile(edge, edge, 400 + static_cast<uint64_t>(edge));
         TileCoderParams params;
-        const int layers = 2;
         size_t budget = static_cast<size_t>(edge) * edge * 2 / 8;
-        auto encoded = encodeTileLayers(tile, params, layers, budget);
-        std::vector<ChunkSpan> spans;
-        for (const auto &layer : encoded)
-            spans.push_back({layer.data(), layer.size()});
+        std::vector<uint8_t> encoded = encodeTile(tile, params, budget);
         std::string workload = "dense" + std::to_string(edge);
 
         for (const auto &[threadName, n] : poolSizes) {
             ThreadPool::setGlobalThreads(n);
             Percentiles enc = latencyPercentiles(samples, [&]() {
-                encodeTileLayers(tile, params, layers, budget);
+                encodeTile(tile, params, budget);
             });
             Percentiles dec = latencyPercentiles(samples, [&]() {
-                decodeTileLayers(edge, edge, params, spans);
+                decodeTile(edge, edge, params,
+                           {encoded.data(), encoded.size()});
             });
             auto report = [&](const char *dir, const Percentiles &p) {
                 std::string name = std::string("tile_latency_") + dir +
@@ -220,7 +217,6 @@ runLatencyMode(int samplesSmall, const std::string &jsonPath)
                          {{"edge", std::to_string(edge)},
                           {"chunk_rows",
                            std::to_string(kDefaultChunkRows)},
-                          {"layers", std::to_string(layers)},
                           {"samples", std::to_string(samples)}},
                          p.p50, 0.0,
                          {{"p50_ms", p.p50}, {"p99_ms", p.p99}});
@@ -247,22 +243,24 @@ runLatencyMode(int samplesSmall, const std::string &jsonPath)
  * class operation no host gate would measure meaningfully.
  */
 int
-runProgressiveMode(int reps, int edge, const std::string &jsonPath)
+runProgressiveMode(int reps, const std::string &jsonPath)
 {
-    // A multi-tile image so the cut reallocates across chunk and tile
-    // boundaries, not just within one tile's payload.
-    const int w = edge * 2, h = edge * 2;
-    raster::Plane img = denseTile(w, h, 500);
+    using Params = std::vector<std::pair<std::string, std::string>>;
+    // A 64-tile image so the cut allocates across tiles; the worst
+    // 64-row band shows whether any strip of tiles is starved.
+    const int size = 512, tile = 64;
+    raster::Plane img = denseTile(size, size, 500);
     codec::EncodeParams ep;
     ep.bitsPerPixel = 2.0;
-    ep.layers = 3;
-    ep.tileSize = edge;
+    ep.tileSize = tile;
     std::vector<uint8_t> stream = codec::encode(img, ep).serialize();
     size_t floor = codec::streamHeaderFloor(stream);
+    const Params shape = {{"image", std::to_string(size)},
+                          {"tile", std::to_string(tile)}};
 
     Table table("progressive (EPC4) rate-distortion: PSNR vs budget");
-    table.setHeader(
-        {"row", "budget_pct", "bytes", "psnr_db", "decode_ms"});
+    table.setHeader({"row", "budget_pct", "bytes", "psnr_db",
+                     "worst_band_db", "decode_ms"});
     epbench::JsonReporter json("tile_coder_progressive");
 
     const int percents[] = {5, 10, 25, 50, 75, 100};
@@ -270,9 +268,10 @@ runProgressiveMode(int reps, int edge, const std::string &jsonPath)
         size_t budget = std::max(
             floor, stream.size() * static_cast<size_t>(pct) / 100);
         std::vector<uint8_t> cut = codec::truncateStream(stream, budget);
-        codec::EncodedImage parsed =
-            codec::EncodedImage::deserialize(cut.data(), cut.size());
-        double psnr = raster::psnr(img, codec::decode(parsed));
+        raster::Plane dec = codec::decode(
+            codec::EncodedImage::deserialize(cut.data(), cut.size()));
+        double psnr = raster::psnr(img, dec);
+        double worstBand = raster::worstBandPsnr(img, dec, tile);
         double decMs = medianMs(reps, [&]() {
             codec::decode(
                 codec::EncodedImage::deserialize(cut.data(), cut.size()));
@@ -280,13 +279,12 @@ runProgressiveMode(int reps, int edge, const std::string &jsonPath)
         std::string name = "progressive_rd/p" + std::to_string(pct);
         table.addRow({name, std::to_string(pct),
                       std::to_string(cut.size()), Table::num(psnr, 2),
-                      Table::num(decMs, 3)});
-        json.add(name,
-                 {{"edge", std::to_string(edge)},
-                  {"layers", std::to_string(ep.layers)},
-                  {"budget_pct", std::to_string(pct)}},
-                 decMs, 0.0,
+                      Table::num(worstBand, 2), Table::num(decMs, 3)});
+        Params params = shape;
+        params.push_back({"budget_pct", std::to_string(pct)});
+        json.add(name, params, decMs, 0.0,
                  {{"psnr_db", psnr},
+                  {"worst_band_db", worstBand},
                   {"bytes", static_cast<double>(cut.size())}});
     }
 
@@ -303,13 +301,11 @@ runProgressiveMode(int reps, int edge, const std::string &jsonPath)
                      (sizeof(percents) / sizeof(percents[0])) /
                      (cutMs * 1e-3) / 1e6;
     table.addRow({"truncate_stream", "-", std::to_string(stream.size()),
-                  "-", Table::num(cutMs, 3)});
-    json.add("truncate_stream",
-             {{"edge", std::to_string(edge)},
-              {"layers", std::to_string(ep.layers)},
-              {"cuts", std::to_string(sizeof(percents) /
-                                      sizeof(percents[0]))}},
-             cutMs, cutMbps);
+                  "-", "-", Table::num(cutMs, 3)});
+    Params params = shape;
+    params.push_back(
+        {"cuts", std::to_string(sizeof(percents) / sizeof(percents[0]))});
+    json.add("truncate_stream", params, cutMs, cutMbps);
 
     table.print(std::cout);
     if (!jsonPath.empty() && !json.write(jsonPath)) {
@@ -340,7 +336,7 @@ main(int argc, char **argv)
     }
     std::string jsonPath = epbench::JsonReporter::pathFromArgs(argc, argv);
     if (progressive) {
-        int rc = runProgressiveMode(reps, edge, jsonPath);
+        int rc = runProgressiveMode(reps, jsonPath);
         epbench::writeMetricsSnapshot(argc, argv);
         return rc;
     }
@@ -358,7 +354,6 @@ main(int argc, char **argv)
     {
         WorkloadCase dense;
         dense.name = "dense";
-        dense.layers = 2;
         dense.byteBudget = budget;
         for (int t = 0; t < tilesPerRep; ++t)
             dense.tiles.push_back(
@@ -367,7 +362,6 @@ main(int argc, char **argv)
 
         WorkloadCase sparse;
         sparse.name = "sparse_delta";
-        sparse.layers = 2;
         sparse.byteBudget = budget;
         for (int t = 0; t < tilesPerRep; ++t)
             sparse.tiles.push_back(
@@ -376,7 +370,6 @@ main(int argc, char **argv)
 
         WorkloadCase lossless;
         lossless.name = "lossless";
-        lossless.layers = 2;
         // Roomy cap: lossless 8-bit content never needs 32 bpp.
         lossless.byteBudget =
             static_cast<size_t>(edge) * edge * sizeof(float);
@@ -406,24 +399,20 @@ main(int argc, char **argv)
             util::simd::setActiveLevel(level);
             const char *levelName = util::simd::levelName(level);
 
-            // Encode: full tile jobs, layer chunks thrown away.
+            // Encode: full tile jobs, sub-chunks thrown away.
             double encMs = medianMs(reps, [&]() {
                 for (const raster::Plane &t : c.tiles)
-                    encodeTileLayers(t, c.params, c.layers, c.byteBudget);
+                    encodeTile(t, c.params, c.byteBudget);
             });
 
             // Decode: pre-encode once outside the timed region.
-            std::vector<std::vector<std::vector<uint8_t>>> chunks;
+            std::vector<std::vector<uint8_t>> subs;
             for (const raster::Plane &t : c.tiles)
-                chunks.push_back(
-                    encodeTileLayers(t, c.params, c.layers, c.byteBudget));
+                subs.push_back(encodeTile(t, c.params, c.byteBudget));
             double decMs = medianMs(reps, [&]() {
-                for (const auto &tile : chunks) {
-                    std::vector<ChunkSpan> spans;
-                    for (const auto &layer : tile)
-                        spans.push_back({layer.data(), layer.size()});
-                    decodeTileLayers(edge, edge, c.params, spans);
-                }
+                for (const auto &sub : subs)
+                    decodeTile(edge, edge, c.params,
+                               {sub.data(), sub.size()});
             });
 
             auto report = [&](const char *dir, double ms) {
@@ -442,8 +431,7 @@ main(int argc, char **argv)
                 json.add(key,
                          {{"level", levelName},
                           {"edge", std::to_string(edge)},
-                          {"tiles", std::to_string(tilesPerRep)},
-                          {"layers", std::to_string(c.layers)}},
+                          {"tiles", std::to_string(tilesPerRep)}},
                          ms, mbps);
             };
             report("tile_encode", encMs);

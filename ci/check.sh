@@ -237,12 +237,12 @@ run_chaos() {
     # no acknowledged record is lost; EARTHPLUS_CHAOS_SEED varies the
     # payload contents across runs without changing the boundary
     # structure, so a few seeds buy coverage cheaply.
-    # The progressive-stream truncation fuzz rides along: each seed
-    # cuts EPC4 streams at a different set of unrecorded offsets and
-    # asserts every one fails with a typed error instead of a crash —
-    # and so does the stream mutation fuzz, whose seed picks the
-    # length-word rewrites and byte flips it feeds tryDeserialize(),
-    # and which decodes every mutant the walker accepts.
+    # The stream-prefix fuzz rides along: each seed cuts EPC4 streams
+    # short at a different set of offsets and asserts every prefix
+    # fails with a typed error instead of a crash — and so does the
+    # stream mutation fuzz, whose seed picks the length-word rewrites
+    # and byte flips it feeds tryDeserialize(), and which decodes every
+    # mutant the walker accepts and every tile-fair cut of it.
     configure_and_build
     cmake --build "$BUILD_DIR" -j \
           --target failpoint_test crash_consistency_test net_test \

@@ -1,13 +1,16 @@
 /**
  * @file
- * Codec playground: the wavelet codec on its own — rate sweep, quality
- * layers, region-of-interest coding and lossless mode. Writes PGM
- * snapshots next to the binary so results can be eyeballed.
+ * Codec playground: the wavelet codec on its own — rate sweep, cutting
+ * one stream to smaller budgets, region-of-interest coding and
+ * lossless mode. Writes PGM snapshots next to the binary so results
+ * can be eyeballed.
  */
 
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "codec/codec.hh"
 #include "raster/io.hh"
@@ -47,20 +50,26 @@ main()
     }
     rate.print(std::cout);
 
-    // Quality layers: one stream, three operating points.
+    // Post-encode rate control: one stream, cut to a ladder of budgets.
+    // Every cut drops each tile's lowest planes first, so the worst
+    // 64-row strip tracks the whole image instead of going blank.
     codec::EncodeParams lp;
     lp.bitsPerPixel = 3.0;
-    lp.layers = 3;
-    codec::EncodedImage layered = codec::encode(img, lp);
-    Table layers("Progressive quality layers (one encoded stream)");
-    layers.setHeader({"Layers decoded", "Bytes", "PSNR (dB)"});
-    for (int l = 1; l <= 3; ++l) {
-        raster::Plane dec = codec::decode(layered, l);
-        layers.addRow({Table::num(l, 0),
-                       Table::num(layered.totalBytesForLayers(l), 0),
-                       Table::num(raster::psnr(img, dec), 2)});
+    std::vector<uint8_t> stream = codec::encode(img, lp).serialize();
+    Table cuts("Cutting one encoded stream (codec::truncateStream)");
+    cuts.setHeader(
+        {"Budget", "Bytes", "PSNR (dB)", "Worst 64-row band (dB)"});
+    for (int pct : {10, 25, 50, 75, 100}) {
+        std::vector<uint8_t> cut =
+            codec::truncateStream(stream, stream.size() * pct / 100);
+        raster::Plane dec =
+            codec::decode(codec::EncodedImage::deserialize(cut));
+        cuts.addRow({std::to_string(pct) + "%",
+                     Table::num(static_cast<double>(cut.size()), 0),
+                     Table::num(raster::psnr(img, dec), 2),
+                     Table::num(raster::worstBandPsnr(img, dec, 64), 2)});
     }
-    layers.print(std::cout);
+    cuts.print(std::cout);
 
     // Region of interest: only the image centre is coded.
     raster::TileGrid grid(256, 256, 64);

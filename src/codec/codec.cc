@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <numeric>
 
 #include "util/bytes.hh"
 #include "util/logging.hh"
@@ -37,15 +38,16 @@ codecMetrics()
 }
 
 // The stream magic, "EPC4" (docs/ARCHITECTURE.md): row-slab entropy
-// chunks whose payloads are runs of independently flushed per-plane
-// segments (plus a raw maxPlane byte in layer 0), so the framing
-// records truncation points. A future layout gets a new magic.
+// chunks whose payloads are a raw maxPlane byte and a run of
+// independently flushed per-plane segments, so truncateStream() can
+// drop trailing segments and re-frame. A future layout gets a new
+// magic.
 constexpr uint32_t kMagic = 0x34435045;
 
 /** Fixed serialized header size in bytes. */
 constexpr size_t kFixedHeader =
     4 +          // magic
-    6 * 4 +      // width, height, tileSize, dwtLevels, layers, flags
+    6 * 4 +      // width, height, tileSize, dwtLevels, layers (= 1), flags
     8 +          // quantStep
     4 +          // chunkRows
     4;           // tile count
@@ -84,38 +86,21 @@ formatError(const char *fmt, ...)
 size_t
 EncodedImage::payloadBytes() const
 {
-    size_t total = 0;
-    for (const auto &chunk : layerChunks)
-        total += chunk.size();
-    return total;
+    return payload.size();
 }
 
 size_t
 EncodedImage::headerBytes() const
 {
-    // Fixed header + packed coded-tile bitmap + per-layer length
-    // fields.
-    return kFixedHeader + (tileCoded.size() + 7) / 8 +
-           4 * layerChunks.size();
+    // Fixed header + packed coded-tile bitmap + the payload's length
+    // word.
+    return kFixedHeader + (tileCoded.size() + 7) / 8 + 4;
 }
 
 size_t
 EncodedImage::totalBytes() const
 {
     return headerBytes() + payloadBytes();
-}
-
-size_t
-EncodedImage::totalBytesForLayers(int layerCount) const
-{
-    if (layerCount < 0 ||
-        layerCount > static_cast<int>(layerChunks.size()))
-        layerCount = static_cast<int>(layerChunks.size());
-    size_t total = kFixedHeader + (tileCoded.size() + 7) / 8 +
-                   4 * static_cast<size_t>(layerCount);
-    for (int l = 0; l < layerCount; ++l)
-        total += layerChunks[static_cast<size_t>(l)].size();
-    return total;
 }
 
 double
@@ -134,14 +119,13 @@ std::vector<uint8_t>
 EncodedImage::serialize() const
 {
     std::vector<uint8_t> out;
-    EP_ASSERT(!truncated, "cannot re-serialize a truncated stream");
     out.reserve(totalBytes());
     appendPod(out, kMagic);
     appendPod(out, static_cast<uint32_t>(width));
     appendPod(out, static_cast<uint32_t>(height));
     appendPod(out, static_cast<uint32_t>(tileSize));
     appendPod(out, static_cast<uint32_t>(dwtLevels));
-    appendPod(out, static_cast<uint32_t>(layers));
+    appendPod(out, static_cast<uint32_t>(1)); // layers
     uint32_t flags = (wavelet == Wavelet::LeGall53 ? 1u : 0u) |
                      (lossless ? 2u : 0u) |
                      (static_cast<uint32_t>(losslessDepth) << 8);
@@ -156,10 +140,8 @@ EncodedImage::serialize() const
             b |= static_cast<uint8_t>((tileCoded[i + j] ? 1 : 0) << j);
         out.push_back(b);
     }
-    for (const auto &chunk : layerChunks) {
-        appendPod(out, static_cast<uint32_t>(chunk.size()));
-        out.insert(out.end(), chunk.begin(), chunk.end());
-    }
+    appendPod(out, static_cast<uint32_t>(payload.size()));
+    out.insert(out.end(), payload.begin(), payload.end());
     return out;
 }
 
@@ -185,7 +167,6 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
 {
     constexpr uint32_t kMaxDim = 1u << 20;      // 1M pixels per edge
     constexpr uint64_t kMaxPixels = 1ull << 28; // ~1 GB decoded plane
-    constexpr uint32_t kMaxLayers = 1u << 16;
 
     auto cut = [&msg] {
         msg = "encoded image stream truncated";
@@ -233,8 +214,8 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
             "encoded image has invalid DWT level count %u", dwtLevels);
         return StreamError::Corrupt;
     }
-    if (layers == 0 || layers > kMaxLayers) {
-        msg = formatError("encoded image has invalid layer count %u",
+    if (layers != 1) {
+        msg = formatError("encoded image has layer count %u, not 1",
                           layers);
         return StreamError::Corrupt;
     }
@@ -242,7 +223,6 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
     e.height = static_cast<int>(height);
     e.tileSize = static_cast<int>(tileSize);
     e.dwtLevels = static_cast<int>(dwtLevels);
-    e.layers = static_cast<int>(layers);
     uint32_t flags = 0;
     if (!tryReadPod(data, len, pos, flags))
         return cut();
@@ -304,10 +284,39 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
 /** How walkStream() ended. */
 enum class WalkEnd
 {
-    Complete, ///< Every declared layer is present and well framed.
-    Cut,      ///< The bytes ran out first (see StreamWalk::onPoint).
+    Complete, ///< The payload is present and well framed.
+    Short,    ///< The bytes ran out inside the framing.
     Corrupt,  ///< A length word overruns its enclosing structure.
-    Stopped,  ///< The point visitor ended the walk.
+};
+
+/**
+ * Where a stream's entropy chunks and segments sit — what
+ * truncateStream() needs to cut and re-frame a stream without entropy
+ * work.
+ */
+struct StreamLayout
+{
+    /** One entropy chunk, in stream order. */
+    struct Chunk
+    {
+        size_t tile;         ///< Slot of its tile among the coded tiles.
+        size_t body;         ///< Offset just past its ecLen word.
+        size_t head;         ///< Plane bytes at `body` (0 or 1).
+        size_t firstSegment; ///< Index of its first segment.
+        size_t segmentCount;
+    };
+    /** One segment, in stream order. */
+    struct Segment
+    {
+        int plane;    ///< Bitplane coded: maxPlane - (index in chunk).
+        size_t end;   ///< Offset just past its body.
+        size_t bytes; ///< segWord + body.
+    };
+    /** Offset just past the coded-tile bitmap. */
+    size_t headerEnd = 0;
+    size_t codedTiles = 0;
+    std::vector<Chunk> chunks;
+    std::vector<Segment> segments;
 };
 
 /** What walkStream() found. */
@@ -315,57 +324,48 @@ struct StreamWalk
 {
     /** Header verdict; the walk below the header ran only on None. */
     StreamError header = StreamError::None;
-    /** Offset just past the coded-tile bitmap. */
-    size_t floor = 0;
     WalkEnd end = WalkEnd::Complete;
     /** Offset where the walk ended. */
     size_t at = 0;
-    /** A Cut walk ended on a recorded truncation point. */
-    bool onPoint = false;
-    /** Payload of every layer reached; the last one may be partial. */
-    std::vector<ChunkSpan> layers;
+    /** The payload chunk, once the walk is Complete. */
+    ChunkSpan payload;
 };
 
 /**
  * The one walker of the stream container grammar (docs/ARCHITECTURE.md)
- * behind parseStream(), truncationPoints() and truncateStream();
- * streamHeaderFloor() needs only its first stage, parseHeader().
- * It walks the header, then layer -> tile sub-chunk -> entropy
- * chunk -> segment, as far as the bytes allow. Every length word must
- * fit inside the structure that encloses it, so a walk that does not
- * end Corrupt leaves the stream framed consistently down to the
- * segment level. `visit(offset)` sees every recorded truncation point
- * in ascending order and returns false to stop the walk; a Cut lands
- * on a recorded point exactly when the last point visited is the end
- * of the bytes.
+ * behind parseStream(), streamHeaderFloor() and truncateStream(). It
+ * walks the header, then payload -> tile sub-chunk -> entropy chunk ->
+ * segment, as far as the bytes allow. Every length word must fit
+ * inside the structure that encloses it, so a walk that ends Complete
+ * leaves the stream framed consistently down to the segment level.
+ * When `layout` is non-null it receives every entropy chunk and
+ * segment.
  */
-template <typename Visit>
 StreamWalk
 walkStream(const uint8_t *data, size_t len, EncodedImage &head,
-           std::string &msg, Visit &&visit)
+           std::string &msg, StreamLayout *layout)
 {
     StreamWalk w;
+    size_t floor = 0;
     size_t nCoded = 0;
-    w.header = parseHeader(data, len, head, w.floor, nCoded, msg);
+    w.header = parseHeader(data, len, head, floor, nCoded, msg);
     if (w.header != StreamError::None)
         return w;
-    size_t pos = w.floor;
-    size_t lastPoint = SIZE_MAX;
+    if (layout) {
+        layout->headerEnd = floor;
+        layout->codedTiles = nCoded;
+    }
+    size_t pos = floor;
     auto finish = [&](WalkEnd end) {
         w.end = end;
         w.at = pos;
-        w.onPoint = end == WalkEnd::Cut && lastPoint == len;
         return false;
-    };
-    auto point = [&] {
-        lastPoint = pos;
-        return visit(pos) || finish(WalkEnd::Stopped);
     };
     // `n` more bytes inside a structure that ends at `end`.
     auto need = [&](size_t n, size_t end) {
         if (n > end - pos)
             return finish(WalkEnd::Corrupt);
-        return n <= len - pos || finish(WalkEnd::Cut);
+        return n <= len - pos || finish(WalkEnd::Short);
     };
     // A u32 length word framing `word >> shift` bytes inside `end`;
     // `bodyEnd` receives the end of the framed body.
@@ -377,97 +377,98 @@ walkStream(const uint8_t *data, size_t len, EncodedImage &head,
         bodyEnd = pos + n;
         return n <= end - pos || finish(WalkEnd::Corrupt);
     };
-    auto skipTo = [&](size_t to) {
-        if (!need(to - pos, to))
-            return false;
-        pos = to;
-        return true;
-    };
 
-    if (!point())
+    size_t payloadEnd = 0;
+    if (!frame(SIZE_MAX, 0, payloadEnd))
         return w;
-    for (int l = 0; l < head.layers; ++l) {
-        size_t layerEnd = 0;
-        if (!frame(SIZE_MAX, 0, layerEnd))
+    const size_t payloadStart = pos;
+    for (size_t t = 0; t < nCoded; ++t) {
+        size_t subEnd = 0;
+        if (!frame(payloadEnd, 0, subEnd))
             return w;
-        w.layers.push_back({data + pos, std::min(layerEnd, len) - pos});
-        if (!point())
-            return w;
-        for (size_t t = 0; t < nCoded; ++t) {
-            size_t subEnd = 0;
-            if (!frame(layerEnd, 0, subEnd) || !point())
+        while (pos < subEnd) {
+            size_t chunkEnd = 0;
+            if (!frame(subEnd, 0, chunkEnd))
                 return w;
-            while (pos < subEnd) {
-                size_t chunkEnd = 0;
-                if (!frame(subEnd, 0, chunkEnd) || !point())
+            // Every chunk leads with its raw maxPlane + 1 byte.
+            int maxPlane = -1;
+            size_t headBytes = 0;
+            if (pos < chunkEnd) {
+                if (!need(1, chunkEnd))
                     return w;
-                // Layer 0 leads each chunk with its raw maxPlane byte.
-                if (l == 0 && pos < chunkEnd &&
-                    (!skipTo(pos + 1) || !point()))
+                maxPlane = static_cast<int>(data[pos]) - 1;
+                headBytes = 1;
+            }
+            if (layout)
+                layout->chunks.push_back({t, pos, headBytes,
+                                          layout->segments.size(), 0});
+            pos += headBytes;
+            for (int plane = maxPlane; pos < chunkEnd; --plane) {
+                const size_t segStart = pos;
+                size_t segEnd = 0;
+                if (!frame(chunkEnd, 2, segEnd) ||
+                    !need(segEnd - pos, segEnd))
                     return w;
-                while (pos < chunkEnd) {
-                    size_t segEnd = 0;
-                    if (!frame(chunkEnd, 2, segEnd) || !skipTo(segEnd) ||
-                        !point())
-                        return w;
+                pos = segEnd;
+                if (layout) {
+                    layout->segments.push_back(
+                        {plane, segEnd, segEnd - segStart});
+                    ++layout->chunks.back().segmentCount;
                 }
             }
         }
-        if (pos != layerEnd) {
-            finish(WalkEnd::Corrupt);
-            return w;
-        }
+    }
+    if (pos != payloadEnd) {
+        finish(WalkEnd::Corrupt);
+        return w;
     }
     w.at = pos;
+    w.payload = {data + payloadStart, payloadEnd - payloadStart};
     return w;
 }
 
-/**
- * The shared parse behind deserialize()/tryDeserialize(): a stream cut
- * at a recorded truncation point parses with `e.truncated` set, any
- * other cut is StreamError::Truncated.
- */
+/** The shared parse behind deserialize()/tryDeserialize(). */
 StreamError
 parseStream(const uint8_t *data, size_t len, EncodedImage &e,
             std::string &msg)
 {
-    StreamWalk w =
-        walkStream(data, len, e, msg, [](size_t) { return true; });
+    StreamWalk w = walkStream(data, len, e, msg, nullptr);
     if (w.header != StreamError::None)
         return w.header;
     if (w.end == WalkEnd::Corrupt) {
-        msg = formatError("encoded image layer %zu is mis-framed at byte "
-                          "%zu", w.layers.size() - 1, w.at);
+        msg = formatError("encoded image payload is mis-framed at byte "
+                          "%zu", w.at);
         return StreamError::Corrupt;
     }
-    if (w.end == WalkEnd::Cut && !w.onPoint) {
-        msg = formatError("encoded image stream truncated at byte %zu, "
-                          "which is not a recorded truncation point",
+    if (w.end == WalkEnd::Short) {
+        msg = formatError("encoded image stream truncated at byte %zu",
                           len);
         return StreamError::Truncated;
     }
-    e.truncated = w.end == WalkEnd::Cut;
-    for (const ChunkSpan &layer : w.layers)
-        e.layerChunks.emplace_back(layer.data, layer.data + layer.size);
+    e.payload.assign(w.payload.data, w.payload.data + w.payload.size);
     return StreamError::None;
 }
 
 /**
- * Walk a stream that parses — complete, or cut at a recorded
- * truncation point — for truncationPoints() and truncateStream();
- * fatal() on anything else.
+ * Lay out a stream that parses for streamHeaderFloor() and
+ * truncateStream(), and return the cutter's floor: the stream's framed
+ * size with every segment removed. fatal() on a stream that does not
+ * parse.
  */
-template <typename Visit>
-void
-walkParsedStream(const uint8_t *data, size_t len, Visit &&visit)
+size_t
+layoutStream(const uint8_t *data, size_t len, StreamLayout &layout)
 {
     EncodedImage head;
     std::string msg;
-    StreamWalk w = walkStream(data, len, head, msg, visit);
+    StreamWalk w = walkStream(data, len, head, msg, &layout);
     if (w.header != StreamError::None)
         fatal("%s", msg.c_str());
-    if ((w.end == WalkEnd::Cut && !w.onPoint) || w.end == WalkEnd::Corrupt)
+    if (w.end != WalkEnd::Complete)
         fatal("corrupt encoded-image stream at offset %zu", w.at);
+    size_t segmentBytes = 0;
+    for (const StreamLayout::Segment &seg : layout.segments)
+        segmentBytes += seg.bytes;
+    return w.at - segmentBytes;
 }
 
 } // anonymous namespace
@@ -499,14 +500,8 @@ EncodedImage::tryDeserialize(const uint8_t *data, size_t len,
 size_t
 streamHeaderFloor(const uint8_t *data, size_t len)
 {
-    EncodedImage head;
-    std::string msg;
-    size_t floor = 0;
-    size_t nCoded = 0;
-    if (parseHeader(data, len, head, floor, nCoded, msg) !=
-        StreamError::None)
-        fatal("%s", msg.c_str());
-    return floor;
+    StreamLayout layout;
+    return layoutStream(data, len, layout);
 }
 
 size_t
@@ -515,37 +510,86 @@ streamHeaderFloor(const std::vector<uint8_t> &bytes)
     return streamHeaderFloor(bytes.data(), bytes.size());
 }
 
-std::vector<size_t>
-truncationPoints(const uint8_t *data, size_t len)
-{
-    std::vector<size_t> points;
-    walkParsedStream(data, len, [&](size_t off) {
-        points.push_back(off);
-        return true;
-    });
-    return points;
-}
-
-std::vector<size_t>
-truncationPoints(const std::vector<uint8_t> &bytes)
-{
-    return truncationPoints(bytes.data(), bytes.size());
-}
-
 std::vector<uint8_t>
 truncateStream(const uint8_t *data, size_t len, size_t budget)
 {
-    size_t best = 0;
-    bool any = false;
-    walkParsedStream(data, len, [&](size_t off) {
-        if (off > budget)
-            return false;
-        best = off;
-        any = true;
-        return true;
+    StreamLayout layout;
+    const size_t floor = layoutStream(data, len, layout);
+    if (budget >= len)
+        return std::vector<uint8_t>(data, data + len);
+    EP_ASSERT(budget >= floor, "budget %zu below the stream floor %zu",
+              budget, floor);
+
+    // Segments by plane, highest first, each plane in stream order.
+    const std::vector<StreamLayout::Segment> &segs = layout.segments;
+    std::vector<size_t> order(segs.size());
+    std::iota(order.begin(), order.end(), size_t(0));
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return segs[a].plane > segs[b].plane;
     });
-    EP_ASSERT(any, "budget %zu below the stream header floor", budget);
-    return std::vector<uint8_t>(data, data + (budget >= len ? len : best));
+    // Keep whole planes while they fit; the first plane that does not
+    // fit (T - 1) admits its segments smallest first, up to the first
+    // one that does not fit.
+    std::vector<uint8_t> keep(segs.size(), 0);
+    size_t size = floor;
+    for (size_t i = 0; i < order.size();) {
+        size_t j = i;
+        size_t planeBytes = 0;
+        for (; j < order.size() && segs[order[j]].plane == segs[order[i]].plane;
+             ++j)
+            planeBytes += segs[order[j]].bytes;
+        if (size + planeBytes > budget) {
+            std::sort(order.begin() + static_cast<ptrdiff_t>(i),
+                      order.begin() + static_cast<ptrdiff_t>(j),
+                      [&](size_t a, size_t b) {
+                          return segs[a].bytes != segs[b].bytes
+                              ? segs[a].bytes < segs[b].bytes
+                              : a < b;
+                      });
+            for (; i < j && size + segs[order[i]].bytes <= budget; ++i) {
+                keep[order[i]] = 1;
+                size += segs[order[i]].bytes;
+            }
+            break;
+        }
+        for (; i < j; ++i)
+            keep[order[i]] = 1;
+        size += planeBytes;
+    }
+
+    // The kept segments of a chunk are a leading run, so each chunk
+    // keeps one contiguous byte range; re-frame bottom-up.
+    std::vector<size_t> ecLen(layout.chunks.size());
+    std::vector<size_t> subLen(layout.codedTiles, 0);
+    size_t chunkLen = 0;
+    for (size_t c = 0; c < layout.chunks.size(); ++c) {
+        const StreamLayout::Chunk &chunk = layout.chunks[c];
+        size_t end = chunk.body + chunk.head;
+        for (size_t k = 0; k < chunk.segmentCount &&
+                           keep[chunk.firstSegment + k];
+             ++k)
+            end = segs[chunk.firstSegment + k].end;
+        ecLen[c] = end - chunk.body;
+        subLen[chunk.tile] += 4 + ecLen[c];
+    }
+    for (size_t n : subLen)
+        chunkLen += 4 + n;
+
+    std::vector<uint8_t> out;
+    out.reserve(size);
+    out.insert(out.end(), data, data + layout.headerEnd);
+    appendPod(out, static_cast<uint32_t>(chunkLen));
+    size_t c = 0;
+    for (size_t t = 0; t < layout.codedTiles; ++t) {
+        appendPod(out, static_cast<uint32_t>(subLen[t]));
+        for (; c < layout.chunks.size() && layout.chunks[c].tile == t;
+             ++c) {
+            const uint8_t *body = data + layout.chunks[c].body;
+            appendPod(out, static_cast<uint32_t>(ecLen[c]));
+            out.insert(out.end(), body, body + ecLen[c]);
+        }
+    }
+    return out;
 }
 
 std::vector<uint8_t>
@@ -559,7 +603,6 @@ encode(const raster::Plane &img, const EncodeParams &params,
        raster::Plane *reconstruction)
 {
     telemetry::TraceSpan encodeSpan("codec.encode", "codec");
-    EP_ASSERT(params.layers >= 1, "need at least one quality layer");
     EP_ASSERT(params.chunkRows > 0,
               "EPC4 streams need a positive chunk height, not %d",
               params.chunkRows);
@@ -582,7 +625,6 @@ encode(const raster::Plane &img, const EncodeParams &params,
     out.height = img.height();
     out.tileSize = params.tileSize;
     out.dwtLevels = params.dwtLevels;
-    out.layers = params.layers;
     out.wavelet = params.wavelet;
     out.lossless = params.lossless;
     out.losslessDepth = params.losslessDepth;
@@ -608,9 +650,6 @@ encode(const raster::Plane &img, const EncodeParams &params,
         codedTiles.push_back(t);
     }
 
-    out.layerChunks.assign(static_cast<size_t>(params.layers), {});
-    const int layers = params.layers;
-
     auto budgetFor = [&](const raster::TileRect &r) {
         size_t pixels = static_cast<size_t>(r.width) *
                         static_cast<size_t>(r.height);
@@ -621,7 +660,7 @@ encode(const raster::Plane &img, const EncodeParams &params,
     };
 
     // One job per coded tile: the tile's DWT, chunk entropy coding
-    // and (when asked) reconstruction all run inside encodeTileLayers,
+    // and (when asked) reconstruction all run inside encodeTile,
     // and tiles own disjoint rectangles, so concurrent pastes never
     // touch the same pixel. Sub-chunks are appended in flat tile-index
     // order, so the stream is byte-identical at every thread count.
@@ -631,58 +670,46 @@ encode(const raster::Plane &img, const EncodeParams &params,
             raster::TileRect r = grid.rect(codedTiles[i]);
             raster::Plane tile = img.crop(r.x0, r.y0, r.width, r.height);
             raster::Plane decoded;
-            auto tileLayers =
-                encodeTileLayers(tile, tp, layers, budgetFor(r),
-                                 reconstruction ? &decoded : nullptr);
+            std::vector<uint8_t> sub =
+                encodeTile(tile, tp, budgetFor(r),
+                           reconstruction ? &decoded : nullptr);
             if (reconstruction)
                 reconstruction->paste(decoded, r.x0, r.y0);
-            return tileLayers;
+            return sub;
         },
-        [&](size_t, std::vector<std::vector<uint8_t>> tileLayers) {
+        [&](size_t, std::vector<uint8_t> sub) {
             codecMetrics().tilesEncoded.add();
-            for (int l = 0; l < layers; ++l) {
-                const auto &sub = tileLayers[static_cast<size_t>(l)];
-                auto &chunk = out.layerChunks[static_cast<size_t>(l)];
-                appendPod(chunk, static_cast<uint32_t>(sub.size()));
-                chunk.insert(chunk.end(), sub.begin(), sub.end());
-            }
+            appendPod(out.payload, static_cast<uint32_t>(sub.size()));
+            out.payload.insert(out.payload.end(), sub.begin(), sub.end());
         });
     return out;
 }
 
 namespace {
 
-/** Per-tile sub-chunk spans of a stream, sliced and validated. */
+/** Per-tile sub-chunk spans of a stream. */
 struct SlicedStream
 {
     TileCoderParams tp;
-    int maxLayers = 0;
     /** Flat indices of coded tiles, ascending. */
     std::vector<int> codedTiles;
     /** tile index -> slot in codedTiles/spans, or -1 when not coded. */
     std::vector<int> slotOfTile;
-    /** spans[slot][layer]. */
-    std::vector<std::vector<ChunkSpan>> spans;
+    /** spans[slot]: the tile's sub-chunk. */
+    std::vector<ChunkSpan> spans;
 };
 
 /**
- * Slice each layer chunk into per-tile sub-chunk spans (forEachFramed:
- * in a layer cut short, the tiles that never arrived keep empty spans
- * and reconstruct from earlier layers, or as zeros). The spans point
- * into `e`'s chunk storage, so the stream must outlive the returned
- * view.
+ * Slice the payload into per-tile sub-chunk spans. The spans point
+ * into `e`'s payload, so the stream must outlive the returned view.
  */
 SlicedStream
-sliceStream(const EncodedImage &e, const raster::TileGrid &grid,
-            int maxLayers)
+sliceStream(const EncodedImage &e, const raster::TileGrid &grid)
 {
     EP_ASSERT(static_cast<int>(e.tileCoded.size()) == grid.tileCount(),
               "coded-tile flags (%zu) do not match grid (%d)",
               e.tileCoded.size(), grid.tileCount());
     SlicedStream s;
-    if (maxLayers < 0 || maxLayers > static_cast<int>(e.layerChunks.size()))
-        maxLayers = static_cast<int>(e.layerChunks.size());
-    s.maxLayers = maxLayers;
     s.tp.dwtLevels = e.dwtLevels;
     s.tp.wavelet = e.wavelet;
     s.tp.lossless = e.lossless;
@@ -699,26 +726,20 @@ sliceStream(const EncodedImage &e, const raster::TileGrid &grid,
         s.codedTiles.push_back(t);
     }
 
-    s.spans.assign(s.codedTiles.size(),
-                   std::vector<ChunkSpan>(static_cast<size_t>(maxLayers)));
-    for (int layer = 0; layer < maxLayers; ++layer) {
-        const auto &chunk = e.layerChunks[static_cast<size_t>(layer)];
-        forEachFramed(chunk.data(), chunk.size(), s.codedTiles.size(),
-                      [&](size_t slot, ChunkSpan span) {
-                          s.spans[slot][static_cast<size_t>(layer)] = span;
-                      });
-    }
+    s.spans.resize(s.codedTiles.size());
+    forEachFramed(e.payload.data(), e.payload.size(), s.codedTiles.size(),
+                  [&](size_t slot, ChunkSpan span) { s.spans[slot] = span; });
     return s;
 }
 
 } // anonymous namespace
 
 raster::Plane
-decode(const EncodedImage &e, int maxLayers)
+decode(const EncodedImage &e)
 {
     telemetry::TraceSpan decodeSpan("codec.decode", "codec");
     raster::TileGrid grid(e.width, e.height, e.tileSize);
-    SlicedStream s = sliceStream(e, grid, maxLayers);
+    SlicedStream s = sliceStream(e, grid);
 
     // Tiles decode in parallel: their pixel rectangles are disjoint,
     // so concurrent pastes never touch the same pixel.
@@ -730,23 +751,22 @@ decode(const EncodedImage &e, int maxLayers)
             codecMetrics().tilesDecoded.add();
             raster::TileRect r =
                 grid.rect(s.codedTiles[static_cast<size_t>(slot)]);
-            out.paste(decodeTileLayers(r.width, r.height, s.tp,
-                                       s.spans[static_cast<size_t>(slot)]),
+            out.paste(decodeTile(r.width, r.height, s.tp,
+                                 s.spans[static_cast<size_t>(slot)]),
                       r.x0, r.y0);
         });
     return out;
 }
 
 std::vector<raster::Plane>
-decodeTiles(const EncodedImage &e, const std::vector<int> &tiles,
-            int maxLayers)
+decodeTiles(const EncodedImage &e, const std::vector<int> &tiles)
 {
     raster::TileGrid grid(e.width, e.height, e.tileSize);
     for (int t : tiles)
         EP_ASSERT(t >= 0 && t < grid.tileCount(),
                   "tile index %d outside grid of %d tiles", t,
                   grid.tileCount());
-    SlicedStream s = sliceStream(e, grid, maxLayers);
+    SlicedStream s = sliceStream(e, grid);
 
     return util::parallelMap(tiles.size(), [&](size_t i) {
         telemetry::TraceSpan span("codec.decode_tile", "codec");
@@ -757,8 +777,8 @@ decodeTiles(const EncodedImage &e, const std::vector<int> &tiles,
             return raster::Plane(r.width, r.height, 0.0f);
         telemetry::ScopedTimer timer(codecMetrics().decodeTileNs);
         codecMetrics().tilesDecoded.add();
-        return decodeTileLayers(r.width, r.height, s.tp,
-                                s.spans[static_cast<size_t>(slot)]);
+        return decodeTile(r.width, r.height, s.tp,
+                          s.spans[static_cast<size_t>(slot)]);
     });
 }
 

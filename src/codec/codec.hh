@@ -5,12 +5,13 @@
  * Plays the role of the paper's JPEG-2000 encoder (Kakadu, §5): encodes
  * one image plane tile-by-tile with a bits-per-pixel budget, an optional
  * region-of-interest mask (only ROI tiles are coded, as in Earth+'s
- * changed-tile encoding), and SNR-progressive quality layers (used for
- * downlink-bandwidth adaptation, §5 "Handling bandwidth fluctuation").
+ * changed-tile encoding), and a bitplane-progressive stream that
+ * truncateStream() cuts to any byte budget after encoding (downlink
+ * bandwidth adaptation, §5 "Handling bandwidth fluctuation").
  *
- * There is one stream format, "EPC4" (docs/ARCHITECTURE.md): every
- * stream this module writes or reads is progressive, so any stream
- * that parses can be cut at its recorded truncation points.
+ * There is one stream format, "EPC4" (docs/ARCHITECTURE.md). Every
+ * stream this module writes or reads is complete and well framed; a
+ * cut is a smaller complete stream, never a prefix.
  */
 
 #ifndef EARTHPLUS_CODEC_CODEC_HH
@@ -29,10 +30,9 @@ namespace earthplus::codec {
 /**
  * Outcome of a non-fatal stream parse (tryDeserialize()).
  *
- * `Truncated` means the bytes are a prefix of a longer stream cut at
- * an unrecorded offset (recorded truncation points of a progressive
- * stream parse successfully instead); `Corrupt` means a field failed
- * validation outright.
+ * `Truncated` means the bytes end before the stream's framing does
+ * (a short read, or a prefix of a stream); `Corrupt` means a field
+ * failed validation outright.
  */
 enum class StreamError
 {
@@ -64,8 +64,6 @@ struct EncodeParams
     int tileSize = raster::kDefaultTileSize;
     /** Optional region of interest; null encodes every tile. */
     const raster::TileMask *roi = nullptr;
-    /** Number of SNR-progressive quality layers (>= 1). */
-    int layers = 1;
     /**
      * Rows per entropy chunk inside each tile (see
      * TileCoderParams::chunkRows); must be positive.
@@ -74,11 +72,9 @@ struct EncodeParams
 };
 
 /**
- * An encoded plane: container header, coded-tile flags and one byte
- * chunk per quality layer, in the EPC4 layout, whose inline segment
- * framing records truncation points, so a stream can be cut to any
- * byte budget after encoding (truncateStream()) and still decode
- * best-effort.
+ * An encoded plane: container header, coded-tile flags and one payload
+ * chunk, in the EPC4 layout, whose inline per-plane segment framing
+ * lets truncateStream() cut a stream to any byte budget after encoding.
  */
 struct EncodedImage
 {
@@ -86,34 +82,25 @@ struct EncodedImage
     int height = 0;
     int tileSize = raster::kDefaultTileSize;
     int dwtLevels = 4;
-    int layers = 1;
     Wavelet wavelet = Wavelet::CDF97;
     bool lossless = false;
     int losslessDepth = 8;
     double quantStep = 1.0 / 512.0;
     /** Entropy chunk height in rows (positive). */
     int chunkRows = kDefaultChunkRows;
-    /**
-     * True when the parsed stream was cut at a recorded truncation
-     * point: the last layer chunk may be a partial prefix and later
-     * layers may be missing entirely; decode reconstructs best-effort.
-     * A truncated image cannot be re-serialized.
-     */
-    bool truncated = false;
     /** Per-tile coded flag, flat tile index order. */
     std::vector<uint8_t> tileCoded;
     /**
-     * One entropy-coded chunk per quality layer. Within a chunk, each
-     * coded tile contributes (in flat tile-index order) a 4-byte
-     * little-endian length followed by that tile's self-contained
-     * range-coded sub-chunk, so tiles encode and decode as independent
-     * parallel jobs while the assembled stream stays deterministic.
-     * Each tile sub-chunk is itself a sequence of length-prefixed
-     * entropy chunks (see docs/ARCHITECTURE.md).
+     * The entropy-coded payload. Each coded tile contributes (in flat
+     * tile-index order) a 4-byte little-endian length followed by that
+     * tile's self-contained sub-chunk, so tiles encode and decode as
+     * independent parallel jobs while the assembled stream stays
+     * deterministic. Each tile sub-chunk is itself a sequence of
+     * length-prefixed entropy chunks (see docs/ARCHITECTURE.md).
      */
-    std::vector<std::vector<uint8_t>> layerChunks;
+    std::vector<uint8_t> payload;
 
-    /** Sum of layer chunk sizes in bytes. */
+    /** Payload size in bytes. */
     size_t payloadBytes() const;
 
     /** Container + coded-tile-bitmap overhead in bytes. */
@@ -121,9 +108,6 @@ struct EncodedImage
 
     /** Total wire size (what a downlink must carry). */
     size_t totalBytes() const;
-
-    /** Wire size when only the first `layerCount` layers are sent. */
-    size_t totalBytesForLayers(int layerCount) const;
 
     /** Fraction of tiles that were coded. */
     double codedTileFraction() const;
@@ -142,13 +126,11 @@ struct EncodedImage
     static EncodedImage deserialize(const uint8_t *data, size_t len);
 
     /**
-     * Non-fatal parse: on success fills `out` (possibly with
-     * `out.truncated` set when the stream was cut at a recorded
-     * truncation point) and returns StreamError::None; on
-     * failure returns the typed error and, when `message` is non-null,
-     * the diagnostic deserialize() would have died with. Never
-     * fatal()s — this is the entry point for untrusted or
-     * deliberately cut byte ranges.
+     * Non-fatal parse: on success fills `out` and returns
+     * StreamError::None; on failure returns the typed error and, when
+     * `message` is non-null, the diagnostic deserialize() would have
+     * died with. Never fatal()s — this is the entry point for
+     * untrusted byte ranges.
      */
     static StreamError tryDeserialize(const uint8_t *data, size_t len,
                                       EncodedImage &out,
@@ -156,9 +138,10 @@ struct EncodedImage
 };
 
 /**
- * Header floor of a serialized stream: the byte offset just past the
- * fixed header and coded-tile bitmap — the smallest prefix any decode
- * needs. fatal() on a stream too corrupt to measure.
+ * The cutter's floor: the size of the smallest stream truncateStream()
+ * can cut this one to — header, coded-tile bitmap and every length
+ * word and plane byte, with no segments. fatal() on a stream that
+ * does not parse.
  */
 size_t streamHeaderFloor(const uint8_t *data, size_t len);
 
@@ -166,27 +149,23 @@ size_t streamHeaderFloor(const uint8_t *data, size_t len);
 size_t streamHeaderFloor(const std::vector<uint8_t> &bytes);
 
 /**
- * All recorded truncation points of a serialized stream that
- * tryDeserialize() accepts (complete, or itself cut at a recorded
- * point), in ascending order. The first entry is the header floor and
- * the last is the stream length; cutting the stream at any entry
- * yields a prefix that tryDeserialize() accepts and decode()
- * reconstructs best-effort, and cutting anywhere else yields
- * StreamError::Truncated. fatal() on a stream that does not parse.
- */
-std::vector<size_t> truncationPoints(const uint8_t *data, size_t len);
-
-/** @copydoc truncationPoints(const uint8_t*,size_t) */
-std::vector<size_t> truncationPoints(const std::vector<uint8_t> &bytes);
-
-/**
- * Cut a serialized stream that tryDeserialize() accepts to the largest
- * recorded truncation point that fits `budget` bytes — rate control
- * without re-encoding. Cutting an already cut stream again gives the
- * same bytes as cutting the complete stream to the same budget. The
- * result always satisfies `size() <= budget`; budgets at or above the
- * stream length return the stream unchanged. fatal() when `budget` is
- * below the header floor or the stream does not parse.
+ * Tile-fair cut of a serialized stream to `budget` bytes — rate
+ * control without re-encoding, and without entropy work: only length
+ * words are rewritten and kept segments copied. Segment k of an
+ * entropy chunk codes plane `maxPlane - k`, and every chunk shares one
+ * quantizer step, so the cut keeps every segment at planes >= T for
+ * the lowest T whose bytes fit, then admits plane T-1 segments
+ * smallest first (ties in stream order) up to the first one that does
+ * not fit. Every chunk therefore keeps its planes down to one common
+ * plane (or all it has, when it was coded to fewer), give or take the
+ * one plane the budget splits, instead of the stream's last tiles
+ * losing everything.
+ *
+ * The result is a complete EPC4 stream with `size() <= budget`;
+ * budgets at or above the stream length return the stream unchanged.
+ * Cuts nest: cutting a cut gives the same bytes as cutting the whole
+ * stream to the smaller budget. fatal() when `budget` is below
+ * streamHeaderFloor() or the stream does not parse.
  */
 std::vector<uint8_t> truncateStream(const uint8_t *data, size_t len,
                                     size_t budget);
@@ -216,14 +195,10 @@ EncodedImage encode(const raster::Plane &img, const EncodeParams &params,
  *
  * Tiles outside the encoded ROI are filled with zeros — Earth+ overlays
  * decoded changed tiles onto the ground's reference copy. Decoding a
- * stream that parsed (including one cut at a recorded truncation
- * point) never fatal()s. Each coded tile records one
+ * stream that parsed never fatal()s. Each coded tile records one
  * `codec.decode_tile_ns` sample.
- *
- * @param maxLayers Decode only the first maxLayers quality layers
- *                  (-1 = all). Fewer layers = lower quality, fewer bytes.
  */
-raster::Plane decode(const EncodedImage &enc, int maxLayers = -1);
+raster::Plane decode(const EncodedImage &enc);
 
 /**
  * Decode only the requested tiles (flat tile indices).
@@ -236,11 +211,9 @@ raster::Plane decode(const EncodedImage &enc, int maxLayers = -1);
  * Each requested coded tile records one `codec.decode_tile_ns` sample.
  *
  * @param tiles Flat tile indices within the image's tile grid.
- * @param maxLayers Decode only the first maxLayers layers (-1 = all).
  */
 std::vector<raster::Plane> decodeTiles(const EncodedImage &enc,
-                                       const std::vector<int> &tiles,
-                                       int maxLayers = -1);
+                                       const std::vector<int> &tiles);
 
 } // namespace earthplus::codec
 

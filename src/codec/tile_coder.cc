@@ -1,7 +1,6 @@
 #include "codec/tile_coder.hh"
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -314,8 +313,7 @@ struct TileEncoder::EncoderScan
 TileEncoder::TileEncoder(const TileCoefficients &coeffs, int row0,
                          int rows, const TileCoderParams &params)
     : params_(params), width_(coeffs.width), height_(rows),
-      wordsPerRow_(packedWords(coeffs.width)), maxPlane_(-1),
-      planesCoded_(0)
+      wordsPerRow_(packedWords(coeffs.width)), maxPlane_(-1)
 {
     EP_ASSERT(width_ > 0 && rows > 0 && row0 >= 0 &&
                   row0 + rows <= coeffs.height,
@@ -342,12 +340,6 @@ TileEncoder::TileEncoder(const TileCoefficients &coeffs, int row0,
               maxPlane_);
     nextPlane_ = maxPlane_;
     nextPass_ = 0;
-}
-
-bool
-TileEncoder::done() const
-{
-    return nextPlane_ < 0;
 }
 
 void
@@ -416,20 +408,16 @@ TileEncoder::encodePass(RangeEncoder &enc, int plane, int pass)
     }
 }
 
-int
-TileEncoder::encodePlanes(std::vector<uint8_t> &payload, size_t byteLimit,
-                          int maxPlanes)
+void
+TileEncoder::encodePlanes(std::vector<uint8_t> &payload, size_t byteLimit)
 {
-    int planesThisCall = 0;
-    // Checked before every pass: the bytes this layer's payload holds
-    // if the open segment ended now — the segments already emitted,
-    // the open segment's framing word and the bytes its coder has
-    // written — must still be under the limit. Each segment holds the
-    // consecutive passes of one plane coded within this layer (the
-    // first segment of a layer may resume mid-plane). The segment is
-    // coded in place behind its framing word, which is filled in once
-    // the flushed length is known.
-    while (nextPlane_ >= 0 && planesThisCall < maxPlanes &&
+    // Checked before every pass: the bytes the payload holds if the
+    // open segment ended now — the segments already emitted, the open
+    // segment's framing word and the bytes its coder has written —
+    // must still be under the limit. Each segment holds the passes of
+    // one plane. The segment is coded in place behind its framing
+    // word, which is filled in once the flushed length is known.
+    while (nextPlane_ >= 0 &&
            payload.size() + sizeof(uint32_t) < byteLimit) {
         const size_t wordPos = payload.size();
         const size_t segStart = wordPos + sizeof(uint32_t);
@@ -444,10 +432,8 @@ TileEncoder::encodePlanes(std::vector<uint8_t> &payload, size_t byteLimit,
             if (nextPass_ == 3) {
                 nextPass_ = 0;
                 --nextPlane_;
-                ++planesCoded_;
-                ++planesThisCall;
             }
-        } while (nextPlane_ == plane && planesThisCall < maxPlanes &&
+        } while (nextPlane_ == plane &&
                  segStart + enc.bytesWritten() < byteLimit);
         enc.flush();
         const size_t len = payload.size() - segStart;
@@ -457,10 +443,9 @@ TileEncoder::encodePlanes(std::vector<uint8_t> &payload, size_t byteLimit,
                               static_cast<uint32_t>(passes - 1);
         std::memcpy(payload.data() + wordPos, &word, sizeof(word));
     }
-    return planesThisCall;
 }
 
-bool
+void
 TileEncoder::decoderState(uint32_t *magnitude, uint8_t *sign,
                           uint8_t *lowPlane) const
 {
@@ -495,7 +480,6 @@ TileEncoder::decoderState(uint32_t *magnitude, uint8_t *sign,
             lowPlane[i] = c ? lowThrough : lowAbove;
         }
     }
-    return done();
 }
 
 TileDecoder::TileDecoder(int width, int rows,
@@ -505,7 +489,7 @@ TileDecoder::TileDecoder(int width, int rows,
     : params_(params), width_(width), height_(rows),
       wordsPerRow_(packedWords(width)), magnitude_(magnitude),
       sign_(sign), lowPlane_(lowPlane), orient_(orient), maxPlane_(-1),
-      nextPlane_(-1), nextPass_(0), planesCoded_(0)
+      nextPlane_(-1), nextPass_(0)
 {
     EP_ASSERT(width_ > 0 && height_ > 0, "empty tile chunk");
     size_t nWords =
@@ -606,7 +590,6 @@ TileDecoder::decodePassRun(RangeDecoder &dec, int passes)
         if (nextPass_ == 3) {
             nextPass_ = 0;
             --nextPlane_;
-            ++planesCoded_;
         }
     }
 }
@@ -614,15 +597,33 @@ TileDecoder::decodePassRun(RangeDecoder &dec, int passes)
 raster::Plane
 reconstructTile(int width, int height, const TileCoderParams &params,
                 const uint32_t *magnitude, const uint8_t *sign,
-                const uint8_t *lowPlane, bool fullyDecoded)
+                const uint8_t *lowPlane)
 {
     size_t n = static_cast<size_t>(width) * static_cast<size_t>(height);
     raster::Plane out(width, height);
     const kernels::KernelTable &K = kernels::active();
 
-    if (params.lossless && fullyDecoded) {
+    // Midpoint reconstruction: for coefficient i the bits above
+    // lowPlane[i] are exact, so |c| lies in [m, m + 2^lowPlane[i])
+    // quantizer steps; the dequant kernels add half of that
+    // uncertainty when significant (and decode zero otherwise).
+
+    if (params.lossless) {
+        // Lossless coefficients are integers: one whose plane 0 was
+        // decoded is exact, and only the rest take the midpoint. A
+        // tile decoded to the end is therefore exact throughout, and
+        // skips the midpoint pass.
         std::vector<int32_t> coeffs(n);
         K.combineI32(magnitude, sign, n, coeffs.data());
+        if (std::any_of(lowPlane, lowPlane + n,
+                        [](uint8_t p) { return p != 0; })) {
+            std::vector<int32_t> midpoint(n);
+            K.dequant53(magnitude, sign, lowPlane, n, 1.0f,
+                        midpoint.data());
+            for (size_t i = 0; i < n; ++i)
+                if (lowPlane[i] != 0)
+                    coeffs[i] = midpoint[i];
+        }
         inverseDwt53(coeffs, width, height, params.dwtLevels);
         float invScale = static_cast<float>(
             1.0 / ((1 << params.losslessDepth) - 1));
@@ -633,11 +634,6 @@ reconstructTile(int width, int height, const TileCoderParams &params,
         return out;
     }
 
-    // Midpoint reconstruction: for coefficient i the bits above
-    // lowPlane[i] are exact, so |c| lies in [m, m + 2^lowPlane[i])
-    // quantizer steps; the dequant kernels add half of that
-    // uncertainty when significant (and decode zero otherwise).
-
     if (params.wavelet == Wavelet::CDF97) {
         std::vector<float> coeffs(n);
         K.dequant97(magnitude, sign, lowPlane, n,
@@ -647,57 +643,38 @@ reconstructTile(int width, int height, const TileCoderParams &params,
         return out;
     }
 
-    // 5/3 integer path: lossy 5/3 (quantizer in 1/255 units) or a
-    // truncated lossless stream (quantizer step 1).
+    // Lossy 5/3: the integer path with the quantizer in 1/255 units.
     std::vector<int32_t> coeffs(n);
-    float toInt = params.lossless
-        ? 1.0f
-        : static_cast<float>(params.quantStep * 255.0);
-    K.dequant53(magnitude, sign, lowPlane, n, toInt, coeffs.data());
+    K.dequant53(magnitude, sign, lowPlane, n,
+                static_cast<float>(params.quantStep * 255.0),
+                coeffs.data());
     inverseDwt53(coeffs, width, height, params.dwtLevels);
-
-    float invScale;
-    float offset;
-    if (params.lossless) {
-        invScale = static_cast<float>(
-            1.0 / ((1 << params.losslessDepth) - 1));
-        offset = static_cast<float>(1 << (params.losslessDepth - 1));
-    } else {
-        invScale = static_cast<float>(1.0 / 255.0);
-        offset = 127.5f;
-    }
-    K.i32ToPixels(coeffs.data(), n, offset, invScale, 0.0f, 1.0f,
-                  out.row(0));
+    K.i32ToPixels(coeffs.data(), n, 127.5f,
+                  static_cast<float>(1.0 / 255.0), 0.0f, 1.0f, out.row(0));
     return out;
 }
 
-DecodedTile::DecodedTile(int width, int height,
-                         const TileCoderParams &params)
+DecodedTile::DecodedTile(int width, int height)
     : width(width), height(height)
 {
     size_t n = static_cast<size_t>(width) * static_cast<size_t>(height);
     magnitude.assign(n, 0);
     sign.assign(n, 0);
     lowPlane.assign(n, 0);
-    chunkDone.assign(static_cast<size_t>(chunkCount(params, height)), 0);
 }
 
 raster::Plane
 DecodedTile::reconstruct(const TileCoderParams &params) const
 {
-    bool fullyDecoded = true;
-    for (uint8_t d : chunkDone)
-        fullyDecoded = fullyDecoded && d != 0;
     return reconstructTile(width, height, params, magnitude.data(),
-                           sign.data(), lowPlane.data(), fullyDecoded);
+                           sign.data(), lowPlane.data());
 }
 
-std::vector<std::vector<uint8_t>>
+std::vector<uint8_t>
 encodeTileChunk(const TileCoefficients &coeffs,
-                const TileCoderParams &params, int chunk, int layers,
+                const TileCoderParams &params, int chunk,
                 size_t tileByteBudget, DecodedTile *decoded)
 {
-    EP_ASSERT(layers >= 1, "need at least one quality layer");
     EP_ASSERT(params.chunkRows > 0,
               "EPC4 streams need a positive chunk height, not %d",
               params.chunkRows);
@@ -715,31 +692,12 @@ encodeTileChunk(const TileCoefficients &coeffs,
     size_t byteBudget =
         (tileByteBudget / h) * r + (tileByteBudget % h) * r / h;
 
+    // Everything the chunk writes counts against its share: the header
+    // byte, every segment's framing word and its flushed body.
     TileEncoder coder(coeffs, row0, rows, params);
-    std::vector<std::vector<uint8_t>> out(static_cast<size_t>(layers));
-    size_t spent = 0;
-    for (int layer = 0; layer < layers; ++layer) {
-        std::vector<uint8_t> &stream = out[static_cast<size_t>(layer)];
-        if (layer == 0)
-            stream.push_back(static_cast<uint8_t>(coder.maxPlane() + 1));
-        // Cumulative budget through this layer grows linearly so each
-        // layer carries a roughly equal share of the bits. Everything
-        // the chunk writes counts against it: the header byte, every
-        // segment's framing word and its flushed body.
-        size_t cumBudget = params.lossless
-            ? byteBudget
-            : byteBudget * static_cast<size_t>(layer + 1) /
-                  static_cast<size_t>(layers);
-        size_t remaining = cumBudget > spent ? cumBudget - spent : 0;
-        int maxPlanes = INT_MAX;
-        if (params.lossless) {
-            // Spread bitplanes evenly across layers.
-            int total = coder.maxPlane() + 1;
-            maxPlanes = (total + layers - 1) / layers;
-        }
-        coder.encodePlanes(stream, remaining, maxPlanes);
-        spent += stream.size();
-    }
+    std::vector<uint8_t> out;
+    out.push_back(static_cast<uint8_t>(coder.maxPlane() + 1));
+    coder.encodePlanes(out, byteBudget);
     if (decoded) {
         EP_ASSERT(decoded->width == coeffs.width &&
                       decoded->height == coeffs.height,
@@ -748,49 +706,17 @@ encodeTileChunk(const TileCoefficients &coeffs,
                   coeffs.height);
         const size_t base =
             static_cast<size_t>(row0) * static_cast<size_t>(coeffs.width);
-        decoded->chunkDone[static_cast<size_t>(chunk)] =
-            coder.decoderState(decoded->magnitude.data() + base,
-                               decoded->sign.data() + base,
-                               decoded->lowPlane.data() + base)
-                ? 1
-                : 0;
+        coder.decoderState(decoded->magnitude.data() + base,
+                           decoded->sign.data() + base,
+                           decoded->lowPlane.data() + base);
     }
     return out;
 }
 
-namespace {
-
-/**
- * Assemble per-chunk per-layer payloads (perChunk[chunk][layer]) into
- * the tile's per-layer sub-chunks: every chunk payload prefixed with
- * its u32 byte length, in chunk order.
- */
-std::vector<std::vector<uint8_t>>
-assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
-                    int layers)
+std::vector<uint8_t>
+encodeTile(const raster::Plane &tile, const TileCoderParams &params,
+           size_t byteBudget, raster::Plane *reconstruction)
 {
-    std::vector<std::vector<uint8_t>> out(static_cast<size_t>(layers));
-    for (int l = 0; l < layers; ++l) {
-        std::vector<uint8_t> &layer = out[static_cast<size_t>(l)];
-        for (auto &chunk : perChunk) {
-            const std::vector<uint8_t> &stream =
-                chunk[static_cast<size_t>(l)];
-            util::appendPod(layer,
-                            static_cast<uint32_t>(stream.size()));
-            layer.insert(layer.end(), stream.begin(), stream.end());
-        }
-    }
-    return out;
-}
-
-} // anonymous namespace
-
-std::vector<std::vector<uint8_t>>
-encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
-                 int layers, size_t byteBudget,
-                 raster::Plane *reconstruction)
-{
-    EP_ASSERT(layers >= 1, "need at least one quality layer");
     TileCoefficients coeffs;
     {
         telemetry::TraceSpan span("codec.transform", "codec");
@@ -798,12 +724,11 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
         coeffs = transformTile(tile, params);
     }
     const int chunks = chunkCount(params, coeffs.height);
-    std::vector<std::vector<std::vector<uint8_t>>> perChunk(
-        static_cast<size_t>(chunks));
+    std::vector<std::vector<uint8_t>> perChunk(static_cast<size_t>(chunks));
     std::unique_ptr<DecodedTile> decoded;
     if (reconstruction)
         decoded = std::make_unique<DecodedTile>(coeffs.width,
-                                                coeffs.height, params);
+                                                coeffs.height);
     util::ThreadPool::global().parallelFor(
         0, chunks,
         [&](int64_t c) {
@@ -811,34 +736,33 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
             telemetry::ScopedTimer timer(stageMetrics().entropyChunkNs);
             perChunk[static_cast<size_t>(c)] =
                 encodeTileChunk(coeffs, params, static_cast<int>(c),
-                                layers, byteBudget, decoded.get());
+                                byteBudget, decoded.get());
         },
         1);
     if (reconstruction) {
         telemetry::TraceSpan span("codec.reconstruct_tile", "codec");
         *reconstruction = decoded->reconstruct(params);
     }
-    return assembleChunkLayers(std::move(perChunk), layers);
+    // Every chunk payload prefixed with its u32 byte length, in chunk
+    // order.
+    std::vector<uint8_t> sub;
+    for (const std::vector<uint8_t> &chunk : perChunk) {
+        util::appendPod(sub, static_cast<uint32_t>(chunk.size()));
+        sub.insert(sub.end(), chunk.begin(), chunk.end());
+    }
+    return sub;
 }
 
 raster::Plane
-decodeTileLayers(int width, int height, const TileCoderParams &params,
-                 const std::vector<ChunkSpan> &layerSpans)
+decodeTile(int width, int height, const TileCoderParams &params,
+           ChunkSpan sub)
 {
     const int chunks = chunkCount(params, height);
-    const size_t nLayers = layerSpans.size();
+    std::vector<ChunkSpan> spans(static_cast<size_t>(chunks));
+    forEachFramed(sub.data, sub.size, spans.size(),
+                  [&](size_t c, ChunkSpan span) { spans[c] = span; });
 
-    // Split every layer span into its per-chunk windows up front
-    // (spans[chunk][layer]); chunks that never arrived keep empty
-    // spans.
-    std::vector<std::vector<ChunkSpan>> spans(
-        static_cast<size_t>(chunks), std::vector<ChunkSpan>(nLayers));
-    for (size_t l = 0; l < nLayers; ++l)
-        forEachFramed(layerSpans[l].data, layerSpans[l].size,
-                      static_cast<size_t>(chunks),
-                      [&](size_t c, ChunkSpan span) { spans[c][l] = span; });
-
-    DecodedTile state(width, height, params);
+    DecodedTile state(width, height);
     std::vector<uint8_t> orient =
         subbandOrientation(width, height, params.dwtLevels);
 
@@ -853,22 +777,17 @@ decodeTileLayers(int width, int height, const TileCoderParams &params,
         TileDecoder dec(width, rows, params, state.magnitude.data() + base,
                         state.sign.data() + base,
                         state.lowPlane.data() + base, orient.data() + base);
-        // Layer 0 leads with the raw maxPlane + 1 byte; a chunk whose
-        // header never arrived (cut before it) reconstructs as zeros.
-        const std::vector<ChunkSpan> &layers = spans[static_cast<size_t>(c)];
-        if (nLayers == 0 || layers[0].size == 0)
+        // The payload leads with the raw maxPlane + 1 byte; an empty
+        // chunk reconstructs as zeros.
+        const ChunkSpan &chunk = spans[static_cast<size_t>(c)];
+        if (chunk.size == 0)
             return;
-        dec.decodeHeaderByte(layers[0].data[0]);
-        for (size_t l = 0; l < nLayers; ++l) {
-            const size_t skip = l == 0 ? 1 : 0;
-            forEachSegment(layers[l].data + skip, layers[l].size - skip,
-                           [&](const SegmentView &seg) {
-                               RangeDecoder rd(seg.data, seg.size);
-                               dec.decodePassRun(rd, seg.passes);
-                           });
-        }
-        state.chunkDone[static_cast<size_t>(c)] =
-            dec.fullyDecoded() ? 1 : 0;
+        dec.decodeHeaderByte(chunk.data[0]);
+        forEachSegment(chunk.data + 1, chunk.size - 1,
+                       [&](const SegmentView &seg) {
+                           RangeDecoder rd(seg.data, seg.size);
+                           dec.decodePassRun(rd, seg.passes);
+                       });
     };
     if (chunks == 1)
         decodeChunk(0);

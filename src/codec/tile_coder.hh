@@ -5,11 +5,11 @@
  * Quantized wavelet coefficients are coded magnitude-bitplane by
  * magnitude-bitplane (MSB first) with context-adaptive binary range
  * coding, so a prefix of the coded planes is a lower-quality version of
- * the tile. This provides the three codec properties Earth+ relies on:
+ * the tile. This provides the two codec properties Earth+ relies on:
  * bit-budget rate control (stop emitting planes when the tile budget is
- * exhausted), SNR-progressive quality layers (plane groups), and
- * graceful truncation for the layered downlink (§5, "Handling bandwidth
- * fluctuation").
+ * exhausted) and cutting a coded stream to a smaller budget after
+ * encoding by dropping each chunk's lowest planes
+ * (codec::truncateStream(); §5, "Handling bandwidth fluctuation").
  *
  * The coding passes are bitset-driven: significance, visited and
  * refinable state live in word-packed `uint64_t` planes (one fresh run
@@ -28,14 +28,14 @@
  * slabs ("chunks") of `TileCoderParams::chunkRows` rows, each coded by
  * an independent TileEncoder/TileDecoder pair — own range coder, own
  * context set, own significance state. Chunks are embarrassingly
- * parallel and the per-layer stream frames them in fixed chunk order
+ * parallel and the tile's sub-chunk frames them in fixed chunk order
  * with u32 length prefixes, so the bytes are identical at every thread
  * count.
  *
- * Each chunk layer's payload is the EPC4 segment layout: in layer 0 a
- * raw `maxPlane + 1` byte, then one independently flushed range-coded
- * segment per run of passes of one plane, behind a framing word that
- * records a truncation point (see forEachSegment()).
+ * Each chunk's payload is the EPC4 segment layout: a raw
+ * `maxPlane + 1` byte, then one independently flushed range-coded
+ * segment per plane, behind a framing word (see forEachSegment()), so
+ * segment k codes plane `maxPlane - k`.
  */
 
 #ifndef EARTHPLUS_CODEC_TILE_CODER_HH
@@ -49,12 +49,13 @@
 #include "codec/rangecoder.hh"
 #include "raster/plane.hh"
 #include "util/bytes.hh"
+#include "util/logging.hh"
 
 namespace earthplus::codec {
 
 /**
  * Default chunk height. Chosen so the default 64-px tile grid stays
- * single-chunk (framing adds only the one length prefix per layer)
+ * single-chunk (framing adds only the one length prefix per tile)
  * while an oversized 1024×1024 tile
  * splits into 8 independently codable slabs — enough to keep four
  * lanes busy on the latency path without shrinking the context-model
@@ -95,8 +96,8 @@ chunkCount(const TileCoderParams &params, int height)
  *
  * Significance contexts are selected by subband orientation and the
  * number of already-significant 4-neighbors; refinement bits use a
- * single model. Models persist across quality layers, mirroring the
- * decoder exactly. Each entropy chunk owns a private set.
+ * single model. Models persist across segments, mirroring the decoder
+ * exactly. Each entropy chunk owns a private set.
  */
 struct TileContexts
 {
@@ -109,7 +110,7 @@ struct TileContexts
 /**
  * One tile's quantized wavelet coefficients in sign/magnitude form —
  * the output of the DWT+quantization stage and the input of the
- * entropy stage. encodeTileLayers() transforms a tile once and then
+ * entropy stage. encodeTile() transforms a tile once and then
  * fans the entropy work across its row-slab chunks, all of which read
  * this one buffer.
  */
@@ -136,9 +137,8 @@ TileCoefficients transformTile(const raster::Plane &tile,
  *
  * Usage: construct over `[row0, row0 + rows)` of the coefficients
  * (borrowed — the TileCoefficients must outlive the encoder), write
- * the raw `maxPlane() + 1` header byte at the head of layer 0's
- * payload, then call encodePlanes() once per quality layer until
- * done() or the byte budget runs out.
+ * the raw `maxPlane() + 1` header byte at the head of the chunk's
+ * payload, then call encodePlanes() with the chunk's byte budget.
  */
 class TileEncoder
 {
@@ -162,19 +162,10 @@ class TileEncoder
      * reach it. A call therefore overshoots its limit by at most the
      * last pass it started plus that segment's flush.
      *
-     * @param payload Destination chunk-layer payload (appended to).
+     * @param payload Destination chunk payload (appended to).
      * @param byteLimit Stop once payload.size() would reach this.
-     * @param maxPlanes Cap on planes completed by this call.
-     * @return Number of planes completed by this call.
      */
-    int encodePlanes(std::vector<uint8_t> &payload, size_t byteLimit,
-                     int maxPlanes);
-
-    /** True once every bitplane has been emitted. */
-    bool done() const;
-
-    /** Planes coded so far across all calls. */
-    int planesCoded() const { return planesCoded_; }
+    void encodePlanes(std::vector<uint8_t> &payload, size_t byteLimit);
 
     /** Highest magnitude bitplane present (-1 for an all-zero slab). */
     int maxPlane() const { return maxPlane_; }
@@ -189,10 +180,8 @@ class TileEncoder
      * down to P and gets lowPlane P; every other coefficient keeps the
      * bits above P and gets lowPlane P + 1; the sign is set only where
      * the magnitude is non-zero.
-     *
-     * @return done(), the decoder's fullyDecoded() for this chunk.
      */
-    bool decoderState(uint32_t *magnitude, uint8_t *sign,
+    void decoderState(uint32_t *magnitude, uint8_t *sign,
                       uint8_t *lowPlane) const;
 
   private:
@@ -214,7 +203,6 @@ class TileEncoder
     int maxPlane_;
     int nextPlane_;
     int nextPass_; ///< 0 = sig-propagation, 1 = refinement, 2 = cleanup.
-    int planesCoded_;
 
     /// Encoder-side scan actions of the shared significance scans.
     struct EncoderScan;
@@ -232,9 +220,9 @@ class TileEncoder
  * The output pointers are borrowed and pre-offset to the slab's first
  * row; a chunk writes only its own `width * rows` elements, which is
  * what makes chunk-parallel decode of one tile race-free. Usage:
- * construct, pass layer 0's leading payload byte to decodeHeaderByte(),
- * then call decodePassRun() once per segment, in stream order, across
- * every layer that arrived; reconstruct the full tile afterwards with
+ * construct, pass the chunk payload's leading byte to
+ * decodeHeaderByte(), then call decodePassRun() once per segment, in
+ * stream order; reconstruct the full tile afterwards with
  * reconstructTile().
  */
 class TileDecoder
@@ -255,7 +243,7 @@ class TileDecoder
 
     /**
      * Initialize from the chunk's raw header byte (`maxPlane + 1`, the
-     * first byte of its layer-0 payload). Values above the bitplane
+     * first byte of its payload). Values above the bitplane
      * limit are clamped so a corrupt byte can never drive an
      * out-of-range bitplane shift.
      */
@@ -266,12 +254,6 @@ class TileDecoder
      * stops early only when every plane is already decoded.
      */
     void decodePassRun(RangeDecoder &dec, int passes);
-
-    /** Planes decoded so far. */
-    int planesCoded() const { return planesCoded_; }
-
-    /** True once every coded bitplane of this chunk was consumed. */
-    bool fullyDecoded() const { return nextPlane_ < 0; }
 
   private:
     TileCoderParams params_;
@@ -292,7 +274,6 @@ class TileDecoder
     int maxPlane_;
     int nextPlane_;
     int nextPass_;
-    int planesCoded_;
 
     void decodePass(RangeDecoder &dec, int plane, int pass);
     void beginPlane();
@@ -303,37 +284,34 @@ class TileDecoder
 
 /**
  * Dequantize + inverse DWT a full tile's decoded coefficients into
- * pixel space. `fullyDecoded` selects exact lossless reconstruction
- * when every plane of every chunk was decoded; otherwise the midpoint
- * reconstruction driven by `lowPlane` applies.
+ * pixel space: each coefficient takes the midpoint of the planes below
+ * its `lowPlane`, except that a lossless coefficient whose plane 0 was
+ * decoded is an exact integer, so a lossless tile decoded to the end
+ * reconstructs exactly.
  */
 raster::Plane reconstructTile(int width, int height,
                               const TileCoderParams &params,
                               const uint32_t *magnitude,
-                              const uint8_t *sign, const uint8_t *lowPlane,
-                              bool fullyDecoded);
+                              const uint8_t *sign, const uint8_t *lowPlane);
 
 /**
  * The coefficient state one tile decodes to, ahead of
  * reconstructTile(): per-coefficient magnitude bits, signs and lowest
- * decoded plane, plus whether each row-slab chunk decoded every plane.
- * decodeTileLayers() fills it from the stream; encodeTileChunk() fills
- * it from the encoder's own state (TileEncoder::decoderState()), which
- * for an untruncated stream is the same state bit for bit. Chunks own
- * disjoint row slabs, so they fill it concurrently.
+ * decoded plane. decodeTile() fills it from the stream; encodeTileChunk() fills it
+ * from the encoder's own state (TileEncoder::decoderState()), which for
+ * the stream the encoder returns is the same state bit for bit. Chunks
+ * own disjoint row slabs, so they fill it concurrently.
  */
 struct DecodedTile
 {
-    /** Zeroed buffers for a `width` x `height` tile cut into chunks. */
-    DecodedTile(int width, int height, const TileCoderParams &params);
+    /** Zeroed buffers for a `width` x `height` tile. */
+    DecodedTile(int width, int height);
 
     int width;
     int height;
     std::vector<uint32_t> magnitude;
     std::vector<uint8_t> sign;
     std::vector<uint8_t> lowPlane;
-    /** Per chunk: 1 once every coded bitplane was decoded. */
-    std::vector<uint8_t> chunkDone;
 
     /** reconstructTile() of this state. */
     raster::Plane reconstruct(const TileCoderParams &params) const;
@@ -347,29 +325,31 @@ struct ChunkSpan
 };
 
 /**
- * The decoder's one slicing rule for a run of `u32 length | bytes`
- * records — a layer chunk's tile sub-chunks, or a sub-chunk's entropy
- * chunks: invokes `fn(index, span)` for up to `count` records, in
- * order. A run that ends early was cut at a recorded truncation point,
- * so a record cut short yields the prefix that arrived and the records
- * after it are not visited; the stream walker has already rejected
- * every other shortfall.
+ * The decoder's one slicing rule for a run of well-framed
+ * `u32 length | bytes` records — the payload's tile sub-chunks, or a
+ * sub-chunk's entropy chunks: invokes `fn(index, span)` for each of
+ * the first `count` records, in order. The stream walker has already
+ * checked that every record of a parsed stream fits; it does not
+ * count a sub-chunk's entropy chunks, so records past `count` are
+ * ignored and a run of fewer leaves the rest unvisited.
  */
 template <typename Fn>
 inline void
 forEachFramed(const uint8_t *data, size_t size, size_t count, Fn &&fn)
 {
     size_t pos = 0;
-    for (size_t i = 0; i < count && size - pos >= 4; ++i) {
+    for (size_t i = 0; i < count && pos < size; ++i) {
+        EP_ASSERT(size - pos >= 4 &&
+                      util::readPodAt<uint32_t>(data, pos) <= size - pos - 4,
+                  "record %zu overruns its %zu-byte run", i, size);
         const uint32_t len = util::readPodAt<uint32_t>(data, pos);
         pos += 4;
-        const size_t avail = len < size - pos ? len : size - pos;
-        fn(i, ChunkSpan{data + pos, avail});
-        pos += avail;
+        fn(i, ChunkSpan{data + pos, len});
+        pos += len;
     }
 }
 
-/** One parsed segment of a chunk-layer payload. */
+/** One parsed segment of a chunk payload. */
 struct SegmentView
 {
     const uint8_t *data = nullptr; ///< Flushed range-coded bytes.
@@ -378,12 +358,12 @@ struct SegmentView
 };
 
 /**
- * Walk the segments of a chunk-layer payload (the layer-0 header byte
- * must already be stripped by the caller). Each segment is framed as
+ * Walk the segments of a chunk payload (the header byte must already
+ * be stripped by the caller). Each segment is framed as
  * `u32 segWord | body` with
  * `segWord = byteLen << 2 | (passCount - 1)`; this inline framing is
- * the truncation index — every offset where the walk lands cleanly
- * between segments is a recorded truncation point. Invokes
+ * what lets codec::truncateStream() drop a chunk's trailing segments
+ * without entropy work. Invokes
  * `fn(SegmentView)` for every complete segment, in order. Returns
  * true when the payload is a whole number of segments; false when it
  * ends inside a segment word or segment body (leading complete
@@ -408,34 +388,32 @@ forEachSegment(const uint8_t *data, size_t size, Fn &&fn)
 }
 
 /**
- * Entropy-code one chunk (row slab) of a transformed tile: all
- * `layers` quality layers into private per-layer segment payloads.
- * Pure function of (coeffs, params, chunk) — safe to run on any thread
- * in any order; encodeTileLayers() assembles the per-tile stream from
- * these in fixed chunk order.
+ * Entropy-code one chunk (row slab) of a transformed tile into its
+ * private segment payload. Pure function of (coeffs, params, chunk) —
+ * safe to run on any thread in any order; encodeTile() assembles the
+ * tile's sub-chunk from these in fixed chunk order.
  *
  * @param coeffs Transformed tile.
  * @param params Coder configuration; chunkRows (> 0) fixes the slabs.
  * @param chunk Chunk index in [0, chunkCount(params, coeffs.height)).
- * @param layers Number of SNR-progressive layers (>= 1).
- * @param tileByteBudget Whole-tile entropy byte budget across all
- *        layers (ignored when params.lossless); this chunk takes its
- *        row-proportional share.
+ * @param tileByteBudget Whole-tile entropy byte budget (ignored when
+ *        params.lossless); this chunk takes its row-proportional
+ *        share.
  * @param decoded When non-null, a DecodedTile of the whole tile that
- *        receives this chunk's decoder-equivalent slab and done flag.
- * @return One payload per layer for this chunk.
+ *        receives this chunk's decoder-equivalent slab.
+ * @return The chunk's payload.
  */
-std::vector<std::vector<uint8_t>>
+std::vector<uint8_t>
 encodeTileChunk(const TileCoefficients &coeffs,
-                const TileCoderParams &params, int chunk, int layers,
+                const TileCoderParams &params, int chunk,
                 size_t tileByteBudget, DecodedTile *decoded = nullptr);
 
 /**
  * Encode one tile completely, as a single self-contained job.
  *
- * Runs the DWT + quantization and codes all `layers` quality layers
- * into private sub-chunks (one per layer, framed per
- * params.chunkRows). The output depends only on the tile pixels and
+ * Runs the DWT + quantization and codes the tile into one private
+ * sub-chunk (entropy chunks framed per params.chunkRows). The output
+ * depends only on the tile pixels and
  * the parameters — chunks fan out across the global pool when it has
  * idle lanes, and the fixed assembly order makes the bytes identical
  * at every thread count. Every call records one `codec.transform_ns`
@@ -444,31 +422,24 @@ encodeTileChunk(const TileCoefficients &coeffs,
  *
  * @param tile Pixel data, values in [0, 1].
  * @param params Coder configuration.
- * @param layers Number of SNR-progressive layers (>= 1).
- * @param byteBudget Total entropy-coded byte budget across all layers
- *        (ignored when params.lossless).
+ * @param byteBudget Entropy-coded byte budget (ignored when
+ *        params.lossless).
  * @param reconstruction When non-null, receives the tile exactly as
- *        decodeTileLayers() would decode the returned sub-chunks,
- *        rebuilt from the encoder's coefficient state.
- * @return One sub-chunk per layer.
+ *        decodeTile() would decode the returned sub-chunk, rebuilt
+ *        from the encoder's coefficient state.
+ * @return The tile's sub-chunk.
  */
-std::vector<std::vector<uint8_t>>
-encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
-                 int layers, size_t byteBudget,
-                 raster::Plane *reconstruction = nullptr);
+std::vector<uint8_t>
+encodeTile(const raster::Plane &tile, const TileCoderParams &params,
+           size_t byteBudget, raster::Plane *reconstruction = nullptr);
 
 /**
- * Decode one tile from its per-layer sub-chunks (the inverse of
- * encodeTileLayers); spans may cover fewer layers than were encoded
- * for a lower-quality prefix decode, and any span may be a prefix of
- * its sub-chunk (a stream cut at a recorded truncation point): a
- * chunk whose framing ends early decodes the whole segments that
- * arrived, and the chunks after it keep what earlier layers gave
- * them. Chunks decode in parallel when the pool has idle lanes.
+ * Decode one tile from its sub-chunk — as encodeTile() wrote it, or as
+ * codec::truncateStream() cut it: every chunk decodes the segments it
+ * holds. Chunks decode in parallel when the pool has idle lanes.
  */
-raster::Plane
-decodeTileLayers(int width, int height, const TileCoderParams &params,
-                 const std::vector<ChunkSpan> &layerSpans);
+raster::Plane decodeTile(int width, int height,
+                         const TileCoderParams &params, ChunkSpan sub);
 
 } // namespace earthplus::codec
 

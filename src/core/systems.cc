@@ -68,7 +68,6 @@ encodeBands(const raster::Image &img, const raster::Bitmap &cloudMask,
             codec::EncodeParams ep;
             ep.bitsPerPixel = params.gamma;
             ep.tileSize = params.tileSize;
-            ep.layers = params.layers;
             ep.roi = &rois[b];
             EncodedBand band;
             band.encoded = codec::encode(clean, ep, &band.decoded);

@@ -51,8 +51,6 @@ struct SystemParams
     double guaranteedPeriodDays = 30.0;
     /** Drop captures with more on-board-detected cloud than this. */
     double dropCloudFraction = 0.5;
-    /** Quality layers per encoded image. */
-    int layers = 1;
     /**
      * Ground ingestion happens outside the system (the ground-segment
      * downlink feeds the ReferenceStore when a download *completes*

@@ -1175,8 +1175,8 @@ Archive::applyStoragePressure(uint64_t targetBytes)
     }
 
     // Each payload can shrink from its current size down to its
-    // header floor; spread the byte deficit proportionally over those
-    // truncatable spans so quality degrades evenly across the archive
+    // cutter's floor; spread the byte deficit proportionally over those
+    // cuttable spans so quality degrades evenly across the archive
     // instead of zeroing out whole records.
     uint64_t need = before - targetBytes;
     uint64_t cuttable = 0;

@@ -157,10 +157,10 @@ struct PressureReport
 {
     /** Shard-file bytes reclaimed by the rewrite. */
     uint64_t bytesReclaimed = 0;
-    /** Records whose payloads were cut to a smaller truncation point. */
+    /** Records whose payloads codec::truncateStream() cut smaller. */
     size_t recordsTruncated = 0;
     /** Records that could not shrink: streams already cut to their
-     *  header floor. */
+     *  floor (codec::streamHeaderFloor()). */
     size_t recordsSkipped = 0;
     /** True when the pass hit the archive's degradation floor — every
      *  payload already cut to its header floor — while still above
@@ -361,11 +361,12 @@ class Archive
 
     /**
      * Degrade the archive in place to fit `targetBytes` of shard-file
-     * storage, truncating payloads at recorded truncation points
-     * instead of evicting records: every record — and every
-     * acknowledged append — survives the pass, at reduced quality.
-     * The byte deficit is spread proportionally over the truncatable
-     * span (payload size minus header floor) of every payload; a
+     * storage, cutting payloads with the codec's tile-fair
+     * codec::truncateStream() instead of evicting records: every
+     * record — and every acknowledged append — survives the pass, at
+     * reduced quality. The byte deficit is spread proportionally over
+     * the cuttable span (payload size minus the cutter's floor) of
+     * every payload; a
      * record that cannot shrink is left byte-identical (and counted in
      * PressureReport::recordsSkipped). Every payload must be an
      * encoded-image stream; one that does not parse is fatal, like a

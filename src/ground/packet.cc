@@ -92,7 +92,7 @@ packetizeToBudget(uint32_t streamId,
     EP_ASSERT(allow > 0, "contact budget %zu cannot fit one packet",
               byteBudget);
     // truncateStream() itself rejects payloads that do not parse as a
-    // stream and budgets below the stream's header floor.
+    // stream and budgets below the cutter's floor.
     std::vector<uint8_t> cut = codec::truncateStream(payload, allow);
     return packetize(streamId, cut, payloadBytesPerPacket);
 }

@@ -67,12 +67,12 @@ packetize(uint32_t streamId, const std::vector<uint8_t> &payload,
 /**
  * Frame a payload into packets whose total wire size — packet headers
  * included — fits `byteBudget`. A payload too large for the budget
- * must be an encoded-image stream: it is cut with
- * codec::truncateStream() to the largest recorded truncation point
- * whose packetized wire size fits, so a short contact carries a
- * lower-fidelity capture instead of failing the transfer. fatal()
- * when the budget cannot fit even the stream's header floor, or when
- * an oversized payload is not a stream that parses.
+ * must be an encoded-image stream: codec::truncateStream() cuts it,
+ * tile-fairly, to the largest size whose packetized wire size fits,
+ * so a short contact carries a lower-fidelity capture of every tile
+ * instead of failing the transfer. fatal() when the budget cannot fit
+ * even the cutter's floor (codec::streamHeaderFloor()), or when an
+ * oversized payload is not a stream that parses.
  */
 std::vector<std::vector<uint8_t>>
 packetizeToBudget(uint32_t streamId,

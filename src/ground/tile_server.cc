@@ -82,8 +82,6 @@ TileQuery::validate() const
         return ServeError::BadQuery;
     if (!std::isfinite(day))
         return ServeError::BadQuery;
-    if (maxLayers < -1)
-        return ServeError::BadQuery;
     if (quality < -1 || quality > 100)
         return ServeError::BadQuery;
     return ServeError::None;
@@ -97,8 +95,8 @@ TileQuery::clipTo(int imageWidth, int imageHeight) const
     rect.y0 = std::max(y0, 0);
     rect.x1 = std::min(x0 + width, imageWidth);
     rect.y1 = std::min(y0 + height, imageHeight);
-    rect.truncated = rect.x0 != x0 || rect.y0 != y0 ||
-                     rect.x1 != x0 + width || rect.y1 != y0 + height;
+    rect.clipped = rect.x0 != x0 || rect.y0 != y0 ||
+                   rect.x1 != x0 + width || rect.y1 != y0 + height;
     return rect;
 }
 
@@ -116,10 +114,10 @@ DecodedTileCache::shardFor(const Key &key)
 }
 
 bool
-DecodedTileCache::get(size_t recordIdx, int tile, int maxLayers,
-                      int quality, raster::Plane &out)
+DecodedTileCache::get(size_t recordIdx, int tile, int quality,
+                      raster::Plane &out)
 {
-    Key key{recordIdx, tile, maxLayers, quality};
+    Key key{recordIdx, tile, quality};
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
@@ -131,14 +129,14 @@ DecodedTileCache::get(size_t recordIdx, int tile, int maxLayers,
 }
 
 void
-DecodedTileCache::put(size_t recordIdx, int tile, int maxLayers,
-                      int quality, const raster::Plane &pixels)
+DecodedTileCache::put(size_t recordIdx, int tile, int quality,
+                      const raster::Plane &pixels)
 {
     size_t bytes = static_cast<size_t>(pixels.width()) *
                    static_cast<size_t>(pixels.height()) * sizeof(float);
     if (bytes > shardCapacityBytes_)
         return; // larger than a whole shard; never cacheable
-    Key key{recordIdx, tile, maxLayers, quality};
+    Key key{recordIdx, tile, quality};
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.map.count(key))
@@ -307,27 +305,14 @@ TileServer::parseRecord(size_t recordIdx, int quality) const
     const uint8_t *data = view.data();
     size_t size = view.size();
     if (quality >= 0 && quality < 100) {
-        // Serve from a truncated prefix: the largest recorded
-        // truncation point within quality% of the payload bytes
-        // (never below the header floor). The parse borrows the
-        // archive mapping — no staging copy of the cut prefix.
-        std::vector<size_t> points =
-            codec::truncationPoints(data, size);
+        // Serve the record's tile-fair cut to quality% of its payload
+        // bytes (never below the cutter's floor).
         size_t budget = std::max(
-            points.front(),
+            codec::streamHeaderFloor(data, size),
             static_cast<size_t>(static_cast<double>(size) *
                                 static_cast<double>(quality) / 100.0));
-        auto it =
-            std::upper_bound(points.begin(), points.end(), budget);
-        size_t cut = *(it - 1);
-        codec::EncodedImage e;
-        codec::StreamError err =
-            codec::EncodedImage::tryDeserialize(data, cut, e);
-        EP_ASSERT(err == codec::StreamError::None,
-                  "archive record %zu: recorded truncation point %zu "
-                  "did not parse",
-                  recordIdx, cut);
-        return e;
+        return codec::EncodedImage::deserialize(
+            codec::truncateStream(data, size, budget));
     }
     return codec::EncodedImage::deserialize(data, size);
 }
@@ -392,8 +377,8 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
         // The payload view aims into the shard's file mapping, so
         // parsing copies only the entropy chunks, never the whole
         // serialized payload. The quality hint applies here too: a
-        // reduced-fidelity parse reads only the truncated prefix, and
-        // its geometry (all in the header) is identical.
+        // reduced-fidelity parse reads the cut stream, and its
+        // geometry (all in the header) is identical.
         codec::EncodedImage stream = parseRecord(idx, query.quality);
         infos.push_back(&rememberInfo(idx, stream));
         parsedThisQuery.emplace(idx, std::move(stream));
@@ -421,7 +406,7 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
     int y1 = rect.y1;
 
     result.error =
-        rect.truncated ? ServeError::Truncated : ServeError::None;
+        rect.clipped ? ServeError::Truncated : ServeError::None;
     result.pixels = raster::Plane(x1 - x0, y1 - y0, 0.0f);
 
     // Newest record wins per tile: walk streams newest -> oldest and
@@ -468,14 +453,12 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
         try {
             for (int t : wanted[s]) {
                 raster::Plane cached;
-                if (cache_.get(recordIdx, t, query.maxLayers,
-                               query.quality, cached)) {
+                if (cache_.get(recordIdx, t, query.quality, cached)) {
                     tiles.emplace_back(t, std::move(cached));
                     ++result.tilesFromCache;
                     continue;
                 }
-                TileKey key{recordIdx, t, query.maxLayers,
-                            query.quality};
+                TileKey key{recordIdx, t, query.quality};
                 bool claimed = false;
                 {
                     std::lock_guard<std::mutex> lock(inflightMutex_);
@@ -498,8 +481,7 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
                 // done cache_.put() (put precedes the in-flight erase
                 // that made our claim possible), so this read closes
                 // the duplicate-decode window.
-                if (cache_.get(recordIdx, t, query.maxLayers,
-                               query.quality, cached)) {
+                if (cache_.get(recordIdx, t, query.quality, cached)) {
                     claims.back().set_value(cached);
                     {
                         std::lock_guard<std::mutex> lock(inflightMutex_);
@@ -539,11 +521,10 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
                 // serve-latency win of the chunked (v2) format.
                 telemetry::TraceSpan decodeSpan("ground.decode",
                                                 "ground");
-                auto decoded = codec::decodeTiles(*stream, misses,
-                                                  query.maxLayers);
+                auto decoded = codec::decodeTiles(*stream, misses);
                 for (size_t i = 0; i < misses.size(); ++i) {
-                    cache_.put(recordIdx, misses[i], query.maxLayers,
-                               query.quality, decoded[i]);
+                    cache_.put(recordIdx, misses[i], query.quality,
+                               decoded[i]);
                     claims[i].set_value(decoded[i]);
                     fulfilled = i + 1;
                     {

@@ -104,7 +104,7 @@ struct ClippedRect
     int x1 = 0; ///< Right edge after clipping (exclusive).
     int y1 = 0; ///< Bottom edge after clipping (exclusive).
     /** True when clipping shrank the requested rectangle. */
-    bool truncated = false;
+    bool clipped = false;
 
     /** True when nothing of the request intersects the image. */
     bool
@@ -125,13 +125,11 @@ struct TileQuery
     int y0 = 0;     ///< Requested rect: top edge (clipped).
     int width = 0;  ///< Requested rect: width in pixels.
     int height = 0; ///< Requested rect: height in pixels.
-    /** Decode only the first maxLayers quality layers (-1 = all). */
-    int maxLayers = -1;
     /**
      * Byte-budget fidelity hint: -1 serves full fidelity; 0..100
-     * decodes each record from the largest recorded truncation point
-     * within that percentage of its payload bytes (never below the
-     * header floor) — a fast low-fidelity first answer. A
+     * decodes each record from its codec::truncateStream() cut to that
+     * percentage of its payload bytes (never below the cutter's
+     * floor) — a fast low-fidelity first answer. A
      * reduced-quality serve schedules a background full-quality
      * decode of the same records, so a repeated query refines from
      * the cache.
@@ -141,8 +139,8 @@ struct TileQuery
     /**
      * Image-independent validity check: ServeError::None for a
      * well-formed query, ServeError::BadQuery for non-positive
-     * extents, negative location/band ids, a non-finite day,
-     * maxLayers below -1, or quality outside [-1, 100]. Both the
+     * extents, negative location/band ids, a non-finite day, or
+     * quality outside [-1, 100]. Both the
      * serve pipeline and the network frame parser route queries
      * through this single check, so a network-decoded query cannot
      * bypass validation.
@@ -152,7 +150,7 @@ struct TileQuery
     /**
      * Clip the requested rectangle against an imageWidth x
      * imageHeight image. This is the only clamping site in the
-     * serving stack; the result's `truncated` flag is what turns
+     * serving stack; the result's `clipped` flag is what turns
      * into ServeError::Truncated when the intersection is non-empty.
      */
     ClippedRect clipTo(int imageWidth, int imageHeight) const;
@@ -255,7 +253,7 @@ struct StatsView
 
 /**
  * Size-bounded LRU cache of decoded tiles, keyed by
- * (record index, tile index, layer count, quality). Thread-safe;
+ * (record index, tile index, quality). Thread-safe;
  * internally sharded by key hash so concurrent serving threads do not
  * contend on one mutex (each shard owns an equal slice of the byte
  * budget and its own LRU list).
@@ -267,11 +265,10 @@ class DecodedTileCache
     explicit DecodedTileCache(size_t capacityBytes);
 
     /** Look up a decoded tile; true and fills `out` on a hit. */
-    bool get(size_t recordIdx, int tile, int maxLayers, int quality,
-             raster::Plane &out);
+    bool get(size_t recordIdx, int tile, int quality, raster::Plane &out);
 
     /** Insert a decoded tile, evicting LRU entries over budget. */
-    void put(size_t recordIdx, int tile, int maxLayers, int quality,
+    void put(size_t recordIdx, int tile, int quality,
              const raster::Plane &pixels);
 
     /** Bytes currently cached. */
@@ -283,7 +280,7 @@ class DecodedTileCache
   private:
     static constexpr size_t kShards = 8;
 
-    using Key = std::tuple<size_t, int, int, int>;
+    using Key = std::tuple<size_t, int, int>;
     struct Entry
     {
         Key key;
@@ -426,8 +423,8 @@ class TileServer
         uint64_t cacheEvictions = 0;
     };
 
-    /** (record index, tile, maxLayers, quality): one decode unit. */
-    using TileKey = std::tuple<size_t, int, int, int>;
+    /** (record index, tile, quality): one decode unit. */
+    using TileKey = std::tuple<size_t, int, int>;
 
     /** Memoized geometry for a record, or null when not yet parsed. */
     const StreamInfo *findInfo(size_t recordIdx) const;
@@ -469,9 +466,9 @@ class TileServer
 
     /**
      * Parse record `recordIdx`'s payload honoring the quality hint:
-     * with quality in [0, 100) it parses from the largest recorded
-     * truncation point within that percentage of its bytes (never
-     * below the header floor); otherwise it parses in full.
+     * with quality in [0, 100) it parses the payload's
+     * codec::truncateStream() cut to that percentage of its bytes
+     * (never below the cutter's floor); otherwise it parses in full.
      */
     codec::EncodedImage parseRecord(size_t recordIdx,
                                     int quality) const;

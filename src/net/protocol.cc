@@ -106,7 +106,6 @@ encodeQuery(uint64_t requestId, const ground::TileQuery &query)
     util::appendPod(body, static_cast<int32_t>(query.y0));
     util::appendPod(body, static_cast<int32_t>(query.width));
     util::appendPod(body, static_cast<int32_t>(query.height));
-    util::appendPod(body, static_cast<int32_t>(query.maxLayers));
     util::appendPod(body, static_cast<int32_t>(query.quality));
 
     std::vector<uint8_t> out;
@@ -172,8 +171,7 @@ decodeQuery(const Frame &frame, uint64_t &requestId,
     query.y0 = util::readPodAt<int32_t>(p, 28);
     query.width = util::readPodAt<int32_t>(p, 32);
     query.height = util::readPodAt<int32_t>(p, 36);
-    query.maxLayers = util::readPodAt<int32_t>(p, 40);
-    query.quality = util::readPodAt<int32_t>(p, 44);
+    query.quality = util::readPodAt<int32_t>(p, 40);
     return true;
 }
 

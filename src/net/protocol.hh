@@ -47,15 +47,16 @@ constexpr uint32_t kResultMagic = 0x52545045u;
 
 /**
  * Protocol version spoken by this build (bumped on layout change).
- * Version 2 appended a quality hint (i32, offset 44) to the EPTQ body;
- * peers of any other version are refused at the handshake.
+ * Version 2 appended a quality hint (i32) to the EPTQ body; version 3
+ * dropped the layer-count field before it, moving quality to offset 40.
+ * Peers of any other version are refused at the handshake.
  */
-constexpr uint32_t kProtocolVersion = 2;
+constexpr uint32_t kProtocolVersion = 3;
 
 /** Bytes in the fixed frame header (magic, version, len, crc). */
 constexpr size_t kFrameHeaderBytes = 16;
 /** Body size of an EPTQ frame. */
-constexpr size_t kQueryBodyBytes = 48;
+constexpr size_t kQueryBodyBytes = 44;
 /** Fixed (pre-pixel) body size of an EPTR frame. */
 constexpr size_t kResultFixedBodyBytes = 52;
 /** Largest body any frame may declare; larger prefixes are rejected

@@ -495,6 +495,8 @@ Server::loop()
             // Always answer with our version so the peer can report
             // the mismatch; an incompatible peer is then dropped.
             bool compatible = frame.version == kProtocolVersion;
+            if (!compatible)
+                m.protocolErrors.add();
             conn.handshaken = compatible;
             conn.closeAfterFlush = !compatible;
             return sendFrame(conn, encodeHello(kProtocolVersion)) &&

@@ -57,6 +57,20 @@ psnr(const Plane &a, const Plane &b, const Bitmap *valid, double peak)
 }
 
 double
+worstBandPsnr(const Plane &a, const Plane &b, int bandRows)
+{
+    EP_ASSERT(bandRows > 0, "band height must be positive, not %d",
+              bandRows);
+    double worst = std::numeric_limits<double>::infinity();
+    for (int y0 = 0; y0 < a.height(); y0 += bandRows) {
+        int rows = std::min(bandRows, a.height() - y0);
+        worst = std::min(worst, psnr(a.crop(0, y0, a.width(), rows),
+                                     b.crop(0, y0, b.width(), rows)));
+    }
+    return worst;
+}
+
+double
 meanAbsDiff(const Plane &a, const Plane &b, const Bitmap *valid)
 {
     return maskedReduce(a, b, valid, [](float pa, float pb) {

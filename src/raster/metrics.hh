@@ -33,6 +33,13 @@ double psnr(const Plane &a, const Plane &b, const Bitmap *valid = nullptr,
             double peak = 1.0);
 
 /** Mean absolute pixel difference, optionally masked. */
+/**
+ * Lowest psnr() over the full-width row bands of `bandRows` rows (the
+ * last band may be shorter): the fidelity of the worst-served strip,
+ * which a whole-image PSNR averages away.
+ */
+double worstBandPsnr(const Plane &a, const Plane &b, int bandRows);
+
 double meanAbsDiff(const Plane &a, const Plane &b,
                    const Bitmap *valid = nullptr);
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the image codec front-end: rate control,
- * ROI coding, quality layers, lossless mode and serialization.
+ * ROI coding, lossless mode and serialization.
  */
 
 #include <gtest/gtest.h>
@@ -196,40 +196,6 @@ TEST(Codec, EmptyRoiCostsAlmostNothing)
         ASSERT_FLOAT_EQ(v, 0.0f);
 }
 
-class CodecLayers : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(CodecLayers, PrefixDecodingIsProgressive)
-{
-    int layers = GetParam();
-    raster::Plane img = testImage(192, 192, 9);
-    EncodeParams p;
-    p.bitsPerPixel = 3.0;
-    p.layers = layers;
-    EncodedImage enc = encode(img, p);
-    ASSERT_EQ(static_cast<int>(enc.layerChunks.size()), layers);
-
-    double lastPsnr = 0.0;
-    size_t lastBytes = 0;
-    for (int l = 1; l <= layers; ++l) {
-        raster::Plane dec = decode(enc, l);
-        double q = raster::psnr(img, dec);
-        size_t bytes = enc.totalBytesForLayers(l);
-        EXPECT_GE(q, lastPsnr - 0.1) << "layer " << l;
-        EXPECT_GE(bytes, lastBytes);
-        lastPsnr = q;
-        lastBytes = bytes;
-    }
-    // Full decode equals decode(-1).
-    raster::Plane full = decode(enc);
-    raster::Plane capped = decode(enc, layers);
-    EXPECT_EQ(full.data(), capped.data());
-}
-
-INSTANTIATE_TEST_SUITE_P(LayerCounts, CodecLayers,
-                         ::testing::Values(1, 2, 3, 5));
-
 TEST(Codec, SerializeDeserializeIdentity)
 {
     raster::Plane img = testImage(128, 128, 10);
@@ -239,7 +205,6 @@ TEST(Codec, SerializeDeserializeIdentity)
     roi.set(2, true);
     EncodeParams p;
     p.bitsPerPixel = 1.5;
-    p.layers = 2;
     p.roi = &roi;
     EncodedImage enc = encode(img, p);
 
@@ -247,11 +212,8 @@ TEST(Codec, SerializeDeserializeIdentity)
     EXPECT_EQ(bytes.size(), enc.totalBytes());
     EncodedImage back = EncodedImage::deserialize(bytes);
     EXPECT_EQ(back.width, enc.width);
-    EXPECT_EQ(back.layers, enc.layers);
     EXPECT_EQ(back.tileCoded, enc.tileCoded);
-    ASSERT_EQ(back.layerChunks.size(), enc.layerChunks.size());
-    for (size_t i = 0; i < back.layerChunks.size(); ++i)
-        EXPECT_EQ(back.layerChunks[i], enc.layerChunks[i]);
+    EXPECT_EQ(back.payload, enc.payload);
 
     raster::Plane a = decode(enc);
     raster::Plane b = decode(back);
@@ -264,7 +226,6 @@ TEST(Codec, SerializeRoundTripAcrossModes)
     for (bool lossless : {false, true}) {
         EncodeParams p;
         p.bitsPerPixel = 1.0;
-        p.layers = 3;
         if (lossless) {
             p.lossless = true;
             p.wavelet = Wavelet::LeGall53;
@@ -281,9 +242,7 @@ TEST(Codec, SerializeRoundTripAcrossModes)
         EXPECT_EQ(back.chunkRows, 48);
         EXPECT_EQ(back.lossless, enc.lossless);
         EXPECT_EQ(back.tileCoded, enc.tileCoded);
-        ASSERT_EQ(back.layerChunks.size(), enc.layerChunks.size());
-        for (size_t i = 0; i < back.layerChunks.size(); ++i)
-            EXPECT_EQ(back.layerChunks[i], enc.layerChunks[i]);
+        EXPECT_EQ(back.payload, enc.payload);
         EXPECT_EQ(decode(back).data(), decode(enc).data());
     }
 }
@@ -291,9 +250,8 @@ TEST(Codec, SerializeRoundTripAcrossModes)
 TEST(CodecDeath, DeserializeRejectsTruncatedStreams)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    // A cut at a recorded truncation point parses (progressive_test
-    // covers that path); a cut anywhere else is a typed Truncated
-    // from tryDeserialize and fatal from deserialize.
+    // Every stream is complete: any prefix of one is a typed
+    // Truncated from tryDeserialize and fatal from deserialize.
     raster::Plane img = testImage(150, 110, 32);
     for (auto &v : img.data())
         v = std::round(v * 255.0f) / 255.0f;
@@ -303,23 +261,17 @@ TEST(CodecDeath, DeserializeRejectsTruncatedStreams)
     p.tileSize = 96;
     p.chunkRows = 48;
     std::vector<uint8_t> bytes = encode(img, p).serialize();
-    std::vector<size_t> points = truncationPoints(bytes);
-    const size_t floor = points.front();
-    ASSERT_EQ(floor, 45u); // 44-byte fixed header + 1 bitmap byte
+    const size_t headerEnd = 45; // 44-byte fixed header + 1 bitmap byte
 
-    // Cut inside the fixed header and the tile bitmap, just past a few
-    // recorded points inside the layer chunks, and one byte short of
-    // the end: each must fail with a clear message, never read out of
-    // bounds.
-    std::vector<size_t> cuts = {3, 20, floor - 1, bytes.size() - 1};
-    const size_t step = std::max<size_t>(1, points.size() / 6);
-    for (size_t i = 1; i + 1 < points.size(); i += step)
-        if (points[i] + 1 < points[i + 1])
-            cuts.push_back(points[i] + 1);
-    ASSERT_GE(cuts.size(), 8u);
+    // Cut inside the fixed header and the tile bitmap, just past the
+    // payload's length word, at an even spread through the payload and
+    // one byte short of the end: each must fail with a clear message,
+    // never read out of bounds.
+    std::vector<size_t> cuts = {3, 20, headerEnd - 1, headerEnd + 4,
+                                bytes.size() - 1};
+    for (size_t i = 1; i < 6; ++i)
+        cuts.push_back(headerEnd + (bytes.size() - headerEnd) * i / 6);
     for (size_t cut : cuts) {
-        ASSERT_FALSE(std::binary_search(points.begin(), points.end(), cut))
-            << "cut at " << cut;
         std::vector<uint8_t> trunc(bytes.begin(),
                                    bytes.begin() +
                                        static_cast<ptrdiff_t>(cut));
@@ -363,6 +315,12 @@ TEST(CodecDeath, DeserializeRejectsCorruptHeaderFields)
                 ::testing::ExitedWithCode(1), "DWT");
     EXPECT_EXIT(EncodedImage::deserialize(corrupt(20, 0)),
                 ::testing::ExitedWithCode(1), "layer count");
+    // The layers word is always 1: a multi-layer header is corrupt.
+    std::vector<uint8_t> layered = corrupt(20, 3);
+    EncodedImage e;
+    EXPECT_EQ(EncodedImage::tryDeserialize(layered.data(), layered.size(),
+                                           e),
+              StreamError::Corrupt);
     // A tile size that no longer matches the stored tile count.
     EXPECT_EXIT(EncodedImage::deserialize(corrupt(12, 32)),
                 ::testing::ExitedWithCode(1), "tile count");
@@ -388,7 +346,6 @@ TEST(Codec, ParallelEncodeIsByteIdenticalToSerial)
 
     EncodeParams p;
     p.bitsPerPixel = 1.5;
-    p.layers = 3;
     p.roi = &roi;
 
     util::ThreadPool::setGlobalThreads(1);
@@ -422,7 +379,6 @@ TEST(Codec, ScalarAndSimdStreamsAreByteIdentical)
     std::vector<Mode> modes(3);
     modes[0].name = "cdf97";
     modes[0].params.bitsPerPixel = 1.5;
-    modes[0].params.layers = 2;
     modes[0].params.tileSize = 61;
     modes[1].name = "lossy53";
     modes[1].params = modes[0].params;
@@ -587,12 +543,10 @@ TEST(Codec, ChunkedStreamByteIdenticalAcrossThreadCounts)
     };
     EncodeParams ragged;
     ragged.bitsPerPixel = 1.5;
-    ragged.layers = 2;
     ragged.tileSize = 96;
     ragged.chunkRows = 32;
     EncodeParams lone;
     lone.bitsPerPixel = 1.5;
-    lone.layers = 2;
     lone.tileSize = 512;
     const Input inputs[] = {{testImage(300, 200, 30), ragged},
                             {testImage(512, 512, 31), lone}};
@@ -720,7 +674,6 @@ TEST(Codec, ChunkedStreamByteIdenticalAcrossSimdLevels)
     raster::Plane img = testImage(203, 131, 31);
     EncodeParams p;
     p.bitsPerPixel = 1.5;
-    p.layers = 2;
     p.tileSize = 96;
     p.chunkRows = 32;
 
@@ -783,10 +736,10 @@ bitIdentical(const raster::Plane &a, const raster::Plane &b)
 }
 
 /**
- * Where every entropy chunk of an untruncated EPC4 stream stopped:
- * the number of passes coded into its last, unfinished plane (0..2),
- * or 3 once the chunk coded every plane. Read from the stream's own
- * framing — the layer-0 maxPlane + 1 byte and the segment pass counts.
+ * Where every entropy chunk of an EPC4 stream stopped: the number of
+ * passes coded into its last, unfinished plane (0..2), or 3 once the
+ * chunk coded every plane. Read from the stream's own framing — each
+ * chunk's maxPlane + 1 byte and its segment pass counts.
  */
 std::vector<int>
 chunkStops(const EncodedImage &e)
@@ -794,40 +747,25 @@ chunkStops(const EncodedImage &e)
     size_t coded = 0;
     for (uint8_t f : e.tileCoded)
         coded += f;
-    // planes[slot][chunk], passes[slot][chunk].
-    std::vector<std::vector<int>> planes(coded), passes(coded);
-    for (size_t l = 0; l < e.layerChunks.size(); ++l) {
-        const uint8_t *layer = e.layerChunks[l].data();
-        size_t pos = 0;
-        for (size_t slot = 0; slot < coded; ++slot) {
-            const uint32_t subLen = util::readPodAt<uint32_t>(layer, pos);
+    const uint8_t *data = e.payload.data();
+    std::vector<int> stops;
+    size_t pos = 0;
+    for (size_t slot = 0; slot < coded; ++slot) {
+        const uint32_t subLen = util::readPodAt<uint32_t>(data, pos);
+        pos += 4;
+        const size_t end = pos + subLen;
+        while (pos < end) {
+            const uint32_t len = util::readPodAt<uint32_t>(data, pos);
             pos += 4;
-            const size_t end = pos + subLen;
-            for (size_t c = 0; pos < end; ++c) {
-                const uint32_t len = util::readPodAt<uint32_t>(layer, pos);
-                pos += 4;
-                const uint8_t *payload = layer + pos;
-                size_t size = len;
-                if (l == 0) {
-                    planes[slot].push_back(payload[0]);
-                    passes[slot].push_back(0);
-                    ++payload;
-                    --size;
-                }
-                EXPECT_TRUE(forEachSegment(
-                    payload, size, [&](const SegmentView &seg) {
-                        passes[slot][c] += seg.passes;
-                    }));
-                pos += len;
-            }
+            const int planes = data[pos];
+            int passes = 0;
+            EXPECT_TRUE(forEachSegment(
+                data + pos + 1, len - 1,
+                [&](const SegmentView &seg) { passes += seg.passes; }));
+            stops.push_back(passes == 3 * planes ? 3 : passes % 3);
+            pos += len;
         }
     }
-    std::vector<int> stops;
-    for (size_t slot = 0; slot < coded; ++slot)
-        for (size_t c = 0; c < planes[slot].size(); ++c)
-            stops.push_back(passes[slot][c] == 3 * planes[slot][c]
-                                ? 3
-                                : passes[slot][c] % 3);
     return stops;
 }
 
@@ -838,8 +776,8 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     // The decoder-equivalent state rule (docs/ARCHITECTURE.md): the
     // reconstruction encode() builds from its own coefficient state is
     // bit-identical to decoding the stream it wrote, in memory and
-    // after a serialize round trip — over every wavelet mode, layer
-    // count, chunk height and tile size, on ragged images, ROI
+    // after a serialize round trip — over every wavelet mode, chunk
+    // height and tile size, on ragged images, ROI
     // subsets and budgets starved enough to stop mid-plane. The sweep
     // runs on one lane and on four.
     struct Mode
@@ -874,42 +812,38 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
                 for (int t = 0; t < grid.tileCount(); ++t)
                     subset.set(t, t % 3 != 1);
                 for (const Mode &m : modes) {
-                    for (int layers = 1; layers <= 3; ++layers) {
-                        for (int chunkRows : {16, 128}) {
-                            for (const raster::TileMask *roi :
-                                 {&all, &subset}) {
-                                SCOPED_TRACE(testing::Message()
-                                             << "threads=" << threads
-                                             << " " << w << "x" << h
-                                             << " tile=" << tileSize
-                                             << " wavelet="
-                                             << static_cast<int>(m.wavelet)
-                                             << " lossless=" << m.lossless
-                                             << " bpp=" << m.bpp
-                                             << " layers=" << layers
-                                             << " chunkRows=" << chunkRows
-                                             << " roi="
-                                             << (roi == &all ? "all"
-                                                             : "subset"));
-                                EncodeParams p;
-                                p.wavelet = m.wavelet;
-                                p.lossless = m.lossless;
-                                p.bitsPerPixel = m.bpp;
-                                p.layers = layers;
-                                p.chunkRows = chunkRows;
-                                p.tileSize = tileSize;
-                                p.roi = roi;
-                                raster::Plane recon;
-                                EncodedImage e = encode(img, p, &recon);
-                                ASSERT_TRUE(bitIdentical(recon, decode(e)));
-                                ASSERT_TRUE(bitIdentical(
-                                    recon, decode(EncodedImage::deserialize(
-                                               e.serialize()))));
-                                compared += 2;
-                                if (m.bpp < 0.5)
-                                    for (int stop : chunkStops(e))
-                                        ++starvedStops[stop];
-                            }
+                    for (int chunkRows : {16, 128}) {
+                        for (const raster::TileMask *roi :
+                             {&all, &subset}) {
+                            SCOPED_TRACE(testing::Message()
+                                         << "threads=" << threads
+                                         << " " << w << "x" << h
+                                         << " tile=" << tileSize
+                                         << " wavelet="
+                                         << static_cast<int>(m.wavelet)
+                                         << " lossless=" << m.lossless
+                                         << " bpp=" << m.bpp
+                                         << " chunkRows=" << chunkRows
+                                         << " roi="
+                                         << (roi == &all ? "all"
+                                                         : "subset"));
+                            EncodeParams p;
+                            p.wavelet = m.wavelet;
+                            p.lossless = m.lossless;
+                            p.bitsPerPixel = m.bpp;
+                            p.chunkRows = chunkRows;
+                            p.tileSize = tileSize;
+                            p.roi = roi;
+                            raster::Plane recon;
+                            EncodedImage e = encode(img, p, &recon);
+                            ASSERT_TRUE(bitIdentical(recon, decode(e)));
+                            ASSERT_TRUE(bitIdentical(
+                                recon, decode(EncodedImage::deserialize(
+                                           e.serialize()))));
+                            compared += 2;
+                            if (m.bpp < 0.5)
+                                for (int stop : chunkStops(e))
+                                    ++starvedStops[stop];
                         }
                     }
                 }
@@ -918,7 +852,7 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     }
     util::ThreadPool::setGlobalThreads(
         util::ThreadPool::defaultThreadCount());
-    EXPECT_EQ(compared, 2 * 2 * 3 * 7 * 3 * 2 * 2 * 2);
+    EXPECT_EQ(compared, 2 * 2 * 3 * 7 * 2 * 2 * 2);
     // The starved budgets really do stop chunks after pass 0 and after
     // pass 1 of a plane, the two states in which only part of the
     // plane's coefficients carry their plane bit.

@@ -7,13 +7,15 @@
  * must either be byte-identical or come with an explicit format
  * migration. These tests pin the one stream format, EPC4, over fixed
  * synthetic tiles across {CDF97, lossy 5/3, lossless} x odd/even tile
- * sizes x layer counts, at every SIMD dispatch level and thread-pool
- * width, as data rather than as a second implementation:
+ * sizes, at every SIMD dispatch level and thread-pool width, as data
+ * rather than as a second implementation:
  *
  *  - kGoldenV3 pins the bytes the encoder writes;
  *  - kDecodedV3 pins the pixels the decoder reconstructs from them;
  *  - the lossless rows must decode to the source tile and to the
- *    pixels recorded for the retired v2 decoder (kDecodedV2).
+ *    pixels recorded for the retired v2 decoder (kDecodedV2);
+ *  - kGoldenCut pins the bytes codec::truncateStream() cuts whole
+ *    streams to, which the downlink sends and the archive stores.
  *
  * Fixture content is generated from Rng only (integer-based
  * xoshiro256**) with no libm calls, so the tiles — and therefore the
@@ -29,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "codec/codec.hh"
 #include "codec/kernels.hh"
 #include "codec/tile_coder.hh"
 #include "ground/crc32.hh"
@@ -91,9 +94,8 @@ struct GoldenFixture
     const char *content; ///< "textured" or "sparse".
     int w, h;
     const char *mode; ///< "cdf97", "lossy53" or "lossless".
-    int layers;
-    size_t bytes;     ///< Total encoded size across layers.
-    uint32_t crc;     ///< CRC32 of the concatenated layer chunks.
+    size_t bytes;     ///< Encoded sub-chunk size.
+    uint32_t crc;     ///< CRC32 of the sub-chunk.
 };
 
 /** Rows per entropy chunk, so every fixture splits into >= 2 chunks. */
@@ -106,31 +108,32 @@ constexpr int kGoldenChunkRows = 32;
  * bytes. 130 wide = 3 packed words per row with a 2-bit ragged tail,
  * which pins the cross-word paths (bit-63 recruitment into the next
  * word, left/right carries, multi-word dilation). Recorded deliberately
- * when the progressive format was introduced (the EPC4 migration) and
- * again when rate control moved off the shadow coder, which moved only
- * the lossy layers = 3 rows — see the worked examples in
- * docs/ARCHITECTURE.md. Regenerate by running this binary with
- * EARTHPLUS_PRINT_GOLDEN=1 and pasting the printed rows.
+ * when the progressive format was introduced (the EPC4 migration),
+ * again when rate control moved off the shadow coder, and once more
+ * when multi-layer encoding was retired: the ten rows that had been
+ * coded in three layers were recorded in one layer by the encoder
+ * they were last pinned against, three of them collapsing into the
+ * one-layer rows of the same tile, and the five one-layer rows stayed
+ * as they were — see the worked examples in docs/ARCHITECTURE.md.
+ * Regenerate by running this binary with EARTHPLUS_PRINT_GOLDEN=1 and
+ * pasting the printed rows.
  */
 const GoldenFixture kGoldenV3[] = {
-    {"textured", 64, 64, "cdf97", 1, 1241u, 0xDB3052E5u},
-    {"textured", 64, 64, "cdf97", 3, 1273u, 0x3604E32Eu},
-    {"textured", 64, 64, "lossy53", 1, 1295u, 0x5D52D9D6u},
-    {"textured", 64, 64, "lossy53", 3, 1099u, 0x6AB8482Au},
-    {"textured", 64, 64, "lossless", 1, 3012u, 0x8A0F402Du},
-    {"textured", 64, 64, "lossless", 3, 3028u, 0xE1C3B152u},
-    {"textured", 61, 47, "cdf97", 3, 921u, 0x85BA07D4u},
-    {"textured", 61, 47, "lossless", 3, 2220u, 0xB0CD3AB3u},
-    {"textured", 130, 70, "cdf97", 3, 2634u, 0xFF2B1337u},
-    {"textured", 130, 70, "lossy53", 3, 2422u, 0x7C740DBEu},
-    {"textured", 130, 70, "lossless", 3, 6642u, 0x11DD4BCEu},
-    {"sparse", 64, 64, "cdf97", 1, 632u, 0xE499A07Au},
-    {"sparse", 64, 64, "lossy53", 3, 472u, 0x335B2169u},
-    {"sparse", 64, 64, "lossless", 3, 425u, 0xF4D7574Au},
-    {"sparse", 61, 47, "cdf97", 3, 611u, 0xEDEFC790u},
-    {"sparse", 61, 47, "lossless", 1, 400u, 0x7A7DFCD0u},
-    {"sparse", 130, 70, "lossy53", 3, 752u, 0x768DC1DEu},
-    {"sparse", 130, 70, "lossless", 3, 669u, 0xAE84D12Au},
+    {"textured", 64, 64, "cdf97", 1241u, 0xDB3052E5u},
+    {"textured", 64, 64, "lossy53", 1295u, 0x5D52D9D6u},
+    {"textured", 64, 64, "lossless", 3012u, 0x8A0F402Du},
+    {"textured", 61, 47, "cdf97", 889u, 0x77EB3D9Au},
+    {"textured", 61, 47, "lossless", 2204u, 0x008EB853u},
+    {"textured", 130, 70, "cdf97", 2855u, 0x76C95888u},
+    {"textured", 130, 70, "lossy53", 2833u, 0xF238F124u},
+    {"textured", 130, 70, "lossless", 6618u, 0x67AE5628u},
+    {"sparse", 64, 64, "cdf97", 632u, 0xE499A07Au},
+    {"sparse", 64, 64, "lossy53", 448u, 0x108059FDu},
+    {"sparse", 64, 64, "lossless", 409u, 0xDCAE63A8u},
+    {"sparse", 61, 47, "cdf97", 577u, 0xF71F4EC1u},
+    {"sparse", 61, 47, "lossless", 400u, 0x7A7DFCD0u},
+    {"sparse", 130, 70, "lossy53", 710u, 0x3AE80EE0u},
+    {"sparse", 130, 70, "lossless", 645u, 0xDF33A45Du},
 };
 
 /**
@@ -139,25 +142,47 @@ const GoldenFixture kGoldenV3[] = {
  * here without a change in kGoldenV3 is a decoder change.
  */
 const uint32_t kDecodedV3[] = {
-    0x401B2936u, 0x401B2936u, 0xE9E6023Du, 0x170EDEADu, 0x58A1F0D2u,
-    0x58A1F0D2u, 0x2AAA151Fu, 0x50319440u, 0x7FEFEA7Du, 0xC2263A6Au,
-    0xBBA68888u, 0x8227BB1Au, 0x18EF4AF9u, 0x217D5E30u, 0x08377752u,
-    0xE388AF9Fu, 0x6F53A3E2u, 0x8F01FC25u,
+    0x401B2936u, 0xE9E6023Du, 0x58A1F0D2u, 0x2AAA151Fu, 0x50319440u,
+    0x12709A22u, 0x29430C41u, 0xBBA68888u, 0x8227BB1Au, 0x18EF4AF9u,
+    0x217D5E30u, 0x08377752u, 0xE388AF9Fu, 0x6F53A3E2u, 0x8F01FC25u,
 };
+static_assert(std::size(kDecodedV3) == std::size(kGoldenV3));
 
 /**
  * CRC32 of the pixels the retired v2 decoder reconstructed from the
- * same tiles, recorded with its streams. Lossless coding is never
- * budget-bound, so the lossless rows (and only those) still match.
+ * lossless kGoldenV3 rows, in table order, recorded with its streams.
+ * Lossless coding is never budget-bound, so these still match.
  */
 const uint32_t kDecodedV2[] = {
-    0x401B2936u, 0x401B2936u, 0xE9E6023Du, 0xE9E6023Du, 0x58A1F0D2u,
-    0x58A1F0D2u, 0x2AAA151Fu, 0x50319440u, 0x12709A22u, 0xCAF46159u,
-    0xBBA68888u, 0x8227BB1Au, 0x18EF4AF9u, 0x217D5E30u, 0x08377752u,
-    0xE388AF9Fu, 0x6F53A3E2u, 0x8F01FC25u,
+    0x58A1F0D2u, 0x50319440u, 0xBBA68888u,
+    0x217D5E30u, 0xE388AF9Fu, 0x8F01FC25u,
 };
-static_assert(std::size(kDecodedV3) == std::size(kGoldenV3));
-static_assert(std::size(kDecodedV2) == std::size(kGoldenV3));
+
+/** One whole-stream fixture for kGoldenCut. */
+struct CutFixture
+{
+    const char *mode; ///< "cdf97", "lossy53" or "lossless".
+    int tileSize;
+    int chunkRows;
+    /** CRC32 of the cut at 10, 25, 50 and 75% of the stream length. */
+    uint32_t crc[4];
+};
+
+/** The budgets kGoldenCut cuts at, in percent of the stream length. */
+constexpr int kCutPercents[] = {10, 25, 50, 75};
+
+/**
+ * Tile-fair cuts of whole 130x70 textured streams (codec::encode at
+ * 2 bpp, or lossless): a grid of tiles, some ragged, with one or more
+ * chunks each. The cut bytes are what the downlink sends and the
+ * archive stores, so they are pinned like the encoder's. Printed by
+ * EARTHPLUS_PRINT_GOLDEN=1.
+ */
+const CutFixture kGoldenCut[] = {
+    {"cdf97", 32, 128, {0x801540EBu, 0xCD49226Du, 0xB90B20BCu, 0x23A7F6EEu}},
+    {"lossy53", 48, 16, {0x2FA32A1Bu, 0x4F90A77Bu, 0xCD4F7680u, 0xCB3C7150u}},
+    {"lossless", 64, 32, {0x55C7EF85u, 0x361BD452u, 0xAABEF184u, 0xF076C38Au}},
+};
 
 /** The fixture's exact tile content and coder configuration. */
 void
@@ -187,54 +212,68 @@ buildGolden(const GoldenFixture &f, raster::Plane &tile,
         : static_cast<size_t>(f.w) * static_cast<size_t>(f.h) * 2 / 8;
 }
 
-/** Total bytes and CRC32 of the concatenated layer streams. */
-std::pair<size_t, uint32_t>
-layersCrc(const std::vector<std::vector<uint8_t>> &layers)
+/** CRC32 of a byte vector. */
+uint32_t
+bytesCrc(const std::vector<uint8_t> &bytes)
 {
-    uint32_t crc = 0;
-    size_t total = 0;
-    bool first = true;
-    for (const auto &c : layers) {
-        crc = first ? ground::crc32(c.data(), c.size())
-                    : ground::crc32Update(crc, c.data(), c.size());
-        first = false;
-        total += c.size();
-    }
-    return {total, crc};
+    return ground::crc32(bytes.data(), bytes.size());
 }
 
 /** Encode one fixture. */
-std::vector<std::vector<uint8_t>>
+std::vector<uint8_t>
 encodeGolden(const GoldenFixture &f)
 {
     raster::Plane tile(1, 1);
     TileCoderParams params;
     size_t budget = 0;
     buildGolden(f, tile, params, budget);
-    return encodeTileLayers(tile, params, f.layers, budget);
+    return encodeTile(tile, params, budget);
 }
 
-/** Decode one fixture's layer streams. */
+/** Decode one fixture's sub-chunk. */
 raster::Plane
-decodeGolden(const GoldenFixture &f,
-             const std::vector<std::vector<uint8_t>> &layers)
+decodeGolden(const GoldenFixture &f, const std::vector<uint8_t> &sub)
 {
     raster::Plane tile(1, 1);
     TileCoderParams params;
     size_t budget = 0;
     buildGolden(f, tile, params, budget);
-    std::vector<ChunkSpan> spans;
-    for (const auto &c : layers)
-        spans.push_back({c.data(), c.size()});
-    return decodeTileLayers(f.w, f.h, params, spans);
+    return decodeTile(f.w, f.h, params, {sub.data(), sub.size()});
 }
 
 std::string
 fixtureName(const GoldenFixture &f)
 {
     return std::string(f.content) + "/" + std::to_string(f.w) + "x" +
-           std::to_string(f.h) + "/" + f.mode + "/layers" +
-           std::to_string(f.layers);
+           std::to_string(f.h) + "/" + f.mode;
+}
+
+/** The whole stream a kGoldenCut row cuts. */
+std::vector<uint8_t>
+encodeCutFixture(const CutFixture &f)
+{
+    GoldenFixture source{"textured", 130, 70, f.mode, 0, 0};
+    raster::Plane img(1, 1);
+    TileCoderParams params;
+    size_t budget = 0;
+    buildGolden(source, img, params, budget);
+    EncodeParams ep;
+    ep.wavelet = params.wavelet;
+    ep.lossless = params.lossless;
+    ep.tileSize = f.tileSize;
+    ep.chunkRows = f.chunkRows;
+    return encode(img, ep).serialize();
+}
+
+/** CRC32 of `stream` cut to each of kCutPercents. */
+std::vector<uint32_t>
+cutCrcs(const std::vector<uint8_t> &stream)
+{
+    std::vector<uint32_t> crcs;
+    for (int pct : kCutPercents)
+        crcs.push_back(bytesCrc(truncateStream(
+            stream, stream.size() * static_cast<size_t>(pct) / 100)));
+    return crcs;
 }
 
 uint32_t
@@ -289,26 +328,32 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
         // Regeneration mode: print the rows to paste into kGoldenV3,
         // then the kDecodedV3 entries.
         for (const GoldenFixture &f : kGoldenV3) {
-            auto [bytes, crc] = layersCrc(encodeGolden(f));
-            std::printf("    {\"%s\", %d, %d, \"%s\", %d, %zuu, "
-                        "0x%08Xu},\n",
-                        f.content, f.w, f.h, f.mode, f.layers, bytes,
-                        crc);
+            std::vector<uint8_t> sub = encodeGolden(f);
+            std::printf("    {\"%s\", %d, %d, \"%s\", %zuu, 0x%08Xu},\n",
+                        f.content, f.w, f.h, f.mode, sub.size(),
+                        bytesCrc(sub));
         }
         for (const GoldenFixture &f : kGoldenV3)
             std::printf("    0x%08Xu,\n",
                         pixelCrc(decodeGolden(f, encodeGolden(f))));
+        for (const CutFixture &f : kGoldenCut) {
+            std::vector<uint32_t> crcs = cutCrcs(encodeCutFixture(f));
+            std::printf("    {\"%s\", %d, %d, {0x%08Xu, 0x%08Xu, "
+                        "0x%08Xu, 0x%08Xu}},\n",
+                        f.mode, f.tileSize, f.chunkRows, crcs[0], crcs[1],
+                        crcs[2], crcs[3]);
+        }
     }
-    // Progressive streams are storage/wire format too (the archive
-    // persists them, truncateStream() cuts them at recorded offsets),
-    // so the bytes are pinned across every SIMD dispatch level AND
+    // Streams are storage/wire format (the archive persists them,
+    // truncateStream() cuts them), so the bytes are pinned across
+    // every SIMD dispatch level AND
     // every thread-pool width: encoding must be deterministic no
     // matter how the pass loops are vectorized or scheduled.
     atEveryLevelAndWidth([](const std::string &where) {
         for (const GoldenFixture &f : kGoldenV3) {
-            auto [bytes, crc] = layersCrc(encodeGolden(f));
-            EXPECT_EQ(bytes, f.bytes) << fixtureName(f) << " " << where;
-            EXPECT_EQ(crc, f.crc) << fixtureName(f) << " " << where;
+            std::vector<uint8_t> sub = encodeGolden(f);
+            EXPECT_EQ(sub.size(), f.bytes) << fixtureName(f) << " " << where;
+            EXPECT_EQ(bytesCrc(sub), f.crc) << fixtureName(f) << " " << where;
         }
     });
 }
@@ -318,7 +363,7 @@ TEST(GoldenStream, V3StreamsDecodeAsRecorded)
     // The decoded pixels are pinned at every SIMD level and pool width
     // too: chunks decode in parallel and the inverse transforms run
     // through the dispatched kernels.
-    std::vector<std::vector<std::vector<uint8_t>>> streams;
+    std::vector<std::vector<uint8_t>> streams;
     for (const GoldenFixture &f : kGoldenV3)
         streams.push_back(encodeGolden(f));
     atEveryLevelAndWidth([&](const std::string &where) {
@@ -339,16 +384,37 @@ TEST(GoldenStream, LosslessFixturesDecodeToRecordedV2Pixels)
     // the retired v2 encoder did and reconstructs exactly the pixels
     // its decoder recorded. Lossy EPC4 stops on its own payload bytes,
     // so its pixels differ from v2's by design.
-    int compared = 0;
+    size_t compared = 0;
     for (size_t i = 0; i < std::size(kGoldenV3); ++i) {
         const GoldenFixture &f = kGoldenV3[i];
         if (std::string(f.mode) != "lossless")
             continue;
+        ASSERT_LT(compared, std::size(kDecodedV2));
         raster::Plane dec = decodeGolden(f, encodeGolden(f));
-        EXPECT_EQ(pixelCrc(dec), kDecodedV2[i]) << fixtureName(f);
-        EXPECT_EQ(kDecodedV3[i], kDecodedV2[i]) << fixtureName(f);
+        EXPECT_EQ(pixelCrc(dec), kDecodedV2[compared]) << fixtureName(f);
+        EXPECT_EQ(kDecodedV3[i], kDecodedV2[compared]) << fixtureName(f);
         expectLossless(f, dec);
         ++compared;
     }
-    EXPECT_EQ(compared, 7);
+    EXPECT_EQ(compared, std::size(kDecodedV2));
+}
+
+TEST(GoldenStream, TileFairCutsMatchRecordedBytes)
+{
+    // Cuts do no entropy work, so their bytes follow from the stream's
+    // and are pinned the same way: at every SIMD level and pool width.
+    atEveryLevelAndWidth([](const std::string &where) {
+        for (const CutFixture &f : kGoldenCut) {
+            std::vector<uint8_t> stream = encodeCutFixture(f);
+            ASSERT_LE(streamHeaderFloor(stream),
+                      stream.size() * static_cast<size_t>(kCutPercents[0]) /
+                          100)
+                << f.mode;
+            std::vector<uint32_t> crcs = cutCrcs(stream);
+            for (size_t i = 0; i < crcs.size(); ++i)
+                EXPECT_EQ(crcs[i], f.crc[i])
+                    << f.mode << " cut to " << kCutPercents[i] << "% "
+                    << where;
+        }
+    });
 }

@@ -584,7 +584,7 @@ appendProgressiveCapture(Archive &archive, int locationId, double day,
     archive.append(meta, codec::encode(img, ep).serialize());
 }
 
-/** Expect record `idx`'s payload to parse as a valid stream prefix. */
+/** Expect record `idx`'s payload to parse as a complete stream. */
 void
 expectRecordParses(const Archive &archive, size_t idx)
 {
@@ -622,9 +622,9 @@ TEST(ArchivePressure, FitsTargetAndKeepsEveryRecordDecodable)
     for (size_t i = 0; i < 4; ++i) {
         std::vector<uint8_t> cut = archive.loadPayload(i);
         ASSERT_LE(cut.size(), original[i].size());
-        // Truncation cuts a prefix; it never rewrites bytes.
-        EXPECT_EQ(std::memcmp(cut.data(), original[i].data(), cut.size()),
-                  0);
+        // Pressure stores the codec's cut of the original: the cut
+        // that fits the surviving size is exactly the surviving bytes.
+        EXPECT_EQ(cut, codec::truncateStream(original[i], cut.size()));
         expectRecordParses(archive, i);
     }
 
@@ -640,7 +640,7 @@ TEST(ArchivePressure, SkipsRecordsAtTheirFloorAndReportsFloor)
     Archive archive(path.str());
     appendProgressiveCapture(archive, 0, 1.0, testPlane(128, 96, 60));
 
-    // A record already cut to its header floor cannot shrink:
+    // A record already cut to its floor cannot shrink:
     // pressure must leave it byte-identical.
     codec::EncodeParams ep;
     ep.bitsPerPixel = 4.0;
@@ -655,7 +655,7 @@ TEST(ArchivePressure, SkipsRecordsAtTheirFloorAndReportsFloor)
     meta.fullDownload = true;
     archive.append(meta, atFloor);
 
-    // Target far below what header floors allow: the pass degrades
+    // Target far below what the cutter's floors allow: the pass degrades
     // every other record to its floor and reports atFloor.
     PressureReport report = archive.applyStoragePressure(1);
     EXPECT_TRUE(report.atFloor);
@@ -680,17 +680,19 @@ TEST(ArchivePressure, SkipsRecordsAtTheirFloorAndReportsFloor)
 
 TEST(ArchivePressure, SecondPassCutsAlreadyDegradedRecords)
 {
-    // A degraded record is a stream cut at a recorded truncation
-    // point; a later, tighter pass must cut it again, and the
-    // quality hint must serve it, instead of dying on the prefix.
+    // A degraded record is a cut stream; a later, tighter pass must
+    // cut it again — to the bytes a cut of the original gives — and
+    // the quality hint must serve it.
     TempPath path("archive_pressure_twice.epar");
     Archive archive(path.str());
     raster::Plane img = testPlane(128, 128, 64);
     appendProgressiveCapture(archive, 1, 1.0, img);
+    const std::vector<uint8_t> original = archive.loadPayload(0);
     const uint64_t full = archive.fileBytes();
     PressureReport first = archive.applyStoragePressure(full * 7 / 10);
     EXPECT_EQ(first.recordsTruncated, 1u);
     std::vector<uint8_t> once = archive.loadPayload(0);
+    EXPECT_EQ(once, codec::truncateStream(original, once.size()));
 
     PressureReport second = archive.applyStoragePressure(full * 4 / 10);
     EXPECT_EQ(second.recordsTruncated, 1u);
@@ -698,7 +700,7 @@ TEST(ArchivePressure, SecondPassCutsAlreadyDegradedRecords)
     EXPECT_LE(archive.fileBytes(), full * 4 / 10);
     std::vector<uint8_t> twice = archive.loadPayload(0);
     ASSERT_LT(twice.size(), once.size());
-    EXPECT_EQ(std::memcmp(twice.data(), once.data(), twice.size()), 0);
+    EXPECT_EQ(twice, codec::truncateStream(original, twice.size()));
     expectRecordParses(archive, 0);
 
     TileServer server(archive);
@@ -739,7 +741,7 @@ TEST(ArchivePressure, DegradedArchiveReopensAndServes)
     q.height = 128;
     TileResult r = server.serve(q);
     ASSERT_TRUE(r.ok());
-    // Degraded but recognizable: early layers carry most of the
+    // Degraded but recognizable: the top planes carry most of the
     // signal, so even a halved record reconstructs the scene.
     EXPECT_GT(raster::psnr(img, r.pixels), 20.0);
 }
@@ -1127,9 +1129,6 @@ TEST(TileServer, QueryValidationIsCentralized)
     bad.day = std::numeric_limits<double>::quiet_NaN();
     EXPECT_EQ(bad.validate(), ServeError::BadQuery);
     bad = q;
-    bad.maxLayers = -2;
-    EXPECT_EQ(bad.validate(), ServeError::BadQuery);
-    bad = q;
     bad.quality = -5;
     EXPECT_EQ(bad.validate(), ServeError::BadQuery);
     bad = q;
@@ -1147,12 +1146,12 @@ TEST(TileServer, QueryValidationIsCentralized)
     q.width = 128;
     q.height = 128;
     ClippedRect exact = q.clipTo(128, 128);
-    EXPECT_FALSE(exact.truncated);
+    EXPECT_FALSE(exact.clipped);
     EXPECT_FALSE(exact.empty());
     EXPECT_EQ(exact.x1, 128);
     q.x0 = -16;
     ClippedRect clipped = q.clipTo(128, 128);
-    EXPECT_TRUE(clipped.truncated);
+    EXPECT_TRUE(clipped.clipped);
     EXPECT_EQ(clipped.x0, 0);
     EXPECT_EQ(clipped.x1, 112);
     q.x0 = 500;
@@ -1163,8 +1162,8 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
 {
     Archive archive("");
     raster::Plane img = testPlane(128, 128, 90);
-    // buildChain's EncodeParams default to the progressive format, so
-    // both records carry truncation indices the quality path can use.
+    // Every record is an EPC4 stream, so the quality path can cut
+    // both.
     buildChain(archive, img, img, 64);
 
     TileServer server(archive);
@@ -1182,7 +1181,7 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
     ASSERT_TRUE(hi.ok());
 
     // 10% of the payload must cost fidelity relative to the full
-    // stream, but the early layers still reconstruct the scene.
+    // stream, but the top planes still reconstruct the scene.
     double loPsnr = raster::psnr(img, lo.pixels);
     double hiPsnr = raster::psnr(img, hi.pixels);
     EXPECT_LT(loPsnr, hiPsnr);

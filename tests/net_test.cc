@@ -118,11 +118,11 @@ TEST(NetProtocol, QueryRoundTrip)
     q.y0 = 11;
     q.width = 300;
     q.height = 200;
-    q.maxLayers = 2;
     q.quality = 35;
 
     std::vector<uint8_t> bytes = encodeQuery(0xDEADBEEFCAFEull, q);
     EXPECT_EQ(bytes.size(), kFrameHeaderBytes + kQueryBodyBytes);
+    EXPECT_EQ(kQueryBodyBytes, 44u);
 
     FrameReader reader;
     reader.feed(bytes.data(), bytes.size());
@@ -142,7 +142,6 @@ TEST(NetProtocol, QueryRoundTrip)
     EXPECT_EQ(back.y0, q.y0);
     EXPECT_EQ(back.width, q.width);
     EXPECT_EQ(back.height, q.height);
-    EXPECT_EQ(back.maxLayers, q.maxLayers);
     EXPECT_EQ(back.quality, q.quality);
 }
 
@@ -470,65 +469,94 @@ TEST(NetServer, VersionMismatchIsRefusedAfterReportingOurs)
     EXPECT_TRUE(client.connect("127.0.0.1", fx.port()));
 }
 
-TEST(NetServer, QueryBodyWithoutQualityIsAProtocolError)
+TEST(NetServer, Version2PeersAreRefusedAndCounted)
 {
-    // The retired version-1 EPTQ body: 44 bytes, no quality field,
-    // with a valid CRC. decodeQuery() refuses it, so the server drops
-    // the connection instead of answering.
-    std::vector<uint8_t> full = encodeQuery(7, fullQuery());
+    // A version-2 peer is refused at the hello: the server answers with
+    // its own version, then closes. A version-2 query body — 48 bytes,
+    // with the retired maxLayers field at offset 40 and quality at 44 —
+    // is refused by decodeQuery() even with a valid CRC, so after a
+    // good handshake the server drops the connection instead of
+    // answering. Both count as net.protocol_errors.
+    std::vector<uint8_t> v3 = encodeQuery(7, fullQuery());
     const auto bodyBegin =
-        full.begin() + static_cast<ptrdiff_t>(kFrameHeaderBytes);
-    std::vector<uint8_t> body(bodyBegin, bodyBegin + 44);
+        v3.begin() + static_cast<ptrdiff_t>(kFrameHeaderBytes);
+    std::vector<uint8_t> body(bodyBegin, bodyBegin + 40);
+    util::appendPod(body, static_cast<int32_t>(-1)); // maxLayers
+    util::appendPod(body, static_cast<int32_t>(-1)); // quality
+    ASSERT_EQ(body.size(), 48u);
     Frame frame;
     frame.magic = kQueryMagic;
-    frame.version = kProtocolVersion;
+    frame.version = 2;
     frame.body = body;
     uint64_t id = 0;
     TileQuery q;
     EXPECT_FALSE(decodeQuery(frame, id, q));
 
-    std::vector<uint8_t> shortQuery;
-    util::appendPod(shortQuery, kQueryMagic);
-    util::appendPod(shortQuery, kProtocolVersion);
-    util::appendPod(shortQuery, static_cast<uint32_t>(body.size()));
-    util::appendPod(shortQuery, crc32(body.data(), body.size()));
-    shortQuery.insert(shortQuery.end(), body.begin(), body.end());
+    std::vector<uint8_t> v2Query;
+    util::appendPod(v2Query, kQueryMagic);
+    util::appendPod(v2Query, static_cast<uint32_t>(2));
+    util::appendPod(v2Query, static_cast<uint32_t>(body.size()));
+    util::appendPod(v2Query, crc32(body.data(), body.size()));
+    v2Query.insert(v2Query.end(), body.begin(), body.end());
 
+    const bool wasEnabled = telemetry::metricsEnabled();
+    telemetry::setMetricsEnabled(true);
+    const uint64_t errorsBefore =
+        telemetry::counter("net.protocol_errors").value();
     LoopbackServer fx;
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(fx.port());
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    FrameReader reader;
-    Frame reply;
-    auto nextFrame = [&]() -> bool {
+    auto dial = [&]() {
+        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = htons(fx.port());
+        inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+        EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                            sizeof(addr)),
+                  0);
+        return fd;
+    };
+    auto send = [](int fd, const std::vector<uint8_t> &bytes) {
+        ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(bytes.size()));
+    };
+    // Frames the server sends before it closes the connection.
+    auto repliesUntilClose = [](int fd) {
+        FrameReader reader;
+        Frame reply;
+        std::vector<uint32_t> versions;
         for (;;) {
-            if (reader.next(reply))
-                return true;
+            if (reader.next(reply)) {
+                EXPECT_EQ(reply.magic, kHelloMagic);
+                versions.push_back(reply.version);
+                continue;
+            }
             uint8_t buf[4096];
             ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
             if (n > 0)
                 reader.feed(buf, static_cast<size_t>(n));
             else if (n == 0 || errno != EINTR)
-                return false;
+                return versions;
         }
     };
-    std::vector<uint8_t> hello = encodeHello(kProtocolVersion);
-    ASSERT_EQ(::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(hello.size()));
-    ASSERT_TRUE(nextFrame());
-    EXPECT_EQ(reply.magic, kHelloMagic);
 
-    ASSERT_EQ(::send(fd, shortQuery.data(), shortQuery.size(),
-                     MSG_NOSIGNAL),
-              static_cast<ssize_t>(shortQuery.size()));
-    EXPECT_FALSE(nextFrame()) << "server must close, not answer";
-    ::close(fd);
+    int oldPeer = dial();
+    send(oldPeer, encodeHello(2));
+    EXPECT_EQ(repliesUntilClose(oldPeer),
+              std::vector<uint32_t>{kProtocolVersion});
+    ::close(oldPeer);
+
+    int oldBody = dial();
+    send(oldBody, encodeHello(kProtocolVersion));
+    send(oldBody, v2Query);
+    EXPECT_EQ(repliesUntilClose(oldBody),
+              std::vector<uint32_t>{kProtocolVersion})
+        << "server must close, not answer";
+    ::close(oldBody);
+
+    EXPECT_EQ(telemetry::counter("net.protocol_errors").value() -
+                  errorsBefore,
+              2u);
+    telemetry::setMetricsEnabled(wasEnabled);
 }
 
 TEST(NetServer, QueriesBeforeHandshakeDropTheConnection)

@@ -1,8 +1,10 @@
 /**
  * @file
- * Property tests for the progressive (EPC4) stream format: truncation
- * points, best-effort prefix decode, budget-cut rate control, the
- * encoder's real-byte rate control, and exact lossless round trips.
+ * Property tests for post-encode rate control on the EPC4 stream
+ * format: the tile-fair cutter (codec::truncateStream) over a ladder
+ * of budgets — under budget, nested, complete, monotone in PSNR and
+ * fair to every row band — the encoder's real-byte rate control, a
+ * typed error for every stream prefix, and exact lossless round trips.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +14,10 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "codec/codec.hh"
 #include "codec/tile_coder.hh"
@@ -42,6 +47,30 @@ testImage(int w, int h, uint64_t seed)
     return p;
 }
 
+/** Natural-image-like blocks + noise, every subband busy. */
+raster::Plane
+denseTile(int w, int h, uint64_t seed)
+{
+    raster::Plane p(w, h);
+    Rng rng(seed);
+    const int block = 8;
+    int bw = (w + block - 1) / block;
+    int bh = (h + block - 1) / block;
+    std::vector<float> blocks(static_cast<size_t>(bw) * bh);
+    for (auto &v : blocks)
+        v = static_cast<float>(rng.uniform());
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x) {
+            float base = blocks[static_cast<size_t>(y / block) * bw +
+                                static_cast<size_t>(x / block)];
+            float grad = static_cast<float>(x + 2 * y) /
+                         static_cast<float>(w + 2 * h);
+            float noise = static_cast<float>(rng.uniform()) * 0.1f;
+            p.at(x, y) = 0.25f + 0.4f * base + 0.25f * grad + noise;
+        }
+    return p;
+}
+
 /** Hard content: step edges + texture, stresses many bitplanes. */
 raster::Plane
 edgyImage(int w, int h, uint64_t seed)
@@ -59,12 +88,59 @@ edgyImage(int w, int h, uint64_t seed)
     return p;
 }
 
+/** Decode a serialized stream that must parse. */
+raster::Plane
+decodeBytes(const std::vector<uint8_t> &bytes)
+{
+    return decode(EncodedImage::deserialize(bytes));
+}
+
+/**
+ * The cutter's contract over a ladder of 101 budgets from the floor to
+ * the stream length: every cut fits its budget, parses as a complete
+ * stream that re-serializes to the same bytes and keeps the stream's
+ * floor, nests (cutting a cut gives the bytes of cutting the whole
+ * stream to the smaller budget), and decodes to a PSNR that never
+ * falls as the budget grows. The top rung is the stream itself.
+ */
+void
+checkLadder(const raster::Plane &img, const std::vector<uint8_t> &stream)
+{
+    constexpr size_t kRungs = 100;
+    const size_t floor = streamHeaderFloor(stream);
+    const size_t len = stream.size();
+    ASSERT_LT(floor, len);
+    std::vector<size_t> budgets;
+    std::vector<std::vector<uint8_t>> cuts;
+    double lastPsnr = 0.0;
+    for (size_t i = 0; i <= kRungs; ++i) {
+        budgets.push_back(floor + (len - floor) * i / kRungs);
+        cuts.push_back(truncateStream(stream, budgets[i]));
+        const std::vector<uint8_t> &cut = cuts[i];
+        SCOPED_TRACE(testing::Message()
+                     << "budget " << budgets[i] << " of " << len);
+        ASSERT_LE(cut.size(), budgets[i]);
+        EncodedImage e;
+        ASSERT_EQ(EncodedImage::tryDeserialize(cut.data(), cut.size(), e),
+                  StreamError::None);
+        EXPECT_EQ(e.serialize(), cut);
+        EXPECT_EQ(streamHeaderFloor(cut), floor);
+        for (size_t j : {size_t(0), i / 2, i - (i > 0), i})
+            EXPECT_EQ(truncateStream(cut, budgets[j]), cuts[j])
+                << "cut again to " << budgets[j];
+        const double q = raster::psnr(img, decode(e));
+        EXPECT_GE(q, lastPsnr);
+        lastPsnr = q;
+    }
+    EXPECT_EQ(cuts.back(), stream);
+}
+
 } // namespace
 
 struct ProgressiveCase
 {
     bool lossless;
-    int layers;
+    int tileSize;
     int chunkRows;
     bool edgy;
 };
@@ -74,12 +150,12 @@ class Progressive : public ::testing::TestWithParam<ProgressiveCase>
 };
 
 /**
- * The heart of the format contract: decoding at every recorded
- * truncation point never crashes, quality (PSNR against the source)
- * is monotone non-decreasing in prefix length, and a full-length
- * lossless decode reproduces the 8-bit source image exactly.
+ * The heart of the format contract, over the matrix: the ladder
+ * properties of checkLadder(), budgets past the length return the
+ * stream unchanged, and the untruncated lossless stream reproduces
+ * the 8-bit source exactly.
  */
-TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
+TEST_P(Progressive, CutLadderFitsNestsAndImproves)
 {
     const ProgressiveCase c = GetParam();
     raster::Plane img = c.edgy ? edgyImage(150, 110, 91)
@@ -89,8 +165,7 @@ TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
             v = std::round(v * 255.0f) / 255.0f;
 
     EncodeParams p;
-    p.tileSize = 96;
-    p.layers = c.layers;
+    p.tileSize = c.tileSize;
     p.chunkRows = c.chunkRows;
     p.lossless = c.lossless;
     if (c.lossless)
@@ -99,129 +174,70 @@ TEST_P(Progressive, EveryTruncationPointDecodesMonotonically)
         p.bitsPerPixel = 1.5;
 
     std::vector<uint8_t> v4 = encode(img, p).serialize();
-
-    std::vector<size_t> points = truncationPoints(v4);
-    ASSERT_GE(points.size(), 2u);
-    EXPECT_EQ(points.front(), streamHeaderFloor(v4));
-    EXPECT_EQ(points.back(), v4.size());
-    EXPECT_TRUE(std::is_sorted(points.begin(), points.end()));
-    EXPECT_EQ(std::adjacent_find(points.begin(), points.end()),
-              points.end());
-
-    // Decoding at every recorded point is expensive at full density;
-    // always take the floor, the full length, and an even spread.
-    std::vector<size_t> cuts;
-    size_t step = std::max<size_t>(1, points.size() / 48);
-    for (size_t i = 0; i < points.size(); i += step)
-        cuts.push_back(points[i]);
-    if (cuts.back() != points.back())
-        cuts.push_back(points.back());
-
-    double lastPsnr = -1.0;
-    for (size_t cut : cuts) {
-        std::vector<uint8_t> prefix(v4.begin(),
-                                    v4.begin() +
-                                        static_cast<ptrdiff_t>(cut));
-        EncodedImage e;
-        ASSERT_EQ(EncodedImage::tryDeserialize(prefix.data(),
-                                               prefix.size(), e),
-                  StreamError::None)
-            << "cut at " << cut;
-        EXPECT_EQ(e.truncated, cut != v4.size());
-        raster::Plane dec = decode(e);
-        double q = raster::psnr(img, dec);
-        // Small slack: a cut mid-pass can move individual coefficients
-        // either way before the pass completes.
-        EXPECT_GE(q, lastPsnr - 0.05)
-            << "cut at " << cut << " of " << v4.size();
-        lastPsnr = std::max(lastPsnr, q);
-        if (cut == v4.size() && c.lossless) {
-            // Lossless coding is never budget-bound: the untruncated
-            // stream codes every plane and gives back the 8-bit
-            // source, code value for code value.
-            ASSERT_EQ(dec.data().size(), img.data().size());
-            size_t mismatched = 0;
-            for (size_t i = 0; i < img.data().size(); ++i)
-                mismatched += std::lround(dec.data()[i] * 255.0f) !=
-                              std::lround(img.data()[i] * 255.0f);
-            EXPECT_EQ(mismatched, 0u);
-        }
+    checkLadder(img, v4);
+    EXPECT_EQ(truncateStream(v4, v4.size() * 2), v4);
+    if (c.lossless) {
+        // Lossless coding is never budget-bound: the untruncated
+        // stream codes every plane and gives back the 8-bit source,
+        // code value for code value.
+        raster::Plane dec = decodeBytes(v4);
+        ASSERT_EQ(dec.data().size(), img.data().size());
+        size_t mismatched = 0;
+        for (size_t i = 0; i < img.data().size(); ++i)
+            mismatched += std::lround(dec.data()[i] * 255.0f) !=
+                          std::lround(img.data()[i] * 255.0f);
+        EXPECT_EQ(mismatched, 0u);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, Progressive,
-    ::testing::Values(ProgressiveCase{false, 1, 32, false},
-                      ProgressiveCase{false, 3, 32, false},
-                      ProgressiveCase{false, 3, 32, true},
-                      ProgressiveCase{false, 5, 16, false},
-                      ProgressiveCase{true, 1, 32, false},
-                      ProgressiveCase{true, 3, 48, true}));
+    ::testing::Values(ProgressiveCase{false, 96, 32, false},
+                      ProgressiveCase{false, 64, 32, false},
+                      ProgressiveCase{false, 96, 32, true},
+                      ProgressiveCase{false, 48, 16, false},
+                      ProgressiveCase{true, 96, 32, false},
+                      ProgressiveCase{true, 64, 48, true}));
 
 /**
- * truncateStream() honors any byte budget from the header floor to
- * beyond the full length, and its result always parses.
+ * The 512x512 probe (64-px tiles, 2 bpp) on a dense textured plane and
+ * a smooth one. Cut to 10/25/50/75% of the stream, no 64-row band
+ * falls more than 1.5 dB below the whole image, and the whole image
+ * is at most 0.2 dB below what a 4-layer stream of the same plane gave
+ * when cut to the same budget at its recorded truncation points
+ * (measured before multi-layer encoding was retired): one stream and
+ * the cutter do what the layers did. The ladder contract holds too.
  */
-TEST(Progressive, TruncateStreamHonorsEveryBudget)
+TEST(Progressive, ProbeCutsServeEveryBandAndMatchLayeredRd)
 {
-    raster::Plane img = testImage(200, 140, 7);
-    EncodeParams p;
-    p.tileSize = 96;
-    p.layers = 3;
-    p.bitsPerPixel = 1.0;
-    std::vector<uint8_t> v4 = encode(img, p).serialize();
-
-    size_t floor = streamHeaderFloor(v4);
-    size_t step = std::max<size_t>(1, (v4.size() - floor) / 97);
-    for (size_t budget = floor; budget <= v4.size() + 64;
-         budget += step) {
-        std::vector<uint8_t> cut = truncateStream(v4, budget);
-        ASSERT_LE(cut.size(), budget) << "budget " << budget;
-        EncodedImage e;
-        ASSERT_EQ(EncodedImage::tryDeserialize(cut.data(), cut.size(),
-                                               e),
-                  StreamError::None)
-            << "budget " << budget;
-    }
-    // Budgets at or past the full length return the stream unchanged.
-    EXPECT_EQ(truncateStream(v4, v4.size()), v4);
-    EXPECT_EQ(truncateStream(v4, v4.size() * 2), v4);
-    // The largest recorded point <= budget is taken, not just any.
-    std::vector<size_t> points = truncationPoints(v4);
-    for (size_t i = 1; i + 1 < points.size(); i += points.size() / 7) {
-        std::vector<uint8_t> cut = truncateStream(v4, points[i]);
-        EXPECT_EQ(cut.size(), points[i]);
-    }
-}
-
-/**
- * A stream already cut at a recorded point is a stream like any other:
- * its truncation points are the whole stream's points up to the cut,
- * and cutting it again gives exactly the bytes a cut of the whole
- * stream to the same budget gives.
- */
-TEST(Progressive, CutStreamsCutAgainLikeTheWholeStream)
-{
-    raster::Plane img = testImage(200, 140, 11);
-    EncodeParams p;
-    p.tileSize = 96;
-    p.layers = 3;
-    p.bitsPerPixel = 1.0;
-    std::vector<uint8_t> v4 = encode(img, p).serialize();
-    std::vector<size_t> points = truncationPoints(v4);
-    ASSERT_GE(points.size(), 8u);
-    for (size_t k = 0; k + 1 < points.size(); k += points.size() / 7) {
-        std::vector<uint8_t> cut = truncateStream(v4, points[k]);
-        ASSERT_EQ(cut.size(), points[k]);
-        EXPECT_EQ(truncationPoints(cut),
-                  std::vector<size_t>(points.begin(),
-                                      points.begin() +
-                                          static_cast<ptrdiff_t>(k + 1)));
-        for (size_t budget : {points.front(), points[k / 2] + 1,
-                              points[k] + 1, v4.size()})
-            EXPECT_EQ(truncateStream(cut, budget),
-                      truncateStream(v4, std::min(budget, cut.size())))
-                << "cut " << points[k] << ", budget " << budget;
+    struct Probe
+    {
+        const char *name;
+        raster::Plane img;
+        double layeredPsnr[4];
+    };
+    const Probe probes[] = {
+        {"dense", denseTile(512, 512, 500), {15.65, 20.55, 30.08, 32.41}},
+        {"smooth", testImage(512, 512, 90), {17.71, 27.97, 41.25, 43.27}},
+    };
+    const int percents[] = {10, 25, 50, 75};
+    for (const Probe &probe : probes) {
+        SCOPED_TRACE(probe.name);
+        EncodeParams p;
+        p.tileSize = 64;
+        p.bitsPerPixel = 2.0;
+        std::vector<uint8_t> stream = encode(probe.img, p).serialize();
+        checkLadder(probe.img, stream);
+        for (size_t k = 0; k < std::size(percents); ++k) {
+            SCOPED_TRACE(testing::Message() << percents[k] << "%");
+            raster::Plane dec = decodeBytes(truncateStream(
+                stream, stream.size() * static_cast<size_t>(percents[k]) /
+                            100));
+            const double whole = raster::psnr(probe.img, dec);
+            EXPECT_GE(whole, probe.layeredPsnr[k] - 0.2);
+            EXPECT_LE(whole - raster::worstBandPsnr(probe.img, dec, 64),
+                      1.5);
+        }
     }
 }
 
@@ -257,8 +273,7 @@ TEST(Progressive, EncoderStopsOnRealPayloadBytes)
                                      << " bpp=" << bpp << " chunk=" << c);
                         const size_t share = budget * chunkRows / kTile;
                         std::vector<uint8_t> payload =
-                            encodeTileChunk(coeffs, params, c, 1, budget)
-                                .at(0);
+                            encodeTileChunk(coeffs, params, c, budget);
                         ASSERT_FALSE(payload.empty());
                         size_t lastSegment = 1;
                         size_t pos = 1;
@@ -283,73 +298,40 @@ TEST(Progressive, EncoderStopsOnRealPayloadBytes)
 }
 
 /**
- * Fuzz leg: cuts at unrecorded offsets must come back as a typed
- * Truncated error — never UB, never a crash, never acceptance. Runs
- * under ASan/TSan in CI.
+ * Fuzz leg: every stream is complete, so any prefix of one must come
+ * back as a typed Truncated error — never UB, never a crash, never
+ * acceptance. Runs under ASan/TSan in CI.
  */
-TEST(Progressive, UnrecordedCutsAreTypedErrors)
+TEST(Progressive, PrefixesAreTypedTruncated)
 {
     raster::Plane img = testImage(170, 130, 8);
     EncodeParams p;
     p.tileSize = 96;
-    p.layers = 2;
     p.bitsPerPixel = 1.2;
     std::vector<uint8_t> v4 = encode(img, p).serialize();
 
-    std::vector<size_t> pts = truncationPoints(v4);
-    std::vector<uint8_t> recorded(v4.size() + 1, 0);
-    for (size_t pt : pts)
-        recorded[pt] = 1;
-
-    size_t floor = pts.front();
     // ci/check.sh chaos sweeps EARTHPLUS_CHAOS_SEED so each seed
-    // fuzzes a different set of unrecorded offsets.
+    // fuzzes a different set of offsets.
     const char *env = std::getenv("EARTHPLUS_CHAOS_SEED");
     Rng rng(4242 + (env ? std::strtoull(env, nullptr, 10) : 0ULL));
-    int tested = 0;
     for (int i = 0; i < 1000; ++i) {
-        size_t cut = static_cast<size_t>(rng.uniformInt(
-            static_cast<int64_t>(floor),
-            static_cast<int64_t>(v4.size()) - 1));
-        std::vector<uint8_t> prefix(v4.begin(),
-                                    v4.begin() +
-                                        static_cast<ptrdiff_t>(cut));
+        size_t cut = static_cast<size_t>(
+            rng.uniformInt(0, static_cast<int64_t>(v4.size()) - 1));
         EncodedImage e;
         std::string msg;
-        StreamError err = EncodedImage::tryDeserialize(
-            prefix.data(), prefix.size(), e, &msg);
-        if (recorded[cut]) {
-            EXPECT_EQ(err, StreamError::None) << "cut at " << cut;
-        } else {
-            ++tested;
-            EXPECT_EQ(err, StreamError::Truncated)
-                << "cut at " << cut << ": " << msg;
-            EXPECT_FALSE(msg.empty());
-        }
-    }
-    // The stream is dense with recorded points but unrecorded offsets
-    // must dominate a uniform draw.
-    EXPECT_GT(tested, 200);
-
-    // Below the floor every version dies the same typed way.
-    for (size_t cut : {size_t(0), size_t(3), floor - 1}) {
-        std::vector<uint8_t> prefix(v4.begin(),
-                                    v4.begin() +
-                                        static_cast<ptrdiff_t>(cut));
-        EncodedImage e;
-        StreamError err = EncodedImage::tryDeserialize(
-            prefix.data(), prefix.size(), e);
-        EXPECT_NE(err, StreamError::None) << "cut at " << cut;
+        EXPECT_EQ(EncodedImage::tryDeserialize(v4.data(), cut, e, &msg),
+                  StreamError::Truncated)
+            << "cut at " << cut << ": " << msg;
+        EXPECT_FALSE(msg.empty());
     }
 }
 
-/** Partial streams decode tiles independently, same as full ones. */
-TEST(Progressive, TruncatedStreamsServeTileQueries)
+/** Cut streams decode tiles independently, same as full ones. */
+TEST(Progressive, CutStreamsServeTileQueries)
 {
     raster::Plane img = testImage(200, 200, 9);
     EncodeParams p;
     p.tileSize = 96;
-    p.layers = 3;
     p.bitsPerPixel = 1.5;
     std::vector<uint8_t> v4 = encode(img, p).serialize();
 
@@ -360,40 +342,27 @@ TEST(Progressive, TruncatedStreamsServeTileQueries)
     raster::Plane whole = decode(e);
     std::vector<raster::Plane> tiles = decodeTiles(e, {0, 2});
     ASSERT_EQ(tiles.size(), 2u);
-    // Tile decode of the truncated stream matches the corresponding
-    // region of the whole-plane decode of the same truncated stream.
+    // Tile decode of the cut stream matches the corresponding region
+    // of the whole-plane decode of the same cut stream.
     EXPECT_EQ(tiles[0].at(10, 10), whole.at(10, 10));
     EXPECT_EQ(tiles[1].at(5, 5), whole.at(2 * 96 + 5, 5));
 }
 
-/** A truncated image refuses to re-serialize (no silent data loss). */
-TEST(ProgressiveDeath, TruncatedImagesCannotReserialize)
+/** A budget below the cutter's floor is a caller error. */
+TEST(ProgressiveDeath, BudgetsBelowTheFloorAreFatal)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     raster::Plane img = testImage(96, 96, 10);
     EncodeParams p;
     p.tileSize = 96;
     std::vector<uint8_t> v4 = encode(img, p).serialize();
-    std::vector<size_t> pts = truncationPoints(v4);
-    ASSERT_GE(pts.size(), 3u);
-    size_t cut = pts[pts.size() / 2];
-    std::vector<uint8_t> prefix(v4.begin(),
-                                v4.begin() +
-                                    static_cast<ptrdiff_t>(cut));
-    EncodedImage e;
-    ASSERT_EQ(EncodedImage::tryDeserialize(prefix.data(), prefix.size(),
-                                           e),
-              StreamError::None);
-    ASSERT_TRUE(e.truncated);
-    EXPECT_EXIT(e.serialize(), ::testing::KilledBySignal(SIGABRT),
-                "truncated");
     EXPECT_EXIT(truncateStream(v4, streamHeaderFloor(v4) - 1),
                 ::testing::KilledBySignal(SIGABRT), "floor");
 }
 
 /**
- * Concurrency: truncation and prefix decode are pure functions over
- * const bytes — many threads cutting and decoding the same stream at
+ * Concurrency: cutting and decoding are pure functions over const
+ * bytes — many threads cutting and decoding the same stream at
  * different budgets must race nowhere (TSan suite runs this).
  */
 TEST(Progressive, ConcurrentTruncateAndDecode)
@@ -401,7 +370,6 @@ TEST(Progressive, ConcurrentTruncateAndDecode)
     raster::Plane img = testImage(200, 140, 12);
     EncodeParams p;
     p.tileSize = 96;
-    p.layers = 3;
     p.bitsPerPixel = 1.0;
     const std::vector<uint8_t> v4 = encode(img, p).serialize();
     const size_t floor = streamHeaderFloor(v4);

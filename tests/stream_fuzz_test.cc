@@ -4,12 +4,14 @@
  * codec::EncodedImage::tryDeserialize() and of the decoder behind it.
  *
  * Inputs are fresh EPC4 encodes covering lossy and lossless coding,
- * one to five layers, several chunk heights and tile sizes, and an ROI
- * subset. Each mutant rewrites one of the container's length words — a
- * layer chunkLen, a tile subLen, an entropy-chunk ecLen or a segWord —
- * and/or flips bytes, and may be cut short. Every mutant must come back
- * as a parsed image or a typed StreamError, and every parsed image must
- * decode, whole and tile by tile, without dying; the asan and chaos
+ * several chunk heights and tile sizes, and an ROI subset. Each mutant
+ * rewrites one of the container's length words — the payload chunkLen,
+ * a tile subLen, an entropy-chunk ecLen or a segWord — and/or flips
+ * bytes, and may be cut short. Every mutant must come back as a parsed
+ * image or a typed StreamError; every parsed image must decode, whole
+ * and tile by tile, and be cut by codec::truncateStream() at three
+ * budgets into streams that parse and decode, without dying; the asan
+ * and chaos
  * legs of ci/check.sh run this suite under ASan+UBSan, so an
  * out-of-bounds access or undefined arithmetic fails it.
  * EARTHPLUS_CHAOS_SEED selects the mutation stream.
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -33,10 +36,13 @@ using namespace earthplus::codec;
 
 namespace {
 
+/** Fixed EPC4 header bytes, ahead of the coded-tile bitmap. */
+constexpr size_t kHeaderBytes = 44;
+
 /** Offsets of every length word in a well-formed stream, by kind. */
 struct LengthWords
 {
-    std::vector<size_t> layer, sub, ec, seg;
+    std::vector<size_t> payload, sub, ec, seg;
 };
 
 /**
@@ -54,7 +60,7 @@ walkGrammar(const std::vector<uint8_t> &bytes, const EncodedImage &e,
     size_t nCoded = 0;
     for (uint8_t f : e.tileCoded)
         nCoded += f;
-    size_t pos = streamHeaderFloor(bytes);
+    size_t pos = kHeaderBytes + (e.tileCoded.size() + 7) / 8;
     // Read the length word at `pos` of a structure ending at `end`;
     // the end of the body it frames, or 0 when either does not fit.
     auto body = [&](std::vector<size_t> &kind, size_t end, int shift) {
@@ -65,32 +71,43 @@ walkGrammar(const std::vector<uint8_t> &bytes, const EncodedImage &e,
         pos += 4;
         return n <= end - pos ? pos + n : 0;
     };
-    for (int l = 0; l < e.layers; ++l) {
-        const size_t layerEnd = body(words.layer, bytes.size(), 0);
-        if (layerEnd == 0)
+    const size_t payloadEnd = body(words.payload, bytes.size(), 0);
+    if (payloadEnd == 0)
+        return false;
+    for (size_t t = 0; t < nCoded; ++t) {
+        const size_t subEnd = body(words.sub, payloadEnd, 0);
+        if (subEnd == 0)
             return false;
-        for (size_t t = 0; t < nCoded; ++t) {
-            const size_t subEnd = body(words.sub, layerEnd, 0);
-            if (subEnd == 0)
+        while (pos < subEnd) {
+            const size_t ecEnd = body(words.ec, subEnd, 0);
+            if (ecEnd == 0)
                 return false;
-            while (pos < subEnd) {
-                const size_t ecEnd = body(words.ec, subEnd, 0);
-                if (ecEnd == 0)
+            if (pos < ecEnd)
+                ++pos; // raw maxPlane byte
+            while (pos < ecEnd) {
+                const size_t segEnd = body(words.seg, ecEnd, 2);
+                if (segEnd == 0)
                     return false;
-                if (l == 0 && pos < ecEnd)
-                    ++pos; // raw maxPlane byte
-                while (pos < ecEnd) {
-                    const size_t segEnd = body(words.seg, ecEnd, 2);
-                    if (segEnd == 0)
-                        return false;
-                    pos = segEnd;
-                }
+                pos = segEnd;
             }
         }
-        if (pos != layerEnd)
-            return false;
     }
-    return true;
+    return pos == payloadEnd;
+}
+
+/** Decode `e` whole and its first and last tiles on their own. */
+void
+expectDecodes(const EncodedImage &e)
+{
+    raster::Plane whole = decode(e);
+    EXPECT_EQ(whole.width(), e.width);
+    EXPECT_EQ(whole.height(), e.height);
+    const int last = static_cast<int>(e.tileCoded.size()) - 1;
+    std::vector<raster::Plane> tiles = decodeTiles(e, {0, last});
+    ASSERT_EQ(tiles.size(), 2u);
+    raster::TileGrid grid(e.width, e.height, e.tileSize);
+    EXPECT_EQ(tiles[1].width(), grid.rect(last).width);
+    EXPECT_EQ(tiles[1].height(), grid.rect(last).height);
 }
 
 /** A hostile value for the length word `old` at offset `at`. */
@@ -118,7 +135,7 @@ mutate(const std::vector<uint8_t> &base, const LengthWords &words,
        Rng &rng)
 {
     std::vector<uint8_t> m = base;
-    const std::vector<size_t> *kinds[] = {&words.layer, &words.sub,
+    const std::vector<size_t> *kinds[] = {&words.payload, &words.sub,
                                           &words.ec, &words.seg};
     bool rewrite = rng.uniformInt(0, 1) == 0;
     const std::vector<size_t> &kind = *kinds[rng.uniformInt(0, 3)];
@@ -144,8 +161,9 @@ mutate(const std::vector<uint8_t> &base, const LengthWords &words,
 /**
  * Fuzz `inputs`: every mutant parses or fails typed, accepted streams
  * are internally consistent, and every accepted stream decodes — the
- * whole plane, and its first and last tiles on their own. Both
- * outcomes must occur.
+ * whole plane, and its first and last tiles on their own — and cuts,
+ * at the cutter's floor, halfway up and one byte short, into streams
+ * that parse and decode the same way. Both outcomes must occur.
  */
 void
 fuzzStreams(const std::vector<std::vector<uint8_t>> &inputs,
@@ -168,21 +186,24 @@ fuzzStreams(const std::vector<std::vector<uint8_t>> &inputs,
                 EncodedImage::tryDeserialize(m.data(), m.size(), e, &msg);
             if (err == StreamError::None) {
                 ++accepted;
-                EXPECT_LE(e.totalBytesForLayers(-1), m.size());
+                EXPECT_LE(e.totalBytes(), m.size());
                 LengthWords seen;
-                EXPECT_TRUE(e.truncated || walkGrammar(m, e, seen))
+                EXPECT_TRUE(walkGrammar(m, e, seen))
                     << "accepted a mis-framed stream";
-                raster::Plane whole = decode(e);
-                EXPECT_EQ(whole.width(), e.width);
-                EXPECT_EQ(whole.height(), e.height);
-                const int last =
-                    static_cast<int>(e.tileCoded.size()) - 1;
-                std::vector<raster::Plane> tiles =
-                    decodeTiles(e, {0, last});
-                ASSERT_EQ(tiles.size(), 2u);
-                raster::TileGrid grid(e.width, e.height, e.tileSize);
-                EXPECT_EQ(tiles[1].width(), grid.rect(last).width);
-                EXPECT_EQ(tiles[1].height(), grid.rect(last).height);
+                expectDecodes(e);
+                const size_t floor = streamHeaderFloor(m);
+                ASSERT_LE(floor, m.size());
+                for (size_t budget : {floor, floor + (m.size() - floor) / 2,
+                                      std::max(floor, m.size() - 1)}) {
+                    std::vector<uint8_t> cut = truncateStream(m, budget);
+                    EXPECT_LE(cut.size(), budget);
+                    EncodedImage c;
+                    ASSERT_EQ(EncodedImage::tryDeserialize(
+                                  cut.data(), cut.size(), c),
+                              StreamError::None)
+                        << "cut to " << budget << " of " << m.size();
+                    expectDecodes(c);
+                }
             } else {
                 ++rejected;
                 EXPECT_TRUE(err == StreamError::Truncated ||
@@ -238,7 +259,7 @@ eightBit(raster::Plane p)
     return p;
 }
 
-/** Fresh EPC4 streams: multi-layer, multi-chunk, lossy and lossless. */
+/** Fresh EPC4 streams: multi-chunk, lossy and lossless. */
 std::vector<std::vector<uint8_t>>
 freshEpc4Streams()
 {
@@ -252,27 +273,23 @@ freshEpc4Streams()
     std::vector<std::vector<uint8_t>> out;
     EncodeParams p;
     p.tileSize = 96;
-    p.layers = 3;
     p.chunkRows = 32;
     p.bitsPerPixel = 1.5;
     out.push_back(encode(img, p).serialize());
-    p.layers = 1;
     p.tileSize = 64;
     p.chunkRows = kDefaultChunkRows;
     out.push_back(encode(img, p).serialize());
     p.lossless = true;
     p.wavelet = Wavelet::LeGall53;
-    p.layers = 2;
     p.chunkRows = 48;
     out.push_back(encode(eightBit(img), p).serialize());
     return out;
 }
 
 /**
- * The configurations the retired v1/v2 fixture corpus covered, encoded
- * as EPC4: the six progressive_test matrix cases, a lossless 150x110
- * image in 96-px tiles with 48-row chunks, and a 128x128 image at
- * 4 bpp in the default 64-px tiles.
+ * The six progressive_test matrix cases, a lossless 150x110 image in
+ * 96-px tiles with 48-row chunks, and a 128x128 image at 4 bpp in the
+ * default 64-px tiles.
  */
 std::vector<std::vector<uint8_t>>
 matrixStreams()
@@ -280,20 +297,19 @@ matrixStreams()
     struct Case
     {
         bool lossless;
-        int layers;
+        int tileSize;
         int chunkRows;
         bool edgy;
     };
-    const Case cases[] = {{false, 1, 32, false}, {false, 3, 32, false},
-                          {false, 3, 32, true},  {false, 5, 16, false},
-                          {true, 1, 32, false},  {true, 3, 48, true}};
+    const Case cases[] = {{false, 96, 32, false}, {false, 64, 32, false},
+                          {false, 96, 32, true},  {false, 48, 16, false},
+                          {true, 96, 32, false},  {true, 64, 48, true}};
     std::vector<std::vector<uint8_t>> out;
     for (const Case &c : cases) {
         raster::Plane img = c.edgy ? edgyImage(150, 110, 91)
                                    : smoothImage(150, 110, 90);
         EncodeParams p;
-        p.tileSize = 96;
-        p.layers = c.layers;
+        p.tileSize = c.tileSize;
         p.chunkRows = c.chunkRows;
         if (c.lossless) {
             p.lossless = true;
@@ -317,7 +333,7 @@ matrixStreams()
     return out;
 }
 
-/** An ROI subset: 3 of the 6 tiles coded, over 2 layers. */
+/** An ROI subset: 3 of the 6 tiles coded. */
 std::vector<uint8_t>
 roiStream()
 {
@@ -328,7 +344,6 @@ roiStream()
         roi.set(t, true);
     EncodeParams p;
     p.bitsPerPixel = 2.0;
-    p.layers = 2;
     p.chunkRows = 32;
     p.roi = &roi;
     return encode(img, p).serialize();
@@ -349,4 +364,41 @@ TEST(StreamFuzz, MutatedMatrixStreamsParseOrFailTypedAndDecode)
 TEST(StreamFuzz, MutatedRoiStreamParsesOrFailsTypedAndDecodes)
 {
     fuzzStreams({roiStream()}, 5, 1000);
+}
+
+TEST(StreamFuzz, SubChunkMissingAnEntropyChunkParsesAndDecodes)
+{
+    // The walker checks framing, not how many entropy chunks a tile's
+    // sub-chunk holds, so a well-framed sub-chunk one chunk short is
+    // accepted: it must decode — the missing slab's coefficients as
+    // zeros — and cut without dying. One 96-px tile in 32-row chunks has three.
+    EncodeParams p;
+    p.tileSize = 96;
+    p.chunkRows = 32;
+    p.bitsPerPixel = 1.5;
+    std::vector<uint8_t> bytes =
+        encode(smoothImage(96, 96, 95), p).serialize();
+    const size_t chunkLenAt = kHeaderBytes + 1;
+    const size_t subLenAt = chunkLenAt + 4;
+    size_t last = subLenAt + 4;
+    for (int c = 0; c < 2; ++c)
+        last += 4 + util::readPodAt<uint32_t>(bytes.data(), last);
+    const size_t dropped = bytes.size() - last;
+    ASSERT_EQ(dropped, 4 + util::readPodAt<uint32_t>(bytes.data(), last));
+    bytes.resize(last);
+    for (size_t at : {chunkLenAt, subLenAt}) {
+        const uint32_t len = util::readPodAt<uint32_t>(bytes.data(), at) -
+                             static_cast<uint32_t>(dropped);
+        std::memcpy(bytes.data() + at, &len, 4);
+    }
+
+    EncodedImage e;
+    ASSERT_EQ(EncodedImage::tryDeserialize(bytes.data(), bytes.size(), e),
+              StreamError::None);
+    expectDecodes(e);
+    std::vector<uint8_t> cut =
+        truncateStream(bytes, streamHeaderFloor(bytes) + 16);
+    ASSERT_EQ(EncodedImage::tryDeserialize(cut.data(), cut.size(), e),
+              StreamError::None);
+    expectDecodes(e);
 }
