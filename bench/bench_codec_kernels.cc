@@ -166,11 +166,6 @@ main(int argc, char **argv)
         k.quantF32(w.fcoeffs.data(), n, 512.0f, magOut.data(),
                    signOut.data());
     }});
-    cases.push_back({"quant_i32", n * 4, noSetup,
-                     [&](const kernels::KernelTable &k) {
-        k.quantI32(w.icoeffs.data(), n, 0.01f, magOut.data(),
-                   signOut.data());
-    }});
     cases.push_back({"dequant_97", n * 4, noSetup,
                      [&](const kernels::KernelTable &k) {
         k.dequant97(w.mag.data(), w.sign.data(), w.low.data(), n,
@@ -178,7 +173,7 @@ main(int argc, char **argv)
     }});
     cases.push_back({"dequant_53", n * 4, noSetup,
                      [&](const kernels::KernelTable &k) {
-        k.dequant53(w.mag.data(), w.sign.data(), w.low.data(), n, 0.498f,
+        k.dequant53(w.mag.data(), w.sign.data(), w.low.data(), n,
                     ibuf.data());
     }});
     cases.push_back({"center_f", n * 4, noSetup,
@@ -191,13 +186,12 @@ main(int argc, char **argv)
     }});
     cases.push_back({"pixels_to_i32", n * 4, noSetup,
                      [&](const kernels::KernelTable &k) {
-        k.pixelsToI32(w.pixels.data(), n, true, 0.0f, 255.0f, 128,
-                      ibuf.data());
+        k.pixelsToI32(w.pixels.data(), n, 255.0f, 128, ibuf.data());
     }});
     cases.push_back({"i32_to_pixels", n * 4, noSetup,
                      [&](const kernels::KernelTable &k) {
-        k.i32ToPixels(w.icoeffs.data(), n, 127.5f, 1.0f / 255.0f, 0.0f,
-                      1.0f, fbuf.data());
+        k.i32ToPixels(w.icoeffs.data(), n, 127.5f, 1.0f / 255.0f,
+                      fbuf.data());
     }});
 
     Table table("codec kernel throughput per dispatch level");

@@ -374,7 +374,6 @@ main(int argc, char **argv)
         lossless.byteBudget =
             static_cast<size_t>(edge) * edge * sizeof(float);
         lossless.params.lossless = true;
-        lossless.params.wavelet = Wavelet::LeGall53;
         for (int t = 0; t < tilesPerRep; ++t) {
             raster::Plane p =
                 denseTile(edge, edge, 300 + static_cast<uint64_t>(t));

@@ -94,7 +94,6 @@ main()
         v = std::round(v * 255.0f) / 255.0f;
     codec::EncodeParams llp;
     llp.lossless = true;
-    llp.wavelet = codec::Wavelet::LeGall53;
     codec::EncodedImage lossless = codec::encode(snapped, llp);
     raster::Plane back = codec::decode(lossless);
     std::printf("lossless: %zu bytes (%.2f bpp), max error %.2g\n",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <numeric>
@@ -43,6 +42,14 @@ codecMetrics()
 // drop trailing segments and re-frame. A future layout gets a new
 // magic.
 constexpr uint32_t kMagic = 0x34435045;
+
+/**
+ * The two valid header flags words, one per mode: bit 0 marks the 5/3
+ * transform, bit 1 lossless coding, and bits 8..15 hold
+ * kLosslessDepth in both modes.
+ */
+constexpr uint32_t kFlagsLossy = static_cast<uint32_t>(kLosslessDepth) << 8;
+constexpr uint32_t kFlagsLossless = kFlagsLossy | 3u;
 
 /** Fixed serialized header size in bytes. */
 constexpr size_t kFixedHeader =
@@ -126,11 +133,8 @@ EncodedImage::serialize() const
     appendPod(out, static_cast<uint32_t>(tileSize));
     appendPod(out, static_cast<uint32_t>(dwtLevels));
     appendPod(out, static_cast<uint32_t>(1)); // layers
-    uint32_t flags = (wavelet == Wavelet::LeGall53 ? 1u : 0u) |
-                     (lossless ? 2u : 0u) |
-                     (static_cast<uint32_t>(losslessDepth) << 8);
-    appendPod(out, flags);
-    appendPod(out, quantStep);
+    appendPod(out, lossless ? kFlagsLossless : kFlagsLossy);
+    appendPod(out, kQuantStep);
     appendPod(out, static_cast<uint32_t>(chunkRows));
     appendPod(out, static_cast<uint32_t>(tileCoded.size()));
     // Packed coded-tile bitmap.
@@ -226,19 +230,15 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
     uint32_t flags = 0;
     if (!tryReadPod(data, len, pos, flags))
         return cut();
-    e.wavelet = (flags & 1u) ? Wavelet::LeGall53 : Wavelet::CDF97;
-    e.lossless = (flags & 2u) != 0;
-    e.losslessDepth = static_cast<int>((flags >> 8) & 0xFFu);
-    if (e.lossless &&
-        (e.losslessDepth < 1 || e.losslessDepth > 16 ||
-         e.wavelet != Wavelet::LeGall53)) {
-        msg = formatError(
-            "encoded image has invalid lossless flags 0x%x", flags);
+    if (flags != kFlagsLossy && flags != kFlagsLossless) {
+        msg = formatError("encoded image has invalid flags 0x%x", flags);
         return StreamError::Corrupt;
     }
-    if (!tryReadPod(data, len, pos, e.quantStep))
+    e.lossless = flags == kFlagsLossless;
+    double quantStep = 0.0;
+    if (!tryReadPod(data, len, pos, quantStep))
         return cut();
-    if (!std::isfinite(e.quantStep) || e.quantStep <= 0.0) {
+    if (quantStep != kQuantStep) {
         msg = "encoded image has invalid quantizer step";
         return StreamError::Corrupt;
     }
@@ -608,8 +608,6 @@ encode(const raster::Plane &img, const EncodeParams &params,
               params.chunkRows);
     EP_ASSERT(params.bitsPerPixel > 0.0 || params.lossless,
               "non-positive bit budget");
-    EP_ASSERT(!params.lossless || params.wavelet == Wavelet::LeGall53,
-              "lossless coding requires the LeGall 5/3 wavelet");
 
     raster::TileGrid grid(img.width(), img.height(), params.tileSize);
     if (params.roi) {
@@ -625,10 +623,7 @@ encode(const raster::Plane &img, const EncodeParams &params,
     out.height = img.height();
     out.tileSize = params.tileSize;
     out.dwtLevels = params.dwtLevels;
-    out.wavelet = params.wavelet;
     out.lossless = params.lossless;
-    out.losslessDepth = params.losslessDepth;
-    out.quantStep = params.quantStep;
     out.chunkRows = params.chunkRows;
     out.tileCoded.assign(static_cast<size_t>(grid.tileCount()), 0);
     if (reconstruction)
@@ -636,10 +631,7 @@ encode(const raster::Plane &img, const EncodeParams &params,
 
     TileCoderParams tp;
     tp.dwtLevels = params.dwtLevels;
-    tp.wavelet = params.wavelet;
     tp.lossless = params.lossless;
-    tp.losslessDepth = params.losslessDepth;
-    tp.quantStep = params.quantStep;
     tp.chunkRows = params.chunkRows;
 
     std::vector<int> codedTiles;
@@ -711,10 +703,7 @@ sliceStream(const EncodedImage &e, const raster::TileGrid &grid)
               e.tileCoded.size(), grid.tileCount());
     SlicedStream s;
     s.tp.dwtLevels = e.dwtLevels;
-    s.tp.wavelet = e.wavelet;
     s.tp.lossless = e.lossless;
-    s.tp.losslessDepth = e.losslessDepth;
-    s.tp.quantStep = e.quantStep;
     s.tp.chunkRows = e.chunkRows;
 
     s.slotOfTile.assign(static_cast<size_t>(grid.tileCount()), -1);

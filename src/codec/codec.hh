@@ -11,7 +11,10 @@
  *
  * There is one stream format, "EPC4" (docs/ARCHITECTURE.md). Every
  * stream this module writes or reads is complete and well framed; a
- * cut is a smaller complete stream, never a prefix.
+ * cut is a smaller complete stream, never a prefix. The header's
+ * flags word and quantizer step take fixed values: flags 0x800 (lossy
+ * CDF 9/7) or 0x803 (lossless LeGall 5/3), and step kQuantStep.
+ * Parsing rejects any other value as StreamError::Corrupt.
  */
 
 #ifndef EARTHPLUS_CODEC_CODEC_HH
@@ -52,14 +55,12 @@ struct EncodeParams
     double bitsPerPixel = 2.0;
     /** Dyadic DWT levels per tile. */
     int dwtLevels = 4;
-    /** Wavelet filter. */
-    Wavelet wavelet = Wavelet::CDF97;
-    /** Exact reconstruction (forces LeGall53 + full bitplanes). */
+    /**
+     * The one mode switch (see TileCoderParams::lossless): false codes
+     * CDF 9/7 to the bit budget, true codes LeGall 5/3 exactly, with
+     * every bitplane.
+     */
     bool lossless = false;
-    /** Integer depth for the lossless mapping. */
-    int losslessDepth = 8;
-    /** Deadzone quantizer step for the lossy path. */
-    double quantStep = 1.0 / 512.0;
     /** Tile edge length in pixels. */
     int tileSize = raster::kDefaultTileSize;
     /** Optional region of interest; null encodes every tile. */
@@ -82,10 +83,8 @@ struct EncodedImage
     int height = 0;
     int tileSize = raster::kDefaultTileSize;
     int dwtLevels = 4;
-    Wavelet wavelet = Wavelet::CDF97;
+    /** Lossless (LeGall 5/3) or lossy (CDF 9/7) stream. */
     bool lossless = false;
-    int losslessDepth = 8;
-    double quantStep = 1.0 / 512.0;
     /** Entropy chunk height in rows (positive). */
     int chunkRows = kDefaultChunkRows;
     /** Per-tile coded flag, flat tile index order. */

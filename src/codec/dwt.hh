@@ -5,7 +5,9 @@
  * Implements the two JPEG-2000 wavelets: the lossy CDF 9/7 (float) and
  * the reversible LeGall 5/3 (integer), both with whole-sample symmetric
  * boundary extension, arbitrary signal lengths, and in-place Mallat
- * subband layout (LL recursion in the top-left corner).
+ * subband layout (LL recursion in the top-left corner). The codec has
+ * one transform per mode: lossy tiles use 9/7, lossless tiles 5/3
+ * (TileCoderParams::lossless).
  */
 
 #ifndef EARTHPLUS_CODEC_DWT_HH
@@ -15,13 +17,6 @@
 #include <vector>
 
 namespace earthplus::codec {
-
-/** Wavelet filter choice. */
-enum class Wavelet
-{
-    CDF97,    ///< Cohen-Daubechies-Feauveau 9/7, lossy float transform.
-    LeGall53, ///< LeGall 5/3, reversible integer transform.
-};
 
 /**
  * Forward 2D CDF 9/7 transform, in place.

@@ -10,10 +10,11 @@
  * fusion), this makes encoded streams byte-identical across dispatch
  * levels — the golden guarantee the codec tests assert.
  *
- * The tables cover the per-tile hot paths: the 9/7 and 5/3 lifting
- * passes (columns processed in vector-width batches instead of strided
- * single lanes), the deadzone quantizer and its midpoint dequantizer,
- * the sign/magnitude split/combine, and the pixel<->coefficient
+ * The tables cover the per-tile hot paths: the 9/7 lifting passes and
+ * deadzone quantizer of the lossy path, the 5/3 lifting passes and
+ * sign/magnitude split/combine of the lossless path (columns processed
+ * in vector-width batches instead of strided single lanes), the
+ * midpoint dequantizer of each, and the pixel<->coefficient
  * conversion loops.
  */
 
@@ -57,9 +58,6 @@ struct KernelTable
     /** mag = trunc(|c| * inv), sign = (c < 0). */
     void (*quantF32)(const float *coeffs, size_t n, float inv,
                      uint32_t *mag, uint8_t *sign);
-    /** Integer-coefficient variant of quantF32. */
-    void (*quantI32)(const int32_t *coeffs, size_t n, float inv,
-                     uint32_t *mag, uint8_t *sign);
     /** Lossless split: mag = |c|, sign = (c < 0). */
     void (*splitI32)(const int32_t *coeffs, size_t n, uint32_t *mag,
                      uint8_t *sign);
@@ -73,10 +71,12 @@ struct KernelTable
     void (*dequant97)(const uint32_t *mag, const uint8_t *sign,
                       const uint8_t *low, size_t n, float step,
                       float *coeffs);
-    /** Midpoint dequantizer to int32 (round-to-nearest-even). */
+    /**
+     * Midpoint dequantizer for integer (lossless 5/3) coefficients: 0
+     * when mag == 0, else +/-roundNearestEven(mag + 2^(low-1)).
+     */
     void (*dequant53)(const uint32_t *mag, const uint8_t *sign,
-                      const uint8_t *low, size_t n, float toInt,
-                      int32_t *coeffs);
+                      const uint8_t *low, size_t n, int32_t *coeffs);
     /** Maximum magnitude (0 for empty input). */
     uint32_t (*maxU32)(const uint32_t *mag, size_t n);
 
@@ -106,14 +106,14 @@ struct KernelTable
     void (*uncenterClampF)(const float *in, size_t n, float lo, float hi,
                            float *out);
     /**
-     * out = roundNearestEven((clamp01? clamp(in,0,1) : in) - sub) * mul)
-     *       - off. Integer pixel mapping for the 5/3 paths.
+     * out = roundNearestEven(clamp(in, 0, 1) * mul) - off. Integer
+     * pixel mapping for the lossless 5/3 path.
      */
-    void (*pixelsToI32)(const float *in, size_t n, bool clamp01, float sub,
-                        float mul, int32_t off, int32_t *out);
-    /** out = clamp((in + off) * invScale, lo, hi). */
+    void (*pixelsToI32)(const float *in, size_t n, float mul, int32_t off,
+                        int32_t *out);
+    /** out = clamp((in + off) * invScale, 0, 1). */
     void (*i32ToPixels)(const int32_t *in, size_t n, float off,
-                        float invScale, float lo, float hi, float *out);
+                        float invScale, float *out);
 };
 
 /** Table for the currently active dispatch level (util::simd). */

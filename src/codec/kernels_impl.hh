@@ -134,7 +134,7 @@ struct Kernels
     }
 
     /**
-     * Quantizer core shared by quantF32/quantI32/splitI32: yields
+     * Quantizer core shared by quantF32/splitI32: yields
      * (magnitude lanes, sign-mask lanes) per block of K inputs, and
      * writes sign bytes in packed 4-vector groups (one narrow store
      * per 4K elements instead of K scalar byte writes).
@@ -560,26 +560,6 @@ struct Kernels
     }
 
     static void
-    quantI32(const int32_t *coeffs, size_t n, float inv, uint32_t *mag,
-             uint8_t *sign)
-    {
-        F vinv = T::fset(inv);
-        quantLoop(n, mag, sign, [&](size_t i, I &signMask) {
-            I v = T::iload(coeffs + i);
-            signMask = T::isra(v, 31);
-            I av = T::isub(T::ixor(v, signMask), signMask);
-            return T::ftoi_trunc(T::fmul(T::itof(av), vinv));
-        });
-        for (size_t i = n - n % K; i < n; ++i) {
-            int32_t v = coeffs[i];
-            sign[i] = v < 0 ? 1 : 0;
-            int32_t av = v < 0 ? -v : v;
-            mag[i] = static_cast<uint32_t>(
-                truncToI32(static_cast<float>(av) * inv));
-        }
-    }
-
-    static void
     splitI32(const int32_t *coeffs, size_t n, uint32_t *mag, uint8_t *sign)
     {
         quantLoop(n, mag, sign, [&](size_t i, I &signMask) {
@@ -639,16 +619,15 @@ struct Kernels
 
     static void
     dequant53(const uint32_t *mag, const uint8_t *sign, const uint8_t *low,
-              size_t n, float toInt, int32_t *coeffs)
+              size_t n, int32_t *coeffs)
     {
-        F vToInt = T::fset(toInt);
         I bias = T::iset(126);
         size_t i = 0;
         for (; i + K <= n; i += K) {
             I m = T::iload(reinterpret_cast<const int32_t *>(mag + i));
             I zeroMask = T::icmpeq0(m);
             F half = T::icastF(T::ishl(T::iadd(loadU8(low + i), bias), 23));
-            I r = T::ftoi_round(T::fmul(T::fadd(T::itof(m), half), vToInt));
+            I r = T::ftoi_round(T::fadd(T::itof(m), half));
             I sm = T::isub(T::izero(), loadU8(sign + i));
             r = T::isub(T::ixor(r, sm), sm);
             T::istore(coeffs + i, T::iandnot(zeroMask, r));
@@ -660,7 +639,7 @@ struct Kernels
                 continue;
             }
             float half = bitcastF(static_cast<uint32_t>(126 + low[i]) << 23);
-            int32_t r = roundToI32((static_cast<float>(m) + half) * toInt);
+            int32_t r = roundToI32(static_cast<float>(m) + half);
             coeffs[i] = sign[i] ? wrapSub(0, r) : r;
         }
     }
@@ -669,7 +648,7 @@ struct Kernels
     maxU32(const uint32_t *mag, size_t n)
     {
         // Unsigned max via sign-bit biasing: magnitudes >= 2^31 (a
-        // saturated quantizer on an absurd quantStep) must win the
+        // saturated quantizer on non-finite pixels) must win the
         // reduction so the bitplane-overflow assert still fires.
         I bias = T::iset(INT32_MIN);
         I acc = bias; // == 0 in the biased domain
@@ -766,41 +745,36 @@ struct Kernels
     }
 
     static void
-    pixelsToI32(const float *in, size_t n, bool clamp01, float sub,
-                float mul, int32_t off, int32_t *out)
+    pixelsToI32(const float *in, size_t n, float mul, int32_t off,
+                int32_t *out)
     {
-        // The optional [0,1] clamp becomes an always-on clamp against
-        // +/-FLT_MAX so every element takes the same branchless path.
-        float lo = clamp01 ? 0.0f : -3.402823466e+38f;
-        float hi = clamp01 ? 1.0f : 3.402823466e+38f;
-        F vlo = T::fset(lo);
-        F vhi = T::fset(hi);
-        F vsub = T::fset(sub);
+        F vlo = T::fset(0.0f);
+        F vhi = T::fset(1.0f);
         F vmul = T::fset(mul);
         I voff = T::iset(off);
         size_t i = 0;
         for (; i + K <= n; i += K) {
             F v = T::fload(in + i);
             v = T::fmin_(T::fmax_(v, vlo), vhi);
-            I r = T::ftoi_round(T::fmul(T::fsub(v, vsub), vmul));
+            I r = T::ftoi_round(T::fmul(v, vmul));
             T::istore(out + i, T::isub(r, voff));
         }
         for (; i < n; ++i) {
             float v = in[i];
-            v = v > lo ? v : lo;
-            v = v < hi ? v : hi;
-            out[i] = roundToI32((v - sub) * mul) - off;
+            v = v > 0.0f ? v : 0.0f;
+            v = v < 1.0f ? v : 1.0f;
+            out[i] = roundToI32(v * mul) - off;
         }
     }
 
     static void
     i32ToPixels(const int32_t *in, size_t n, float off, float invScale,
-                float lo, float hi, float *out)
+                float *out)
     {
         F voff = T::fset(off);
         F vinv = T::fset(invScale);
-        F vlo = T::fset(lo);
-        F vhi = T::fset(hi);
+        F vlo = T::fset(0.0f);
+        F vhi = T::fset(1.0f);
         size_t i = 0;
         for (; i + K <= n; i += K) {
             F v = T::fmul(T::fadd(T::itof(T::iload(in + i)), voff), vinv);
@@ -808,8 +782,8 @@ struct Kernels
         }
         for (; i < n; ++i) {
             float v = (static_cast<float>(in[i]) + off) * invScale;
-            v = v > lo ? v : lo;
-            out[i] = v < hi ? v : hi;
+            v = v > 0.0f ? v : 0.0f;
+            out[i] = v < 1.0f ? v : 1.0f;
         }
     }
 };
@@ -822,7 +796,7 @@ makeTable(util::simd::Level level)
     using KT = Kernels<T>;
     static const KernelTable table = {
         level,         T::kWidth,      &KT::fwd97,       &KT::inv97,
-        &KT::fwd53,    &KT::inv53,     &KT::quantF32,    &KT::quantI32,
+        &KT::fwd53,    &KT::inv53,     &KT::quantF32,
         &KT::splitI32, &KT::combineI32, &KT::dequant97,  &KT::dequant53,
         &KT::maxU32,   &KT::bitplaneMask, &KT::dilateRow,
         &KT::centerF,  &KT::uncenterClampF,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 
+#include "codec/dwt.hh"
 #include "codec/kernels.hh"
 #include "util/bytes.hh"
 #include "util/logging.hh"
@@ -258,33 +259,20 @@ transformTile(const raster::Plane &tile, const TileCoderParams &params)
     const kernels::KernelTable &K = kernels::active();
     const float *pixels = tile.row(0);
     if (params.lossless) {
-        EP_ASSERT(params.wavelet == Wavelet::LeGall53,
-                  "lossless coding requires the 5/3 wavelet");
-        float scale =
-            static_cast<float>((1 << params.losslessDepth) - 1);
-        int32_t offset = 1 << (params.losslessDepth - 1);
+        float scale = static_cast<float>((1 << kLosslessDepth) - 1);
+        int32_t offset = 1 << (kLosslessDepth - 1);
         std::vector<int32_t> coeffs(n);
-        K.pixelsToI32(pixels, n, true, 0.0f, scale, offset,
-                      coeffs.data());
+        K.pixelsToI32(pixels, n, scale, offset, coeffs.data());
         forwardDwt53(coeffs, out.width, out.height, params.dwtLevels);
         K.splitI32(coeffs.data(), n, out.magnitude.data(),
                    out.sign.data());
-    } else if (params.wavelet == Wavelet::CDF97) {
+    } else {
         std::vector<float> coeffs(n);
         K.centerF(pixels, n, coeffs.data());
         forwardDwt97(coeffs, out.width, out.height, params.dwtLevels);
         // Deadzone scalar quantizer.
-        float inv = static_cast<float>(1.0 / params.quantStep);
+        float inv = static_cast<float>(1.0 / kQuantStep);
         K.quantF32(coeffs.data(), n, inv, out.magnitude.data(),
-                   out.sign.data());
-    } else {
-        // Lossy 5/3: integer transform of 8-bit-scaled pixels, then the
-        // same deadzone quantizer in 1/255 units.
-        std::vector<int32_t> icoeffs(n);
-        K.pixelsToI32(pixels, n, false, 0.5f, 255.0f, 0, icoeffs.data());
-        forwardDwt53(icoeffs, out.width, out.height, params.dwtLevels);
-        float inv = static_cast<float>(1.0 / (params.quantStep * 255.0));
-        K.quantI32(icoeffs.data(), n, inv, out.magnitude.data(),
                    out.sign.data());
     }
     return out;
@@ -618,39 +606,24 @@ reconstructTile(int width, int height, const TileCoderParams &params,
         if (std::any_of(lowPlane, lowPlane + n,
                         [](uint8_t p) { return p != 0; })) {
             std::vector<int32_t> midpoint(n);
-            K.dequant53(magnitude, sign, lowPlane, n, 1.0f,
-                        midpoint.data());
+            K.dequant53(magnitude, sign, lowPlane, n, midpoint.data());
             for (size_t i = 0; i < n; ++i)
                 if (lowPlane[i] != 0)
                     coeffs[i] = midpoint[i];
         }
         inverseDwt53(coeffs, width, height, params.dwtLevels);
-        float invScale = static_cast<float>(
-            1.0 / ((1 << params.losslessDepth) - 1));
-        float offset =
-            static_cast<float>(1 << (params.losslessDepth - 1));
-        K.i32ToPixels(coeffs.data(), n, offset, invScale, 0.0f, 1.0f,
-                      out.row(0));
+        float invScale =
+            static_cast<float>(1.0 / ((1 << kLosslessDepth) - 1));
+        float offset = static_cast<float>(1 << (kLosslessDepth - 1));
+        K.i32ToPixels(coeffs.data(), n, offset, invScale, out.row(0));
         return out;
     }
 
-    if (params.wavelet == Wavelet::CDF97) {
-        std::vector<float> coeffs(n);
-        K.dequant97(magnitude, sign, lowPlane, n,
-                    static_cast<float>(params.quantStep), coeffs.data());
-        inverseDwt97(coeffs, width, height, params.dwtLevels);
-        K.uncenterClampF(coeffs.data(), n, 0.0f, 1.0f, out.row(0));
-        return out;
-    }
-
-    // Lossy 5/3: the integer path with the quantizer in 1/255 units.
-    std::vector<int32_t> coeffs(n);
-    K.dequant53(magnitude, sign, lowPlane, n,
-                static_cast<float>(params.quantStep * 255.0),
-                coeffs.data());
-    inverseDwt53(coeffs, width, height, params.dwtLevels);
-    K.i32ToPixels(coeffs.data(), n, 127.5f,
-                  static_cast<float>(1.0 / 255.0), 0.0f, 1.0f, out.row(0));
+    std::vector<float> coeffs(n);
+    K.dequant97(magnitude, sign, lowPlane, n,
+                static_cast<float>(kQuantStep), coeffs.data());
+    inverseDwt97(coeffs, width, height, params.dwtLevels);
+    K.uncenterClampF(coeffs.data(), n, 0.0f, 1.0f, out.row(0));
     return out;
 }
 

@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "codec/dwt.hh"
 #include "codec/rangecoder.hh"
 #include "raster/plane.hh"
 #include "util/bytes.hh"
@@ -63,23 +62,31 @@ namespace earthplus::codec {
  */
 constexpr int kDefaultChunkRows = 128;
 
+/**
+ * Deadzone quantizer step of the lossy (CDF 9/7) path, in pixel units.
+ * Fixed: every EPC4 stream records it, and parsing rejects any other.
+ */
+constexpr double kQuantStep = 1.0 / 512.0;
+
+/**
+ * Bit depth of the lossless path's integer pixel mapping: pixels in
+ * [0, 1] become integers in [-2^(depth-1), 2^(depth-1)).
+ */
+constexpr int kLosslessDepth = 8;
+
 /** Tunables shared by the tile encoder and decoder. */
 struct TileCoderParams
 {
     /** Dyadic decomposition levels. */
     int dwtLevels = 4;
-    /** Wavelet filter; LeGall53 is required for lossless. */
-    Wavelet wavelet = Wavelet::CDF97;
     /**
-     * True for exact reconstruction: pixels are mapped to integers with
-     * `losslessDepth` bits, transformed with the reversible 5/3 filter,
-     * and every bitplane is coded.
+     * The codec mode, and with it the transform. False: the CDF 9/7
+     * float transform and the kQuantStep deadzone quantizer, coded to
+     * a byte budget. True, for exact reconstruction: pixels are mapped
+     * to kLosslessDepth-bit integers, transformed with the reversible
+     * LeGall 5/3 filter, and every bitplane is coded.
      */
     bool lossless = false;
-    /** Bit depth of the integer mapping in lossless mode. */
-    int losslessDepth = 8;
-    /** Deadzone quantizer step for the lossy path. */
-    double quantStep = 1.0 / 512.0;
     /** Rows per entropy chunk; must be positive. */
     int chunkRows = kDefaultChunkRows;
 };

@@ -112,7 +112,6 @@ TEST(Codec, LosslessIsExactFor8BitContent)
         v = std::round(v * 255.0f) / 255.0f;
     EncodeParams p;
     p.lossless = true;
-    p.wavelet = Wavelet::LeGall53;
     EncodedImage enc = encode(img, p);
     raster::Plane dec = decode(enc);
     for (size_t i = 0; i < img.data().size(); ++i)
@@ -121,17 +120,6 @@ TEST(Codec, LosslessIsExactFor8BitContent)
     double bppActual = 8.0 * static_cast<double>(enc.totalBytes()) /
                        (96.0 * 96.0);
     EXPECT_LT(bppActual, 7.0);
-}
-
-TEST(Codec, Lossy53Works)
-{
-    raster::Plane img = testImage(128, 128, 5);
-    EncodeParams p;
-    p.bitsPerPixel = 2.0;
-    p.wavelet = Wavelet::LeGall53;
-    EncodedImage enc = encode(img, p);
-    raster::Plane dec = decode(enc);
-    EXPECT_GT(raster::psnr(img, dec), 35.0);
 }
 
 TEST(Codec, RoiOnlyCodesSelectedTiles)
@@ -226,15 +214,15 @@ TEST(Codec, SerializeRoundTripAcrossModes)
     for (bool lossless : {false, true}) {
         EncodeParams p;
         p.bitsPerPixel = 1.0;
-        if (lossless) {
-            p.lossless = true;
-            p.wavelet = Wavelet::LeGall53;
-        }
+        p.lossless = lossless;
         p.chunkRows = 48;
         EncodedImage enc = encode(img, p);
         const std::vector<uint8_t> bytes = enc.serialize();
         EncodedImage back = EncodedImage::deserialize(bytes);
         EXPECT_EQ(back.serialize(), bytes);
+        uint32_t flags = 0;
+        std::memcpy(&flags, bytes.data() + 24, 4);
+        EXPECT_EQ(flags, lossless ? 0x803u : 0x800u);
         EXPECT_EQ(back.width, enc.width);
         EXPECT_EQ(back.height, enc.height);
         EXPECT_EQ(back.tileSize, enc.tileSize);
@@ -257,7 +245,6 @@ TEST(CodecDeath, DeserializeRejectsTruncatedStreams)
         v = std::round(v * 255.0f) / 255.0f;
     EncodeParams p;
     p.lossless = true;
-    p.wavelet = Wavelet::LeGall53;
     p.tileSize = 96;
     p.chunkRows = 48;
     std::vector<uint8_t> bytes = encode(img, p).serialize();
@@ -302,7 +289,7 @@ TEST(CodecDeath, DeserializeRejectsCorruptHeaderFields)
         return bad;
     };
     // Field offsets: magic=0, width=4, height=8, tileSize=12,
-    // dwtLevels=16, layers=20.
+    // dwtLevels=16, layers=20, flags=24, quantStep=28.
     EXPECT_EXIT(EncodedImage::deserialize(corrupt(0, 0xDEADBEEF)),
                 ::testing::ExitedWithCode(1), "magic");
     EXPECT_EXIT(EncodedImage::deserialize(corrupt(4, 0)),
@@ -321,6 +308,31 @@ TEST(CodecDeath, DeserializeRejectsCorruptHeaderFields)
     EXPECT_EQ(EncodedImage::tryDeserialize(layered.data(), layered.size(),
                                            e),
               StreamError::Corrupt);
+    // One transform per mode: the flags word (offset 24) is 0x800 for
+    // lossy 9/7 and 0x803 for lossless 5/3, and the quantizer step
+    // (offset 28) is always kQuantStep. Any other value is corrupt,
+    // lossy 5/3 (0x801) included.
+    uint32_t flags = 0;
+    double step = 0.0;
+    std::memcpy(&flags, bytes.data() + 24, 4);
+    std::memcpy(&step, bytes.data() + 28, 8);
+    EXPECT_EQ(flags, 0x800u);
+    EXPECT_EQ(step, kQuantStep);
+    for (uint32_t badFlags : {0x801u, 0x802u, 0x903u, 0x003u}) {
+        std::vector<uint8_t> bad = corrupt(24, badFlags);
+        EXPECT_EQ(EncodedImage::tryDeserialize(bad.data(), bad.size(), e),
+                  StreamError::Corrupt)
+            << std::hex << badFlags;
+    }
+    for (double badStep : {1.0 / 256.0, 0.0, std::nan("")}) {
+        std::vector<uint8_t> bad = bytes;
+        std::memcpy(bad.data() + 28, &badStep, 8);
+        EXPECT_EQ(EncodedImage::tryDeserialize(bad.data(), bad.size(), e),
+                  StreamError::Corrupt)
+            << badStep;
+    }
+    EXPECT_EXIT(EncodedImage::deserialize(corrupt(24, 0x801)),
+                ::testing::ExitedWithCode(1), "flags");
     // A tile size that no longer matches the stored tile count.
     EXPECT_EXIT(EncodedImage::deserialize(corrupt(12, 32)),
                 ::testing::ExitedWithCode(1), "tile count");
@@ -376,17 +388,13 @@ TEST(Codec, ScalarAndSimdStreamsAreByteIdentical)
         const char *name;
         EncodeParams params;
     };
-    std::vector<Mode> modes(3);
+    std::vector<Mode> modes(2);
     modes[0].name = "cdf97";
     modes[0].params.bitsPerPixel = 1.5;
     modes[0].params.tileSize = 61;
-    modes[1].name = "lossy53";
-    modes[1].params = modes[0].params;
-    modes[1].params.wavelet = Wavelet::LeGall53;
-    modes[2].name = "lossless";
-    modes[2].params.tileSize = 61;
-    modes[2].params.lossless = true;
-    modes[2].params.wavelet = Wavelet::LeGall53;
+    modes[1].name = "lossless";
+    modes[1].params.tileSize = 61;
+    modes[1].params.lossless = true;
 
     util::simd::Level prev = util::simd::activeLevel();
     for (const Mode &mode : modes) {
@@ -435,7 +443,6 @@ TEST(Codec, DecodeTilesSinglePixelImage)
     raster::Plane img(1, 1, 0.75f);
     EncodeParams p;
     p.lossless = true;
-    p.wavelet = Wavelet::LeGall53;
     EncodedImage enc = encode(img, p);
     auto tiles = decodeTiles(enc, {0});
     ASSERT_EQ(tiles.size(), 1u);
@@ -776,13 +783,12 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     // The decoder-equivalent state rule (docs/ARCHITECTURE.md): the
     // reconstruction encode() builds from its own coefficient state is
     // bit-identical to decoding the stream it wrote, in memory and
-    // after a serialize round trip — over every wavelet mode, chunk
+    // after a serialize round trip — over both codec modes, chunk
     // height and tile size, on ragged images, ROI
     // subsets and budgets starved enough to stop mid-plane. The sweep
     // runs on one lane and on four.
     struct Mode
     {
-        Wavelet wavelet;
         bool lossless;
         double bpp;
     };
@@ -790,13 +796,8 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     // spends its bytes in the cleanup pass of its first planes and so
     // stops on a plane boundary; at 0.25 bpp chunks also stop after
     // pass 0 or pass 1 of a plane.
-    const Mode modes[] = {{Wavelet::CDF97, false, 0.02},
-                          {Wavelet::CDF97, false, 0.25},
-                          {Wavelet::CDF97, false, 1.0},
-                          {Wavelet::LeGall53, false, 0.02},
-                          {Wavelet::LeGall53, false, 0.25},
-                          {Wavelet::LeGall53, false, 1.0},
-                          {Wavelet::LeGall53, true, 2.0}};
+    const Mode modes[] = {
+        {false, 0.02}, {false, 0.25}, {false, 1.0}, {true, 2.0}};
     const std::pair<int, int> shapes[] = {{150, 110}, {97, 201}};
 
     int compared = 0;
@@ -819,8 +820,6 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
                                          << "threads=" << threads
                                          << " " << w << "x" << h
                                          << " tile=" << tileSize
-                                         << " wavelet="
-                                         << static_cast<int>(m.wavelet)
                                          << " lossless=" << m.lossless
                                          << " bpp=" << m.bpp
                                          << " chunkRows=" << chunkRows
@@ -828,7 +827,6 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
                                          << (roi == &all ? "all"
                                                          : "subset"));
                             EncodeParams p;
-                            p.wavelet = m.wavelet;
                             p.lossless = m.lossless;
                             p.bitsPerPixel = m.bpp;
                             p.chunkRows = chunkRows;
@@ -852,7 +850,7 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     }
     util::ThreadPool::setGlobalThreads(
         util::ThreadPool::defaultThreadCount());
-    EXPECT_EQ(compared, 2 * 2 * 3 * 7 * 2 * 2 * 2);
+    EXPECT_EQ(compared, 2 * 2 * 3 * 4 * 2 * 2 * 2);
     // The starved budgets really do stop chunks after pass 0 and after
     // pass 1 of a plane, the two states in which only part of the
     // plane's coefficients carry their plane bit.

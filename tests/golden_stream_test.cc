@@ -6,9 +6,9 @@
  * persists it and the downlink replays it, so any change to the coder
  * must either be byte-identical or come with an explicit format
  * migration. These tests pin the one stream format, EPC4, over fixed
- * synthetic tiles across {CDF97, lossy 5/3, lossless} x odd/even tile
- * sizes, at every SIMD dispatch level and thread-pool width, as data
- * rather than as a second implementation:
+ * synthetic tiles across its two modes {lossy CDF 9/7, lossless 5/3} x
+ * odd/even tile sizes, at every SIMD dispatch level and thread-pool
+ * width, as data rather than as a second implementation:
  *
  *  - kGoldenV3 pins the bytes the encoder writes;
  *  - kDecodedV3 pins the pixels the decoder reconstructs from them;
@@ -93,7 +93,7 @@ struct GoldenFixture
 {
     const char *content; ///< "textured" or "sparse".
     int w, h;
-    const char *mode; ///< "cdf97", "lossy53" or "lossless".
+    const char *mode; ///< "cdf97" or "lossless".
     size_t bytes;     ///< Encoded sub-chunk size.
     uint32_t crc;     ///< CRC32 of the sub-chunk.
 };
@@ -114,25 +114,27 @@ constexpr int kGoldenChunkRows = 32;
  * coded in three layers were recorded in one layer by the encoder
  * they were last pinned against, three of them collapsing into the
  * one-layer rows of the same tile, and the five one-layer rows stayed
- * as they were — see the worked examples in docs/ARCHITECTURE.md.
- * Regenerate by running this binary with EARTHPLUS_PRINT_GOLDEN=1 and
- * pasting the printed rows.
+ * as they were. When lossy 5/3 was retired (one transform per mode),
+ * its four rows went with it and every other row stayed as it was;
+ * sparse 130x70 cdf97 took the place of the one sparse lossy row on
+ * the 3-word path, recorded by the last encoder and decoder that still
+ * coded lossy 5/3, so its reference does not depend on the deletion —
+ * see the worked examples in docs/ARCHITECTURE.md. Regenerate by
+ * running this binary with EARTHPLUS_PRINT_GOLDEN=1 and pasting the
+ * printed rows.
  */
 const GoldenFixture kGoldenV3[] = {
     {"textured", 64, 64, "cdf97", 1241u, 0xDB3052E5u},
-    {"textured", 64, 64, "lossy53", 1295u, 0x5D52D9D6u},
     {"textured", 64, 64, "lossless", 3012u, 0x8A0F402Du},
     {"textured", 61, 47, "cdf97", 889u, 0x77EB3D9Au},
     {"textured", 61, 47, "lossless", 2204u, 0x008EB853u},
     {"textured", 130, 70, "cdf97", 2855u, 0x76C95888u},
-    {"textured", 130, 70, "lossy53", 2833u, 0xF238F124u},
     {"textured", 130, 70, "lossless", 6618u, 0x67AE5628u},
     {"sparse", 64, 64, "cdf97", 632u, 0xE499A07Au},
-    {"sparse", 64, 64, "lossy53", 448u, 0x108059FDu},
     {"sparse", 64, 64, "lossless", 409u, 0xDCAE63A8u},
     {"sparse", 61, 47, "cdf97", 577u, 0xF71F4EC1u},
     {"sparse", 61, 47, "lossless", 400u, 0x7A7DFCD0u},
-    {"sparse", 130, 70, "lossy53", 710u, 0x3AE80EE0u},
+    {"sparse", 130, 70, "cdf97", 948u, 0x12F93B65u},
     {"sparse", 130, 70, "lossless", 645u, 0xDF33A45Du},
 };
 
@@ -142,9 +144,9 @@ const GoldenFixture kGoldenV3[] = {
  * here without a change in kGoldenV3 is a decoder change.
  */
 const uint32_t kDecodedV3[] = {
-    0x401B2936u, 0xE9E6023Du, 0x58A1F0D2u, 0x2AAA151Fu, 0x50319440u,
-    0x12709A22u, 0x29430C41u, 0xBBA68888u, 0x8227BB1Au, 0x18EF4AF9u,
-    0x217D5E30u, 0x08377752u, 0xE388AF9Fu, 0x6F53A3E2u, 0x8F01FC25u,
+    0x401B2936u, 0x58A1F0D2u, 0x2AAA151Fu, 0x50319440u,
+    0x12709A22u, 0xBBA68888u, 0x8227BB1Au, 0x217D5E30u,
+    0x08377752u, 0xE388AF9Fu, 0xE10E9CA9u, 0x8F01FC25u,
 };
 static_assert(std::size(kDecodedV3) == std::size(kGoldenV3));
 
@@ -161,7 +163,7 @@ const uint32_t kDecodedV2[] = {
 /** One whole-stream fixture for kGoldenCut. */
 struct CutFixture
 {
-    const char *mode; ///< "cdf97", "lossy53" or "lossless".
+    const char *mode; ///< "cdf97" or "lossless".
     int tileSize;
     int chunkRows;
     /** CRC32 of the cut at 10, 25, 50 and 75% of the stream length. */
@@ -175,12 +177,14 @@ constexpr int kCutPercents[] = {10, 25, 50, 75};
  * Tile-fair cuts of whole 130x70 textured streams (codec::encode at
  * 2 bpp, or lossless): a grid of tiles, some ragged, with one or more
  * chunks each. The cut bytes are what the downlink sends and the
- * archive stores, so they are pinned like the encoder's. Printed by
- * EARTHPLUS_PRINT_GOLDEN=1.
+ * archive stores, so they are pinned like the encoder's. The 48-px,
+ * 16-row-chunk cdf97 row replaced the lossy 5/3 row of that shape and
+ * was recorded, like the new kGoldenV3 row, before lossy 5/3 was
+ * deleted. Printed by EARTHPLUS_PRINT_GOLDEN=1.
  */
 const CutFixture kGoldenCut[] = {
     {"cdf97", 32, 128, {0x801540EBu, 0xCD49226Du, 0xB90B20BCu, 0x23A7F6EEu}},
-    {"lossy53", 48, 16, {0x2FA32A1Bu, 0x4F90A77Bu, 0xCD4F7680u, 0xCB3C7150u}},
+    {"cdf97", 48, 16, {0xD1A3BEE7u, 0xF27E0A7Eu, 0xDB01DD19u, 0x4AA03A63u}},
     {"lossless", 64, 32, {0x55C7EF85u, 0x361BD452u, 0xAABEF184u, 0xF076C38Au}},
 };
 
@@ -191,12 +195,7 @@ buildGolden(const GoldenFixture &f, raster::Plane &tile,
 {
     params = TileCoderParams();
     params.chunkRows = kGoldenChunkRows;
-    if (std::string(f.mode) == "lossy53") {
-        params.wavelet = Wavelet::LeGall53;
-    } else if (std::string(f.mode) == "lossless") {
-        params.wavelet = Wavelet::LeGall53;
-        params.lossless = true;
-    }
+    params.lossless = std::string(f.mode) == "lossless";
     uint64_t seed = 7000 + static_cast<uint64_t>(f.w) * 13 +
                     static_cast<uint64_t>(f.h) * 7;
     tile = std::string(f.content) == "textured"
@@ -258,7 +257,6 @@ encodeCutFixture(const CutFixture &f)
     size_t budget = 0;
     buildGolden(source, img, params, budget);
     EncodeParams ep;
-    ep.wavelet = params.wavelet;
     ep.lossless = params.lossless;
     ep.tileSize = f.tileSize;
     ep.chunkRows = f.chunkRows;
@@ -405,15 +403,17 @@ TEST(GoldenStream, TileFairCutsMatchRecordedBytes)
     // and are pinned the same way: at every SIMD level and pool width.
     atEveryLevelAndWidth([](const std::string &where) {
         for (const CutFixture &f : kGoldenCut) {
+            const std::string name =
+                std::string(f.mode) + "/" + std::to_string(f.tileSize);
             std::vector<uint8_t> stream = encodeCutFixture(f);
             ASSERT_LE(streamHeaderFloor(stream),
                       stream.size() * static_cast<size_t>(kCutPercents[0]) /
                           100)
-                << f.mode;
+                << name;
             std::vector<uint32_t> crcs = cutCrcs(stream);
             for (size_t i = 0; i < crcs.size(); ++i)
                 EXPECT_EQ(crcs[i], f.crc[i])
-                    << f.mode << " cut to " << kCutPercents[i] << "% "
+                    << name << " cut to " << kCutPercents[i] << "% "
                     << where;
         }
     });

@@ -280,7 +280,6 @@ freshEpc4Streams()
     p.chunkRows = kDefaultChunkRows;
     out.push_back(encode(img, p).serialize());
     p.lossless = true;
-    p.wavelet = Wavelet::LeGall53;
     p.chunkRows = 48;
     out.push_back(encode(eightBit(img), p).serialize());
     return out;
@@ -313,7 +312,6 @@ matrixStreams()
         p.chunkRows = c.chunkRows;
         if (c.lossless) {
             p.lossless = true;
-            p.wavelet = Wavelet::LeGall53;
             img = eightBit(img);
         } else {
             p.bitsPerPixel = 1.5;
@@ -322,7 +320,6 @@ matrixStreams()
     }
     EncodeParams lossless;
     lossless.lossless = true;
-    lossless.wavelet = Wavelet::LeGall53;
     lossless.tileSize = 96;
     lossless.chunkRows = 48;
     out.push_back(

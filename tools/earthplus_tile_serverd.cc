@@ -11,12 +11,19 @@
  * against an in-memory synthetic archive — the CI smoke test that the
  * daemon can bind, handshake, serve pixels over the wire, and shut
  * down without leaks.
+ *
+ * A malformed option (unknown, missing its value, or a numeric value
+ * that is not a whole number in its field's range) prints the usage
+ * text and exits with status 2.
  */
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,6 +70,23 @@ usage(const char *argv0)
         "  --poll               force the poll() backend over epoll\n"
         "  --selftest           loopback round trip, then exit\n",
         argv0);
+}
+
+/**
+ * Parse a whole decimal flag value in [0, hi] into `out`. False on an
+ * empty or non-numeric string, trailing characters, or a value out of
+ * range, so a bad flag is a usage error instead of a silent wrap.
+ */
+bool
+parseIntArg(const char *text, long long hi, long long &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < 0 || v > hi)
+        return false;
+    out = v;
+    return true;
 }
 
 /** Synthetic archive content when no --archive is given. */
@@ -131,28 +155,31 @@ main(int argc, char **argv)
     size_t cacheMb = 64;
     bool runSelftest = false;
 
+    // Every numeric flag takes a whole number that fits its field; a
+    // value that does not falls through to the usage error below.
+    constexpr long long kMaxU32 = UINT32_MAX;
+    constexpr long long kMaxSize = LLONG_MAX;
+    constexpr long long kMaxCacheMb =
+        static_cast<long long>(SIZE_MAX >> 20);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto intArg = [&](long &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = std::strtol(argv[++i], nullptr, 10);
-            return true;
+        long long v = 0;
+        auto intArg = [&](long long hi) {
+            return i + 1 < argc && parseIntArg(argv[++i], hi, v);
         };
-        long v = 0;
         if (arg == "--archive" && i + 1 < argc) {
             archivePath = argv[++i];
-        } else if (arg == "--port" && intArg(v)) {
+        } else if (arg == "--port" && intArg(UINT16_MAX)) {
             options.port = static_cast<uint16_t>(v);
-        } else if (arg == "--cache-mb" && intArg(v)) {
+        } else if (arg == "--cache-mb" && intArg(kMaxCacheMb)) {
             cacheMb = static_cast<size_t>(v);
-        } else if (arg == "--max-connections" && intArg(v)) {
+        } else if (arg == "--max-connections" && intArg(kMaxSize)) {
             options.maxConnections = static_cast<size_t>(v);
-        } else if (arg == "--max-pending" && intArg(v)) {
+        } else if (arg == "--max-pending" && intArg(kMaxSize)) {
             options.maxPending = static_cast<size_t>(v);
-        } else if (arg == "--retry-after-ms" && intArg(v)) {
+        } else if (arg == "--retry-after-ms" && intArg(kMaxU32)) {
             options.retryAfterMs = static_cast<uint32_t>(v);
-        } else if (arg == "--drain-ms" && intArg(v)) {
+        } else if (arg == "--drain-ms" && intArg(kMaxU32)) {
             options.drainTimeoutMs = static_cast<uint32_t>(v);
         } else if (arg == "--sync" && i + 1 < argc) {
             std::string mode = argv[++i];
