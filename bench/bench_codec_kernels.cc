@@ -4,7 +4,8 @@
  * every dispatch level available on this machine.
  *
  * Prints one row per (kernel, level) with median wall-ms and MB/s plus
- * the speedup over the scalar table, and with `--json <path>` emits
+ * the speedup over the scalar table (the `crc32` row's scalar level is
+ * the slicing-by-8 twin, its AVX2 level the PCLMULQDQ fold), and with `--json <path>` emits
  * the machine-readable BENCH_codec_kernels.json that ci/perf_gate.py
  * diffs against the checked-in baseline.
  *
@@ -192,6 +193,14 @@ main(int argc, char **argv)
                      [&](const kernels::KernelTable &k) {
         k.i32ToPixels(w.icoeffs.data(), n, 127.5f, 1.0f / 255.0f,
                       fbuf.data());
+    }});
+    // CRC-32 over the magnitude buffer's bytes (any bytes will do:
+    // the kernel's cost does not depend on their values).
+    volatile uint32_t crcSink = 0;
+    cases.push_back({"crc32", n * 4, noSetup,
+                     [&](const kernels::KernelTable &k) {
+        crcSink = k.crc32(0, reinterpret_cast<const uint8_t *>(w.mag.data()),
+                          n * 4);
     }});
 
     Table table("codec kernel throughput per dispatch level");

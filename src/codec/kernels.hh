@@ -16,6 +16,12 @@
  * in vector-width batches instead of strided single lanes), the
  * midpoint dequantizer of each, and the pixel<->coefficient
  * conversion loops.
+ *
+ * The table also carries the one CRC-32 kernel behind every integrity
+ * check of the ground segment (ground/crc32.hh): slicing-by-8 at the
+ * scalar, SSE2 and NEON levels, a PCLMULQDQ fold at AVX2. It is an
+ * integer function of the bytes, so every level returns the same
+ * value by construction.
  */
 
 #ifndef EARTHPLUS_CODEC_KERNELS_HH
@@ -114,6 +120,17 @@ struct KernelTable
     /** out = clamp((in + off) * invScale, 0, 1). */
     void (*i32ToPixels)(const int32_t *in, size_t n, float off,
                         float invScale, float *out);
+
+    // --- integrity ---
+    /**
+     * CRC-32/IEEE 802.3 (reflected polynomial 0xEDB88320, initial and
+     * final XOR 0xFFFFFFFF) of `n` bytes, continuing from `prev`, the
+     * CRC of the bytes before `data` (0 for none), so
+     * crc32(crc32(0, a), b) == crc32(0, a ++ b). Never CRC-32C: the
+     * SSE4.2 `crc32` instruction computes the Castagnoli polynomial
+     * and is not used.
+     */
+    uint32_t (*crc32)(uint32_t prev, const uint8_t *data, size_t n);
 };
 
 /** Table for the currently active dispatch level (util::simd). */

@@ -90,6 +90,18 @@ roundToI32(float v)
     return fitsI32(v) ? static_cast<int32_t>(std::lrint(v)) : INT32_MIN;
 }
 
+/**
+ * Slicing-by-8 CRC-32/IEEE over the working register (the CRC with
+ * its 0xFFFFFFFF pre/post inversion stripped): eight table lookups per
+ * eight bytes, then bytewise for the tail. Defined once, in the
+ * scalar translation unit built for the baseline ISA, so the vector
+ * levels may call it for their short inputs and tails.
+ */
+uint32_t crc32Slice8(uint32_t reg, const uint8_t *data, size_t n);
+
+/** KernelTable::crc32 of the scalar, SSE2 and NEON levels. */
+uint32_t crc32Scalar(uint32_t prev, const uint8_t *data, size_t n);
+
 template <class T>
 struct Kernels
 {
@@ -788,10 +800,15 @@ struct Kernels
     }
 };
 
-/** Assemble the function table for one traits instantiation. */
+/**
+ * Assemble the function table for one traits instantiation; `crc32`
+ * is the level's CRC kernel (crc32Scalar unless the level has a
+ * faster one).
+ */
 template <class T>
 const KernelTable *
-makeTable(util::simd::Level level)
+makeTable(util::simd::Level level,
+          uint32_t (*crc32)(uint32_t, const uint8_t *, size_t))
 {
     using KT = Kernels<T>;
     static const KernelTable table = {
@@ -800,7 +817,7 @@ makeTable(util::simd::Level level)
         &KT::splitI32, &KT::combineI32, &KT::dequant97,  &KT::dequant53,
         &KT::maxU32,   &KT::bitplaneMask, &KT::dilateRow,
         &KT::centerF,  &KT::uncenterClampF,
-        &KT::pixelsToI32, &KT::i32ToPixels,
+        &KT::pixelsToI32, &KT::i32ToPixels, crc32,
     };
     return &table;
 }

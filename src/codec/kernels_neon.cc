@@ -108,7 +108,7 @@ struct NeonTraits
 const KernelTable *
 neonTable()
 {
-    return makeTable<NeonTraits>(util::simd::Level::NEON);
+    return makeTable<NeonTraits>(util::simd::Level::NEON, &crc32Scalar);
 }
 
 } // namespace earthplus::codec::kernels::detail

@@ -114,7 +114,7 @@ struct Sse2Traits
 const KernelTable *
 sse2Table()
 {
-    return makeTable<Sse2Traits>(util::simd::Level::SSE2);
+    return makeTable<Sse2Traits>(util::simd::Level::SSE2, &crc32Scalar);
 }
 
 } // namespace earthplus::codec::kernels::detail

@@ -1,41 +1,13 @@
 #include "ground/crc32.hh"
 
-#include <array>
+#include "codec/kernels.hh"
 
 namespace earthplus::ground {
-
-namespace {
-
-std::array<uint32_t, 256>
-makeTable()
-{
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-        uint32_t c = i;
-        for (int k = 0; k < 8; ++k)
-            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
-    }
-    return table;
-}
-
-const std::array<uint32_t, 256> &
-table()
-{
-    static const std::array<uint32_t, 256> t = makeTable();
-    return t;
-}
-
-} // anonymous namespace
 
 uint32_t
 crc32Update(uint32_t prev, const uint8_t *data, size_t size)
 {
-    uint32_t c = prev ^ 0xFFFFFFFFu;
-    const auto &t = table();
-    for (size_t i = 0; i < size; ++i)
-        c = t[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
+    return codec::kernels::active().crc32(prev, data, size);
 }
 
 uint32_t

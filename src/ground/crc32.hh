@@ -2,10 +2,18 @@
  * @file
  * CRC-32 (IEEE 802.3) checksum.
  *
- * Integrity primitive shared by the downlink packet framing and the
- * on-disk archive format: every payload that crosses the space-ground
- * boundary or the memory-disk boundary carries a CRC so corruption is
- * detected instead of decoded as garbage.
+ * Integrity primitive shared by the downlink packet framing, the
+ * on-disk archive format and the EPT wire frames: every payload that
+ * crosses the space-ground boundary, the memory-disk boundary or the
+ * network carries a CRC so corruption is detected instead of decoded
+ * as garbage. The stored and wire values are normative (see
+ * docs/ARCHITECTURE.md); CRC-32C (Castagnoli, the SSE4.2 `crc32`
+ * instruction) would be a different checksum and is not acceptable.
+ *
+ * Both functions run the dispatched `codec::kernels::KernelTable::crc32`
+ * of the active SIMD level: a PCLMULQDQ fold at AVX2, slicing-by-8 at
+ * scalar, SSE2 and NEON (the `EARTHPLUS_SIMD=scalar` twin). Every
+ * level returns the same value for the same bytes.
  */
 
 #ifndef EARTHPLUS_GROUND_CRC32_HH

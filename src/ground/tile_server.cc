@@ -44,6 +44,10 @@ struct ServeMetrics
         telemetry::counter("ground.refine.tasks");
     telemetry::Counter &refineDropped =
         telemetry::counter("ground.refine.dropped");
+    telemetry::Histogram &chainResolveNs =
+        telemetry::histogram("ground.chain_resolve_ns");
+    telemetry::Histogram &payloadParseNs =
+        telemetry::histogram("ground.payload_parse_ns");
 };
 
 ServeMetrics &
@@ -51,6 +55,49 @@ serveMetrics()
 {
     static ServeMetrics m;
     return m;
+}
+
+/**
+ * The records that serve `query`, oldest first: records at or before
+ * the query day, starting from the latest full download among them
+ * (empty when there is none). `*nextDayOut` receives the capture day
+ * of the first record after the query day (infinity when none).
+ */
+std::vector<std::pair<size_t, RecordMeta>>
+resolveChain(const Archive &archive, const TileQuery &query,
+             double *nextDayOut)
+{
+    // Append order is download-*completion* order, which ARQ
+    // retransmissions can reorder relative to capture order, so sort
+    // by capture day. One locked pass snapshots the whole chain's
+    // metadata (the archive may be appended to concurrently; a
+    // per-record lookup would pay two lock round trips per chain
+    // element).
+    std::vector<std::pair<size_t, RecordMeta>> relevant =
+        archive.chainEntries(query.locationId, query.band);
+    double nextDay = std::numeric_limits<double>::infinity();
+    auto afterQuery = [&](const std::pair<size_t, RecordMeta> &e) {
+        if (e.second.captureDay > query.day) {
+            nextDay = std::min(nextDay, e.second.captureDay);
+            return true;
+        }
+        return false;
+    };
+    relevant.erase(std::remove_if(relevant.begin(), relevant.end(),
+                                  afterQuery),
+                   relevant.end());
+    *nextDayOut = nextDay;
+    std::stable_sort(relevant.begin(), relevant.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.second.captureDay < b.second.captureDay;
+                     });
+    size_t firstUseful = 0;
+    for (size_t i = 0; i < relevant.size(); ++i)
+        if (relevant[i].second.fullDownload)
+            firstUseful = i;
+    relevant.erase(relevant.begin(),
+                   relevant.begin() + static_cast<ptrdiff_t>(firstUseful));
+    return relevant;
 }
 
 } // anonymous namespace
@@ -77,6 +124,12 @@ ServeError
 TileQuery::validate() const
 {
     if (width <= 0 || height <= 0)
+        return ServeError::BadQuery;
+    // clipTo() computes x0 + width and y0 + height; off the wire both
+    // terms are raw int32, so a far edge past INT_MAX is refused here
+    // instead of overflowing there.
+    if (x0 > std::numeric_limits<int>::max() - width ||
+        y0 > std::numeric_limits<int>::max() - height)
         return ServeError::BadQuery;
     if (locationId < 0 || band < 0)
         return ServeError::BadQuery;
@@ -301,6 +354,7 @@ codec::EncodedImage
 TileServer::parseRecord(size_t recordIdx, int quality) const
 {
     telemetry::TraceSpan parseSpan("ground.payload_parse", "ground");
+    telemetry::ScopedTimer timer(serveMetrics().payloadParseNs);
     PayloadView view = archive_.payloadView(recordIdx);
     const uint8_t *data = view.data();
     size_t size = view.size();
@@ -326,40 +380,16 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
         return result;
     }
 
-    // Resolve the delta chain: records at or before the query day,
-    // starting from the latest full download among them. Append order
-    // is download-*completion* order, which ARQ retransmissions can
-    // reorder relative to capture order, so sort by capture day.
-    // One locked pass snapshots the whole chain's metadata (the
-    // archive may be appended to concurrently; a per-record lookup
-    // would pay two lock round trips per chain element).
-    std::vector<std::pair<size_t, RecordMeta>> relevant =
-        archive_.chainEntries(query.locationId, query.band);
+    std::vector<std::pair<size_t, RecordMeta>> relevant;
     double nextDay = std::numeric_limits<double>::infinity();
-    auto afterQuery = [&](const std::pair<size_t, RecordMeta> &e) {
-        if (e.second.captureDay > query.day) {
-            nextDay = std::min(nextDay, e.second.captureDay);
-            return true;
-        }
-        return false;
-    };
-    relevant.erase(std::remove_if(relevant.begin(), relevant.end(),
-                                  afterQuery),
-                   relevant.end());
+    {
+        telemetry::ScopedTimer timer(serveMetrics().chainResolveNs);
+        relevant = resolveChain(archive_, query, &nextDay);
+    }
     if (nextDayOut)
         *nextDayOut = nextDay;
     if (relevant.empty())
         return result; // NotFound (the default)
-    std::stable_sort(relevant.begin(), relevant.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.second.captureDay < b.second.captureDay;
-                     });
-    size_t firstUseful = 0;
-    for (size_t i = 0; i < relevant.size(); ++i)
-        if (relevant[i].second.fullDownload)
-            firstUseful = i;
-    relevant.erase(relevant.begin(),
-                   relevant.begin() + static_cast<ptrdiff_t>(firstUseful));
 
     // Memoized stream geometry: no payload I/O on the warm path. A
     // record parsed cold here is kept for this query, so the miss

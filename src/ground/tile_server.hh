@@ -139,8 +139,9 @@ struct TileQuery
     /**
      * Image-independent validity check: ServeError::None for a
      * well-formed query, ServeError::BadQuery for non-positive
-     * extents, negative location/band ids, a non-finite day, or
-     * quality outside [-1, 100]. Both the
+     * extents, a far edge (x0 + width, y0 + height) past INT_MAX,
+     * negative location/band ids, a non-finite day, or quality
+     * outside [-1, 100]. Both the
      * serve pipeline and the network frame parser route queries
      * through this single check, so a network-decoded query cannot
      * bypass validation.

@@ -8,16 +8,31 @@ namespace earthplus::util::simd {
 
 namespace {
 
+/**
+ * The AVX2 level's runtime check: its kernels use AVX2, and its CRC-32
+ * uses PCLMULQDQ, which a CPU (or a hypervisor's cpuid) may offer
+ * without the other.
+ */
+bool
+hasAvx2Level()
+{
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
+    return __builtin_cpu_supports("avx2") &&
+           __builtin_cpu_supports("pclmul");
+#else
+    return false;
+#endif
+}
+
 Level
 detectBest()
 {
 #if defined(__aarch64__) || defined(__ARM_NEON)
     return Level::NEON;
 #elif defined(__x86_64__) || defined(_M_X64)
-#if defined(__GNUC__) || defined(__clang__)
-    if (__builtin_cpu_supports("avx2"))
+    if (hasAvx2Level())
         return Level::AVX2;
-#endif
     return Level::SSE2;
 #else
     return Level::Scalar;
@@ -85,12 +100,7 @@ cpuSupports(Level level)
         return false;
 #endif
     case Level::AVX2:
-#if (defined(__x86_64__) || defined(_M_X64)) && \
-    (defined(__GNUC__) || defined(__clang__))
-        return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
+        return hasAvx2Level();
     case Level::NEON:
 #if defined(__aarch64__) || defined(__ARM_NEON)
         return true; // architectural baseline

@@ -21,7 +21,7 @@ enum class Level
 {
     Scalar = 0, ///< Portable C++, no vector intrinsics.
     SSE2 = 1,   ///< x86-64 baseline 128-bit vectors.
-    AVX2 = 2,   ///< 256-bit integer + float vectors (runtime-detected).
+    AVX2 = 2,   ///< 256-bit vectors + PCLMULQDQ (runtime-detected).
     NEON = 3,   ///< AArch64 baseline 128-bit vectors.
 };
 
@@ -31,7 +31,7 @@ const char *levelName(Level level);
 /**
  * True when the running CPU can execute instructions of this level.
  * Scalar is always supported; SSE2/NEON follow from the build target;
- * AVX2 is detected at runtime via cpuid.
+ * AVX2 is detected at runtime via cpuid, and requires PCLMULQDQ too.
  */
 bool cpuSupports(Level level);
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -406,6 +407,28 @@ TEST(NetServer, LoopbackRoundTripMatchesInProcessServe)
     ASSERT_TRUE(client.query(over, remote));
     EXPECT_EQ(remote.error, ServeError::Truncated);
     EXPECT_EQ(remote.pixels.data(), localOver.pixels.data());
+}
+
+TEST(NetServer, OverflowingQueryRectIsATypedBadQuery)
+{
+    // x0 and width arrive as raw int32: a far edge past INT_MAX must
+    // be refused by validate(), not overflow inside clipTo().
+    LoopbackServer fx;
+    TileClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", fx.port()));
+    TileQuery wide = fullQuery();
+    wide.x0 = std::numeric_limits<int32_t>::max() - 10;
+    wide.width = 100;
+    TileResult remote;
+    ASSERT_TRUE(client.query(wide, remote));
+    EXPECT_EQ(remote.error, ServeError::BadQuery);
+    EXPECT_EQ(fx.tiles().serve(wide).error, ServeError::BadQuery);
+
+    TileQuery tall = fullQuery();
+    tall.y0 = std::numeric_limits<int32_t>::max() - 10;
+    tall.height = 100;
+    ASSERT_TRUE(client.query(tall, remote));
+    EXPECT_EQ(remote.error, ServeError::BadQuery);
 }
 
 TEST(NetServer, PollBackendServesRoundTrips)

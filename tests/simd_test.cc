@@ -5,16 +5,19 @@
  * The contract under test is strict: every kernel at every available
  * dispatch level must produce BITWISE-identical output to the scalar
  * table, including on sizes that are not multiples of the vector
- * width (loop tails and narrow column batches).
+ * width (loop tails and narrow column batches). The CRC-32 kernel is
+ * held to its bitwise definition directly, at every level.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "codec/dwt.hh"
 #include "codec/kernels.hh"
+#include "ground/crc32.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
 
@@ -69,6 +72,31 @@ bitwiseEqual(const std::vector<T> &a, const std::vector<T> &b)
                        << " vs " << b[i];
     }
     return ::testing::AssertionSuccess();
+}
+
+/**
+ * CRC-32/IEEE register update one bit at a time: the definition every
+ * CRC kernel must match (no tables shared with the kernels).
+ */
+uint32_t
+crcBitwise(uint32_t reg, const uint8_t *data, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        reg ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            reg = (reg >> 1) ^ (0xEDB88320u & (0u - (reg & 1u)));
+    }
+    return reg;
+}
+
+std::vector<uint8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> v(n);
+    for (auto &b : v)
+        b = static_cast<uint8_t>(rng.uniformInt(0, 255));
+    return v;
 }
 
 /** Sizes chosen to exercise vector bodies, tails and tiny inputs. */
@@ -402,4 +430,71 @@ TEST(Simd, DilateRowMatchesPerPixelDefinition)
             }
         }
     }
+}
+
+TEST(Simd, Crc32MatchesBitwiseDefinitionAtEveryLengthAndAlignment)
+{
+    // Every length through the fold's 64-byte threshold, its 16-byte
+    // blocks and every tail, at every misalignment. Each input sits at
+    // the end of an exactly-sized heap block, so under ASan a read
+    // past the last byte faults.
+    const size_t kMaxLen = 1100;
+    std::vector<uint8_t> src = randomBytes(kMaxLen, 9300);
+    std::vector<uint32_t> expect(kMaxLen + 1);
+    uint32_t reg = 0xFFFFFFFFu;
+    expect[0] = 0;
+    for (size_t len = 1; len <= kMaxLen; ++len) {
+        reg = crcBitwise(reg, &src[len - 1], 1);
+        expect[len] = ~reg;
+    }
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+        for (size_t mis = 0; mis < 16; ++mis) {
+            std::unique_ptr<uint8_t[]> block(new uint8_t[mis + len]);
+            uint8_t *data = block.get() + mis;
+            if (len > 0)
+                std::memcpy(data, src.data(), len);
+            for (Level l : kernels::availableLevels()) {
+                uint32_t got = kernels::forLevel(l)->crc32(0, data, len);
+                ASSERT_EQ(got, expect[len])
+                    << "len=" << len << " misalignment=" << mis
+                    << " level=" << util::simd::levelName(l);
+            }
+        }
+    }
+}
+
+TEST(Simd, Crc32MatchesBitwiseDefinitionOnOneMebibyte)
+{
+    std::vector<uint8_t> buf = randomBytes(size_t{1} << 20, 9301);
+    uint32_t expect = ~crcBitwise(0xFFFFFFFFu, buf.data(), buf.size());
+    for (Level l : kernels::availableLevels())
+        EXPECT_EQ(kernels::forLevel(l)->crc32(0, buf.data(), buf.size()),
+                  expect)
+            << "level=" << util::simd::levelName(l);
+}
+
+TEST(Simd, Crc32UpdateChainsAtEverySplitThroughDispatch)
+{
+    // ground::crc32/crc32Update route through the active table: check
+    // the check value and that chaining at any split is the one-shot
+    // CRC, at every level.
+    std::vector<uint8_t> buf = randomBytes(257, 9302);
+    const char *check = "123456789";
+    Level prev = util::simd::activeLevel();
+    for (Level l : kernels::availableLevels()) {
+        ASSERT_EQ(util::simd::setActiveLevel(l), l);
+        EXPECT_EQ(ground::crc32(reinterpret_cast<const uint8_t *>(check),
+                                9),
+                  0xCBF43926u);
+        uint32_t oneShot = ground::crc32(buf.data(), buf.size());
+        EXPECT_EQ(oneShot, ~crcBitwise(0xFFFFFFFFu, buf.data(), buf.size()));
+        for (size_t split = 0; split <= buf.size(); ++split) {
+            uint32_t head = ground::crc32(buf.data(), split);
+            EXPECT_EQ(ground::crc32Update(head, buf.data() + split,
+                                          buf.size() - split),
+                      oneShot)
+                << "split=" << split << " level=" << util::simd::levelName(l);
+        }
+    }
+    util::simd::setActiveLevel(prev);
 }
