@@ -308,8 +308,10 @@ run_asan() {
     # packets, archive file format, codec streams, EPT wire frames)
     # and the SIMD kernels
     # must be sanitizer-clean on both their happy paths and their
-    # corruption-recovery paths. Scoped to the suites that exercise
-    # those parsers so CI time stays bounded.
+    # corruption-recovery paths. The range decoder's zero-run path
+    # reads the byte stream directly, so its own suite runs here too.
+    # Scoped to the suites that exercise those parsers so CI time
+    # stays bounded.
     # shellcheck disable=SC2086
     cmake -B "$SAN_BUILD_DIR" -S . ${CMAKE_ARGS:-} \
           -DCMAKE_BUILD_TYPE=Debug \
@@ -317,9 +319,9 @@ run_asan() {
     cmake --build "$SAN_BUILD_DIR" -j \
           --target ground_test uplink_planner_test codec_test simd_test \
                    golden_stream_test net_test progressive_test \
-                   stream_fuzz_test
+                   stream_fuzz_test rangecoder_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure \
-          -R 'ground_test|uplink_planner_test|codec_test|simd_test|golden_stream_test|net_test|progressive_test|stream_fuzz_test'
+          -R 'ground_test|uplink_planner_test|codec_test|simd_test|golden_stream_test|net_test|progressive_test|stream_fuzz_test|rangecoder_test'
 }
 
 case "$MODE" in

@@ -110,6 +110,30 @@ class RangeEncoder
             normalize();
     }
 
+    /**
+     * Encode `n` zero bits under one adaptive model: exactly `n`
+     * encodeBit(model, 0) calls, with the range and the model's
+     * probability held in registers between renormalizations. A zero
+     * leaves `low` untouched, so only a renormalization reaches memory.
+     */
+    void
+    encodeZeros(BitModel &model, int n)
+    {
+        BitModel m = model;
+        uint32_t range = range_;
+        for (int i = 0; i < n; ++i) {
+            range = (range >> BitModel::kModelBits) * m.prob();
+            m.update0();
+            if (__builtin_expect(range < kRangeTop, 0)) {
+                range_ = range;
+                normalize();
+                range = range_;
+            }
+        }
+        range_ = range;
+        model = m;
+    }
+
     /** Encode one bit with fixed probability 1/2 (no model). */
     void
     encodeBitRaw(int bit)
@@ -213,6 +237,52 @@ class RangeDecoder
         if (range_ < kRangeTop)
             normalize();
         return static_cast<int>(mask & 1u);
+    }
+
+    /**
+     * Decode up to `n` bits under one adaptive model, stopping after
+     * the first 1: exactly the decodeBit(model) calls of that loop,
+     * with the range, the code register, the read position and the
+     * model's probability held in registers throughout.
+     *
+     * @return The number of zeros decoded before the first 1, or `n`
+     *         when all `n` bits decode as 0.
+     */
+    int
+    decodeUntilOne(BitModel &model, int n)
+    {
+        BitModel m = model;
+        uint32_t range = range_;
+        uint32_t code = code_;
+        const uint8_t *p = ptr_;
+        auto refill = [&] {
+            do {
+                range <<= 8;
+                code = (code << 8) | (p != end_ ? *p++ : 0u);
+            } while (range < kRangeTop);
+        };
+        int i = 0;
+        for (; i < n; ++i) {
+            const uint32_t bound =
+                (range >> BitModel::kModelBits) * m.prob();
+            if (__builtin_expect(code >= bound, 0)) {
+                code -= bound;
+                range -= bound;
+                m.update1();
+                if (range < kRangeTop)
+                    refill();
+                break;
+            }
+            range = bound;
+            m.update0();
+            if (__builtin_expect(range < kRangeTop, 0))
+                refill();
+        }
+        range_ = range;
+        code_ = code;
+        ptr_ = p;
+        model = m;
+        return i;
     }
 
     /** Decode one raw (probability 1/2) bit. */

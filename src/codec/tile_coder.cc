@@ -53,6 +53,66 @@ lastWordMask(int width)
     return used == 0 ? ~0ull : ~0ull >> (64 - used);
 }
 
+/**
+ * Per packed row word of a `width` x `rows` slab: bit b is set where
+ * coefficient b's subband orientation differs from its left
+ * neighbor's — the places a cleanup zero run must stop, because its
+ * model changes there. Bit 0 is never set: a run never crosses a word.
+ */
+std::vector<uint64_t>
+orientationEdges(const uint8_t *orient, int width, int rows)
+{
+    const int words = packedWords(width);
+    std::vector<uint64_t> edges(
+        static_cast<size_t>(words) * static_cast<size_t>(rows), 0);
+    for (int y = 0; y < rows; ++y) {
+        const uint8_t *row =
+            orient + static_cast<size_t>(y) * static_cast<size_t>(width);
+        uint64_t *edgeRow = edges.data() + static_cast<size_t>(y) * words;
+        for (int x = 1; x < width; ++x)
+            if ((x & 63) != 0 && row[x] != row[x - 1])
+                edgeRow[x >> 6] |= 1ull << (x & 63);
+    }
+    return edges;
+}
+
+/**
+ * The decoder-equivalent lowPlane rule of docs/ARCHITECTURE.md, shared
+ * by TileEncoder::decoderState() and TileDecoder::finish(). A slab
+ * stopped at plane P = `nextPlane` (-1 once every plane is coded)
+ * after `nextPass` passes of it: pass 0 coded exactly the visited
+ * coefficients and pass 1 the refinable ones, and planes above P were
+ * coded for every coefficient. A coefficient coded in those passes
+ * gets lowPlane P, every other one P + 1. `visited` and `refinable`
+ * still describe plane P + 1 when `nextPass` is 0, so they are read
+ * only when a pass of P ran.
+ */
+void
+writeLowPlanes(int width, int rows, int nextPlane, int nextPass,
+               const uint64_t *visited, const uint64_t *refinable,
+               uint8_t *lowPlane)
+{
+    const int words = packedWords(width);
+    const uint8_t above = static_cast<uint8_t>(nextPlane + 1);
+    for (int y = 0; y < rows; ++y) {
+        uint8_t *lowRow =
+            lowPlane + static_cast<size_t>(y) * static_cast<size_t>(width);
+        for (int w = 0; w < words; ++w) {
+            const size_t i = static_cast<size_t>(y) * words + w;
+            uint64_t coded = 0;
+            if (nextPass > 0)
+                coded |= visited[i];
+            if (nextPass > 1)
+                coded |= refinable[i];
+            const int x0 = w << 6;
+            const int n = std::min(64, width - x0);
+            for (int b = 0; b < n; ++b)
+                lowRow[x0 + b] =
+                    static_cast<uint8_t>(above - ((coded >> b) & 1u));
+        }
+    }
+}
+
 /** First row of chunk `chunk` on the params' slab grid. */
 int
 chunkRow0(const TileCoderParams &params, int chunk)
@@ -119,6 +179,7 @@ struct ScanGrid
     uint64_t *visited;
     uint64_t *dilation; ///< Per-row scratch, `words` entries.
     const uint8_t *orient;
+    const uint64_t *edges; ///< orientationEdges() of the slab.
     TileContexts *ctx;
 };
 
@@ -126,12 +187,17 @@ struct ScanGrid
  * Word-scan driver shared by the significance-propagation (pass 0)
  * and cleanup (pass 2) scans of the encoder AND the decoder — the
  * candidate evolution is the byte-identity-critical part, so it
- * exists exactly once. `Coder` supplies the two per-coefficient
- * actions that differ between the four call sites:
+ * exists exactly once. `Coder` supplies the per-coefficient actions
+ * that differ between the four call sites:
  *
  *   int  code(size_t i, int y, int w, int b, BitModel &model);
  *        Code the significance bit of coefficient i under `model`
  *        and return it.
+ *   int  codeRun(int y, int w, uint64_t run, BitModel &model);
+ *        Code the significance bits of the candidates in `run` (bits
+ *        of word w of row y), in ascending order, all under `model`,
+ *        up to and including the first that is 1; return that one's
+ *        bit index, or -1 when every one is 0.
  *   void significant(size_t i);
  *        Coefficient i just turned significant: handle its sign (and,
  *        on the decoder, its magnitude bit).
@@ -147,6 +213,15 @@ struct ScanGrid
  * (isolated coefficients take the zero-neighbor context without
  * touching their neighbors), and new significance extends the gate
  * instead of the candidate set.
+ *
+ * Pass 2 codes its ungated candidates as zero runs: an ungated
+ * candidate and the candidates after it in its word share one model
+ * (the zero-neighbor context of their orientation) until the next
+ * gated candidate, the next orientation edge, the word end or the
+ * first coefficient that codes as 1 — whose new significance gates
+ * its right neighbor, so the run would have ended there anyway.
+ * codeRun() performs the same per-bit arithmetic in the same model
+ * order as a code() call per candidate, so the bytes are identical.
  */
 template <bool kCleanup, typename Coder>
 void
@@ -174,25 +249,42 @@ runSigScan(const ScanGrid &g, Coder &&coder)
             NeighborWords nw(sigRow, sigUp, sigDn, w, W);
             uint64_t nbW = nb[w];
             uint64_t vis = visRow[w];
+            const uint64_t edgeW =
+                kCleanup ? g.edges[static_cast<size_t>(y) * W + w] : 0;
             do {
                 int b = util::countTrailingZeros(m);
-                m &= m - 1;
-                int x = (w << 6) + b;
-                int nn;
-                if (kCleanup) {
-                    nn = ((nbW >> b) & 1u) != 0 ? nw.count(b) : 0;
+                const uint8_t orient = orientRow[(w << 6) + b];
+                int bit;
+                if (kCleanup && ((nbW >> b) & 1u) == 0) {
+                    // Zero run from b up to the next gated candidate
+                    // or orientation edge.
+                    const uint64_t stops =
+                        ((m & nbW) | edgeW) & (~1ull << b);
+                    const uint64_t run =
+                        stops != 0 ? m & ((stops & (0 - stops)) - 1) : m;
+                    b = coder.codeRun(y, w, run,
+                                      g.ctx->significance[orient][0]);
+                    if (b < 0) {
+                        m &= ~run;
+                        continue;
+                    }
+                    m &= ~((2ull << b) - 1);
+                    bit = 1;
                 } else {
-                    nn = nw.count(b);
-                    vis |= 1ull << b;
+                    m &= m - 1;
+                    int nn = nw.count(b);
+                    if (!kCleanup)
+                        vis |= 1ull << b;
+                    BitModel &model =
+                        g.ctx->significance[orient][static_cast<size_t>(
+                            nn < 3 ? nn : 3)];
+                    bit = coder.code(
+                        rowBase + static_cast<size_t>((w << 6) + b), y, w,
+                        b, model);
                 }
-                BitModel &model =
-                    g.ctx->significance[orientRow[x]]
-                                       [static_cast<size_t>(
-                                           nn < 3 ? nn : 3)];
-                int bit = coder.code(rowBase + static_cast<size_t>(x),
-                                     y, w, b, model);
                 if (bit) {
-                    coder.significant(rowBase + static_cast<size_t>(x));
+                    coder.significant(rowBase +
+                                      static_cast<size_t>((w << 6) + b));
                     nw.sig |= 1ull << b;
                     if (b < 63) {
                         if (kCleanup)
@@ -217,15 +309,24 @@ struct DecoderScan
     RangeDecoder &dec;
     uint32_t *magnitude;
     uint8_t *sign;
-    uint8_t *lowPlane;
     int plane;
 
     int
-    code(size_t i, int, int, int, BitModel &model)
+    code(size_t, int, int, int, BitModel &model)
     {
-        int bit = dec.decodeBit(model);
-        lowPlane[i] = static_cast<uint8_t>(plane);
-        return bit;
+        return dec.decodeBit(model);
+    }
+
+    int
+    codeRun(int, int, uint64_t run, BitModel &model)
+    {
+        const int n = util::popCount(run);
+        int zeros = dec.decodeUntilOne(model, n);
+        if (zeros == n)
+            return -1;
+        for (; zeros > 0; --zeros)
+            run &= run - 1;
+        return util::countTrailingZeros(run);
     }
 
     void
@@ -295,6 +396,21 @@ struct TileEncoder::EncoderScan
         return bit;
     }
 
+    int
+    codeRun(int y, int w, uint64_t run, BitModel &model)
+    {
+        const uint64_t ones =
+            planeBits[static_cast<size_t>(y) * words + w] & run;
+        if (ones == 0) {
+            enc.encodeZeros(model, util::popCount(run));
+            return -1;
+        }
+        const int b = util::countTrailingZeros(ones);
+        enc.encodeZeros(model, util::popCount(run & ((1ull << b) - 1)));
+        enc.encodeBit(model, 1);
+        return b;
+    }
+
     void significant(size_t i) { enc.encodeBitRaw(sign[i]); }
 };
 
@@ -320,6 +436,7 @@ TileEncoder::TileEncoder(const TileCoefficients &coeffs, int row0,
     refinableBits_.assign(nWords, 0);
     planeBits_.assign(nWords, 0);
     dilation_.assign(static_cast<size_t>(wordsPerRow_), 0);
+    orientEdges_ = orientationEdges(orient_, width_, rows);
 
     const kernels::KernelTable &K = kernels::active();
     maxPlane_ = util::bitWidth(K.maxU32(magnitude_, n)) - 1;
@@ -354,7 +471,8 @@ TileEncoder::encodeSigPass(RangeEncoder &enc)
 {
     runSigScan<false>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
-                 visitedBits_.data(), dilation_.data(), orient_, &ctx_},
+                 visitedBits_.data(), dilation_.data(), orient_,
+                 orientEdges_.data(), &ctx_},
         EncoderScan{enc, planeBits_.data(), wordsPerRow_, sign_});
 }
 
@@ -379,7 +497,8 @@ TileEncoder::encodeCleanupPass(RangeEncoder &enc)
 {
     runSigScan<true>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
-                 visitedBits_.data(), dilation_.data(), orient_, &ctx_},
+                 visitedBits_.data(), dilation_.data(), orient_,
+                 orientEdges_.data(), &ctx_},
         EncoderScan{enc, planeBits_.data(), wordsPerRow_, sign_});
 }
 
@@ -437,36 +556,16 @@ void
 TileEncoder::decoderState(uint32_t *magnitude, uint8_t *sign,
                           uint8_t *lowPlane) const
 {
-    // The chunk stopped at plane P = nextPlane_ (-1 once done) after
-    // nextPass_ passes of it. Pass 0 coded exactly the visited
-    // coefficients and pass 1 the refinable ones; planes above P were
-    // coded for every coefficient. visitedBits_/refinableBits_ still
-    // describe plane P + 1 when nextPass_ == 0, so they are read only
-    // when a pass of P ran.
-    const int P = nextPlane_;
-    const uint32_t above = ~0u << (P + 1);
-    const uint32_t through = P >= 0 ? ~0u << P : ~0u;
-    const uint8_t lowAbove = static_cast<uint8_t>(P + 1);
-    const uint8_t lowThrough = static_cast<uint8_t>(P >= 0 ? P : 0);
-    for (int y = 0; y < height_; ++y) {
-        const size_t rowBase =
-            static_cast<size_t>(y) * static_cast<size_t>(width_);
-        const size_t wordBase =
-            static_cast<size_t>(y) * static_cast<size_t>(wordsPerRow_);
-        for (int x = 0; x < width_; ++x) {
-            const size_t w = wordBase + static_cast<size_t>(x >> 6);
-            uint64_t coded = 0;
-            if (nextPass_ > 0)
-                coded |= visitedBits_[w];
-            if (nextPass_ > 1)
-                coded |= refinableBits_[w];
-            const bool c = ((coded >> (x & 63)) & 1u) != 0;
-            const size_t i = rowBase + static_cast<size_t>(x);
-            const uint32_t m = magnitude_[i] & (c ? through : above);
-            magnitude[i] = m;
-            sign[i] = m != 0 ? sign_[i] : 0;
-            lowPlane[i] = c ? lowThrough : lowAbove;
-        }
+    // A coefficient's decoded bits are exactly its magnitude bits down
+    // to its lowPlane.
+    writeLowPlanes(width_, height_, nextPlane_, nextPass_,
+                   visitedBits_.data(), refinableBits_.data(), lowPlane);
+    const size_t n =
+        static_cast<size_t>(width_) * static_cast<size_t>(height_);
+    for (size_t i = 0; i < n; ++i) {
+        const uint32_t m = magnitude_[i] & (~0u << lowPlane[i]);
+        magnitude[i] = m;
+        sign[i] = m != 0 ? sign_[i] : 0;
     }
 }
 
@@ -486,6 +585,7 @@ TileDecoder::TileDecoder(int width, int rows,
     visitedBits_.assign(nWords, 0);
     refinableBits_.assign(nWords, 0);
     dilation_.assign(static_cast<size_t>(wordsPerRow_), 0);
+    orientEdges_ = orientationEdges(orient_, width_, height_);
 }
 
 void
@@ -496,11 +596,6 @@ TileDecoder::decodeHeaderByte(uint32_t maxPlanePlus1)
     maxPlane_ = static_cast<int>(v) - 1;
     nextPlane_ = maxPlane_;
     nextPass_ = 0;
-    // Until any bit of a coefficient is seen, its uncertainty spans all
-    // coded planes.
-    size_t n = static_cast<size_t>(width_) * static_cast<size_t>(height_);
-    std::fill(lowPlane_, lowPlane_ + n,
-              static_cast<uint8_t>(std::max(maxPlane_ + 1, 0)));
 }
 
 void
@@ -515,8 +610,9 @@ TileDecoder::decodeSigPass(RangeDecoder &dec, int plane)
 {
     runSigScan<false>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
-                 visitedBits_.data(), dilation_.data(), orient_, &ctx_},
-        DecoderScan{dec, magnitude_, sign_, lowPlane_, plane});
+                 visitedBits_.data(), dilation_.data(), orient_,
+                 orientEdges_.data(), &ctx_},
+        DecoderScan{dec, magnitude_, sign_, plane});
 }
 
 void
@@ -526,20 +622,15 @@ TileDecoder::decodeRefinePass(RangeDecoder &dec, int plane)
     for (int y = 0; y < height_; ++y) {
         const uint64_t *refRow =
             refinableBits_.data() + static_cast<size_t>(y) * W;
-        size_t rowBase =
-            static_cast<size_t>(y) * static_cast<size_t>(width_);
-        uint8_t *lowRow = lowPlane_ + rowBase;
-        uint32_t *magRow = magnitude_ + rowBase;
+        uint32_t *magRow = magnitude_ + static_cast<size_t>(y) *
+                                            static_cast<size_t>(width_);
         for (int w = 0; w < W; ++w) {
             uint64_t m = refRow[w];
             while (m != 0) {
                 int b = util::countTrailingZeros(m);
                 m &= m - 1;
-                int x = (w << 6) + b;
-                int bit = dec.decodeBit(ctx_.refinement);
-                lowRow[x] = static_cast<uint8_t>(plane);
-                if (bit)
-                    magRow[x] |= 1u << plane;
+                if (dec.decodeBit(ctx_.refinement))
+                    magRow[(w << 6) + b] |= 1u << plane;
             }
         }
     }
@@ -550,8 +641,9 @@ TileDecoder::decodeCleanupPass(RangeDecoder &dec, int plane)
 {
     runSigScan<true>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
-                 visitedBits_.data(), dilation_.data(), orient_, &ctx_},
-        DecoderScan{dec, magnitude_, sign_, lowPlane_, plane});
+                 visitedBits_.data(), dilation_.data(), orient_,
+                 orientEdges_.data(), &ctx_},
+        DecoderScan{dec, magnitude_, sign_, plane});
 }
 
 void
@@ -580,6 +672,13 @@ TileDecoder::decodePassRun(RangeDecoder &dec, int passes)
             --nextPlane_;
         }
     }
+}
+
+void
+TileDecoder::finish()
+{
+    writeLowPlanes(width_, height_, nextPlane_, nextPass_,
+                   visitedBits_.data(), refinableBits_.data(), lowPlane_);
 }
 
 raster::Plane
@@ -751,16 +850,17 @@ decodeTile(int width, int height, const TileCoderParams &params,
                         state.sign.data() + base,
                         state.lowPlane.data() + base, orient.data() + base);
         // The payload leads with the raw maxPlane + 1 byte; an empty
-        // chunk reconstructs as zeros.
+        // chunk codes no plane and reconstructs as zeros.
         const ChunkSpan &chunk = spans[static_cast<size_t>(c)];
-        if (chunk.size == 0)
-            return;
-        dec.decodeHeaderByte(chunk.data[0]);
-        forEachSegment(chunk.data + 1, chunk.size - 1,
-                       [&](const SegmentView &seg) {
-                           RangeDecoder rd(seg.data, seg.size);
-                           dec.decodePassRun(rd, seg.passes);
-                       });
+        if (chunk.size != 0) {
+            dec.decodeHeaderByte(chunk.data[0]);
+            forEachSegment(chunk.data + 1, chunk.size - 1,
+                           [&](const SegmentView &seg) {
+                               RangeDecoder rd(seg.data, seg.size);
+                               dec.decodePassRun(rd, seg.passes);
+                           });
+        }
+        dec.finish();
     };
     if (chunks == 1)
         decodeChunk(0);

@@ -24,6 +24,18 @@
  * neighbor — so encoded streams are byte-identical to the original
  * per-pixel coder; `tests/golden_stream_test.cc` pins that.
  *
+ * Zero runs: most cleanup (pass 2) decisions are isolated coefficients
+ * that take the zero-neighbor context and code as 0. An ungated
+ * candidate and the candidates after it in its word form one run
+ * under one model, which stops at the next gated candidate, the next
+ * subband-orientation edge, the word end or the first 1. The encoder
+ * finds that 1 in the plane-bit mask with one count-trailing-zeros
+ * and codes the zeros before it with RangeEncoder::encodeZeros(); the
+ * decoder finds it with RangeDecoder::decodeUntilOne(). Both perform
+ * the same arithmetic per decision, with the same model updates in the
+ * same order, as one encodeBit()/decodeBit() per candidate, so the
+ * bytes do not change — only the coder state stays in registers.
+ *
  * Sub-tile parallelism: the tile is partitioned into full-width row
  * slabs ("chunks") of `TileCoderParams::chunkRows` rows, each coded by
  * an independent TileEncoder/TileDecoder pair — own range coder, own
@@ -206,6 +218,7 @@ class TileEncoder
     std::vector<uint64_t> refinableBits_; ///< Significant before this plane.
     std::vector<uint64_t> planeBits_;     ///< Magnitude bit of this plane.
     std::vector<uint64_t> dilation_;      ///< Per-row candidate scratch.
+    std::vector<uint64_t> orientEdges_;   ///< Zero-run stops, per word.
     TileContexts ctx_;
     int maxPlane_;
     int nextPlane_;
@@ -228,9 +241,10 @@ class TileEncoder
  * row; a chunk writes only its own `width * rows` elements, which is
  * what makes chunk-parallel decode of one tile race-free. Usage:
  * construct, pass the chunk payload's leading byte to
- * decodeHeaderByte(), then call decodePassRun() once per segment, in
- * stream order; reconstruct the full tile afterwards with
- * reconstructTile().
+ * decodeHeaderByte(), call decodePassRun() once per segment, in
+ * stream order, then finish(); reconstruct the full tile afterwards
+ * with reconstructTile(). A chunk with no payload skips straight to
+ * finish() and decodes to zeros.
  */
 class TileDecoder
 {
@@ -241,7 +255,8 @@ class TileDecoder
      * @param params Must match the encoder's parameters.
      * @param magnitude Slab output, `width * rows` entries, zeroed.
      * @param sign Slab output, `width * rows` entries, zeroed.
-     * @param lowPlane Slab output, `width * rows` entries, zeroed.
+     * @param lowPlane Slab output, `width * rows` entries, written by
+     *        finish().
      * @param orient Slab view of the tile's subband-orientation map.
      */
     TileDecoder(int width, int rows, const TileCoderParams &params,
@@ -262,6 +277,15 @@ class TileDecoder
      */
     void decodePassRun(RangeDecoder &dec, int passes);
 
+    /**
+     * Write every coefficient's lowPlane — the lowest plane it has a
+     * decoded bit of — for the passes decoded so far. It follows from
+     * the pass state alone, by the rule TileEncoder::decoderState()
+     * shares, so the decode loops never store it per bit. Call once,
+     * after the chunk's last segment.
+     */
+    void finish();
+
   private:
     TileCoderParams params_;
     int width_;
@@ -270,13 +294,14 @@ class TileDecoder
     /// Borrowed slab views into the caller's tile buffers.
     uint32_t *magnitude_;
     uint8_t *sign_;
-    uint8_t *lowPlane_; ///< Lowest plane with a decoded bit.
+    uint8_t *lowPlane_; ///< Lowest plane with a decoded bit (finish()).
     const uint8_t *orient_;
     /// Word-packed per-pixel state mirroring TileEncoder.
     std::vector<uint64_t> sigBits_;
     std::vector<uint64_t> visitedBits_;
     std::vector<uint64_t> refinableBits_;
     std::vector<uint64_t> dilation_;
+    std::vector<uint64_t> orientEdges_;
     TileContexts ctx_;
     int maxPlane_;
     int nextPlane_;

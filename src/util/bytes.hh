@@ -43,6 +43,21 @@ countTrailingZeros(uint64_t v)
     return __builtin_ctzll(v);
 }
 
+/**
+ * Number of set bits of a word — C++20 `std::popcount`, written as
+ * the branch-free SWAR sum so it inlines on every target (the builtin
+ * becomes a library call without a POPCNT target flag). The bitplane
+ * coder sizes its cleanup zero runs with this.
+ */
+inline int
+popCount(uint64_t v)
+{
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return static_cast<int>((v * 0x0101010101010101ull) >> 56);
+}
+
 /** Append the raw bytes of a POD value to `out`. */
 template <typename T>
 inline void

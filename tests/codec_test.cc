@@ -870,3 +870,70 @@ TEST(Codec, EncoderReconstructionOfEmptyRoiIsZero)
     EXPECT_TRUE(bitIdentical(recon, decode(e)));
     EXPECT_TRUE(bitIdentical(recon, raster::Plane(97, 201, 0.0f)));
 }
+
+TEST(Codec, OddGeometrySweepDecodesToEncoderState)
+{
+    // One tile per image, so the tile width is the image width: width
+    // 1 and 2 are one short word, 63/64/65 put the last coefficient on
+    // bit 62, 63 or 0 of a row's last word, and 127/128/129 add a
+    // second or third word. The cleanup pass's zero runs stop at bit
+    // 63, at the partial last word's end and at orientation edges in
+    // all of these. Sparse content makes long runs, dense content
+    // short ones; 0.25 bpp and 2 bpp stop chunks mid-plane, lossless
+    // codes every plane.
+    struct Mode
+    {
+        bool lossless;
+        double bpp;
+    };
+    const Mode modes[] = {{false, 0.25}, {false, 2.0}, {true, 2.0}};
+    int stops[4] = {0, 0, 0, 0};
+    for (int w : {1, 2, 63, 64, 65, 127, 128, 129}) {
+        for (int h : {1, 5, 64}) {
+            for (bool sparse : {true, false}) {
+                raster::Plane img = testImage(w, h, 70u + w * 3u + h);
+                if (sparse) {
+                    // Mid-gray with a few changed blocks, one of them
+                    // on the last column.
+                    img = raster::Plane(w, h, 0.5f);
+                    for (int y = 0; y < h; ++y)
+                        for (int x = 0; x < w; ++x)
+                            if ((x >= w - 2 && y < 3) ||
+                                (x % 61 == 7 && y % 11 < 2))
+                                img.at(x, y) = 0.8f;
+                }
+                for (const Mode &m : modes) {
+                    SCOPED_TRACE(testing::Message()
+                                 << w << "x" << h << " sparse=" << sparse
+                                 << " lossless=" << m.lossless
+                                 << " bpp=" << m.bpp);
+                    EncodeParams p;
+                    p.lossless = m.lossless;
+                    p.bitsPerPixel = m.bpp;
+                    p.tileSize = 256;
+                    raster::Plane recon;
+                    EncodedImage e = encode(img, p, &recon);
+                    ASSERT_TRUE(bitIdentical(recon, decode(e)));
+                    for (int stop : chunkStops(e))
+                        ++stops[stop];
+
+                    // A 25% cut still parses and decodes.
+                    const std::vector<uint8_t> bytes = e.serialize();
+                    const size_t budget = std::max(
+                        streamHeaderFloor(bytes), bytes.size() / 4);
+                    raster::Plane cut = decode(EncodedImage::deserialize(
+                        truncateStream(bytes, budget)));
+                    ASSERT_EQ(cut.width(), w);
+                    ASSERT_EQ(cut.height(), h);
+                    for (float v : cut.data())
+                        ASSERT_TRUE(v >= 0.0f && v <= 1.0f);
+                }
+            }
+        }
+    }
+    // The sweep does stop chunks after pass 0 and after pass 1 of a
+    // plane, and also codes some to the end.
+    EXPECT_GT(stops[1], 0);
+    EXPECT_GT(stops[2], 0);
+    EXPECT_GT(stops[3], 0);
+}

@@ -63,6 +63,21 @@ TEST(Bytes, CountTrailingZerosMatchesDefinition)
     EXPECT_EQ(util::countTrailingZeros(m), 63);
 }
 
+TEST(Bytes, PopCountMatchesDefinition)
+{
+    EXPECT_EQ(util::popCount(0ull), 0);
+    EXPECT_EQ(util::popCount(0xFFFFFFFFFFFFFFFFull), 64);
+    EXPECT_EQ(util::popCount(0x8000000000000001ull), 2);
+    Rng rng(11);
+    for (int i = 0; i < 1000; ++i) {
+        uint64_t v = rng.next();
+        int n = 0;
+        for (int b = 0; b < 64; ++b)
+            n += static_cast<int>((v >> b) & 1u);
+        EXPECT_EQ(util::popCount(v), n) << "v=" << v;
+    }
+}
+
 TEST(Logging, StrfmtFormatsLikePrintf)
 {
     EXPECT_EQ(strfmt("x=%d y=%.1f s=%s", 3, 2.5, "hi"), "x=3 y=2.5 s=hi");
