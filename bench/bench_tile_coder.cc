@@ -14,15 +14,6 @@
  * and MB/s (pixel bytes per second), and with `--json <path>` emits
  * BENCH_tile_coder.json for ci/perf_gate.py.
  *
- * With `--latency` the binary instead measures single-tile encode and
- * decode latency (p50/p99 wall-ms) for dense 256x256 and 1024x1024
- * tiles under the chunked (EPC4) coder at 1/2/4/hw pool threads —
- * the metric the sub-tile chunk parallelism exists to improve. Rows
- * are named tile_latency_{encode,decode}/dense{edge}/t{n} and the
- * JSON bench name is "tile_latency" (gated by ci/perf_gate.py on
- * p99_ms; the /thw rows are informational only, since CI machines
- * disagree on core count).
- *
  * With `--progressive` the binary measures the post-encode rate
  * control path instead: one dense 512x512 image is encoded once with
  * 64-px tiles, cut with codec::truncateStream() at a ladder of byte
@@ -33,8 +24,7 @@
  * bench name is "tile_coder_progressive"; all rows are informational
  * (recorded, not gated — see docs/BENCHMARKS.md).
  *
- * Flags: --json <path>, --reps <n>, --edge <pixels>, --latency,
- * --progressive.
+ * Flags: --json <path>, --reps <n>, --edge <pixels>, --progressive.
  */
 
 #include <algorithm>
@@ -51,7 +41,6 @@
 #include "codec/kernels.hh"
 #include "codec/tile_coder.hh"
 #include "raster/metrics.hh"
-#include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
 
@@ -136,104 +125,6 @@ struct WorkloadCase
     TileCoderParams params;
     size_t byteBudget; ///< Per tile; ignored in lossless mode.
 };
-
-struct Percentiles
-{
-    double p50 = 0.0;
-    double p99 = 0.0;
-};
-
-/** p50/p99 of `samples` timed runs of `fn` (after one warm-up). */
-Percentiles
-latencyPercentiles(int samples, const std::function<void()> &fn)
-{
-    std::vector<double> times;
-    times.reserve(static_cast<size_t>(samples));
-    fn(); // warm-up
-    for (int r = 0; r < samples; ++r) {
-        auto t0 = std::chrono::steady_clock::now();
-        fn();
-        auto t1 = std::chrono::steady_clock::now();
-        times.push_back(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    std::sort(times.begin(), times.end());
-    Percentiles p;
-    p.p50 = times[times.size() / 2];
-    size_t i99 = static_cast<size_t>(
-        std::ceil(0.99 * static_cast<double>(times.size())));
-    p.p99 = times[std::min(times.size() - 1, i99 == 0 ? 0 : i99 - 1)];
-    return p;
-}
-
-/**
- * Single-tile latency mode: chunked encode/decode of one dense tile
- * at several pool sizes. One big tile is the worst-case serve/downlink
- * latency unit, so this is where chunk fan-out has to pay off.
- */
-int
-runLatencyMode(int samplesSmall, const std::string &jsonPath)
-{
-    using util::ThreadPool;
-    Table table("single-tile chunked encode/decode latency (ms)");
-    table.setHeader({"direction", "workload", "threads", "p50_ms",
-                     "p99_ms"});
-    epbench::JsonReporter json("tile_latency");
-
-    const int hw = ThreadPool::defaultThreadCount();
-    const std::pair<const char *, int> poolSizes[] = {
-        {"t1", 1}, {"t2", 2}, {"t4", 4}, {"thw", hw}};
-
-    for (int edge : {256, 1024}) {
-        // Fewer samples on the big tile keeps the mode CI-friendly.
-        int samples = edge >= 1024 ? std::max(10, samplesSmall / 2)
-                                   : samplesSmall;
-        raster::Plane tile =
-            denseTile(edge, edge, 400 + static_cast<uint64_t>(edge));
-        TileCoderParams params;
-        size_t budget = static_cast<size_t>(edge) * edge * 2 / 8;
-        std::vector<uint8_t> encoded = encodeTile(tile, params, budget);
-        std::string workload = "dense" + std::to_string(edge);
-
-        for (const auto &[threadName, n] : poolSizes) {
-            ThreadPool::setGlobalThreads(n);
-            Percentiles enc = latencyPercentiles(samples, [&]() {
-                encodeTile(tile, params, budget);
-            });
-            Percentiles dec = latencyPercentiles(samples, [&]() {
-                decodeTile(edge, edge, params,
-                           {encoded.data(), encoded.size()});
-            });
-            auto report = [&](const char *dir, const Percentiles &p) {
-                std::string name = std::string("tile_latency_") + dir +
-                                   "/" + workload + "/" + threadName;
-                table.addRow({dir, workload, threadName,
-                              Table::num(p.p50, 3),
-                              Table::num(p.p99, 3)});
-                // Thread count lives in the row NAME, not params:
-                // perf_gate.py insists baseline params match exactly,
-                // and "thw" resolves differently across machines.
-                json.add(name,
-                         {{"edge", std::to_string(edge)},
-                          {"chunk_rows",
-                           std::to_string(kDefaultChunkRows)},
-                          {"samples", std::to_string(samples)}},
-                         p.p50, 0.0,
-                         {{"p50_ms", p.p50}, {"p99_ms", p.p99}});
-            };
-            report("encode", enc);
-            report("decode", dec);
-        }
-    }
-    ThreadPool::setGlobalThreads(ThreadPool::defaultThreadCount());
-
-    table.print(std::cout);
-    if (!json.write(jsonPath)) {
-        std::cerr << "failed to write " << jsonPath << "\n";
-        return 1;
-    }
-    return 0;
-}
 
 /**
  * Progressive rate-control mode: the rate–distortion curve of cutting
@@ -322,26 +213,18 @@ main(int argc, char **argv)
 {
     int reps = 11;
     int edge = 128;
-    bool latency = false;
     bool progressive = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
             reps = std::max(1, std::atoi(argv[i + 1]));
         if (std::strcmp(argv[i], "--edge") == 0 && i + 1 < argc)
             edge = std::max(16, std::atoi(argv[i + 1]));
-        if (std::strcmp(argv[i], "--latency") == 0)
-            latency = true;
         if (std::strcmp(argv[i], "--progressive") == 0)
             progressive = true;
     }
     std::string jsonPath = epbench::JsonReporter::pathFromArgs(argc, argv);
     if (progressive) {
         int rc = runProgressiveMode(reps, jsonPath);
-        epbench::writeMetricsSnapshot(argc, argv);
-        return rc;
-    }
-    if (latency) {
-        int rc = runLatencyMode(std::max(reps * 2, 20), jsonPath);
         epbench::writeMetricsSnapshot(argc, argv);
         return rc;
     }
@@ -370,9 +253,7 @@ main(int argc, char **argv)
 
         WorkloadCase lossless;
         lossless.name = "lossless";
-        // Roomy cap: lossless 8-bit content never needs 32 bpp.
-        lossless.byteBudget =
-            static_cast<size_t>(edge) * edge * sizeof(float);
+        lossless.byteBudget = 0; // ignored: lossless codes every plane
         lossless.params.lossless = true;
         for (int t = 0; t < tilesPerRep; ++t) {
             raster::Plane p =

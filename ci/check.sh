@@ -4,8 +4,8 @@
 #   build   configure, build, run the full ctest suite
 #   bench   smoke-run the end-to-end benches, emit BENCH_*.json
 #   perf    run the gated benches (codec kernels, tile coder, ground
-#           serving, ground net, tile latency) against their
-#           checked-in baselines (ci/perf_gate.py)
+#           serving, ground net) against their checked-in baselines
+#           (ci/perf_gate.py)
 #   asan    ASan+UBSan build of the byte-level parser suites
 #   tsan    TSan build of the concurrent archive/serving/codec suites
 #   chaos   fault-injection sweep: failpoint + crash-consistency +
@@ -81,9 +81,11 @@ run_benches() {
 
     # Smoke the end-to-end tile coder (dense / sparse-delta / lossless
     # at every dispatch level). The gated run lives in perf mode; this
-    # one just records the trajectory from the default build type.
+    # one just records the trajectory from the default build type, and
+    # the metrics snapshot of its per-stage codec histograms.
     "$BUILD_DIR/bench_tile_coder" --reps 3 \
-        --json "$ARTIFACTS_DIR/BENCH_tile_coder.json"
+        --json "$ARTIFACTS_DIR/BENCH_tile_coder.json" \
+        --metrics-json "$ARTIFACTS_DIR/telemetry_tile_coder.json"
 
     # Smoke the progressive rate-control mode: the PSNR-vs-budget
     # rate-distortion rows plus the truncateStream throughput row.
@@ -92,15 +94,6 @@ run_benches() {
     # records the reference curve.
     "$BUILD_DIR/bench_tile_coder" --progressive --reps 3 \
         --json "$ARTIFACTS_DIR/BENCH_tile_coder_progressive.json"
-
-    # Smoke the single-tile chunked-latency mode (p50/p99 per pool
-    # size); the gated run lives in perf mode. The metrics snapshot
-    # rides on this mode because its big tiles fan chunks over the
-    # pool (the throughput mode's default 128-px tiles are one chunk
-    # each and record nothing).
-    "$BUILD_DIR/bench_tile_coder" --latency --reps 5 \
-        --json "$ARTIFACTS_DIR/BENCH_tile_latency.json" \
-        --metrics-json "$ARTIFACTS_DIR/telemetry_tile_coder.json"
 
     # Telemetry artifact gate: the snapshot must parse with the
     # documented shape and the trace must be valid Chrome trace-event
@@ -170,9 +163,9 @@ run_perf_gate() {
     # below-capacity arrival rates must not grow past baseline *
     # (1 + margin) (lower is better — the ground_net preset in
     # ci/perf_gate.py; the overload row is informational). Network
-    # latency tails are noisy, so like tile_latency the fresh side is
-    # a min-merge of three runs against a min-merged baseline, with a
-    # wide default margin that hosted CI widens further via
+    # latency tails are noisy, so the fresh side is a min-merge of
+    # three runs against a min-merged baseline, with a wide default
+    # margin that hosted CI widens further via
     # GROUND_NET_MAX_REGRESSION.
     for i in 1 2 3; do
         "$perf_dir/bench_ground_serving" --net \
@@ -185,33 +178,15 @@ run_perf_gate() {
         --fresh "$ARTIFACTS_DIR/BENCH_ground_net.release.3.json"
     cp "$ARTIFACTS_DIR/BENCH_ground_net.release.1.json" \
        "$ARTIFACTS_DIR/BENCH_ground_net.release.json"
-
-    # Single-tile chunked-latency gate: p99 wall-ms must not grow past
-    # baseline * (1 + margin) on the fixed-thread-count rows (lower is
-    # better — see the tile_latency preset in ci/perf_gate.py).
-    # Latency tails are the noisiest metric we gate: the baseline is a
-    # min-merge of several runs, so the fresh side gets the same
-    # treatment — three runs, gated on each row's best-case p99.
-    for i in 1 2 3; do
-        "$perf_dir/bench_tile_coder" --latency \
-            --json "$ARTIFACTS_DIR/BENCH_tile_latency.release.$i.json"
-    done
-    python3 ci/perf_gate.py --bench tile_latency \
-        --max-regression "${TILE_LATENCY_MAX_REGRESSION:-0.5}" \
-        --fresh "$ARTIFACTS_DIR/BENCH_tile_latency.release.1.json" \
-        --fresh "$ARTIFACTS_DIR/BENCH_tile_latency.release.2.json" \
-        --fresh "$ARTIFACTS_DIR/BENCH_tile_latency.release.3.json"
-    cp "$ARTIFACTS_DIR/BENCH_tile_latency.release.1.json" \
-       "$ARTIFACTS_DIR/BENCH_tile_latency.release.json"
 }
 
 run_tsan() {
     # TSan configuration: the sharded archive's per-shard locking, the
     # tile server's request coalescing and its background prefetcher
     # must be race-free under concurrent serveBatch + append — and the
-    # codec's parallel encode/decode (tile jobs pasting disjoint
-    # reconstruction rectangles, per-chunk range coders fanned over
-    # the pool) must be race-free under concurrent encodes — and the
+    # codec's parallel encode/decode (tile jobs, each with its own
+    # range coder, pasting disjoint reconstruction rectangles) must be
+    # race-free under concurrent encodes — and the
     # telemetry layer's sharded counters/histograms and trace buffers
     # must be race-free under concurrent recording — and the EPT
     # serving front's event-loop/pool handoff (serveAsync completions

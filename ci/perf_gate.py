@@ -3,7 +3,7 @@
 
 Diffs a fresh BENCH_<bench>.json (produced by `bench_<bench> --json
 <path>`) against the checked-in baseline and fails CI when a row
-regressed by more than the allowed margin. Five benches are gated,
+regressed by more than the allowed margin. Four benches are gated,
 each with its own preset (select with --bench):
 
 codec_kernels (default)
@@ -46,16 +46,8 @@ ground_net
     row's "p99_ms" and LOWER is better. Only the fixed-rate rows are
     gated; the deliberately-overloaded row demonstrates shedding and
     stays informational. Host-sensitive; hosted CI widens the margin
-    via GROUND_NET_MAX_REGRESSION.
-
-tile_latency
-    Single-tile chunked encode/decode latency from
-    `bench_tile_coder --latency`. The metric is the row's "p99_ms"
-    field and LOWER is better: a row fails when its fresh p99 exceeds
-    baseline * (1 + margin). Only the fixed-thread-count rows
-    (/t1, /t2, /t4) are gated — /thw rows resolve to a different pool
-    size on every machine and stay informational. Host-sensitive;
-    hosted CI widens the margin via TILE_LATENCY_MAX_REGRESSION.
+    via GROUND_NET_MAX_REGRESSION: a row fails when its fresh p99
+    exceeds baseline * (1 + margin).
 
 `--absolute` forces the absolute metric for any bench (same-machine
 comparisons only).
@@ -67,21 +59,18 @@ Re-baselining (after an intentional perf change, on a quiet machine):
     python3 ci/perf_gate.py --fresh /tmp/fresh.json --rebaseline
     for i in 1 2 3; do
         ./build/bench_tile_coder --reps 21 --json /tmp/tc_$i.json
-        ./build/bench_tile_coder --latency --json /tmp/tl_$i.json
         ./build/bench_ground_serving --json /tmp/gs_$i.json
         ./build/bench_ground_serving --net --json /tmp/gn_$i.json
     done
     python3 ci/perf_gate.py --bench tile_coder --rebaseline \
         --fresh /tmp/tc_1.json --fresh /tmp/tc_2.json --fresh /tmp/tc_3.json
-    python3 ci/perf_gate.py --bench tile_latency --rebaseline \
-        --fresh /tmp/tl_1.json --fresh /tmp/tl_2.json --fresh /tmp/tl_3.json
     python3 ci/perf_gate.py --bench ground_serving --rebaseline \
         --fresh /tmp/gs_1.json --fresh /tmp/gs_2.json --fresh /tmp/gs_3.json
     python3 ci/perf_gate.py --bench ground_net --rebaseline \
         --fresh /tmp/gn_1.json --fresh /tmp/gn_2.json --fresh /tmp/gn_3.json
     git add ci/BENCH_*.baseline.json
 
-(For tile_latency, min-merging keeps each row's best-case p99 — the
+(For ground_net, min-merging keeps each row's best-case p99 — the
 stable floor — and the gate allows fresh runs up to that floor plus
 the margin.)
 
@@ -141,16 +130,6 @@ BENCHES = {
         # design (its p99 measures the shed path) and the arrival
         # process at saturation is host-dependent — informational.
         "gated": lambda name: name.startswith("net_serving/open/"),
-    },
-    "tile_latency": {
-        "baseline": "ci/BENCH_tile_latency.baseline.json",
-        "absolute": True,
-        "metric": "p99_ms",
-        "lower_is_better": True,
-        "floors": [],
-        # /thw rows track the host's core count; informational only.
-        "gated": lambda name: name.startswith("tile_latency_")
-        and not name.endswith("/thw"),
     },
 }
 

@@ -36,8 +36,8 @@ codecMetrics()
     return m;
 }
 
-// The stream magic, "EPC4" (docs/ARCHITECTURE.md): row-slab entropy
-// chunks whose payloads are a raw maxPlane byte and a run of
+// The stream magic, "EPC4" (docs/ARCHITECTURE.md): one entropy chunk
+// per tile, whose payload is a raw maxPlane byte and a run of
 // independently flushed per-plane segments, so truncateStream() can
 // drop trailing segments and re-frame. A future layout gets a new
 // magic.
@@ -56,7 +56,7 @@ constexpr size_t kFixedHeader =
     4 +          // magic
     6 * 4 +      // width, height, tileSize, dwtLevels, layers (= 1), flags
     8 +          // quantStep
-    4 +          // chunkRows
+    4 +          // chunkRows (= kMaxTileSize)
     4;           // tile count
 
 using util::appendPod;
@@ -135,7 +135,7 @@ EncodedImage::serialize() const
     appendPod(out, static_cast<uint32_t>(1)); // layers
     appendPod(out, lossless ? kFlagsLossless : kFlagsLossy);
     appendPod(out, kQuantStep);
-    appendPod(out, static_cast<uint32_t>(chunkRows));
+    appendPod(out, static_cast<uint32_t>(kMaxTileSize)); // chunk height
     appendPod(out, static_cast<uint32_t>(tileCoded.size()));
     // Packed coded-tile bitmap.
     for (size_t i = 0; i < tileCoded.size(); i += 8) {
@@ -208,7 +208,7 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
             width, height, static_cast<unsigned long long>(kMaxPixels));
         return StreamError::Corrupt;
     }
-    if (tileSize == 0 || tileSize > kMaxDim) {
+    if (tileSize == 0 || tileSize > kMaxTileSize) {
         msg = formatError("encoded image has invalid tile size %u",
                           tileSize);
         return StreamError::Corrupt;
@@ -242,15 +242,14 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
         msg = "encoded image has invalid quantizer step";
         return StreamError::Corrupt;
     }
-    uint32_t chunkRows = 0;
-    if (!tryReadPod(data, len, pos, chunkRows))
+    uint32_t chunkHeight = 0;
+    if (!tryReadPod(data, len, pos, chunkHeight))
         return cut();
-    if (chunkRows == 0 || chunkRows > kMaxDim) {
-        msg = formatError("encoded image has invalid chunk height %u",
-                          chunkRows);
+    if (chunkHeight != kMaxTileSize) {
+        msg = formatError("encoded image has chunk height %u, not %d",
+                          chunkHeight, kMaxTileSize);
         return StreamError::Corrupt;
     }
-    e.chunkRows = static_cast<int>(chunkRows);
     uint32_t tiles = 0;
     if (!tryReadPod(data, len, pos, tiles))
         return cut();
@@ -296,10 +295,9 @@ enum class WalkEnd
  */
 struct StreamLayout
 {
-    /** One entropy chunk, in stream order. */
+    /** One coded tile's entropy chunk, in stream order. */
     struct Chunk
     {
-        size_t tile;         ///< Slot of its tile among the coded tiles.
         size_t body;         ///< Offset just past its ecLen word.
         size_t head;         ///< Plane bytes at `body` (0 or 1).
         size_t firstSegment; ///< Index of its first segment.
@@ -314,7 +312,6 @@ struct StreamLayout
     };
     /** Offset just past the coded-tile bitmap. */
     size_t headerEnd = 0;
-    size_t codedTiles = 0;
     std::vector<Chunk> chunks;
     std::vector<Segment> segments;
 };
@@ -336,10 +333,10 @@ struct StreamWalk
  * behind parseStream(), streamHeaderFloor() and truncateStream(). It
  * walks the header, then payload -> tile sub-chunk -> entropy chunk ->
  * segment, as far as the bytes allow. Every length word must fit
- * inside the structure that encloses it, so a walk that ends Complete
- * leaves the stream framed consistently down to the segment level.
- * When `layout` is non-null it receives every entropy chunk and
- * segment.
+ * inside the structure that encloses it, and a sub-chunk must hold
+ * exactly one entropy chunk, so a walk that ends Complete leaves the
+ * stream framed consistently down to the segment level. When `layout`
+ * is non-null it receives every entropy chunk and segment.
  */
 StreamWalk
 walkStream(const uint8_t *data, size_t len, EncodedImage &head,
@@ -351,10 +348,8 @@ walkStream(const uint8_t *data, size_t len, EncodedImage &head,
     w.header = parseHeader(data, len, head, floor, nCoded, msg);
     if (w.header != StreamError::None)
         return w;
-    if (layout) {
+    if (layout)
         layout->headerEnd = floor;
-        layout->codedTiles = nCoded;
-    }
     size_t pos = floor;
     auto finish = [&](WalkEnd end) {
         w.end = end;
@@ -383,38 +378,38 @@ walkStream(const uint8_t *data, size_t len, EncodedImage &head,
         return w;
     const size_t payloadStart = pos;
     for (size_t t = 0; t < nCoded; ++t) {
+        // A tile sub-chunk is exactly one entropy chunk.
         size_t subEnd = 0;
-        if (!frame(payloadEnd, 0, subEnd))
+        size_t chunkEnd = 0;
+        if (!frame(payloadEnd, 0, subEnd) || !frame(subEnd, 0, chunkEnd))
             return w;
-        while (pos < subEnd) {
-            size_t chunkEnd = 0;
-            if (!frame(subEnd, 0, chunkEnd))
+        if (chunkEnd != subEnd) {
+            finish(WalkEnd::Corrupt);
+            return w;
+        }
+        // The chunk leads with its raw maxPlane + 1 byte.
+        int maxPlane = -1;
+        size_t headBytes = 0;
+        if (pos < chunkEnd) {
+            if (!need(1, chunkEnd))
                 return w;
-            // Every chunk leads with its raw maxPlane + 1 byte.
-            int maxPlane = -1;
-            size_t headBytes = 0;
-            if (pos < chunkEnd) {
-                if (!need(1, chunkEnd))
-                    return w;
-                maxPlane = static_cast<int>(data[pos]) - 1;
-                headBytes = 1;
-            }
-            if (layout)
-                layout->chunks.push_back({t, pos, headBytes,
-                                          layout->segments.size(), 0});
-            pos += headBytes;
-            for (int plane = maxPlane; pos < chunkEnd; --plane) {
-                const size_t segStart = pos;
-                size_t segEnd = 0;
-                if (!frame(chunkEnd, 2, segEnd) ||
-                    !need(segEnd - pos, segEnd))
-                    return w;
-                pos = segEnd;
-                if (layout) {
-                    layout->segments.push_back(
-                        {plane, segEnd, segEnd - segStart});
-                    ++layout->chunks.back().segmentCount;
-                }
+            maxPlane = static_cast<int>(data[pos]) - 1;
+            headBytes = 1;
+        }
+        if (layout)
+            layout->chunks.push_back(
+                {pos, headBytes, layout->segments.size(), 0});
+        pos += headBytes;
+        for (int plane = maxPlane; pos < chunkEnd; --plane) {
+            const size_t segStart = pos;
+            size_t segEnd = 0;
+            if (!frame(chunkEnd, 2, segEnd) || !need(segEnd - pos, segEnd))
+                return w;
+            pos = segEnd;
+            if (layout) {
+                layout->segments.push_back(
+                    {plane, segEnd, segEnd - segStart});
+                ++layout->chunks.back().segmentCount;
             }
         }
     }
@@ -560,7 +555,6 @@ truncateStream(const uint8_t *data, size_t len, size_t budget)
     // The kept segments of a chunk are a leading run, so each chunk
     // keeps one contiguous byte range; re-frame bottom-up.
     std::vector<size_t> ecLen(layout.chunks.size());
-    std::vector<size_t> subLen(layout.codedTiles, 0);
     size_t chunkLen = 0;
     for (size_t c = 0; c < layout.chunks.size(); ++c) {
         const StreamLayout::Chunk &chunk = layout.chunks[c];
@@ -570,24 +564,19 @@ truncateStream(const uint8_t *data, size_t len, size_t budget)
              ++k)
             end = segs[chunk.firstSegment + k].end;
         ecLen[c] = end - chunk.body;
-        subLen[chunk.tile] += 4 + ecLen[c];
+        chunkLen += 8 + ecLen[c];
     }
-    for (size_t n : subLen)
-        chunkLen += 4 + n;
 
     std::vector<uint8_t> out;
     out.reserve(size);
     out.insert(out.end(), data, data + layout.headerEnd);
     appendPod(out, static_cast<uint32_t>(chunkLen));
-    size_t c = 0;
-    for (size_t t = 0; t < layout.codedTiles; ++t) {
-        appendPod(out, static_cast<uint32_t>(subLen[t]));
-        for (; c < layout.chunks.size() && layout.chunks[c].tile == t;
-             ++c) {
-            const uint8_t *body = data + layout.chunks[c].body;
-            appendPod(out, static_cast<uint32_t>(ecLen[c]));
-            out.insert(out.end(), body, body + ecLen[c]);
-        }
+    for (size_t c = 0; c < layout.chunks.size(); ++c) {
+        // subLen = 4 + ecLen: the sub-chunk is the one framed chunk.
+        const uint8_t *body = data + layout.chunks[c].body;
+        appendPod(out, static_cast<uint32_t>(4 + ecLen[c]));
+        appendPod(out, static_cast<uint32_t>(ecLen[c]));
+        out.insert(out.end(), body, body + ecLen[c]);
     }
     return out;
 }
@@ -603,9 +592,9 @@ encode(const raster::Plane &img, const EncodeParams &params,
        raster::Plane *reconstruction)
 {
     telemetry::TraceSpan encodeSpan("codec.encode", "codec");
-    EP_ASSERT(params.chunkRows > 0,
-              "EPC4 streams need a positive chunk height, not %d",
-              params.chunkRows);
+    EP_ASSERT(params.tileSize > 0 && params.tileSize <= kMaxTileSize,
+              "EPC4 tiles are 1 to %d pixels on an edge, not %d",
+              kMaxTileSize, params.tileSize);
     EP_ASSERT(params.bitsPerPixel > 0.0 || params.lossless,
               "non-positive bit budget");
 
@@ -624,7 +613,6 @@ encode(const raster::Plane &img, const EncodeParams &params,
     out.tileSize = params.tileSize;
     out.dwtLevels = params.dwtLevels;
     out.lossless = params.lossless;
-    out.chunkRows = params.chunkRows;
     out.tileCoded.assign(static_cast<size_t>(grid.tileCount()), 0);
     if (reconstruction)
         *reconstruction = raster::Plane(img.width(), img.height(), 0.0f);
@@ -632,7 +620,6 @@ encode(const raster::Plane &img, const EncodeParams &params,
     TileCoderParams tp;
     tp.dwtLevels = params.dwtLevels;
     tp.lossless = params.lossless;
-    tp.chunkRows = params.chunkRows;
 
     std::vector<int> codedTiles;
     for (int t = 0; t < grid.tileCount(); ++t) {
@@ -642,17 +629,18 @@ encode(const raster::Plane &img, const EncodeParams &params,
         codedTiles.push_back(t);
     }
 
+    // Lossless coding ignores the budget: it codes every plane.
     auto budgetFor = [&](const raster::TileRect &r) {
         size_t pixels = static_cast<size_t>(r.width) *
                         static_cast<size_t>(r.height);
         return params.lossless
-            ? SIZE_MAX / 2
+            ? 0
             : static_cast<size_t>(params.bitsPerPixel *
                                   static_cast<double>(pixels) / 8.0);
     };
 
-    // One job per coded tile: the tile's DWT, chunk entropy coding
-    // and (when asked) reconstruction all run inside encodeTile,
+    // One job per coded tile: the tile's DWT, entropy coding and
+    // (when asked) reconstruction all run inside encodeTile,
     // and tiles own disjoint rectangles, so concurrent pastes never
     // touch the same pixel. Sub-chunks are appended in flat tile-index
     // order, so the stream is byte-identical at every thread count.
@@ -704,7 +692,6 @@ sliceStream(const EncodedImage &e, const raster::TileGrid &grid)
     SlicedStream s;
     s.tp.dwtLevels = e.dwtLevels;
     s.tp.lossless = e.lossless;
-    s.tp.chunkRows = e.chunkRows;
 
     s.slotOfTile.assign(static_cast<size_t>(grid.tileCount()), -1);
     for (int t = 0; t < grid.tileCount(); ++t) {

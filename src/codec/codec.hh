@@ -12,9 +12,11 @@
  * There is one stream format, "EPC4" (docs/ARCHITECTURE.md). Every
  * stream this module writes or reads is complete and well framed; a
  * cut is a smaller complete stream, never a prefix. The header's
- * flags word and quantizer step take fixed values: flags 0x800 (lossy
- * CDF 9/7) or 0x803 (lossless LeGall 5/3), and step kQuantStep.
- * Parsing rejects any other value as StreamError::Corrupt.
+ * flags word, quantizer step and chunk height take fixed values: flags
+ * 0x800 (lossy CDF 9/7) or 0x803 (lossless LeGall 5/3), step
+ * kQuantStep and chunk height kMaxTileSize. Tiles are at most
+ * kMaxTileSize on an edge, so every tile is one entropy chunk. Parsing
+ * rejects any other value as StreamError::Corrupt.
  */
 
 #ifndef EARTHPLUS_CODEC_CODEC_HH
@@ -29,6 +31,12 @@
 #include "raster/tile.hh"
 
 namespace earthplus::codec {
+
+/**
+ * Largest tile edge an EPC4 stream codes. The header's chunk-height
+ * word always holds it, so every tile is exactly one entropy chunk.
+ */
+constexpr int kMaxTileSize = 128;
 
 /**
  * Outcome of a non-fatal stream parse (tryDeserialize()).
@@ -61,15 +69,10 @@ struct EncodeParams
      * every bitplane.
      */
     bool lossless = false;
-    /** Tile edge length in pixels. */
+    /** Tile edge length in pixels, in [1, kMaxTileSize]. */
     int tileSize = raster::kDefaultTileSize;
     /** Optional region of interest; null encodes every tile. */
     const raster::TileMask *roi = nullptr;
-    /**
-     * Rows per entropy chunk inside each tile (see
-     * TileCoderParams::chunkRows); must be positive.
-     */
-    int chunkRows = kDefaultChunkRows;
 };
 
 /**
@@ -85,8 +88,6 @@ struct EncodedImage
     int dwtLevels = 4;
     /** Lossless (LeGall 5/3) or lossy (CDF 9/7) stream. */
     bool lossless = false;
-    /** Entropy chunk height in rows (positive). */
-    int chunkRows = kDefaultChunkRows;
     /** Per-tile coded flag, flat tile index order. */
     std::vector<uint8_t> tileCoded;
     /**
@@ -94,8 +95,8 @@ struct EncodedImage
      * tile-index order) a 4-byte little-endian length followed by that
      * tile's self-contained sub-chunk, so tiles encode and decode as
      * independent parallel jobs while the assembled stream stays
-     * deterministic. Each tile sub-chunk is itself a sequence of
-     * length-prefixed entropy chunks (see docs/ARCHITECTURE.md).
+     * deterministic. Each tile sub-chunk is one length-prefixed
+     * entropy chunk (see docs/ARCHITECTURE.md).
      */
     std::vector<uint8_t> payload;
 
@@ -150,12 +151,12 @@ size_t streamHeaderFloor(const std::vector<uint8_t> &bytes);
 /**
  * Tile-fair cut of a serialized stream to `budget` bytes — rate
  * control without re-encoding, and without entropy work: only length
- * words are rewritten and kept segments copied. Segment k of an
- * entropy chunk codes plane `maxPlane - k`, and every chunk shares one
+ * words are rewritten and kept segments copied. Segment k of a tile's
+ * entropy chunk codes plane `maxPlane - k`, and every tile shares one
  * quantizer step, so the cut keeps every segment at planes >= T for
  * the lowest T whose bytes fit, then admits plane T-1 segments
  * smallest first (ties in stream order) up to the first one that does
- * not fit. Every chunk therefore keeps its planes down to one common
+ * not fit. Every tile therefore keeps its planes down to one common
  * plane (or all it has, when it was coded to fewer), give or take the
  * one plane the budget splits, instead of the stream's last tiles
  * losing everything.

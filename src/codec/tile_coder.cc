@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 
 #include "codec/dwt.hh"
 #include "codec/kernels.hh"
 #include "util/bytes.hh"
 #include "util/logging.hh"
-#include "util/parallel.hh"
 #include "util/telemetry.hh"
 
 namespace earthplus::codec {
@@ -54,7 +52,7 @@ lastWordMask(int width)
 }
 
 /**
- * Per packed row word of a `width` x `rows` slab: bit b is set where
+ * Per packed row word of a `width` x `rows` tile: bit b is set where
  * coefficient b's subband orientation differs from its left
  * neighbor's — the places a cleanup zero run must stop, because its
  * model changes there. Bit 0 is never set: a run never crosses a word.
@@ -78,7 +76,7 @@ orientationEdges(const uint8_t *orient, int width, int rows)
 
 /**
  * The decoder-equivalent lowPlane rule of docs/ARCHITECTURE.md, shared
- * by TileEncoder::decoderState() and TileDecoder::finish(). A slab
+ * by TileEncoder::decoderState() and TileDecoder::finish(). A chunk
  * stopped at plane P = `nextPlane` (-1 once every plane is coded)
  * after `nextPass` passes of it: pass 0 coded exactly the visited
  * coefficients and pass 1 the refinable ones, and planes above P were
@@ -111,21 +109,6 @@ writeLowPlanes(int width, int rows, int nextPlane, int nextPass,
                     static_cast<uint8_t>(above - ((coded >> b) & 1u));
         }
     }
-}
-
-/** First row of chunk `chunk` on the params' slab grid. */
-int
-chunkRow0(const TileCoderParams &params, int chunk)
-{
-    return chunk * params.chunkRows;
-}
-
-/** Row count of chunk `chunk` (the last slab may be short). */
-int
-chunkRows(const TileCoderParams &params, int height, int chunk)
-{
-    return std::min(params.chunkRows,
-                    height - chunkRow0(params, chunk));
 }
 
 /**
@@ -179,7 +162,7 @@ struct ScanGrid
     uint64_t *visited;
     uint64_t *dilation; ///< Per-row scratch, `words` entries.
     const uint8_t *orient;
-    const uint64_t *edges; ///< orientationEdges() of the slab.
+    const uint64_t *edges; ///< orientationEdges() of the tile.
     TileContexts *ctx;
 };
 
@@ -414,29 +397,22 @@ struct TileEncoder::EncoderScan
     void significant(size_t i) { enc.encodeBitRaw(sign[i]); }
 };
 
-TileEncoder::TileEncoder(const TileCoefficients &coeffs, int row0,
-                         int rows, const TileCoderParams &params)
-    : params_(params), width_(coeffs.width), height_(rows),
-      wordsPerRow_(packedWords(coeffs.width)), maxPlane_(-1)
+TileEncoder::TileEncoder(const TileCoefficients &coeffs)
+    : width_(coeffs.width), height_(coeffs.height),
+      wordsPerRow_(packedWords(coeffs.width)),
+      magnitude_(coeffs.magnitude.data()), sign_(coeffs.sign.data()),
+      orient_(coeffs.orient.data()), maxPlane_(-1)
 {
-    EP_ASSERT(width_ > 0 && rows > 0 && row0 >= 0 &&
-                  row0 + rows <= coeffs.height,
-              "chunk slab [%d, %d) outside tile of %d rows", row0,
-              row0 + rows, coeffs.height);
-    size_t base =
-        static_cast<size_t>(row0) * static_cast<size_t>(width_);
-    size_t n = static_cast<size_t>(width_) * static_cast<size_t>(rows);
-    magnitude_ = coeffs.magnitude.data() + base;
-    sign_ = coeffs.sign.data() + base;
-    orient_ = coeffs.orient.data() + base;
+    EP_ASSERT(width_ > 0 && height_ > 0, "empty tile");
+    size_t n = static_cast<size_t>(width_) * static_cast<size_t>(height_);
     size_t nWords =
-        static_cast<size_t>(wordsPerRow_) * static_cast<size_t>(rows);
+        static_cast<size_t>(wordsPerRow_) * static_cast<size_t>(height_);
     sigBits_.assign(nWords, 0);
     visitedBits_.assign(nWords, 0);
     refinableBits_.assign(nWords, 0);
     planeBits_.assign(nWords, 0);
     dilation_.assign(static_cast<size_t>(wordsPerRow_), 0);
-    orientEdges_ = orientationEdges(orient_, width_, rows);
+    orientEdges_ = orientationEdges(orient_, width_, height_);
 
     const kernels::KernelTable &K = kernels::active();
     maxPlane_ = util::bitWidth(K.maxU32(magnitude_, n)) - 1;
@@ -569,16 +545,14 @@ TileEncoder::decoderState(uint32_t *magnitude, uint8_t *sign,
     }
 }
 
-TileDecoder::TileDecoder(int width, int rows,
-                         const TileCoderParams &params,
-                         uint32_t *magnitude, uint8_t *sign,
-                         uint8_t *lowPlane, const uint8_t *orient)
-    : params_(params), width_(width), height_(rows),
-      wordsPerRow_(packedWords(width)), magnitude_(magnitude),
-      sign_(sign), lowPlane_(lowPlane), orient_(orient), maxPlane_(-1),
-      nextPlane_(-1), nextPass_(0)
+TileDecoder::TileDecoder(int width, int height, uint32_t *magnitude,
+                         uint8_t *sign, uint8_t *lowPlane,
+                         const uint8_t *orient)
+    : width_(width), height_(height), wordsPerRow_(packedWords(width)),
+      magnitude_(magnitude), sign_(sign), lowPlane_(lowPlane),
+      orient_(orient), maxPlane_(-1), nextPlane_(-1), nextPass_(0)
 {
-    EP_ASSERT(width_ > 0 && height_ > 0, "empty tile chunk");
+    EP_ASSERT(width_ > 0 && height_ > 0, "empty tile");
     size_t nWords =
         static_cast<size_t>(wordsPerRow_) * static_cast<size_t>(height_);
     sigBits_.assign(nWords, 0);
@@ -743,49 +717,6 @@ DecodedTile::reconstruct(const TileCoderParams &params) const
 }
 
 std::vector<uint8_t>
-encodeTileChunk(const TileCoefficients &coeffs,
-                const TileCoderParams &params, int chunk,
-                size_t tileByteBudget, DecodedTile *decoded)
-{
-    EP_ASSERT(params.chunkRows > 0,
-              "EPC4 streams need a positive chunk height, not %d",
-              params.chunkRows);
-    EP_ASSERT(chunk >= 0 && chunk < chunkCount(params, coeffs.height),
-              "chunk %d out of range", chunk);
-    const int row0 = chunkRow0(params, chunk);
-    const int rows = chunkRows(params, coeffs.height, chunk);
-
-    // Row-proportional share of the tile budget, computed without
-    // overflow even for the effectively-unbounded lossless budgets:
-    // exact pass-through when the chunk spans the whole tile, and the
-    // shares of a split tile never exceed the whole.
-    const size_t h = static_cast<size_t>(coeffs.height);
-    const size_t r = static_cast<size_t>(rows);
-    size_t byteBudget =
-        (tileByteBudget / h) * r + (tileByteBudget % h) * r / h;
-
-    // Everything the chunk writes counts against its share: the header
-    // byte, every segment's framing word and its flushed body.
-    TileEncoder coder(coeffs, row0, rows, params);
-    std::vector<uint8_t> out;
-    out.push_back(static_cast<uint8_t>(coder.maxPlane() + 1));
-    coder.encodePlanes(out, byteBudget);
-    if (decoded) {
-        EP_ASSERT(decoded->width == coeffs.width &&
-                      decoded->height == coeffs.height,
-                  "decoded tile %dx%d does not match coefficients %dx%d",
-                  decoded->width, decoded->height, coeffs.width,
-                  coeffs.height);
-        const size_t base =
-            static_cast<size_t>(row0) * static_cast<size_t>(coeffs.width);
-        coder.decoderState(decoded->magnitude.data() + base,
-                           decoded->sign.data() + base,
-                           decoded->lowPlane.data() + base);
-    }
-    return out;
-}
-
-std::vector<uint8_t>
 encodeTile(const raster::Plane &tile, const TileCoderParams &params,
            size_t byteBudget, raster::Plane *reconstruction)
 {
@@ -795,32 +726,34 @@ encodeTile(const raster::Plane &tile, const TileCoderParams &params,
         telemetry::ScopedTimer timer(stageMetrics().transformNs);
         coeffs = transformTile(tile, params);
     }
-    const int chunks = chunkCount(params, coeffs.height);
-    std::vector<std::vector<uint8_t>> perChunk(static_cast<size_t>(chunks));
-    std::unique_ptr<DecodedTile> decoded;
-    if (reconstruction)
-        decoded = std::make_unique<DecodedTile>(coeffs.width,
-                                                coeffs.height);
-    util::ThreadPool::global().parallelFor(
-        0, chunks,
-        [&](int64_t c) {
-            telemetry::TraceSpan span("codec.entropy_chunk", "codec");
-            telemetry::ScopedTimer timer(stageMetrics().entropyChunkNs);
-            perChunk[static_cast<size_t>(c)] =
-                encodeTileChunk(coeffs, params, static_cast<int>(c),
-                                byteBudget, decoded.get());
-        },
-        1);
+    // The chunk is coded in place behind its u32 length word, so the
+    // limit on the sub-chunk is the payload budget plus the word,
+    // saturated. Everything the chunk writes counts against it: the
+    // header byte, every segment's framing word and its flushed body.
+    // Lossless has no limit: it codes every plane.
+    constexpr size_t kWord = sizeof(uint32_t);
+    const size_t limit = params.lossless || byteBudget > SIZE_MAX - kWord
+        ? SIZE_MAX
+        : byteBudget + kWord;
+    std::vector<uint8_t> sub(kWord + 1);
+    // Sized only when the caller asks for the reconstruction.
+    DecodedTile decoded(reconstruction ? coeffs.width : 0,
+                        reconstruction ? coeffs.height : 0);
+    {
+        telemetry::TraceSpan span("codec.entropy_chunk", "codec");
+        telemetry::ScopedTimer timer(stageMetrics().entropyChunkNs);
+        TileEncoder coder(coeffs);
+        sub[kWord] = static_cast<uint8_t>(coder.maxPlane() + 1);
+        coder.encodePlanes(sub, limit);
+        if (reconstruction)
+            coder.decoderState(decoded.magnitude.data(),
+                               decoded.sign.data(), decoded.lowPlane.data());
+    }
+    const uint32_t ecLen = static_cast<uint32_t>(sub.size() - kWord);
+    std::memcpy(sub.data(), &ecLen, kWord);
     if (reconstruction) {
         telemetry::TraceSpan span("codec.reconstruct_tile", "codec");
-        *reconstruction = decoded->reconstruct(params);
-    }
-    // Every chunk payload prefixed with its u32 byte length, in chunk
-    // order.
-    std::vector<uint8_t> sub;
-    for (const std::vector<uint8_t> &chunk : perChunk) {
-        util::appendPod(sub, static_cast<uint32_t>(chunk.size()));
-        sub.insert(sub.end(), chunk.begin(), chunk.end());
+        *reconstruction = decoded.reconstruct(params);
     }
     return sub;
 }
@@ -829,44 +762,26 @@ raster::Plane
 decodeTile(int width, int height, const TileCoderParams &params,
            ChunkSpan sub)
 {
-    const int chunks = chunkCount(params, height);
-    std::vector<ChunkSpan> spans(static_cast<size_t>(chunks));
-    forEachFramed(sub.data, sub.size, spans.size(),
-                  [&](size_t c, ChunkSpan span) { spans[c] = span; });
+    ChunkSpan chunk;
+    forEachFramed(sub.data, sub.size, 1,
+                  [&](size_t, ChunkSpan span) { chunk = span; });
 
     DecodedTile state(width, height);
     std::vector<uint8_t> orient =
         subbandOrientation(width, height, params.dwtLevels);
-
-    // Chunks write disjoint row slabs of the shared tile buffers, so
-    // decoding them concurrently is race-free; a single-chunk tile
-    // skips the loop machinery entirely.
-    auto decodeChunk = [&](int64_t c) {
-        const int row0 = chunkRow0(params, static_cast<int>(c));
-        const int rows = chunkRows(params, height, static_cast<int>(c));
-        const size_t base =
-            static_cast<size_t>(row0) * static_cast<size_t>(width);
-        TileDecoder dec(width, rows, params, state.magnitude.data() + base,
-                        state.sign.data() + base,
-                        state.lowPlane.data() + base, orient.data() + base);
-        // The payload leads with the raw maxPlane + 1 byte; an empty
-        // chunk codes no plane and reconstructs as zeros.
-        const ChunkSpan &chunk = spans[static_cast<size_t>(c)];
-        if (chunk.size != 0) {
-            dec.decodeHeaderByte(chunk.data[0]);
-            forEachSegment(chunk.data + 1, chunk.size - 1,
-                           [&](const SegmentView &seg) {
-                               RangeDecoder rd(seg.data, seg.size);
-                               dec.decodePassRun(rd, seg.passes);
-                           });
-        }
-        dec.finish();
-    };
-    if (chunks == 1)
-        decodeChunk(0);
-    else
-        util::ThreadPool::global().parallelFor(0, chunks, decodeChunk, 1);
-
+    TileDecoder dec(width, height, state.magnitude.data(), state.sign.data(),
+                    state.lowPlane.data(), orient.data());
+    // The payload leads with the raw maxPlane + 1 byte; an empty chunk
+    // codes no plane and reconstructs as zeros.
+    if (chunk.size != 0) {
+        dec.decodeHeaderByte(chunk.data[0]);
+        forEachSegment(chunk.data + 1, chunk.size - 1,
+                       [&](const SegmentView &seg) {
+                           RangeDecoder rd(seg.data, seg.size);
+                           dec.decodePassRun(rd, seg.passes);
+                       });
+    }
+    dec.finish();
     return state.reconstruct(params);
 }
 

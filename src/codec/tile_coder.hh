@@ -8,7 +8,7 @@
  * the tile. This provides the two codec properties Earth+ relies on:
  * bit-budget rate control (stop emitting planes when the tile budget is
  * exhausted) and cutting a coded stream to a smaller budget after
- * encoding by dropping each chunk's lowest planes
+ * encoding by dropping each tile's lowest planes
  * (codec::truncateStream(); §5, "Handling bandwidth fluctuation").
  *
  * The coding passes are bitset-driven: significance, visited and
@@ -36,18 +36,15 @@
  * same order, as one encodeBit()/decodeBit() per candidate, so the
  * bytes do not change — only the coder state stays in registers.
  *
- * Sub-tile parallelism: the tile is partitioned into full-width row
- * slabs ("chunks") of `TileCoderParams::chunkRows` rows, each coded by
- * an independent TileEncoder/TileDecoder pair — own range coder, own
- * context set, own significance state. Chunks are embarrassingly
- * parallel and the tile's sub-chunk frames them in fixed chunk order
- * with u32 length prefixes, so the bytes are identical at every thread
- * count.
+ * One chunk per tile: a tile is coded by one TileEncoder/TileDecoder
+ * pair — one range coder, one context set, one significance state —
+ * into one entropy chunk, and its sub-chunk is that chunk behind a u32
+ * length word. Tiles are the unit of parallelism (codec::encode()).
  *
- * Each chunk's payload is the EPC4 segment layout: a raw
- * `maxPlane + 1` byte, then one independently flushed range-coded
- * segment per plane, behind a framing word (see forEachSegment()), so
- * segment k codes plane `maxPlane - k`.
+ * The chunk payload is the EPC4 segment layout: a raw `maxPlane + 1`
+ * byte, then one independently flushed range-coded segment per plane,
+ * behind a framing word (see forEachSegment()), so segment k codes
+ * plane `maxPlane - k`.
  */
 
 #ifndef EARTHPLUS_CODEC_TILE_CODER_HH
@@ -63,16 +60,6 @@
 #include "util/logging.hh"
 
 namespace earthplus::codec {
-
-/**
- * Default chunk height. Chosen so the default 64-px tile grid stays
- * single-chunk (framing adds only the one length prefix per tile)
- * while an oversized 1024×1024 tile
- * splits into 8 independently codable slabs — enough to keep four
- * lanes busy on the latency path without shrinking the context-model
- * training window to the point of hurting compression.
- */
-constexpr int kDefaultChunkRows = 128;
 
 /**
  * Deadzone quantizer step of the lossy (CDF 9/7) path, in pixel units.
@@ -99,16 +86,7 @@ struct TileCoderParams
      * LeGall 5/3 filter, and every bitplane is coded.
      */
     bool lossless = false;
-    /** Rows per entropy chunk; must be positive. */
-    int chunkRows = kDefaultChunkRows;
 };
-
-/** Number of entropy chunks a `height`-row tile codes into. */
-inline int
-chunkCount(const TileCoderParams &params, int height)
-{
-    return (height + params.chunkRows - 1) / params.chunkRows;
-}
 
 /**
  * Context model set shared by encoder and decoder.
@@ -116,7 +94,7 @@ chunkCount(const TileCoderParams &params, int height)
  * Significance contexts are selected by subband orientation and the
  * number of already-significant 4-neighbors; refinement bits use a
  * single model. Models persist across segments, mirroring the decoder
- * exactly. Each entropy chunk owns a private set.
+ * exactly. Each tile owns a private set.
  */
 struct TileContexts
 {
@@ -129,9 +107,7 @@ struct TileContexts
 /**
  * One tile's quantized wavelet coefficients in sign/magnitude form —
  * the output of the DWT+quantization stage and the input of the
- * entropy stage. encodeTile() transforms a tile once and then
- * fans the entropy work across its row-slab chunks, all of which read
- * this one buffer.
+ * entropy stage, which reads it through a TileEncoder.
  */
 struct TileCoefficients
 {
@@ -152,24 +128,18 @@ TileCoefficients transformTile(const raster::Plane &tile,
                                const TileCoderParams &params);
 
 /**
- * Encoder for one entropy chunk (a row slab) of a transformed tile.
+ * Encoder for the entropy chunk of a transformed tile.
  *
- * Usage: construct over `[row0, row0 + rows)` of the coefficients
- * (borrowed — the TileCoefficients must outlive the encoder), write
- * the raw `maxPlane() + 1` header byte at the head of the chunk's
- * payload, then call encodePlanes() with the chunk's byte budget.
+ * Usage: construct over the coefficients (borrowed — the
+ * TileCoefficients must outlive the encoder), write the raw
+ * `maxPlane() + 1` header byte at the head of the chunk's payload,
+ * then call encodePlanes() with the chunk's byte limit.
  */
 class TileEncoder
 {
   public:
-    /**
-     * @param coeffs Transformed tile (see transformTile()).
-     * @param row0 First row of this chunk's slab.
-     * @param rows Slab height; row0 + rows <= coeffs.height.
-     * @param params Coder configuration.
-     */
-    TileEncoder(const TileCoefficients &coeffs, int row0, int rows,
-                const TileCoderParams &params);
+    /** @param coeffs Transformed tile (see transformTile()). */
+    explicit TileEncoder(const TileCoefficients &coeffs);
 
     /**
      * Emit the next passes framed into independently flushed per-plane
@@ -186,14 +156,14 @@ class TileEncoder
      */
     void encodePlanes(std::vector<uint8_t> &payload, size_t byteLimit);
 
-    /** Highest magnitude bitplane present (-1 for an all-zero slab). */
+    /** Highest magnitude bitplane present (-1 for an all-zero tile). */
     int maxPlane() const { return maxPlane_; }
 
     /**
      * Write the coefficient state a TileDecoder reaches after decoding
      * every pass emitted so far — the decoder-equivalent state of
-     * docs/ARCHITECTURE.md — into caller-owned slab buffers of
-     * `width * rows` entries, laid out like TileDecoder's outputs.
+     * docs/ARCHITECTURE.md — into caller-owned buffers of
+     * `width * height` entries, laid out like TileDecoder's outputs.
      * With the chunk stopped at plane P after k passes of P, a
      * coefficient coded in those k passes keeps its magnitude bits
      * down to P and gets lowPlane P; every other coefficient keeps the
@@ -204,11 +174,10 @@ class TileEncoder
                       uint8_t *lowPlane) const;
 
   private:
-    TileCoderParams params_;
     int width_;
-    int height_; ///< Slab height (rows), not the full tile height.
+    int height_;
     int wordsPerRow_; ///< 64-pixel words per packed bitset row.
-    /// Borrowed slab views into the TileCoefficients (offset to row0).
+    /// Borrowed views into the TileCoefficients.
     const uint32_t *magnitude_;
     const uint8_t *sign_;
     const uint8_t *orient_;
@@ -234,12 +203,8 @@ class TileEncoder
 };
 
 /**
- * Decoder mirroring TileEncoder: decodes one entropy chunk into a
- * caller-owned slab of the tile's coefficient buffers.
- *
- * The output pointers are borrowed and pre-offset to the slab's first
- * row; a chunk writes only its own `width * rows` elements, which is
- * what makes chunk-parallel decode of one tile race-free. Usage:
+ * Decoder mirroring TileEncoder: decodes a tile's entropy chunk into
+ * caller-owned coefficient buffers (borrowed). Usage:
  * construct, pass the chunk payload's leading byte to
  * decodeHeaderByte(), call decodePassRun() once per segment, in
  * stream order, then finish(); reconstruct the full tile afterwards
@@ -251,17 +216,15 @@ class TileDecoder
   public:
     /**
      * @param width Tile width in pixels.
-     * @param rows Slab height in rows.
-     * @param params Must match the encoder's parameters.
-     * @param magnitude Slab output, `width * rows` entries, zeroed.
-     * @param sign Slab output, `width * rows` entries, zeroed.
-     * @param lowPlane Slab output, `width * rows` entries, written by
+     * @param height Tile height in pixels.
+     * @param magnitude Output, `width * height` entries, zeroed.
+     * @param sign Output, `width * height` entries, zeroed.
+     * @param lowPlane Output, `width * height` entries, written by
      *        finish().
-     * @param orient Slab view of the tile's subband-orientation map.
+     * @param orient The tile's subband-orientation map.
      */
-    TileDecoder(int width, int rows, const TileCoderParams &params,
-                uint32_t *magnitude, uint8_t *sign, uint8_t *lowPlane,
-                const uint8_t *orient);
+    TileDecoder(int width, int height, uint32_t *magnitude, uint8_t *sign,
+                uint8_t *lowPlane, const uint8_t *orient);
 
     /**
      * Initialize from the chunk's raw header byte (`maxPlane + 1`, the
@@ -287,11 +250,10 @@ class TileDecoder
     void finish();
 
   private:
-    TileCoderParams params_;
     int width_;
-    int height_; ///< Slab height (rows).
+    int height_;
     int wordsPerRow_;
-    /// Borrowed slab views into the caller's tile buffers.
+    /// Borrowed views into the caller's tile buffers.
     uint32_t *magnitude_;
     uint8_t *sign_;
     uint8_t *lowPlane_; ///< Lowest plane with a decoded bit (finish()).
@@ -329,10 +291,10 @@ raster::Plane reconstructTile(int width, int height,
 /**
  * The coefficient state one tile decodes to, ahead of
  * reconstructTile(): per-coefficient magnitude bits, signs and lowest
- * decoded plane. decodeTile() fills it from the stream; encodeTileChunk() fills it
- * from the encoder's own state (TileEncoder::decoderState()), which for
- * the stream the encoder returns is the same state bit for bit. Chunks
- * own disjoint row slabs, so they fill it concurrently.
+ * decoded plane. decodeTile() fills it from the stream; encodeTile()
+ * fills it from the encoder's own state (TileEncoder::decoderState()),
+ * which for the stream the encoder returns is the same state bit for
+ * bit.
  */
 struct DecodedTile
 {
@@ -359,11 +321,10 @@ struct ChunkSpan
 /**
  * The decoder's one slicing rule for a run of well-framed
  * `u32 length | bytes` records — the payload's tile sub-chunks, or a
- * sub-chunk's entropy chunks: invokes `fn(index, span)` for each of
+ * sub-chunk's one entropy chunk: invokes `fn(index, span)` for each of
  * the first `count` records, in order. The stream walker has already
- * checked that every record of a parsed stream fits; it does not
- * count a sub-chunk's entropy chunks, so records past `count` are
- * ignored and a run of fewer leaves the rest unvisited.
+ * checked that every record of a parsed stream fits; a run of fewer
+ * records leaves the rest unvisited.
  */
 template <typename Fn>
 inline void
@@ -420,42 +381,20 @@ forEachSegment(const uint8_t *data, size_t size, Fn &&fn)
 }
 
 /**
- * Entropy-code one chunk (row slab) of a transformed tile into its
- * private segment payload. Pure function of (coeffs, params, chunk) —
- * safe to run on any thread in any order; encodeTile() assembles the
- * tile's sub-chunk from these in fixed chunk order.
- *
- * @param coeffs Transformed tile.
- * @param params Coder configuration; chunkRows (> 0) fixes the slabs.
- * @param chunk Chunk index in [0, chunkCount(params, coeffs.height)).
- * @param tileByteBudget Whole-tile entropy byte budget (ignored when
- *        params.lossless); this chunk takes its row-proportional
- *        share.
- * @param decoded When non-null, a DecodedTile of the whole tile that
- *        receives this chunk's decoder-equivalent slab.
- * @return The chunk's payload.
- */
-std::vector<uint8_t>
-encodeTileChunk(const TileCoefficients &coeffs,
-                const TileCoderParams &params, int chunk,
-                size_t tileByteBudget, DecodedTile *decoded = nullptr);
-
-/**
  * Encode one tile completely, as a single self-contained job.
  *
- * Runs the DWT + quantization and codes the tile into one private
- * sub-chunk (entropy chunks framed per params.chunkRows). The output
- * depends only on the tile pixels and
- * the parameters — chunks fan out across the global pool when it has
- * idle lanes, and the fixed assembly order makes the bytes identical
- * at every thread count. Every call records one `codec.transform_ns`
- * sample and one `codec.entropy_chunk_ns` sample per chunk, with a
+ * Runs the DWT + quantization and codes the tile into one entropy
+ * chunk behind its u32 length word — the tile's sub-chunk. The output
+ * depends only on the tile pixels and the parameters, and the call
+ * runs on the calling thread alone. Every call records one
+ * `codec.transform_ns` and one `codec.entropy_chunk_ns` sample, with a
  * matching trace span for each.
  *
  * @param tile Pixel data, values in [0, 1].
  * @param params Coder configuration.
- * @param byteBudget Entropy-coded byte budget (ignored when
- *        params.lossless).
+ * @param byteBudget Byte budget of the chunk payload, checked before
+ *        every pass as TileEncoder::encodePlanes() does. Ignored when
+ *        params.lossless, which codes every plane.
  * @param reconstruction When non-null, receives the tile exactly as
  *        decodeTile() would decode the returned sub-chunk, rebuilt
  *        from the encoder's coefficient state.
@@ -467,8 +406,8 @@ encodeTile(const raster::Plane &tile, const TileCoderParams &params,
 
 /**
  * Decode one tile from its sub-chunk — as encodeTile() wrote it, or as
- * codec::truncateStream() cut it: every chunk decodes the segments it
- * holds. Chunks decode in parallel when the pool has idle lanes.
+ * codec::truncateStream() cut it: the chunk decodes the segments it
+ * holds. An empty sub-chunk or chunk decodes to zeros.
  */
 raster::Plane decodeTile(int width, int height,
                          const TileCoderParams &params, ChunkSpan sub);

@@ -539,16 +539,14 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
                     stream = &local;
                 }
                 serveMetrics().coalesceClaims.add(misses.size());
-                // Decoding while holding claims may fan tile and
-                // entropy-chunk work into the pool even though other
+                // Decoding while holding claims may fan tile work
+                // into the pool even though other
                 // workers could be parked in fut.get() on exactly
                 // these claims: parallelFor's helper jobs are
                 // detached, so the calling thread drains the whole
                 // range itself when no worker ever picks one up —
                 // completion never depends on pool scheduling, which
-                // is what makes this fan-out deadlock-free. Large
-                // tiles decode chunk-parallel here, which is the
-                // serve-latency win of the chunked (v2) format.
+                // is what makes this fan-out deadlock-free.
                 telemetry::TraceSpan decodeSpan("ground.decode",
                                                 "ground");
                 auto decoded = codec::decodeTiles(*stream, misses);

@@ -200,8 +200,8 @@ ThreadPool::parallelFor(int64_t begin, int64_t end,
         return;
 
     // A lone iteration is not a parallel region: run it directly with
-    // no depth marker, so parallelism nested inside it (chunk-parallel
-    // decode of one tile) still reaches the pool.
+    // no depth marker, so parallelism nested inside it still reaches
+    // the pool.
     if (count == 1) {
         body(begin);
         return;

@@ -5,10 +5,9 @@
  * ordered-map/reduce helpers.
  *
  * This is the concurrency engine underneath the tile-granular pipeline:
- * the codec encodes every coded tile as one orderedReduce() job (which
- * in turn fans the tile's row-slab entropy chunks), the systems layer
- * fans bands out, and the simulation layer fans whole (location,
- * system) runs across a constellation. All of them share one
+ * the codec encodes every coded tile as one orderedReduce() job, the
+ * systems layer fans bands out, and the simulation layer fans whole
+ * (location, system) runs across a constellation. All of them share one
  * process-wide pool (ThreadPool::global()) sized by the
  * EARTHPLUS_THREADS environment variable (default: hardware
  * concurrency).
@@ -22,8 +21,8 @@
  * the codec's tile loop reached from a per-band job) executes inline
  * on the calling thread instead of re-entering the pool, so nested
  * parallelism can never deadlock the fixed-size pool. A one-item
- * range is not a parallel region, so work nested inside it (a lone
- * coded tile's chunk fan-out) still reaches the pool.
+ * range is not a parallel region, so work nested inside it still
+ * reaches the pool.
  */
 
 #ifndef EARTHPLUS_UTIL_PARALLEL_HH

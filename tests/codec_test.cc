@@ -215,7 +215,6 @@ TEST(Codec, SerializeRoundTripAcrossModes)
         EncodeParams p;
         p.bitsPerPixel = 1.0;
         p.lossless = lossless;
-        p.chunkRows = 48;
         EncodedImage enc = encode(img, p);
         const std::vector<uint8_t> bytes = enc.serialize();
         EncodedImage back = EncodedImage::deserialize(bytes);
@@ -223,11 +222,13 @@ TEST(Codec, SerializeRoundTripAcrossModes)
         uint32_t flags = 0;
         std::memcpy(&flags, bytes.data() + 24, 4);
         EXPECT_EQ(flags, lossless ? 0x803u : 0x800u);
+        // The chunk-height word (offset 36) is always kMaxTileSize.
+        EXPECT_EQ(util::readPodAt<uint32_t>(bytes.data(), 36),
+                  static_cast<uint32_t>(kMaxTileSize));
         EXPECT_EQ(back.width, enc.width);
         EXPECT_EQ(back.height, enc.height);
         EXPECT_EQ(back.tileSize, enc.tileSize);
         EXPECT_EQ(back.dwtLevels, enc.dwtLevels);
-        EXPECT_EQ(back.chunkRows, 48);
         EXPECT_EQ(back.lossless, enc.lossless);
         EXPECT_EQ(back.tileCoded, enc.tileCoded);
         EXPECT_EQ(back.payload, enc.payload);
@@ -246,7 +247,6 @@ TEST(CodecDeath, DeserializeRejectsTruncatedStreams)
     EncodeParams p;
     p.lossless = true;
     p.tileSize = 96;
-    p.chunkRows = 48;
     std::vector<uint8_t> bytes = encode(img, p).serialize();
     const size_t headerEnd = 45; // 44-byte fixed header + 1 bitmap byte
 
@@ -345,6 +345,22 @@ TEST(CodecDeath, DeserializeRejectsCorruptHeaderFields)
                 ::testing::ExitedWithCode(1), "pixel cap");
 }
 
+TEST(CodecDeath, EncodeRejectsTilesOffTheOneChunkGrid)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Every EPC4 tile is one entropy chunk of at most kMaxTileSize
+    // rows, so larger (or empty) tiles are a caller error.
+    raster::Plane img = testImage(300, 40, 44);
+    EncodeParams p;
+    for (int tileSize : {0, kMaxTileSize + 1, 256}) {
+        p.tileSize = tileSize;
+        EXPECT_DEATH(encode(img, p), "EPC4 tiles are 1 to 128 pixels")
+            << tileSize;
+    }
+    p.tileSize = kMaxTileSize;
+    EXPECT_EQ(encode(img, p).tileCoded.size(), 3u);
+}
+
 TEST(Codec, ParallelEncodeIsByteIdenticalToSerial)
 {
     // The golden determinism guarantee of the tile-execution engine:
@@ -381,20 +397,24 @@ TEST(Codec, ScalarAndSimdStreamsAreByteIdentical)
     // The golden dispatch guarantee: every available SIMD level must
     // produce the exact bytes the scalar kernels produce, for every
     // coding mode, including image/tile sizes that leave vector-width
-    // tails in both row and column passes.
+    // tails in both row and column passes, and 96-px tiles whose
+    // maxPlane scans and bitplane masks span two words per row.
     raster::Plane img = testImage(203, 131, 24);
     struct Mode
     {
         const char *name;
         EncodeParams params;
     };
-    std::vector<Mode> modes(2);
+    std::vector<Mode> modes(3);
     modes[0].name = "cdf97";
     modes[0].params.bitsPerPixel = 1.5;
     modes[0].params.tileSize = 61;
     modes[1].name = "lossless";
     modes[1].params.tileSize = 61;
     modes[1].params.lossless = true;
+    modes[2].name = "cdf97/96";
+    modes[2].params.bitsPerPixel = 1.5;
+    modes[2].params.tileSize = 96;
 
     util::simd::Level prev = util::simd::activeLevel();
     for (const Mode &mode : modes) {
@@ -532,17 +552,15 @@ TEST(Codec, NonMultipleTileSizes)
     EXPECT_GT(raster::psnr(img, dec), 35.0);
 }
 
-TEST(Codec, ChunkedStreamByteIdenticalAcrossThreadCounts)
+TEST(Codec, StreamByteIdenticalAcrossThreadCounts)
 {
-    // The chunked (v2) determinism guarantee: tiles split into several
-    // row-slab entropy chunks must still produce one exact stream at
-    // every thread count — chunk jobs are pure functions assembled in
-    // fixed order, never dependent on scheduling. The same encode
-    // issued from inside a parallelMap item, where the tile loop and
-    // the chunk fan-out run inline, must give the same bytes and the
-    // same reconstruction. Inputs: a ragged grid of 96- and 8-row
-    // tiles at 32-row chunks (full tiles code as 3 chunks each), and
-    // one lone 512-px tile at the default chunk height (4 chunks).
+    // Tile jobs are pure functions assembled in fixed order, so every
+    // thread count gives one exact stream and reconstruction. The same
+    // encode issued from inside a parallelMap item, where the tile loop
+    // runs inline, must give the same bytes and the same
+    // reconstruction. Inputs: a ragged grid of 96- and 8-row tiles, and
+    // one lone 128-px tile, whose one-item tile loop is not a parallel
+    // region.
     struct Input
     {
         raster::Plane img;
@@ -551,12 +569,11 @@ TEST(Codec, ChunkedStreamByteIdenticalAcrossThreadCounts)
     EncodeParams ragged;
     ragged.bitsPerPixel = 1.5;
     ragged.tileSize = 96;
-    ragged.chunkRows = 32;
     EncodeParams lone;
     lone.bitsPerPixel = 1.5;
-    lone.tileSize = 512;
+    lone.tileSize = kMaxTileSize;
     const Input inputs[] = {{testImage(300, 200, 30), ragged},
-                            {testImage(512, 512, 31), lone}};
+                            {testImage(128, 128, 31), lone}};
 
     for (const Input &in : inputs) {
         SCOPED_TRACE(testing::Message() << "tile=" << in.p.tileSize);
@@ -593,58 +610,28 @@ TEST(Codec, ChunkedStreamByteIdenticalAcrossThreadCounts)
         util::ThreadPool::defaultThreadCount());
 }
 
-TEST(Codec, LoneCodedTileFansItsChunksAcrossThePool)
-{
-    // A lone coded tile is a one-item tile loop, which is not a
-    // parallel region: the tile's own chunk fan-out still reaches the
-    // pool. One 512-px tile at the default chunk height codes as four
-    // chunks.
-    raster::Plane img = testImage(512, 512, 43);
-    EncodeParams p;
-    p.tileSize = 512;
-    ASSERT_EQ(chunkCount(TileCoderParams{}, 512), 4);
-
-    telemetry::Counter &fanOuts =
-        telemetry::counter("pool.parallel_for.fanout");
-    telemetry::Counter &serialRegions =
-        telemetry::counter("pool.parallel_for.serial");
-    util::ThreadPool::setGlobalThreads(4);
-    const uint64_t fan0 = fanOuts.value();
-    const uint64_t serial0 = serialRegions.value();
-    encode(img, p);
-    EXPECT_EQ(fanOuts.value() - fan0, 1u);
-    EXPECT_EQ(serialRegions.value() - serial0, 0u);
-    util::ThreadPool::setGlobalThreads(
-        util::ThreadPool::defaultThreadCount());
-}
-
 TEST(Codec, StageHistogramsRecordOnEveryEncodePath)
 {
     // Every encode records its stage timers — one codec.transform_ns
-    // sample per coded tile, one codec.entropy_chunk_ns sample per
-    // entropy chunk — whether its tile loop fans out at top level,
-    // runs inline inside a parallelMap item (an on-board band encode)
-    // or runs on a single-lane pool.
+    // and one codec.entropy_chunk_ns sample per coded tile — whether
+    // its tile loop fans out at top level, runs inline inside a
+    // parallelMap item (an on-board band encode) or runs on a
+    // single-lane pool.
     raster::Plane img = testImage(200, 136, 42);
     EncodeParams p;
     p.bitsPerPixel = 1.0;
     p.tileSize = 64;
-    p.chunkRows = 32; // 64-row tiles code as 2 chunks, the 8-row edge as 1
     raster::TileGrid grid(img.width(), img.height(), p.tileSize);
     raster::TileMask roi(grid);
     uint64_t tiles = 0;
-    uint64_t chunks = 0;
     for (int t = 0; t < grid.tileCount(); ++t) {
         if (t % 3 == 1)
             continue;
         roi.set(t, true);
         ++tiles;
-        chunks += static_cast<uint64_t>(
-            (grid.rect(t).height + p.chunkRows - 1) / p.chunkRows);
     }
     p.roi = &roi;
     ASSERT_GT(tiles, 1u);
-    ASSERT_GT(chunks, tiles);
 
     telemetry::Histogram &transformNs =
         telemetry::histogram("codec.transform_ns");
@@ -656,7 +643,7 @@ TEST(Codec, StageHistogramsRecordOnEveryEncodePath)
         const uint64_t entropy0 = entropyChunkNs.count();
         run();
         EXPECT_EQ(transformNs.count() - transform0, tiles);
-        EXPECT_EQ(entropyChunkNs.count() - entropy0, chunks);
+        EXPECT_EQ(entropyChunkNs.count() - entropy0, tiles);
     };
 
     util::ThreadPool::setGlobalThreads(4);
@@ -674,30 +661,9 @@ TEST(Codec, StageHistogramsRecordOnEveryEncodePath)
         util::ThreadPool::defaultThreadCount());
 }
 
-TEST(Codec, ChunkedStreamByteIdenticalAcrossSimdLevels)
+TEST(Codec, ConcurrentEncodesShareThePoolSafely)
 {
-    // Multi-chunk tiles through every dispatch level: per-chunk
-    // maxPlane scans and bitplane masks must agree with scalar.
-    raster::Plane img = testImage(203, 131, 31);
-    EncodeParams p;
-    p.bitsPerPixel = 1.5;
-    p.tileSize = 96;
-    p.chunkRows = 32;
-
-    util::simd::Level prev = util::simd::activeLevel();
-    util::simd::setActiveLevel(util::simd::Level::Scalar);
-    std::vector<uint8_t> golden = encode(img, p).serialize();
-    for (util::simd::Level l : kernels::availableLevels()) {
-        util::simd::setActiveLevel(l);
-        EXPECT_EQ(encode(img, p).serialize(), golden)
-            << "at " << util::simd::levelName(l);
-    }
-    util::simd::setActiveLevel(prev);
-}
-
-TEST(Codec, ConcurrentChunkedEncodesShareThePoolSafely)
-{
-    // Several external threads drive chunked encodes through the one
+    // Several external threads drive encodes through the one
     // global pool at once (the tile server's serve threads do exactly
     // this on decode); every stream must come out identical. Run
     // under TSan via `ci/check.sh tsan`.
@@ -705,7 +671,6 @@ TEST(Codec, ConcurrentChunkedEncodesShareThePoolSafely)
     EncodeParams p;
     p.bitsPerPixel = 1.0;
     p.tileSize = 96;
-    p.chunkRows = 32;
     std::vector<uint8_t> expect = encode(img, p).serialize();
 
     std::vector<std::vector<uint8_t>> got(4);
@@ -743,10 +708,11 @@ bitIdentical(const raster::Plane &a, const raster::Plane &b)
 }
 
 /**
- * Where every entropy chunk of an EPC4 stream stopped: the number of
- * passes coded into its last, unfinished plane (0..2), or 3 once the
- * chunk coded every plane. Read from the stream's own framing — each
- * chunk's maxPlane + 1 byte and its segment pass counts.
+ * Where every tile's entropy chunk in an EPC4 stream stopped: the
+ * number of passes coded into its last, unfinished plane (0..2), or 3
+ * once the chunk coded every plane. Read from the stream's own framing
+ * — each `subLen | ecLen | chunk` sub-chunk's maxPlane + 1 byte and its
+ * segment pass counts.
  */
 std::vector<int>
 chunkStops(const EncodedImage &e)
@@ -758,20 +724,15 @@ chunkStops(const EncodedImage &e)
     std::vector<int> stops;
     size_t pos = 0;
     for (size_t slot = 0; slot < coded; ++slot) {
-        const uint32_t subLen = util::readPodAt<uint32_t>(data, pos);
-        pos += 4;
-        const size_t end = pos + subLen;
-        while (pos < end) {
-            const uint32_t len = util::readPodAt<uint32_t>(data, pos);
-            pos += 4;
-            const int planes = data[pos];
-            int passes = 0;
-            EXPECT_TRUE(forEachSegment(
-                data + pos + 1, len - 1,
-                [&](const SegmentView &seg) { passes += seg.passes; }));
-            stops.push_back(passes == 3 * planes ? 3 : passes % 3);
-            pos += len;
-        }
+        const uint32_t len = util::readPodAt<uint32_t>(data, pos + 4);
+        pos += 8;
+        const int planes = data[pos];
+        int passes = 0;
+        EXPECT_TRUE(forEachSegment(
+            data + pos + 1, len - 1,
+            [&](const SegmentView &seg) { passes += seg.passes; }));
+        stops.push_back(passes == 3 * planes ? 3 : passes % 3);
+        pos += len;
     }
     return stops;
 }
@@ -783,18 +744,17 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     // The decoder-equivalent state rule (docs/ARCHITECTURE.md): the
     // reconstruction encode() builds from its own coefficient state is
     // bit-identical to decoding the stream it wrote, in memory and
-    // after a serialize round trip — over both codec modes, chunk
-    // height and tile size, on ragged images, ROI
-    // subsets and budgets starved enough to stop mid-plane. The sweep
-    // runs on one lane and on four.
+    // after a serialize round trip — over both codec modes and tile
+    // sizes, on ragged images, ROI subsets and budgets starved enough
+    // to stop mid-plane. The sweep runs on one lane and on four.
     struct Mode
     {
         bool lossless;
         double bpp;
     };
-    // 0.02 and 0.25 bpp are the starved budgets: at 0.02 bpp a chunk
+    // 0.02 and 0.25 bpp are the starved budgets: at 0.02 bpp a tile
     // spends its bytes in the cleanup pass of its first planes and so
-    // stops on a plane boundary; at 0.25 bpp chunks also stop after
+    // stops on a plane boundary; at 0.25 bpp tiles also stop after
     // pass 0 or pass 1 of a plane.
     const Mode modes[] = {
         {false, 0.02}, {false, 0.25}, {false, 1.0}, {true, 2.0}};
@@ -813,36 +773,28 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
                 for (int t = 0; t < grid.tileCount(); ++t)
                     subset.set(t, t % 3 != 1);
                 for (const Mode &m : modes) {
-                    for (int chunkRows : {16, 128}) {
-                        for (const raster::TileMask *roi :
-                             {&all, &subset}) {
-                            SCOPED_TRACE(testing::Message()
-                                         << "threads=" << threads
-                                         << " " << w << "x" << h
-                                         << " tile=" << tileSize
-                                         << " lossless=" << m.lossless
-                                         << " bpp=" << m.bpp
-                                         << " chunkRows=" << chunkRows
-                                         << " roi="
-                                         << (roi == &all ? "all"
-                                                         : "subset"));
-                            EncodeParams p;
-                            p.lossless = m.lossless;
-                            p.bitsPerPixel = m.bpp;
-                            p.chunkRows = chunkRows;
-                            p.tileSize = tileSize;
-                            p.roi = roi;
-                            raster::Plane recon;
-                            EncodedImage e = encode(img, p, &recon);
-                            ASSERT_TRUE(bitIdentical(recon, decode(e)));
-                            ASSERT_TRUE(bitIdentical(
-                                recon, decode(EncodedImage::deserialize(
-                                           e.serialize()))));
-                            compared += 2;
-                            if (m.bpp < 0.5)
-                                for (int stop : chunkStops(e))
-                                    ++starvedStops[stop];
-                        }
+                    for (const raster::TileMask *roi : {&all, &subset}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "threads=" << threads << " " << w
+                                     << "x" << h << " tile=" << tileSize
+                                     << " lossless=" << m.lossless
+                                     << " bpp=" << m.bpp << " roi="
+                                     << (roi == &all ? "all" : "subset"));
+                        EncodeParams p;
+                        p.lossless = m.lossless;
+                        p.bitsPerPixel = m.bpp;
+                        p.tileSize = tileSize;
+                        p.roi = roi;
+                        raster::Plane recon;
+                        EncodedImage e = encode(img, p, &recon);
+                        ASSERT_TRUE(bitIdentical(recon, decode(e)));
+                        ASSERT_TRUE(bitIdentical(
+                            recon, decode(EncodedImage::deserialize(
+                                       e.serialize()))));
+                        compared += 2;
+                        if (m.bpp < 0.5)
+                            for (int stop : chunkStops(e))
+                                ++starvedStops[stop];
                     }
                 }
             }
@@ -850,8 +802,8 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     }
     util::ThreadPool::setGlobalThreads(
         util::ThreadPool::defaultThreadCount());
-    EXPECT_EQ(compared, 2 * 2 * 3 * 4 * 2 * 2 * 2);
-    // The starved budgets really do stop chunks after pass 0 and after
+    EXPECT_EQ(compared, 2 * 2 * 3 * 4 * 2 * 2);
+    // The starved budgets really do stop tiles after pass 0 and after
     // pass 1 of a plane, the two states in which only part of the
     // plane's coefficients carry their plane bit.
     EXPECT_GT(starvedStops[1], 0);
@@ -873,14 +825,16 @@ TEST(Codec, EncoderReconstructionOfEmptyRoiIsZero)
 
 TEST(Codec, OddGeometrySweepDecodesToEncoderState)
 {
-    // One tile per image, so the tile width is the image width: width
-    // 1 and 2 are one short word, 63/64/65 put the last coefficient on
-    // bit 62, 63 or 0 of a row's last word, and 127/128/129 add a
-    // second or third word. The cleanup pass's zero runs stop at bit
-    // 63, at the partial last word's end and at orientation edges in
-    // all of these. Sparse content makes long runs, dense content
-    // short ones; 0.25 bpp and 2 bpp stop chunks mid-plane, lossless
-    // codes every plane.
+    // 128-px tiles, so up to width 128 the tile width is the image
+    // width: width 1 and 2 are one short word, 63/64/65 put the last
+    // coefficient on bit 62, 63 or 0 of a row's last word, and 127/128
+    // fill a second word. Width 129 is two tiles, a full 128-px one and
+    // a 1-px one (the 3-word row path is pinned by the 130-wide
+    // kGoldenV3 tiles). The cleanup pass's zero runs stop at bit 63, at
+    // the partial last word's end and at orientation edges in all of
+    // these. Sparse content makes long runs, dense content short ones;
+    // 0.25 bpp and 2 bpp stop tiles mid-plane, lossless codes every
+    // plane.
     struct Mode
     {
         bool lossless;
@@ -910,7 +864,7 @@ TEST(Codec, OddGeometrySweepDecodesToEncoderState)
                     EncodeParams p;
                     p.lossless = m.lossless;
                     p.bitsPerPixel = m.bpp;
-                    p.tileSize = 256;
+                    p.tileSize = kMaxTileSize;
                     raster::Plane recon;
                     EncodedImage e = encode(img, p, &recon);
                     ASSERT_TRUE(bitIdentical(recon, decode(e)));
@@ -931,7 +885,7 @@ TEST(Codec, OddGeometrySweepDecodesToEncoderState)
             }
         }
     }
-    // The sweep does stop chunks after pass 0 and after pass 1 of a
+    // The sweep does stop tiles after pass 0 and after pass 1 of a
     // plane, and also codes some to the end.
     EXPECT_GT(stops[1], 0);
     EXPECT_GT(stops[2], 0);

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -98,44 +99,40 @@ struct GoldenFixture
     uint32_t crc;     ///< CRC32 of the sub-chunk.
 };
 
-/** Rows per entropy chunk, so every fixture splits into >= 2 chunks. */
-constexpr int kGoldenChunkRows = 32;
-
 /**
- * EPC4 fixtures, coded with kGoldenChunkRows-row chunks (64x64 -> 2,
- * 61x47 -> 2, 130x70 -> 3 chunks), pinning the segment words,
- * per-segment coder flushes and the encoder's stop on real payload
- * bytes. 130 wide = 3 packed words per row with a 2-bit ragged tail,
- * which pins the cross-word paths (bit-63 recruitment into the next
- * word, left/right carries, multi-word dilation). Recorded deliberately
- * when the progressive format was introduced (the EPC4 migration),
- * again when rate control moved off the shadow coder, and once more
- * when multi-layer encoding was retired: the ten rows that had been
- * coded in three layers were recorded in one layer by the encoder
- * they were last pinned against, three of them collapsing into the
- * one-layer rows of the same tile, and the five one-layer rows stayed
- * as they were. When lossy 5/3 was retired (one transform per mode),
- * its four rows went with it and every other row stayed as it was;
- * sparse 130x70 cdf97 took the place of the one sparse lossy row on
- * the 3-word path, recorded by the last encoder and decoder that still
- * coded lossy 5/3, so its reference does not depend on the deletion —
- * see the worked examples in docs/ARCHITECTURE.md. Regenerate by
- * running this binary with EARTHPLUS_PRINT_GOLDEN=1 and pasting the
- * printed rows.
+ * EPC4 fixtures, one entropy chunk per tile, pinning the segment
+ * words, per-segment coder flushes and the encoder's stop on real
+ * payload bytes. 130 wide = 3 packed words per row with a 2-bit ragged
+ * tail, which pins the cross-word paths (bit-63 recruitment into the
+ * next word, left/right carries, multi-word dilation); encodeTile()
+ * takes any tile, though codec::encode() caps tiles at kMaxTileSize.
+ * Recorded deliberately when the progressive format was introduced
+ * (the EPC4 migration), again when rate control moved off the shadow
+ * coder, once more when multi-layer encoding was retired, and when
+ * lossy 5/3 was retired (its four rows went with it, and sparse 130x70
+ * cdf97 took the place of the one sparse lossy row on the 3-word
+ * path). Every row used to be coded in 32-row chunks; when sub-tile
+ * chunks were retired (one chunk per tile) each row was re-recorded
+ * with the tile as its one chunk, by the last encoder and decoder that
+ * still coded sub-tile chunks, so the reference does not depend on the
+ * deletion. Of the decoded pixels only the three textured cdf97 rows
+ * moved; the lossless and sparse rows decode as before. See the worked
+ * examples in docs/ARCHITECTURE.md. Regenerate by running this binary
+ * with EARTHPLUS_PRINT_GOLDEN=1 and pasting the printed rows.
  */
 const GoldenFixture kGoldenV3[] = {
-    {"textured", 64, 64, "cdf97", 1241u, 0xDB3052E5u},
-    {"textured", 64, 64, "lossless", 3012u, 0x8A0F402Du},
-    {"textured", 61, 47, "cdf97", 889u, 0x77EB3D9Au},
-    {"textured", 61, 47, "lossless", 2204u, 0x008EB853u},
-    {"textured", 130, 70, "cdf97", 2855u, 0x76C95888u},
-    {"textured", 130, 70, "lossless", 6618u, 0x67AE5628u},
-    {"sparse", 64, 64, "cdf97", 632u, 0xE499A07Au},
-    {"sparse", 64, 64, "lossless", 409u, 0xDCAE63A8u},
-    {"sparse", 61, 47, "cdf97", 577u, 0xF71F4EC1u},
-    {"sparse", 61, 47, "lossless", 400u, 0x7A7DFCD0u},
-    {"sparse", 130, 70, "cdf97", 948u, 0x12F93B65u},
-    {"sparse", 130, 70, "lossless", 645u, 0xDF33A45Du},
+    {"textured", 64, 64, "cdf97", 1153u, 0xE9286F16u},
+    {"textured", 64, 64, "lossless", 2953u, 0x4191FC4Bu},
+    {"textured", 61, 47, "cdf97", 748u, 0x7524AB80u},
+    {"textured", 61, 47, "lossless", 2132u, 0xC86A847Eu},
+    {"textured", 130, 70, "cdf97", 2555u, 0x9E147BFBu},
+    {"textured", 130, 70, "lossless", 6474u, 0x3964AB8Eu},
+    {"sparse", 64, 64, "cdf97", 584u, 0x2374C3D6u},
+    {"sparse", 64, 64, "lossless", 358u, 0x957850F8u},
+    {"sparse", 61, 47, "cdf97", 519u, 0xB391AC0Cu},
+    {"sparse", 61, 47, "lossless", 349u, 0x24D143E4u},
+    {"sparse", 130, 70, "cdf97", 846u, 0x46EDB84Cu},
+    {"sparse", 130, 70, "lossless", 565u, 0x2E7CF042u},
 };
 
 /**
@@ -144,8 +141,8 @@ const GoldenFixture kGoldenV3[] = {
  * here without a change in kGoldenV3 is a decoder change.
  */
 const uint32_t kDecodedV3[] = {
-    0x401B2936u, 0x58A1F0D2u, 0x2AAA151Fu, 0x50319440u,
-    0x12709A22u, 0xBBA68888u, 0x8227BB1Au, 0x217D5E30u,
+    0x2353B43Eu, 0x58A1F0D2u, 0x3F6FD8CEu, 0x50319440u,
+    0x227BE1C5u, 0xBBA68888u, 0x8227BB1Au, 0x217D5E30u,
     0x08377752u, 0xE388AF9Fu, 0xE10E9CA9u, 0x8F01FC25u,
 };
 static_assert(std::size(kDecodedV3) == std::size(kGoldenV3));
@@ -165,7 +162,6 @@ struct CutFixture
 {
     const char *mode; ///< "cdf97" or "lossless".
     int tileSize;
-    int chunkRows;
     /** CRC32 of the cut at 10, 25, 50 and 75% of the stream length. */
     uint32_t crc[4];
 };
@@ -175,17 +171,19 @@ constexpr int kCutPercents[] = {10, 25, 50, 75};
 
 /**
  * Tile-fair cuts of whole 130x70 textured streams (codec::encode at
- * 2 bpp, or lossless): a grid of tiles, some ragged, with one or more
- * chunks each. The cut bytes are what the downlink sends and the
- * archive stores, so they are pinned like the encoder's. The 48-px,
- * 16-row-chunk cdf97 row replaced the lossy 5/3 row of that shape and
- * was recorded, like the new kGoldenV3 row, before lossy 5/3 was
- * deleted. Printed by EARTHPLUS_PRINT_GOLDEN=1.
+ * 2 bpp, or lossless): a grid of tiles, some ragged, one chunk each.
+ * The cut bytes are what the downlink sends and the archive stores, so
+ * they are pinned like the encoder's. The 48-px cdf97 and 64-px
+ * lossless rows were coded in 16- and 32-row chunks until sub-tile
+ * chunks were retired, and were then re-recorded one chunk per tile by
+ * the last code that still coded sub-tile chunks; the 32-px row was
+ * one chunk per tile all along and did not change. Printed by
+ * EARTHPLUS_PRINT_GOLDEN=1.
  */
 const CutFixture kGoldenCut[] = {
-    {"cdf97", 32, 128, {0x801540EBu, 0xCD49226Du, 0xB90B20BCu, 0x23A7F6EEu}},
-    {"cdf97", 48, 16, {0xD1A3BEE7u, 0xF27E0A7Eu, 0xDB01DD19u, 0x4AA03A63u}},
-    {"lossless", 64, 32, {0x55C7EF85u, 0x361BD452u, 0xAABEF184u, 0xF076C38Au}},
+    {"cdf97", 32, {0x801540EBu, 0xCD49226Du, 0xB90B20BCu, 0x23A7F6EEu}},
+    {"cdf97", 48, {0x6286C767u, 0x36A84396u, 0xAE368A91u, 0x8FA85B7Du}},
+    {"lossless", 64, {0x8776AC3Bu, 0x4169EFC4u, 0x34CFF6A4u, 0x56E5C670u}},
 };
 
 /** The fixture's exact tile content and coder configuration. */
@@ -194,7 +192,6 @@ buildGolden(const GoldenFixture &f, raster::Plane &tile,
             TileCoderParams &params, size_t &budget)
 {
     params = TileCoderParams();
-    params.chunkRows = kGoldenChunkRows;
     params.lossless = std::string(f.mode) == "lossless";
     uint64_t seed = 7000 + static_cast<uint64_t>(f.w) * 13 +
                     static_cast<uint64_t>(f.h) * 7;
@@ -204,11 +201,9 @@ buildGolden(const GoldenFixture &f, raster::Plane &tile,
     if (params.lossless)
         for (auto &v : tile.data())
             v = std::round(v * 255.0f) / 255.0f;
-    // 2 bpp for the lossy modes; lossless gets a cap it never hits so
-    // every bitplane is coded and the fixture truly round-trips.
-    budget = params.lossless
-        ? static_cast<size_t>(f.w) * static_cast<size_t>(f.h) * 4
-        : static_cast<size_t>(f.w) * static_cast<size_t>(f.h) * 2 / 8;
+    // 2 bpp; lossless ignores it and codes every bitplane, so the
+    // fixture truly round-trips.
+    budget = static_cast<size_t>(f.w) * static_cast<size_t>(f.h) * 2 / 8;
 }
 
 /** CRC32 of a byte vector. */
@@ -259,7 +254,6 @@ encodeCutFixture(const CutFixture &f)
     EncodeParams ep;
     ep.lossless = params.lossless;
     ep.tileSize = f.tileSize;
-    ep.chunkRows = f.chunkRows;
     return encode(img, ep).serialize();
 }
 
@@ -336,10 +330,10 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
                         pixelCrc(decodeGolden(f, encodeGolden(f))));
         for (const CutFixture &f : kGoldenCut) {
             std::vector<uint32_t> crcs = cutCrcs(encodeCutFixture(f));
-            std::printf("    {\"%s\", %d, %d, {0x%08Xu, 0x%08Xu, "
-                        "0x%08Xu, 0x%08Xu}},\n",
-                        f.mode, f.tileSize, f.chunkRows, crcs[0], crcs[1],
-                        crcs[2], crcs[3]);
+            std::printf("    {\"%s\", %d, {0x%08Xu, 0x%08Xu, 0x%08Xu, "
+                        "0x%08Xu}},\n",
+                        f.mode, f.tileSize, crcs[0], crcs[1], crcs[2],
+                        crcs[3]);
         }
     }
     // Streams are storage/wire format (the archive persists them,
@@ -359,8 +353,7 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
 TEST(GoldenStream, V3StreamsDecodeAsRecorded)
 {
     // The decoded pixels are pinned at every SIMD level and pool width
-    // too: chunks decode in parallel and the inverse transforms run
-    // through the dispatched kernels.
+    // too: the inverse transforms run through the dispatched kernels.
     std::vector<std::vector<uint8_t>> streams;
     for (const GoldenFixture &f : kGoldenV3)
         streams.push_back(encodeGolden(f));
@@ -395,6 +388,31 @@ TEST(GoldenStream, LosslessFixturesDecodeToRecordedV2Pixels)
         ++compared;
     }
     EXPECT_EQ(compared, std::size(kDecodedV2));
+}
+
+TEST(GoldenStream, LosslessCodesEveryPlaneWhateverTheBudget)
+{
+    // Lossless coding ignores the budget, so a zero budget gives the
+    // recorded bytes and an exact round trip. A lossy SIZE_MAX budget
+    // must not wrap when the chunk's length word is added to it: it
+    // codes every plane, like any budget the tile never reaches.
+    for (const GoldenFixture &f : kGoldenV3) {
+        raster::Plane tile(1, 1);
+        TileCoderParams params;
+        size_t budget = 0;
+        buildGolden(f, tile, params, budget);
+        if (params.lossless) {
+            std::vector<uint8_t> sub = encodeTile(tile, params, 0);
+            EXPECT_EQ(sub.size(), f.bytes) << fixtureName(f);
+            EXPECT_EQ(bytesCrc(sub), f.crc) << fixtureName(f);
+            expectLossless(f, decodeGolden(f, sub));
+        } else {
+            const size_t roomy = tile.data().size() * sizeof(float) * 8;
+            EXPECT_EQ(encodeTile(tile, params, SIZE_MAX),
+                      encodeTile(tile, params, roomy))
+                << fixtureName(f);
+        }
+    }
 }
 
 TEST(GoldenStream, TileFairCutsMatchRecordedBytes)

@@ -141,7 +141,6 @@ struct ProgressiveCase
 {
     bool lossless;
     int tileSize;
-    int chunkRows;
     bool edgy;
 };
 
@@ -166,7 +165,6 @@ TEST_P(Progressive, CutLadderFitsNestsAndImproves)
 
     EncodeParams p;
     p.tileSize = c.tileSize;
-    p.chunkRows = c.chunkRows;
     p.lossless = c.lossless;
     if (!c.lossless)
         p.bitsPerPixel = 1.5;
@@ -190,12 +188,12 @@ TEST_P(Progressive, CutLadderFitsNestsAndImproves)
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, Progressive,
-    ::testing::Values(ProgressiveCase{false, 96, 32, false},
-                      ProgressiveCase{false, 64, 32, false},
-                      ProgressiveCase{false, 96, 32, true},
-                      ProgressiveCase{false, 48, 16, false},
-                      ProgressiveCase{true, 96, 32, false},
-                      ProgressiveCase{true, 64, 48, true}));
+    ::testing::Values(ProgressiveCase{false, 96, false},
+                      ProgressiveCase{false, 64, false},
+                      ProgressiveCase{false, 96, true},
+                      ProgressiveCase{false, 48, false},
+                      ProgressiveCase{true, 96, false},
+                      ProgressiveCase{true, 64, true}));
 
 /**
  * The 512x512 probe (64-px tiles, 2 bpp) on a dense textured plane and
@@ -241,54 +239,49 @@ TEST(Progressive, ProbeCutsServeEveryBandAndMatchLayeredRd)
 
 /**
  * The encoder's rate control counts the bytes it actually writes: a
- * chunk starts a segment only while its payload — the header byte and
- * every earlier segment's framing word and flushed body — is still
- * under the chunk's row share of the tile budget, so everything before
- * the last segment fits that share.
+ * tile starts a segment only while its chunk payload — the header byte
+ * and every earlier segment's framing word and flushed body — is still
+ * under the tile budget, so everything before the last segment fits
+ * the budget.
  */
 TEST(Progressive, EncoderStopsOnRealPayloadBytes)
 {
     const int kTile = 64;
-    int chunksChecked = 0;
+    int tilesChecked = 0;
     int budgetBound = 0;
     for (bool edgy : {false, true}) {
         raster::Plane img = edgy ? edgyImage(kTile, kTile, 93)
                                  : testImage(kTile, kTile, 92);
-        for (int chunkRows : {16, 64}) {
-            TileCoderParams params;
-            params.chunkRows = chunkRows;
-            TileCoefficients coeffs = transformTile(img, params);
-            for (double bpp = 0.25; bpp <= 2.0; bpp += 0.25) {
-                const size_t budget =
-                    static_cast<size_t>(bpp * kTile * kTile / 8.0);
-                for (int c = 0; c < chunkCount(params, kTile); ++c) {
-                    SCOPED_TRACE(testing::Message()
-                                 << "edgy=" << edgy
-                                 << " chunkRows=" << chunkRows
-                                 << " bpp=" << bpp << " chunk=" << c);
-                    const size_t share = budget * chunkRows / kTile;
-                    std::vector<uint8_t> payload =
-                        encodeTileChunk(coeffs, params, c, budget);
-                    ASSERT_FALSE(payload.empty());
-                    size_t lastSegment = 1;
-                    size_t pos = 1;
-                    ASSERT_TRUE(forEachSegment(
-                        payload.data() + 1, payload.size() - 1,
-                        [&](const SegmentView &seg) {
-                            lastSegment = pos;
-                            pos += sizeof(uint32_t) + seg.size;
-                        }));
-                    EXPECT_LT(lastSegment, share);
-                    ++chunksChecked;
-                    if (payload.size() >= share)
-                        ++budgetBound;
-                }
-            }
+        for (double bpp = 0.25; bpp <= 2.0; bpp += 0.25) {
+            SCOPED_TRACE(testing::Message()
+                         << "edgy=" << edgy << " bpp=" << bpp);
+            const size_t budget =
+                static_cast<size_t>(bpp * kTile * kTile / 8.0);
+            // The sub-chunk is the chunk payload behind its u32 length.
+            const std::vector<uint8_t> sub =
+                encodeTile(img, TileCoderParams{}, budget);
+            ASSERT_GT(sub.size(), 4u);
+            ASSERT_EQ(util::readPodAt<uint32_t>(sub.data(), 0),
+                      sub.size() - 4);
+            const uint8_t *payload = sub.data() + 4;
+            const size_t payloadSize = sub.size() - 4;
+            size_t lastSegment = 1;
+            size_t pos = 1;
+            ASSERT_TRUE(forEachSegment(payload + 1, payloadSize - 1,
+                                       [&](const SegmentView &seg) {
+                                           lastSegment = pos;
+                                           pos += sizeof(uint32_t) +
+                                                  seg.size;
+                                       }));
+            EXPECT_LT(lastSegment, budget);
+            ++tilesChecked;
+            if (payloadSize >= budget)
+                ++budgetBound;
         }
     }
-    EXPECT_EQ(chunksChecked, 2 * (4 + 1) * 8);
-    // The budget really binds: most chunks run past their share.
-    EXPECT_GT(budgetBound, chunksChecked / 2);
+    EXPECT_EQ(tilesChecked, 2 * 8);
+    // The budget really binds: most tiles run past it.
+    EXPECT_GT(budgetBound, tilesChecked / 2);
 }
 
 /**

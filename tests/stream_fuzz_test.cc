@@ -4,7 +4,7 @@
  * codec::EncodedImage::tryDeserialize() and of the decoder behind it.
  *
  * Inputs are fresh EPC4 encodes covering lossy and lossless coding,
- * several chunk heights and tile sizes, and an ROI subset. Each mutant
+ * several tile sizes, and an ROI subset. Each mutant
  * rewrites one of the container's length words — the payload chunkLen,
  * a tile subLen, an entropy-chunk ecLen or a segWord — and/or flips
  * bytes, and may be cut short. Every mutant must come back as a parsed
@@ -14,7 +14,8 @@
  * and chaos
  * legs of ci/check.sh run this suite under ASan+UBSan, so an
  * out-of-bounds access or undefined arithmetic fails it.
- * EARTHPLUS_CHAOS_SEED selects the mutation stream.
+ * EARTHPLUS_CHAOS_SEED selects the mutation stream. Headers and
+ * sub-chunks off the one-chunk-per-tile grid are typed Corrupt.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/codec.hh"
@@ -48,7 +50,8 @@ struct LengthWords
 /**
  * An independent walk of the grammar in docs/ARCHITECTURE.md over the
  * complete stream `bytes` whose header parsed into `e`: true when
- * every length word frames a body inside its enclosing structure.
+ * every length word frames a body inside its enclosing structure and
+ * every tile sub-chunk is exactly one entropy chunk.
  * Records the offset of every length word it reads in `words`. The
  * fuzz must not trust the code under test to tell it where the
  * structure is, nor whether an accepted stream is framed consistently.
@@ -78,18 +81,16 @@ walkGrammar(const std::vector<uint8_t> &bytes, const EncodedImage &e,
         const size_t subEnd = body(words.sub, payloadEnd, 0);
         if (subEnd == 0)
             return false;
-        while (pos < subEnd) {
-            const size_t ecEnd = body(words.ec, subEnd, 0);
-            if (ecEnd == 0)
+        const size_t ecEnd = body(words.ec, subEnd, 0);
+        if (ecEnd != subEnd)
+            return false;
+        if (pos < ecEnd)
+            ++pos; // raw maxPlane byte
+        while (pos < ecEnd) {
+            const size_t segEnd = body(words.seg, ecEnd, 2);
+            if (segEnd == 0)
                 return false;
-            if (pos < ecEnd)
-                ++pos; // raw maxPlane byte
-            while (pos < ecEnd) {
-                const size_t segEnd = body(words.seg, ecEnd, 2);
-                if (segEnd == 0)
-                    return false;
-                pos = segEnd;
-            }
+            pos = segEnd;
         }
     }
     return pos == payloadEnd;
@@ -259,7 +260,7 @@ eightBit(raster::Plane p)
     return p;
 }
 
-/** Fresh EPC4 streams: multi-chunk, lossy and lossless. */
+/** Fresh EPC4 streams: 96- and 64-px tiles, lossy and lossless. */
 std::vector<std::vector<uint8_t>>
 freshEpc4Streams()
 {
@@ -273,22 +274,19 @@ freshEpc4Streams()
     std::vector<std::vector<uint8_t>> out;
     EncodeParams p;
     p.tileSize = 96;
-    p.chunkRows = 32;
     p.bitsPerPixel = 1.5;
     out.push_back(encode(img, p).serialize());
     p.tileSize = 64;
-    p.chunkRows = kDefaultChunkRows;
     out.push_back(encode(img, p).serialize());
     p.lossless = true;
-    p.chunkRows = 48;
     out.push_back(encode(eightBit(img), p).serialize());
     return out;
 }
 
 /**
  * The six progressive_test matrix cases, a lossless 150x110 image in
- * 96-px tiles with 48-row chunks, and a 128x128 image at 4 bpp in the
- * default 64-px tiles.
+ * 96-px tiles, and a 128x128 image at 4 bpp in the default 64-px
+ * tiles.
  */
 std::vector<std::vector<uint8_t>>
 matrixStreams()
@@ -297,19 +295,17 @@ matrixStreams()
     {
         bool lossless;
         int tileSize;
-        int chunkRows;
         bool edgy;
     };
-    const Case cases[] = {{false, 96, 32, false}, {false, 64, 32, false},
-                          {false, 96, 32, true},  {false, 48, 16, false},
-                          {true, 96, 32, false},  {true, 64, 48, true}};
+    const Case cases[] = {{false, 96, false}, {false, 64, false},
+                          {false, 96, true},  {false, 48, false},
+                          {true, 96, false},  {true, 64, true}};
     std::vector<std::vector<uint8_t>> out;
     for (const Case &c : cases) {
         raster::Plane img = c.edgy ? edgyImage(150, 110, 91)
                                    : smoothImage(150, 110, 90);
         EncodeParams p;
         p.tileSize = c.tileSize;
-        p.chunkRows = c.chunkRows;
         if (c.lossless) {
             p.lossless = true;
             img = eightBit(img);
@@ -321,7 +317,6 @@ matrixStreams()
     EncodeParams lossless;
     lossless.lossless = true;
     lossless.tileSize = 96;
-    lossless.chunkRows = 48;
     out.push_back(
         encode(eightBit(smoothImage(150, 110, 32)), lossless).serialize());
     EncodeParams dense;
@@ -341,7 +336,6 @@ roiStream()
         roi.set(t, true);
     EncodeParams p;
     p.bitsPerPixel = 2.0;
-    p.chunkRows = 32;
     p.roi = &roi;
     return encode(img, p).serialize();
 }
@@ -363,39 +357,80 @@ TEST(StreamFuzz, MutatedRoiStreamParsesOrFailsTypedAndDecodes)
     fuzzStreams({roiStream()}, 5, 1000);
 }
 
-TEST(StreamFuzz, SubChunkMissingAnEntropyChunkParsesAndDecodes)
+namespace {
+
+/** `bytes` with the u32 at `at` set to `value`. */
+std::vector<uint8_t>
+withWord(std::vector<uint8_t> bytes, size_t at, uint32_t value)
 {
-    // The walker checks framing, not how many entropy chunks a tile's
-    // sub-chunk holds, so a well-framed sub-chunk one chunk short is
-    // accepted: it must decode — the missing slab's coefficients as
-    // zeros — and cut without dying. One 96-px tile in 32-row chunks has three.
+    std::memcpy(bytes.data() + at, &value, 4);
+    return bytes;
+}
+
+/**
+ * Streams off the one-chunk-per-tile grid, by name: every length word
+ * still fits its enclosing structure, so only the grid rules reject
+ * them.
+ */
+std::vector<std::pair<std::string, std::vector<uint8_t>>>
+offGridStreams()
+{
     EncodeParams p;
-    p.tileSize = 96;
-    p.chunkRows = 32;
+    p.tileSize = kMaxTileSize;
     p.bitsPerPixel = 1.5;
-    std::vector<uint8_t> bytes =
-        encode(smoothImage(96, 96, 95), p).serialize();
+    // One tile at 128 px and at 256 px alike, so only the tile-size cap
+    // rejects the 256-px header. Header offsets: tileSize=12, chunk
+    // height=36.
+    const std::vector<uint8_t> one =
+        encode(smoothImage(120, 100, 95), p).serialize();
+    // Two tiles: chunkLen | subLen0 ecLen0 chunk0 | subLen1 ecLen1 chunk1.
+    const std::vector<uint8_t> two =
+        encode(smoothImage(200, 100, 96), p).serialize();
     const size_t chunkLenAt = kHeaderBytes + 1;
     const size_t subLenAt = chunkLenAt + 4;
-    size_t last = subLenAt + 4;
-    for (int c = 0; c < 2; ++c)
-        last += 4 + util::readPodAt<uint32_t>(bytes.data(), last);
-    const size_t dropped = bytes.size() - last;
-    ASSERT_EQ(dropped, 4 + util::readPodAt<uint32_t>(bytes.data(), last));
-    bytes.resize(last);
-    for (size_t at : {chunkLenAt, subLenAt}) {
-        const uint32_t len = util::readPodAt<uint32_t>(bytes.data(), at) -
-                             static_cast<uint32_t>(dropped);
-        std::memcpy(bytes.data() + at, &len, 4);
-    }
+    const uint32_t chunkLen = util::readPodAt<uint32_t>(two.data(), chunkLenAt);
+    const uint32_t subLen0 = util::readPodAt<uint32_t>(two.data(), subLenAt);
+    const uint32_t subLen1 =
+        util::readPodAt<uint32_t>(two.data(), subLenAt + 4 + subLen0);
+    // Zero entropy chunks: tile 0's sub-chunk emptied.
+    std::vector<uint8_t> zero =
+        withWord(withWord(two, chunkLenAt, chunkLen - subLen0), subLenAt, 0);
+    zero.erase(zero.begin() + static_cast<ptrdiff_t>(subLenAt + 4),
+               zero.begin() + static_cast<ptrdiff_t>(subLenAt + 4 + subLen0));
+    // Two entropy chunks: tile 0's sub-chunk stretched over tile 1's,
+    // whose subLen then frames a second chunk. The walk only stays in
+    // step with the tiles if it checks that ecLen fills the sub-chunk.
+    return {{"chunk height 64", withWord(one, 36, 64)},
+            {"chunk height 129", withWord(one, 36, 129)},
+            {"tile size 256", withWord(one, 12, 256)},
+            {"zero entropy chunks", zero},
+            {"two entropy chunks",
+             withWord(two, subLenAt, subLen0 + 4 + subLen1)}};
+}
 
+} // namespace
+
+TEST(StreamFuzz, OffGridHeadersAndSubChunksAreTypedCorrupt)
+{
+    // The grid a stream must sit on: chunk height kMaxTileSize, tiles
+    // of at most kMaxTileSize, one entropy chunk per tile sub-chunk.
     EncodedImage e;
-    ASSERT_EQ(EncodedImage::tryDeserialize(bytes.data(), bytes.size(), e),
-              StreamError::None);
-    expectDecodes(e);
-    std::vector<uint8_t> cut =
-        truncateStream(bytes, streamHeaderFloor(bytes) + 16);
-    ASSERT_EQ(EncodedImage::tryDeserialize(cut.data(), cut.size(), e),
-              StreamError::None);
-    expectDecodes(e);
+    for (const auto &[name, bytes] : offGridStreams()) {
+        std::string msg;
+        EXPECT_EQ(EncodedImage::tryDeserialize(bytes.data(), bytes.size(),
+                                               e, &msg),
+                  StreamError::Corrupt)
+            << name << ": " << msg;
+        EXPECT_FALSE(msg.empty()) << name;
+    }
+}
+
+TEST(StreamFuzzDeath, OffGridStreamsAreFatalToDeserialize)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const auto &[name, bytes] : offGridStreams())
+        EXPECT_EXIT(EncodedImage::deserialize(bytes),
+                    ::testing::ExitedWithCode(1),
+                    "chunk height|tile size|mis-framed")
+            << name;
 }
