@@ -31,7 +31,7 @@ main()
     double rawBytes = static_cast<double>(spec.width) * spec.height *
                       static_cast<double>(spec.bands.size()) *
                       sizeof(float);
-    int factor = params.uplink.downsampleFactor;
+    int factor = params.system.refDownsample;
 
     RunningStats updateBytes;
     for (const auto &c : s.captures)

@@ -48,7 +48,6 @@ main()
         core::SimParams params;
         params.system.gamma = 1.5;
         params.system.refDownsample = sw.downsample;
-        params.uplink.downsampleFactor = sw.downsample;
         params.uplinkBytesPerDay = sw.bytesPerDay;
         core::LocationSimulation sim(spec, 0, core::SystemKind::EarthPlus,
                                      params);

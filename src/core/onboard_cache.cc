@@ -4,11 +4,14 @@
 
 namespace earthplus::core {
 
-OnboardCache::OnboardCache(int downsampleFactor)
-    : factor_(downsampleFactor)
+OnboardCache::OnboardCache(int downsampleFactor, int tileSize)
+    : factor_(downsampleFactor), tileSizeLow_(tileSize / downsampleFactor)
 {
     EP_ASSERT(downsampleFactor >= 1, "invalid downsample factor %d",
               downsampleFactor);
+    EP_ASSERT(tileSize > 0 && tileSize % downsampleFactor == 0,
+              "tile size %d not divisible by downsample factor %d",
+              tileSize, downsampleFactor);
 }
 
 bool
@@ -40,32 +43,17 @@ OnboardCache::install(int locationId, raster::Image lowRes)
 
 void
 OnboardCache::updateTiles(int locationId, const raster::Image &newLowRes,
-                          const raster::TileMask &tiles, int tileSizeLow)
+                          const raster::TileMask &tiles)
 {
     auto it = cache_.find(locationId);
     EP_ASSERT(it != cache_.end(),
               "delta update for uncached location %d", locationId);
     raster::Image &cached = it->second;
-    EP_ASSERT(cached.width() == newLowRes.width() &&
-              cached.height() == newLowRes.height() &&
-              cached.bandCount() == newLowRes.bandCount(),
-              "delta update shape mismatch");
-    raster::TileGrid grid(cached.width(), cached.height(), tileSizeLow);
-    EP_ASSERT(grid.tilesX() == tiles.tilesX() &&
-              grid.tilesY() == tiles.tilesY(),
-              "delta update tile mask mismatch (%dx%d vs %dx%d)",
-              tiles.tilesX(), tiles.tilesY(), grid.tilesX(),
-              grid.tilesY());
-    for (int t = 0; t < grid.tileCount(); ++t) {
-        if (!tiles.get(t))
-            continue;
-        raster::TileRect r = grid.rect(t);
-        for (int b = 0; b < cached.bandCount(); ++b) {
-            raster::Plane patch =
-                newLowRes.band(b).crop(r.x0, r.y0, r.width, r.height);
-            cached.band(b).paste(patch, r.x0, r.y0);
-        }
-    }
+    EP_ASSERT(cached.bandCount() == newLowRes.bandCount(),
+              "delta update band count mismatch");
+    for (int b = 0; b < cached.bandCount(); ++b)
+        raster::pasteTiles(cached.band(b), newLowRes.band(b), tiles,
+                           tileSizeLow_);
     cached.info() = newLowRes.info();
 }
 

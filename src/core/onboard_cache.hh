@@ -27,10 +27,15 @@ class OnboardCache
 {
   public:
     /**
+     * The cache owns the reference geometry: the uplink planner and the
+     * on-board change detector both read it from here.
+     *
      * @param downsampleFactor Reference downsampling factor relative
      *        to capture resolution.
+     * @param tileSize Full-resolution tile edge length in pixels (a
+     *        multiple of `downsampleFactor`).
      */
-    explicit OnboardCache(int downsampleFactor);
+    OnboardCache(int downsampleFactor, int tileSize);
 
     /** True when the cache holds a reference for the location. */
     bool has(int locationId) const;
@@ -51,13 +56,15 @@ class OnboardCache
      * @param locationId Location to update (must exist).
      * @param newLowRes New low-resolution reference image.
      * @param tiles Tiles (full-resolution tile indices) to refresh.
-     * @param tileSizeLow Tile edge length in low-res pixels.
      */
     void updateTiles(int locationId, const raster::Image &newLowRes,
-                     const raster::TileMask &tiles, int tileSizeLow);
+                     const raster::TileMask &tiles);
 
     /** The configured downsampling factor. */
     int downsampleFactor() const { return factor_; }
+
+    /** Tile edge length in low-res pixels. */
+    int lowResTileSize() const { return tileSizeLow_; }
 
     /** Bytes used by all cached references (float storage). */
     size_t storageBytes() const;
@@ -67,6 +74,7 @@ class OnboardCache
 
   private:
     int factor_;
+    int tileSizeLow_;
     std::map<int, raster::Image> cache_;
 };
 

@@ -7,7 +7,6 @@
 #include "change/detector.hh"
 #include "raster/metrics.hh"
 #include "raster/resample.hh"
-#include "util/logging.hh"
 #include "util/parallel.hh"
 #include "util/telemetry.hh"
 
@@ -36,60 +35,35 @@ removeClouds(const raster::Plane &p, const raster::Bitmap &cloudMask)
     return out;
 }
 
-/** One band's downlink stream and what the ground decodes it to. */
-struct EncodedBand
-{
-    codec::EncodedImage encoded;
-    /** decode() of `encoded`, taken from the encoder's own state. */
-    raster::Plane decoded;
-};
-
 /**
  * Encode every band of `img`, each over its own ROI (§5: bands are
- * handled separately — different areas change in different bands).
- * Zeroes cloudy pixels first. `decoded` receives each band's
- * reconstruction as the encoder builds it, so the ground side never
- * entropy-decodes the stream it was just handed.
+ * handled separately — different areas change in different bands),
+ * into `res`'s streams and byte counts. Zeroes cloudy pixels first.
+ * Returns each band's reconstruction as the encoder built it, so the
+ * ground side never entropy-decodes the stream it was just handed.
  */
-size_t
+std::vector<raster::Plane>
 encodeBands(const raster::Image &img, const raster::Bitmap &cloudMask,
             const std::vector<raster::TileMask> &rois,
-            const SystemParams &params,
-            std::vector<codec::EncodedImage> &encoded,
-            std::vector<size_t> &bandBytes,
-            std::vector<raster::Plane> &decoded)
+            const SystemParams &params, ProcessResult &res)
 {
     // Bands are independent encode jobs; each band's per-tile jobs
     // nest inline when the pool is already saturated.
-    auto results = util::parallelMap(
-        static_cast<size_t>(img.bandCount()), [&](size_t b) {
-            raster::Plane clean =
-                removeClouds(img.band(static_cast<int>(b)), cloudMask);
-            codec::EncodeParams ep;
-            ep.bitsPerPixel = params.gamma;
-            ep.tileSize = params.tileSize;
-            ep.roi = &rois[b];
-            EncodedBand band;
-            band.encoded = codec::encode(clean, ep, &band.decoded);
-            return band;
-        });
-    size_t bytes = 0;
-    bandBytes.clear();
-    decoded.clear();
-    for (auto &band : results) {
-        bandBytes.push_back(band.encoded.totalBytes());
-        bytes += bandBytes.back();
-        encoded.push_back(std::move(band.encoded));
-        decoded.push_back(std::move(band.decoded));
+    std::vector<raster::Plane> decoded(rois.size());
+    res.encodedBands = util::parallelMap(rois.size(), [&](size_t b) {
+        codec::EncodeParams ep;
+        ep.bitsPerPixel = params.gamma;
+        ep.tileSize = params.tileSize;
+        ep.roi = &rois[b];
+        return codec::encode(
+            removeClouds(img.band(static_cast<int>(b)), cloudMask), ep,
+            &decoded[b]);
+    });
+    for (const auto &band : res.encodedBands) {
+        res.bandDownlinkBytes.push_back(band.totalBytes());
+        res.downlinkBytes += res.bandDownlinkBytes.back();
     }
-    return bytes;
-}
-
-/** The same tile mask replicated for every band. */
-std::vector<raster::TileMask>
-uniformRois(const raster::TileMask &roi, int bands)
-{
-    return std::vector<raster::TileMask>(static_cast<size_t>(bands), roi);
+    return decoded;
 }
 
 /** Mean set-fraction across per-band masks. */
@@ -119,20 +93,12 @@ reconstruct(const std::vector<raster::Plane> &decoded,
         telemetry::histogram("core.reconstruct_ns");
     telemetry::TraceSpan span("core.reconstruct", "core");
     telemetry::ScopedTimer timer(reconstructNs);
-    raster::TileGrid grid(width, height, tileSize);
     // Bands paste independently; addBand order stays deterministic.
     auto planes = util::parallelMap(decoded.size(), [&](size_t b) {
         raster::Plane plane(width, height, 0.5f);
         if (fill && static_cast<int>(b) < fill->bandCount())
             plane = fill->band(static_cast<int>(b));
-        const raster::TileMask &roi = rois[b];
-        for (int t = 0; t < grid.tileCount(); ++t) {
-            if (!roi.get(t))
-                continue;
-            raster::TileRect r = grid.rect(t);
-            plane.paste(decoded[b].crop(r.x0, r.y0, r.width, r.height),
-                        r.x0, r.y0);
-        }
+        raster::pasteTiles(plane, decoded[b], rois[b], tileSize);
         return plane;
     });
     raster::Image out;
@@ -160,18 +126,126 @@ meanPsnr(const raster::Image &truth, const raster::Image &recon,
     return n ? sum / n : 0.0;
 }
 
+/** A cloud screen running `detector`. */
+template <typename Detector>
+auto
+screenWith(Detector detector)
+{
+    return [detector](const auto &...args) {
+        return detector.detect(args...);
+    };
+}
+
 } // anonymous namespace
+
+OnboardSystem::OnboardSystem(std::vector<synth::BandSpec> bands,
+                             const SystemParams &params,
+                             CloudScreen screen, Selection selection)
+    : params_(params), bands_(std::move(bands)), screen_(std::move(screen)),
+      selection_(selection)
+{
+}
+
+ProcessResult
+OnboardSystem::process(const synth::Capture &capture)
+{
+    ProcessResult res;
+    const raster::Image &img = capture.image;
+    int loc = img.info().locationId;
+    double day = img.info().captureDay;
+    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
+    res.referenceAgeDays = std::numeric_limits<double>::infinity();
+
+    // Cloud screen; an overcast capture is dropped before anything
+    // else runs.
+    cloud::CloudDetection cd;
+    if (screen_) {
+        auto t0 = std::chrono::steady_clock::now();
+        cd = screen_(img, bands_, grid);
+        res.cloudDetectSec = secondsSince(t0);
+        res.measuredCloudCoverage = cd.coverage;
+        if (cd.coverage > params_.dropCloudFraction) {
+            res.dropped = true;
+            return res;
+        }
+    } else {
+        cd.pixelMask = raster::Bitmap(img.width(), img.height(), false);
+        cd.tileMask = raster::TileMask(grid);
+    }
+
+    // Tile selection: every clear tile, unless a ChangedTiles system
+    // holds a reference and owes no guaranteed download.
+    raster::TileMask clear(grid, true);
+    clear.subtract(cd.tileMask);
+    Reference ref;
+    bool changedOnly = false;
+    if (selection_ == Selection::ChangedTiles) {
+        ref = reference(loc, img.info().satelliteId);
+        if (ref.image)
+            res.referenceAgeDays = day - ref.image->info().captureDay;
+        auto itFull = lastFullDownload_.find(loc);
+        bool guaranteed =
+            itFull == lastFullDownload_.end() ||
+            day - itFull->second >= params_.guaranteedPeriodDays;
+        changedOnly = ref.image && !guaranteed;
+    }
+    res.fullDownload = selection_ != Selection::ClearTiles && !changedOnly;
+
+    std::vector<raster::TileMask> rois;
+    if (changedOnly) {
+        // Change detection per band against the reference, on
+        // cloud-free pixels only. Bands are handled separately (§5)
+        // and are independent, so they fan across the pool.
+        auto t1 = std::chrono::steady_clock::now();
+        raster::Bitmap validRef =
+            raster::downsampleAny(cd.pixelMask, ref.factor);
+        validRef.invert();
+        change::ChangeDetectorParams cp;
+        cp.threshold = params_.theta;
+        cp.tileSize = params_.tileSize;
+        cp.referenceFactor = ref.factor;
+        rois = util::parallelMap(
+            static_cast<size_t>(img.bandCount()), [&](size_t b) {
+                change::ChangeDetection det = change::detectChanges(
+                    img.band(static_cast<int>(b)),
+                    ref.image->band(static_cast<int>(b)), cp, &validRef);
+                raster::TileMask roi = det.changedTiles;
+                roi.subtract(cd.tileMask);
+                return roi;
+            });
+        res.changeDetectSec = secondsSince(t1);
+    } else {
+        rois.assign(static_cast<size_t>(img.bandCount()), clear);
+    }
+
+    auto t2 = std::chrono::steady_clock::now();
+    std::vector<raster::Plane> decoded =
+        encodeBands(img, cd.pixelMask, rois, params_, res);
+    res.encodeSec = secondsSince(t2);
+    res.downloadedTileFraction = selection_ == Selection::ChangedTiles
+                                     ? meanRoiFraction(rois)
+                                     : clear.fractionSet();
+
+    res.reconstructed = reconstruct(decoded, rois, ref.fill, img.width(),
+                                    img.height(), params_.tileSize);
+    res.reconstructed.info() = img.info();
+    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
+
+    if (res.fullDownload)
+        lastFullDownload_[loc] = day;
+    afterDownload(capture, res);
+    return res;
+}
 
 EarthPlusSystem::EarthPlusSystem(std::vector<synth::BandSpec> bands,
                                  const SystemParams &params,
                                  const UplinkPlanner::Params &uplinkParams,
                                  ReferenceStore &ground)
-    : bands_(std::move(bands)), params_(params), planner_(uplinkParams),
-      ground_(ground)
+    : OnboardSystem(std::move(bands), params,
+                    screenWith(cloud::CheapCloudDetector()),
+                    Selection::ChangedTiles),
+      planner_(uplinkParams), ground_(ground)
 {
-    EP_ASSERT(params_.tileSize % params_.refDownsample == 0,
-              "tile size %d not divisible by reference downsample %d",
-              params_.tileSize, params_.refDownsample);
 }
 
 OnboardCache &
@@ -180,7 +254,8 @@ EarthPlusSystem::cacheFor(int satelliteId)
     auto it = caches_.find(satelliteId);
     if (it == caches_.end())
         it = caches_.emplace(satelliteId,
-                             OnboardCache(params_.refDownsample)).first;
+                             OnboardCache(params_.refDownsample,
+                                          params_.tileSize)).first;
     return it->second;
 }
 
@@ -204,164 +279,54 @@ EarthPlusSystem::prepareCapture(int locationId, int satelliteId,
         // compared against.
         auto key = std::make_pair(satelliteId, locationId);
         const raster::Image &full = ground_.reference(locationId);
-        if (plan.fullInstall || groundMirror_.count(key) == 0) {
+        auto it = groundMirror_.find(key);
+        if (plan.fullInstall || it == groundMirror_.end()) {
             groundMirror_[key] = full;
         } else {
-            raster::Image &mirror = groundMirror_[key];
-            raster::TileGrid grid(mirror.width(), mirror.height(),
-                                  params_.tileSize);
-            for (int t = 0; t < grid.tileCount(); ++t) {
-                if (plan.updatedTiles.count() == 0 ||
-                    !plan.updatedTiles.get(t))
-                    continue;
-                raster::TileRect r = grid.rect(t);
+            raster::Image &mirror = it->second;
+            if (plan.updatedTiles.count() != 0)
                 for (int b = 0; b < mirror.bandCount(); ++b)
-                    mirror.band(b).paste(
-                        full.band(b).crop(r.x0, r.y0, r.width, r.height),
-                        r.x0, r.y0);
-            }
+                    raster::pasteTiles(mirror.band(b), full.band(b),
+                                       plan.updatedTiles, params_.tileSize);
             mirror.info() = full.info();
         }
     }
     return plan;
 }
 
-ProcessResult
-EarthPlusSystem::process(const synth::Capture &capture)
+OnboardSystem::Reference
+EarthPlusSystem::reference(int locationId, int satelliteId)
 {
-    ProcessResult res;
-    const raster::Image &img = capture.image;
-    int loc = img.info().locationId;
-    int sat = img.info().satelliteId;
-    double day = img.info().captureDay;
-    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
+    OnboardCache &cache = cacheFor(satelliteId);
+    return {cache.has(locationId) ? &cache.reference(locationId) : nullptr,
+            cache.downsampleFactor(), groundMirror(satelliteId, locationId)};
+}
 
-    auto t0 = std::chrono::steady_clock::now();
-    cloud::CloudDetection cd =
-        cloudDetector_.detect(img, bands_, grid);
-    res.cloudDetectSec = secondsSince(t0);
-    res.measuredCloudCoverage = cd.coverage;
-    if (cd.coverage > params_.dropCloudFraction) {
-        res.dropped = true;
-        return res;
-    }
-
-    OnboardCache &cache = cacheFor(sat);
-    bool haveRef = cache.has(loc);
-    res.referenceAgeDays =
-        haveRef ? day - cache.referenceDay(loc)
-                : std::numeric_limits<double>::infinity();
-
-    auto itFull = lastFullDownload_.find(loc);
-    bool guaranteed =
-        itFull == lastFullDownload_.end() ||
-        day - itFull->second >= params_.guaranteedPeriodDays;
-
-    std::vector<raster::TileMask> rois;
-    if (guaranteed || !haveRef) {
-        raster::TileMask roi(grid, true);
-        roi.subtract(cd.tileMask);
-        rois = uniformRois(roi, img.bandCount());
-        res.fullDownload = true;
-    } else {
-        // Change detection per band against the cached low-res
-        // reference, on cloud-free pixels only. Bands are handled
-        // separately (§5) and are independent, so they fan across the
-        // pool.
-        auto t1 = std::chrono::steady_clock::now();
-        raster::Bitmap validLow =
-            raster::downsampleAny(cd.pixelMask, params_.refDownsample);
-        validLow.invert();
-        const raster::Image &ref = cache.reference(loc);
-        change::ChangeDetectorParams cp;
-        cp.threshold = params_.theta;
-        cp.tileSize = params_.tileSize;
-        cp.referenceFactor = params_.refDownsample;
-        rois = util::parallelMap(
-            static_cast<size_t>(img.bandCount()), [&](size_t b) {
-                change::ChangeDetection det = change::detectChanges(
-                    img.band(static_cast<int>(b)),
-                    ref.band(static_cast<int>(b)), cp, &validLow);
-                raster::TileMask roi = det.changedTiles;
-                roi.subtract(cd.tileMask);
-                return roi;
-            });
-        res.changeDetectSec = secondsSince(t1);
-    }
-
-    auto t2 = std::chrono::steady_clock::now();
-    std::vector<raster::Plane> decoded;
-    res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
-                                    res.encodedBands,
-                                    res.bandDownlinkBytes, decoded);
-    res.encodeSec = secondsSince(t2);
-    res.downloadedTileFraction = meanRoiFraction(rois);
-
-    // Ground side: reconstruct from the mirror of the satellite's
-    // reference and offer the result as a fresh reference.
-    const raster::Image *fill = groundMirror(sat, loc);
-    res.reconstructed = reconstruct(decoded, rois, fill, img.width(),
-                                    img.height(), params_.tileSize);
-    res.reconstructed.info() = img.info();
-    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
-
-    if (res.fullDownload)
-        lastFullDownload_[loc] = day;
+void
+EarthPlusSystem::afterDownload(const synth::Capture &capture,
+                               const ProcessResult &result)
+{
     // The ground re-detects clouds with its accurate detector; we model
     // that near-perfect detector with the ground-truth coverage (see
     // DESIGN.md). With a ground segment in the loop, ingestion instead
     // happens when the packetized download completes.
     if (!params_.externalGroundIngest)
-        ground_.offer(res.reconstructed, capture.cloudCoverage);
-    return res;
+        ground_.offer(result.reconstructed, capture.cloudCoverage);
 }
 
 KodanSystem::KodanSystem(std::vector<synth::BandSpec> bands,
                          const SystemParams &params)
-    : bands_(std::move(bands)), params_(params)
+    : OnboardSystem(std::move(bands), params,
+                    screenWith(cloud::AccurateCloudDetector()),
+                    Selection::ClearTiles)
 {
-}
-
-ProcessResult
-KodanSystem::process(const synth::Capture &capture)
-{
-    ProcessResult res;
-    const raster::Image &img = capture.image;
-    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
-    res.referenceAgeDays = std::numeric_limits<double>::infinity();
-
-    auto t0 = std::chrono::steady_clock::now();
-    cloud::CloudDetection cd = cloudDetector_.detect(img, bands_, grid);
-    res.cloudDetectSec = secondsSince(t0);
-    res.measuredCloudCoverage = cd.coverage;
-    if (cd.coverage > params_.dropCloudFraction) {
-        res.dropped = true;
-        return res;
-    }
-
-    // Download every tile that is not cloudy.
-    raster::TileMask roi(grid, true);
-    roi.subtract(cd.tileMask);
-    std::vector<raster::TileMask> rois = uniformRois(roi, img.bandCount());
-
-    auto t2 = std::chrono::steady_clock::now();
-    std::vector<raster::Plane> decoded;
-    res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
-                                    res.encodedBands,
-                                    res.bandDownlinkBytes, decoded);
-    res.encodeSec = secondsSince(t2);
-    res.downloadedTileFraction = roi.fractionSet();
-
-    res.reconstructed = reconstruct(decoded, rois, nullptr, img.width(),
-                                    img.height(), params_.tileSize);
-    res.reconstructed.info() = img.info();
-    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
-    return res;
 }
 
 SatRoISystem::SatRoISystem(std::vector<synth::BandSpec> bands,
                            const SystemParams &params)
-    : bands_(std::move(bands)), params_(params)
+    : OnboardSystem(std::move(bands), params,
+                    screenWith(cloud::CheapCloudDetector()),
+                    Selection::ChangedTiles)
 {
 }
 
@@ -372,117 +337,29 @@ SatRoISystem::fixedReference(int locationId) const
     return it == fixedRef_.end() ? nullptr : &it->second;
 }
 
-ProcessResult
-SatRoISystem::process(const synth::Capture &capture)
+OnboardSystem::Reference
+SatRoISystem::reference(int locationId, int)
 {
-    ProcessResult res;
-    const raster::Image &img = capture.image;
-    int loc = img.info().locationId;
-    double day = img.info().captureDay;
-    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
+    const raster::Image *ref = fixedReference(locationId);
+    return {ref, 1, ref};
+}
 
-    auto t0 = std::chrono::steady_clock::now();
-    cloud::CloudDetection cd = cloudDetector_.detect(img, bands_, grid);
-    res.cloudDetectSec = secondsSince(t0);
-    res.measuredCloudCoverage = cd.coverage;
-    if (cd.coverage > params_.dropCloudFraction) {
-        res.dropped = true;
-        return res;
-    }
-
-    const raster::Image *ref = fixedReference(loc);
-    bool haveRef = ref != nullptr;
-    res.referenceAgeDays =
-        haveRef ? day - ref->info().captureDay
-                : std::numeric_limits<double>::infinity();
-
-    auto itFull = lastFullDownload_.find(loc);
-    bool guaranteed =
-        itFull == lastFullDownload_.end() ||
-        day - itFull->second >= params_.guaranteedPeriodDays;
-
-    std::vector<raster::TileMask> rois;
-    if (guaranteed || !haveRef) {
-        raster::TileMask roi(grid, true);
-        roi.subtract(cd.tileMask);
-        rois = uniformRois(roi, img.bandCount());
-        res.fullDownload = true;
-    } else {
-        // Full-resolution change detection against the frozen
-        // reference, band by band across the pool.
-        auto t1 = std::chrono::steady_clock::now();
-        raster::Bitmap valid = cd.pixelMask;
-        valid.invert();
-        change::ChangeDetectorParams cp;
-        cp.threshold = params_.theta;
-        cp.tileSize = params_.tileSize;
-        cp.referenceFactor = 1;
-        rois = util::parallelMap(
-            static_cast<size_t>(img.bandCount()), [&](size_t b) {
-                change::ChangeDetection det = change::detectChanges(
-                    img.band(static_cast<int>(b)),
-                    ref->band(static_cast<int>(b)), cp, &valid);
-                raster::TileMask roi = det.changedTiles;
-                roi.subtract(cd.tileMask);
-                return roi;
-            });
-        res.changeDetectSec = secondsSince(t1);
-    }
-
-    auto t2 = std::chrono::steady_clock::now();
-    std::vector<raster::Plane> decoded;
-    res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
-                                    res.encodedBands,
-                                    res.bandDownlinkBytes, decoded);
-    res.encodeSec = secondsSince(t2);
-    res.downloadedTileFraction = meanRoiFraction(rois);
-
-    res.reconstructed = reconstruct(decoded, rois, ref, img.width(),
-                                    img.height(), params_.tileSize);
-    res.reconstructed.info() = img.info();
-    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
-
-    if (res.fullDownload)
-        lastFullDownload_[loc] = day;
+void
+SatRoISystem::afterDownload(const synth::Capture &capture,
+                            const ProcessResult &result)
+{
     // The reference is fixed: set it from the first good full
     // download, never update afterwards [61].
-    if (!haveRef && res.fullDownload && capture.cloudCoverage < 0.05)
-        fixedRef_[loc] = res.reconstructed;
-    return res;
+    if (result.fullDownload && capture.cloudCoverage < 0.05)
+        fixedRef_.try_emplace(capture.image.info().locationId,
+                              result.reconstructed);
 }
 
 DownloadAllSystem::DownloadAllSystem(std::vector<synth::BandSpec> bands,
                                      const SystemParams &params)
-    : bands_(std::move(bands)), params_(params)
+    : OnboardSystem(std::move(bands), params, nullptr,
+                    Selection::Everything)
 {
-}
-
-ProcessResult
-DownloadAllSystem::process(const synth::Capture &capture)
-{
-    ProcessResult res;
-    const raster::Image &img = capture.image;
-    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
-    res.referenceAgeDays = std::numeric_limits<double>::infinity();
-    res.fullDownload = true;
-
-    raster::TileMask roi(grid, true);
-    std::vector<raster::TileMask> rois = uniformRois(roi, img.bandCount());
-    raster::Bitmap noClouds(img.width(), img.height(), false);
-
-    auto t2 = std::chrono::steady_clock::now();
-    std::vector<raster::Plane> decoded;
-    res.downlinkBytes = encodeBands(img, noClouds, rois, params_,
-                                    res.encodedBands,
-                                    res.bandDownlinkBytes, decoded);
-    res.encodeSec = secondsSince(t2);
-    res.downloadedTileFraction = 1.0;
-
-    res.reconstructed = reconstruct(decoded, rois, nullptr, img.width(),
-                                    img.height(), params_.tileSize);
-    res.reconstructed.info() = img.info();
-    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
-    return res;
 }
 
 } // namespace earthplus::core

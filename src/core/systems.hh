@@ -2,28 +2,32 @@
  * @file
  * On-board compression systems: Earth+ and the paper's baselines.
  *
- *  - EarthPlusSystem: cheap cloud removal -> drop if >50% cloudy ->
- *    illumination alignment -> change detection against the cached
- *    (downsampled, constellation-fresh) reference -> ROI encoding of
- *    changed tiles at a constant per-tile bit budget gamma -> monthly
- *    guaranteed full download (§5).
- *  - KodanSystem [37]: accurate (expensive) on-board cloud detection,
- *    downloads every non-cloudy tile.
- *  - SatRoISystem [61]: reference-based encoding against a fixed
- *    reference image that is never refreshed.
- *  - DownloadAllSystem: encodes everything (the "Download everything"
- *    bar of Fig. 19).
+ * Every system runs the one capture path, OnboardSystem::process():
+ * cloud screen -> drop if more than `dropCloudFraction` is cloudy ->
+ * tile selection -> ROI encoding of the selected tiles at a constant
+ * per-tile bit budget gamma -> ground reconstruction -> PSNR ->
+ * guaranteed-download bookkeeping. All systems share the same codec
+ * and the same gamma, so they differ only in their policy — which
+ * cloud detector runs and which tiles are downloaded — exactly as in
+ * the paper's comparison (§6.1):
  *
- * All systems share the same codec and the same gamma so comparisons
- * isolate the *selection* policy, exactly as in the paper (§6.1).
+ *  - EarthPlusSystem: cheap cloud screen; tiles that changed (after
+ *    illumination alignment) against the satellite's cached low-res
+ *    (`refDownsample`), constellation-fresh reference, with a
+ *    guaranteed full download every `guaranteedPeriodDays` (§5).
+ *  - KodanSystem [37]: accurate (expensive) cloud screen; every clear
+ *    tile.
+ *  - SatRoISystem [61]: cheap cloud screen; changed tiles against a
+ *    fixed full-resolution reference that is never refreshed.
+ *  - DownloadAllSystem: no screen; every tile (the "Download
+ *    everything" bar of Fig. 19).
  */
 
 #ifndef EARTHPLUS_CORE_SYSTEMS_HH
 #define EARTHPLUS_CORE_SYSTEMS_HH
 
+#include <functional>
 #include <map>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "cloud/detector.hh"
@@ -43,7 +47,10 @@ struct SystemParams
     double gamma = 2.0;
     /** Change-detection threshold theta (mean abs diff). */
     double theta = 0.01;
-    /** Reference downsampling factor (Earth+ only). */
+    /**
+     * Reference downsampling factor (Earth+ only): the geometry of
+     * every on-board cache, which the uplink planner reads too.
+     */
     int refDownsample = 16;
     /** Tile edge length in pixels. */
     int tileSize = raster::kDefaultTileSize;
@@ -97,7 +104,9 @@ struct ProcessResult
 };
 
 /**
- * Common interface of all on-board systems.
+ * Common base of all on-board systems. process() is the one capture
+ * path (see the file comment); a system supplies only its policy: the
+ * cloud screen it runs and the rule that selects the tiles it downloads.
  */
 class OnboardSystem
 {
@@ -105,10 +114,67 @@ class OnboardSystem
     virtual ~OnboardSystem() = default;
 
     /** Process one capture and produce the download + reconstruction. */
-    virtual ProcessResult process(const synth::Capture &capture) = 0;
+    ProcessResult process(const synth::Capture &capture);
 
     /** Human-readable system name. */
     virtual const char *name() const = 0;
+
+  protected:
+    /** On-board cloud detection; empty for a system that screens none. */
+    using CloudScreen = std::function<cloud::CloudDetection(
+        const raster::Image &, const std::vector<synth::BandSpec> &,
+        const raster::TileGrid &)>;
+
+    /** Which tiles of a kept capture a system downloads. */
+    enum class Selection
+    {
+        Everything,   ///< Every tile; each capture is a full download.
+        ClearTiles,   ///< Every tile the cloud screen left clear.
+        /**
+         * Clear tiles that changed against reference(); every clear
+         * tile while there is none or a guaranteed download is due.
+         */
+        ChangedTiles,
+    };
+
+    /** What a ChangedTiles system compares a capture against. */
+    struct Reference
+    {
+        const raster::Image *image = nullptr; ///< Null when none is held.
+        int factor = 1; ///< Capture pixels per reference pixel (per axis).
+        const raster::Image *fill = nullptr; ///< Paste base; null: gray.
+    };
+
+    /**
+     * @param bands Band specs of the captures this system will see.
+     * @param params Shared system parameters.
+     * @param screen On-board cloud detection (empty: none).
+     * @param selection The tile-selection rule.
+     */
+    OnboardSystem(std::vector<synth::BandSpec> bands,
+                  const SystemParams &params, CloudScreen screen,
+                  Selection selection);
+
+    /**
+     * A ChangedTiles system's reference for one kept capture, given
+     * its location and capturing satellite.
+     */
+    virtual Reference reference(int, int) { return {}; }
+
+    /** Runs once per downloaded (not dropped) capture, at the end. */
+    virtual void afterDownload(const synth::Capture &, const ProcessResult &)
+    {
+    }
+
+    /** Shared system parameters. */
+    SystemParams params_;
+
+  private:
+    std::vector<synth::BandSpec> bands_;
+    CloudScreen screen_;
+    Selection selection_;
+    /** Last full-download day per location. */
+    std::map<int, double> lastFullDownload_;
 };
 
 /**
@@ -119,7 +185,8 @@ class EarthPlusSystem : public OnboardSystem
   public:
     /**
      * @param bands Band specs of the captures this system will see.
-     * @param params Shared system parameters.
+     * @param params Shared system parameters; `refDownsample` and
+     *        `tileSize` set the geometry of every on-board cache.
      * @param uplinkParams Reference-update parameters.
      * @param ground Ground reference store (shared with the simulation).
      */
@@ -138,8 +205,6 @@ class EarthPlusSystem : public OnboardSystem
     UplinkPlan prepareCapture(int locationId, int satelliteId,
                               orbit::DailyByteBudget &budget);
 
-    ProcessResult process(const synth::Capture &capture) override;
-
     const char *name() const override { return "Earth+"; }
 
     /** On-board cache of one satellite (created on demand). */
@@ -153,17 +218,20 @@ class EarthPlusSystem : public OnboardSystem
     const raster::Image *groundMirror(int satelliteId,
                                       int locationId) const;
 
+  protected:
+    /** The satellite's cached low-res reference over the mirror. */
+    Reference reference(int locationId, int satelliteId) override;
+
+    /** Offer the reconstruction to the ground store (unless external). */
+    void afterDownload(const synth::Capture &capture,
+                       const ProcessResult &result) override;
+
   private:
-    std::vector<synth::BandSpec> bands_;
-    SystemParams params_;
     UplinkPlanner planner_;
     ReferenceStore &ground_;
-    cloud::CheapCloudDetector cloudDetector_;
     std::map<int, OnboardCache> caches_;
     /** Full-res ground mirror of each (satellite, location) cache. */
     std::map<std::pair<int, int>, raster::Image> groundMirror_;
-    /** Last guaranteed-download day per location. */
-    std::map<int, double> lastFullDownload_;
 };
 
 /**
@@ -173,17 +241,11 @@ class EarthPlusSystem : public OnboardSystem
 class KodanSystem : public OnboardSystem
 {
   public:
+    /** Accurate cloud screen, ClearTiles selection. */
     KodanSystem(std::vector<synth::BandSpec> bands,
                 const SystemParams &params);
 
-    ProcessResult process(const synth::Capture &capture) override;
-
     const char *name() const override { return "Kodan"; }
-
-  private:
-    std::vector<synth::BandSpec> bands_;
-    SystemParams params_;
-    cloud::AccurateCloudDetector cloudDetector_;
 };
 
 /**
@@ -193,10 +255,9 @@ class KodanSystem : public OnboardSystem
 class SatRoISystem : public OnboardSystem
 {
   public:
+    /** Cheap cloud screen, ChangedTiles selection at factor 1. */
     SatRoISystem(std::vector<synth::BandSpec> bands,
                  const SystemParams &params);
-
-    ProcessResult process(const synth::Capture &capture) override;
 
     const char *name() const override { return "SatRoI"; }
 
@@ -206,13 +267,17 @@ class SatRoISystem : public OnboardSystem
      */
     const raster::Image *fixedReference(int locationId) const;
 
+  protected:
+    /** The frozen full-resolution reference, also the fill. */
+    Reference reference(int locationId, int satelliteId) override;
+
+    /** Freeze the location's first good full download. */
+    void afterDownload(const synth::Capture &capture,
+                       const ProcessResult &result) override;
+
   private:
-    std::vector<synth::BandSpec> bands_;
-    SystemParams params_;
-    cloud::CheapCloudDetector cloudDetector_;
     /** The fixed reference (set once per location, then frozen). */
     std::map<int, raster::Image> fixedRef_;
-    std::map<int, double> lastFullDownload_;
 };
 
 /**
@@ -221,16 +286,11 @@ class SatRoISystem : public OnboardSystem
 class DownloadAllSystem : public OnboardSystem
 {
   public:
+    /** No cloud screen, Everything selection. */
     DownloadAllSystem(std::vector<synth::BandSpec> bands,
                       const SystemParams &params);
 
-    ProcessResult process(const synth::Capture &capture) override;
-
     const char *name() const override { return "DownloadAll"; }
-
-  private:
-    std::vector<synth::BandSpec> bands_;
-    SystemParams params_;
 };
 
 } // namespace earthplus::core

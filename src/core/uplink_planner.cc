@@ -2,7 +2,6 @@
 
 #include "change/detector.hh"
 #include "raster/resample.hh"
-#include "util/logging.hh"
 
 namespace earthplus::core {
 
@@ -11,22 +10,18 @@ UplinkPlanner::UplinkPlanner() = default;
 UplinkPlanner::UplinkPlanner(const Params &params)
     : params_(params)
 {
-    EP_ASSERT(params.downsampleFactor >= 1, "invalid downsample factor");
-    EP_ASSERT(params.tileSize % params.downsampleFactor == 0,
-              "tile size %d not divisible by downsample factor %d",
-              params.tileSize, params.downsampleFactor);
 }
 
 double
 UplinkPlanner::encodedBytes(const raster::Image &lowRes,
-                            const raster::TileMask *tiles) const
+                            const raster::TileMask *tiles,
+                            int tileSizeLow) const
 {
-    int tileLow = std::max(params_.tileSize / params_.downsampleFactor, 1);
     double total = 0.0;
     for (int b = 0; b < lowRes.bandCount(); ++b) {
         codec::EncodeParams ep;
         ep.bitsPerPixel = params_.bitsPerPixel;
-        ep.tileSize = tileLow;
+        ep.tileSize = tileSizeLow;
         ep.dwtLevels = 3;
         ep.roi = tiles;
         codec::EncodedImage enc = codec::encode(lowRes.band(b), ep);
@@ -53,16 +48,16 @@ UplinkPlanner::planUpdate(const ReferenceStore &ground, OnboardCache &cache,
     raster::Image lowRes;
     for (int b = 0; b < full.bandCount(); ++b)
         lowRes.addBand(
-            raster::downsample(full.band(b), params_.downsampleFactor));
+            raster::downsample(full.band(b), cache.downsampleFactor()));
     lowRes.info() = full.info();
 
     double rawBytes = static_cast<double>(full.pixelBytes());
-    int tileLow = std::max(params_.tileSize / params_.downsampleFactor, 1);
+    int tileLow = cache.lowResTileSize();
 
     if (!cache.has(locationId)) {
         // First contact with this location: install the whole low-res
         // reference.
-        double bytes = encodedBytes(lowRes, nullptr);
+        double bytes = encodedBytes(lowRes, nullptr, tileLow);
         if (!budget.tryConsume(bytes)) {
             plan.skippedForBudget = true;
             return plan;
@@ -102,13 +97,13 @@ UplinkPlanner::planUpdate(const ReferenceStore &ground, OnboardCache &cache,
         return plan;
     }
 
-    double bytes = encodedBytes(lowRes, &changed);
+    double bytes = encodedBytes(lowRes, &changed, tileLow);
     if (!budget.tryConsume(bytes)) {
         plan.skippedForBudget = true;
         return plan;
     }
     plan.updatedTileFraction = changed.fractionSet();
-    cache.updateTiles(locationId, lowRes, changed, tileLow);
+    cache.updateTiles(locationId, lowRes, changed);
     plan.sent = true;
     plan.updatedTiles = changed;
     plan.bytes = bytes;

@@ -51,12 +51,12 @@ struct UplinkPlan
 class UplinkPlanner
 {
   public:
+    /**
+     * Update-encoding parameters. The reference geometry (downsampling
+     * factor, low-res tile size) is the updated OnboardCache's.
+     */
     struct Params
     {
-        /** Reference downsampling factor. */
-        int downsampleFactor = 16;
-        /** Full-resolution tile size. */
-        int tileSize = raster::kDefaultTileSize;
         /**
          * Low-res mean-abs-diff above which a low-res tile is included
          * in a delta update.
@@ -94,9 +94,13 @@ class UplinkPlanner
   private:
     Params params_;
 
-    /** Wire size of a full or partial low-res reference upload. */
+    /**
+     * Wire size of a full or partial low-res reference upload coded in
+     * `tileSizeLow`-pixel tiles.
+     */
     double encodedBytes(const raster::Image &lowRes,
-                        const raster::TileMask *tiles) const;
+                        const raster::TileMask *tiles,
+                        int tileSizeLow) const;
 };
 
 } // namespace earthplus::core

@@ -12,15 +12,10 @@
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define EARTHPLUS_ARCHIVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define EARTHPLUS_ARCHIVE_MMAP 0
-#endif
 
 // Hosts where a MAP_SHARED mapping is documented to see file growth
 // within the mapped range (Linux, Darwin). Elsewhere POSIX leaves it
@@ -100,26 +95,6 @@ lockShardTimed(std::mutex &mutex)
     archiveMetrics().shardLockWaitNs.record(telemetry::nowNanos() -
                                             t0);
     return lock;
-}
-
-/**
- * Seek with a 64-bit offset. std::fseek takes a long, which is 32
- * bits on LLP64 hosts — exactly the hosts whose reads always go
- * through stdio (mmap is compiled out there) — so shards past 2 GiB
- * would silently seek to a wrapped offset.
- */
-bool
-seekTo(std::FILE *f, uint64_t offset)
-{
-#if EARTHPLUS_ARCHIVE_MMAP
-    return ::fseeko(f, static_cast<off_t>(offset), SEEK_SET) == 0;
-#elif defined(_WIN32)
-    return ::_fseeki64(f, static_cast<long long>(offset), SEEK_SET) == 0;
-#else
-    if (offset > static_cast<uint64_t>(std::numeric_limits<long>::max()))
-        return false;
-    return std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0;
-#endif
 }
 
 /**
@@ -263,7 +238,7 @@ scanContainerFile(const std::string &path, std::vector<RecordEntry> &out)
     bool foreignTail = false;
     for (;;) {
         uint8_t buf[kRecordHeaderBytes];
-        if (!seekTo(f, pos))
+        if (!archive_io::seekTo(f, pos))
             break;
         size_t got = std::fread(buf, 1, kRecordHeaderBytes, f);
         if (got == 0)
@@ -359,7 +334,7 @@ readFileRange(const std::string &path, uint64_t offset, size_t size)
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         fatal("cannot open archive shard '%s'", path.c_str());
-    bool ok = seekTo(f, offset) &&
+    bool ok = archive_io::seekTo(f, offset) &&
               (bytes.empty() ||
                std::fread(bytes.data(), 1, bytes.size(), f) ==
                    bytes.size());
@@ -447,7 +422,6 @@ Archive::openFail(OpenErrorKind kind, std::string detail)
 
 Archive::~Archive()
 {
-#if EARTHPLUS_ARCHIVE_MMAP
     for (auto &shard : shards_) {
         if (shard->mapAddr)
             ::munmap(const_cast<uint8_t *>(shard->mapAddr),
@@ -455,7 +429,6 @@ Archive::~Archive()
         for (auto &[addr, len] : shard->retired)
             ::munmap(const_cast<uint8_t *>(addr), len);
     }
-#endif
 }
 
 int
@@ -835,7 +808,6 @@ Archive::keys() const
 bool
 Archive::ensureMapped(Shard &shard, uint64_t end) const
 {
-#if EARTHPLUS_ARCHIVE_MMAP
     // Retired mappings are retained for the archive's lifetime (views
     // may aim into them). With doubling growth the list stays tiny;
     // on hosts mapped exactly to file size it grows per remap, so cap
@@ -898,11 +870,6 @@ Archive::ensureMapped(Shard &shard, uint64_t end) const
     shard.mapLen = len;
     shard.mapValidBytes = static_cast<uint64_t>(st.st_size);
     return true;
-#else
-    (void)shard;
-    (void)end;
-    return false;
-#endif
 }
 
 PayloadView
@@ -951,7 +918,7 @@ Archive::payloadView(size_t idx) const
                   path_.c_str(), idx);
         return PayloadView(mapped, size);
     }
-    // Portable fallback: a private stdio read per call (the record's
+    // Unmappable shard: a private stdio read per call (the record's
     // byte range is immutable, so no lock is needed here either).
     std::vector<uint8_t> bytes =
         readFileRange(shard.path, entry.payloadOffset, size);

@@ -31,10 +31,10 @@
  * rebuild the in-memory indexes and is corruption-tolerant per shard:
  * a truncated or corrupt tail record stops that shard's scan, the
  * valid prefix stays usable, and the next append to the shard rewinds
- * over the garbage. Payload reads are backed by `mmap` on POSIX hosts
- * (with a portable stdio fallback), so serving resolves delta chains
- * zero-copy: payloadView() hands out pointers into the mapping and
- * the codec parses the stream straight out of the page cache. Views
+ * over the garbage. Payload reads are backed by `mmap` (with a stdio
+ * fallback when a shard cannot be mapped), so serving resolves delta
+ * chains zero-copy: payloadView() hands out pointers into the mapping
+ * and the codec parses the stream straight out of the page cache. Views
  * stay valid for the archive's lifetime — grown files are remapped,
  * and superseded mappings are retired, not unmapped, until the
  * archive is destroyed. compact() drops records captured before the
@@ -182,11 +182,11 @@ struct ScanReport
 /**
  * Borrowed view of one record's payload bytes.
  *
- * On POSIX hosts the pointer aims straight into the shard file's
- * read-only mapping (zero-copy); on the fallback path the view owns a
- * heap copy. Either way the bytes stay valid for the lifetime of the
- * Archive that produced the view (mappings are retired, never
- * unmapped, while the archive lives).
+ * The pointer aims straight into the shard file's read-only mapping
+ * (zero-copy); on the stdio fallback path (the shard could not be
+ * mapped) the view owns a heap copy. Either way the bytes stay valid
+ * for the lifetime of the Archive that produced the view (mappings are
+ * retired, never unmapped, while the archive lives).
  */
 class PayloadView
 {

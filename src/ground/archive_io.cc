@@ -4,17 +4,11 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 
 #include "util/failpoint.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define EARTHPLUS_IO_POSIX 1
 #include <fcntl.h>
 #include <unistd.h>
-#else
-#define EARTHPLUS_IO_POSIX 0
-#endif
 
 namespace earthplus::ground::archive_io {
 
@@ -63,23 +57,6 @@ ghostBoundary()
         return true;
     }
     return false;
-}
-
-/** 64-bit-safe fseek (mirrors the archive's seekTo). */
-bool
-seekTo(std::FILE *f, uint64_t offset)
-{
-#if EARTHPLUS_IO_POSIX
-    return ::fseeko(f, static_cast<off_t>(offset), SEEK_SET) == 0;
-#elif defined(_WIN32)
-    return ::_fseeki64(f, static_cast<long long>(offset), SEEK_SET) ==
-           0;
-#else
-    if (offset >
-        static_cast<uint64_t>(std::numeric_limits<long>::max()))
-        return false;
-    return std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0;
-#endif
 }
 
 /**
@@ -181,6 +158,12 @@ writeCommon(const std::string &path, uint64_t offset, const void *data,
 } // namespace
 
 bool
+seekTo(std::FILE *f, uint64_t offset)
+{
+    return ::fseeko(f, static_cast<off_t>(offset), SEEK_SET) == 0;
+}
+
+bool
 crashed()
 {
     return gCrashed.load(std::memory_order_relaxed);
@@ -212,7 +195,6 @@ syncFile(const std::string &path)
         return true;
     if (sites().syncError.fire())
         return false;
-#if EARTHPLUS_IO_POSIX
     int fd = ::open(path.c_str(), O_WRONLY);
     if (fd < 0)
         return false;
@@ -223,9 +205,6 @@ syncFile(const std::string &path)
 #endif
     ::close(fd);
     return ok;
-#else
-    return true; // no portable fsync: declared durable immediately
-#endif
 }
 
 bool
@@ -235,16 +214,12 @@ syncDir(const std::string &path)
         return true;
     if (sites().syncError.fire())
         return false;
-#if EARTHPLUS_IO_POSIX
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return false;
     bool ok = ::fsync(fd) == 0;
     ::close(fd);
     return ok;
-#else
-    return true;
-#endif
 }
 
 bool

@@ -36,9 +36,18 @@
 #define EARTHPLUS_GROUND_ARCHIVE_IO_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 namespace earthplus::ground::archive_io {
+
+/**
+ * Seek `f` to byte `offset` from its start, through fseeko's off_t
+ * rather than std::fseek's long (32 bits on some hosts, which would
+ * wrap offsets past 2 GiB). Shared by the archive's stdio reads and
+ * this layer's writes; it mutates no file, so no failpoint applies.
+ */
+bool seekTo(std::FILE *f, uint64_t offset);
 
 /**
  * True once `archive.io.crash` has fired: the simulated process is
@@ -68,10 +77,9 @@ bool writeAt(const std::string &path, uint64_t offset, const void *data,
              size_t size);
 
 /**
- * fdatasync `path`'s data to stable storage. False on failure (a
- * caller-visible event: the archive's durability contract counts and
- * reports it); ghost-succeeds after a crash. No-op true on hosts
- * without fdatasync.
+ * fdatasync `path`'s data to stable storage (F_FULLFSYNC on Darwin).
+ * False on failure (a caller-visible event: the archive's durability
+ * contract counts and reports it); ghost-succeeds after a crash.
  */
 bool syncFile(const std::string &path);
 

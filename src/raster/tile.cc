@@ -147,4 +147,26 @@ tileMaskFromBitmap(const Bitmap &mask, const TileGrid &grid,
     return out;
 }
 
+void
+pasteTiles(Plane &dst, const Plane &src, const TileMask &tiles,
+           int tileSize)
+{
+    EP_ASSERT(dst.sameShape(src),
+              "tile paste shape mismatch (%dx%d vs %dx%d)", src.width(),
+              src.height(), dst.width(), dst.height());
+    TileGrid grid(dst.width(), dst.height(), tileSize);
+    EP_ASSERT(grid.tilesX() == tiles.tilesX() &&
+              grid.tilesY() == tiles.tilesY(),
+              "tile paste mask mismatch (%dx%d vs %dx%d)", tiles.tilesX(),
+              tiles.tilesY(), grid.tilesX(), grid.tilesY());
+    for (int t = 0; t < grid.tileCount(); ++t) {
+        if (!tiles.get(t))
+            continue;
+        TileRect r = grid.rect(t);
+        for (int y = r.y0; y < r.y0 + r.height; ++y)
+            std::copy(src.row(y) + r.x0, src.row(y) + r.x0 + r.width,
+                      dst.row(y) + r.x0);
+    }
+}
+
 } // namespace earthplus::raster

@@ -173,6 +173,17 @@ std::vector<double> tileFractions(const Bitmap &mask, const TileGrid &grid);
 TileMask tileMaskFromBitmap(const Bitmap &mask, const TileGrid &grid,
                             double minFraction);
 
+/**
+ * Copy every tile set in `tiles` from `src` into `dst`.
+ *
+ * @param dst Plane to paste into.
+ * @param src Plane of the same size to copy from.
+ * @param tiles Tiles to copy, shaped like the grid `tileSize` induces.
+ * @param tileSize Tile edge length in pixels.
+ */
+void pasteTiles(Plane &dst, const Plane &src, const TileMask &tiles,
+                int tileSize);
+
 } // namespace earthplus::raster
 
 #endif // EARTHPLUS_RASTER_TILE_HH

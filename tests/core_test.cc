@@ -96,7 +96,7 @@ TEST(ReferenceStoreTest, AcceptsOnlyCloudFreeAndFresher)
 
 TEST(OnboardCacheTest, InstallAndDeltaUpdate)
 {
-    OnboardCache cache(16);
+    OnboardCache cache(16, 64);
     EXPECT_FALSE(cache.has(0));
 
     // Low-res image: 8x8 pixels (128 / 16), tiles of 4 low-res px.
@@ -116,7 +116,7 @@ TEST(OnboardCacheTest, InstallAndDeltaUpdate)
     low2.info().captureDay = 9.0;
     raster::TileMask tiles(2, 2, false);
     tiles.set(0, true);
-    cache.updateTiles(0, low2, tiles, 4);
+    cache.updateTiles(0, low2, tiles);
 
     const raster::Image &ref = cache.reference(0);
     EXPECT_FLOAT_EQ(ref.band(0).at(0, 0), 0.9f); // updated tile
@@ -127,10 +127,8 @@ TEST(OnboardCacheTest, InstallAndDeltaUpdate)
 TEST(UplinkPlannerTest, InstallThenNoopThenDelta)
 {
     ReferenceStore ground(0.01);
-    OnboardCache cache(16);
-    UplinkPlanner::Params pp;
-    pp.downsampleFactor = 16;
-    UplinkPlanner planner(pp);
+    OnboardCache cache(16, 64);
+    UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e9);
 
     // Nothing on the ground yet: no plan.
@@ -172,7 +170,7 @@ TEST(UplinkPlannerTest, InstallThenNoopThenDelta)
 TEST(UplinkPlannerTest, BudgetExhaustionSkipsUpdate)
 {
     ReferenceStore ground(0.01);
-    OnboardCache cache(16);
+    OnboardCache cache(16, 64);
     UplinkPlanner planner;
     orbit::DailyByteBudget tiny(8.0); // almost nothing
 
@@ -193,10 +191,8 @@ TEST(UplinkPlannerTest, CompressionRatioReflectsDownsampling)
     // Raw reference is size^2 * bands * 4 bytes; a 16x-downsampled
     // codec-compressed upload should compress by far more than 16^2.
     ReferenceStore ground(0.01);
-    OnboardCache cache(16);
-    UplinkPlanner::Params pp;
-    pp.downsampleFactor = 16;
-    UplinkPlanner planner(pp);
+    OnboardCache cache(16, 64);
+    UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e9);
     ASSERT_TRUE(ground.offer(texturedImage(0, 10.0, 3, 256, 4), 0.0));
     UplinkPlan p = planner.planUpdate(ground, cache, 0, budget);

@@ -199,6 +199,35 @@ TEST(TileMaskTest, FromBitmapThreshold)
     EXPECT_TRUE(tenth.get(1));
 }
 
+TEST(TileMaskTest, PasteTilesCopiesOnlySetTilesIncludingShortEdges)
+{
+    // 20x10 in 8-px tiles: a 3x2 grid whose right column is 4 px wide
+    // and whose bottom row is 2 px tall.
+    Plane src = randomPlane(20, 10, 3);
+    Plane dst(20, 10, 0.25f);
+    TileMask tiles(3, 2, false);
+    tiles.set(2, 1, true); // the short corner tile
+    tiles.set(0, 0, true);
+    pasteTiles(dst, src, tiles, 8);
+    for (int y = 0; y < 10; ++y) {
+        for (int x = 0; x < 20; ++x) {
+            bool set = tiles.get(x / 8, y / 8);
+            EXPECT_EQ(dst.at(x, y), set ? src.at(x, y) : 0.25f)
+                << "(" << x << ", " << y << ")";
+        }
+    }
+}
+
+TEST(TileMaskDeathTest, PasteTilesRejectsMismatchedShapes)
+{
+    Plane src(16, 16, 0.5f);
+    Plane dst(16, 16, 0.0f);
+    EXPECT_DEATH(pasteTiles(dst, src, TileMask(4, 4), 8), "mask mismatch");
+    Plane small(8, 16, 0.0f);
+    EXPECT_DEATH(pasteTiles(small, src, TileMask(1, 2), 8),
+                 "shape mismatch");
+}
+
 TEST(ResampleTest, DownsampleAveragesBlocks)
 {
     Plane p(4, 4);

@@ -178,9 +178,7 @@ TEST(EarthPlusSystemTest, BootstrapThenReferenceBasedEncoding)
 {
     SystemsFixture f;
     ReferenceStore ground(0.01);
-    UplinkPlanner::Params up;
-    up.downsampleFactor = 16;
-    EarthPlusSystem sys(f.config.bands, f.params, up, ground);
+    EarthPlusSystem sys(f.config.bands, f.params, {}, ground);
     orbit::DailyByteBudget budget(1e12);
 
     double d1 = f.clearDay(0.0);
@@ -212,15 +210,53 @@ TEST(EarthPlusSystemTest, BootstrapThenReferenceBasedEncoding)
 
 TEST(EarthPlusSystemTest, DropsOvercastCaptures)
 {
+    // Every screening system drops the same overcast capture; a dropped
+    // capture uses no reference, so its reference age is +inf.
     SystemsFixture f;
     ReferenceStore ground(0.01);
-    EarthPlusSystem sys(f.config.bands, f.params, {}, ground);
+    EarthPlusSystem earthPlus(f.config.bands, f.params, {}, ground);
+    KodanSystem kodan(f.config.bands, f.params);
+    SatRoISystem satRoI(f.config.bands, f.params);
     double d = f.cloudyDay(0.0);
     ASSERT_GE(d, 0.0);
-    ProcessResult r = sys.process(f.sim->capture(d, 0));
-    EXPECT_TRUE(r.dropped);
-    EXPECT_EQ(r.downlinkBytes, 0u);
-    EXPECT_GT(r.measuredCloudCoverage, 0.5);
+    for (OnboardSystem *sys :
+         std::initializer_list<OnboardSystem *>{&earthPlus, &kodan,
+                                                &satRoI}) {
+        SCOPED_TRACE(sys->name());
+        ProcessResult r = sys->process(f.sim->capture(d, 0));
+        EXPECT_TRUE(r.dropped);
+        EXPECT_EQ(r.downlinkBytes, 0u);
+        EXPECT_TRUE(r.encodedBands.empty());
+        EXPECT_GT(r.measuredCloudCoverage, 0.5);
+        EXPECT_TRUE(std::isinf(r.referenceAgeDays));
+    }
+}
+
+TEST(EarthPlusSystemTest, RefDownsampleAloneSetsTheReferenceGeometry)
+{
+    // The uplink planner reads the factor from the cache the system
+    // builds, so one knob changes it for the cache, the uplink and the
+    // change detector alike.
+    SystemsFixture f;
+    f.params.refDownsample = 8;
+    ReferenceStore ground(0.01);
+    EarthPlusSystem sys(f.config.bands, f.params, {}, ground);
+    orbit::DailyByteBudget budget(1e12);
+
+    double d1 = f.clearDay(0.0);
+    ASSERT_GE(d1, 0.0);
+    sys.prepareCapture(0, 0, budget);
+    ProcessResult r1 = sys.process(f.sim->capture(d1, 0));
+    ASSERT_TRUE(r1.fullDownload);
+
+    double d2 = f.clearDay(d1 + 2.0);
+    ASSERT_GE(d2, 0.0);
+    ASSERT_TRUE(sys.prepareCapture(0, 0, budget).fullInstall);
+    EXPECT_EQ(sys.cacheFor(0).reference(0).width(), 192 / 8);
+    ProcessResult r2 = sys.process(f.sim->capture(d2, 0));
+    EXPECT_FALSE(r2.fullDownload);
+    EXPECT_LT(r2.downloadedTileFraction, 0.7);
+    EXPECT_NEAR(r2.referenceAgeDays, d2 - d1, 0.5);
 }
 
 TEST(EarthPlusSystemTest, GuaranteedDownloadAfterPeriod)
@@ -228,9 +264,7 @@ TEST(EarthPlusSystemTest, GuaranteedDownloadAfterPeriod)
     SystemsFixture f;
     f.params.guaranteedPeriodDays = 10.0;
     ReferenceStore ground(0.01);
-    UplinkPlanner::Params up;
-    up.downsampleFactor = 16;
-    EarthPlusSystem sys(f.config.bands, f.params, up, ground);
+    EarthPlusSystem sys(f.config.bands, f.params, {}, ground);
     orbit::DailyByteBudget budget(1e12);
 
     double d1 = f.clearDay(0.0);
@@ -257,9 +291,7 @@ TEST(EarthPlusSystemTest, PerSatelliteCachesAreIndependent)
 {
     SystemsFixture f;
     ReferenceStore ground(0.01);
-    UplinkPlanner::Params up;
-    up.downsampleFactor = 16;
-    EarthPlusSystem sys(f.config.bands, f.params, up, ground);
+    EarthPlusSystem sys(f.config.bands, f.params, {}, ground);
     orbit::DailyByteBudget budget(1e12);
 
     double d1 = f.clearDay(0.0);
@@ -349,9 +381,7 @@ TEST(SystemsComparison, EarthPlusUsesLessDownlinkAtSimilarQuality)
     // must download fewer bytes than Kodan without a PSNR collapse.
     SystemsFixture f;
     ReferenceStore ground(0.01);
-    UplinkPlanner::Params up;
-    up.downsampleFactor = 16;
-    EarthPlusSystem earthPlus(f.config.bands, f.params, up, ground);
+    EarthPlusSystem earthPlus(f.config.bands, f.params, {}, ground);
     KodanSystem kodan(f.config.bands, f.params);
     orbit::DailyByteBudget budget(1e12);
 
@@ -383,9 +413,7 @@ TEST(SystemsOracle, ReconstructionMatchesDecode)
     // streams and pasting them over the same fill.
     SystemsFixture f;
     ReferenceStore ground(0.01);
-    UplinkPlanner::Params up;
-    up.downsampleFactor = 16;
-    EarthPlusSystem earthPlus(f.config.bands, f.params, up, ground);
+    EarthPlusSystem earthPlus(f.config.bands, f.params, {}, ground);
     orbit::DailyByteBudget budget(1e12);
     OracleTally ep = runDecodeOracle(f, earthPlus, [&] {
         earthPlus.prepareCapture(0, 0, budget);

@@ -59,7 +59,7 @@ withLocalChange(const raster::Image &base, double day)
 TEST(UplinkPlanner, NoReferenceNothingToSend)
 {
     ReferenceStore ground;
-    OnboardCache cache(16);
+    OnboardCache cache(16, 64);
     UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e9);
     UplinkPlan plan = planner.planUpdate(ground, cache, 1, budget);
@@ -72,7 +72,7 @@ TEST(UplinkPlanner, FirstContactIsFullInstall)
 {
     ReferenceStore ground;
     ASSERT_TRUE(ground.offer(testImage(10.0, 1), 0.0));
-    OnboardCache cache(16);
+    OnboardCache cache(16, 64);
     UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e9);
 
@@ -100,7 +100,7 @@ TEST(UplinkPlanner, BudgetExhaustionSkipsAndKeepsCacheUsable)
 {
     ReferenceStore ground;
     ASSERT_TRUE(ground.offer(testImage(10.0, 1), 0.0));
-    OnboardCache cache(16);
+    OnboardCache cache(16, 64);
     UplinkPlanner planner;
 
     // A budget too small for the full install: the update is skipped,
@@ -133,7 +133,7 @@ TEST(UplinkPlanner, DeltaUpdateCarriesOnlyChangedTiles)
     ReferenceStore ground;
     raster::Image base = testImage(10.0, 1);
     ASSERT_TRUE(ground.offer(base, 0.0));
-    OnboardCache cache(16);
+    OnboardCache cache(16, 64);
     UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e12);
 
@@ -166,7 +166,7 @@ TEST(UplinkPlanner, UnchangedContentRefreshesTimestampForFree)
     ReferenceStore ground;
     raster::Image base = testImage(10.0, 1);
     ASSERT_TRUE(ground.offer(base, 0.0));
-    OnboardCache cache(16);
+    OnboardCache cache(16, 64);
     UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e12);
     ASSERT_TRUE(planner.planUpdate(ground, cache, 1, budget).sent);
@@ -188,7 +188,7 @@ TEST(UplinkPlanner, FreshCacheSkipsReplanning)
 {
     ReferenceStore ground;
     ASSERT_TRUE(ground.offer(testImage(10.0, 1), 0.0));
-    OnboardCache cache(16);
+    OnboardCache cache(16, 64);
     UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e12);
     ASSERT_TRUE(planner.planUpdate(ground, cache, 1, budget).sent);
