@@ -191,8 +191,10 @@ run_tsan() {
     # must be race-free under concurrent recording — and the EPT
     # serving front's event-loop/pool handoff (serveAsync completions
     # crossing to the loop thread over the wake pipe) must be
-    # race-free under pipelined load. Scoped to the suites that
-    # contain the concurrency tests.
+    # race-free under pipelined load — and the tile geometry every
+    # coder of one shape shares read-only must be race-free while the
+    # golden streams replay at every pool width. Scoped to the suites
+    # that contain the concurrency tests.
     local tsan_dir="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
     # shellcheck disable=SC2086
     cmake -B "$tsan_dir" -S . ${CMAKE_ARGS:-} \
@@ -200,10 +202,10 @@ run_tsan() {
           -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
     cmake --build "$tsan_dir" -j \
           --target ground_test parallel_test codec_test telemetry_test \
-                   net_test progressive_test
+                   net_test progressive_test golden_stream_test
     EARTHPLUS_THREADS=4 ctest --test-dir "$tsan_dir" \
           --output-on-failure \
-          -R 'ground_test|parallel_test|codec_test|telemetry_test|net_test|progressive_test'
+          -R 'ground_test|parallel_test|codec_test|telemetry_test|net_test|progressive_test|golden_stream_test'
 }
 
 run_chaos() {

@@ -96,14 +96,6 @@ struct KernelTable
      */
     void (*bitplaneMask)(const uint32_t *mag, size_t n, int plane,
                          uint64_t *out);
-    /**
-     * 4-neighbor dilation of one packed significance row: bit x of
-     * `out` is set when any of (x-1, x+1) in `row` or x in `up`/`down`
-     * is set. `up`/`down` may be null at the tile border. Pure integer
-     * word ops, so every dispatch level is trivially bit-identical.
-     */
-    void (*dilateRow)(const uint64_t *up, const uint64_t *row,
-                      const uint64_t *down, size_t nwords, uint64_t *out);
 
     // --- pixel <-> coefficient conversions ---
     /** out = in - 0.5 (center pixels for the 9/7 path). */

@@ -705,28 +705,6 @@ struct Kernels
     }
 
     static void
-    dilateRow(const uint64_t *up, const uint64_t *row,
-              const uint64_t *down, size_t nwords, uint64_t *out)
-    {
-        // Already word-level (64 pixels per op) at every width; the
-        // per-ISA instantiations differ only in what the compiler
-        // auto-vectorizes, never in the bits produced.
-        for (size_t w = 0; w < nwords; ++w) {
-            uint64_t cur = row[w];
-            uint64_t nb = (cur << 1) | (cur >> 1);
-            if (w > 0)
-                nb |= row[w - 1] >> 63;
-            if (w + 1 < nwords)
-                nb |= row[w + 1] << 63;
-            if (up)
-                nb |= up[w];
-            if (down)
-                nb |= down[w];
-            out[w] = nb;
-        }
-    }
-
-    static void
     centerF(const float *in, size_t n, float *out)
     {
         F half = T::fset(0.5f);
@@ -815,7 +793,7 @@ makeTable(util::simd::Level level,
         level,         T::kWidth,      &KT::fwd97,       &KT::inv97,
         &KT::fwd53,    &KT::inv53,     &KT::quantF32,
         &KT::splitI32, &KT::combineI32, &KT::dequant97,  &KT::dequant53,
-        &KT::maxU32,   &KT::bitplaneMask, &KT::dilateRow,
+        &KT::maxU32,   &KT::bitplaneMask,
         &KT::centerF,  &KT::uncenterClampF,
         &KT::pixelsToI32, &KT::i32ToPixels, crc32,
     };

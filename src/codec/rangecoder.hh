@@ -54,15 +54,19 @@ class BitModel
     void update1() { prob_ -= static_cast<uint16_t>(prob_ >> kMoveBits); }
 
     /**
-     * Combined update, exactly update0()/update1() but with both deltas
-     * computed up front so the select compiles to a conditional move.
+     * Combined update, exactly update0()/update1() for `bit` 0/1, with
+     * both deltas computed up front and selected by mask: a ternary
+     * select here is compiled into a branch on the bit, which the
+     * predictor misses about as often as the bit is random.
      */
     void
     update(uint32_t bit)
     {
-        uint16_t d0 = static_cast<uint16_t>((kOne - prob_) >> kMoveBits);
-        uint16_t d1 = static_cast<uint16_t>(prob_ >> kMoveBits);
-        prob_ = static_cast<uint16_t>(bit ? prob_ - d1 : prob_ + d0);
+        const uint32_t mask = 0u - bit;
+        const uint32_t p = prob_;
+        const uint32_t d0 = (kOne - p) >> kMoveBits;
+        const uint32_t d1 = p >> kMoveBits;
+        prob_ = static_cast<uint16_t>(p + (d0 & ~mask) - (d1 & mask));
     }
 
     /** Total probability denominator exponent. */

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "codec/dwt.hh"
 #include "codec/kernels.hh"
@@ -51,27 +54,26 @@ lastWordMask(int width)
     return used == 0 ? ~0ull : ~0ull >> (64 - used);
 }
 
-/**
- * Per packed row word of a `width` x `rows` tile: bit b is set where
- * coefficient b's subband orientation differs from its left
- * neighbor's — the places a cleanup zero run must stop, because its
- * model changes there. Bit 0 is never set: a run never crosses a word.
- */
-std::vector<uint64_t>
-orientationEdges(const uint8_t *orient, int width, int rows)
+/** packedWords() of a tile shape that must not be empty. */
+int
+shapeWords(int width, int height)
 {
-    const int words = packedWords(width);
-    std::vector<uint64_t> edges(
-        static_cast<size_t>(words) * static_cast<size_t>(rows), 0);
-    for (int y = 0; y < rows; ++y) {
-        const uint8_t *row =
-            orient + static_cast<size_t>(y) * static_cast<size_t>(width);
-        uint64_t *edgeRow = edges.data() + static_cast<size_t>(y) * words;
-        for (int x = 1; x < width; ++x)
-            if ((x & 63) != 0 && row[x] != row[x - 1])
-                edgeRow[x >> 6] |= 1ull << (x & 63);
-    }
-    return edges;
+    EP_ASSERT(width > 0 && height > 0, "empty tile");
+    return packedWords(width);
+}
+
+/**
+ * The 8 low bits of `bits` spread one per byte: byte k of the result
+ * (in memory order, little-endian) is bit k. Copies the byte into
+ * every lane, keeps bit k in lane k, and turns each non-zero lane
+ * into 1 with a carry that cannot leave its lane.
+ */
+uint64_t
+spreadBits(uint64_t bits)
+{
+    const uint64_t lanes =
+        (bits * 0x0101010101010101ull) & 0x8040201008040201ull;
+    return ((lanes + 0x7F7F7F7F7F7F7F7Full) & 0x8080808080808080ull) >> 7;
 }
 
 /**
@@ -92,6 +94,10 @@ writeLowPlanes(int width, int rows, int nextPlane, int nextPass,
 {
     const int words = packedWords(width);
     const uint8_t above = static_cast<uint8_t>(nextPlane + 1);
+    // Eight coefficients per store: `above` in every byte, minus each
+    // byte's coded bit. No byte borrows — a coded bit means a pass of
+    // plane nextPlane >= 0 ran, so `above` is at least 1.
+    const uint64_t aboveBytes = 0x0101010101010101ull * above;
     for (int y = 0; y < rows; ++y) {
         uint8_t *lowRow =
             lowPlane + static_cast<size_t>(y) * static_cast<size_t>(width);
@@ -104,7 +110,13 @@ writeLowPlanes(int width, int rows, int nextPlane, int nextPass,
                 coded |= refinable[i];
             const int x0 = w << 6;
             const int n = std::min(64, width - x0);
-            for (int b = 0; b < n; ++b)
+            int b = 0;
+            for (; b + 8 <= n; b += 8) {
+                const uint64_t v =
+                    aboveBytes - spreadBits((coded >> b) & 0xFFu);
+                std::memcpy(lowRow + x0 + b, &v, sizeof(v));
+            }
+            for (; b < n; ++b)
                 lowRow[x0 + b] =
                     static_cast<uint8_t>(above - ((coded >> b) & 1u));
         }
@@ -145,24 +157,20 @@ struct NeighborWords
     int
     count(int b) const
     {
-        uint64_t left = b > 0 ? (sig >> (b - 1)) & 1u : leftCarry;
-        uint64_t right = b < 63 ? (sig >> (b + 1)) & 1u : rightCarry;
+        const uint64_t left = (sig << 1) | leftCarry;
+        const uint64_t right = (sig >> 1) | (rightCarry << 63);
         return static_cast<int>(((up >> b) & 1u) + ((down >> b) & 1u) +
-                                left + right);
+                                ((left >> b) & 1u) + ((right >> b) & 1u));
     }
 };
 
 /** The packed per-pixel state one significance scan works over. */
 struct ScanGrid
 {
-    int width;
-    int height;
-    int words; ///< wordsPerRow.
+    const TileGeometry &geom;
     uint64_t *sig;
     uint64_t *visited;
-    uint64_t *dilation; ///< Per-row scratch, `words` entries.
-    const uint8_t *orient;
-    const uint64_t *edges; ///< orientationEdges() of the tile.
+    uint64_t *dilation; ///< Per-row scratch, geom.wordsPerRow entries.
     TileContexts *ctx;
 };
 
@@ -184,6 +192,12 @@ struct ScanGrid
  *   void significant(size_t i);
  *        Coefficient i just turned significant: handle its sign (and,
  *        on the decoder, its magnitude bit).
+ *
+ * Both arguments are taken by value and the coder is returned: a pass
+ * runs on local copies of the grid and of the coder state (the range
+ * coder inside `Coder`), which the caller writes back at the pass end.
+ * Nothing the scan stores can alias a local whose address never
+ * escapes, so the coder state stays in registers across the pass.
  *
  * Pass 0 (kCleanup = false) visits insignificant coefficients with at
  * least one significant neighbor — the dilation row masked to
@@ -207,22 +221,22 @@ struct ScanGrid
  * order as a code() call per candidate, so the bytes are identical.
  */
 template <bool kCleanup, typename Coder>
-void
-runSigScan(const ScanGrid &g, Coder &&coder)
+Coder
+runSigScan(ScanGrid g, Coder coder)
 {
-    const int W = g.words;
-    const kernels::KernelTable &K = kernels::active();
-    const uint64_t lastMask = lastWordMask(g.width);
+    const int W = g.geom.wordsPerRow;
+    const int height = g.geom.height;
+    const uint64_t lastMask = lastWordMask(g.geom.width);
     uint64_t *nb = g.dilation;
-    for (int y = 0; y < g.height; ++y) {
+    for (int y = 0; y < height; ++y) {
         uint64_t *sigRow = g.sig + static_cast<size_t>(y) * W;
         const uint64_t *sigUp = y > 0 ? sigRow - W : nullptr;
-        const uint64_t *sigDn = y + 1 < g.height ? sigRow + W : nullptr;
+        const uint64_t *sigDn = y + 1 < height ? sigRow + W : nullptr;
         uint64_t *visRow = g.visited + static_cast<size_t>(y) * W;
-        K.dilateRow(sigUp, sigRow, sigDn, static_cast<size_t>(W), nb);
+        dilateRow(sigUp, sigRow, sigDn, W, nb);
         size_t rowBase =
-            static_cast<size_t>(y) * static_cast<size_t>(g.width);
-        const uint8_t *orientRow = g.orient + rowBase;
+            static_cast<size_t>(y) * static_cast<size_t>(g.geom.width);
+        const uint8_t *orientRow = g.geom.orient.data() + rowBase;
         for (int w = 0; w < W; ++w) {
             const uint64_t valid = w == W - 1 ? lastMask : ~0ull;
             uint64_t m = kCleanup ? ~sigRow[w] & ~visRow[w] & valid
@@ -233,7 +247,7 @@ runSigScan(const ScanGrid &g, Coder &&coder)
             uint64_t nbW = nb[w];
             uint64_t vis = visRow[w];
             const uint64_t edgeW =
-                kCleanup ? g.edges[static_cast<size_t>(y) * W + w] : 0;
+                kCleanup ? g.geom.edges[static_cast<size_t>(y) * W + w] : 0;
             do {
                 int b = util::countTrailingZeros(m);
                 const uint8_t orient = orientRow[(w << 6) + b];
@@ -284,12 +298,16 @@ runSigScan(const ScanGrid &g, Coder &&coder)
                 visRow[w] = vis;
         }
     }
+    return coder;
 }
 
-/** Decoder-side scan actions: bits come from the stream. */
+/**
+ * Decoder-side scan actions: bits come from the stream, through the
+ * pass's own copy of the range decoder.
+ */
 struct DecoderScan
 {
-    RangeDecoder &dec;
+    RangeDecoder dec;
     uint32_t *magnitude;
     uint8_t *sign;
     int plane;
@@ -322,19 +340,53 @@ struct DecoderScan
 
 } // anonymous namespace
 
+TileGeometry::TileGeometry(int width, int height, int levels)
+    : width(width), height(height), wordsPerRow(shapeWords(width, height)),
+      orient(subbandOrientation(width, height, levels)),
+      edges(static_cast<size_t>(wordsPerRow) * static_cast<size_t>(height),
+            0)
+{
+    for (int y = 0; y < height; ++y) {
+        const uint8_t *row = orient.data() + static_cast<size_t>(y) *
+                                                 static_cast<size_t>(width);
+        uint64_t *edgeRow =
+            edges.data() + static_cast<size_t>(y) * wordsPerRow;
+        for (int x = 1; x < width; ++x)
+            if ((x & 63) != 0 && row[x] != row[x - 1])
+                edgeRow[x >> 6] |= 1ull << (x & 63);
+    }
+}
+
+std::shared_ptr<const TileGeometry>
+TileGeometry::of(int width, int height, int levels)
+{
+    using Key = std::tuple<int, int, int>;
+    static std::mutex mutex;
+    // Leaked, like the telemetry registry: pool threads may still code
+    // tiles while static destructors run.
+    static auto *shapes =
+        new std::map<Key, std::shared_ptr<const TileGeometry>>();
+    std::lock_guard<std::mutex> lock(mutex);
+    auto it = shapes->find(Key{width, height, levels});
+    if (it != shapes->end())
+        return it->second;
+    auto g = std::make_shared<const TileGeometry>(width, height, levels);
+    if (shapes->size() < kSharedShapes)
+        shapes->emplace(Key{width, height, levels}, g);
+    return g;
+}
+
 TileCoefficients
 transformTile(const raster::Plane &tile, const TileCoderParams &params)
 {
     TileCoefficients out;
-    out.width = tile.width();
-    out.height = tile.height();
-    EP_ASSERT(out.width > 0 && out.height > 0, "empty tile");
-    size_t n =
-        static_cast<size_t>(out.width) * static_cast<size_t>(out.height);
+    out.geometry =
+        TileGeometry::of(tile.width(), tile.height(), params.dwtLevels);
+    const int width = tile.width();
+    const int height = tile.height();
+    size_t n = static_cast<size_t>(width) * static_cast<size_t>(height);
     out.magnitude.assign(n, 0);
     out.sign.assign(n, 0);
-    out.orient = subbandOrientation(out.width, out.height,
-                                    params.dwtLevels);
 
     // Pixel conversion, quantization and the sign/magnitude split run
     // through the dispatched kernel table; every level shares the
@@ -347,13 +399,13 @@ transformTile(const raster::Plane &tile, const TileCoderParams &params)
         int32_t offset = 1 << (kLosslessDepth - 1);
         std::vector<int32_t> coeffs(n);
         K.pixelsToI32(pixels, n, scale, offset, coeffs.data());
-        forwardDwt53(coeffs, out.width, out.height, params.dwtLevels);
+        forwardDwt53(coeffs, width, height, params.dwtLevels);
         K.splitI32(coeffs.data(), n, out.magnitude.data(),
                    out.sign.data());
     } else {
         std::vector<float> coeffs(n);
         K.centerF(pixels, n, coeffs.data());
-        forwardDwt97(coeffs, out.width, out.height, params.dwtLevels);
+        forwardDwt97(coeffs, width, height, params.dwtLevels);
         // Deadzone scalar quantizer.
         float inv = static_cast<float>(1.0 / kQuantStep);
         K.quantF32(coeffs.data(), n, inv, out.magnitude.data(),
@@ -398,21 +450,18 @@ struct TileEncoder::EncoderScan
 };
 
 TileEncoder::TileEncoder(const TileCoefficients &coeffs)
-    : width_(coeffs.width), height_(coeffs.height),
-      wordsPerRow_(packedWords(coeffs.width)),
-      magnitude_(coeffs.magnitude.data()), sign_(coeffs.sign.data()),
-      orient_(coeffs.orient.data()), maxPlane_(-1)
+    : geom_(*coeffs.geometry), magnitude_(coeffs.magnitude.data()),
+      sign_(coeffs.sign.data()), maxPlane_(-1)
 {
-    EP_ASSERT(width_ > 0 && height_ > 0, "empty tile");
-    size_t n = static_cast<size_t>(width_) * static_cast<size_t>(height_);
-    size_t nWords =
-        static_cast<size_t>(wordsPerRow_) * static_cast<size_t>(height_);
+    size_t n = static_cast<size_t>(geom_.width) *
+               static_cast<size_t>(geom_.height);
+    size_t nWords = static_cast<size_t>(geom_.wordsPerRow) *
+                    static_cast<size_t>(geom_.height);
     sigBits_.assign(nWords, 0);
     visitedBits_.assign(nWords, 0);
     refinableBits_.assign(nWords, 0);
     planeBits_.assign(nWords, 0);
-    dilation_.assign(static_cast<size_t>(wordsPerRow_), 0);
-    orientEdges_ = orientationEdges(orient_, width_, height_);
+    dilation_.assign(static_cast<size_t>(geom_.wordsPerRow), 0);
 
     const kernels::KernelTable &K = kernels::active();
     maxPlane_ = util::bitWidth(K.maxU32(magnitude_, n)) - 1;
@@ -432,11 +481,11 @@ TileEncoder::beginPlane(int plane)
     std::copy(sigBits_.begin(), sigBits_.end(), refinableBits_.begin());
     std::fill(visitedBits_.begin(), visitedBits_.end(), 0);
     const kernels::KernelTable &K = kernels::active();
-    for (int y = 0; y < height_; ++y)
-        K.bitplaneMask(magnitude_ + static_cast<size_t>(y) * width_,
-                       static_cast<size_t>(width_), plane,
+    for (int y = 0; y < geom_.height; ++y)
+        K.bitplaneMask(magnitude_ + static_cast<size_t>(y) * geom_.width,
+                       static_cast<size_t>(geom_.width), plane,
                        planeBits_.data() +
-                           static_cast<size_t>(y) * wordsPerRow_);
+                           static_cast<size_t>(y) * geom_.wordsPerRow);
 }
 
 // The pass bodies are `inline` so the compiler folds them into
@@ -445,16 +494,16 @@ TileEncoder::beginPlane(int plane)
 inline void
 TileEncoder::encodeSigPass(RangeEncoder &enc)
 {
-    runSigScan<false>(
-        ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
-                 visitedBits_.data(), dilation_.data(), orient_,
-                 orientEdges_.data(), &ctx_},
-        EncoderScan{enc, planeBits_.data(), wordsPerRow_, sign_});
+    runSigScan<false>(ScanGrid{geom_, sigBits_.data(), visitedBits_.data(),
+                               dilation_.data(), &ctx_},
+                      EncoderScan{enc, planeBits_.data(), geom_.wordsPerRow,
+                                  sign_});
 }
 
 inline void
 TileEncoder::encodeRefinePass(RangeEncoder &enc)
 {
+    BitModel model = ctx_.refinement;
     const size_t nWords = refinableBits_.size();
     for (size_t w = 0; w < nWords; ++w) {
         uint64_t m = refinableBits_[w];
@@ -462,20 +511,19 @@ TileEncoder::encodeRefinePass(RangeEncoder &enc)
         while (m != 0) {
             int b = util::countTrailingZeros(m);
             m &= m - 1;
-            enc.encodeBit(ctx_.refinement,
-                          static_cast<int>((bitsWord >> b) & 1u));
+            enc.encodeBit(model, static_cast<int>((bitsWord >> b) & 1u));
         }
     }
+    ctx_.refinement = model;
 }
 
 inline void
 TileEncoder::encodeCleanupPass(RangeEncoder &enc)
 {
-    runSigScan<true>(
-        ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
-                 visitedBits_.data(), dilation_.data(), orient_,
-                 orientEdges_.data(), &ctx_},
-        EncoderScan{enc, planeBits_.data(), wordsPerRow_, sign_});
+    runSigScan<true>(ScanGrid{geom_, sigBits_.data(), visitedBits_.data(),
+                              dilation_.data(), &ctx_},
+                     EncoderScan{enc, planeBits_.data(), geom_.wordsPerRow,
+                                 sign_});
 }
 
 inline void
@@ -534,10 +582,10 @@ TileEncoder::decoderState(uint32_t *magnitude, uint8_t *sign,
 {
     // A coefficient's decoded bits are exactly its magnitude bits down
     // to its lowPlane.
-    writeLowPlanes(width_, height_, nextPlane_, nextPass_,
+    writeLowPlanes(geom_.width, geom_.height, nextPlane_, nextPass_,
                    visitedBits_.data(), refinableBits_.data(), lowPlane);
-    const size_t n =
-        static_cast<size_t>(width_) * static_cast<size_t>(height_);
+    const size_t n = static_cast<size_t>(geom_.width) *
+                     static_cast<size_t>(geom_.height);
     for (size_t i = 0; i < n; ++i) {
         const uint32_t m = magnitude_[i] & (~0u << lowPlane[i]);
         magnitude[i] = m;
@@ -545,21 +593,17 @@ TileEncoder::decoderState(uint32_t *magnitude, uint8_t *sign,
     }
 }
 
-TileDecoder::TileDecoder(int width, int height, uint32_t *magnitude,
-                         uint8_t *sign, uint8_t *lowPlane,
-                         const uint8_t *orient)
-    : width_(width), height_(height), wordsPerRow_(packedWords(width)),
-      magnitude_(magnitude), sign_(sign), lowPlane_(lowPlane),
-      orient_(orient), maxPlane_(-1), nextPlane_(-1), nextPass_(0)
+TileDecoder::TileDecoder(const TileGeometry &geom, uint32_t *magnitude,
+                         uint8_t *sign, uint8_t *lowPlane)
+    : geom_(geom), magnitude_(magnitude), sign_(sign), lowPlane_(lowPlane),
+      maxPlane_(-1), nextPlane_(-1), nextPass_(0)
 {
-    EP_ASSERT(width_ > 0 && height_ > 0, "empty tile");
-    size_t nWords =
-        static_cast<size_t>(wordsPerRow_) * static_cast<size_t>(height_);
+    size_t nWords = static_cast<size_t>(geom_.wordsPerRow) *
+                    static_cast<size_t>(geom_.height);
     sigBits_.assign(nWords, 0);
     visitedBits_.assign(nWords, 0);
     refinableBits_.assign(nWords, 0);
-    dilation_.assign(static_cast<size_t>(wordsPerRow_), 0);
-    orientEdges_ = orientationEdges(orient_, width_, height_);
+    dilation_.assign(static_cast<size_t>(geom_.wordsPerRow), 0);
 }
 
 void
@@ -579,45 +623,56 @@ TileDecoder::beginPlane()
     std::fill(visitedBits_.begin(), visitedBits_.end(), 0);
 }
 
+// Every pass loop runs on local copies of the coder state — the range
+// decoder, and in refinement its one model — and writes them back at
+// the pass end, so the per-bit arithmetic never round-trips through
+// memory that the loop's stores might alias.
 void
 TileDecoder::decodeSigPass(RangeDecoder &dec, int plane)
 {
-    runSigScan<false>(
-        ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
-                 visitedBits_.data(), dilation_.data(), orient_,
-                 orientEdges_.data(), &ctx_},
-        DecoderScan{dec, magnitude_, sign_, plane});
+    dec = runSigScan<false>(ScanGrid{geom_, sigBits_.data(),
+                                     visitedBits_.data(), dilation_.data(),
+                                     &ctx_},
+                            DecoderScan{dec, magnitude_, sign_,
+                                        plane})
+              .dec;
 }
 
 void
 TileDecoder::decodeRefinePass(RangeDecoder &dec, int plane)
 {
-    const int W = wordsPerRow_;
-    for (int y = 0; y < height_; ++y) {
+    RangeDecoder d = dec;
+    BitModel model = ctx_.refinement;
+    const int W = geom_.wordsPerRow;
+    for (int y = 0; y < geom_.height; ++y) {
         const uint64_t *refRow =
             refinableBits_.data() + static_cast<size_t>(y) * W;
-        uint32_t *magRow = magnitude_ + static_cast<size_t>(y) *
-                                            static_cast<size_t>(width_);
+        uint32_t *magRow =
+            magnitude_ +
+            static_cast<size_t>(y) * static_cast<size_t>(geom_.width);
         for (int w = 0; w < W; ++w) {
             uint64_t m = refRow[w];
             while (m != 0) {
                 int b = util::countTrailingZeros(m);
                 m &= m - 1;
-                if (dec.decodeBit(ctx_.refinement))
-                    magRow[(w << 6) + b] |= 1u << plane;
+                magRow[(w << 6) + b] |=
+                    static_cast<uint32_t>(d.decodeBit(model)) << plane;
             }
         }
     }
+    ctx_.refinement = model;
+    dec = d;
 }
 
 void
 TileDecoder::decodeCleanupPass(RangeDecoder &dec, int plane)
 {
-    runSigScan<true>(
-        ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
-                 visitedBits_.data(), dilation_.data(), orient_,
-                 orientEdges_.data(), &ctx_},
-        DecoderScan{dec, magnitude_, sign_, plane});
+    dec = runSigScan<true>(ScanGrid{geom_, sigBits_.data(),
+                                    visitedBits_.data(), dilation_.data(),
+                                    &ctx_},
+                           DecoderScan{dec, magnitude_, sign_,
+                                       plane})
+              .dec;
 }
 
 void
@@ -651,7 +706,7 @@ TileDecoder::decodePassRun(RangeDecoder &dec, int passes)
 void
 TileDecoder::finish()
 {
-    writeLowPlanes(width_, height_, nextPlane_, nextPass_,
+    writeLowPlanes(geom_.width, geom_.height, nextPlane_, nextPass_,
                    visitedBits_.data(), refinableBits_.data(), lowPlane_);
 }
 
@@ -737,8 +792,8 @@ encodeTile(const raster::Plane &tile, const TileCoderParams &params,
         : byteBudget + kWord;
     std::vector<uint8_t> sub(kWord + 1);
     // Sized only when the caller asks for the reconstruction.
-    DecodedTile decoded(reconstruction ? coeffs.width : 0,
-                        reconstruction ? coeffs.height : 0);
+    DecodedTile decoded(reconstruction ? tile.width() : 0,
+                        reconstruction ? tile.height() : 0);
     {
         telemetry::TraceSpan span("codec.entropy_chunk", "codec");
         telemetry::ScopedTimer timer(stageMetrics().entropyChunkNs);
@@ -766,11 +821,11 @@ decodeTile(int width, int height, const TileCoderParams &params,
     forEachFramed(sub.data, sub.size, 1,
                   [&](size_t, ChunkSpan span) { chunk = span; });
 
+    const std::shared_ptr<const TileGeometry> geom =
+        TileGeometry::of(width, height, params.dwtLevels);
     DecodedTile state(width, height);
-    std::vector<uint8_t> orient =
-        subbandOrientation(width, height, params.dwtLevels);
-    TileDecoder dec(width, height, state.magnitude.data(), state.sign.data(),
-                    state.lowPlane.data(), orient.data());
+    TileDecoder dec(*geom, state.magnitude.data(), state.sign.data(),
+                    state.lowPlane.data());
     // The payload leads with the raw maxPlane + 1 byte; an empty chunk
     // codes no plane and reconstructs as zeros.
     if (chunk.size != 0) {

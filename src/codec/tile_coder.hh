@@ -36,6 +36,17 @@
  * same order, as one encodeBit()/decodeBit() per candidate, so the
  * bytes do not change — only the coder state stays in registers.
  *
+ * Geometry is per shape: the orientation map and the orientation-edge
+ * masks depend only on (width, height, levels), so one immutable
+ * TileGeometry per shape is built on first use and shared read-only by
+ * every encoder and decoder, on every thread.
+ *
+ * The register rule: every pass loop runs on local copies of the coder
+ * state — the range decoder, and in refinement the one model — and
+ * writes them back at the pass end. A local whose address never
+ * escapes cannot alias the loop's stores into the coefficient arrays,
+ * so range, code and read position stay in registers.
+ *
  * One chunk per tile: a tile is coded by one TileEncoder/TileDecoder
  * pair — one range coder, one context set, one significance state —
  * into one entropy chunk, and its sub-chunk is that chunk behind a u32
@@ -52,6 +63,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "codec/rangecoder.hh"
@@ -105,17 +117,82 @@ struct TileContexts
 };
 
 /**
+ * The read-only state every coder of one tile shape shares: the
+ * subband-orientation map and the orientation edges of a `width` x
+ * `height` tile at `levels` DWT levels. of() builds it once per shape;
+ * after that it is only read — by transformTile(), TileEncoder,
+ * TileDecoder and decodeTile(), on any thread.
+ */
+struct TileGeometry
+{
+    /** Build one shape's state; of() shares it. */
+    TileGeometry(int width, int height, int levels);
+
+    /**
+     * The shared geometry of a shape, built on its first use.
+     * Thread-safe. The first kSharedShapes shapes are kept for the
+     * life of the process; any later one is built per call and not
+     * shared, so a stream of odd shapes cannot grow the cache without
+     * bound.
+     */
+    static std::shared_ptr<const TileGeometry> of(int width, int height,
+                                                  int levels);
+
+    /** Shapes of() keeps (a few KB each). */
+    static constexpr size_t kSharedShapes = 256;
+
+    int width;
+    int height;
+    int wordsPerRow; ///< 64-pixel words per packed bitset row.
+    /** subbandOrientation() of the shape, one code per coefficient. */
+    std::vector<uint8_t> orient;
+    /**
+     * Per packed row word: bit b is set where coefficient b's
+     * orientation differs from its left neighbor's — the places a
+     * cleanup zero run must stop, because its model changes there.
+     * Bit 0 is never set: a run never crosses a word.
+     */
+    std::vector<uint64_t> edges;
+};
+
+/**
+ * 4-neighbor dilation of one packed significance row: bit x of `out`
+ * is set when bit x-1 or x+1 of `row`, or bit x of `up` or `down`, is
+ * set. `up`/`down` may be null at the tile border. Bits of `out` past
+ * the row's width are not meaningful; the scans mask them. Shipped
+ * tiles are at most two words wide, so this stays a few inline word
+ * ops.
+ */
+inline void
+dilateRow(const uint64_t *up, const uint64_t *row, const uint64_t *down,
+          int words, uint64_t *out)
+{
+    for (int w = 0; w < words; ++w) {
+        const uint64_t cur = row[w];
+        uint64_t nb = (cur << 1) | (cur >> 1);
+        if (w > 0)
+            nb |= row[w - 1] >> 63;
+        if (w + 1 < words)
+            nb |= row[w + 1] << 63;
+        if (up)
+            nb |= up[w];
+        if (down)
+            nb |= down[w];
+        out[w] = nb;
+    }
+}
+
+/**
  * One tile's quantized wavelet coefficients in sign/magnitude form —
  * the output of the DWT+quantization stage and the input of the
  * entropy stage, which reads it through a TileEncoder.
  */
 struct TileCoefficients
 {
-    int width = 0;
-    int height = 0;
+    /** The tile's shape, shared (TileGeometry::of()). */
+    std::shared_ptr<const TileGeometry> geometry;
     std::vector<uint32_t> magnitude;
     std::vector<uint8_t> sign;
-    std::vector<uint8_t> orient; ///< Subband orientation per pixel.
 };
 
 /**
@@ -174,20 +251,16 @@ class TileEncoder
                       uint8_t *lowPlane) const;
 
   private:
-    int width_;
-    int height_;
-    int wordsPerRow_; ///< 64-pixel words per packed bitset row.
     /// Borrowed views into the TileCoefficients.
+    const TileGeometry &geom_;
     const uint32_t *magnitude_;
     const uint8_t *sign_;
-    const uint8_t *orient_;
-    /// Word-packed per-pixel state, row stride wordsPerRow_.
+    /// Word-packed per-pixel state, row stride geom_.wordsPerRow.
     std::vector<uint64_t> sigBits_;       ///< Significant so far.
     std::vector<uint64_t> visitedBits_;   ///< Coded in pass 0, this plane.
     std::vector<uint64_t> refinableBits_; ///< Significant before this plane.
     std::vector<uint64_t> planeBits_;     ///< Magnitude bit of this plane.
     std::vector<uint64_t> dilation_;      ///< Per-row candidate scratch.
-    std::vector<uint64_t> orientEdges_;   ///< Zero-run stops, per word.
     TileContexts ctx_;
     int maxPlane_;
     int nextPlane_;
@@ -215,16 +288,14 @@ class TileDecoder
 {
   public:
     /**
-     * @param width Tile width in pixels.
-     * @param height Tile height in pixels.
+     * @param geom The tile's shape (borrowed; see TileGeometry::of()).
      * @param magnitude Output, `width * height` entries, zeroed.
      * @param sign Output, `width * height` entries, zeroed.
      * @param lowPlane Output, `width * height` entries, written by
      *        finish().
-     * @param orient The tile's subband-orientation map.
      */
-    TileDecoder(int width, int height, uint32_t *magnitude, uint8_t *sign,
-                uint8_t *lowPlane, const uint8_t *orient);
+    TileDecoder(const TileGeometry &geom, uint32_t *magnitude,
+                uint8_t *sign, uint8_t *lowPlane);
 
     /**
      * Initialize from the chunk's raw header byte (`maxPlane + 1`, the
@@ -250,20 +321,16 @@ class TileDecoder
     void finish();
 
   private:
-    int width_;
-    int height_;
-    int wordsPerRow_;
+    const TileGeometry &geom_;
     /// Borrowed views into the caller's tile buffers.
     uint32_t *magnitude_;
     uint8_t *sign_;
     uint8_t *lowPlane_; ///< Lowest plane with a decoded bit (finish()).
-    const uint8_t *orient_;
     /// Word-packed per-pixel state mirroring TileEncoder.
     std::vector<uint64_t> sigBits_;
     std::vector<uint64_t> visitedBits_;
     std::vector<uint64_t> refinableBits_;
     std::vector<uint64_t> dilation_;
-    std::vector<uint64_t> orientEdges_;
     TileContexts ctx_;
     int maxPlane_;
     int nextPlane_;

@@ -166,27 +166,25 @@ DecodedTileCache::shardFor(const Key &key)
     return shards_[h % kShards];
 }
 
-bool
-DecodedTileCache::get(size_t recordIdx, int tile, int quality,
-                      raster::Plane &out)
+SharedTile
+DecodedTileCache::get(size_t recordIdx, int tile, int quality)
 {
     Key key{recordIdx, tile, quality};
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
     if (it == shard.map.end())
-        return false;
+        return nullptr;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    out = it->second->pixels;
-    return true;
+    return it->second->pixels;
 }
 
 void
 DecodedTileCache::put(size_t recordIdx, int tile, int quality,
-                      const raster::Plane &pixels)
+                      SharedTile pixels)
 {
-    size_t bytes = static_cast<size_t>(pixels.width()) *
-                   static_cast<size_t>(pixels.height()) * sizeof(float);
+    size_t bytes = static_cast<size_t>(pixels->width()) *
+                   static_cast<size_t>(pixels->height()) * sizeof(float);
     if (bytes > shardCapacityBytes_)
         return; // larger than a whole shard; never cacheable
     Key key{recordIdx, tile, quality};
@@ -194,7 +192,7 @@ DecodedTileCache::put(size_t recordIdx, int tile, int quality,
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.map.count(key))
         return; // another thread filled it first
-    shard.lru.push_front(Entry{key, pixels, bytes});
+    shard.lru.push_front(Entry{key, std::move(pixels), bytes});
     shard.map[key] = shard.lru.begin();
     shard.sizeBytes += bytes;
     while (shard.sizeBytes > shardCapacityBytes_ && !shard.lru.empty()) {
@@ -474,16 +472,15 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
         // must propagate into the future and release the key, or the
         // tile would be wedged for every later query.
         std::vector<int> misses;
-        std::vector<std::promise<raster::Plane>> claims;
+        std::vector<std::promise<SharedTile>> claims;
         std::vector<TileKey> claimKeys;
-        std::vector<std::pair<int, std::shared_future<raster::Plane>>>
-            joined;
-        std::vector<std::pair<int, raster::Plane>> tiles;
+        std::vector<std::pair<int, std::shared_future<SharedTile>>> joined;
+        std::vector<std::pair<int, SharedTile>> tiles;
         size_t fulfilled = 0; // claims[0..fulfilled) have a value
         try {
             for (int t : wanted[s]) {
-                raster::Plane cached;
-                if (cache_.get(recordIdx, t, query.quality, cached)) {
+                if (SharedTile cached =
+                        cache_.get(recordIdx, t, query.quality)) {
                     tiles.emplace_back(t, std::move(cached));
                     ++result.tilesFromCache;
                     continue;
@@ -511,7 +508,8 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
                 // done cache_.put() (put precedes the in-flight erase
                 // that made our claim possible), so this read closes
                 // the duplicate-decode window.
-                if (cache_.get(recordIdx, t, query.quality, cached)) {
+                if (SharedTile cached =
+                        cache_.get(recordIdx, t, query.quality)) {
                     claims.back().set_value(cached);
                     {
                         std::lock_guard<std::mutex> lock(inflightMutex_);
@@ -551,15 +549,16 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
                                                 "ground");
                 auto decoded = codec::decodeTiles(*stream, misses);
                 for (size_t i = 0; i < misses.size(); ++i) {
-                    cache_.put(recordIdx, misses[i], query.quality,
-                               decoded[i]);
-                    claims[i].set_value(decoded[i]);
+                    auto tile = std::make_shared<const raster::Plane>(
+                        std::move(decoded[i]));
+                    cache_.put(recordIdx, misses[i], query.quality, tile);
+                    claims[i].set_value(tile);
                     fulfilled = i + 1;
                     {
                         std::lock_guard<std::mutex> lock(inflightMutex_);
                         inflight_.erase(claimKeys[i]);
                     }
-                    tiles.emplace_back(misses[i], std::move(decoded[i]));
+                    tiles.emplace_back(misses[i], std::move(tile));
                     ++result.tilesDecoded;
                 }
             }
@@ -595,8 +594,8 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
             int iy1 = std::min(r.y0 + r.height, y1);
             if (ix0 >= ix1 || iy0 >= iy1)
                 continue;
-            result.pixels.paste(pixels.crop(ix0 - r.x0, iy0 - r.y0,
-                                            ix1 - ix0, iy1 - iy0),
+            result.pixels.paste(pixels->crop(ix0 - r.x0, iy0 - r.y0,
+                                             ix1 - ix0, iy1 - iy0),
                                 ix0 - x0, iy0 - y0);
         }
     }

@@ -253,11 +253,19 @@ struct StatsView
 };
 
 /**
+ * A decoded tile, shared read-only by the cache, the in-flight decode
+ * that produced it and every query that crops from it.
+ */
+using SharedTile = std::shared_ptr<const raster::Plane>;
+
+/**
  * Size-bounded LRU cache of decoded tiles, keyed by
  * (record index, tile index, quality). Thread-safe;
  * internally sharded by key hash so concurrent serving threads do not
  * contend on one mutex (each shard owns an equal slice of the byte
- * budget and its own LRU list).
+ * budget and its own LRU list). Tiles are held by shared pointer, so
+ * neither a hit nor an insert copies pixels; each tile still counts
+ * its full pixel bytes against the budget.
  */
 class DecodedTileCache
 {
@@ -265,12 +273,11 @@ class DecodedTileCache
     /** @param capacityBytes Pixel-storage budget (0 disables caching). */
     explicit DecodedTileCache(size_t capacityBytes);
 
-    /** Look up a decoded tile; true and fills `out` on a hit. */
-    bool get(size_t recordIdx, int tile, int quality, raster::Plane &out);
+    /** Look up a decoded tile: the shared tile on a hit, else null. */
+    SharedTile get(size_t recordIdx, int tile, int quality);
 
     /** Insert a decoded tile, evicting LRU entries over budget. */
-    void put(size_t recordIdx, int tile, int quality,
-             const raster::Plane &pixels);
+    void put(size_t recordIdx, int tile, int quality, SharedTile pixels);
 
     /** Bytes currently cached. */
     size_t sizeBytes() const;
@@ -285,7 +292,7 @@ class DecodedTileCache
     struct Entry
     {
         Key key;
-        raster::Plane pixels;
+        SharedTile pixels;
         size_t bytes;
     };
 
@@ -483,7 +490,7 @@ class TileServer
 
     /** Decodes in flight, joined by racing queries (coalescing). */
     std::mutex inflightMutex_;
-    std::map<TileKey, std::shared_future<raster::Plane>> inflight_;
+    std::map<TileKey, std::shared_future<SharedTile>> inflight_;
 
     /** Last served day per (location, band): sequential detection. */
     std::mutex prefetchMutex_;

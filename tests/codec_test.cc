@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 #include "codec/codec.hh"
 #include "codec/kernels.hh"
@@ -890,4 +893,156 @@ TEST(Codec, OddGeometrySweepDecodesToEncoderState)
     EXPECT_GT(stops[1], 0);
     EXPECT_GT(stops[2], 0);
     EXPECT_GT(stops[3], 0);
+}
+
+TEST(Codec, DilateRowMatchesPerPixelDefinition)
+{
+    // The significance scans' candidate rows: bit x is the OR of the
+    // row's x-1 and x+1 and the rows above and below at x, with no
+    // neighbor outside the row or past a missing border row. Widths
+    // cover one short word, the word edges and three words.
+    for (int width : {1, 5, 63, 64, 65, 130, 200}) {
+        const int nw = (width + 63) / 64;
+        Rng rng(9100 + static_cast<uint64_t>(width));
+        auto randomRow = [&]() {
+            std::vector<uint64_t> row(static_cast<size_t>(nw), 0);
+            for (int x = 0; x < width; ++x)
+                if (rng.bernoulli(0.3))
+                    row[static_cast<size_t>(x) / 64] |= 1ull << (x % 64);
+            return row;
+        };
+        std::vector<uint64_t> up = randomRow();
+        std::vector<uint64_t> cur = randomRow();
+        std::vector<uint64_t> down = randomRow();
+        auto bitAt = [&](const std::vector<uint64_t> &row, int x) {
+            if (x < 0 || x >= width)
+                return 0u;
+            return static_cast<unsigned>(
+                (row[static_cast<size_t>(x) / 64] >> (x % 64)) & 1u);
+        };
+        for (int borders = 0; borders < 4; ++borders) {
+            const uint64_t *pu = (borders & 1) ? nullptr : up.data();
+            const uint64_t *pd = (borders & 2) ? nullptr : down.data();
+            std::vector<uint64_t> out(static_cast<size_t>(nw), ~0ull);
+            dilateRow(pu, cur.data(), pd, nw, out.data());
+            for (int x = 0; x < width; ++x) {
+                unsigned expect = bitAt(cur, x - 1) | bitAt(cur, x + 1) |
+                                  (pu ? bitAt(up, x) : 0u) |
+                                  (pd ? bitAt(down, x) : 0u);
+                const uint64_t got =
+                    (out[static_cast<size_t>(x) / 64] >> (x % 64)) & 1u;
+                ASSERT_EQ(got, static_cast<uint64_t>(expect))
+                    << "x=" << x << " width=" << width
+                    << " borders=" << borders;
+            }
+        }
+    }
+}
+
+TEST(Codec, SharedGeometryAcrossShapesAndThreads)
+{
+    // Every coder of one (width, height, levels) reads the one shared
+    // TileGeometry. Interleave shapes — one short word, thin strips,
+    // a lone pixel, the 130-wide three-word rows of the golden shape
+    // and the largest tile — at levels 0-5 in both modes, encoding and
+    // decoding on 4 pool lanes at once: every stream and pixel must
+    // equal the job's own run on one thread, and the shared geometry
+    // must still equal a freshly built one. Run under TSan via
+    // `ci/check.sh tsan`.
+    struct Shape
+    {
+        int w;
+        int h;
+    };
+    const Shape shapes[] = {{64, 64}, {64, 17}, {17, 64},
+                            {1, 1},   {130, 70}, {128, 128}};
+    struct Job
+    {
+        raster::Plane tile;
+        TileCoderParams params;
+        size_t budget;
+        std::vector<uint8_t> stream;
+        raster::Plane pixels;
+    };
+    std::vector<Job> jobs;
+    for (int levels = 0; levels <= 5; ++levels) {
+        for (const Shape &s : shapes) {
+            for (bool lossless : {false, true}) {
+                Job j;
+                j.tile = testImage(s.w, s.h,
+                                   900u + static_cast<uint64_t>(
+                                              jobs.size()));
+                j.params.dwtLevels = levels;
+                j.params.lossless = lossless;
+                j.budget = static_cast<size_t>(s.w * s.h) / 4 + 8;
+                jobs.push_back(std::move(j));
+            }
+        }
+    }
+    auto run = [](const Job &j) {
+        std::vector<uint8_t> stream =
+            encodeTile(j.tile, j.params, j.budget);
+        raster::Plane pixels =
+            decodeTile(j.tile.width(), j.tile.height(), j.params,
+                       ChunkSpan{stream.data(), stream.size()});
+        return std::make_pair(std::move(stream), std::move(pixels));
+    };
+    for (Job &j : jobs)
+        std::tie(j.stream, j.pixels) = run(j);
+
+    util::ThreadPool pool(4);
+    for (size_t round = 0; round < 3; ++round) {
+        // Neighboring items, which run on different lanes at once,
+        // come from different shapes and levels.
+        auto order = [&](size_t i) {
+            return (i * 7 + round) % jobs.size();
+        };
+        auto got = util::parallelMap(pool, jobs.size(), [&](size_t i) {
+            return run(jobs[order(i)]);
+        });
+        for (size_t i = 0; i < got.size(); ++i) {
+            const Job &j = jobs[order(i)];
+            SCOPED_TRACE(testing::Message()
+                         << j.tile.width() << "x" << j.tile.height()
+                         << " levels=" << j.params.dwtLevels
+                         << " lossless=" << j.params.lossless);
+            ASSERT_EQ(got[i].first, j.stream);
+            ASSERT_TRUE(bitIdentical(got[i].second, j.pixels));
+        }
+    }
+
+    for (int levels = 0; levels <= 5; ++levels) {
+        for (const Shape &s : shapes) {
+            auto shared = TileGeometry::of(s.w, s.h, levels);
+            EXPECT_EQ(shared, TileGeometry::of(s.w, s.h, levels));
+            const TileGeometry fresh(s.w, s.h, levels);
+            EXPECT_EQ(shared->orient, fresh.orient);
+            EXPECT_EQ(shared->edges, fresh.edges);
+        }
+    }
+}
+
+TEST(CodecDeath, GeometryCacheStopsSharingPastItsCap)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Stream headers pick tile shapes, so the shared geometry map must
+    // not grow without bound: past kSharedShapes shapes, of() builds a
+    // private geometry per call. Filling the map would leave later
+    // tests unshared, so the check runs in a child process, which
+    // starts with an empty map.
+    const int cap = static_cast<int>(TileGeometry::kSharedShapes);
+    EXPECT_EXIT(
+        {
+            for (int h = 1; h <= cap + 1; ++h)
+                TileGeometry::of(1, h, 0);
+            const auto kept = TileGeometry::of(1, 1, 0);
+            const auto a = TileGeometry::of(1, cap + 1, 0);
+            const auto b = TileGeometry::of(1, cap + 1, 0);
+            const TileGeometry fresh(1, cap + 1, 0);
+            const bool ok = kept == TileGeometry::of(1, 1, 0) && a != b &&
+                            a->orient == fresh.orient &&
+                            a->edges == fresh.edges;
+            std::exit(ok ? 0 : 1);
+        },
+        testing::ExitedWithCode(0), "");
 }

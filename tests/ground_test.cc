@@ -16,6 +16,7 @@
 #include <fstream>
 #include <future>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -1320,6 +1321,66 @@ TEST(TileServer, CacheHitsOnRepeatAndBatchMatchesSerial)
     }
     EXPECT_EQ(warmDecodes, 0);
     EXPECT_GT(server.statsView().hitRate(), 0.4);
+}
+
+TEST(TileServer, TwoQueriesShareOneCachedTile)
+{
+    // A decoded tile is stored once and shared, not copied, by the
+    // cache and the queries that crop from it. Two queries over
+    // different parts of one tile both get the decoder's pixels, and
+    // the cached tile is unchanged afterwards: the first rect served
+    // again from the cache is identical to its first serve.
+    Archive archive("");
+    raster::Plane base = testPlane(128, 128, 49);
+    buildChain(archive, base, base, 64);
+    codec::EncodeParams ep;
+    ep.bitsPerPixel = 4.0;
+    ep.tileSize = 64;
+    raster::Plane expect = codec::decode(codec::encode(base, ep));
+
+    TileServer server(archive);
+    TileQuery a;
+    a.locationId = 1;
+    a.day = 1.5; // the full download only
+    a.band = 0;
+    a.x0 = 70; // both rects lie inside tile 1 (x 64..127, y 0..63)
+    a.y0 = 3;
+    a.width = 40;
+    a.height = 30;
+    TileQuery b = a;
+    b.x0 = 90;
+    b.y0 = 20;
+    b.width = 38;
+    b.height = 44;
+    TileResult first = server.serve(a);
+    TileResult other = server.serve(b);
+    TileResult again = server.serve(a);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(other.ok());
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(first.tilesDecoded, 1);
+    EXPECT_EQ(other.tilesDecoded, 0);
+    EXPECT_EQ(other.tilesFromCache, 1);
+    EXPECT_EQ(again.tilesFromCache, 1);
+    EXPECT_EQ(first.pixels.data(),
+              expect.crop(a.x0, a.y0, a.width, a.height).data());
+    EXPECT_EQ(other.pixels.data(),
+              expect.crop(b.x0, b.y0, b.width, b.height).data());
+    EXPECT_EQ(again.pixels.data(), first.pixels.data());
+}
+
+TEST(DecodedTileCache, HitsShareTheStoredTileAndCountItsBytes)
+{
+    DecodedTileCache cache(8 * 20000);
+    EXPECT_EQ(cache.get(0, 3, 100), nullptr);
+    auto tile =
+        std::make_shared<const raster::Plane>(testPlane(64, 64, 50));
+    cache.put(0, 3, 100, tile);
+    SharedTile hit = cache.get(0, 3, 100);
+    EXPECT_EQ(hit, tile);
+    EXPECT_EQ(cache.get(0, 3, 100), tile);
+    EXPECT_EQ(cache.get(0, 3, 25), nullptr);
+    EXPECT_EQ(cache.sizeBytes(), 64u * 64u * sizeof(float));
 }
 
 TEST(TileServer, CacheEvictsUnderTightBudget)

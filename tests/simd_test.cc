@@ -382,56 +382,6 @@ TEST(Simd, BitplaneMaskMatchesScalarAndDefinition)
     }
 }
 
-TEST(Simd, DilateRowMatchesPerPixelDefinition)
-{
-    const kernels::KernelTable *scalar = kernels::forLevel(Level::Scalar);
-    for (int width : {1, 5, 63, 64, 65, 130, 200}) {
-        size_t nw = (static_cast<size_t>(width) + 63) / 64;
-        Rng rng(9100 + static_cast<uint64_t>(width));
-        auto randomRow = [&]() {
-            std::vector<uint64_t> row(nw, 0);
-            for (int x = 0; x < width; ++x)
-                if (rng.bernoulli(0.3))
-                    row[static_cast<size_t>(x) / 64] |=
-                        1ull << (x % 64);
-            return row;
-        };
-        std::vector<uint64_t> up = randomRow();
-        std::vector<uint64_t> cur = randomRow();
-        std::vector<uint64_t> down = randomRow();
-        auto bitAt = [&](const std::vector<uint64_t> &row, int x) {
-            if (x < 0 || x >= width)
-                return 0u;
-            return static_cast<unsigned>(
-                (row[static_cast<size_t>(x) / 64] >> (x % 64)) & 1u);
-        };
-        for (int borders = 0; borders < 4; ++borders) {
-            const uint64_t *pu = (borders & 1) ? nullptr : up.data();
-            const uint64_t *pd = (borders & 2) ? nullptr : down.data();
-            std::vector<uint64_t> out(nw, ~0ull);
-            scalar->dilateRow(pu, cur.data(), pd, nw, out.data());
-            for (int x = 0; x < width; ++x) {
-                unsigned expect = bitAt(cur, x - 1) | bitAt(cur, x + 1) |
-                                  (pu ? bitAt(up, x) : 0u) |
-                                  (pd ? bitAt(down, x) : 0u);
-                ASSERT_EQ((out[static_cast<size_t>(x) / 64] >>
-                           (x % 64)) & 1u,
-                          static_cast<uint64_t>(expect))
-                    << "x=" << x << " width=" << width
-                    << " borders=" << borders;
-            }
-            for (Level l : vectorLevels()) {
-                const kernels::KernelTable *vec = kernels::forLevel(l);
-                std::vector<uint64_t> vout(nw, ~0ull);
-                vec->dilateRow(pu, cur.data(), pd, nw, vout.data());
-                ASSERT_TRUE(bitwiseEqual(out, vout))
-                    << "dilateRow width=" << width
-                    << " level=" << util::simd::levelName(l);
-            }
-        }
-    }
-}
-
 TEST(Simd, Crc32MatchesBitwiseDefinitionAtEveryLengthAndAlignment)
 {
     // Every length through the fold's 64-byte threshold, its 16-byte
