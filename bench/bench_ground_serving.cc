@@ -2,9 +2,10 @@
  * @file
  * Ground-segment serving under a multi-client Zipfian load.
  *
- * Builds a sharded in-memory archive of full downloads + deltas for
+ * Builds a sharded on-disk archive of full downloads + deltas for
  * several locations (encode -> serialize -> append, the same bytes a
- * downlink would land), then drives the TileServer from N concurrent
+ * downlink would land) in a fresh directory under $TMPDIR (default
+ * /tmp), removed at exit, then drives the TileServer from N concurrent
  * client threads. Each client issues its own deterministic query
  * stream: locations drawn from a Zipf(1.1) popularity law (a few hot
  * locations dominate, the tail stays warm — the distribution a
@@ -34,8 +35,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -80,6 +85,37 @@ sceneLike(int w, int h, uint64_t seed)
     p.clampTo(0.0f, 1.0f);
     return p;
 }
+
+/** A fresh directory under $TMPDIR, removed with everything in it. */
+class TempDir
+{
+  public:
+    TempDir()
+    {
+        const char *tmp = std::getenv("TMPDIR");
+        path_ = std::string(tmp && *tmp ? tmp : "/tmp") +
+                "/bench_ground_serving.XXXXXX";
+        if (!::mkdtemp(path_.data())) {
+            std::cerr << "cannot create temp directory '" << path_
+                      << "': " << std::strerror(errno) << "\n";
+            std::exit(1);
+        }
+    }
+
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 void
 buildArchive(Archive &archive)
@@ -505,7 +541,8 @@ int
 main(int argc, char **argv)
 {
     std::string jsonPath = epbench::JsonReporter::pathFromArgs(argc, argv);
-    Archive archive("");
+    TempDir dir; // outlives the archive below
+    Archive archive(dir.path());
     buildArchive(archive);
 
     for (int i = 1; i < argc; ++i)

@@ -72,7 +72,8 @@ run_benches() {
 
     # Smoke the serving daemon and the loopback EPT path: --selftest
     # binds an ephemeral port, handshakes, round-trips pixels over the
-    # wire against an in-memory archive, and shuts down cleanly. The
+    # wire from a synthetic archive it writes to (and removes from) a
+    # temp directory, and shuts down cleanly. The
     # open-loop bench JSON records the latency trajectory (the gated
     # run lives in perf mode).
     "$BUILD_DIR/earthplus_tile_serverd" --selftest

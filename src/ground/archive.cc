@@ -449,187 +449,154 @@ bool
 Archive::openShards(int shardCount)
 {
     bool manifestExisted = false;
-    if (!path_.empty()) {
-        std::error_code ec;
-        if (fs::exists(path_, ec) && !fs::is_directory(path_, ec))
+    // Refused up front: what fs::create_directories("") does varies
+    // across standard libraries, and one that accepts it would lay the
+    // manifest and shards into the working directory.
+    if (path_.empty())
+        return openFail(OpenErrorKind::Unwritable,
+                        "archive path is empty (an archive is a "
+                        "directory)");
+    std::error_code ec;
+    if (fs::exists(path_, ec) && !fs::is_directory(path_, ec))
+        return openFail(
+            OpenErrorKind::NotADirectory,
+            strfmt("archive path '%s' exists but is not a directory "
+                   "(archives are directories; the file is left "
+                   "untouched)", path_.c_str()));
+    fs::create_directories(path_, ec);
+    if (ec)
+        return openFail(
+            OpenErrorKind::Unwritable,
+            strfmt("cannot create archive directory '%s': %s",
+                   path_.c_str(), ec.message().c_str()));
+
+    // The manifest pins the shard count: the location -> shard
+    // mapping is modular, so reopening with a different count
+    // would split chains across shards.
+    std::string manifestPath =
+        (fs::path(path_) / kManifestName).string();
+    if (!fs::exists(manifestPath)) {
+        // Shard files without their manifest: if any shard can
+        // hold records, the shard count (and with it the
+        // location -> shard mapping) is unknown and guessing
+        // would silently split every chain — refuse. Header-sized
+        // or smaller files are debris from a creation that
+        // crashed before its manifest landed (shard containers
+        // are written first, appends only start once the manifest
+        // exists): recordless by construction, so remove them and
+        // re-initialize.
+        std::vector<std::string> creationDebris;
+        for (const auto &entry : fs::directory_iterator(path_)) {
+            std::string name = entry.path().filename().string();
+            if (name.rfind("shard-", 0) != 0 ||
+                name.size() <= 5 ||
+                name.substr(name.size() - 5) != ".epar")
+                continue;
+            std::error_code sec;
+            uint64_t size = fs::file_size(entry.path(), sec);
+            if (!sec && size <= kFileHeaderBytes) {
+                creationDebris.push_back(entry.path().string());
+                continue;
+            }
             return openFail(
-                OpenErrorKind::NotADirectory,
-                strfmt("archive path '%s' exists but is not a directory "
-                       "(archives are directories; the file is left "
-                       "untouched)", path_.c_str()));
-        fs::create_directories(path_, ec);
-        if (ec)
+                OpenErrorKind::MissingManifest,
+                strfmt("archive '%s' has shard files but no "
+                       "manifest — restore '%s' or rebuild "
+                       "the archive", path_.c_str(),
+                       manifestPath.c_str()));
+        }
+        for (const std::string &p : creationDebris)
+            archive_io::removeFile(p);
+    } else {
+        // An interrupted compact() can leave staged shard
+        // rewrites behind; they were never renamed into place, so
+        // they are dead weight, never data.
+        for (const auto &entry : fs::directory_iterator(path_)) {
+            std::string name = entry.path().filename().string();
+            if (name.rfind("shard-", 0) == 0 &&
+                name.size() > 9 &&
+                name.substr(name.size() - 9) == ".epar.tmp")
+                archive_io::removeFile(entry.path().string());
+        }
+    }
+    if (fs::exists(manifestPath)) {
+        manifestExisted = true;
+        std::vector<uint8_t> m(kManifestBytes);
+        std::FILE *mf = std::fopen(manifestPath.c_str(), "rb");
+        bool readOk = mf &&
+            std::fread(m.data(), 1, m.size(), mf) == m.size();
+        if (mf)
+            std::fclose(mf);
+        if (!readOk)
+            return openFail(
+                OpenErrorKind::BadManifest,
+                strfmt("archive manifest '%s' is unreadable or "
+                       "truncated", manifestPath.c_str()));
+        if (readPodAt<uint32_t>(m.data(), 0) != kManifestMagic)
+            return openFail(
+                OpenErrorKind::BadManifest,
+                strfmt("'%s' is not an Earth+ archive manifest",
+                       manifestPath.c_str()));
+        uint32_t version = readPodAt<uint32_t>(m.data(), 4);
+        if (version != kVersion)
+            return openFail(
+                OpenErrorKind::BadManifest,
+                strfmt("archive manifest '%s' has unsupported "
+                       "version %u", manifestPath.c_str(),
+                       version));
+        uint32_t count = readPodAt<uint32_t>(m.data(), 8);
+        if (count == 0 || count > 4096)
+            return openFail(
+                OpenErrorKind::BadManifest,
+                strfmt("archive manifest '%s' has absurd shard "
+                       "count %u", manifestPath.c_str(), count));
+        shardCount = static_cast<int>(count);
+    } else {
+        // Create the shard containers BEFORE the manifest lands:
+        // the manifest's existence is the "this archive was fully
+        // initialized" marker, so a crash in between leaves either
+        // no manifest (re-initialized next open) or a complete
+        // layout — never a manifest whose missing shard files
+        // would read as data loss.
+        for (int s = 0; s < shardCount; ++s) {
+            std::string shardPath = shardFileName(path_, s);
+            if (!fs::exists(shardPath) &&
+                !writeContainerHeader(shardPath))
+                return openFail(
+                    OpenErrorKind::Unwritable,
+                    strfmt("cannot create archive shard '%s'",
+                           shardPath.c_str()));
+        }
+        // Write-temp, fsync, rename, fsync-dir: a crash anywhere
+        // in the sequence leaves either no manifest (the archive
+        // re-initializes on the next open) or a durable complete
+        // one — never a partial manifest that wedges every later
+        // open.
+        std::vector<uint8_t> m;
+        appendPod(m, kManifestMagic);
+        appendPod(m, kVersion);
+        appendPod(m, static_cast<uint32_t>(shardCount));
+        std::string tmpPath = manifestPath + ".tmp";
+        if (!archive_io::createFile(tmpPath, m.data(), m.size()))
             return openFail(
                 OpenErrorKind::Unwritable,
-                strfmt("cannot create archive directory '%s': %s",
-                       path_.c_str(), ec.message().c_str()));
-
-        // The manifest pins the shard count: the location -> shard
-        // mapping is modular, so reopening with a different count
-        // would split chains across shards.
-        std::string manifestPath =
-            (fs::path(path_) / kManifestName).string();
-        if (!fs::exists(manifestPath)) {
-            // Shard files without their manifest: if any shard can
-            // hold records, the shard count (and with it the
-            // location -> shard mapping) is unknown and guessing
-            // would silently split every chain — refuse. Header-sized
-            // or smaller files are debris from a creation that
-            // crashed before its manifest landed (shard containers
-            // are written first, appends only start once the manifest
-            // exists): recordless by construction, so remove them and
-            // re-initialize.
-            std::vector<std::string> creationDebris;
-            for (const auto &entry : fs::directory_iterator(path_)) {
-                std::string name = entry.path().filename().string();
-                if (name.rfind("shard-", 0) != 0 ||
-                    name.size() <= 5 ||
-                    name.substr(name.size() - 5) != ".epar")
-                    continue;
-                std::error_code sec;
-                uint64_t size = fs::file_size(entry.path(), sec);
-                if (!sec && size <= kFileHeaderBytes) {
-                    creationDebris.push_back(entry.path().string());
-                    continue;
-                }
-                return openFail(
-                    OpenErrorKind::MissingManifest,
-                    strfmt("archive '%s' has shard files but no "
-                           "manifest — restore '%s' or rebuild "
-                           "the archive", path_.c_str(),
-                           manifestPath.c_str()));
-            }
-            for (const std::string &p : creationDebris)
-                archive_io::removeFile(p);
-        } else {
-            // An interrupted compact() can leave staged shard
-            // rewrites behind; they were never renamed into place, so
-            // they are dead weight, never data.
-            for (const auto &entry : fs::directory_iterator(path_)) {
-                std::string name = entry.path().filename().string();
-                if (name.rfind("shard-", 0) == 0 &&
-                    name.size() > 9 &&
-                    name.substr(name.size() - 9) == ".epar.tmp")
-                    archive_io::removeFile(entry.path().string());
-            }
+                strfmt("cannot write archive manifest '%s'",
+                       tmpPath.c_str()));
+        if (!archive_io::syncFile(tmpPath)) {
+            archiveMetrics().fsyncFailures.add();
+            warn("archive '%s': cannot fsync manifest before "
+                 "rename", path_.c_str());
         }
-        if (fs::exists(manifestPath)) {
-            manifestExisted = true;
-            std::vector<uint8_t> m(kManifestBytes);
-            std::FILE *mf = std::fopen(manifestPath.c_str(), "rb");
-            bool readOk = mf &&
-                std::fread(m.data(), 1, m.size(), mf) == m.size();
-            if (mf)
-                std::fclose(mf);
-            if (!readOk)
-                return openFail(
-                    OpenErrorKind::BadManifest,
-                    strfmt("archive manifest '%s' is unreadable or "
-                           "truncated", manifestPath.c_str()));
-            if (readPodAt<uint32_t>(m.data(), 0) != kManifestMagic)
-                return openFail(
-                    OpenErrorKind::BadManifest,
-                    strfmt("'%s' is not an Earth+ archive manifest",
-                           manifestPath.c_str()));
-            uint32_t version = readPodAt<uint32_t>(m.data(), 4);
-            if (version != kVersion)
-                return openFail(
-                    OpenErrorKind::BadManifest,
-                    strfmt("archive manifest '%s' has unsupported "
-                           "version %u", manifestPath.c_str(),
-                           version));
-            uint32_t count = readPodAt<uint32_t>(m.data(), 8);
-            if (count == 0 || count > 4096)
-                return openFail(
-                    OpenErrorKind::BadManifest,
-                    strfmt("archive manifest '%s' has absurd shard "
-                           "count %u", manifestPath.c_str(), count));
-            shardCount = static_cast<int>(count);
-        } else {
-            // Create the shard containers BEFORE the manifest lands:
-            // the manifest's existence is the "this archive was fully
-            // initialized" marker, so a crash in between leaves either
-            // no manifest (re-initialized next open) or a complete
-            // layout — never a manifest whose missing shard files
-            // would read as data loss.
-            for (int s = 0; s < shardCount; ++s) {
-                std::string shardPath = shardFileName(path_, s);
-                if (!fs::exists(shardPath) &&
-                    !writeContainerHeader(shardPath))
-                    return openFail(
-                        OpenErrorKind::Unwritable,
-                        strfmt("cannot create archive shard '%s'",
-                               shardPath.c_str()));
-            }
-            // Write-temp, fsync, rename, fsync-dir: a crash anywhere
-            // in the sequence leaves either no manifest (the archive
-            // re-initializes on the next open) or a durable complete
-            // one — never a partial manifest that wedges every later
-            // open.
-            std::vector<uint8_t> m;
-            appendPod(m, kManifestMagic);
-            appendPod(m, kVersion);
-            appendPod(m, static_cast<uint32_t>(shardCount));
-            std::string tmpPath = manifestPath + ".tmp";
-            if (!archive_io::createFile(tmpPath, m.data(), m.size()))
-                return openFail(
-                    OpenErrorKind::Unwritable,
-                    strfmt("cannot write archive manifest '%s'",
-                           tmpPath.c_str()));
-            if (!archive_io::syncFile(tmpPath)) {
-                archiveMetrics().fsyncFailures.add();
-                warn("archive '%s': cannot fsync manifest before "
-                     "rename", path_.c_str());
-            }
-            if (!archive_io::renameFile(tmpPath, manifestPath))
-                return openFail(
-                    OpenErrorKind::Unwritable,
-                    strfmt("cannot move archive manifest into place "
-                           "at '%s'", manifestPath.c_str()));
-            if (!archive_io::syncDir(path_)) {
-                archiveMetrics().fsyncFailures.add();
-                warn("archive '%s': cannot fsync directory after "
-                     "manifest rename", path_.c_str());
-            }
+        if (!archive_io::renameFile(tmpPath, manifestPath))
+            return openFail(
+                OpenErrorKind::Unwritable,
+                strfmt("cannot move archive manifest into place "
+                       "at '%s'", manifestPath.c_str()));
+        if (!archive_io::syncDir(path_)) {
+            archiveMetrics().fsyncFailures.add();
+            warn("archive '%s': cannot fsync directory after "
+                 "manifest rename", path_.c_str());
         }
-    }
-
-    shards_.clear();
-    shards_.reserve(static_cast<size_t>(shardCount));
-    for (int s = 0; s < shardCount; ++s) {
-        auto shard = std::make_unique<Shard>();
-        if (!path_.empty()) {
-            shard->path = shardFileName(path_, s);
-            if (!fs::exists(shard->path)) {
-                // A manifest referencing a missing shard file is data
-                // loss (every chain stored in it is gone). Silently
-                // recreating it empty would bless that loss, so the
-                // open fails closed; a fresh-creation race (no
-                // manifest yet) recreates freely above.
-                if (manifestExisted && !archive_io::crashed())
-                    return openFail(
-                        OpenErrorKind::MissingShard,
-                        strfmt("archive '%s': manifest references "
-                               "missing shard file '%s' — its chains "
-                               "are lost; restore the file or rebuild "
-                               "the archive", path_.c_str(),
-                               shard->path.c_str()));
-                if (!writeContainerHeader(shard->path))
-                    return openFail(
-                        OpenErrorKind::Unwritable,
-                        strfmt("cannot create archive shard '%s'",
-                               shard->path.c_str()));
-            }
-        }
-        shard->appendOffset = kFileHeaderBytes;
-        shard->scan.validBytes = shard->appendOffset;
-        shards_.push_back(std::move(shard));
-    }
-
-    if (path_.empty()) {
-        scanReport_.validBytes =
-            kFileHeaderBytes * static_cast<uint64_t>(shardCount);
-        return true;
     }
 
     // Scan every shard, then interleave the per-shard records into one
@@ -638,9 +605,31 @@ Archive::openShards(int shardCount)
     // irrelevant — chains never span shards), so shards are replayed
     // in index order, records sorted per (location, band) by the
     // consumers that need day order.
+    shards_.clear();
+    shards_.reserve(static_cast<size_t>(shardCount));
     scanReport_ = ScanReport{};
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        Shard &shard = *shards_[s];
+    for (int s = 0; s < shardCount; ++s) {
+        shards_.push_back(std::make_unique<Shard>());
+        Shard &shard = *shards_.back();
+        shard.path = shardFileName(path_, s);
+        if (!fs::exists(shard.path)) {
+            // A manifest referencing a missing shard file is data loss
+            // (every chain stored in it is gone). Silently recreating
+            // it empty would bless that loss, so the open fails
+            // closed; a fresh-creation race (no manifest yet)
+            // recreates freely above.
+            if (manifestExisted && !archive_io::crashed())
+                return openFail(
+                    OpenErrorKind::MissingShard,
+                    strfmt("archive '%s': manifest references missing "
+                           "shard file '%s' — its chains are lost; "
+                           "restore the file or rebuild the archive",
+                           path_.c_str(), shard.path.c_str()));
+            if (!writeContainerHeader(shard.path))
+                return openFail(OpenErrorKind::Unwritable,
+                                strfmt("cannot create archive shard '%s'",
+                                       shard.path.c_str()));
+        }
         std::vector<RecordEntry> entries;
         ScanResult scan = scanContainerFile(shard.path, entries);
         if (scan.error != OpenErrorKind::None)
@@ -672,9 +661,7 @@ Archive::writeRecordLocked(Shard &shard, const RecordMeta &meta,
     entry.meta.payloadBytes = payload.size();
     entry.payloadCrc = crc32(payload.data(), payload.size());
     entry.payloadOffset = shard.appendOffset + kRecordHeaderBytes;
-    if (shard.path.empty()) {
-        shard.memPayloads.push_back(payload);
-    } else if (persist) {
+    if (persist) {
         if (!appendRecordToFile(shard.path, shard.appendOffset,
                                 entry.meta, entry.payloadCrc, payload))
             fatal("append to archive shard '%s' failed (disk full, "
@@ -873,6 +860,32 @@ Archive::ensureMapped(Shard &shard, uint64_t end) const
 }
 
 PayloadView
+Archive::readPayloadLocked(Shard &shard, size_t gid, uint32_t local,
+                           std::unique_lock<std::mutex> *release) const
+{
+    const RecordEntry entry = shard.records[local];
+    size_t size = static_cast<size_t>(entry.meta.payloadBytes);
+    const uint8_t *mapped =
+        ensureMapped(shard, entry.payloadOffset + size)
+            ? shard.mapAddr + entry.payloadOffset
+            : nullptr;
+    // Everything read from here on is immutable by construction: a
+    // written record's bytes never change and mappings are retired
+    // (not unmapped) while the archive lives.
+    if (release)
+        release->unlock();
+    // Unmappable shard: a private stdio read per call.
+    PayloadView view =
+        mapped ? PayloadView(mapped, size)
+               : PayloadView(readFileRange(shard.path,
+                                           entry.payloadOffset, size));
+    if (crc32(view.data(), view.size()) != entry.payloadCrc)
+        fatal("archive '%s': record %zu payload CRC mismatch",
+              path_.c_str(), gid);
+    return view;
+}
+
+PayloadView
 Archive::payloadView(size_t idx) const
 {
     telemetry::TraceSpan span("archive.payload_view", "archive");
@@ -886,46 +899,8 @@ Archive::payloadView(size_t idx) const
         ref = globalRecords_[idx];
     }
     Shard &shard = *shards_[ref.shard];
-
-    // Only the entry snapshot and the mapping lookup happen under the
-    // shard lock; the CRC pass over the payload runs outside it so a
-    // cold read of a hot shard does not stall that shard's appends.
-    // Everything read after unlock is immutable by construction: a
-    // written record's bytes never change, mappings are retired (not
-    // unmapped) while the archive lives, and memory-backed payload
-    // vectors never move once appended (deque growth keeps elements
-    // in place).
-    RecordEntry entry;
-    const uint8_t *mapped = nullptr;
-    {
-        std::unique_lock<std::mutex> lock =
-            lockShardTimed(shard.mutex);
-        entry = shard.records[ref.local];
-        if (shard.path.empty()) {
-            const std::vector<uint8_t> &bytes =
-                shard.memPayloads[ref.local];
-            return PayloadView(bytes.data(), bytes.size());
-        }
-        uint64_t end = entry.payloadOffset + entry.meta.payloadBytes;
-        if (ensureMapped(shard, end))
-            mapped = shard.mapAddr + entry.payloadOffset;
-    }
-
-    size_t size = static_cast<size_t>(entry.meta.payloadBytes);
-    if (mapped) {
-        if (crc32(mapped, size) != entry.payloadCrc)
-            fatal("archive '%s': record %zu payload CRC mismatch",
-                  path_.c_str(), idx);
-        return PayloadView(mapped, size);
-    }
-    // Unmappable shard: a private stdio read per call (the record's
-    // byte range is immutable, so no lock is needed here either).
-    std::vector<uint8_t> bytes =
-        readFileRange(shard.path, entry.payloadOffset, size);
-    if (crc32(bytes.data(), bytes.size()) != entry.payloadCrc)
-        fatal("archive '%s': record %zu payload CRC mismatch",
-              path_.c_str(), idx);
-    return PayloadView(std::move(bytes));
+    std::unique_lock<std::mutex> lock = lockShardTimed(shard.mutex);
+    return readPayloadLocked(shard, idx, ref.local, &lock);
 }
 
 std::vector<uint8_t>
@@ -982,17 +957,10 @@ Archive::compact()
         if (!keep[gid])
             continue;
         const GlobalRef &ref = globalRecords_[gid];
-        const Shard &shard = *shards_[ref.shard];
-        const RecordEntry &entry = shard.records[ref.local];
-        std::vector<uint8_t> payload = shard.path.empty()
-            ? shard.memPayloads[ref.local]
-            : readFileRange(shard.path, entry.payloadOffset,
-                            static_cast<size_t>(entry.meta.payloadBytes));
-        if (!shard.path.empty() &&
-            crc32(payload.data(), payload.size()) != entry.payloadCrc)
-            fatal("archive '%s': record %zu payload CRC mismatch "
-                  "during compact", path_.c_str(), gid);
-        survivors.emplace_back(entry.meta, std::move(payload));
+        Shard &shard = *shards_[ref.shard];
+        survivors.emplace_back(
+            shard.records[ref.local].meta,
+            readPayloadLocked(shard, gid, ref.local, nullptr).toVector());
     }
 
     uint64_t after = rewriteAllShardsLocked(survivors);
@@ -1010,50 +978,48 @@ Archive::rewriteAllShardsLocked(
     // and per-shard independence makes a partially renamed rewrite a
     // legal archive state (chains never span shards). Stray .tmp
     // files are swept on the next open.
-    if (!path_.empty()) {
-        std::vector<uint64_t> tmpOffsets(shards_.size(),
-                                         kFileHeaderBytes);
-        auto tmpPathOf = [](const Shard &shard) {
-            return shard.path + ".tmp";
-        };
-        for (auto &shardPtr : shards_) {
-            if (!writeContainerHeader(tmpPathOf(*shardPtr)))
-                fatal("rewrite: cannot stage rewrite of shard '%s'",
-                      shardPtr->path.c_str());
-        }
-        for (const auto &[meta, payload] : records) {
-            size_t shardIdx =
-                static_cast<size_t>(shardForLocation(meta.locationId));
-            Shard &shard = *shards_[shardIdx];
-            RecordMeta stamped = meta;
-            stamped.payloadBytes = payload.size();
-            if (!appendRecordToFile(tmpPathOf(shard),
-                                    tmpOffsets[shardIdx], stamped,
-                                    crc32(payload.data(),
-                                          payload.size()),
-                                    payload))
-                fatal("rewrite: staged write to '%s' failed",
-                      tmpPathOf(shard).c_str());
-            tmpOffsets[shardIdx] +=
-                kRecordHeaderBytes + payload.size();
-        }
-        for (auto &shardPtr : shards_) {
-            std::string tmp = tmpPathOf(*shardPtr);
-            if (!archive_io::syncFile(tmp)) {
-                archiveMetrics().fsyncFailures.add();
-                warn("rewrite: cannot fsync staged shard '%s'",
-                     tmp.c_str());
-            } else {
-                archiveMetrics().syncs.add();
-            }
-            if (!archive_io::renameFile(tmp, shardPtr->path))
-                fatal("rewrite: cannot move staged shard over '%s' — "
-                      "already-renamed shards are rewritten, the rest "
-                      "are untouched (every shard is still a valid "
-                      "container)", shardPtr->path.c_str());
-        }
-        archive_io::syncDir(path_);
+    std::vector<uint64_t> tmpOffsets(shards_.size(),
+                                     kFileHeaderBytes);
+    auto tmpPathOf = [](const Shard &shard) {
+        return shard.path + ".tmp";
+    };
+    for (auto &shardPtr : shards_) {
+        if (!writeContainerHeader(tmpPathOf(*shardPtr)))
+            fatal("rewrite: cannot stage rewrite of shard '%s'",
+                  shardPtr->path.c_str());
     }
+    for (const auto &[meta, payload] : records) {
+        size_t shardIdx =
+            static_cast<size_t>(shardForLocation(meta.locationId));
+        Shard &shard = *shards_[shardIdx];
+        RecordMeta stamped = meta;
+        stamped.payloadBytes = payload.size();
+        if (!appendRecordToFile(tmpPathOf(shard),
+                                tmpOffsets[shardIdx], stamped,
+                                crc32(payload.data(),
+                                      payload.size()),
+                                payload))
+            fatal("rewrite: staged write to '%s' failed",
+                  tmpPathOf(shard).c_str());
+        tmpOffsets[shardIdx] +=
+            kRecordHeaderBytes + payload.size();
+    }
+    for (auto &shardPtr : shards_) {
+        std::string tmp = tmpPathOf(*shardPtr);
+        if (!archive_io::syncFile(tmp)) {
+            archiveMetrics().fsyncFailures.add();
+            warn("rewrite: cannot fsync staged shard '%s'",
+                 tmp.c_str());
+        } else {
+            archiveMetrics().syncs.add();
+        }
+        if (!archive_io::renameFile(tmp, shardPtr->path))
+            fatal("rewrite: cannot move staged shard over '%s' — "
+                  "already-renamed shards are rewritten, the rest "
+                  "are untouched (every shard is still a valid "
+                  "container)", shardPtr->path.c_str());
+    }
+    archive_io::syncDir(path_);
 
     // Reset every shard. Rewriting a file invalidates the *content*
     // behind its mapping, so the mapping is retired along with any
@@ -1065,7 +1031,6 @@ Archive::rewriteAllShardsLocked(
         Shard &shard = *shardPtr;
         shard.records.clear();
         shard.index.clear();
-        shard.memPayloads.clear();
         shard.appendOffset = kFileHeaderBytes;
         shard.bytesSinceSync = 0;
         if (shard.mapAddr) {
@@ -1126,19 +1091,10 @@ Archive::applyStoragePressure(uint64_t targetBytes)
     records.reserve(n);
     for (size_t gid = 0; gid < n; ++gid) {
         const GlobalRef &ref = globalRecords_[gid];
-        const Shard &shard = *shards_[ref.shard];
-        const RecordEntry &entry = shard.records[ref.local];
-        std::vector<uint8_t> payload = shard.path.empty()
-            ? shard.memPayloads[ref.local]
-            : readFileRange(shard.path, entry.payloadOffset,
-                            static_cast<size_t>(
-                                entry.meta.payloadBytes));
-        if (!shard.path.empty() &&
-            crc32(payload.data(), payload.size()) != entry.payloadCrc)
-            fatal("archive '%s': record %zu payload CRC mismatch "
-                  "during storage-pressure rewrite", path_.c_str(),
-                  gid);
-        records.emplace_back(entry.meta, std::move(payload));
+        Shard &shard = *shards_[ref.shard];
+        records.emplace_back(
+            shard.records[ref.local].meta,
+            readPayloadLocked(shard, gid, ref.local, nullptr).toVector());
     }
 
     // Each payload can shrink from its current size down to its
@@ -1196,8 +1152,6 @@ Archive::sync()
     bool ok = true;
     for (auto &shardPtr : shards_) {
         std::lock_guard<std::mutex> lock(shardPtr->mutex);
-        if (shardPtr->path.empty())
-            continue;
         if (archive_io::syncFile(shardPtr->path)) {
             archiveMetrics().syncs.add();
             shardPtr->bytesSinceSync = 0;

@@ -8,7 +8,7 @@
  * production archive survives process restarts. At constellation
  * scale the archive is written by many download completions and read
  * by many serving threads at once, so it is **sharded by location**:
- * a non-empty path names a *directory* holding a manifest plus one
+ * the path names a *directory* holding a manifest plus one
  * append-only container file per shard, and a record lands in the
  * shard selected by hashing its locationId. Every (location, band)
  * chain therefore lives wholly inside one shard — the per-shard
@@ -25,7 +25,8 @@
  *                payloadCrc u32 | payload bytes
  *
  * A path that names an existing regular file is refused at open
- * (OpenErrorKind::NotADirectory) and the file is left untouched.
+ * (OpenErrorKind::NotADirectory) and the file is left untouched; an
+ * empty path is refused too (OpenErrorKind::Unwritable).
  *
  * Appends go to the end of a shard file; open() scans every shard to
  * rebuild the in-memory indexes and is corruption-tolerant per shard:
@@ -41,10 +42,6 @@
  * latest full download of their (location, band) — queries for the
  * pruned days stop resolving, which is the storage/history trade-off
  * compaction exists to make.
- *
- * An Archive constructed with an empty path is memory-backed: same
- * API, sharding and thread-safety, no persistence (used by
- * simulations that do not need files on disk).
  */
 
 #ifndef EARTHPLUS_GROUND_ARCHIVE_HH
@@ -244,11 +241,12 @@ class Archive
     /**
      * Open (or create) an archive.
      *
-     * A non-empty path names a directory (created as needed); an
-     * existing regular file at the path is an open error
-     * (OpenErrorKind::NotADirectory) and is never modified.
+     * The path names a directory (created as needed); an existing
+     * regular file at the path is an open error
+     * (OpenErrorKind::NotADirectory) and is never modified, and an
+     * empty path is an open error too (OpenErrorKind::Unwritable).
      *
-     * @param path Directory path; empty for a memory-backed archive.
+     * @param path Directory path (non-empty).
      * @param shardCount Shards to create (<= 0 picks
      *        kDefaultShardCount). An existing directory's manifest
      *        wins over this argument.
@@ -393,15 +391,14 @@ class Archive
      * regardless of the configured SyncPolicy. Returns false (after
      * trying every shard, and counting archive.fsync_failures) when
      * any fdatasync failed; a false return means the durability of
-     * recent acknowledgements is unknown. No-op true when
-     * memory-backed.
+     * recent acknowledgements is unknown.
      */
     bool sync();
 
     /** The options this archive was opened with. */
     const ArchiveOptions &options() const { return options_; }
 
-    /** Path backing this archive (empty = memory-backed). */
+    /** Directory backing this archive. */
     const std::string &path() const { return path_; }
 
   private:
@@ -409,14 +406,12 @@ class Archive
     struct Shard
     {
         mutable std::mutex mutex;
-        /** Shard container file path (empty in memory-backed mode). */
+        /** Shard container file path. */
         std::string path;
         /** Records in shard-local append order. */
         std::deque<RecordEntry> records;
         /** (location, band) -> global record ids, append order. */
         std::map<std::pair<int, int>, std::vector<size_t>> index;
-        /** Payload bytes in memory-backed mode, local index order. */
-        std::deque<std::vector<uint8_t>> memPayloads;
         /** Next append position (file header included). */
         uint64_t appendOffset = 0;
         /** Read-only mapping of the shard file, or null. */
@@ -450,11 +445,11 @@ class Archive
      */
     bool openFail(OpenErrorKind kind, std::string detail);
     /**
-     * Write one record into `shard` (file or memory) and push it onto
-     * the shard's record list. Requires shard.mutex held; follow with
+     * Append one record to `shard`'s file and push it onto the
+     * shard's record list. Requires shard.mutex held; follow with
      * indexRecordLocked() to assign its global id. `persist` false
-     * records in memory only (compact() replay after the shard file
-     * was already rewritten via temp + rename).
+     * skips the file write (the rewrite's replay, after the shard
+     * file was already rewritten via temp + rename).
      */
     RecordEntry writeRecordLocked(Shard &shard, const RecordMeta &meta,
                                   const std::vector<uint8_t> &payload,
@@ -468,6 +463,19 @@ class Archive
                              const RecordMeta &meta);
     /** Map (or grow the mapping of) `shard` to cover `end` bytes. */
     bool ensureMapped(Shard &shard, uint64_t end) const;
+    /**
+     * Read-and-verify, the one place a payload is checked after
+     * open(): record `gid` (shard-local index `local`) read through
+     * the shard's mapping — by a private stdio read when the shard
+     * cannot be mapped — and fatal() unless it matches its stored
+     * CRC. Requires shard.mutex held; a non-null `release` is
+     * unlocked before the CRC pass, so a cold read of a hot shard
+     * does not stall that shard's appends.
+     */
+    PayloadView readPayloadLocked(Shard &shard, size_t gid,
+                                  uint32_t local,
+                                  std::unique_lock<std::mutex> *release)
+        const;
     /**
      * Replace the archive's contents with `records` (in global-id
      * order): stage each shard's share to 'shard-NNN.epar.tmp', fsync,

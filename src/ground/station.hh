@@ -44,12 +44,11 @@ struct GroundSegmentParams
     /** Phase of the first daily contact. */
     double contactPhaseDays = 0.0;
     /**
-     * Archive directory path; empty keeps the archive in memory. Each
-     * GroundStation owns
-     * its directory exclusively — concurrent simulations
-     * (core::runSimulationsBatch jobs) must use distinct paths or
-     * leave this empty, or their interleaved appends corrupt the
-     * shard files.
+     * Archive directory path; required when `enabled` (an empty path
+     * is fatal). Each GroundStation owns its directory exclusively —
+     * concurrent simulations (core::runSimulationsBatch jobs) must use
+     * distinct paths, or their interleaved appends corrupt the shard
+     * files.
      */
     std::string archivePath;
 };

@@ -250,16 +250,7 @@ TileServer::TileServer(const Archive &archive,
 {
     // Baseline at construction: a fresh server's StatsView window
     // must not include queries an earlier server in this process ran.
-    ServeMetrics &m = serveMetrics();
-    metricsBase_.queries = m.queries.value();
-    metricsBase_.tilesDecoded = m.tilesDecoded.value();
-    metricsBase_.tilesCacheHit = m.tilesFromCache.value();
-    metricsBase_.tilesCoalesced = m.tilesCoalesced.value();
-    metricsBase_.coalesceClaims = m.coalesceClaims.value();
-    metricsBase_.prefetchTasks = m.prefetchTasks.value();
-    metricsBase_.prefetchDropped = m.prefetchDropped.value();
-    metricsBase_.cacheEvictions = 0; // cache_ is brand new
-    latencyBase_ = latencyHist_->snapshot();
+    resetStats();
     if (options_.prefetch)
         prefetchQueue_ = std::make_unique<util::BackgroundQueue>(
             options_.prefetchQueueDepth);

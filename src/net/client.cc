@@ -22,6 +22,13 @@ namespace earthplus::net {
 
 namespace {
 
+/** connect(2) + handshake deadline, milliseconds. */
+constexpr int kConnectTimeoutMs = 5000;
+/** Deadline for flushing one frame to the socket, milliseconds. */
+constexpr int kWriteTimeoutMs = 5000;
+/** Backoff ceiling, ms (the "capped" in capped exponential). */
+constexpr uint64_t kBackoffCapMs = 2000;
+
 /** Client-side telemetry handles, resolved once per process. */
 struct ClientMetrics
 {
@@ -126,7 +133,7 @@ setNonBlocking(int fd)
 } // anonymous namespace
 
 TileClient::TileClient(const ClientOptions &options)
-    : options_(options), jitter_(options.jitterSeed)
+    : options_(options)
 {
 }
 
@@ -233,7 +240,7 @@ TileClient::dial()
         ::close(fd);
         return false;
     }
-    uint64_t deadline = deadlineFrom(options_.connectTimeoutMs);
+    uint64_t deadline = deadlineFrom(kConnectTimeoutMs);
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         if (errno != EINPROGRESS) {
@@ -302,7 +309,7 @@ TileClient::send(const ground::TileQuery &query, uint64_t requestId)
         return false;
     std::vector<uint8_t> frame = encodeQuery(requestId, query);
     return sendAll(frame.data(), frame.size(),
-                   deadlineFrom(options_.writeTimeoutMs));
+                   deadlineFrom(kWriteTimeoutMs));
 }
 
 bool
@@ -362,8 +369,7 @@ TileClient::query(const ground::TileQuery &query,
         if (shed && result.retryAfterMs > 0)
             base = result.retryAfterMs;
         int shift = std::min(attempt, 20);
-        uint64_t delay = std::min<uint64_t>(options_.backoffCapMs,
-                                            base << shift);
+        uint64_t delay = std::min<uint64_t>(kBackoffCapMs, base << shift);
         if (delay > 0) {
             auto lo = static_cast<int64_t>(delay / 2);
             auto hi = static_cast<int64_t>(delay);
@@ -372,14 +378,11 @@ TileClient::query(const ground::TileQuery &query,
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(jittered));
         }
-        if (!connected()) {
-            if (!options_.autoReconnect)
-                return false;
-            // A failed redial falls through: the next iteration's
-            // queryOnce guard sees the closed fd and either retries
-            // (budget permitting) or reports the failure.
+        // A failed redial falls through: the next iteration's
+        // queryOnce guard sees the closed fd and either retries
+        // (budget permitting) or reports the failure.
+        if (!connected())
             reconnect();
-        }
     }
 }
 

@@ -16,12 +16,14 @@
  * holds the full story):
  *
  *  - Every socket operation is bounded by a poll(2)-based deadline
- *    from ClientOptions (connect/read/write); an expired deadline
- *    counts in net.client.timeouts and fails the call.
+ *    (5 s for connect and for each write, ClientOptions::readTimeoutMs
+ *    for reads); an expired deadline counts in net.client.timeouts
+ *    and fails the call.
  *  - query() owns a retry budget: a Shed response waits the server's
  *    `retryAfterMs` hint (falling back to backoffBaseMs), a transport
- *    failure reconnects — both under capped exponential backoff with
- *    jitter drawn from a seeded Rng, so chaos runs replay exactly.
+ *    failure reconnects — both under exponential backoff capped at
+ *    2 s, with jitter drawn from a seeded Rng, so chaos runs replay
+ *    exactly.
  *    The budget defaults to zero, which preserves the original
  *    one-shot semantics (the gated load generator depends on them).
  *  - send()/receive() never retry: pipelining callers own their
@@ -48,12 +50,8 @@ namespace earthplus::net {
 /** Deadline, retry and backoff knobs of a TileClient. */
 struct ClientOptions
 {
-    /** connect(2) + handshake deadline, milliseconds (0 = no bound). */
-    int connectTimeoutMs = 5000;
     /** Deadline for one receive()/query() read, ms (0 = no bound). */
     int readTimeoutMs = 30000;
-    /** Deadline for flushing one frame to the socket, ms (0 = none). */
-    int writeTimeoutMs = 5000;
     /**
      * Extra attempts query() may spend on Shed responses and
      * transport failures. 0 (the default) keeps the one-shot
@@ -63,14 +61,6 @@ struct ClientOptions
     /** First backoff step, ms (also the Shed fallback when the server
      *  sends no retryAfterMs hint). */
     uint32_t backoffBaseMs = 10;
-    /** Backoff ceiling, ms (the "capped" in capped exponential). */
-    uint32_t backoffCapMs = 2000;
-    /** Seed of the jitter stream — pinned, so retry timing is
-     *  reproducible run to run. */
-    uint64_t jitterSeed = 0x6a77e7;
-    /** Reconnect automatically inside query()'s retry budget after a
-     *  transport failure. */
-    bool autoReconnect = true;
 };
 
 /** Blocking client for one server connection. */
@@ -89,7 +79,7 @@ class TileClient
     TileClient &operator=(const TileClient &) = delete; ///< Non-copyable.
 
     /**
-     * Connect (bounded by connectTimeoutMs) and perform the EPTH
+     * Connect (bounded by a 5 s deadline) and perform the EPTH
      * version handshake. False on connect failure, deadline expiry or
      * a version mismatch (the server's version is still readable via
      * serverVersion() to report the mismatch). Remembers host/port
@@ -123,7 +113,7 @@ class TileClient
                ground::TileResult &result);
 
     /** Send one query tagged `requestId` without waiting (bounded by
-     *  writeTimeoutMs; never retries). */
+     *  the 5 s write deadline; never retries). */
     bool send(const ground::TileQuery &query, uint64_t requestId);
 
     /**
@@ -158,6 +148,7 @@ class TileClient
     std::string host_;
     uint16_t port_ = 0;
     bool everConnected_ = false;
+    /** Backoff jitter, pinned so retry timing replays run to run. */
     Rng jitter_{0x6a77e7};
 };
 

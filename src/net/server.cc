@@ -28,6 +28,11 @@ namespace earthplus::net {
 
 namespace {
 
+/** listen(2) backlog. */
+constexpr int kListenBacklog = 128;
+/** Unsent response bytes a connection may buffer before it is closed. */
+constexpr size_t kMaxWriteBufferBytes = size_t{64} << 20;
+
 /**
  * Serving-front metrics, resolved once per process (the net.*
  * inventory in docs/OBSERVABILITY.md).
@@ -318,7 +323,7 @@ Server::start()
                   &addr.sin_addr) != 1 ||
         ::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) != 0 ||
-        ::listen(listenFd_, options_.listenBacklog) != 0 ||
+        ::listen(listenFd_, kListenBacklog) != 0 ||
         !setNonBlocking(listenFd_)) {
         ::close(listenFd_);
         listenFd_ = -1;
@@ -344,10 +349,8 @@ Server::start()
     wakeRead_ = pipeFds[0];
     wakeWrite_ = pipeFds[1];
 
-    maxInflight_ = options_.maxInflight
-                       ? options_.maxInflight
-                       : static_cast<size_t>(
-                             util::ThreadPool::global().threadCount());
+    maxInflight_ =
+        static_cast<size_t>(util::ThreadPool::global().threadCount());
 
     running_.store(true, std::memory_order_release);
     thread_ = std::thread([this] { loop(); });
@@ -467,7 +470,7 @@ Server::loop()
     auto sendFrame = [&](LoopState::Connection &conn,
                          std::vector<uint8_t> frame) -> bool {
         if (conn.outbox.size() - conn.outboxOff + frame.size() >
-            options_.maxWriteBufferBytes) {
+            kMaxWriteBufferBytes) {
             // The peer has stopped reading; shedding the connection
             // bounds server memory.
             closeConn(conn.id);

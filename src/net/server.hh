@@ -20,12 +20,11 @@
  *    ServeError::Shed carrying a retry-after hint — shedding is
  *    cheaper than the query, which is what keeps an overloaded
  *    server responsive;
- *  - at most `maxInflight` queries inside the tile server at once
- *    (defaults to the pool's lane count — more would just queue
- *    invisibly inside the pool);
+ *  - at most one query per global-pool lane inside the tile server
+ *    at once (more would just queue invisibly inside the pool);
  *  - per-connection write buffers are bounded; a consumer that stops
- *    reading past `maxWriteBufferBytes` is disconnected rather than
- *    ballooning server memory;
+ *    reading past 64 MiB of unsent responses is disconnected rather
+ *    than ballooning server memory;
  *  - per-connection deadlines bound how long a half-sent frame (the
  *    slow-loris shape), an unflushable response, or a fully idle peer
  *    may hold a socket: the event loop waits with a timeout instead
@@ -62,18 +61,12 @@ struct ServerOptions
     std::string bindAddress = "127.0.0.1";
     /** TCP port; 0 picks an ephemeral port (read it via port()). */
     uint16_t port = 0;
-    /** listen(2) backlog. */
-    int listenBacklog = 128;
     /** Connections held at once; excess accepts are closed. */
     size_t maxConnections = 256;
     /** Admitted queries waiting for dispatch before shedding starts. */
     size_t maxPending = 128;
-    /** Queries inside the tile server at once (0 = pool lanes). */
-    size_t maxInflight = 0;
     /** Retry-after hint carried by shed responses, milliseconds. */
     uint32_t retryAfterMs = 50;
-    /** Per-connection write-buffer cap before disconnecting. */
-    size_t maxWriteBufferBytes = 64u << 20;
     /** Force the portable poll() backend even where epoll exists. */
     bool usePoll = false;
     /**

@@ -31,7 +31,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,30 +42,15 @@
 #include "util/failpoint.hh"
 #include "util/rng.hh"
 
+#include "temp_path.hh"
+
 using namespace earthplus;
 using namespace earthplus::ground;
 using failpoint::Schedule;
 using failpoint::Trigger;
+using testutil::TempPath;
 
 namespace {
-
-/** Temp path that cleans up after itself (archives are directories). */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(::testing::TempDir() + name)
-    {
-        std::filesystem::remove_all(path_);
-    }
-
-    ~TempPath() { std::filesystem::remove_all(path_); }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 /** Payload seed base: EARTHPLUS_CHAOS_SEED (default 1). */
 uint64_t

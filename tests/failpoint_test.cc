@@ -10,36 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "ground/archive_io.hh"
 #include "util/failpoint.hh"
 
+#include "temp_path.hh"
+
 using namespace earthplus;
 using failpoint::Schedule;
 using failpoint::Trigger;
+using testutil::TempPath;
 
 namespace {
-
-/** Temp file path that cleans up after itself. */
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string &name)
-        : path_(::testing::TempDir() + name)
-    {
-        std::filesystem::remove(path_);
-    }
-
-    ~TempFile() { std::filesystem::remove(path_); }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 /** Disarms every failpoint on scope exit so tests can't leak state. */
 struct DisarmGuard
@@ -216,7 +200,7 @@ TEST(Failpoint, MalformedSpecsAreRejected)
 TEST(ArchiveIo, InjectedWriteErrorFailsTheCall)
 {
     DisarmGuard guard;
-    TempFile file("archive_io_error.bin");
+    TempPath file("archive_io_error.bin");
     failpoint::arm("archive.io.write.error", always());
     std::vector<uint8_t> data(64, 0xAB);
     EXPECT_FALSE(ground::archive_io::createFile(file.str(),
@@ -231,7 +215,7 @@ TEST(ArchiveIo, InjectedWriteErrorFailsTheCall)
 TEST(ArchiveIo, InjectedErrorPersistsOnlyTheArgPrefix)
 {
     DisarmGuard guard;
-    TempFile file("archive_io_error_prefix.bin");
+    TempPath file("archive_io_error_prefix.bin");
     Schedule s = always();
     s.arg = 10;
     failpoint::arm("archive.io.write.error", s);
@@ -247,7 +231,7 @@ TEST(ArchiveIo, InjectedErrorPersistsOnlyTheArgPrefix)
 TEST(ArchiveIo, ShortWritesStillCompleteViaTheRetryLoop)
 {
     DisarmGuard guard;
-    TempFile file("archive_io_short.bin");
+    TempPath file("archive_io_short.bin");
     Schedule s = always();
     s.arg = 3; // every fwrite capped to 3 bytes
     failpoint::arm("archive.io.write.short", s);
@@ -265,7 +249,7 @@ TEST(ArchiveIo, ShortWritesStillCompleteViaTheRetryLoop)
 TEST(ArchiveIo, EintrStallsAreRetriedTransparently)
 {
     DisarmGuard guard;
-    TempFile file("archive_io_eintr.bin");
+    TempPath file("archive_io_eintr.bin");
     Schedule s;
     s.trigger = Trigger::NthHit;
     s.n = 1; // the first write iteration makes no progress
@@ -281,8 +265,8 @@ TEST(ArchiveIo, EintrStallsAreRetriedTransparently)
 TEST(ArchiveIo, CrashLatchPersistsPrefixThenGhostsEverything)
 {
     DisarmGuard guard;
-    TempFile file("archive_io_crash.bin");
-    TempFile other("archive_io_crash_other.bin");
+    TempPath file("archive_io_crash.bin");
+    TempPath other("archive_io_crash_other.bin");
     Schedule s;
     s.trigger = Trigger::NthHit;
     s.n = 1;
@@ -320,7 +304,7 @@ TEST(ArchiveIo, CrashLatchPersistsPrefixThenGhostsEverything)
 TEST(ArchiveIo, InjectedSyncErrorFailsTheCall)
 {
     DisarmGuard guard;
-    TempFile file("archive_io_sync.bin");
+    TempPath file("archive_io_sync.bin");
     std::vector<uint8_t> data(8, 1);
     ASSERT_TRUE(ground::archive_io::createFile(file.str(), data.data(),
                                                data.size()));

@@ -35,31 +35,13 @@
 #include "util/rng.hh"
 #include "util/telemetry.hh"
 
+#include "temp_path.hh"
+
 using namespace earthplus;
 using namespace earthplus::ground;
+using testutil::TempPath;
 
 namespace {
-
-/**
- * Temp path that cleans up after itself (recursively: sharded
- * archives are directories).
- */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(::testing::TempDir() + name)
-    {
-        std::filesystem::remove_all(path_);
-    }
-
-    ~TempPath() { std::filesystem::remove_all(path_); }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 /** Container file of the shard that `locationId` hashes to. */
 std::string
@@ -365,7 +347,7 @@ TEST(Archive, ShardingSpreadsLocationsAndPinsTheMapping)
 TEST(Archive, TruncatedShardTailIsRecoveredIndependently)
 {
     TempPath path("archive_truncated.epar");
-    auto [locA, locB] = twoLocationsInDifferentShards(Archive(""));
+    auto [locA, locB] = twoLocationsInDifferentShards(Archive(path.str()));
     auto payloadA = randomPayload(2000, 14);
     auto payloadB = randomPayload(800, 18);
     std::string shardA;
@@ -517,7 +499,8 @@ TEST(Archive, PayloadViewIsStableAcrossGrowth)
 
 TEST(Archive, CompactDropsSupersededRecords)
 {
-    Archive archive(""); // memory-backed
+    TempPath dir("compact_superseded");
+    Archive archive(dir.str());
     RecordMeta meta;
     meta.locationId = 1;
     meta.band = 0;
@@ -549,7 +532,8 @@ TEST(Archive, CompactUsesCaptureDayNotAppendOrder)
     // delta. Compaction must keep everything from the latest-by-day
     // full (day 3) and drop only the day-1 record, despite it being
     // the newest append.
-    Archive archive("");
+    TempPath dir("compact_capture_day");
+    Archive archive(dir.str());
     RecordMeta meta;
     meta.locationId = 7;
     auto add = [&](double day, bool full, uint64_t seed) {
@@ -872,6 +856,72 @@ TEST(ArchiveOpen, RegularFilePathFailsClosedAndIsLeftUntouched)
     EXPECT_EQ(slurp(path.str()), before);
 }
 
+TEST(ArchiveOpen, EmptyPathFailsClosedAndCreatesNothing)
+{
+    // An archive is a directory: an empty path must be refused by name,
+    // never read as "the working directory" (standard libraries
+    // disagree on what create_directories("") does).
+    TempPath cwd("archive_open_empty_cwd");
+    ASSERT_TRUE(std::filesystem::create_directory(cwd.str()));
+    std::filesystem::path saved = std::filesystem::current_path();
+    std::filesystem::current_path(cwd.str());
+    ArchiveOpenError err;
+    auto archive = Archive::open("", ArchiveOptions{}, &err);
+    std::filesystem::current_path(saved);
+    EXPECT_EQ(archive, nullptr);
+    EXPECT_EQ(err.kind, OpenErrorKind::Unwritable) << err.detail;
+    EXPECT_NE(err.detail.find("empty"), std::string::npos) << err.detail;
+    EXPECT_TRUE(std::filesystem::is_empty(cwd.str()));
+}
+
+TEST(ArchiveDeath, PayloadCorruptedAfterOpenIsFatal)
+{
+    // One byte of a payload rots on disk after open() scanned it clean.
+    // Every read path re-verifies the stored CRC and fail-stops rather
+    // than serving, compacting or re-blessing the bytes.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    TempPath dir("archive_payload_rot");
+    Archive archive(dir.str());
+    RecordMeta meta;
+    meta.locationId = 4;
+    meta.captureDay = 1.0;
+    meta.fullDownload = true;
+    archive.append(meta, randomPayload(500, 44));
+    meta.captureDay = 2.0;
+    meta.fullDownload = false;
+    size_t rotten = archive.append(meta, randomPayload(300, 45));
+    // Map the shard, then flip a payload byte through the file: the
+    // shared mapping sees the write.
+    ASSERT_EQ(archive.payloadView(0).size(), 500u);
+    {
+        std::fstream f(shardPathFor(archive, meta.locationId),
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekg(static_cast<std::streamoff>(
+            archive.record(rotten).payloadOffset + 7));
+        char byte = 0;
+        f.read(&byte, 1);
+        f.seekp(static_cast<std::streamoff>(
+            archive.record(rotten).payloadOffset + 7));
+        byte = static_cast<char>(byte ^ 0x20);
+        f.write(&byte, 1);
+    }
+    // Each child removes its own archive directory before the read
+    // (its destructors never run); the live mapping keeps the rotten
+    // shard readable.
+    auto dieReading = [&](auto read) {
+        std::filesystem::remove_all(dir.str());
+        read();
+    };
+    EXPECT_DEATH(dieReading([&] { archive.payloadView(rotten); }),
+                 "payload CRC mismatch");
+    EXPECT_DEATH(dieReading([&] { archive.loadPayload(rotten); }),
+                 "payload CRC mismatch");
+    EXPECT_DEATH(dieReading([&] { archive.compact(); }),
+                 "payload CRC mismatch");
+    EXPECT_DEATH(dieReading([&] { archive.applyStoragePressure(0); }),
+                 "payload CRC mismatch");
+}
+
 // ----------------------------------------------------- codec::decodeTiles
 
 TEST(DecodeTiles, SubsetMatchesFullDecode)
@@ -949,7 +999,8 @@ buildChain(Archive &archive, const raster::Plane &base,
 
 TEST(TileServer, ServesFullDownloadRect)
 {
-    Archive archive("");
+    TempPath dir("serve_full_rect");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 40);
     raster::Plane changed = testPlane(128, 128, 41);
     buildChain(archive, base, changed, 64);
@@ -978,7 +1029,8 @@ TEST(TileServer, ServesFullDownloadRect)
 
 TEST(TileServer, DeltaChainNewestTileWins)
 {
-    Archive archive("");
+    TempPath dir("serve_delta_chain");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 42);
     raster::Plane changed = testPlane(128, 128, 43);
     buildChain(archive, base, changed, 64);
@@ -1009,7 +1061,8 @@ TEST(TileServer, DeltaChainNewestTileWins)
 
 TEST(TileServer, QueriesBeforeFirstRecordAreNotFound)
 {
-    Archive archive("");
+    TempPath dir("serve_before_first");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 44);
     buildChain(archive, base, base, 64);
     TileServer server(archive);
@@ -1027,7 +1080,8 @@ TEST(TileServer, QueriesBeforeFirstRecordAreNotFound)
 
 TEST(TileServer, EdgeRectsTruncateAndBadRectsAreBadQuery)
 {
-    Archive archive("");
+    TempPath dir("serve_edge_rects");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 48);
     buildChain(archive, base, base, 64);
     TileServer server(archive);
@@ -1161,7 +1215,8 @@ TEST(TileServer, QueryValidationIsCentralized)
 
 TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
 {
-    Archive archive("");
+    TempPath dir("serve_quality_hint");
+    Archive archive(dir.str());
     raster::Plane img = testPlane(128, 128, 90);
     // Every record is an EPC4 stream, so the quality path can cut
     // both.
@@ -1208,7 +1263,8 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
 
 TEST(TileServer, ServeAsyncMatchesServeAndRunsCompletion)
 {
-    Archive archive("");
+    TempPath dir("serve_async");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 49);
     buildChain(archive, base, base, 64);
     TileServer server(archive);
@@ -1255,7 +1311,8 @@ TEST(TileServer, ServeAsyncMatchesServeAndRunsCompletion)
 
 TEST(TileServer, StatsViewWindowsTheRegistry)
 {
-    Archive archive("");
+    TempPath dir("serve_stats_window");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 50);
     buildChain(archive, base, base, 64);
 
@@ -1287,7 +1344,8 @@ TEST(TileServer, StatsViewWindowsTheRegistry)
 
 TEST(TileServer, CacheHitsOnRepeatAndBatchMatchesSerial)
 {
-    Archive archive("");
+    TempPath dir("serve_cache_batch");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(256, 256, 45);
     raster::Plane changed = testPlane(256, 256, 46);
     buildChain(archive, base, changed, 64);
@@ -1330,7 +1388,8 @@ TEST(TileServer, TwoQueriesShareOneCachedTile)
     // different parts of one tile both get the decoder's pixels, and
     // the cached tile is unchanged afterwards: the first rect served
     // again from the cache is identical to its first serve.
-    Archive archive("");
+    TempPath dir("serve_shared_tile");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 49);
     buildChain(archive, base, base, 64);
     codec::EncodeParams ep;
@@ -1385,7 +1444,8 @@ TEST(DecodedTileCache, HitsShareTheStoredTileAndCountItsBytes)
 
 TEST(TileServer, CacheEvictsUnderTightBudget)
 {
-    Archive archive("");
+    TempPath dir("serve_cache_evicts");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(256, 256, 48);
     buildChain(archive, base, base, 64);
 
@@ -1405,7 +1465,8 @@ TEST(TileServer, CacheEvictsUnderTightBudget)
 
 TEST(TileServer, ConcurrentIdenticalQueriesDecodeEachTileOnce)
 {
-    Archive archive("");
+    TempPath dir("serve_coalesce");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(256, 256, 60);
     buildChain(archive, base, base, 64);
 
@@ -1442,7 +1503,8 @@ TEST(TileServer, ConcurrentIdenticalQueriesDecodeEachTileOnce)
 
 TEST(TileServer, SequentialDayAccessPrefetchesNextChainStep)
 {
-    Archive archive("");
+    TempPath dir("serve_prefetch");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 61);
     codec::EncodeParams ep;
     ep.bitsPerPixel = 4.0;
@@ -1495,7 +1557,8 @@ TEST(TileServer, SequentialDayAccessPrefetchesNextChainStep)
 
 TEST(TileServer, LatencyPercentilesTrackQueries)
 {
-    Archive archive("");
+    TempPath dir("serve_latency");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 63);
     buildChain(archive, base, base, 64);
     TileServer server(archive);
@@ -1518,7 +1581,8 @@ TEST(TileServer, LatencyPercentilesTrackQueries)
 TEST(TileServer, LatencyPercentilesMatchSortedReference)
 {
     telemetry::setMetricsEnabled(true);
-    Archive archive("");
+    TempPath dir("serve_latency_ref");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 64);
     buildChain(archive, base, base, 64);
     TileServer server(archive);
@@ -1582,7 +1646,8 @@ TEST(TileServer, LatencyPercentilesMatchSortedReference)
 
 TEST(TileServer, ServeBatchTraceExportsCompleteEvents)
 {
-    Archive archive("");
+    TempPath dir("serve_batch_trace");
+    Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 65);
     buildChain(archive, base, base, 64);
     TileServer server(archive);
@@ -1710,8 +1775,10 @@ TEST(GroundStation, GoldenRoundTripWithLossAndRetransmission)
 {
     // The acceptance path: encode -> packetize -> >=10% loss ->
     // retransmit -> reassemble -> byte-identical EncodedImage.
+    TempPath dir("station_golden");
     GroundSegmentParams gp;
     gp.enabled = true;
+    gp.archivePath = dir.str();
     gp.channel.payloadBytesPerPacket = 256;
     gp.channel.lossProbability = 0.15;
     gp.channel.bytesPerContact = 1e9;
@@ -1759,8 +1826,10 @@ TEST(GroundStation, GoldenRoundTripWithLossAndRetransmission)
 
 TEST(GroundStation, MultiContactMultiCapture)
 {
+    TempPath dir("station_multi_contact");
     GroundSegmentParams gp;
     gp.enabled = true;
+    gp.archivePath = dir.str();
     gp.channel.payloadBytesPerPacket = 512;
     gp.channel.lossProbability = 0.10;
     gp.channel.bytesPerContact = 60e3; // forces multi-contact transfers
@@ -1808,9 +1877,11 @@ TEST(GroundSegmentE2E, SimulationDeliversEverythingUnderLoss)
     spec.startDay = 120.0;
     spec.endDay = 132.0;
 
+    TempPath dir("ground_segment_e2e");
     core::SimParams params;
     params.maxCaptures = 6;
     params.groundSegment.enabled = true;
+    params.groundSegment.archivePath = dir.str();
     params.groundSegment.channel.lossProbability = 0.12;
     params.groundSegment.channel.payloadBytesPerPacket = 1024;
     params.groundSegment.channel.bytesPerContact = 15e9;

@@ -37,9 +37,12 @@
 #include "util/rng.hh"
 #include "util/telemetry.hh"
 
+#include "temp_path.hh"
+
 using namespace earthplus;
 using namespace earthplus::ground;
 using namespace earthplus::net;
+using testutil::TempPath;
 
 namespace {
 
@@ -350,9 +353,10 @@ class LoopbackServer
 {
   public:
     explicit LoopbackServer(ServerOptions options = {})
-        : archive_(""), tiles_((buildChain(archive_, testPlane(128, 128, 9),
-                                           64),
-                                archive_))
+        : dir_("net_loopback_" + std::to_string(instances_++)),
+          archive_(dir_.str()),
+          tiles_((buildChain(archive_, testPlane(128, 128, 9), 64),
+                  archive_))
     {
         server_ = std::make_unique<Server>(tiles_, options);
         EXPECT_TRUE(server_->start());
@@ -363,6 +367,9 @@ class LoopbackServer
     void stopServer() { server_->stop(); }
 
   private:
+    /** Numbers each fixture's archive directory. */
+    static inline std::atomic<int> instances_{0};
+    TempPath dir_;
     Archive archive_;
     TileServer tiles_;
     std::unique_ptr<Server> server_;

@@ -2,19 +2,21 @@
  * @file
  * earthplus_tile_serverd — the standalone EPT serving daemon.
  *
- * Opens (or synthesizes) an archive, wraps it in a ground::TileServer,
- * and fronts it with a net::Server speaking the EPTQ/EPTR protocol
- * (docs/ARCHITECTURE.md). Runs until SIGINT/SIGTERM, then drains and
- * exits cleanly.
+ * Opens the archive named by `--archive`, wraps it in a
+ * ground::TileServer, and fronts it with a net::Server speaking the
+ * EPTQ/EPTR protocol (docs/ARCHITECTURE.md). Runs until
+ * SIGINT/SIGTERM, then drains and exits cleanly.
  *
- * `--selftest` replaces the serve loop with a loopback round trip
- * against an in-memory synthetic archive — the CI smoke test that the
- * daemon can bind, handshake, serve pixels over the wire, and shut
- * down without leaks.
+ * `--selftest` replaces the serve loop with a loopback round trip —
+ * the CI smoke test that the daemon can bind, handshake, serve pixels
+ * over the wire, and shut down without leaks. Without `--archive` it
+ * writes a one-record synthetic archive into a fresh directory under
+ * $TMPDIR (default /tmp) and removes it afterwards.
  *
  * A malformed option (unknown, missing its value, or a numeric value
  * that is not a whole number in its field's range) prints the usage
- * text and exits with status 2.
+ * text and exits with status 2, and so does serving without
+ * `--archive`.
  */
 
 #include <atomic>
@@ -27,6 +29,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -56,8 +60,8 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
-        "  --archive DIR        sharded archive to serve (default: "
-        "in-memory synthetic)\n"
+        "  --archive DIR        sharded archive to serve (required "
+        "unless --selftest)\n"
         "  --port N             TCP port (default 7455; 0 = ephemeral)\n"
         "  --cache-mb N         decoded-tile cache budget (default 64)\n"
         "  --max-connections N  concurrent connections (default 256)\n"
@@ -68,7 +72,8 @@ usage(const char *argv0)
         "  --sync MODE          archive durability: none, interval, "
         "always (default none)\n"
         "  --poll               force the poll() backend over epoll\n"
-        "  --selftest           loopback round trip, then exit\n",
+        "  --selftest           loopback round trip, then exit "
+        "(default archive: synthetic, in a temp directory)\n",
         argv0);
 }
 
@@ -89,7 +94,38 @@ parseIntArg(const char *text, long long hi, long long &out)
     return true;
 }
 
-/** Synthetic archive content when no --archive is given. */
+/** A fresh directory under $TMPDIR, removed with everything in it. */
+class TempDir
+{
+  public:
+    TempDir()
+    {
+        const char *tmp = std::getenv("TMPDIR");
+        path_ = std::string(tmp && *tmp ? tmp : "/tmp") +
+                "/earthplus_serverd.XXXXXX";
+        if (!::mkdtemp(path_.data())) {
+            std::fprintf(stderr, "cannot create temp directory '%s': %s\n",
+                         path_.c_str(), std::strerror(errno));
+            std::exit(1);
+        }
+    }
+
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+/** Synthetic --selftest content when no --archive is given. */
 void
 buildSynthetic(ground::Archive &archive)
 {
@@ -204,6 +240,18 @@ main(int argc, char **argv)
             return arg == "--help" ? 0 : 2;
         }
     }
+    if (archivePath.empty() && !runSelftest) {
+        usage(argv[0]);
+        return 2;
+    }
+
+    // A selftest without --archive serves a synthetic archive from a
+    // fresh temp directory, removed on every exit path below.
+    std::optional<TempDir> synthetic;
+    if (archivePath.empty()) {
+        synthetic.emplace();
+        archivePath = synthetic->path();
+    }
 
     // Open through the typed-error factory so a bad archive is an
     // orderly nonzero exit, not an abort.
@@ -216,7 +264,7 @@ main(int argc, char **argv)
         return 1;
     }
     ground::Archive &archive = *archivePtr;
-    if (archivePath.empty())
+    if (synthetic)
         buildSynthetic(archive);
     else if (archive.recordCount() == 0)
         std::fprintf(stderr, "warning: archive '%s' is empty\n",
@@ -248,7 +296,7 @@ main(int argc, char **argv)
     sigaction(SIGTERM, &sa, nullptr);
     std::printf("earthplus_tile_serverd: serving %s on %s:%u "
                 "(%zu records)\n",
-                archivePath.empty() ? "<synthetic>" : archivePath.c_str(),
+                archivePath.c_str(),
                 options.bindAddress.c_str(),
                 static_cast<unsigned>(server.port()),
                 archive.recordCount());
