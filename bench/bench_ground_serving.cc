@@ -380,7 +380,9 @@ runNetBench(const Archive &archive, const std::string &jsonPath)
     int dflt = util::ThreadPool::defaultThreadCount();
     util::ThreadPool::setGlobalThreads(1);
 
-    TileServer tiles(archive, 256u << 20);
+    TileServerOptions tileOptions;
+    tileOptions.cacheBytes = 256u << 20;
+    TileServer tiles(archive, tileOptions);
     net::ServerOptions options;
     options.maxPending = 128;
     net::Server server(tiles, options);
@@ -488,7 +490,9 @@ runTracePhase(const Archive &archive, const std::string &path)
 {
     telemetry::setTracing(true);
     {
-        TileServer server(archive, 64u << 20);
+        TileServerOptions tileOptions;
+        tileOptions.cacheBytes = 64u << 20;
+        TileServer server(archive, tileOptions);
         // Sequential-day walk: the second forward step looks
         // sequential, so the prefetcher posts background work.
         for (int d = 0; d <= kDeltasPerLocation; ++d) {
@@ -580,7 +584,9 @@ main(int argc, char **argv)
 
         // Fresh server per client count: the cold pass fills the
         // cache, warm passes measure steady-state serving.
-        TileServer server(archive, 256u << 20);
+        TileServerOptions tileOptions;
+        tileOptions.cacheBytes = 256u << 20;
+        TileServer server(archive, tileOptions);
         double coldQps = totalQueries / runClients(server, workloads);
         server.waitForPrefetchIdle();
         server.resetStats();

@@ -9,8 +9,9 @@
 #   asan    ASan+UBSan build of the byte-level parser suites
 #   tsan    TSan build of the concurrent archive/serving/codec suites
 #   chaos   fault-injection sweep: failpoint + crash-consistency +
-#           net-fault suites plus the progressive-stream truncation
-#           fuzz and the stream mutation fuzz across several
+#           net-fault suites plus the archive open-scan fuzz, the
+#           progressive-stream truncation fuzz and the stream
+#           mutation fuzz across several
 #           EARTHPLUS_CHAOS_SEED values, plus the
 #           chaos probe with its recovery-counter gate — and the same
 #           suites again under ASan
@@ -215,7 +216,11 @@ run_chaos() {
     # no acknowledged record is lost; EARTHPLUS_CHAOS_SEED varies the
     # payload contents across runs without changing the boundary
     # structure, so a few seeds buy coverage cheaply.
-    # The stream-prefix fuzz rides along: each seed cuts EPC4 streams
+    # The archive open-scan fuzz in crash_consistency_test rides along:
+    # each seed damages shard files with its own byte flips, length-
+    # word rewrites, truncations and foreign tails, and open() must
+    # fail typed or hand back only payloads that verify.
+    # The stream-prefix fuzz rides along too: each seed cuts EPC4 streams
     # short at a different set of offsets and asserts every prefix
     # fails with a typed error instead of a crash — and so does the
     # stream mutation fuzz, whose seed picks the length-word rewrites

@@ -17,19 +17,35 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-// Hosts where a MAP_SHARED mapping is documented to see file growth
-// within the mapped range (Linux, Darwin). Elsewhere POSIX leaves it
-// unspecified, so mappings are sized to the file and remapped on
-// growth instead of over-mapped.
-#if defined(__linux__) || defined(__APPLE__)
-#define EARTHPLUS_ARCHIVE_MMAP_GROWS 1
-#else
-#define EARTHPLUS_ARCHIVE_MMAP_GROWS 0
-#endif
-
 namespace earthplus::ground {
 
 namespace fs = std::filesystem;
+
+/** A read-only mapping of a file's first size() bytes. */
+class Mapping
+{
+  public:
+    /** Adopt the mapping of `size` bytes at `addr`. */
+    Mapping(const void *addr, size_t size)
+        : data_(static_cast<const uint8_t *>(addr)), size_(size)
+    {
+    }
+
+    ~Mapping() { ::munmap(const_cast<uint8_t *>(data_), size_); }
+
+    Mapping(const Mapping &) = delete;
+    Mapping &operator=(const Mapping &) = delete;
+
+    /** First mapped byte. */
+    const uint8_t *data() const { return data_; }
+
+    /** Mapped bytes: the file's size when it was mapped. */
+    size_t size() const { return size_; }
+
+  private:
+    const uint8_t *data_;
+    size_t size_;
+};
 
 namespace {
 
@@ -159,6 +175,49 @@ writeContainerHeader(const std::string &path)
     return archive_io::createFile(path, header.data(), header.size());
 }
 
+/** A whole-file mapping attempt. */
+struct FileMapping
+{
+    /** False when the file could not be opened or stat'ed. */
+    bool opened = false;
+    /** The file's size as fstat saw it. */
+    uint64_t fileBytes = 0;
+    /** Mapping of all fileBytes, or null (file too short, or mmap
+     *  failed). */
+    std::shared_ptr<const Mapping> mapping;
+};
+
+/**
+ * Map exactly the bytes the file at `path` holds — portable POSIX,
+ * which leaves pages a file grows into after mmap() unspecified — when
+ * it holds at least `minBytes` (> 0). A file that is too short is not
+ * mapped.
+ */
+FileMapping
+mapWholeFile(const std::string &path, uint64_t minBytes)
+{
+    FileMapping out;
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return out;
+    struct stat st;
+    out.opened = ::fstat(fd, &st) == 0;
+    if (out.opened) {
+        out.fileBytes = static_cast<uint64_t>(st.st_size);
+        if (out.fileBytes >= minBytes) {
+            size_t len = static_cast<size_t>(out.fileBytes);
+            void *addr =
+                ::mmap(nullptr, len, PROT_READ, MAP_SHARED, fd, 0);
+            if (addr != MAP_FAILED) {
+                out.mapping = std::make_shared<const Mapping>(addr, len);
+                archiveMetrics().bytesMapped.add(len);
+            }
+        }
+    }
+    ::close(fd);
+    return out;
+}
+
 /** Outcome of scanning one container file. */
 struct ScanResult
 {
@@ -167,113 +226,95 @@ struct ScanResult
     OpenErrorKind error = OpenErrorKind::None;
     /** Human-readable detail for a non-None error. */
     std::string detail;
+    /** The scan's mapping of the whole file when the scan truncated
+     *  nothing (the shard's first read mapping), else null. */
+    std::shared_ptr<const Mapping> mapping;
 };
 
 /**
- * Scan one shard container file, recovering the valid record prefix.
- * A *torn-write* tail — one that begins with our own record magic, or
- * is too short to judge — stops the scan and is cut off so the next
- * append starts on a clean tail. A tail that provably was never
- * ours (>= 4 readable bytes with the wrong record magic: a foreign
- * writer grew the shard) is a fail-closed error instead — nothing is
- * truncated, the bytes are preserved for forensics.
+ * Scan one shard container file through a mapping of it, recovering
+ * the valid record prefix. A *torn-write* tail — one that begins with
+ * our own record magic, is too short to judge, or claims a payload
+ * the file does not hold — stops the scan and is cut off so the next
+ * append starts on a clean tail. A tail that provably was never ours
+ * (>= 4 bytes with the wrong record magic: a foreign writer grew the
+ * shard) is a fail-closed error instead — nothing is truncated, the
+ * bytes are preserved for forensics.
  */
 ScanResult
 scanContainerFile(const std::string &path, std::vector<RecordEntry> &out)
 {
     ScanResult result;
     ScanReport &report = result.report;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        // Ghost mode: the file this open "created" was never
-        // persisted because the simulated process already died.
-        // Present it as the empty container the creator thinks it is.
+    // Ghost mode: a container this open "created" was never persisted
+    // (or was torn) because the simulated process already died; it
+    // reads as the empty container its (dead) creator believes it
+    // wrote, so the discarded ghost instance does not fail the scan.
+    auto reject = [&](std::string detail) {
         if (archive_io::crashed()) {
             report.validBytes = kFileHeaderBytes;
-            return result;
+        } else {
+            result.error = OpenErrorKind::BadShard;
+            result.detail = std::move(detail);
         }
-        result.error = OpenErrorKind::BadShard;
-        result.detail = strfmt("cannot open archive container '%s'",
-                               path.c_str());
-        return result;
-    }
+        return std::move(result);
+    };
+    FileMapping file = mapWholeFile(path, kFileHeaderBytes);
+    if (!file.opened)
+        return reject(strfmt("cannot open archive container '%s'",
+                             path.c_str()));
+    if (file.fileBytes < kFileHeaderBytes)
+        return reject(strfmt(
+            "'%s' is not an Earth+ archive container (%s)", path.c_str(),
+            file.fileBytes == 0 ? "zero-byte file"
+                                : "bad or truncated file header"));
+    if (!file.mapping)
+        return reject(strfmt("cannot map archive container '%s'",
+                             path.c_str()));
+    const uint8_t *bytes = file.mapping->data();
+    const uint64_t size = file.fileBytes;
+    if (readPodAt<uint32_t>(bytes, 0) != kFileMagic)
+        return reject(strfmt(
+            "'%s' is not an Earth+ archive container (bad or truncated "
+            "file header)", path.c_str()));
+    uint32_t version = readPodAt<uint32_t>(bytes, 4);
+    if (version != kVersion)
+        return reject(strfmt(
+            "archive container '%s' has unsupported version %u",
+            path.c_str(), version));
 
-    uint8_t fileHeader[kFileHeaderBytes];
-    size_t gotHeader = std::fread(fileHeader, 1, kFileHeaderBytes, f);
-    if (gotHeader != kFileHeaderBytes ||
-        readPodAt<uint32_t>(fileHeader, 0) != kFileMagic) {
-        std::fclose(f);
-        // Ghost mode: a container header torn by the simulated crash
-        // reads as the empty container its (dead) creator believes it
-        // wrote; the discarded ghost instance must not fail the scan.
-        if (archive_io::crashed()) {
-            report.validBytes = kFileHeaderBytes;
-            return result;
-        }
-        result.error = OpenErrorKind::BadShard;
-        result.detail = strfmt(
-            "'%s' is not an Earth+ archive container (%s)",
-            path.c_str(),
-            gotHeader == 0 ? "zero-byte file"
-                           : "bad or truncated file header");
-        return result;
-    }
-    uint32_t version = readPodAt<uint32_t>(fileHeader, 4);
-    if (version != kVersion) {
-        std::fclose(f);
-        if (archive_io::crashed()) {
-            report.validBytes = kFileHeaderBytes;
-            return result;
-        }
-        result.error = OpenErrorKind::BadShard;
-        result.detail =
-            strfmt("archive container '%s' has unsupported version %u",
-                   path.c_str(), version);
-        return result;
-    }
-
-    // Scan records until the end of the file or the first corrupt /
+    // Walk records until the end of the file or the first corrupt /
     // truncated record; everything before it stays usable.
     uint64_t pos = kFileHeaderBytes;
     bool foreignTail = false;
-    for (;;) {
-        uint8_t buf[kRecordHeaderBytes];
-        if (!archive_io::seekTo(f, pos))
-            break;
-        size_t got = std::fread(buf, 1, kRecordHeaderBytes, f);
-        if (got == 0)
-            break; // clean end of file
-        if (got < kRecordHeaderBytes) {
-            report.truncatedTail = true;
-            foreignTail = got >= 4 &&
-                readPodAt<uint32_t>(buf, 0) != kRecordMagic;
-            break;
-        }
+    while (pos < size) {
+        const uint8_t *at = bytes + pos;
+        uint64_t left = size - pos;
+        // Our own torn header always starts with the record magic
+        // (headers are written front-first); anything else with room
+        // for a magic is a tail some other writer appended.
         RecordEntry entry;
-        if (!parseRecordHeader(buf, entry)) {
+        if (left < kRecordHeaderBytes || !parseRecordHeader(at, entry)) {
             report.truncatedTail = true;
-            // Our own torn header always starts with the record magic
-            // (headers are written front-first); anything else is a
-            // tail some other writer appended.
-            foreignTail = readPodAt<uint32_t>(buf, 0) != kRecordMagic;
+            foreignTail =
+                left >= 4 && readPodAt<uint32_t>(at, 0) != kRecordMagic;
             break;
         }
         entry.payloadOffset = pos + kRecordHeaderBytes;
         // The payload must fit in the file and match its CRC; a bad
-        // tail payload means the append was cut short.
-        std::vector<uint8_t> payload(entry.meta.payloadBytes);
-        size_t gotPayload = payload.empty()
-            ? 0
-            : std::fread(payload.data(), 1, payload.size(), f);
-        if (gotPayload != payload.size() ||
-            crc32(payload.data(), payload.size()) != entry.payloadCrc) {
+        // tail payload means the append was cut short. The length is
+        // checked against the bytes left before anything is read, so
+        // a header claiming more than the file holds is a torn tail.
+        if (entry.meta.payloadBytes > left - kRecordHeaderBytes ||
+            crc32(bytes + entry.payloadOffset,
+                  static_cast<size_t>(entry.meta.payloadBytes)) !=
+                entry.payloadCrc) {
             report.truncatedTail = true;
             break;
         }
         out.push_back(entry);
         pos += kRecordHeaderBytes + entry.meta.payloadBytes;
     }
-    std::fclose(f);
 
     report.recordCount = out.size();
     report.validBytes = pos;
@@ -286,21 +327,23 @@ scanContainerFile(const std::string &path, std::vector<RecordEntry> &out)
             static_cast<unsigned long long>(pos));
         return result;
     }
-    if (report.truncatedTail) {
-        // Drop the garbage so the next append starts on a clean tail.
-        // The truncate is one metadata operation: the valid prefix is
-        // never rewritten, so a crash here cannot lose it.
-        warn("archive container '%s': discarding corrupt tail after "
-             "%llu bytes (%zu records recovered)", path.c_str(),
-             static_cast<unsigned long long>(pos), out.size());
-        archiveMetrics().tailTruncated.add();
-        if (!archive_io::truncateFile(path, pos)) {
-            result.error = OpenErrorKind::Unwritable;
-            result.detail =
-                strfmt("cannot truncate archive container '%s'",
-                       path.c_str());
-            return result;
-        }
+    if (!report.truncatedTail) {
+        result.mapping = std::move(file.mapping);
+        return result;
+    }
+    // Drop the garbage so the next append starts on a clean tail. The
+    // mapping goes first: it must not outlive the bytes it covers.
+    // The truncate is one metadata operation: the valid prefix is
+    // never rewritten, so a crash here cannot lose it.
+    file.mapping.reset();
+    warn("archive container '%s': discarding corrupt tail after "
+         "%llu bytes (%zu records recovered)", path.c_str(),
+         static_cast<unsigned long long>(pos), out.size());
+    archiveMetrics().tailTruncated.add();
+    if (!archive_io::truncateFile(path, pos)) {
+        result.error = OpenErrorKind::Unwritable;
+        result.detail = strfmt("cannot truncate archive container '%s'",
+                               path.c_str());
     }
     return result;
 }
@@ -322,28 +365,6 @@ appendRecordToFile(const std::string &path, uint64_t offset,
     return payload.empty() ||
            archive_io::writeAt(path, offset + header.size(),
                                payload.data(), payload.size());
-}
-
-/** Read `size` bytes at `offset` from `path` (stdio fallback path). */
-std::vector<uint8_t>
-readFileRange(const std::string &path, uint64_t offset, size_t size)
-{
-    std::vector<uint8_t> bytes(size);
-    // A private handle per call keeps concurrent reads free of shared
-    // seek state.
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("cannot open archive shard '%s'", path.c_str());
-    bool ok = archive_io::seekTo(f, offset) &&
-              (bytes.empty() ||
-               std::fread(bytes.data(), 1, bytes.size(), f) ==
-                   bytes.size());
-    std::fclose(f);
-    if (!ok)
-        fatal("archive shard '%s': range [%llu, +%zu) unreadable",
-              path.c_str(), static_cast<unsigned long long>(offset),
-              size);
-    return bytes;
 }
 
 /** Shard container file name for shard `idx`. */
@@ -418,17 +439,6 @@ Archive::openFail(OpenErrorKind kind, std::string detail)
         err_->detail = std::move(detail);
     }
     return false;
-}
-
-Archive::~Archive()
-{
-    for (auto &shard : shards_) {
-        if (shard->mapAddr)
-            ::munmap(const_cast<uint8_t *>(shard->mapAddr),
-                     shard->mapLen);
-        for (auto &[addr, len] : shard->retired)
-            ::munmap(const_cast<uint8_t *>(addr), len);
-    }
 }
 
 int
@@ -636,6 +646,7 @@ Archive::openShards(int shardCount)
             return openFail(scan.error, std::move(scan.detail));
         shard.scan = scan.report;
         shard.appendOffset = shard.scan.validBytes;
+        shard.mapping = std::move(scan.mapping);
         for (const RecordEntry &entry : entries) {
             uint32_t local = static_cast<uint32_t>(shard.records.size());
             shard.records.push_back(entry);
@@ -792,71 +803,21 @@ Archive::keys() const
     return out;
 }
 
-bool
-Archive::ensureMapped(Shard &shard, uint64_t end) const
+std::shared_ptr<const Mapping>
+Archive::mappingCovering(Shard &shard, uint64_t end) const
 {
-    // Retired mappings are retained for the archive's lifetime (views
-    // may aim into them). With doubling growth the list stays tiny;
-    // on hosts mapped exactly to file size it grows per remap, so cap
-    // it and degrade to the stdio fallback instead of accumulating
-    // mappings without bound.
-    constexpr size_t kMaxRetiredMappings = 64;
-    if (shard.mapAddr && end <= shard.mapValidBytes)
-        return true;
-    if (shard.retired.size() >= kMaxRetiredMappings)
-        return false;
-#if EARTHPLUS_ARCHIVE_MMAP_GROWS
-    // Growth-visible hosts: the mapping may extend past the file, and
-    // pages become readable as appends grow the file underneath it.
-    // Before touching pages past the size observed at map time,
-    // re-validate that the file has actually grown to cover them.
-    if (shard.mapAddr && end <= shard.mapLen) {
-        struct stat st;
-        if (::stat(shard.path.c_str(), &st) != 0 ||
-            static_cast<uint64_t>(st.st_size) < end)
-            return false;
-        shard.mapValidBytes =
-            std::min<uint64_t>(static_cast<uint64_t>(st.st_size),
-                               shard.mapLen);
-        return true;
-    }
-#endif
-    int fd = ::open(shard.path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-    struct stat st;
-    if (::fstat(fd, &st) != 0 ||
-        static_cast<uint64_t>(st.st_size) < end) {
-        ::close(fd);
-        return false;
-    }
-#if EARTHPLUS_ARCHIVE_MMAP_GROWS
-    // Map with doubling growth so the retired-mapping list stays
-    // O(log growth) per shard instead of one mapping per growth-read
-    // cycle. Reads never pass mapValidBytes, so the excess pages are
-    // only touched once the file has grown over them (re-validated
-    // above).
-    size_t len = std::max(static_cast<size_t>(st.st_size),
-                          shard.mapLen * 2);
-#else
-    // Portability fallback: POSIX leaves references to file regions
-    // grown after mmap() unspecified, so map exactly the current size
-    // and remap on every growth.
-    size_t len = static_cast<size_t>(st.st_size);
-#endif
-    void *addr = ::mmap(nullptr, len, PROT_READ, MAP_SHARED, fd, 0);
-    ::close(fd);
-    if (addr == MAP_FAILED)
-        return false;
-    archiveMetrics().bytesMapped.add(len);
-    // Outstanding PayloadViews aim into the old mapping, so it is
-    // retired (freed at destruction), never unmapped here.
-    if (shard.mapAddr)
-        shard.retired.emplace_back(shard.mapAddr, shard.mapLen);
-    shard.mapAddr = static_cast<const uint8_t *>(addr);
-    shard.mapLen = len;
-    shard.mapValidBytes = static_cast<uint64_t>(st.st_size);
-    return true;
+    if (shard.mapping && end <= shard.mapping->size())
+        return shard.mapping;
+    // The file grew past the mapping: map it afresh. Views into the
+    // old mapping keep it alive; the shard lets go of it here.
+    FileMapping file = mapWholeFile(shard.path, end);
+    if (!file.mapping)
+        fatal("archive shard '%s': cannot map bytes [0, %llu) — the "
+              "file holds %llu bytes, or mmap failed",
+              shard.path.c_str(), static_cast<unsigned long long>(end),
+              static_cast<unsigned long long>(file.fileBytes));
+    shard.mapping = std::move(file.mapping);
+    return shard.mapping;
 }
 
 PayloadView
@@ -865,20 +826,14 @@ Archive::readPayloadLocked(Shard &shard, size_t gid, uint32_t local,
 {
     const RecordEntry entry = shard.records[local];
     size_t size = static_cast<size_t>(entry.meta.payloadBytes);
-    const uint8_t *mapped =
-        ensureMapped(shard, entry.payloadOffset + size)
-            ? shard.mapAddr + entry.payloadOffset
-            : nullptr;
-    // Everything read from here on is immutable by construction: a
-    // written record's bytes never change and mappings are retired
-    // (not unmapped) while the archive lives.
+    std::shared_ptr<const Mapping> mapping =
+        mappingCovering(shard, entry.payloadOffset + size);
+    // The view co-owns the mapping and a written record's bytes never
+    // change, so nothing from here on needs the shard lock.
     if (release)
         release->unlock();
-    // Unmappable shard: a private stdio read per call.
-    PayloadView view =
-        mapped ? PayloadView(mapped, size)
-               : PayloadView(readFileRange(shard.path,
-                                           entry.payloadOffset, size));
+    const uint8_t *data = mapping->data() + entry.payloadOffset;
+    PayloadView view(std::move(mapping), data, size);
     if (crc32(view.data(), view.size()) != entry.payloadCrc)
         fatal("archive '%s': record %zu payload CRC mismatch",
               path_.c_str(), gid);
@@ -1021,10 +976,9 @@ Archive::rewriteAllShardsLocked(
     }
     archive_io::syncDir(path_);
 
-    // Reset every shard. Rewriting a file invalidates the *content*
-    // behind its mapping, so the mapping is retired along with any
-    // outstanding views (the API contract: a full rewrite invalidates
-    // views and indices).
+    // Reset every shard. The renamed-over file lives on only through
+    // the views still mapping it, and its blocks are freed when the
+    // last of them drops; the next read maps the new file.
     globalRecords_.clear();
     uint64_t after = 0;
     for (auto &shardPtr : shards_) {
@@ -1033,12 +987,7 @@ Archive::rewriteAllShardsLocked(
         shard.index.clear();
         shard.appendOffset = kFileHeaderBytes;
         shard.bytesSinceSync = 0;
-        if (shard.mapAddr) {
-            shard.retired.emplace_back(shard.mapAddr, shard.mapLen);
-            shard.mapAddr = nullptr;
-            shard.mapLen = 0;
-            shard.mapValidBytes = 0;
-        }
+        shard.mapping.reset();
     }
 
     // Replay the records in their original global order to rebuild

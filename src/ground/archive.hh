@@ -32,13 +32,17 @@
  * rebuild the in-memory indexes and is corruption-tolerant per shard:
  * a truncated or corrupt tail record stops that shard's scan, the
  * valid prefix stays usable, and the next append to the shard rewinds
- * over the garbage. Payload reads are backed by `mmap` (with a stdio
- * fallback when a shard cannot be mapped), so serving resolves delta
- * chains zero-copy: payloadView() hands out pointers into the mapping
- * and the codec parses the stream straight out of the page cache. Views
- * stay valid for the archive's lifetime — grown files are remapped,
- * and superseded mappings are retired, not unmapped, until the
- * archive is destroyed. compact() drops records captured before the
+ * over the garbage. Every byte read after the manifest comes through
+ * a read-only `mmap` of the shard file, sized to the bytes the file
+ * held when it was mapped: the open scan walks that mapping, and a
+ * read past its end maps the grown file afresh. payloadView() hands
+ * out pointers into the mapping, so serving resolves delta chains
+ * zero-copy and the codec parses the stream straight out of the page
+ * cache. A view co-owns the mapping it points into, which is unmapped
+ * when the shard and the last view into it let go — so a view stays
+ * valid across appends, across compact() and after the archive is
+ * destroyed, and a rewritten shard's old file frees its blocks once
+ * its last view drops. compact() drops records captured before the
  * latest full download of their (location, band) — queries for the
  * pruned days stop resolving, which is the storage/history trade-off
  * compaction exists to make.
@@ -177,34 +181,25 @@ struct ScanReport
 };
 
 /**
- * Borrowed view of one record's payload bytes.
- *
- * The pointer aims straight into the shard file's read-only mapping
- * (zero-copy); on the stdio fallback path (the shard could not be
- * mapped) the view owns a heap copy. Either way the bytes stay valid
- * for the lifetime of the Archive that produced the view (mappings are
- * retired, never unmapped, while the archive lives).
+ * Read-only mapping of a shard file's first bytes (defined in
+ * archive.cc). Shared by the shard that made it and by every
+ * PayloadView into it; the last owner to let go unmaps it.
+ */
+class Mapping;
+
+/**
+ * View of one record's payload bytes, zero-copy: the pointer aims
+ * straight into the read-only mapping of the record's shard file, and
+ * the view co-owns that mapping. The bytes therefore stay valid for
+ * the view's own lifetime — across later appends, across compact()
+ * and applyStoragePressure(), and after the Archive is destroyed.
  */
 class PayloadView
 {
   public:
     PayloadView() = default;
 
-    /** Zero-copy view into storage owned by the archive. */
-    PayloadView(const uint8_t *data, size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    /** Owning view (portable fallback path). */
-    explicit PayloadView(std::vector<uint8_t> owned)
-        : owned_(std::make_shared<std::vector<uint8_t>>(std::move(owned)))
-    {
-        data_ = owned_->data();
-        size_ = owned_->size();
-    }
-
-    /** First payload byte (null for an empty payload). */
+    /** First payload byte (null for a default-constructed view). */
     const uint8_t *data() const { return data_; }
 
     /** Payload size in bytes. */
@@ -217,9 +212,17 @@ class PayloadView
     }
 
   private:
+    friend class Archive;
+
+    PayloadView(std::shared_ptr<const Mapping> mapping,
+                const uint8_t *data, size_t size)
+        : mapping_(std::move(mapping)), data_(data), size_(size)
+    {
+    }
+
+    std::shared_ptr<const Mapping> mapping_;
     const uint8_t *data_ = nullptr;
     size_t size_ = 0;
-    std::shared_ptr<std::vector<uint8_t>> owned_;
 };
 
 /**
@@ -270,9 +273,6 @@ class Archive
     static std::unique_ptr<Archive> open(const std::string &path,
                                          const ArchiveOptions &options,
                                          ArchiveOpenError *error);
-
-    /** Unmaps every shard (including retired mappings). */
-    ~Archive();
 
     Archive(const Archive &) = delete;            ///< Non-copyable.
     Archive &operator=(const Archive &) = delete; ///< Non-copyable.
@@ -334,9 +334,12 @@ class Archive
     std::vector<uint8_t> loadPayload(size_t idx) const;
 
     /**
-     * Borrow the payload of record `idx`, CRC-verified, without
-     * copying when the shard is mmap-backed. The view stays valid for
-     * this archive's lifetime (not across compact()).
+     * View the payload of record `idx`, CRC-verified, without copying.
+     * The view co-owns the shard mapping it points into, so its bytes
+     * outlive later appends, compact() and this archive itself; a
+     * rewrite reassigns only the record index. fatal()s when the
+     * stored bytes no longer match their CRC, or when the shard file
+     * no longer holds the record.
      */
     PayloadView payloadView(size_t idx) const;
 
@@ -347,11 +350,12 @@ class Archive
      *
      * This intentionally prunes history: queries for days before a
      * chain's latest full download stop resolving after a compact.
-     * Record indices are reassigned and outstanding PayloadViews are
-     * invalidated, so anything holding indices or views into this
-     * archive (a TileServer and its caches in particular) must be
-     * discarded and rebuilt — do not compact while serving or
-     * appending.
+     * Record indices are reassigned, so anything holding indices
+     * into this archive (a TileServer and its caches in particular)
+     * must be discarded and rebuilt — do not compact while serving or
+     * appending. Outstanding PayloadViews keep reading the bytes they
+     * were taken from (the replaced file's blocks are freed when the
+     * last of them drops).
      *
      * @return Bytes reclaimed across all shards.
      */
@@ -374,8 +378,8 @@ class Archive
      * 'shard-NNN.epar.tmp', fsynced, renamed over the live shard, and
      * the directory is fsynced — a crash anywhere leaves every shard
      * either fully old or fully new. Like compact(), this rewrites
-     * every shard and reassigns record indices/views, so it must not
-     * run concurrently with serving or appending.
+     * every shard and reassigns record indices, so it must not run
+     * concurrently with serving or appending.
      *
      * @param targetBytes Desired ceiling for fileBytes(). A pass that
      *        cannot reach it (all payloads at their floor) reports
@@ -414,14 +418,9 @@ class Archive
         std::map<std::pair<int, int>, std::vector<size_t>> index;
         /** Next append position (file header included). */
         uint64_t appendOffset = 0;
-        /** Read-only mapping of the shard file, or null. */
-        const uint8_t *mapAddr = nullptr;
-        /** Mapped length (on growth-visible hosts, past the file). */
-        size_t mapLen = 0;
-        /** File bytes verified present behind the mapping so far. */
-        uint64_t mapValidBytes = 0;
-        /** Superseded mappings kept alive for outstanding views. */
-        std::vector<std::pair<const uint8_t *, size_t>> retired;
+        /** Read-only mapping of the shard file's first bytes, or
+         *  null; views into it co-own it. */
+        std::shared_ptr<const Mapping> mapping;
         /** Scan outcome for this shard. */
         ScanReport scan;
         /** Bytes appended since the last fdatasync (Interval policy). */
@@ -461,13 +460,18 @@ class Archive
      */
     size_t indexRecordLocked(size_t shardIdx, uint32_t local,
                              const RecordMeta &meta);
-    /** Map (or grow the mapping of) `shard` to cover `end` bytes. */
-    bool ensureMapped(Shard &shard, uint64_t end) const;
+    /**
+     * The shard's mapping, remapped over the whole file first when it
+     * ends before byte `end`. fatal()s, naming the shard, when the
+     * file no longer holds `end` bytes or cannot be mapped. Requires
+     * shard.mutex held.
+     */
+    std::shared_ptr<const Mapping> mappingCovering(Shard &shard,
+                                                   uint64_t end) const;
     /**
      * Read-and-verify, the one place a payload is checked after
      * open(): record `gid` (shard-local index `local`) read through
-     * the shard's mapping — by a private stdio read when the shard
-     * cannot be mapped — and fatal() unless it matches its stored
+     * the shard's mapping, and fatal() unless it matches its stored
      * CRC. Requires shard.mutex held; a non-null `release` is
      * unlocked before the CRC pass, so a cold read of a hot shard
      * does not stall that shard's appends.

@@ -104,6 +104,17 @@ writeLoop(std::FILE *f, const uint8_t *data, size_t size,
     return true;
 }
 
+/**
+ * Seek `f` to byte `offset` from its start, through fseeko's off_t
+ * rather than std::fseek's long (32 bits on some hosts, which would
+ * wrap offsets past 2 GiB).
+ */
+bool
+seekTo(std::FILE *f, uint64_t offset)
+{
+    return ::fseeko(f, static_cast<off_t>(offset), SEEK_SET) == 0;
+}
+
 /** Open + position + write-loop + close, shared by create/writeAt. */
 bool
 writeCommon(const std::string &path, uint64_t offset, const void *data,
@@ -156,12 +167,6 @@ writeCommon(const std::string &path, uint64_t offset, const void *data,
 }
 
 } // namespace
-
-bool
-seekTo(std::FILE *f, uint64_t offset)
-{
-    return ::fseeko(f, static_cast<off_t>(offset), SEEK_SET) == 0;
-}
 
 bool
 crashed()

@@ -35,19 +35,11 @@
 #ifndef EARTHPLUS_GROUND_ARCHIVE_IO_HH
 #define EARTHPLUS_GROUND_ARCHIVE_IO_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 namespace earthplus::ground::archive_io {
-
-/**
- * Seek `f` to byte `offset` from its start, through fseeko's off_t
- * rather than std::fseek's long (32 bits on some hosts, which would
- * wrap offsets past 2 GiB). Shared by the archive's stdio reads and
- * this layer's writes; it mutates no file, so no failpoint applies.
- */
-bool seekTo(std::FILE *f, uint64_t offset);
 
 /**
  * True once `archive.io.crash` has fired: the simulated process is

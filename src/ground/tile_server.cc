@@ -16,6 +16,9 @@ namespace earthplus::ground {
 
 namespace {
 
+/** Prefetch tasks queued before new hints are dropped. */
+constexpr size_t kPrefetchQueueDepth = 16;
+
 /**
  * Tile-server metrics, resolved once per process. Registry entries
  * are leaked, so the references outlive every TileServer. These are
@@ -226,23 +229,6 @@ DecodedTileCache::evictions() const
     return total;
 }
 
-namespace {
-
-TileServerOptions
-optionsWithCacheBytes(size_t cacheBytes)
-{
-    TileServerOptions options;
-    options.cacheBytes = cacheBytes;
-    return options;
-}
-
-} // anonymous namespace
-
-TileServer::TileServer(const Archive &archive, size_t cacheBytes)
-    : TileServer(archive, optionsWithCacheBytes(cacheBytes))
-{
-}
-
 TileServer::TileServer(const Archive &archive,
                        const TileServerOptions &options)
     : archive_(archive), cache_(options.cacheBytes), options_(options),
@@ -253,7 +239,7 @@ TileServer::TileServer(const Archive &archive,
     resetStats();
     if (options_.prefetch)
         prefetchQueue_ = std::make_unique<util::BackgroundQueue>(
-            options_.prefetchQueueDepth);
+            kPrefetchQueueDepth);
 }
 
 TileServer::~TileServer()

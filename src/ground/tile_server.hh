@@ -318,8 +318,6 @@ struct TileServerOptions
     size_t cacheBytes = 64u << 20;
     /** Enable sequential-day delta-chain prefetching. */
     bool prefetch = true;
-    /** Prefetch tasks queued before new hints are dropped. */
-    size_t prefetchQueueDepth = 16;
 };
 
 /**
@@ -342,13 +340,10 @@ class TileServer
      *        record index; concurrent appends are fine (new indices),
      *        but Archive::compact() reassigns indices — discard the
      *        server and build a fresh one after compacting.
-     * @param cacheBytes Decoded-tile cache budget in bytes.
+     * @param options Cache budget and prefetch switch.
      */
     explicit TileServer(const Archive &archive,
-                        size_t cacheBytes = 64u << 20);
-
-    /** Construct with full tuning options. */
-    TileServer(const Archive &archive, const TileServerOptions &options);
+                        const TileServerOptions &options = {});
 
     /** Stops the prefetch worker; in-flight prefetches finish first. */
     ~TileServer();

@@ -31,6 +31,7 @@
 #include "ground/tile_server.hh"
 #include "raster/metrics.hh"
 #include "synth/dataset.hh"
+#include "util/bytes.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
 #include "util/telemetry.hh"
@@ -475,8 +476,9 @@ TEST(Archive, CrossShardCompact)
 
 TEST(Archive, PayloadViewIsStableAcrossGrowth)
 {
-    // Views borrowed before later appends must stay valid: the mmap
-    // grows by retiring (not unmapping) superseded mappings.
+    // Views borrowed before later appends must stay valid: a read past
+    // the shard's mapping maps the grown file afresh, and the early
+    // view co-owns the mapping it was taken from.
     TempPath path("archive_views.epar");
     Archive archive(path.str(), 2);
     auto first = randomPayload(5000, 40);
@@ -496,6 +498,102 @@ TEST(Archive, PayloadViewIsStableAcrossGrowth)
                                    early.data() + early.size()),
               first);
 }
+
+TEST(Archive, PayloadViewOutlivesItsArchive)
+{
+    // The view co-owns its mapping: the bytes outlive the archive and
+    // even the removal of the archive directory.
+    TempPath path("archive_view_outlives.epar");
+    auto payload = randomPayload(3000, 47);
+    PayloadView view;
+    {
+        Archive archive(path.str(), 2);
+        RecordMeta meta;
+        meta.locationId = 5;
+        archive.append(meta, payload);
+        view = archive.payloadView(0);
+    }
+    std::filesystem::remove_all(path.str());
+    EXPECT_EQ(view.toVector(), payload);
+}
+
+TEST(Archive, PayloadViewTakenBeforeCompactReadsTheOldBytes)
+{
+    TempPath path("archive_view_compact.epar");
+    Archive archive(path.str(), 2);
+    auto superseded = randomPayload(700, 48);
+    auto kept = randomPayload(600, 49);
+    RecordMeta meta;
+    meta.locationId = 1;
+    meta.captureDay = 1.0;
+    meta.fullDownload = true;
+    archive.append(meta, superseded);
+    meta.captureDay = 2.0;
+    archive.append(meta, kept); // supersedes day 1
+    PayloadView dropped = archive.payloadView(0);
+    PayloadView survivor = archive.payloadView(1);
+
+    archive.compact();
+    ASSERT_EQ(archive.recordCount(), 1u);
+    EXPECT_EQ(archive.loadPayload(0), kept);
+    // Both views still read the file they were taken from, although
+    // it was renamed over and its record indices reassigned.
+    EXPECT_EQ(dropped.toVector(), superseded);
+    EXPECT_EQ(survivor.toVector(), kept);
+}
+
+#if defined(__linux__)
+namespace {
+
+/** Mappings of deleted files under `dir` in /proc/self/maps. */
+size_t
+deletedMappingsUnder(const std::string &dir)
+{
+    std::ifstream maps("/proc/self/maps");
+    size_t found = 0;
+    for (std::string line; std::getline(maps, line);)
+        if (line.find(dir) != std::string::npos &&
+            line.find("(deleted)") != std::string::npos)
+            ++found;
+    return found;
+}
+
+} // anonymous namespace
+
+TEST(Archive, RewrittenShardFilesAreUnmappedOnceTheirViewsDrop)
+{
+    // compact() and applyStoragePressure() rename a staged file over
+    // every shard. A replaced file stays mapped only while a view
+    // into it lives, so the disk a rewrite reclaims is freed while the
+    // archive stays open.
+    TempPath path("archive_rewrite_unmaps.epar");
+    Archive archive(path.str(), 2);
+    for (int loc = 0; loc < 4; ++loc) {
+        RecordMeta meta;
+        meta.locationId = loc;
+        meta.captureDay = 1.0;
+        meta.fullDownload = true;
+        codec::EncodeParams ep;
+        ep.bitsPerPixel = 4.0;
+        archive.append(meta,
+                       codec::encode(testPlane(128, 96, 70 + loc), ep)
+                           .serialize());
+    }
+    std::string dir = std::filesystem::canonical(path.str()).string();
+    {
+        PayloadView held = archive.payloadView(0);
+        archive.compact();
+        EXPECT_GE(deletedMappingsUnder(dir), 1u)
+            << "the held view must keep its replaced shard mapped";
+    }
+    EXPECT_EQ(deletedMappingsUnder(dir), 0u) << "after compact()";
+    PressureReport report =
+        archive.applyStoragePressure(archive.fileBytes() / 2);
+    EXPECT_GT(report.bytesReclaimed, 0u);
+    EXPECT_EQ(deletedMappingsUnder(dir), 0u)
+        << "after applyStoragePressure()";
+}
+#endif
 
 TEST(Archive, CompactDropsSupersededRecords)
 {
@@ -750,6 +848,29 @@ seedArchive(const std::string &path)
     archive.append(meta, randomPayload(150, 42));
 }
 
+/**
+ * A record header for location 3 whose header CRC checks out but
+ * which claims `payloadBytes` bytes of payload.
+ */
+std::vector<uint8_t>
+sealedHeaderClaiming(uint64_t payloadBytes)
+{
+    std::vector<uint8_t> body;
+    util::appendPod(body, uint32_t{3}); // locationId
+    util::appendPod(body, uint32_t{0}); // satelliteId
+    util::appendPod(body, uint32_t{0}); // band
+    util::appendPod(body, uint32_t{1}); // flags: full download
+    util::appendPod(body, 2.0);         // captureDay
+    util::appendPod(body, 0.0);         // referenceDay
+    util::appendPod(body, payloadBytes);
+    util::appendPod(body, uint32_t{0}); // payloadCrc
+    std::vector<uint8_t> header;
+    util::appendPod(header, uint32_t{0x43525045}); // "EPRC"
+    util::appendPod(header, crc32(body.data(), body.size()));
+    header.insert(header.end(), body.begin(), body.end());
+    return header;
+}
+
 /** Expect Archive::open(path) to refuse with `kind`. */
 void
 expectOpenFails(const std::string &path, OpenErrorKind kind,
@@ -825,6 +946,44 @@ TEST(ArchiveOpen, ForeignTailFailsClosedAndPreservesTheBytes)
     // Fail-closed means exactly that: the foreign bytes are evidence,
     // never auto-truncated like one of our own torn tails would be.
     EXPECT_EQ(std::filesystem::file_size(shard), grown);
+}
+
+TEST(ArchiveOpen, PayloadClaimPastTheEndIsATornTail)
+{
+    // A sealed header claiming more payload than the file holds — just
+    // past the end, 2^40 bytes, or 2^64 - 1 — is a torn tail: open()
+    // keeps the valid prefix and cuts the claim off, and never sizes
+    // anything by it.
+    for (uint64_t claim : {uint64_t{1000}, uint64_t{1} << 40,
+                           ~uint64_t{0}}) {
+        TempPath path("archive_open_claim.epar");
+        auto first = randomPayload(400, 46);
+        std::string shard;
+        uint64_t firstEnd = 0;
+        {
+            Archive archive(path.str(), 1);
+            RecordMeta meta;
+            meta.locationId = 3;
+            meta.captureDay = 1.0;
+            meta.fullDownload = true;
+            archive.append(meta, first);
+            shard = shardPathFor(archive, 3);
+            firstEnd = archive.fileBytes();
+        }
+        std::vector<uint8_t> header = sealedHeaderClaiming(claim);
+        {
+            std::ofstream f(shard, std::ios::binary | std::ios::app);
+            f.write(reinterpret_cast<const char *>(header.data()),
+                    static_cast<std::streamsize>(header.size()));
+        }
+        ArchiveOpenError err;
+        auto archive = Archive::open(path.str(), ArchiveOptions{}, &err);
+        ASSERT_NE(archive, nullptr) << claim << ": " << err.detail;
+        EXPECT_TRUE(archive->scanReport().truncatedTail) << claim;
+        ASSERT_EQ(archive->recordCount(), 1u) << claim;
+        EXPECT_EQ(archive->loadPayload(0), first) << claim;
+        EXPECT_EQ(std::filesystem::file_size(shard), firstEnd) << claim;
+    }
 }
 
 TEST(ArchiveOpen, RegularFilePathFailsClosedAndIsLeftUntouched)
@@ -1452,7 +1611,9 @@ TEST(TileServer, CacheEvictsUnderTightBudget)
     // Budget below the 16-tile working set (the cache shards the
     // budget 8 ways; ~20 KB per shard holds one 16 KB tile, and 16
     // tiles over 8 shards guarantee some shard overflows).
-    TileServer server(archive, 8 * 20000);
+    TileServerOptions options;
+    options.cacheBytes = 8 * 20000;
+    TileServer server(archive, options);
     TileQuery q;
     q.locationId = 1;
     q.day = 2.5;

@@ -270,7 +270,9 @@ main(int argc, char **argv)
         std::fprintf(stderr, "warning: archive '%s' is empty\n",
                      archivePath.c_str());
 
-    ground::TileServer tiles(archive, cacheMb << 20);
+    ground::TileServerOptions tileOptions;
+    tileOptions.cacheBytes = cacheMb << 20;
+    ground::TileServer tiles(archive, tileOptions);
     net::Server server(tiles, options);
     if (!server.start()) {
         std::fprintf(stderr, "failed to bind %s:%u\n",
