@@ -42,7 +42,7 @@ ARTIFACTS_DIR="${ARTIFACTS_DIR:-$BUILD_DIR/bench-json}"
 configure_and_build() {
     # shellcheck disable=SC2086
     cmake -B "$BUILD_DIR" -S . ${CMAKE_ARGS:-}
-    cmake --build "$BUILD_DIR" -j
+    cmake --build "$BUILD_DIR" -j "$(nproc)"
 }
 
 run_tests() {
@@ -120,7 +120,7 @@ run_perf_gate() {
     local perf_dir="${PERF_BUILD_DIR:-${BUILD_DIR}-perf}"
     # shellcheck disable=SC2086
     cmake -B "$perf_dir" -S . ${CMAKE_ARGS:-} -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$perf_dir" -j --target bench_codec_kernels
+    cmake --build "$perf_dir" -j "$(nproc)" --target bench_codec_kernels
     # Per-kernel throughput at every dispatch level, as machine-readable
     # JSON (uploaded as a CI artifact), then the regression gate: fail
     # on >25% drop in speedup-over-scalar vs the checked-in baseline,
@@ -143,7 +143,7 @@ run_perf_gate() {
     # ci/perf_gate.py docstring for re-baselining.
     # Distinct filename so 'all' mode doesn't clobber the bench-mode
     # smoke artifact (which records the default build type).
-    cmake --build "$perf_dir" -j --target bench_tile_coder
+    cmake --build "$perf_dir" -j "$(nproc)" --target bench_tile_coder
     "$perf_dir/bench_tile_coder" --reps 21 \
         --json "$ARTIFACTS_DIR/BENCH_tile_coder.release.json"
     python3 ci/perf_gate.py --bench tile_coder \
@@ -154,7 +154,7 @@ run_perf_gate() {
     # generator, absolute like the tile coder (and equally
     # host-sensitive — hosted CI widens the margin via
     # GROUND_SERVING_MAX_REGRESSION).
-    cmake --build "$perf_dir" -j --target bench_ground_serving
+    cmake --build "$perf_dir" -j "$(nproc)" --target bench_ground_serving
     "$perf_dir/bench_ground_serving" \
         --json "$ARTIFACTS_DIR/BENCH_ground_serving.release.json"
     python3 ci/perf_gate.py --bench ground_serving \
@@ -202,7 +202,7 @@ run_tsan() {
     cmake -B "$tsan_dir" -S . ${CMAKE_ARGS:-} \
           -DCMAKE_BUILD_TYPE=Debug \
           -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
-    cmake --build "$tsan_dir" -j \
+    cmake --build "$tsan_dir" -j "$(nproc)" \
           --target ground_test parallel_test codec_test telemetry_test \
                    net_test progressive_test golden_stream_test
     EARTHPLUS_THREADS=4 ctest --test-dir "$tsan_dir" \
@@ -227,7 +227,7 @@ run_chaos() {
     # and byte flips it feeds tryDeserialize(), and which decodes every
     # mutant the walker accepts and every tile-fair cut of it.
     configure_and_build
-    cmake --build "$BUILD_DIR" -j \
+    cmake --build "$BUILD_DIR" -j "$(nproc)" \
           --target failpoint_test crash_consistency_test net_test \
                    progressive_test stream_fuzz_test earthplus_chaos_probe
     for seed in 1 7 1234; do
@@ -254,7 +254,7 @@ run_chaos() {
     cmake -B "$SAN_BUILD_DIR" -S . ${CMAKE_ARGS:-} \
           -DCMAKE_BUILD_TYPE=Debug \
           -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
-    cmake --build "$SAN_BUILD_DIR" -j \
+    cmake --build "$SAN_BUILD_DIR" -j "$(nproc)" \
           --target failpoint_test crash_consistency_test progressive_test \
                    stream_fuzz_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure \
@@ -273,7 +273,7 @@ run_coverage() {
           -DCMAKE_BUILD_TYPE=Debug \
           -DCMAKE_CXX_FLAGS="--coverage" \
           -DCMAKE_EXE_LINKER_FLAGS="--coverage"
-    cmake --build "$cov_dir" -j
+    cmake --build "$cov_dir" -j "$(nproc)"
     ctest --test-dir "$cov_dir" --output-on-failure -j
     mkdir -p "$ARTIFACTS_DIR"
     python3 ci/coverage_gate.py \
@@ -299,7 +299,7 @@ run_asan() {
     cmake -B "$SAN_BUILD_DIR" -S . ${CMAKE_ARGS:-} \
           -DCMAKE_BUILD_TYPE=Debug \
           -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
-    cmake --build "$SAN_BUILD_DIR" -j \
+    cmake --build "$SAN_BUILD_DIR" -j "$(nproc)" \
           --target ground_test uplink_planner_test codec_test simd_test \
                    golden_stream_test net_test progressive_test \
                    stream_fuzz_test rangecoder_test

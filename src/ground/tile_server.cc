@@ -156,59 +156,78 @@ TileQuery::clipTo(int imageWidth, int imageHeight) const
     return rect;
 }
 
-DecodedTileCache::DecodedTileCache(size_t capacityBytes)
+TileTable::TileTable(size_t capacityBytes)
     : shardCapacityBytes_(capacityBytes / kShards)
 {
 }
 
-DecodedTileCache::Shard &
-DecodedTileCache::shardFor(const Key &key)
+TileTable::Shard &
+TileTable::shardFor(const TileKey &key)
 {
     size_t h = std::hash<size_t>()(std::get<0>(key)) ^
                std::hash<int>()(std::get<1>(key)) * 0x9e3779b9u;
     return shards_[h % kShards];
 }
 
-SharedTile
-DecodedTileCache::get(size_t recordIdx, int tile, int quality)
+TileLookup
+TileTable::lookup(const TileKey &key)
 {
-    Key key{recordIdx, tile, quality};
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end())
-        return nullptr;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->pixels;
+    auto [it, claimed] = shard.entries.try_emplace(key);
+    Entry &entry = it->second;
+    if (claimed) {
+        entry.tile = entry.promise.get_future().share();
+        return TileLookup{TileLookup::Kind::Claim, entry.tile};
+    }
+    if (entry.bytes == 0)
+        return TileLookup{TileLookup::Kind::Join, entry.tile};
+    shard.lru.splice(shard.lru.begin(), shard.lru, entry.lruPos);
+    return TileLookup{TileLookup::Kind::Hit, entry.tile};
 }
 
 void
-DecodedTileCache::put(size_t recordIdx, int tile, int quality,
-                      SharedTile pixels)
+TileTable::fulfil(const TileKey &key, SharedTile tile)
 {
-    size_t bytes = static_cast<size_t>(pixels->width()) *
-                   static_cast<size_t>(pixels->height()) * sizeof(float);
-    if (bytes > shardCapacityBytes_)
-        return; // larger than a whole shard; never cacheable
-    Key key{recordIdx, tile, quality};
+    size_t bytes = static_cast<size_t>(tile->width()) *
+                   static_cast<size_t>(tile->height()) * sizeof(float);
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.map.count(key))
-        return; // another thread filled it first
-    shard.lru.push_front(Entry{key, std::move(pixels), bytes});
-    shard.map[key] = shard.lru.begin();
+    auto it = shard.entries.find(key);
+    EP_ASSERT(it != shard.entries.end(), "fulfil of an unclaimed tile");
+    it->second.promise.set_value(std::move(tile));
+    if (bytes > shardCapacityBytes_) {
+        // Larger than a whole shard: joiners hold the future, so
+        // handing the tile out is all that remains to do.
+        shard.entries.erase(it);
+        return;
+    }
+    shard.lru.push_front(key);
+    it->second.lruPos = shard.lru.begin();
+    it->second.bytes = bytes;
     shard.sizeBytes += bytes;
-    while (shard.sizeBytes > shardCapacityBytes_ && !shard.lru.empty()) {
-        Entry &victim = shard.lru.back();
-        shard.sizeBytes -= victim.bytes;
-        shard.map.erase(victim.key);
+    while (shard.sizeBytes > shardCapacityBytes_) {
+        auto victim = shard.entries.find(shard.lru.back());
+        shard.sizeBytes -= victim->second.bytes;
+        shard.entries.erase(victim);
         shard.lru.pop_back();
         ++shard.evictions;
     }
 }
 
+void
+TileTable::fail(const TileKey &key, std::exception_ptr error)
+{
+    Shard &shard = shardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.entries.find(key);
+    EP_ASSERT(it != shard.entries.end(), "fail of an unclaimed tile");
+    it->second.promise.set_exception(std::move(error));
+    shard.entries.erase(it);
+}
+
 size_t
-DecodedTileCache::sizeBytes() const
+TileTable::sizeBytes() const
 {
     size_t total = 0;
     for (const Shard &shard : shards_) {
@@ -219,7 +238,7 @@ DecodedTileCache::sizeBytes() const
 }
 
 uint64_t
-DecodedTileCache::evictions() const
+TileTable::evictions() const
 {
     uint64_t total = 0;
     for (const Shard &shard : shards_) {
@@ -231,7 +250,7 @@ DecodedTileCache::evictions() const
 
 TileServer::TileServer(const Archive &archive,
                        const TileServerOptions &options)
-    : archive_(archive), cache_(options.cacheBytes), options_(options),
+    : archive_(archive), table_(options.cacheBytes), options_(options),
       latencyHist_(&telemetry::histogram("ground.serve.latency_ns"))
 {
     // Baseline at construction: a fresh server's StatsView window
@@ -320,8 +339,12 @@ TileServer::serveFront(const TileQuery &query)
         maybePrefetch(query, nextDay);
     // A reduced-fidelity answer went out fast; refine in the
     // background so the next identical query serves full quality.
-    if (result.ok() && query.quality >= 0 && query.quality < 100)
-        scheduleRefine(query);
+    if (result.ok() && query.quality >= 0 && query.quality < 100) {
+        TileQuery full = query;
+        full.quality = -1;
+        warmInBackground(full, "ground.refine", m.refineTasks,
+                         m.refineDropped);
+    }
     return result;
 }
 
@@ -333,7 +356,7 @@ TileServer::parseRecord(size_t recordIdx, int quality) const
     PayloadView view = archive_.payloadView(recordIdx);
     const uint8_t *data = view.data();
     size_t size = view.size();
-    if (quality >= 0 && quality < 100) {
+    if (quality >= 0) {
         // Serve the record's tile-fair cut to quality% of its payload
         // bytes (never below the cutter's floor).
         size_t budget = std::max(
@@ -347,13 +370,15 @@ TileServer::parseRecord(size_t recordIdx, int quality) const
 }
 
 TileResult
-TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
+TileServer::serveImpl(TileQuery query, double *nextDayOut)
 {
     TileResult result;
     if (query.validate() != ServeError::None) {
         result.error = ServeError::BadQuery;
         return result;
     }
+    if (query.quality == 100)
+        query.quality = -1; // the full stream either way
 
     std::vector<std::pair<size_t, RecordMeta>> relevant;
     double nextDay = std::numeric_limits<double>::infinity();
@@ -440,70 +465,34 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
         if (wanted[s].empty())
             continue;
         size_t recordIdx = relevant[s].first;
-        // Serve cached tiles; of the misses, *claim* the tiles nobody
-        // is decoding (one promise per tile published under the
-        // in-flight lock) and *join* the decodes already running —
-        // identical concurrent queries dedupe onto one decode. The
-        // whole claim lifecycle sits inside one try block: once a
-        // claim is published, ANY exception before its fulfilment
-        // must propagate into the future and release the key, or the
-        // tile would be wedged for every later query.
-        std::vector<int> misses;
-        std::vector<std::promise<SharedTile>> claims;
-        std::vector<TileKey> claimKeys;
+        // One table lookup per tile: a ready tile is a cache hit, a
+        // pending one joins the decode already running, and anything
+        // else is claimed here — identical concurrent queries dedupe
+        // onto one decode. Every claim lookup() hands out must end in
+        // fulfil() or fail(), or the tile would be wedged for every
+        // later query, so the whole lifecycle sits in one try block.
+        std::vector<int> claimed;
+        claimed.reserve(wanted[s].size());
         std::vector<std::pair<int, std::shared_future<SharedTile>>> joined;
         std::vector<std::pair<int, SharedTile>> tiles;
-        size_t fulfilled = 0; // claims[0..fulfilled) have a value
+        size_t fulfilled = 0; // claimed[0..fulfilled) are published
         try {
             for (int t : wanted[s]) {
-                if (SharedTile cached =
-                        cache_.get(recordIdx, t, query.quality)) {
-                    tiles.emplace_back(t, std::move(cached));
+                TileLookup found =
+                    table_.lookup({recordIdx, t, query.quality});
+                if (found.kind == TileLookup::Kind::Hit) {
+                    tiles.emplace_back(t, found.tile.get());
                     ++result.tilesFromCache;
-                    continue;
-                }
-                TileKey key{recordIdx, t, query.quality};
-                bool claimed = false;
-                {
-                    std::lock_guard<std::mutex> lock(inflightMutex_);
-                    auto it = inflight_.find(key);
-                    if (it != inflight_.end()) {
-                        joined.emplace_back(t, it->second);
-                    } else {
-                        claims.emplace_back();
-                        claimKeys.push_back(key);
-                        misses.push_back(t);
-                        inflight_[key] =
-                            claims.back().get_future().share();
-                        claimed = true;
-                    }
-                }
-                if (!claimed)
-                    continue;
-                // Re-check the cache after claiming: a decode that
-                // finished between our miss and our claim has already
-                // done cache_.put() (put precedes the in-flight erase
-                // that made our claim possible), so this read closes
-                // the duplicate-decode window.
-                if (SharedTile cached =
-                        cache_.get(recordIdx, t, query.quality)) {
-                    claims.back().set_value(cached);
-                    {
-                        std::lock_guard<std::mutex> lock(inflightMutex_);
-                        inflight_.erase(key);
-                    }
-                    // Future holders keep the shared state alive.
-                    claims.pop_back();
-                    claimKeys.pop_back();
-                    misses.pop_back();
-                    tiles.emplace_back(t, std::move(cached));
-                    ++result.tilesFromCache;
+                } else if (found.kind == TileLookup::Kind::Join) {
+                    joined.emplace_back(t, std::move(found.tile));
+                } else {
+                    claimed.push_back(t);
                 }
             }
-            if (!misses.empty()) {
-                // Only a claimed miss pays for payload mapping +
-                // stream parse, and a stream already parsed for
-                // geometry this query is reused.
+            if (!claimed.empty()) {
+                // Only a claim pays for payload mapping + stream
+                // parse, and a stream already parsed for geometry
+                // this query is reused.
                 auto itParsed = parsedThisQuery.find(recordIdx);
                 codec::EncodedImage local;
                 const codec::EncodedImage *stream;
@@ -513,7 +502,7 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
                     local = parseRecord(recordIdx, query.quality);
                     stream = &local;
                 }
-                serveMetrics().coalesceClaims.add(misses.size());
+                serveMetrics().coalesceClaims.add(claimed.size());
                 // Decoding while holding claims may fan tile work
                 // into the pool even though other
                 // workers could be parked in fut.get() on exactly
@@ -524,27 +513,21 @@ TileServer::serveImpl(const TileQuery &query, double *nextDayOut)
                 // is what makes this fan-out deadlock-free.
                 telemetry::TraceSpan decodeSpan("ground.decode",
                                                 "ground");
-                auto decoded = codec::decodeTiles(*stream, misses);
-                for (size_t i = 0; i < misses.size(); ++i) {
+                auto decoded = codec::decodeTiles(*stream, claimed);
+                for (size_t i = 0; i < claimed.size(); ++i) {
                     auto tile = std::make_shared<const raster::Plane>(
                         std::move(decoded[i]));
-                    cache_.put(recordIdx, misses[i], query.quality, tile);
-                    claims[i].set_value(tile);
+                    table_.fulfil({recordIdx, claimed[i], query.quality},
+                                  tile);
                     fulfilled = i + 1;
-                    {
-                        std::lock_guard<std::mutex> lock(inflightMutex_);
-                        inflight_.erase(claimKeys[i]);
-                    }
-                    tiles.emplace_back(misses[i], std::move(tile));
+                    tiles.emplace_back(claimed[i], std::move(tile));
                     ++result.tilesDecoded;
                 }
             }
         } catch (...) {
-            std::lock_guard<std::mutex> lock(inflightMutex_);
-            for (size_t i = fulfilled; i < claims.size(); ++i) {
-                claims[i].set_exception(std::current_exception());
-                inflight_.erase(claimKeys[i]);
-            }
+            for (size_t i = fulfilled; i < claimed.size(); ++i)
+                table_.fail({recordIdx, claimed[i], query.quality},
+                            std::current_exception());
             throw;
         }
         for (auto &[t, fut] : joined) {
@@ -594,7 +577,7 @@ TileServer::maybePrefetch(const TileQuery &query, double nextDay)
                      query.day > it->second;
         lastServedDay_[key] = query.day;
     }
-    if (!sequential || !prefetchQueue_)
+    if (!sequential)
         return;
 
     // `nextDay` (computed by serveImpl while it scanned the chain) is
@@ -606,31 +589,27 @@ TileServer::maybePrefetch(const TileQuery &query, double nextDay)
 
     TileQuery ahead = query;
     ahead.day = nextDay;
-    bool posted = prefetchQueue_->post([this, ahead] {
-        telemetry::TraceSpan span("ground.prefetch", "ground");
-        serveImpl(ahead);
-        serveMetrics().prefetchTasks.add();
-    });
-    if (!posted)
-        serveMetrics().prefetchDropped.add();
+    ServeMetrics &m = serveMetrics();
+    warmInBackground(ahead, "ground.prefetch", m.prefetchTasks,
+                     m.prefetchDropped);
 }
 
 void
-TileServer::scheduleRefine(const TileQuery &query)
+TileServer::warmInBackground(const TileQuery &query, const char *spanName,
+                             telemetry::Counter &tasks,
+                             telemetry::Counter &dropped)
 {
     if (!prefetchQueue_)
         return;
-    TileQuery full = query;
-    full.quality = -1;
-    // Same BackgroundQueue as prefetching: refines stay off the
-    // serving threads' latency path and never touch the global pool.
-    bool posted = prefetchQueue_->post([this, full] {
-        telemetry::TraceSpan span("ground.refine", "ground");
-        serveImpl(full);
-        serveMetrics().refineTasks.add();
+    // The BackgroundQueue keeps warmups off the serving threads'
+    // latency path and away from the global pool.
+    bool posted = prefetchQueue_->post([this, query, spanName, &tasks] {
+        telemetry::TraceSpan span(spanName, "ground");
+        serveImpl(query);
+        tasks.add();
     });
     if (!posted)
-        serveMetrics().refineDropped.add();
+        dropped.add();
 }
 
 std::vector<TileResult>
@@ -665,7 +644,7 @@ TileServer::statsView() const
     out.prefetchTasks = m.prefetchTasks.value() - base.prefetchTasks;
     out.prefetchDropped =
         m.prefetchDropped.value() - base.prefetchDropped;
-    out.cacheEvictions = cache_.evictions() - base.cacheEvictions;
+    out.cacheEvictions = table_.evictions() - base.cacheEvictions;
     telemetry::HistogramSnapshot window =
         latencyHist_->snapshot().since(histBase);
     constexpr double kNsPerMs = 1e6;
@@ -689,7 +668,7 @@ TileServer::resetStats()
     base.coalesceClaims = m.coalesceClaims.value();
     base.prefetchTasks = m.prefetchTasks.value();
     base.prefetchDropped = m.prefetchDropped.value();
-    base.cacheEvictions = cache_.evictions();
+    base.cacheEvictions = table_.evictions();
     telemetry::HistogramSnapshot histBase = latencyHist_->snapshot();
     std::lock_guard<std::mutex> lock(statsMutex_);
     metricsBase_ = base;

@@ -14,12 +14,12 @@
  *    (codec::decodeTiles — tiles are self-contained sub-chunks),
  *    parsing payloads straight out of the archive's file mapping
  *    (Archive::payloadView, no staging copy);
- *  - keeps decoded tiles in a size-bounded LRU cache shared by all
- *    queries, so a warm working set serves from memory;
- *  - **coalesces in-flight decodes**: when two queries race on the
- *    same cold tile, one decodes and the other waits on the same
- *    result instead of decoding twice (the thundering-herd guard a
- *    hot-spot workload needs);
+ *  - keeps every decoded tile, cached or still decoding, in **one
+ *    tile table** (TileTable) shared by all queries: a warm working
+ *    set serves from memory under a byte budget, and when two queries
+ *    race on the same cold tile one claims and decodes it while the
+ *    other joins the same entry instead of decoding twice (the
+ *    thundering-herd guard a hot-spot workload needs);
  *  - **prefetches along the delta chain**: a consumer stepping
  *    day-by-day through a location's history (the dominant analytic
  *    access pattern) triggers a background decode of the next day's
@@ -41,6 +41,7 @@
 #define EARTHPLUS_GROUND_TILE_SERVER_HH
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <list>
@@ -126,7 +127,8 @@ struct TileQuery
     int width = 0;  ///< Requested rect: width in pixels.
     int height = 0; ///< Requested rect: height in pixels.
     /**
-     * Byte-budget fidelity hint: -1 serves full fidelity; 0..100
+     * Byte-budget fidelity hint: -1 and 100 serve full fidelity (the
+     * serve folds 100 into -1, so both share decoded tiles); 0..99
      * decodes each record from its codec::truncateStream() cut to that
      * percentage of its payload bytes (never below the cutter's
      * floor) — a fast low-fidelity first answer. A
@@ -179,7 +181,7 @@ struct TileResult
     uint32_t retryAfterMs = 0;
     /** Tiles whose decode ran for this query (cache misses). */
     int tilesDecoded = 0;
-    /** Tiles served from the decoded-tile cache. */
+    /** Tiles served ready from the tile table (cache hits). */
     int tilesFromCache = 0;
     /** Tiles served by joining another query's in-flight decode. */
     int tilesCoalesced = 0;
@@ -214,9 +216,9 @@ struct StatsView
     uint64_t tilesCacheHit = 0;
     /** Window over ground.tiles.coalesced (joined in-flight decodes). */
     uint64_t tilesCoalesced = 0;
-    /** Window over ground.coalesce.claims (decode claims published). */
+    /** Window over ground.coalesce.claims (decode claims taken). */
     uint64_t coalesceClaims = 0;
-    /** This server's decoded-tile-cache evictions in the window. */
+    /** This server's tile-table evictions in the window. */
     uint64_t cacheEvictions = 0;
     /** Window over ground.prefetch.tasks (background warmups run). */
     uint64_t prefetchTasks = 0;
@@ -253,59 +255,94 @@ struct StatsView
 };
 
 /**
- * A decoded tile, shared read-only by the cache, the in-flight decode
- * that produced it and every query that crops from it.
+ * A decoded tile, shared read-only by the tile table and every query
+ * that crops from it.
  */
 using SharedTile = std::shared_ptr<const raster::Plane>;
 
+/** (record index, tile index, quality): one decode unit. */
+using TileKey = std::tuple<size_t, int, int>;
+
+/** What one TileTable::lookup() found. */
+struct TileLookup
+{
+    enum class Kind
+    {
+        /** A decoded tile: `tile` is ready. */
+        Hit,
+        /** Another query's decode in flight: `tile` completes with it. */
+        Join,
+        /**
+         * A new claim: the caller must decode the tile and hand it to
+         * TileTable::fulfil(), or its error to TileTable::fail().
+         */
+        Claim,
+    };
+    Kind kind = Kind::Claim;
+    /** The entry's tile; ready for a Hit, pending otherwise. */
+    std::shared_future<SharedTile> tile;
+};
+
 /**
- * Size-bounded LRU cache of decoded tiles, keyed by
- * (record index, tile index, quality). Thread-safe;
- * internally sharded by key hash so concurrent serving threads do not
- * contend on one mutex (each shard owns an equal slice of the byte
- * budget and its own LRU list). Tiles are held by shared pointer, so
- * neither a hit nor an insert copies pixels; each tile still counts
- * its full pixel bytes against the budget.
+ * The one table of decoded tiles, cached and in flight, keyed by
+ * TileKey. Each entry is a shared future: ready once its tile is
+ * decoded (a cache entry on the LRU list), pending while the query
+ * that claimed it decodes (joined by racing queries, never evicted).
+ * Thread-safe and sharded by key hash; each shard owns an equal slice
+ * of the byte budget, its own LRU list and one mutex, so a hit costs
+ * one lock acquisition and a decode two (claim, fulfil). Tiles are
+ * held by shared pointer, so neither a hit nor a fulfil copies
+ * pixels; each ready tile counts its full pixel bytes against the
+ * budget.
  */
-class DecodedTileCache
+class TileTable
 {
   public:
-    /** @param capacityBytes Pixel-storage budget (0 disables caching). */
-    explicit DecodedTileCache(size_t capacityBytes);
+    /** @param capacityBytes Pixel-storage budget (0 keeps nothing). */
+    explicit TileTable(size_t capacityBytes);
 
-    /** Look up a decoded tile: the shared tile on a hit, else null. */
-    SharedTile get(size_t recordIdx, int tile, int quality);
+    /** One shard-locked lookup: a hit, a join, or a new claim. */
+    TileLookup lookup(const TileKey &key);
 
-    /** Insert a decoded tile, evicting LRU entries over budget. */
-    void put(size_t recordIdx, int tile, int quality, SharedTile pixels);
+    /**
+     * Publish a claimed tile to its joiners and keep it, evicting
+     * least-recently-used ready tiles over the shard budget. A tile
+     * larger than a whole shard's budget is handed out, not kept.
+     */
+    void fulfil(const TileKey &key, SharedTile tile);
 
-    /** Bytes currently cached. */
+    /** Hand a claimed decode's error to its joiners; frees the key. */
+    void fail(const TileKey &key, std::exception_ptr error);
+
+    /** Bytes of ready tiles currently kept. */
     size_t sizeBytes() const;
 
-    /** Entries evicted so far. */
+    /** Ready tiles evicted so far. */
     uint64_t evictions() const;
 
   private:
     static constexpr size_t kShards = 8;
 
-    using Key = std::tuple<size_t, int, int>;
     struct Entry
     {
-        Key key;
-        SharedTile pixels;
-        size_t bytes;
+        std::promise<SharedTile> promise;
+        std::shared_future<SharedTile> tile;
+        /** Pixel bytes; 0 while pending. */
+        size_t bytes = 0;
+        /** Position on the LRU list; set once ready. */
+        std::list<TileKey>::iterator lruPos;
     };
 
     struct Shard
     {
         mutable std::mutex mutex;
-        std::list<Entry> lru; // front = most recent
-        std::map<Key, std::list<Entry>::iterator> map;
+        std::map<TileKey, Entry> entries;
+        std::list<TileKey> lru; // ready entries, front = most recent
         size_t sizeBytes = 0;
         uint64_t evictions = 0;
     };
 
-    Shard &shardFor(const Key &key);
+    Shard &shardFor(const TileKey &key);
 
     size_t shardCapacityBytes_;
     Shard shards_[kShards];
@@ -426,9 +463,6 @@ class TileServer
         uint64_t cacheEvictions = 0;
     };
 
-    /** (record index, tile, quality): one decode unit. */
-    using TileKey = std::tuple<size_t, int, int>;
-
     /** Memoized geometry for a record, or null when not yet parsed. */
     const StreamInfo *findInfo(size_t recordIdx) const;
 
@@ -445,47 +479,46 @@ class TileServer
     TileResult serveFront(const TileQuery &query);
 
     /**
-     * The serve pipeline: chain resolution, coalesced decode, paste.
-     * serveFront() wraps it with stats + latency + prefetch
-     * scheduling; prefetch tasks call it directly so warmups stay out
-     * of the foreground statistics. When `nextDayOut` is non-null it
+     * The serve pipeline: validation, chain resolution, tile-table
+     * lookup and decode, paste. A valid query's quality 100 is folded
+     * into -1 here, so both full-fidelity spellings share one table
+     * key. serveFront() wraps it with stats + latency + prefetch
+     * scheduling; background warmups call it directly so they stay
+     * out of the foreground statistics. When `nextDayOut` is non-null it
      * receives the earliest capture day strictly after the query day
      * (+inf when none) — the chain is already being scanned here, so
      * the prefetcher gets its target without a second locked pass.
      */
-    TileResult serveImpl(const TileQuery &query,
-                         double *nextDayOut = nullptr);
+    TileResult serveImpl(TileQuery query, double *nextDayOut = nullptr);
 
     /** Schedule a next-day warmup when the access looks sequential. */
     void maybePrefetch(const TileQuery &query, double nextDay);
 
     /**
-     * After a reduced-quality serve: queue a background full-quality
-     * decode of the same rectangle on the prefetch queue, so the
-     * consumer's follow-up (or re-issued) query refines from cache
-     * instead of paying the full decode in the foreground.
+     * Post serveImpl(`query`) to the background queue under trace span
+     * `spanName`, counting the run in `tasks` or the drop in
+     * `dropped`: the one warm path of prefetch and refine, which keeps
+     * their decodes off the serving threads' latency path.
      */
-    void scheduleRefine(const TileQuery &query);
+    void warmInBackground(const TileQuery &query, const char *spanName,
+                          telemetry::Counter &tasks,
+                          telemetry::Counter &dropped);
 
     /**
      * Parse record `recordIdx`'s payload honoring the quality hint:
      * with quality in [0, 100) it parses the payload's
      * codec::truncateStream() cut to that percentage of its bytes
-     * (never below the cutter's floor); otherwise it parses in full.
+     * (never below the cutter's floor); at -1 it parses in full.
      */
     codec::EncodedImage parseRecord(size_t recordIdx,
                                     int quality) const;
 
     const Archive &archive_;
-    DecodedTileCache cache_;
+    TileTable table_;
     TileServerOptions options_;
 
     mutable std::mutex infoMutex_;
     std::map<size_t, StreamInfo> info_;
-
-    /** Decodes in flight, joined by racing queries (coalescing). */
-    std::mutex inflightMutex_;
-    std::map<TileKey, std::shared_future<SharedTile>> inflight_;
 
     /** Last served day per (location, band): sequential detection. */
     std::mutex prefetchMutex_;

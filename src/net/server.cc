@@ -14,10 +14,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include "net/protocol.hh"
 #include "util/failpoint.hh"
 #include "util/logging.hh"
@@ -106,64 +102,26 @@ constexpr unsigned kWritable = 2u;
 constexpr unsigned kBroken = 4u;
 
 /**
- * Minimal readiness poller: epoll on Linux, poll(2) everywhere (and
- * on Linux too when the caller asks — the fallback stays tested on
- * the platform that never needs it). Interest is level-triggered in
- * both backends, so the two are drop-in equivalent.
+ * Minimal level-triggered readiness poller over poll(2). Error and
+ * hangup readiness is reported whatever the interest mask, which is
+ * how the drain phase drops read interest without busy-spinning on
+ * unread peer bytes yet still sees broken peers.
  */
 class Poller
 {
   public:
-    explicit Poller(bool usePoll)
-    {
-#ifdef __linux__
-        if (!usePoll)
-            epfd_ = epoll_create1(0);
-#else
-        (void)usePoll;
-#endif
-    }
-
-    ~Poller()
-    {
-#ifdef __linux__
-        if (epfd_ >= 0)
-            ::close(epfd_);
-#endif
-    }
-
+    /** Set `fd`'s full interest mask, registering it if new. */
     void
-    add(int fd, bool wantWrite)
+    set(int fd, bool wantRead, bool wantWrite)
     {
-        ctl(fd, true, wantWrite, true);
-    }
-
-    void
-    mod(int fd, bool wantWrite)
-    {
-        ctl(fd, true, wantWrite, false);
-    }
-
-    /**
-     * Full interest-mask update. Dropping read interest is how the
-     * drain phase ignores new peer bytes without busy-spinning on
-     * level-triggered readiness; error/hangup readiness is always
-     * reported regardless of the mask, in both backends.
-     */
-    void
-    modMask(int fd, bool wantRead, bool wantWrite)
-    {
-        ctl(fd, wantRead, wantWrite, false);
+        interest_[fd] = static_cast<short>((wantRead ? POLLIN : 0) |
+                                           (wantWrite ? POLLOUT : 0));
     }
 
     void
     del(int fd)
     {
         interest_.erase(fd);
-#ifdef __linux__
-        if (epfd_ >= 0)
-            epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
     }
 
     /**
@@ -175,39 +133,14 @@ class Poller
     wait(std::vector<std::pair<int, unsigned>> &out, int timeoutMs)
     {
         out.clear();
-#ifdef __linux__
-        if (epfd_ >= 0) {
-            epoll_event evs[64];
-            int n = epoll_wait(epfd_, evs, 64, timeoutMs);
-            for (int i = 0; i < n; ++i) {
-                unsigned bits = 0;
-                if (evs[i].events & (EPOLLIN | EPOLLPRI))
-                    bits |= kReadable;
-                if (evs[i].events & EPOLLOUT)
-                    bits |= kWritable;
-                if (evs[i].events & (EPOLLERR | EPOLLHUP))
-                    bits |= kBroken;
-                int fd = evs[i].data.fd;
-                out.emplace_back(fd, bits);
-            }
-            return;
-        }
-#endif
-        std::vector<pollfd> fds;
-        fds.reserve(interest_.size());
-        for (const auto &[fd, mask] : interest_) {
-            pollfd p{};
-            p.fd = fd;
-            p.events = static_cast<short>(
-                ((mask & kReadable) ? POLLIN : 0) |
-                ((mask & kWritable) ? POLLOUT : 0));
-            fds.push_back(p);
-        }
-        int n = ::poll(fds.data(),
-                       static_cast<nfds_t>(fds.size()), timeoutMs);
+        fds_.clear();
+        for (const auto &[fd, events] : interest_)
+            fds_.push_back(pollfd{fd, events, 0});
+        int n = ::poll(fds_.data(),
+                       static_cast<nfds_t>(fds_.size()), timeoutMs);
         if (n <= 0)
             return;
-        for (const pollfd &p : fds) {
+        for (const pollfd &p : fds_) {
             if (p.revents == 0)
                 continue;
             unsigned bits = 0;
@@ -222,29 +155,8 @@ class Poller
     }
 
   private:
-    void
-    ctl(int fd, bool wantRead, bool wantWrite, bool isAdd)
-    {
-        interest_[fd] = (wantRead ? kReadable : 0u) |
-                        (wantWrite ? kWritable : 0u);
-#ifdef __linux__
-        if (epfd_ >= 0) {
-            epoll_event ev{};
-            ev.events = (wantRead ? EPOLLIN : 0u) |
-                        (wantWrite ? EPOLLOUT : 0u);
-            ev.data.fd = fd;
-            epoll_ctl(epfd_, isAdd ? EPOLL_CTL_ADD : EPOLL_CTL_MOD,
-                      fd, &ev);
-        }
-#else
-        (void)isAdd;
-#endif
-    }
-
-#ifdef __linux__
-    int epfd_ = -1;
-#endif
-    std::unordered_map<int, unsigned> interest_; // fd -> kReadable|kWritable
+    std::unordered_map<int, short> interest_; // fd -> POLLIN|POLLOUT
+    std::vector<pollfd> fds_; // wait()'s poll set, reused across calls
 };
 
 } // anonymous namespace
@@ -290,8 +202,6 @@ struct Server::LoopState
     std::deque<Pending> pending;
     size_t inflight = 0;
     uint64_t nextConnId = 1;
-
-    explicit LoopState(bool usePoll) : poller(usePoll) {}
 };
 
 Server::Server(ground::TileServer &tiles, ServerOptions options)
@@ -393,9 +303,9 @@ void
 Server::loop()
 {
     NetMetrics &m = netMetrics();
-    LoopState st(options_.usePoll);
-    st.poller.add(listenFd_, false);
-    st.poller.add(wakeRead_, false);
+    LoopState st;
+    st.poller.set(listenFd_, true, false);
+    st.poller.set(wakeRead_, true, false);
     // Set during the post-stop grace period: connection sockets keep
     // only write/error interest so nothing new is read or admitted.
     bool draining = false;
@@ -443,7 +353,7 @@ Server::loop()
             conn.outboxSinceNs = 0;
             if (conn.wantWrite) {
                 conn.wantWrite = false;
-                st.poller.modMask(conn.fd, !draining, false);
+                st.poller.set(conn.fd, !draining, false);
             }
             if (conn.closeAfterFlush) {
                 closeConn(conn.id);
@@ -459,7 +369,7 @@ Server::loop()
             }
             if (!conn.wantWrite) {
                 conn.wantWrite = true;
-                st.poller.modMask(conn.fd, !draining, true);
+                st.poller.set(conn.fd, !draining, true);
             }
         }
         return true;
@@ -602,7 +512,7 @@ Server::loop()
             conn.idleSinceNs = telemetry::nowNanos();
             st.conns.emplace(id, std::move(conn));
             st.fdToId[fd] = id;
-            st.poller.add(fd, false);
+            st.poller.set(fd, true, false);
             m.accepted.add();
             m.active.add(1);
         }
@@ -780,7 +690,7 @@ Server::loop()
         draining = true;
         st.poller.del(listenFd_);
         for (const auto &[id, conn] : st.conns)
-            st.poller.modMask(conn.fd, false, conn.wantWrite);
+            st.poller.set(conn.fd, false, conn.wantWrite);
         uint64_t drainDeadline =
             telemetry::nowNanos() +
             static_cast<uint64_t>(options_.drainTimeoutMs) * 1000000u;

@@ -2,13 +2,12 @@
  * @file
  * Non-blocking TCP serving front for the ground tile server.
  *
- * One event-loop thread (epoll on Linux, poll() everywhere via the
- * runtime fallback) owns every connection: it accepts, reassembles
- * EPTQ frames (net/protocol.hh), and writes EPTR responses with
- * partial-write handling. Serving itself never runs on the loop
- * thread when the pool can take it: admitted queries go through
- * ground::TileServer::serveAsync, whose completion encodes the
- * response and hands it back to the loop over a wake pipe — the
+ * One event-loop thread, waiting on poll(2), owns every connection:
+ * it accepts, reassembles EPTQ frames (net/protocol.hh), and writes
+ * EPTR responses with partial-write handling. Serving itself never
+ * runs on the loop thread when the pool can take it: admitted queries
+ * go through ground::TileServer::serveAsync, whose completion encodes
+ * the response and hands it back to the loop over a wake pipe — the
  * only cross-thread traffic, so connection state needs no locks.
  *
  * Overload policy is admission control, not unbounded queueing:
@@ -67,8 +66,6 @@ struct ServerOptions
     size_t maxPending = 128;
     /** Retry-after hint carried by shed responses, milliseconds. */
     uint32_t retryAfterMs = 50;
-    /** Force the portable poll() backend even where epoll exists. */
-    bool usePoll = false;
     /**
      * Read deadline, milliseconds (0 disables): a connection whose
      * partial frame stops completing — the slow-loris shape, measured

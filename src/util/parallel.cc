@@ -94,16 +94,6 @@ ThreadPool::onWorkerThread()
     return tlsParallelDepth > 0;
 }
 
-InlineRegion::InlineRegion()
-{
-    ++tlsParallelDepth;
-}
-
-InlineRegion::~InlineRegion()
-{
-    --tlsParallelDepth;
-}
-
 void
 ThreadPool::enqueue(std::function<void()> job)
 {
@@ -339,7 +329,7 @@ BackgroundQueue::workerLoop()
         // must not terminate the process via the worker thread. They
         // also run as a nested parallel region (see the class docs).
         try {
-            InlineRegion inlineRegion;
+            DepthGuard depth;
             telemetry::TraceSpan span("bg.task", "bg");
             task();
         } catch (const std::exception &e) {

@@ -153,27 +153,6 @@ class ThreadPool
 };
 
 /**
- * RAII marker making the current thread count as being inside a
- * parallel region for its lifetime: ThreadPool submissions and
- * parallelFor calls on this thread execute inline instead of fanning
- * into the pool. Use it around work that must not depend on pool
- * workers becoming free — the canonical case is decoding while
- * holding in-flight claims that blocked pool jobs are waiting on (the
- * tile server's coalesced decode): fanning that work into the pool
- * could deadlock, because every worker may be parked on exactly the
- * futures this thread has promised to fulfil.
- */
-class InlineRegion
-{
-  public:
-    InlineRegion();
-    ~InlineRegion();
-
-    InlineRegion(const InlineRegion &) = delete;
-    InlineRegion &operator=(const InlineRegion &) = delete;
-};
-
-/**
  * Bounded single-worker queue for best-effort background tasks.
  *
  * ThreadPool::submit() is the wrong tool for optional work kicked off
@@ -183,12 +162,13 @@ class InlineRegion
  * thread; post() never executes inline and never blocks — when the
  * queue is at capacity the task is dropped (post() returns false so
  * the caller can count it), which is the right failure mode for hints
- * (the ground tile server's delta-chain prefetcher is the canonical
- * user: a dropped prefetch only costs a future cache miss).
+ * (the ground tile server's prefetch and refine warmups are the
+ * canonical user: a dropped warmup only costs a future cache miss).
  *
- * Tasks execute inside an InlineRegion: background work runs its
- * parallel regions inline rather than competing with (or deadlocking
- * against) the pool's foreground jobs.
+ * Tasks execute as a nested parallel region (onWorkerThread() is true
+ * inside them): background work runs its parallel regions inline
+ * rather than competing with (or deadlocking against) the pool's
+ * foreground jobs.
  *
  * Destruction stops the worker after the task in flight finishes;
  * queued-but-unstarted tasks are discarded.

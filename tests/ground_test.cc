@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,6 +93,14 @@ testPlane(int w, int h, uint64_t seed)
                          static_cast<float>(rng.normal(0.0, 0.01));
     p.clampTo(0.0f, 1.0f);
     return p;
+}
+
+/** A size x size decoded tile as the tile table holds it. */
+SharedTile
+sharedTestTile(int size, uint64_t seed)
+{
+    return std::make_shared<const raster::Plane>(
+        testPlane(size, size, seed));
 }
 
 } // namespace
@@ -1407,6 +1417,9 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
     qFull.quality = 100;
     TileResult viaHint = server.serve(qFull);
     ASSERT_TRUE(viaHint.ok());
+    // ... and shares the full-fidelity tiles instead of decoding its own.
+    EXPECT_EQ(viaHint.tilesDecoded, 0);
+    EXPECT_EQ(viaHint.tilesFromCache, 4);
     for (int y = 0; y < hi.pixels.height(); ++y)
         for (int x = 0; x < hi.pixels.width(); ++x)
             ASSERT_EQ(viaHint.pixels.at(x, y), hi.pixels.at(x, y));
@@ -1587,18 +1600,96 @@ TEST(TileServer, TwoQueriesShareOneCachedTile)
     EXPECT_EQ(again.pixels.data(), first.pixels.data());
 }
 
-TEST(DecodedTileCache, HitsShareTheStoredTileAndCountItsBytes)
+TEST(TileTable, HitsShareTheStoredTileAndCountItsBytes)
 {
-    DecodedTileCache cache(8 * 20000);
-    EXPECT_EQ(cache.get(0, 3, 100), nullptr);
-    auto tile =
-        std::make_shared<const raster::Plane>(testPlane(64, 64, 50));
-    cache.put(0, 3, 100, tile);
-    SharedTile hit = cache.get(0, 3, 100);
-    EXPECT_EQ(hit, tile);
-    EXPECT_EQ(cache.get(0, 3, 100), tile);
-    EXPECT_EQ(cache.get(0, 3, 25), nullptr);
-    EXPECT_EQ(cache.sizeBytes(), 64u * 64u * sizeof(float));
+    // 8 shards of 20000 B: one 64x64 tile (16 KiB) fits a shard.
+    TileTable table(8 * 20000);
+    EXPECT_EQ(table.lookup({0, 3, 100}).kind, TileLookup::Kind::Claim);
+    SharedTile tile = sharedTestTile(64, 50);
+    table.fulfil({0, 3, 100}, tile);
+    TileLookup hit = table.lookup({0, 3, 100});
+    EXPECT_EQ(hit.kind, TileLookup::Kind::Hit);
+    EXPECT_EQ(hit.tile.get(), tile);
+    EXPECT_EQ(table.lookup({0, 3, 100}).tile.get(), tile);
+    EXPECT_EQ(table.lookup({0, 3, 25}).kind, TileLookup::Kind::Claim);
+    EXPECT_EQ(table.sizeBytes(), 64u * 64u * sizeof(float));
+
+    // A tile larger than a whole shard is handed out, not kept.
+    EXPECT_EQ(table.lookup({1, 0, -1}).kind, TileLookup::Kind::Claim);
+    table.fulfil({1, 0, -1}, sharedTestTile(128, 51));
+    EXPECT_EQ(table.lookup({1, 0, -1}).kind, TileLookup::Kind::Claim);
+    EXPECT_EQ(table.sizeBytes(), 64u * 64u * sizeof(float));
+    EXPECT_EQ(table.evictions(), 0u);
+}
+
+TEST(TileTable, ClaimThenJoinThenHitShareOneTile)
+{
+    TileTable table(1u << 20);
+    TileLookup claim = table.lookup({2, 5, -1});
+    EXPECT_EQ(claim.kind, TileLookup::Kind::Claim);
+    TileLookup join = table.lookup({2, 5, -1});
+    EXPECT_EQ(join.kind, TileLookup::Kind::Join);
+    EXPECT_NE(join.tile.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+
+    SharedTile tile = sharedTestTile(32, 52);
+    table.fulfil({2, 5, -1}, tile);
+    EXPECT_EQ(join.tile.get(), tile);
+    TileLookup hit = table.lookup({2, 5, -1});
+    EXPECT_EQ(hit.kind, TileLookup::Kind::Hit);
+    EXPECT_EQ(hit.tile.get(), tile);
+    EXPECT_EQ(table.sizeBytes(), 32u * 32u * sizeof(float));
+}
+
+TEST(TileTable, FailReachesJoinersAndFreesTheKey)
+{
+    TileTable table(1u << 20);
+    ASSERT_EQ(table.lookup({0, 1, -1}).kind, TileLookup::Kind::Claim);
+    TileLookup join = table.lookup({0, 1, -1});
+    ASSERT_EQ(join.kind, TileLookup::Kind::Join);
+    table.fail({0, 1, -1},
+               std::make_exception_ptr(std::runtime_error("decode")));
+    EXPECT_THROW(join.tile.get(), std::runtime_error);
+    EXPECT_EQ(table.lookup({0, 1, -1}).kind, TileLookup::Kind::Claim);
+    EXPECT_EQ(table.sizeBytes(), 0u);
+}
+
+TEST(TileTable, ZeroBudgetCoalescesButKeepsNothing)
+{
+    TileTable table(0);
+    ASSERT_EQ(table.lookup({4, 2, -1}).kind, TileLookup::Kind::Claim);
+    TileLookup join = table.lookup({4, 2, -1});
+    ASSERT_EQ(join.kind, TileLookup::Kind::Join);
+    SharedTile tile = sharedTestTile(16, 53);
+    table.fulfil({4, 2, -1}, tile);
+    EXPECT_EQ(join.tile.get(), tile);
+    EXPECT_EQ(table.lookup({4, 2, -1}).kind, TileLookup::Kind::Claim);
+    EXPECT_EQ(table.sizeBytes(), 0u);
+    EXPECT_EQ(table.evictions(), 0u);
+}
+
+TEST(TileTable, PendingEntriesSurviveEviction)
+{
+    // Keys differing only in quality share a shard; its 20000 B
+    // budget holds one 64x64 tile.
+    TileTable table(8 * 20000);
+    ASSERT_EQ(table.lookup({0, 3, -1}).kind, TileLookup::Kind::Claim);
+    for (int quality : {10, 20, 30}) {
+        ASSERT_EQ(table.lookup({0, 3, quality}).kind,
+                  TileLookup::Kind::Claim);
+        table.fulfil({0, 3, quality}, sharedTestTile(64, 54));
+    }
+    EXPECT_EQ(table.evictions(), 2u);
+    EXPECT_EQ(table.sizeBytes(), 64u * 64u * sizeof(float));
+    EXPECT_EQ(table.lookup({0, 3, 10}).kind, TileLookup::Kind::Claim);
+    table.fail({0, 3, 10}, std::make_exception_ptr(std::runtime_error("")));
+    EXPECT_EQ(table.lookup({0, 3, 30}).kind, TileLookup::Kind::Hit);
+    // The claim taken first sat through both sweeps still pending.
+    EXPECT_EQ(table.lookup({0, 3, -1}).kind, TileLookup::Kind::Join);
+    table.fulfil({0, 3, -1}, sharedTestTile(64, 55));
+    EXPECT_EQ(table.evictions(), 3u);
+    EXPECT_EQ(table.lookup({0, 3, -1}).kind, TileLookup::Kind::Hit);
+    EXPECT_EQ(table.lookup({0, 3, 30}).kind, TileLookup::Kind::Claim);
 }
 
 TEST(TileServer, CacheEvictsUnderTightBudget)

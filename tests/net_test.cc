@@ -438,19 +438,6 @@ TEST(NetServer, OverflowingQueryRectIsATypedBadQuery)
     EXPECT_EQ(remote.error, ServeError::BadQuery);
 }
 
-TEST(NetServer, PollBackendServesRoundTrips)
-{
-    ServerOptions options;
-    options.usePoll = true;
-    LoopbackServer fx(options);
-    TileClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", fx.port()));
-    TileResult remote;
-    ASSERT_TRUE(client.query(fullQuery(), remote));
-    EXPECT_EQ(remote.error, ServeError::None);
-    EXPECT_EQ(remote.pixels.data(), fx.tiles().serve(fullQuery()).pixels.data());
-}
-
 TEST(NetServer, VersionMismatchIsRefusedAfterReportingOurs)
 {
     LoopbackServer fx;

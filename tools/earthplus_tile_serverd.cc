@@ -71,7 +71,6 @@ usage(const char *argv0)
         "(default 1000; 0 = immediate)\n"
         "  --sync MODE          archive durability: none, interval, "
         "always (default none)\n"
-        "  --poll               force the poll() backend over epoll\n"
         "  --selftest           loopback round trip, then exit "
         "(default archive: synthetic, in a temp directory)\n",
         argv0);
@@ -230,8 +229,6 @@ main(int argc, char **argv)
                 usage(argv[0]);
                 return 2;
             }
-        } else if (arg == "--poll") {
-            options.usePoll = true;
         } else if (arg == "--selftest") {
             runSelftest = true;
             options.port = 0; // never collide with a running daemon
