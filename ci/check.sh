@@ -7,7 +7,7 @@
 #           serving, ground net) against their checked-in baselines
 #           (ci/perf_gate.py)
 #   asan    ASan+UBSan build of the byte-level parser suites
-#   tsan    TSan build of the concurrent archive/serving/codec suites
+#   tsan    TSan build of the concurrent archive/serving/codec/capture suites
 #   chaos   fault-injection sweep: failpoint + crash-consistency +
 #           net-fault suites plus the archive open-scan fuzz, the
 #           progressive-stream truncation fuzz and the stream
@@ -195,8 +195,12 @@ run_tsan() {
     # crossing to the loop thread over the wake pipe) must be
     # race-free under pipelined load — and the tile geometry every
     # coder of one shape shares read-only must be race-free while the
-    # golden streams replay at every pool width. Scoped to the suites
-    # that contain the concurrency tests.
+    # golden streams replay at every pool width — and the on-board
+    # capture path (the cloud screen's low-res rows, per-band cloud
+    # removal, scoring and the uplink planner's downsample, each
+    # fanned across the pool, and the band-list encode) must be
+    # race-free. Scoped to the suites that contain the concurrency
+    # tests.
     local tsan_dir="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
     # shellcheck disable=SC2086
     cmake -B "$tsan_dir" -S . ${CMAKE_ARGS:-} \
@@ -204,10 +208,11 @@ run_tsan() {
           -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
     cmake --build "$tsan_dir" -j "$(nproc)" \
           --target ground_test parallel_test codec_test telemetry_test \
-                   net_test progressive_test golden_stream_test
+                   net_test progressive_test golden_stream_test \
+                   cloud_test systems_test uplink_planner_test
     EARTHPLUS_THREADS=4 ctest --test-dir "$tsan_dir" \
           --output-on-failure \
-          -R 'ground_test|parallel_test|codec_test|telemetry_test|net_test|progressive_test|golden_stream_test'
+          -R 'ground_test|parallel_test|codec_test|telemetry_test|net_test|progressive_test|golden_stream_test|cloud_test|systems_test|uplink_planner_test'
 }
 
 run_chaos() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "raster/resample.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
 
@@ -25,29 +24,35 @@ CheapCloudDetector::detect(const raster::Image &img,
               "band spec count %zu != image bands %d", bands.size(),
               img.bandCount());
     BandRoles roles = rolesFor(bands);
-    raster::Plane visible = bandMean(img, roles.visible);
-    raster::Plane infrared = bandMean(img, roles.infrared);
     bool hasIr = !roles.infrared.empty();
 
     // Decision tree on the downsampled capture: only tile-level
     // decisions are needed, so analysis at low resolution is enough
-    // (§5) and keeps the on-board cost low.
+    // (§5) and keeps the on-board cost low. The low-res signals are
+    // built straight from the bands, with no full-resolution mean
+    // planes.
     int f = std::max(params_.analysisFactor, 1);
-    raster::Plane visLow = raster::downsample(visible, f);
-    raster::Plane irLow = raster::downsample(infrared, f);
+    raster::Plane visLow = bandMeanDownsample(img, roles.visible, f);
+    raster::Plane irLow =
+        hasIr ? bandMeanDownsample(img, roles.infrared, f) : raster::Plane();
 
-    // Rows are independent (byte-per-pixel mask), so the decision tree
-    // fans across the pool.
-    raster::Bitmap lowMask(visLow.width(), visLow.height());
+    // One job per low-res row: the decision tree classifies the row's
+    // cells straight into one full-resolution mask row, which is then
+    // copied whole to every other row of its block. Rows are
+    // independent (byte-per-pixel mask), so they fan across the pool.
+    CloudDetection det;
+    int w = img.width();
+    int h = img.height();
+    det.pixelMask = raster::Bitmap(w, h);
     util::ThreadPool::global().parallelFor(
-        0, visLow.height(), [&](int64_t y) {
-            for (int x = 0; x < visLow.width(); ++x) {
-                float vis = visLow.at(x, static_cast<int>(y));
+        0, visLow.height(), [&](int64_t yl) {
+            int ly = static_cast<int>(yl);
+            uint8_t *first = det.pixelMask.row(ly * f);
+            for (int lx = 0; lx < visLow.width(); ++lx) {
+                float vis = visLow.at(lx, ly);
                 bool cloudy;
                 if (hasIr) {
-                    float ir = std::max(irLow.at(x, static_cast<int>(y)),
-                                        1e-3f);
-                    float ratio = vis / ir;
+                    float ratio = vis / std::max(irLow.at(lx, ly), 1e-3f);
                     // Bright AND much brighter than IR: heavy cold
                     // cloud; a second branch admits very bright
                     // moderate clouds.
@@ -58,23 +63,11 @@ CheapCloudDetector::detect(const raster::Image &img,
                 } else {
                     cloudy = vis > params_.minVisibleNoIr;
                 }
-                lowMask.set(x, static_cast<int>(y), cloudy);
+                std::fill(first + lx * f, first + std::min((lx + 1) * f, w),
+                          static_cast<uint8_t>(cloudy));
             }
-        });
-
-    CloudDetection det;
-    // Upsample the low-res decision to pixel resolution (block copy).
-    det.pixelMask = raster::Bitmap(img.width(), img.height());
-    util::ThreadPool::global().parallelFor(
-        0, img.height(), [&](int64_t y) {
-            int ylow = std::min(static_cast<int>(y) / f,
-                                lowMask.height() - 1);
-            for (int x = 0; x < img.width(); ++x)
-                det.pixelMask.set(x, static_cast<int>(y),
-                                  lowMask.get(std::min(x / f,
-                                                       lowMask.width() -
-                                                           1),
-                                              ylow));
+            for (int y = ly * f + 1; y < std::min((ly + 1) * f, h); ++y)
+                std::copy(first, first + w, det.pixelMask.row(y));
         });
     det.coverage = det.pixelMask.fractionSet();
     det.tileMask = raster::tileMaskFromBitmap(det.pixelMask, grid,

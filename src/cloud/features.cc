@@ -1,8 +1,10 @@
 #include "cloud/features.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
+#include "util/parallel.hh"
 
 namespace earthplus::cloud {
 
@@ -39,6 +41,55 @@ bandMean(const raster::Image &img, const std::vector<int> &bandIdx)
     float inv = 1.0f / static_cast<float>(bandIdx.size());
     for (auto &v : out.data())
         v *= inv;
+    return out;
+}
+
+raster::Plane
+bandMeanDownsample(const raster::Image &img, const std::vector<int> &bandIdx,
+                   int factor)
+{
+    EP_ASSERT(factor >= 1, "invalid downsample factor %d", factor);
+    const int w = img.width();
+    const int h = img.height();
+    const int ow = (w + factor - 1) / factor;
+    const int oh = (h + factor - 1) / factor;
+    raster::Plane out(ow, oh, 0.0f);
+    if (bandIdx.empty())
+        return out;
+    const float inv = 1.0f / static_cast<float>(bandIdx.size());
+    util::ThreadPool::global().parallelFor(0, oh, [&](int64_t oyl) {
+        const int oy = static_cast<int>(oyl);
+        const int y0 = oy * factor;
+        const int y1 = std::min(y0 + factor, h);
+        std::vector<float> mean(static_cast<size_t>(w));
+        std::vector<double> sums(static_cast<size_t>(ow), 0.0);
+        for (int y = y0; y < y1; ++y) {
+            // The mean row exactly as bandMean() builds it ...
+            std::fill(mean.begin(), mean.end(), 0.0f);
+            for (int b : bandIdx) {
+                const float *src = img.band(b).row(y);
+                for (int x = 0; x < w; ++x)
+                    mean[static_cast<size_t>(x)] += src[x];
+            }
+            for (float &v : mean)
+                v *= inv;
+            // ... added to each block's sum row by row, left to right:
+            // the order raster::downsample() adds a block in.
+            for (int ox = 0; ox < ow; ++ox) {
+                const int x1 = std::min((ox + 1) * factor, w);
+                double sum = sums[static_cast<size_t>(ox)];
+                for (int x = ox * factor; x < x1; ++x)
+                    sum += mean[static_cast<size_t>(x)];
+                sums[static_cast<size_t>(ox)] = sum;
+            }
+        }
+        for (int ox = 0; ox < ow; ++ox) {
+            const int n = (y1 - y0) * (std::min((ox + 1) * factor, w) -
+                                       ox * factor);
+            out.at(ox, oy) =
+                static_cast<float>(sums[static_cast<size_t>(ox)] / n);
+        }
+    });
     return out;
 }
 

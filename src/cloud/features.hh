@@ -46,6 +46,19 @@ raster::Plane bandMean(const raster::Image &img,
                        const std::vector<int> &bandIdx);
 
 /**
+ * bandMean() box-downsampled by `factor`, built straight from the
+ * bands without a full-resolution mean plane. Bit-identical to
+ * raster::downsample(bandMean(img, bandIdx), factor): the same float
+ * mean per pixel and the same double block sum, in the same order.
+ * Low-resolution rows fan across the pool.
+ *
+ * @param factor Downsampling factor per dimension (>= 1).
+ */
+raster::Plane bandMeanDownsample(const raster::Image &img,
+                                 const std::vector<int> &bandIdx,
+                                 int factor);
+
+/**
  * Local standard deviation over a (2r+1)^2 window (box statistics).
  *
  * Clouds are spatially smooth; terrain (including snow-covered

@@ -587,82 +587,111 @@ truncateStream(const std::vector<uint8_t> &bytes, size_t budget)
     return truncateStream(bytes.data(), bytes.size(), budget);
 }
 
+std::vector<EncodedImage>
+encode(const std::vector<BandEncode> &bands)
+{
+    telemetry::TraceSpan encodeSpan("codec.encode", "codec");
+
+    // One job per coded (band, tile) pair, band-major and each band's
+    // tiles in flat tile-index order.
+    struct Job
+    {
+        size_t band;
+        raster::TileRect rect;
+        size_t budget;
+    };
+    std::vector<Job> jobs;
+    std::vector<EncodedImage> out(bands.size());
+    for (size_t b = 0; b < bands.size(); ++b) {
+        EP_ASSERT(bands[b].img, "band %zu has no plane", b);
+        const raster::Plane &img = *bands[b].img;
+        const EncodeParams &params = bands[b].params;
+        EP_ASSERT(params.tileSize > 0 && params.tileSize <= kMaxTileSize,
+                  "EPC4 tiles are 1 to %d pixels on an edge, not %d",
+                  kMaxTileSize, params.tileSize);
+        EP_ASSERT(params.bitsPerPixel > 0.0 || params.lossless,
+                  "non-positive bit budget");
+        raster::TileGrid grid(img.width(), img.height(), params.tileSize);
+        if (params.roi) {
+            EP_ASSERT(params.roi->tilesX() == grid.tilesX() &&
+                      params.roi->tilesY() == grid.tilesY(),
+                      "ROI mask (%dx%d tiles) does not match grid (%dx%d)",
+                      params.roi->tilesX(), params.roi->tilesY(),
+                      grid.tilesX(), grid.tilesY());
+        }
+
+        EncodedImage &e = out[b];
+        e.width = img.width();
+        e.height = img.height();
+        e.tileSize = params.tileSize;
+        e.dwtLevels = params.dwtLevels;
+        e.lossless = params.lossless;
+        e.tileCoded.assign(static_cast<size_t>(grid.tileCount()), 0);
+
+        for (int t = 0; t < grid.tileCount(); ++t) {
+            if (params.roi && !params.roi->get(t))
+                continue;
+            e.tileCoded[static_cast<size_t>(t)] = 1;
+            raster::TileRect r = grid.rect(t);
+            // Lossless coding ignores the budget: it codes every plane.
+            size_t pixels = static_cast<size_t>(r.width) *
+                            static_cast<size_t>(r.height);
+            size_t budget = params.lossless
+                ? 0
+                : static_cast<size_t>(params.bitsPerPixel *
+                                      static_cast<double>(pixels) / 8.0);
+            jobs.push_back({b, r, budget});
+        }
+    }
+
+    // Zero-filled reconstructions, one band per lane.
+    util::ThreadPool::global().parallelFor(
+        0, static_cast<int64_t>(bands.size()), [&](int64_t b) {
+            const BandEncode &band = bands[static_cast<size_t>(b)];
+            if (band.reconstruction)
+                *band.reconstruction = raster::Plane(
+                    band.img->width(), band.img->height(), 0.0f);
+        });
+
+    // The one tile loop. A job's DWT, entropy coding and (when asked)
+    // reconstruction all run inside encodeTile, and a band's tiles own
+    // disjoint rectangles of its own reconstruction, so concurrent
+    // pastes never touch the same pixel. Sub-chunks are appended to
+    // their band's payload in job order, so every stream is
+    // byte-identical at every thread count.
+    util::orderedReduce(
+        jobs.size(),
+        [&](size_t i) {
+            const Job &job = jobs[i];
+            const BandEncode &band = bands[job.band];
+            const raster::TileRect &r = job.rect;
+            TileCoderParams tp;
+            tp.dwtLevels = band.params.dwtLevels;
+            tp.lossless = band.params.lossless;
+            raster::Plane tile =
+                band.img->crop(r.x0, r.y0, r.width, r.height);
+            raster::Plane decoded;
+            std::vector<uint8_t> sub =
+                encodeTile(tile, tp, job.budget,
+                           band.reconstruction ? &decoded : nullptr);
+            if (band.reconstruction)
+                band.reconstruction->paste(decoded, r.x0, r.y0);
+            return sub;
+        },
+        [&](size_t i, std::vector<uint8_t> sub) {
+            codecMetrics().tilesEncoded.add();
+            std::vector<uint8_t> &payload = out[jobs[i].band].payload;
+            appendPod(payload, static_cast<uint32_t>(sub.size()));
+            payload.insert(payload.end(), sub.begin(), sub.end());
+        });
+    return out;
+}
+
 EncodedImage
 encode(const raster::Plane &img, const EncodeParams &params,
        raster::Plane *reconstruction)
 {
-    telemetry::TraceSpan encodeSpan("codec.encode", "codec");
-    EP_ASSERT(params.tileSize > 0 && params.tileSize <= kMaxTileSize,
-              "EPC4 tiles are 1 to %d pixels on an edge, not %d",
-              kMaxTileSize, params.tileSize);
-    EP_ASSERT(params.bitsPerPixel > 0.0 || params.lossless,
-              "non-positive bit budget");
-
-    raster::TileGrid grid(img.width(), img.height(), params.tileSize);
-    if (params.roi) {
-        EP_ASSERT(params.roi->tilesX() == grid.tilesX() &&
-                  params.roi->tilesY() == grid.tilesY(),
-                  "ROI mask (%dx%d tiles) does not match grid (%dx%d)",
-                  params.roi->tilesX(), params.roi->tilesY(),
-                  grid.tilesX(), grid.tilesY());
-    }
-
-    EncodedImage out;
-    out.width = img.width();
-    out.height = img.height();
-    out.tileSize = params.tileSize;
-    out.dwtLevels = params.dwtLevels;
-    out.lossless = params.lossless;
-    out.tileCoded.assign(static_cast<size_t>(grid.tileCount()), 0);
-    if (reconstruction)
-        *reconstruction = raster::Plane(img.width(), img.height(), 0.0f);
-
-    TileCoderParams tp;
-    tp.dwtLevels = params.dwtLevels;
-    tp.lossless = params.lossless;
-
-    std::vector<int> codedTiles;
-    for (int t = 0; t < grid.tileCount(); ++t) {
-        if (params.roi && !params.roi->get(t))
-            continue;
-        out.tileCoded[static_cast<size_t>(t)] = 1;
-        codedTiles.push_back(t);
-    }
-
-    // Lossless coding ignores the budget: it codes every plane.
-    auto budgetFor = [&](const raster::TileRect &r) {
-        size_t pixels = static_cast<size_t>(r.width) *
-                        static_cast<size_t>(r.height);
-        return params.lossless
-            ? 0
-            : static_cast<size_t>(params.bitsPerPixel *
-                                  static_cast<double>(pixels) / 8.0);
-    };
-
-    // One job per coded tile: the tile's DWT, entropy coding and
-    // (when asked) reconstruction all run inside encodeTile,
-    // and tiles own disjoint rectangles, so concurrent pastes never
-    // touch the same pixel. Sub-chunks are appended in flat tile-index
-    // order, so the stream is byte-identical at every thread count.
-    util::orderedReduce(
-        codedTiles.size(),
-        [&](size_t i) {
-            raster::TileRect r = grid.rect(codedTiles[i]);
-            raster::Plane tile = img.crop(r.x0, r.y0, r.width, r.height);
-            raster::Plane decoded;
-            std::vector<uint8_t> sub =
-                encodeTile(tile, tp, budgetFor(r),
-                           reconstruction ? &decoded : nullptr);
-            if (reconstruction)
-                reconstruction->paste(decoded, r.x0, r.y0);
-            return sub;
-        },
-        [&](size_t, std::vector<uint8_t> sub) {
-            codecMetrics().tilesEncoded.add();
-            appendPod(out.payload, static_cast<uint32_t>(sub.size()));
-            out.payload.insert(out.payload.end(), sub.begin(), sub.end());
-        });
-    return out;
+    return std::move(encode({{&img, params, reconstruction}}).front());
 }
 
 namespace {

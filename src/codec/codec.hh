@@ -3,7 +3,7 @@
  * Image-level codec front-end.
  *
  * Plays the role of the paper's JPEG-2000 encoder (Kakadu, §5): encodes
- * one image plane tile-by-tile with a bits-per-pixel budget, an optional
+ * image planes tile-by-tile with a bits-per-pixel budget, an optional
  * region-of-interest mask (only ROI tiles are coded, as in Earth+'s
  * changed-tile encoding), and a bitplane-progressive stream that
  * truncateStream() cuts to any byte budget after encoding (downlink
@@ -174,18 +174,40 @@ std::vector<uint8_t> truncateStream(const uint8_t *data, size_t len,
 std::vector<uint8_t> truncateStream(const std::vector<uint8_t> &bytes,
                                     size_t budget);
 
+/** One plane of a band-list encode(). */
+struct BandEncode
+{
+    /** Pixel data in [0, 1]. */
+    const raster::Plane *img = nullptr;
+    /**
+     * Encoding configuration; params.roi, when set, must match the
+     * plane's tile grid.
+     */
+    EncodeParams params;
+    /**
+     * When non-null, receives exactly what decode() of the band's
+     * stream produces (zeros outside the ROI), rebuilt from each tile's
+     * final encoder state instead of by entropy-decoding the bytes —
+     * the decoder-equivalent state rule of docs/ARCHITECTURE.md. Null
+     * costs nothing extra; bands of one list must not share one.
+     */
+    raster::Plane *reconstruction = nullptr;
+};
+
 /**
- * Encode one plane.
+ * Encode a list of planes, each with its own parameters and ROI, as
+ * one job per coded (band, tile) pair on the global pool. Returns one
+ * stream per band in list order; each is byte-identical to a
+ * single-plane encode() of that band, at every thread count.
+ */
+std::vector<EncodedImage> encode(const std::vector<BandEncode> &bands);
+
+/**
+ * Encode one plane: encode() of a one-band list.
  *
  * @param img Pixel data in [0, 1].
- * @param params Encoding configuration; params.roi, when set, must match
- *               the plane's tile grid.
- * @param reconstruction When non-null, receives exactly what decode()
- *               of the returned stream produces (zeros outside the
- *               ROI), rebuilt from each tile's final encoder state
- *               instead of by entropy-decoding the bytes — the
- *               decoder-equivalent state rule of docs/ARCHITECTURE.md.
- *               Null costs nothing extra.
+ * @param params Encoding configuration (see BandEncode::params).
+ * @param reconstruction See BandEncode::reconstruction.
  */
 EncodedImage encode(const raster::Plane &img, const EncodeParams &params,
                     raster::Plane *reconstruction = nullptr);

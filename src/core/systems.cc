@@ -47,18 +47,23 @@ encodeBands(const raster::Image &img, const raster::Bitmap &cloudMask,
             const std::vector<raster::TileMask> &rois,
             const SystemParams &params, ProcessResult &res)
 {
-    // Bands are independent encode jobs; each band's per-tile jobs
-    // nest inline when the pool is already saturated.
+    // Cloud removal fans across bands; then one encode runs every
+    // band's coded tiles as one job list, so no band's tile loop waits
+    // behind another's.
+    std::vector<raster::Plane> clean = util::parallelMap(
+        rois.size(), [&](size_t b) {
+            return removeClouds(img.band(static_cast<int>(b)), cloudMask);
+        });
     std::vector<raster::Plane> decoded(rois.size());
-    res.encodedBands = util::parallelMap(rois.size(), [&](size_t b) {
-        codec::EncodeParams ep;
-        ep.bitsPerPixel = params.gamma;
-        ep.tileSize = params.tileSize;
-        ep.roi = &rois[b];
-        return codec::encode(
-            removeClouds(img.band(static_cast<int>(b)), cloudMask), ep,
-            &decoded[b]);
-    });
+    std::vector<codec::BandEncode> jobs(rois.size());
+    for (size_t b = 0; b < rois.size(); ++b) {
+        jobs[b].img = &clean[b];
+        jobs[b].params.bitsPerPixel = params.gamma;
+        jobs[b].params.tileSize = params.tileSize;
+        jobs[b].params.roi = &rois[b];
+        jobs[b].reconstruction = &decoded[b];
+    }
+    res.encodedBands = codec::encode(jobs);
     for (const auto &band : res.encodedBands) {
         res.bandDownlinkBytes.push_back(band.totalBytes());
         res.downlinkBytes += res.bandDownlinkBytes.back();
@@ -114,16 +119,18 @@ meanPsnr(const raster::Image &truth, const raster::Image &recon,
 {
     raster::Bitmap valid = cloudTruth;
     valid.invert();
+    // Bands score in parallel and sum in band order.
+    std::vector<double> perBand = util::parallelMap(
+        static_cast<size_t>(truth.bandCount()), [&](size_t b) {
+            double p = raster::psnr(truth.band(static_cast<int>(b)),
+                                    recon.band(static_cast<int>(b)), &valid);
+            // An identical reconstruction; cap for averaging.
+            return std::isinf(p) ? 99.0 : p;
+        });
     double sum = 0.0;
-    int n = 0;
-    for (int b = 0; b < truth.bandCount(); ++b) {
-        double p = raster::psnr(truth.band(b), recon.band(b), &valid);
-        if (std::isinf(p))
-            p = 99.0; // identical reconstruction; cap for averaging
+    for (double p : perBand)
         sum += p;
-        ++n;
-    }
-    return n ? sum / n : 0.0;
+    return perBand.empty() ? 0.0 : sum / static_cast<double>(perBand.size());
 }
 
 /** A cloud screen running `detector`. */

@@ -2,6 +2,7 @@
 
 #include "change/detector.hh"
 #include "raster/resample.hh"
+#include "util/parallel.hh"
 
 namespace earthplus::core {
 
@@ -17,16 +18,18 @@ UplinkPlanner::encodedBytes(const raster::Image &lowRes,
                             const raster::TileMask *tiles,
                             int tileSizeLow) const
 {
-    double total = 0.0;
-    for (int b = 0; b < lowRes.bandCount(); ++b) {
-        codec::EncodeParams ep;
-        ep.bitsPerPixel = params_.bitsPerPixel;
-        ep.tileSize = tileSizeLow;
-        ep.dwtLevels = 3;
-        ep.roi = tiles;
-        codec::EncodedImage enc = codec::encode(lowRes.band(b), ep);
-        total += static_cast<double>(enc.totalBytes());
+    std::vector<codec::BandEncode> bands(
+        static_cast<size_t>(lowRes.bandCount()));
+    for (size_t b = 0; b < bands.size(); ++b) {
+        bands[b].img = &lowRes.band(static_cast<int>(b));
+        bands[b].params.bitsPerPixel = params_.bitsPerPixel;
+        bands[b].params.tileSize = tileSizeLow;
+        bands[b].params.dwtLevels = 3;
+        bands[b].params.roi = tiles;
     }
+    double total = 0.0;
+    for (const codec::EncodedImage &enc : codec::encode(bands))
+        total += static_cast<double>(enc.totalBytes());
     return total;
 }
 
@@ -45,10 +48,14 @@ UplinkPlanner::planUpdate(const ReferenceStore &ground, OnboardCache &cache,
         return plan; // cache is already fresh
 
     const raster::Image &full = ground.reference(locationId);
+    // Bands downsample in parallel and join in band order.
     raster::Image lowRes;
-    for (int b = 0; b < full.bandCount(); ++b)
-        lowRes.addBand(
-            raster::downsample(full.band(b), cache.downsampleFactor()));
+    for (raster::Plane &band : util::parallelMap(
+             static_cast<size_t>(full.bandCount()), [&](size_t b) {
+                 return raster::downsample(full.band(static_cast<int>(b)),
+                                           cache.downsampleFactor());
+             }))
+        lowRes.addBand(std::move(band));
     lowRes.info() = full.info();
 
     double rawBytes = static_cast<double>(full.pixelBytes());

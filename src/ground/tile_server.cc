@@ -323,8 +323,8 @@ TileServer::serveFront(const TileQuery &query)
 {
     telemetry::TraceSpan span("ground.serve", "ground");
     uint64_t t0 = telemetry::nowNanos();
-    double nextDay = std::numeric_limits<double>::infinity();
-    TileResult result = serveImpl(query, &nextDay);
+    ChainPlace place;
+    TileResult result = serveImpl(query, &place);
     result.serveNs = telemetry::nowNanos() - t0;
     if (telemetry::metricsEnabled())
         latencyHist_->record(result.serveNs);
@@ -336,7 +336,7 @@ TileServer::serveFront(const TileQuery &query)
     m.tilesCoalesced.add(static_cast<uint64_t>(result.tilesCoalesced));
 
     if (result.ok() && options_.prefetch)
-        maybePrefetch(query, nextDay);
+        maybePrefetch(query, place);
     // A reduced-fidelity answer went out fast; refine in the
     // background so the next identical query serves full quality.
     if (result.ok() && query.quality >= 0 && query.quality < 100) {
@@ -370,7 +370,7 @@ TileServer::parseRecord(size_t recordIdx, int quality) const
 }
 
 TileResult
-TileServer::serveImpl(TileQuery query, double *nextDayOut)
+TileServer::serveImpl(TileQuery query, ChainPlace *chainOut)
 {
     TileResult result;
     if (query.validate() != ServeError::None) {
@@ -386,8 +386,11 @@ TileServer::serveImpl(TileQuery query, double *nextDayOut)
         telemetry::ScopedTimer timer(serveMetrics().chainResolveNs);
         relevant = resolveChain(archive_, query, &nextDay);
     }
-    if (nextDayOut)
-        *nextDayOut = nextDay;
+    if (chainOut) {
+        chainOut->nextDay = nextDay;
+        if (!relevant.empty())
+            chainOut->newestDay = relevant.back().second.captureDay;
+    }
     if (relevant.empty())
         return result; // NotFound (the default)
 
@@ -564,31 +567,26 @@ TileServer::serveImpl(TileQuery query, double *nextDayOut)
 }
 
 void
-TileServer::maybePrefetch(const TileQuery &query, double nextDay)
+TileServer::maybePrefetch(const TileQuery &query, const ChainPlace &place)
 {
-    // Sequential-day detection: the same (location, band) was last
-    // served an earlier day. One step forward predicts another.
-    bool sequential = false;
+    // A one-record forward step: this query's newest record is the one
+    // the previous query of this (location, band) had next. Another
+    // step likely follows, so warm the chain of the record after it —
+    // exactly what a continuing sequential consumer asks for next. A
+    // day jump, even a forward one, predicts nothing.
+    bool step = false;
     {
         std::lock_guard<std::mutex> lock(prefetchMutex_);
         auto key = std::make_pair(query.locationId, query.band);
-        auto it = lastServedDay_.find(key);
-        sequential = it != lastServedDay_.end() &&
-                     query.day > it->second;
-        lastServedDay_[key] = query.day;
+        auto it = lastNextDay_.find(key);
+        step = it != lastNextDay_.end() && it->second == place.newestDay;
+        lastNextDay_[key] = place.nextDay;
     }
-    if (!sequential)
-        return;
-
-    // `nextDay` (computed by serveImpl while it scanned the chain) is
-    // the earliest record strictly after the query day. Prefetching
-    // *that* day's chain warms exactly the records a continuing
-    // sequential consumer asks for next.
-    if (!std::isfinite(nextDay))
+    if (!step || !std::isfinite(place.nextDay))
         return;
 
     TileQuery ahead = query;
-    ahead.day = nextDay;
+    ahead.day = place.nextDay;
     ServeMetrics &m = serveMetrics();
     warmInBackground(ahead, "ground.prefetch", m.prefetchTasks,
                      m.prefetchDropped);

@@ -21,9 +21,10 @@
  *    other joins the same entry instead of decoding twice (the
  *    thundering-herd guard a hot-spot workload needs);
  *  - **prefetches along the delta chain**: a consumer stepping
- *    day-by-day through a location's history (the dominant analytic
- *    access pattern) triggers a background decode of the next day's
- *    records into the cache, off the serving threads' latency path;
+ *    record by record through a location's history (the dominant
+ *    analytic access pattern) triggers a background decode of the
+ *    next record's chain into the cache, off the serving threads'
+ *    latency path; a jump to another day, forward or back, does not;
  *  - tracks per-query latency and reports p50/p99/p999 in StatsView —
  *    the serving SLO numbers, not just throughput;
  *  - exposes an **async core** (serveAsync) whose completion is
@@ -44,6 +45,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -353,7 +355,7 @@ struct TileServerOptions
 {
     /** Decoded-tile cache budget in bytes. */
     size_t cacheBytes = 64u << 20;
-    /** Enable sequential-day delta-chain prefetching. */
+    /** Enable one-record-step delta-chain prefetching. */
     bool prefetch = true;
 };
 
@@ -463,6 +465,15 @@ class TileServer
         uint64_t cacheEvictions = 0;
     };
 
+    /** Where a query's day sits in its (location, band) chain. */
+    struct ChainPlace
+    {
+        /** Capture day of the newest record at or before the query day. */
+        double newestDay = -std::numeric_limits<double>::infinity();
+        /** Capture day of the first record after it (+inf when none). */
+        double nextDay = std::numeric_limits<double>::infinity();
+    };
+
     /** Memoized geometry for a record, or null when not yet parsed. */
     const StreamInfo *findInfo(size_t recordIdx) const;
 
@@ -484,15 +495,19 @@ class TileServer
      * into -1 here, so both full-fidelity spellings share one table
      * key. serveFront() wraps it with stats + latency + prefetch
      * scheduling; background warmups call it directly so they stay
-     * out of the foreground statistics. When `nextDayOut` is non-null it
-     * receives the earliest capture day strictly after the query day
-     * (+inf when none) — the chain is already being scanned here, so
-     * the prefetcher gets its target without a second locked pass.
+     * out of the foreground statistics. When `chainOut` is non-null it
+     * receives the query's place in its chain — the chain is already
+     * being scanned here, so the prefetcher gets it without a second
+     * locked pass.
      */
-    TileResult serveImpl(TileQuery query, double *nextDayOut = nullptr);
+    TileResult serveImpl(TileQuery query, ChainPlace *chainOut = nullptr);
 
-    /** Schedule a next-day warmup when the access looks sequential. */
-    void maybePrefetch(const TileQuery &query, double nextDay);
+    /**
+     * Schedule a warmup of `place.nextDay`'s chain when this query took
+     * a one-record step forward: its newest record is the one the
+     * previous query of the same (location, band) had next.
+     */
+    void maybePrefetch(const TileQuery &query, const ChainPlace &place);
 
     /**
      * Post serveImpl(`query`) to the background queue under trace span
@@ -520,9 +535,12 @@ class TileServer
     mutable std::mutex infoMutex_;
     std::map<size_t, StreamInfo> info_;
 
-    /** Last served day per (location, band): sequential detection. */
+    /**
+     * Per (location, band), the previous query's ChainPlace::nextDay:
+     * one-record-step detection.
+     */
     std::mutex prefetchMutex_;
-    std::map<std::pair<int, int>, double> lastServedDay_;
+    std::map<std::pair<int, int>, double> lastNextDay_;
 
     mutable std::mutex statsMutex_;
     /** Registry values at the start of the window (statsMutex_). */

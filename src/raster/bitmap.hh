@@ -63,6 +63,9 @@ class Bitmap
     /** Raw storage, row-major, one byte per pixel. */
     const std::vector<uint8_t> &data() const { return data_; }
 
+    /** Row `y`'s bytes (0 or 1 each), for whole-row writes. */
+    uint8_t *row(int y) { return data_.data() + index(0, y); }
+
   private:
     int width_;
     int height_;

@@ -5,8 +5,9 @@
  * ordered-map/reduce helpers.
  *
  * This is the concurrency engine underneath the tile-granular pipeline:
- * the codec encodes every coded tile as one orderedReduce() job, the
- * systems layer fans bands out, and the simulation layer fans whole
+ * the codec encodes every coded (band, tile) pair as one
+ * orderedReduce() job, the systems layer fans per-band cloud removal,
+ * change detection and scoring out, and the simulation layer fans whole
  * (location, system) runs across a constellation. All of them share one
  * process-wide pool (ThreadPool::global()) sized by the
  * EARTHPLUS_THREADS environment variable (default: hardware
@@ -18,7 +19,7 @@
  * count or scheduling — the property the codec's golden test guards.
  *
  * Nesting: a parallel region entered from inside a pool worker (e.g.
- * the codec's tile loop reached from a per-band job) executes inline
+ * the codec's tile loop reached from a per-location job) executes inline
  * on the calling thread instead of re-entering the pool, so nested
  * parallelism can never deadlock the fixed-size pool. A one-item
  * range is not a parallel region, so work nested inside it still
@@ -238,14 +239,26 @@ parallelMap(size_t n, Fn &&fn)
  * Deterministic ordered reduce: produce(i) runs in parallel for every
  * i in [0, n); consume(i, result) then runs serially on the calling
  * thread in strictly increasing index order. This is how the codec
- * assembles per-tile entropy chunks into a byte-identical stream.
+ * assembles per-tile entropy chunks into byte-identical streams.
+ *
+ * Lanes claim one item at a time: an item is a whole job (a codec
+ * tile, tens to hundreds of microseconds), so single-item chunks keep
+ * the lanes' finishing times close at negligible claiming cost.
  */
 template <typename Produce, typename Consume>
 void
 orderedReduce(ThreadPool &pool, size_t n, Produce &&produce,
               Consume &&consume)
 {
-    auto results = parallelMap(pool, n, std::forward<Produce>(produce));
+    using R = std::invoke_result_t<Produce &, size_t>;
+    std::vector<R> results(n);
+    pool.parallelFor(
+        0, static_cast<int64_t>(n),
+        [&](int64_t i) {
+            results[static_cast<size_t>(i)] =
+                produce(static_cast<size_t>(i));
+        },
+        1);
     for (size_t i = 0; i < n; ++i)
         consume(i, std::move(results[i]));
 }

@@ -7,15 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 
 #include "cloud/detector.hh"
 #include "cloud/features.hh"
+#include "raster/resample.hh"
 #include "synth/dataset.hh"
 #include "synth/scene.hh"
 #include "synth/sensor.hh"
 #include "synth/weather.hh"
+#include "util/parallel.hh"
+#include "util/rng.hh"
 
 using namespace earthplus;
 using namespace earthplus::cloud;
@@ -57,6 +62,64 @@ struct CloudFixture
     }
 };
 
+/** `bands` planes of independent uniform noise in [0, 1). */
+raster::Image
+noiseImage(int w, int h, int bands, uint64_t seed)
+{
+    Rng rng(seed);
+    raster::Image img(w, h, bands);
+    for (int b = 0; b < bands; ++b)
+        for (float &v : img.band(b).data())
+            v = static_cast<float>(rng.uniform());
+    return img;
+}
+
+bool
+sameBits(const raster::Plane &a, const raster::Plane &b)
+{
+    return a.width() == b.width() && a.height() == b.height() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.data().size() * sizeof(float)) == 0;
+}
+
+/**
+ * The cheap detector composed from full-resolution parts: bandMean()
+ * planes, raster::downsample(), and the decision expanded pixel by
+ * pixel. CheapCloudDetector::detect must give exactly this.
+ */
+CloudDetection
+cheapByFullResolutionParts(const CheapCloudDetector::Params &p,
+                           const raster::Image &img,
+                           const std::vector<synth::BandSpec> &bands,
+                           const raster::TileGrid &grid)
+{
+    BandRoles roles = rolesFor(bands);
+    bool hasIr = !roles.infrared.empty();
+    int f = std::max(p.analysisFactor, 1);
+    raster::Plane visLow = raster::downsample(bandMean(img, roles.visible), f);
+    raster::Plane irLow = raster::downsample(bandMean(img, roles.infrared), f);
+    CloudDetection det;
+    det.pixelMask = raster::Bitmap(img.width(), img.height());
+    for (int y = 0; y < img.height(); ++y) {
+        for (int x = 0; x < img.width(); ++x) {
+            float vis = visLow.at(x / f, y / f);
+            bool cloudy;
+            if (hasIr) {
+                float ratio = vis / std::max(irLow.at(x / f, y / f), 1e-3f);
+                cloudy = (vis > p.minVisible && ratio > p.minRatio) ||
+                         (vis > p.midVisible && ratio > p.midRatio);
+            } else {
+                cloudy = vis > p.minVisibleNoIr;
+            }
+            det.pixelMask.set(x, y, cloudy);
+        }
+    }
+    det.coverage = det.pixelMask.fractionSet();
+    det.tileMask =
+        raster::tileMaskFromBitmap(det.pixelMask, grid, p.tileCloudFraction);
+    return det;
+}
+
 } // namespace
 
 TEST(Features, RolesClassifyBands)
@@ -82,6 +145,39 @@ TEST(Features, BandMeanAverages)
     EXPECT_FLOAT_EQ(m.at(0, 0), 0.4f);
     raster::Plane empty = bandMean(img, {});
     EXPECT_FLOAT_EQ(empty.at(0, 0), 0.0f);
+}
+
+TEST(Features, BandMeanDownsampleMatchesDownsampledBandMean)
+{
+    // The analysis-resolution helper builds the low-res plane straight
+    // from the bands; it must equal the full-resolution composition bit
+    // for bit, including partial blocks where the factor does not
+    // divide the size, on one lane and on four.
+    struct Case
+    {
+        int w, h, factor;
+    };
+    const Case cases[] = {{512, 512, 8}, {500, 300, 8}, {7, 5, 3},
+                          {33, 17, 1}};
+    const std::vector<int> bandSets[] = {{2}, {0, 1, 3}, {}};
+    for (int threads : {1, 4}) {
+        util::ThreadPool::setGlobalThreads(threads);
+        for (const Case &c : cases) {
+            raster::Image img = noiseImage(
+                c.w, c.h, 4, static_cast<uint64_t>(c.w * 31 + c.h));
+            for (const std::vector<int> &idx : bandSets) {
+                SCOPED_TRACE(testing::Message()
+                             << "threads=" << threads << " " << c.w << "x"
+                             << c.h << " f=" << c.factor << " bands="
+                             << idx.size());
+                EXPECT_TRUE(sameBits(
+                    bandMeanDownsample(img, idx, c.factor),
+                    raster::downsample(bandMean(img, idx), c.factor)));
+            }
+        }
+    }
+    util::ThreadPool::setGlobalThreads(
+        util::ThreadPool::defaultThreadCount());
 }
 
 TEST(Features, BoxBlurPreservesConstants)
@@ -177,6 +273,55 @@ TEST(CheapDetector, QuietOnClearScenes)
     synth::Capture cap = f.sim->capture(static_cast<double>(d), 0);
     CloudDetection cd = det.detect(cap.image, f.config.bands, grid);
     EXPECT_LT(cd.coverage, 0.02);
+}
+
+TEST(CheapDetector, MatchesFullResolutionComposition)
+{
+    // detect() screens at analysis resolution only; its pixel mask,
+    // coverage and tile mask must equal the full-resolution composition
+    // on rich-content captures: RGB + SWIR (the ingest benchmark's
+    // bands), all 13 Sentinel-2 bands, and RGB alone (no IR branch),
+    // over clear and cloudy days.
+    synth::DatasetSpec spec = synth::richContentDataset(256, 256);
+    const std::vector<synth::BandSpec> bandSets[] = {
+        {spec.bands[1], spec.bands[2], spec.bands[3], spec.bands[11]},
+        spec.bands,
+        {spec.bands[1], spec.bands[2], spec.bands[3]}};
+    CheapCloudDetector det;
+    raster::TileGrid grid(spec.width, spec.height, spec.tileSize);
+    int cloudy = 0;
+    int captures = 0;
+    for (const std::vector<synth::BandSpec> &bands : bandSets) {
+        for (size_t loc : {size_t(0), size_t(3)}) {
+            synth::SceneConfig sc;
+            sc.width = spec.width;
+            sc.height = spec.height;
+            sc.tileSize = spec.tileSize;
+            sc.bands = bands;
+            synth::SceneModel scene(spec.locations[loc], sc);
+            synth::WeatherProcess weather;
+            synth::CaptureSimulator sim(scene, weather);
+            for (double day : {20.0, 170.0, 245.0, 320.0}) {
+                SCOPED_TRACE(testing::Message()
+                             << bands.size() << " bands, location " << loc
+                             << ", day " << day);
+                synth::Capture cap = sim.capture(day, 0);
+                CloudDetection got = det.detect(cap.image, bands, grid);
+                CloudDetection want = cheapByFullResolutionParts(
+                    det.params(), cap.image, bands, grid);
+                EXPECT_EQ(got.pixelMask.data(), want.pixelMask.data());
+                EXPECT_EQ(got.coverage, want.coverage);
+                for (int t = 0; t < grid.tileCount(); ++t)
+                    EXPECT_EQ(got.tileMask.get(t), want.tileMask.get(t))
+                        << "tile " << t;
+                cloudy += want.coverage > 0.0;
+                ++captures;
+            }
+        }
+    }
+    // The sweep covers both clear and cloudy captures.
+    EXPECT_GT(cloudy, 0);
+    EXPECT_LT(cloudy, captures);
 }
 
 TEST(AccurateDetector, TracksCoverageAcrossRegimes)

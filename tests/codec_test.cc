@@ -618,8 +618,8 @@ TEST(Codec, StageHistogramsRecordOnEveryEncodePath)
     // Every encode records its stage timers — one codec.transform_ns
     // and one codec.entropy_chunk_ns sample per coded tile — whether
     // its tile loop fans out at top level, runs inline inside a
-    // parallelMap item (an on-board band encode) or runs on a
-    // single-lane pool.
+    // parallelMap item (a constellation run's per-location job) or
+    // runs on a single-lane pool.
     raster::Plane img = testImage(200, 136, 42);
     EncodeParams p;
     p.bitsPerPixel = 1.0;
@@ -824,6 +824,83 @@ TEST(Codec, EncoderReconstructionOfEmptyRoiIsZero)
     EncodedImage e = encode(img, p, &recon);
     EXPECT_TRUE(bitIdentical(recon, decode(e)));
     EXPECT_TRUE(bitIdentical(recon, raster::Plane(97, 201, 0.0f)));
+}
+
+TEST(Codec, BandListEncodeMatchesPerBandEncode)
+{
+    // One encode() over a band list runs every band's coded tiles as
+    // one job list. Each band's stream and reconstruction must still be
+    // exactly what its own single-plane encode gives: on one lane, on
+    // four, and from inside a parallelMap item, where the tile loop
+    // runs inline. Four bands with ROIs of 64, 15, 1 and 0 tiles, each
+    // at its own budget; all lossy, all lossless and alternating.
+    const int kSide = 256;
+    const int kRoiTiles[] = {64, 15, 1, 0};
+    raster::TileGrid grid(kSide, kSide, 32);
+    ASSERT_EQ(grid.tileCount(), 64);
+    std::vector<raster::Plane> imgs;
+    std::vector<raster::TileMask> rois;
+    for (int b = 0; b < 4; ++b) {
+        imgs.push_back(testImage(kSide, kSide, 90u + static_cast<uint64_t>(b)));
+        raster::TileMask roi(grid);
+        // 7 is coprime with 64, so the k * 7 are distinct tiles.
+        for (int k = 0; k < kRoiTiles[b]; ++k)
+            roi.set((k * 7) % 64, true);
+        EXPECT_EQ(roi.countSet(), kRoiTiles[b]);
+        rois.push_back(roi);
+    }
+
+    const char *modes[] = {"lossy", "lossless", "alternating"};
+    for (int mode = 0; mode < 3; ++mode) {
+        for (bool withRecon : {false, true}) {
+            SCOPED_TRACE(testing::Message() << modes[mode] << " recon="
+                                            << withRecon);
+            std::vector<BandEncode> bands(4);
+            std::vector<raster::Plane> recons(4);
+            for (size_t b = 0; b < 4; ++b) {
+                bands[b].img = &imgs[b];
+                bands[b].params.tileSize = 32;
+                bands[b].params.bitsPerPixel = 0.5 + static_cast<double>(b);
+                bands[b].params.lossless =
+                    mode == 1 || (mode == 2 && b % 2 == 1);
+                bands[b].params.roi = &rois[b];
+                bands[b].reconstruction = withRecon ? &recons[b] : nullptr;
+            }
+
+            util::ThreadPool::setGlobalThreads(1);
+            std::vector<std::vector<uint8_t>> want(4);
+            std::vector<raster::Plane> wantRecon(4);
+            for (size_t b = 0; b < 4; ++b)
+                want[b] = encode(imgs[b], bands[b].params,
+                                 withRecon ? &wantRecon[b] : nullptr)
+                              .serialize();
+
+            auto expectMatches = [&](const std::vector<EncodedImage> &got,
+                                     const char *path) {
+                SCOPED_TRACE(path);
+                ASSERT_EQ(got.size(), 4u);
+                for (size_t b = 0; b < 4; ++b) {
+                    EXPECT_EQ(got[b].serialize(), want[b]) << "band " << b;
+                    if (withRecon) {
+                        EXPECT_TRUE(bitIdentical(recons[b], wantRecon[b]))
+                            << "band " << b;
+                    }
+                    recons[b] = raster::Plane();
+                }
+            };
+            for (int threads : {1, 4}) {
+                util::ThreadPool::setGlobalThreads(threads);
+                expectMatches(encode(bands),
+                              threads == 1 ? "1 lane" : "4 lanes");
+            }
+            auto nested = util::parallelMap(2, [&](size_t i) {
+                return i == 0 ? encode(bands) : std::vector<EncodedImage>();
+            });
+            expectMatches(nested[0], "inside a parallelMap item");
+        }
+    }
+    util::ThreadPool::setGlobalThreads(
+        util::ThreadPool::defaultThreadCount());
 }
 
 TEST(Codec, OddGeometrySweepDecodesToEncoderState)

@@ -1807,6 +1807,74 @@ TEST(TileServer, SequentialDayAccessPrefetchesNextChainStep)
     EXPECT_EQ(r.tilesDecoded, 0);
 }
 
+TEST(TileServer, RandomDayJumpsDoNotPrefetch)
+{
+    // Prefetch fires only on a one-record step forward: the query's
+    // newest record is the one the previous query of its (location,
+    // band) had next. Jumps, forward ones included, warm nothing.
+    TempPath dir("serve_prefetch_jumps");
+    Archive archive(dir.str());
+    codec::EncodeParams ep;
+    ep.bitsPerPixel = 2.0;
+    ep.tileSize = 64;
+    RecordMeta meta;
+    meta.locationId = 1;
+    meta.band = 0;
+    meta.captureDay = 1.0;
+    meta.fullDownload = true;
+    archive.append(meta, codec::encode(testPlane(128, 128, 70), ep)
+                             .serialize());
+    // Deltas at days 2..6, each re-coding one tile.
+    raster::TileGrid grid(128, 128, 64);
+    for (int d = 2; d <= 6; ++d) {
+        raster::TileMask roi(grid);
+        roi.set(d % grid.tileCount(), true);
+        codec::EncodeParams dp = ep;
+        dp.roi = &roi;
+        RecordMeta dm = meta;
+        dm.captureDay = d;
+        dm.fullDownload = false;
+        dm.referenceDay = 1.0;
+        archive.append(dm, codec::encode(testPlane(128, 128, 70 + d), dp)
+                               .serialize());
+    }
+
+    TileQuery q;
+    q.locationId = 1;
+    q.band = 0;
+    q.width = 128;
+    q.height = 128;
+    {
+        // Newest records 1, 4, 2, 6, 3, 5: never the previous query's
+        // next record. 1.5 -> 4.5 and 3.5 -> 5.5 are forward jumps.
+        TileServer server(archive);
+        for (double day : {1.5, 4.5, 2.5, 6.5, 3.5, 5.5}) {
+            q.day = day;
+            ASSERT_TRUE(server.serve(q).ok()) << "day " << day;
+            server.waitForPrefetchIdle();
+        }
+        StatsView stats = server.statsView();
+        EXPECT_EQ(stats.prefetchTasks, 0u);
+        EXPECT_EQ(stats.prefetchDropped, 0u);
+    }
+    {
+        // A one-record walk: every step after the first warms the next
+        // record's chain, until no record follows.
+        TileServer server(archive);
+        uint64_t steps = 0;
+        for (double day : {1.5, 2.5, 3.5, 4.5, 5.5, 6.5}) {
+            q.day = day;
+            ASSERT_TRUE(server.serve(q).ok()) << "day " << day;
+            server.waitForPrefetchIdle();
+            steps += day > 1.5 && day < 6.0;
+            EXPECT_EQ(server.statsView().prefetchTasks, steps)
+                << "day " << day;
+        }
+        EXPECT_EQ(steps, 4u);
+        EXPECT_EQ(server.statsView().prefetchDropped, 0u);
+    }
+}
+
 TEST(TileServer, LatencyPercentilesTrackQueries)
 {
     TempPath dir("serve_latency");
