@@ -46,7 +46,7 @@ configure_and_build() {
 }
 
 run_tests() {
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 }
 
 run_benches() {
@@ -279,7 +279,7 @@ run_coverage() {
           -DCMAKE_CXX_FLAGS="--coverage" \
           -DCMAKE_EXE_LINKER_FLAGS="--coverage"
     cmake --build "$cov_dir" -j "$(nproc)"
-    ctest --test-dir "$cov_dir" --output-on-failure -j
+    ctest --test-dir "$cov_dir" --output-on-failure -j "$(nproc)"
     mkdir -p "$ARTIFACTS_DIR"
     python3 ci/coverage_gate.py \
         --build-dir "$cov_dir" \

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <limits>
 
-#include "codec/codec.hh"
 #include "ground/archive_io.hh"
 #include "ground/crc32.hh"
 #include "util/bytes.hh"
@@ -1012,87 +1011,6 @@ Archive::rewriteAllShardsLocked(
         scanReport_.validBytes += shardPtr->appendOffset;
     }
     return after;
-}
-
-PressureReport
-Archive::applyStoragePressure(uint64_t targetBytes)
-{
-    // Exclusive over the whole archive, same nesting as compact():
-    // shards in index order, then the global table.
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(shards_.size());
-    for (auto &shard : shards_)
-        locks.emplace_back(shard->mutex);
-    std::unique_lock<std::shared_mutex> g(globalMutex_);
-
-    PressureReport report;
-    uint64_t before = 0;
-    for (const auto &shardPtr : shards_)
-        before += shardPtr->appendOffset;
-    if (before <= targetBytes)
-        return report;
-
-    // Pull every payload into memory, verifying each against its
-    // stored CRC — like compact(), the rewrite must never re-bless
-    // rotten bytes with a fresh checksum.
-    size_t n = globalRecords_.size();
-    std::vector<std::pair<RecordMeta, std::vector<uint8_t>>> records;
-    records.reserve(n);
-    for (size_t gid = 0; gid < n; ++gid) {
-        const GlobalRef &ref = globalRecords_[gid];
-        Shard &shard = *shards_[ref.shard];
-        records.emplace_back(
-            shard.records[ref.local].meta,
-            readPayloadLocked(shard, gid, ref.local, nullptr).toVector());
-    }
-
-    // Each payload can shrink from its current size down to its
-    // cutter's floor; spread the byte deficit proportionally over those
-    // cuttable spans so quality degrades evenly across the archive
-    // instead of zeroing out whole records.
-    uint64_t need = before - targetBytes;
-    uint64_t cuttable = 0;
-    std::vector<size_t> floors(records.size(), 0);
-    for (size_t i = 0; i < records.size(); ++i) {
-        const std::vector<uint8_t> &payload = records[i].second;
-        floors[i] = codec::streamHeaderFloor(payload);
-        cuttable += payload.size() - floors[i];
-    }
-    if (cuttable == 0) {
-        // Nothing can shrink: every record is already at its floor.
-        // Report the floor instead of evicting.
-        report.recordsSkipped = records.size();
-        report.atFloor = true;
-        return report;
-    }
-
-    double keepFrac = need >= cuttable
-        ? 0.0
-        : 1.0 - static_cast<double>(need) /
-                    static_cast<double>(cuttable);
-    for (size_t i = 0; i < records.size(); ++i) {
-        std::vector<uint8_t> &payload = records[i].second;
-        size_t span = payload.size() - floors[i];
-        size_t budget =
-            floors[i] +
-            static_cast<size_t>(static_cast<double>(span) * keepFrac);
-        std::vector<uint8_t> cut =
-            codec::truncateStream(payload, budget);
-        if (cut.size() < payload.size()) {
-            ++report.recordsTruncated;
-            payload = std::move(cut);
-            records[i].first.payloadBytes = payload.size();
-        } else {
-            ++report.recordsSkipped;
-        }
-    }
-
-    uint64_t after = rewriteAllShardsLocked(records);
-    report.bytesReclaimed = before - after;
-    // Proportional budgets always land at or below their targets, so
-    // one pass reaches targetBytes whenever the floors allow it.
-    report.atFloor = after > targetBytes;
-    return report;
 }
 
 bool

@@ -28,6 +28,9 @@
  * (OpenErrorKind::NotADirectory) and the file is left untouched; an
  * empty path is refused too (OpenErrorKind::Unwritable).
  *
+ * A payload is opaque to the archive: it stores, CRC-checks and hands
+ * back bytes, and never parses them (the tile server decodes them).
+ *
  * Appends go to the end of a shard file; open() scans every shard to
  * rebuild the in-memory indexes and is corruption-tolerant per shard:
  * a truncated or corrupt tail record stops that shard's scan, the
@@ -153,22 +156,6 @@ struct RecordEntry
     uint32_t payloadCrc = 0;
 };
 
-/** Outcome of one Archive::applyStoragePressure() pass. */
-struct PressureReport
-{
-    /** Shard-file bytes reclaimed by the rewrite. */
-    uint64_t bytesReclaimed = 0;
-    /** Records whose payloads codec::truncateStream() cut smaller. */
-    size_t recordsTruncated = 0;
-    /** Records that could not shrink: streams already cut to their
-     *  floor (codec::streamHeaderFloor()). */
-    size_t recordsSkipped = 0;
-    /** True when the pass hit the archive's degradation floor — every
-     *  payload already cut to its header floor — while still above
-     *  the requested target. */
-    bool atFloor = false;
-};
-
 /** Outcome of opening an archive (aggregated across shards). */
 struct ScanReport
 {
@@ -188,11 +175,11 @@ struct ScanReport
 class Mapping;
 
 /**
- * View of one record's payload bytes, zero-copy: the pointer aims
- * straight into the read-only mapping of the record's shard file, and
- * the view co-owns that mapping. The bytes therefore stay valid for
- * the view's own lifetime — across later appends, across compact()
- * and applyStoragePressure(), and after the Archive is destroyed.
+ * View of one record's payload bytes, exactly as appended and
+ * zero-copy: the pointer aims straight into the read-only mapping of
+ * the record's shard file, and the view co-owns that mapping. The
+ * bytes therefore stay valid for the view's own lifetime — across
+ * later appends, across compact() and after the Archive is destroyed.
  */
 class PayloadView
 {
@@ -336,10 +323,10 @@ class Archive
     /**
      * View the payload of record `idx`, CRC-verified, without copying.
      * The view co-owns the shard mapping it points into, so its bytes
-     * outlive later appends, compact() and this archive itself; a
-     * rewrite reassigns only the record index. fatal()s when the
-     * stored bytes no longer match their CRC, or when the shard file
-     * no longer holds the record.
+     * outlive later appends, compact() and this archive itself.
+     * compact() reassigns record indices but never changes a
+     * payload's bytes. fatal()s when the stored bytes no longer match
+     * their CRC, or when the shard file no longer holds the record.
      */
     PayloadView payloadView(size_t idx) const;
 
@@ -360,32 +347,6 @@ class Archive
      * @return Bytes reclaimed across all shards.
      */
     uint64_t compact();
-
-    /**
-     * Degrade the archive in place to fit `targetBytes` of shard-file
-     * storage, cutting payloads with the codec's tile-fair
-     * codec::truncateStream() instead of evicting records: every
-     * record — and every acknowledged append — survives the pass, at
-     * reduced quality. The byte deficit is spread proportionally over
-     * the cuttable span (payload size minus the cutter's floor) of
-     * every payload; a
-     * record that cannot shrink is left byte-identical (and counted in
-     * PressureReport::recordsSkipped). Every payload must be an
-     * encoded-image stream; one that does not parse is fatal, like a
-     * CRC mismatch.
-     *
-     * Durability follows compact(): each shard's records are staged to
-     * 'shard-NNN.epar.tmp', fsynced, renamed over the live shard, and
-     * the directory is fsynced — a crash anywhere leaves every shard
-     * either fully old or fully new. Like compact(), this rewrites
-     * every shard and reassigns record indices, so it must not run
-     * concurrently with serving or appending.
-     *
-     * @param targetBytes Desired ceiling for fileBytes(). A pass that
-     *        cannot reach it (all payloads at their floor) reports
-     *        atFloor instead of failing.
-     */
-    PressureReport applyStoragePressure(uint64_t targetBytes);
 
     /** Total bytes across shard files (headers + payloads). */
     uint64_t fileBytes() const;
@@ -484,11 +445,10 @@ class Archive
      * Replace the archive's contents with `records` (in global-id
      * order): stage each shard's share to 'shard-NNN.epar.tmp', fsync,
      * rename over the live shard, fsync the directory, then rebuild
-     * the in-memory records and indexes by replay. The shared
-     * crash-consistent rewrite under compact() and
-     * applyStoragePressure(). Requires every shard mutex and a unique
-     * lock on globalMutex_ held. Returns total shard-file bytes after
-     * the rewrite.
+     * the in-memory records and indexes by replay: compact()'s
+     * crash-consistent rewrite. Requires every shard mutex and a
+     * unique lock on globalMutex_ held. Returns total shard-file
+     * bytes after the rewrite.
      */
     uint64_t rewriteAllShardsLocked(
         std::vector<std::pair<RecordMeta, std::vector<uint8_t>>>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "codec/codec.hh"
 #include "ground/crc32.hh"
 #include "util/bytes.hh"
 #include "util/logging.hh"
@@ -56,45 +55,6 @@ packetize(uint32_t streamId, const std::vector<uint8_t> &payload,
         packets.push_back(std::move(pkt));
     }
     return packets;
-}
-
-std::vector<std::vector<uint8_t>>
-packetizeToBudget(uint32_t streamId,
-                  const std::vector<uint8_t> &payload,
-                  size_t payloadBytesPerPacket, size_t byteBudget)
-{
-    EP_ASSERT(payloadBytesPerPacket > 0,
-              "packet payload size must be > 0");
-    auto wireSize = [&](size_t len) {
-        size_t n = len == 0 ? 1
-                            : (len + payloadBytesPerPacket - 1) /
-                                  payloadBytesPerPacket;
-        return len + n * kPacketHeaderBytes;
-    };
-    if (wireSize(payload.size()) <= byteBudget)
-        return packetize(streamId, payload, payloadBytesPerPacket);
-
-    // Largest payload allowance whose framed size fits: with n
-    // packets the wire size is len + n * kPacketHeaderBytes and len
-    // lies in ((n-1)*P, n*P], so scan packet counts upward until
-    // another packet's header no longer buys any payload.
-    size_t allow = 0;
-    for (size_t n = 1;; ++n) {
-        size_t headers = n * kPacketHeaderBytes;
-        if (headers >= byteBudget)
-            break;
-        size_t lenCap = std::min(n * payloadBytesPerPacket,
-                                 byteBudget - headers);
-        if (lenCap <= (n - 1) * payloadBytesPerPacket)
-            break;
-        allow = std::max(allow, lenCap);
-    }
-    EP_ASSERT(allow > 0, "contact budget %zu cannot fit one packet",
-              byteBudget);
-    // truncateStream() itself rejects payloads that do not parse as a
-    // stream and budgets below the cutter's floor.
-    std::vector<uint8_t> cut = codec::truncateStream(payload, allow);
-    return packetize(streamId, cut, payloadBytesPerPacket);
 }
 
 std::optional<PacketHeader>
@@ -199,21 +159,6 @@ DownlinkChannel::submit(std::vector<uint8_t> payload)
 {
     uint32_t id = nextStreamId_++;
     Transfer t{id, packetize(id, payload, params_.payloadBytesPerPacket),
-               StreamReassembler(id), {}, 0};
-    t.attempted.assign(t.packets.size(), 0);
-    pending_.push_back(std::move(t));
-    return id;
-}
-
-uint32_t
-DownlinkChannel::submit(std::vector<uint8_t> payload,
-                        size_t contactByteBudget)
-{
-    uint32_t id = nextStreamId_++;
-    Transfer t{id,
-               packetizeToBudget(id, payload,
-                                 params_.payloadBytesPerPacket,
-                                 contactByteBudget),
                StreamReassembler(id), {}, 0};
     t.attempted.assign(t.packets.size(), 0);
     pending_.push_back(std::move(t));

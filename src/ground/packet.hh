@@ -22,6 +22,9 @@
  *    a capture for `retentionContacts` consecutive contacts; a
  *    transfer still incomplete after that is dropped and counted as
  *    failed.
+ *
+ * Payloads are opaque here: nothing in this module parses or cuts
+ * them, and a payload larger than one contact simply spans several.
  */
 
 #ifndef EARTHPLUS_GROUND_PACKET_HH
@@ -63,21 +66,6 @@ struct PacketHeader
 std::vector<std::vector<uint8_t>>
 packetize(uint32_t streamId, const std::vector<uint8_t> &payload,
           size_t payloadBytesPerPacket);
-
-/**
- * Frame a payload into packets whose total wire size — packet headers
- * included — fits `byteBudget`. A payload too large for the budget
- * must be an encoded-image stream: codec::truncateStream() cuts it,
- * tile-fairly, to the largest size whose packetized wire size fits,
- * so a short contact carries a lower-fidelity capture of every tile
- * instead of failing the transfer. fatal() when the budget cannot fit
- * even the cutter's floor (codec::streamHeaderFloor()), or when an
- * oversized payload is not a stream that parses.
- */
-std::vector<std::vector<uint8_t>>
-packetizeToBudget(uint32_t streamId,
-                  const std::vector<uint8_t> &payload,
-                  size_t payloadBytesPerPacket, size_t byteBudget);
 
 /** Why a packet was not accepted. */
 enum class PacketVerdict
@@ -186,16 +174,6 @@ class DownlinkChannel
      * @return The stream id assigned to the transfer.
      */
     uint32_t submit(std::vector<uint8_t> payload);
-
-    /**
-     * Queue a payload for transmission, first cutting it
-     * (packetizeToBudget()) so the whole transfer — headers included
-     * — fits `contactByteBudget` wire bytes: a transfer sized to
-     * complete within one loss-free contact of that budget. Same
-     * preconditions as packetizeToBudget().
-     */
-    uint32_t submit(std::vector<uint8_t> payload,
-                    size_t contactByteBudget);
 
     /** A transfer that completed during a contact. */
     struct Delivery

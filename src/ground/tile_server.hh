@@ -32,6 +32,11 @@
  *    (src/net) compose with serving without blocking their loop
  *    thread; serve()/serveBatch() are thin synchronous wrappers.
  *
+ * The server is the one ground layer that reads the stream format:
+ * the archive and the downlink carry payloads as opaque bytes, and
+ * parseRecord() is where a payload becomes an EncodedImage (cut first
+ * for a quality hint).
+ *
  * Every outcome is reported through one TileResult carrying a typed
  * ServeError — the same enum the network protocol's EPTR status byte
  * transports, so in-process and remote callers see identical

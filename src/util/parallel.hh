@@ -108,8 +108,9 @@ class ThreadPool
      *
      * A range of exactly one iteration runs the body directly WITHOUT
      * entering a nested-region scope: a lone item is not a parallel
-     * region, and parallelism nested inside it (the chunk fan-out of
-     * a lone coded tile) must still be able to reach the pool.
+     * region, and parallelism nested inside it (a one-job
+     * core::runSimulationsBatch, whose encodes still spread tiles
+     * across the pool) must still be able to reach the pool.
      *
      * The first exception thrown by any iteration is rethrown on the
      * calling thread after the loop drains.

@@ -3,10 +3,9 @@
  * Crash-consistency sweep for the sharded archive.
  *
  * The harness simulates a process kill at EVERY injected write
- * boundary of an append / compact / append workload (plus a storage-
- * pressure rewrite), reopens the archive from whatever the "dead"
- * process left on disk, and asserts the durability contract from
- * docs/RELIABILITY.md:
+ * boundary of an append / compact / append workload, reopens the
+ * archive from whatever the "dead" process left on disk, and asserts
+ * the durability contract from docs/RELIABILITY.md:
  *
  *  - no record acknowledged before the crash is lost (crash = process
  *    kill: the write completed before the acknowledgement, under
@@ -34,7 +33,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -44,11 +42,9 @@
 #include <string>
 #include <vector>
 
-#include "codec/codec.hh"
 #include "ground/archive.hh"
 #include "ground/archive_io.hh"
 #include "ground/crc32.hh"
-#include "raster/plane.hh"
 #include "util/bytes.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
@@ -252,157 +248,6 @@ TEST(CrashConsistency, EveryBoundarySyncNone)
     // write that completed before the kill is on disk (in the page
     // cache), so acknowledged records must still all survive.
     sweepEveryBoundary(SyncPolicy::None, 0);
-}
-
-namespace {
-
-/**
- * Cached progressive (EPC4) payloads keyed by salt: the pressure
- * sweep reruns its workload once per boundary, and re-encoding the
- * same image every iteration would dominate the sweep's runtime.
- */
-const std::vector<uint8_t> &
-progressivePayloadFor(uint64_t salt)
-{
-    static std::map<uint64_t, std::vector<uint8_t>> cache;
-    auto it = cache.find(salt);
-    if (it != cache.end())
-        return it->second;
-    Rng rng(chaosSeed() * 0x51ed2701ULL + salt);
-    raster::Plane img(64, 64);
-    for (int y = 0; y < 64; ++y)
-        for (int x = 0; x < 64; ++x)
-            img.at(x, y) =
-                0.5f +
-                0.4f * std::sin(x * 0.11f + static_cast<float>(salt)) *
-                    std::cos(y * 0.07f) +
-                static_cast<float>(rng.normal(0.0, 0.02));
-    img.clampTo(0.0f, 1.0f);
-    codec::EncodeParams ep;
-    ep.bitsPerPixel = 3.0;
-    return cache.emplace(salt, codec::encode(img, ep).serialize())
-        .first->second;
-}
-
-/**
- * Append four acknowledged progressive records, then degrade to half
- * the archive's size under storage pressure. Stops (like a dead
- * process) at the first observed crash.
- */
-std::vector<AckedRecord>
-runPressureWorkload(const std::string &dir)
-{
-    std::vector<AckedRecord> acked;
-    ArchiveOptions opt;
-    opt.shardCount = 2;
-    opt.syncPolicy = SyncPolicy::Always;
-    ArchiveOpenError err;
-    auto archive = Archive::open(dir, opt, &err);
-    if (!archive || archive_io::crashed())
-        return acked;
-    for (int i = 0; i < 4; ++i) {
-        RecordMeta meta;
-        meta.locationId = i;
-        meta.band = 0;
-        meta.captureDay = 1.0 + i;
-        meta.fullDownload = true;
-        const std::vector<uint8_t> &payload =
-            progressivePayloadFor(static_cast<uint64_t>(i));
-        archive->append(meta, payload);
-        if (archive_io::crashed())
-            return acked;
-        acked.push_back({i, 1.0 + i, payload});
-    }
-    archive->applyStoragePressure(archive->fileBytes() / 2);
-    return acked;
-}
-
-/**
- * The pressure-sweep durability contract: every acknowledged record
- * survives the crash — with its full payload when its shard's rewrite
- * never landed, or as the codec's cut of that payload when it did — a
- * complete stream that parses. Nothing in between (a shard swap is
- * atomic).
- */
-void
-verifyPressureRecovery(const std::string &dir,
-                       const std::vector<AckedRecord> &acked,
-                       const std::string &label)
-{
-    archive_io::resetCrashLatch();
-    failpoint::disarmAll();
-    ArchiveOptions opt;
-    opt.shardCount = 2;
-    ArchiveOpenError err;
-    auto archive = Archive::open(dir, opt, &err);
-    ASSERT_TRUE(archive)
-        << label << ": reopen after crash failed: " << err.detail;
-    for (const AckedRecord &rec : acked) {
-        bool found = false;
-        for (size_t idx : archive->chain(rec.locationId, 0)) {
-            RecordEntry entry = archive->record(idx);
-            if (entry.meta.captureDay != rec.day)
-                continue;
-            std::vector<uint8_t> bytes = archive->loadPayload(idx);
-            ASSERT_LE(bytes.size(), rec.payload.size()) << label;
-            EXPECT_EQ(bytes, codec::truncateStream(rec.payload, bytes.size()))
-                << label << ": surviving payload is not a cut of the "
-                            "acknowledged one";
-            codec::EncodedImage parsed;
-            std::string msg;
-            EXPECT_EQ(codec::EncodedImage::tryDeserialize(
-                          bytes.data(), bytes.size(), parsed, &msg),
-                      codec::StreamError::None)
-                << label << ": " << msg;
-            found = true;
-            break;
-        }
-        EXPECT_TRUE(found)
-            << label << ": acknowledged record loc=" << rec.locationId
-            << " day=" << rec.day << " lost after crash";
-    }
-}
-
-} // anonymous namespace
-
-TEST(CrashConsistency, EveryBoundaryOfStoragePressure)
-{
-    ChaosGuard guard;
-    uint64_t boundaries = 0;
-    {
-        TempPath dir("crash_pressure_dry");
-        Schedule s;
-        s.trigger = Trigger::NthHit;
-        s.n = 1ULL << 60; // never reached
-        failpoint::arm("archive.io.crash", s);
-        auto &fp = failpoint::site("archive.io.crash");
-        uint64_t before = fp.hitCount();
-        runPressureWorkload(dir.str());
-        boundaries = fp.hitCount() - before;
-        failpoint::disarmAll();
-        EXPECT_FALSE(archive_io::crashed());
-    }
-    ASSERT_GT(boundaries, 10u)
-        << "suspiciously few crash boundaries: storage pressure no "
-           "longer exercises the injected I/O layer";
-    for (uint64_t k = 1; k <= boundaries; ++k) {
-        TempPath dir("crash_pressure_sweep");
-        Schedule s;
-        s.trigger = Trigger::NthHit;
-        s.n = k;
-        s.arg = 5; // tear a 5-byte prefix of the crashing write
-        failpoint::arm("archive.io.crash", s);
-        std::vector<AckedRecord> acked = runPressureWorkload(dir.str());
-        EXPECT_TRUE(archive_io::crashed())
-            << "pressure boundary " << k << " of " << boundaries
-            << " never fired";
-        verifyPressureRecovery(dir.str(), acked,
-                               "pressure boundary " +
-                                   std::to_string(k) + "/" +
-                                   std::to_string(boundaries));
-        if (::testing::Test::HasFatalFailure())
-            return;
-    }
 }
 
 // ------------------------------------------------------ open-scan fuzz

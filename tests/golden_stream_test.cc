@@ -15,7 +15,7 @@
  *  - the lossless rows must decode to the source tile and to the
  *    pixels recorded for the retired v2 decoder (kDecodedV2);
  *  - kGoldenCut pins the bytes codec::truncateStream() cuts whole
- *    streams to, which the downlink sends and the archive stores.
+ *    streams to, which the tile server decodes for a quality hint.
  *
  * Fixture content is generated from Rng only (integer-based
  * xoshiro256**) with no libm calls, so the tiles — and therefore the
@@ -172,8 +172,8 @@ constexpr int kCutPercents[] = {10, 25, 50, 75};
 /**
  * Tile-fair cuts of whole 130x70 textured streams (codec::encode at
  * 2 bpp, or lossless): a grid of tiles, some ragged, one chunk each.
- * The cut bytes are what the downlink sends and the archive stores, so
- * they are pinned like the encoder's. The 48-px cdf97 and 64-px
+ * The cut bytes are what the tile server decodes for a quality hint,
+ * so they are pinned like the encoder's. The 48-px cdf97 and 64-px
  * lossless rows were coded in 16- and 32-row chunks until sub-tile
  * chunks were retired, and were then re-recorded one chunk per tile by
  * the last code that still coded sub-tile chunks; the 32-px row was

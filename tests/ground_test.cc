@@ -572,10 +572,9 @@ deletedMappingsUnder(const std::string &dir)
 
 TEST(Archive, RewrittenShardFilesAreUnmappedOnceTheirViewsDrop)
 {
-    // compact() and applyStoragePressure() rename a staged file over
-    // every shard. A replaced file stays mapped only while a view
-    // into it lives, so the disk a rewrite reclaims is freed while the
-    // archive stays open.
+    // compact() renames a staged file over every shard. A replaced
+    // file stays mapped only while a view into it lives, so the disk a
+    // rewrite reclaims is freed while the archive stays open.
     TempPath path("archive_rewrite_unmaps.epar");
     Archive archive(path.str(), 2);
     for (int loc = 0; loc < 4; ++loc) {
@@ -597,11 +596,6 @@ TEST(Archive, RewrittenShardFilesAreUnmappedOnceTheirViewsDrop)
             << "the held view must keep its replaced shard mapped";
     }
     EXPECT_EQ(deletedMappingsUnder(dir), 0u) << "after compact()";
-    PressureReport report =
-        archive.applyStoragePressure(archive.fileBytes() / 2);
-    EXPECT_GT(report.bytesReclaimed, 0u);
-    EXPECT_EQ(deletedMappingsUnder(dir), 0u)
-        << "after applyStoragePressure()";
 }
 #endif
 
@@ -657,186 +651,6 @@ TEST(Archive, CompactUsesCaptureDayNotAppendOrder)
     ASSERT_EQ(archive.recordCount(), 2u);
     EXPECT_DOUBLE_EQ(archive.record(0).meta.captureDay, 3.0);
     EXPECT_DOUBLE_EQ(archive.record(1).meta.captureDay, 4.0);
-}
-
-// ---------------------------------------------------- storage pressure
-
-namespace {
-
-/** Append one progressive (EPC4) full download for `locationId`. */
-void
-appendProgressiveCapture(Archive &archive, int locationId, double day,
-                         const raster::Plane &img)
-{
-    codec::EncodeParams ep;
-    ep.bitsPerPixel = 4.0;
-    RecordMeta meta;
-    meta.locationId = locationId;
-    meta.captureDay = day;
-    meta.fullDownload = true;
-    archive.append(meta, codec::encode(img, ep).serialize());
-}
-
-/** Expect record `idx`'s payload to parse as a complete stream. */
-void
-expectRecordParses(const Archive &archive, size_t idx)
-{
-    std::vector<uint8_t> bytes = archive.loadPayload(idx);
-    codec::EncodedImage parsed;
-    std::string msg;
-    EXPECT_EQ(codec::EncodedImage::tryDeserialize(
-                  bytes.data(), bytes.size(), parsed, &msg),
-              codec::StreamError::None)
-        << "record " << idx << ": " << msg;
-}
-
-} // anonymous namespace
-
-TEST(ArchivePressure, FitsTargetAndKeepsEveryRecordDecodable)
-{
-    TempPath path("archive_pressure_fit.epar");
-    Archive archive(path.str());
-    for (int loc = 0; loc < 4; ++loc)
-        appendProgressiveCapture(archive, loc, 1.0,
-                                 testPlane(128, 96, 50 + loc));
-    std::vector<std::vector<uint8_t>> original;
-    for (size_t i = 0; i < archive.recordCount(); ++i)
-        original.push_back(archive.loadPayload(i));
-    uint64_t full = archive.fileBytes();
-    uint64_t target = full * 6 / 10;
-
-    PressureReport report = archive.applyStoragePressure(target);
-    EXPECT_LE(archive.fileBytes(), target);
-    EXPECT_FALSE(report.atFloor);
-    EXPECT_EQ(report.bytesReclaimed, full - archive.fileBytes());
-    EXPECT_EQ(report.recordsTruncated, 4u);
-    EXPECT_EQ(report.recordsSkipped, 0u);
-    ASSERT_EQ(archive.recordCount(), 4u);
-    for (size_t i = 0; i < 4; ++i) {
-        std::vector<uint8_t> cut = archive.loadPayload(i);
-        ASSERT_LE(cut.size(), original[i].size());
-        // Pressure stores the codec's cut of the original: the cut
-        // that fits the surviving size is exactly the surviving bytes.
-        EXPECT_EQ(cut, codec::truncateStream(original[i], cut.size()));
-        expectRecordParses(archive, i);
-    }
-
-    // Already under target: a second pass is a no-op.
-    PressureReport again = archive.applyStoragePressure(target);
-    EXPECT_EQ(again.bytesReclaimed, 0u);
-    EXPECT_EQ(again.recordsTruncated, 0u);
-}
-
-TEST(ArchivePressure, SkipsRecordsAtTheirFloorAndReportsFloor)
-{
-    TempPath path("archive_pressure_mixed.epar");
-    Archive archive(path.str());
-    appendProgressiveCapture(archive, 0, 1.0, testPlane(128, 96, 60));
-
-    // A record already cut to its floor cannot shrink:
-    // pressure must leave it byte-identical.
-    codec::EncodeParams ep;
-    ep.bitsPerPixel = 4.0;
-    std::vector<uint8_t> full =
-        codec::encode(testPlane(128, 128, 63), ep).serialize();
-    std::vector<uint8_t> atFloor =
-        codec::truncateStream(full, codec::streamHeaderFloor(full));
-    ASSERT_LT(atFloor.size(), full.size());
-    RecordMeta meta;
-    meta.locationId = 1;
-    meta.captureDay = 1.0;
-    meta.fullDownload = true;
-    archive.append(meta, atFloor);
-
-    // Target far below what the cutter's floors allow: the pass degrades
-    // every other record to its floor and reports atFloor.
-    PressureReport report = archive.applyStoragePressure(1);
-    EXPECT_TRUE(report.atFloor);
-    EXPECT_EQ(report.recordsTruncated, 1u);
-    EXPECT_EQ(report.recordsSkipped, 1u);
-    EXPECT_GT(report.bytesReclaimed, 0u);
-    ASSERT_EQ(archive.recordCount(), 2u);
-    std::vector<uint8_t> cut = archive.loadPayload(0);
-    EXPECT_EQ(cut.size(),
-              codec::streamHeaderFloor(cut.data(), cut.size()));
-    expectRecordParses(archive, 0);
-    EXPECT_EQ(archive.loadPayload(1), atFloor);
-
-    // Everything is at its floor now: a second pass skips every
-    // record and rewrites nothing.
-    PressureReport again = archive.applyStoragePressure(1);
-    EXPECT_TRUE(again.atFloor);
-    EXPECT_EQ(again.recordsTruncated, 0u);
-    EXPECT_EQ(again.recordsSkipped, 2u);
-    EXPECT_EQ(again.bytesReclaimed, 0u);
-}
-
-TEST(ArchivePressure, SecondPassCutsAlreadyDegradedRecords)
-{
-    // A degraded record is a cut stream; a later, tighter pass must
-    // cut it again — to the bytes a cut of the original gives — and
-    // the quality hint must serve it.
-    TempPath path("archive_pressure_twice.epar");
-    Archive archive(path.str());
-    raster::Plane img = testPlane(128, 128, 64);
-    appendProgressiveCapture(archive, 1, 1.0, img);
-    const std::vector<uint8_t> original = archive.loadPayload(0);
-    const uint64_t full = archive.fileBytes();
-    PressureReport first = archive.applyStoragePressure(full * 7 / 10);
-    EXPECT_EQ(first.recordsTruncated, 1u);
-    std::vector<uint8_t> once = archive.loadPayload(0);
-    EXPECT_EQ(once, codec::truncateStream(original, once.size()));
-
-    PressureReport second = archive.applyStoragePressure(full * 4 / 10);
-    EXPECT_EQ(second.recordsTruncated, 1u);
-    EXPECT_FALSE(second.atFloor);
-    EXPECT_LE(archive.fileBytes(), full * 4 / 10);
-    std::vector<uint8_t> twice = archive.loadPayload(0);
-    ASSERT_LT(twice.size(), once.size());
-    EXPECT_EQ(twice, codec::truncateStream(original, twice.size()));
-    expectRecordParses(archive, 0);
-
-    TileServer server(archive);
-    TileQuery q;
-    q.locationId = 1;
-    q.day = 1.5;
-    q.width = 128;
-    q.height = 128;
-    q.quality = 50;
-    TileResult r = server.serve(q);
-    ASSERT_TRUE(r.ok());
-    EXPECT_GT(raster::psnr(img, r.pixels), 15.0);
-    server.waitForPrefetchIdle();
-}
-
-TEST(ArchivePressure, DegradedArchiveReopensAndServes)
-{
-    TempPath path("archive_pressure_reopen.epar");
-    raster::Plane img = testPlane(128, 128, 62);
-    {
-        Archive archive(path.str());
-        appendProgressiveCapture(archive, 1, 1.0, img);
-        PressureReport report =
-            archive.applyStoragePressure(archive.fileBytes() / 2);
-        EXPECT_GT(report.bytesReclaimed, 0u);
-    }
-
-    Archive reopened(path.str());
-    ASSERT_EQ(reopened.recordCount(), 1u);
-    EXPECT_FALSE(reopened.scanReport().truncatedTail);
-    expectRecordParses(reopened, 0);
-
-    TileServer server(reopened);
-    TileQuery q;
-    q.locationId = 1;
-    q.day = 1.5;
-    q.width = 128;
-    q.height = 128;
-    TileResult r = server.serve(q);
-    ASSERT_TRUE(r.ok());
-    // Degraded but recognizable: the top planes carry most of the
-    // signal, so even a halved record reconstructs the scene.
-    EXPECT_GT(raster::psnr(img, r.pixels), 20.0);
 }
 
 // -------------------------------------------------- typed open failures
@@ -1047,7 +861,7 @@ TEST(ArchiveDeath, PayloadCorruptedAfterOpenIsFatal)
 {
     // One byte of a payload rots on disk after open() scanned it clean.
     // Every read path re-verifies the stored CRC and fail-stops rather
-    // than serving, compacting or re-blessing the bytes.
+    // than serving the bytes or re-blessing them in a compaction.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     TempPath dir("archive_payload_rot");
     Archive archive(dir.str());
@@ -1086,8 +900,6 @@ TEST(ArchiveDeath, PayloadCorruptedAfterOpenIsFatal)
     EXPECT_DEATH(dieReading([&] { archive.loadPayload(rotten); }),
                  "payload CRC mismatch");
     EXPECT_DEATH(dieReading([&] { archive.compact(); }),
-                 "payload CRC mismatch");
-    EXPECT_DEATH(dieReading([&] { archive.applyStoragePressure(0); }),
                  "payload CRC mismatch");
 }
 

@@ -2,18 +2,23 @@
  * @file
  * Tests for the EPT wire protocol and the event-loop serving front:
  * codec round trips, framing torture (fragmentation, bad magic,
- * corrupt CRC, oversized length prefixes), loopback client/server
- * round trips against the in-process serve path, the version
- * handshake, and admission-control shedding under overload.
+ * corrupt CRC, oversized length prefixes), a seeded frame fuzz
+ * (EARTHPLUS_CHAOS_SEED) over the reader and both body decoders,
+ * loopback client/server round trips against the in-process serve
+ * path, the version handshake, and admission-control shedding under
+ * overload.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -341,6 +346,218 @@ TEST(NetProtocol, DecodersRejectWrongSizesAndStatuses)
     rframe.body[8] = 200; // not a ServeError value
     TileResult r;
     EXPECT_FALSE(decodeResult(rframe, id, r));
+}
+
+// ---------------------------------------------------------------------------
+// Seeded frame fuzz: FrameReader and the EPTQ/EPTR body decoders.
+
+namespace {
+
+/** Seed of the frame fuzz (ci/check.sh chaos sweeps it). */
+uint64_t
+chaosSeed()
+{
+    const char *env = std::getenv("EARTHPLUS_CHAOS_SEED");
+    return env ? std::strtoull(env, nullptr, 10) : 1ULL;
+}
+
+/** What the reader and decoders made of one mutant. */
+enum class FrameOutcome
+{
+    FrameError,     ///< The reader latched a typed FrameError.
+    Incomplete,     ///< The reader is still waiting for bytes.
+    DecodeRejected, ///< A frame whose body decodeQuery/decodeResult refused.
+    Decoded,        ///< A frame that decoded to a value.
+};
+
+/** Offset of bodyLen and bodyCrc within the frame header. */
+constexpr size_t kBodyLenField = 8;
+constexpr size_t kBodyCrcField = 12;
+
+uint32_t
+bodyLenOf(const std::vector<uint8_t> &frame)
+{
+    return util::readPodAt<uint32_t>(frame.data(), kBodyLenField);
+}
+
+void
+putU32(std::vector<uint8_t> &frame, size_t at, uint32_t v)
+{
+    std::memcpy(frame.data() + at, &v, sizeof(v));
+}
+
+/**
+ * Damage a valid frame: header and body byte flips, body-length
+ * rewrites (the length word alone, or the body resized to match it),
+ * optionally a re-sealed body CRC so the damage reaches the
+ * decoders, and optionally a truncation.
+ */
+std::vector<uint8_t>
+mutateFrame(std::vector<uint8_t> frame, Rng &rng)
+{
+    auto flip = [&](size_t at) {
+        frame[at] ^= static_cast<uint8_t>(rng.uniformInt(1, 255));
+    };
+    int edits = static_cast<int>(rng.uniformInt(1, 3));
+    for (int e = 0; e < edits; ++e) {
+        size_t body = frame.size() - kFrameHeaderBytes;
+        switch (rng.uniformInt(0, 3)) {
+        case 0:
+            flip(static_cast<size_t>(rng.uniformInt(
+                0, static_cast<int64_t>(kFrameHeaderBytes) - 1)));
+            break;
+        case 1:
+            if (body > 0)
+                flip(kFrameHeaderBytes +
+                     static_cast<size_t>(rng.uniformInt(
+                         0, static_cast<int64_t>(body) - 1)));
+            break;
+        case 2: {
+            // The length word alone: short, long, or past the cap.
+            uint32_t len = bodyLenOf(frame);
+            const uint32_t claims[] = {
+                0u,
+                len + static_cast<uint32_t>(rng.uniformInt(1, 64)),
+                len > 0 ? len - 1 : 1u,
+                static_cast<uint32_t>(kMaxBodyBytes) + 1,
+                static_cast<uint32_t>(rng.next()),
+            };
+            putU32(frame, kBodyLenField,
+                   claims[rng.uniformInt(0, 4)]);
+            break;
+        }
+        default: {
+            // A body of another size that the length word agrees with.
+            size_t newBody = static_cast<size_t>(
+                rng.uniformInt(0, static_cast<int64_t>(body) + 8));
+            frame.resize(kFrameHeaderBytes + newBody,
+                         static_cast<uint8_t>(rng.uniformInt(0, 255)));
+            putU32(frame, kBodyLenField,
+                   static_cast<uint32_t>(newBody));
+            break;
+        }
+        }
+    }
+    uint32_t len = bodyLenOf(frame);
+    if (rng.bernoulli(0.5) && kFrameHeaderBytes + len <= frame.size())
+        putU32(frame, kBodyCrcField,
+               crc32(frame.data() + kFrameHeaderBytes, len));
+    if (rng.bernoulli(0.25))
+        frame.resize(static_cast<size_t>(
+            rng.uniformInt(0, static_cast<int64_t>(frame.size()) - 1)));
+    return frame;
+}
+
+/**
+ * Classify one extracted frame by decoding its body, checking every
+ * value the decoders hand back.
+ */
+FrameOutcome
+decodeFrame(const Frame &frame)
+{
+    uint64_t id = 0;
+    if (frame.magic == kQueryMagic) {
+        TileQuery q;
+        if (!decodeQuery(frame, id, q))
+            return FrameOutcome::DecodeRejected;
+        ServeError v = q.validate();
+        EXPECT_TRUE(v == ServeError::None || v == ServeError::BadQuery)
+            << "validate() returned " << static_cast<int>(v);
+        // Every EPTQ body byte is a field: re-encoding the decoded
+        // query reproduces the body.
+        std::vector<uint8_t> again = encodeQuery(id, q);
+        EXPECT_TRUE(std::equal(frame.body.begin(), frame.body.end(),
+                               again.begin() + kFrameHeaderBytes));
+        return FrameOutcome::Decoded;
+    }
+    if (frame.magic == kResultMagic) {
+        TileResult r;
+        if (!decodeResult(frame, id, r))
+            return FrameOutcome::DecodeRejected;
+        EXPECT_EQ(frame.body.size(),
+                  kResultFixedBodyBytes + r.pixels.size() * sizeof(float));
+        return FrameOutcome::Decoded;
+    }
+    EXPECT_EQ(frame.magic, kHelloMagic);
+    return FrameOutcome::Decoded;
+}
+
+/**
+ * Feed `bytes` to a fresh reader in two parts split at `split`,
+ * draining frames after each part. Returns the outcome of every
+ * extracted frame, then the reader's final state.
+ */
+std::vector<FrameOutcome>
+readMutant(const std::vector<uint8_t> &bytes, size_t split)
+{
+    std::vector<FrameOutcome> outcomes;
+    FrameReader reader;
+    auto drain = [&] {
+        Frame frame;
+        while (reader.next(frame))
+            outcomes.push_back(decodeFrame(frame));
+    };
+    feedRange(reader, bytes, 0, split);
+    drain();
+    feedRange(reader, bytes, split, bytes.size());
+    drain();
+    if (reader.error() != FrameError::None) {
+        EXPECT_TRUE(reader.error() == FrameError::BadMagic ||
+                    reader.error() == FrameError::BadLength ||
+                    reader.error() == FrameError::BadCrc);
+        outcomes.push_back(FrameOutcome::FrameError);
+    } else if (reader.buffered() > 0) {
+        outcomes.push_back(FrameOutcome::Incomplete);
+    }
+    return outcomes;
+}
+
+} // anonymous namespace
+
+TEST(NetProtocolFuzz, MutatedFramesFailTypedOrDecodeToValidatedValues)
+{
+    TileQuery clipped = fullQuery();
+    clipped.x0 = -16;
+    clipped.quality = 50;
+    TileResult pixels;
+    pixels.servedDay = 2.0;
+    pixels.tilesDecoded = 1;
+    pixels.pixels = testPlane(5, 3, 4);
+    TileResult notFound;
+    notFound.error = ServeError::NotFound;
+    const std::vector<std::vector<uint8_t>> seeds = {
+        encodeHello(kProtocolVersion),
+        encodeQuery(7, fullQuery()),
+        encodeQuery(8, clipped),
+        encodeResult(9, pixels),
+        encodeResult(10, notFound),
+    };
+
+    Rng rng(chaosSeed() * 0x2545f4914f6cdd1dULL + 31);
+    std::map<FrameOutcome, int> seen;
+    const int kMutants = 3000;
+    for (int i = 0; i < kMutants; ++i) {
+        const std::vector<uint8_t> &seed =
+            seeds[static_cast<size_t>(i) % seeds.size()];
+        std::vector<uint8_t> mutant = mutateFrame(seed, rng);
+        size_t split = static_cast<size_t>(
+            rng.uniformInt(0, static_cast<int64_t>(mutant.size())));
+        std::vector<FrameOutcome> whole =
+            readMutant(mutant, mutant.size());
+        std::vector<FrameOutcome> parts = readMutant(mutant, split);
+        ASSERT_EQ(whole, parts)
+            << "mutant " << i << " split at " << split;
+        for (FrameOutcome o : whole)
+            ++seen[o];
+        if (::testing::Test::HasFailure())
+            FAIL() << "mutant " << i << " of seed frame "
+                   << i % static_cast<int>(seeds.size());
+    }
+    for (FrameOutcome o :
+         {FrameOutcome::FrameError, FrameOutcome::Incomplete,
+          FrameOutcome::DecodeRejected, FrameOutcome::Decoded})
+        EXPECT_GT(seen[o], 0) << "outcome " << static_cast<int>(o)
+                              << " never occurred";
 }
 
 // ---------------------------------------------------------------------------
