@@ -260,10 +260,10 @@ run_chaos() {
           -DCMAKE_BUILD_TYPE=Debug \
           -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
     cmake --build "$SAN_BUILD_DIR" -j "$(nproc)" \
-          --target failpoint_test crash_consistency_test progressive_test \
-                   stream_fuzz_test
+          --target failpoint_test crash_consistency_test net_test \
+                   progressive_test stream_fuzz_test
     ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure \
-          -R 'failpoint_test|crash_consistency_test|progressive_test|stream_fuzz_test'
+          -R 'failpoint_test|crash_consistency_test|net_test|progressive_test|stream_fuzz_test'
 }
 
 run_coverage() {

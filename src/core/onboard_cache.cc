@@ -36,36 +36,19 @@ OnboardCache::referenceDay(int locationId) const
 }
 
 void
-OnboardCache::install(int locationId, raster::Image lowRes)
-{
-    cache_[locationId] = std::move(lowRes);
-}
-
-void
 OnboardCache::updateTiles(int locationId, const raster::Image &newLowRes,
                           const raster::TileMask &tiles)
 {
-    auto it = cache_.find(locationId);
-    EP_ASSERT(it != cache_.end(),
-              "delta update for uncached location %d", locationId);
-    raster::Image &cached = it->second;
+    raster::Image &cached =
+        cache_.try_emplace(locationId, newLowRes.width(),
+                           newLowRes.height(), newLowRes.bandCount())
+            .first->second;
     EP_ASSERT(cached.bandCount() == newLowRes.bandCount(),
-              "delta update band count mismatch");
+              "reference update band count mismatch");
     for (int b = 0; b < cached.bandCount(); ++b)
         raster::pasteTiles(cached.band(b), newLowRes.band(b), tiles,
                            tileSizeLow_);
     cached.info() = newLowRes.info();
-}
-
-size_t
-OnboardCache::storageBytes() const
-{
-    size_t total = 0;
-    for (const auto &[loc, img] : cache_) {
-        (void)loc;
-        total += img.pixelBytes();
-    }
-    return total;
 }
 
 } // namespace earthplus::core

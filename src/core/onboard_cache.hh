@@ -46,14 +46,13 @@ class OnboardCache
     /** Capture day of the cached reference (must exist). */
     double referenceDay(int locationId) const;
 
-    /** Install or replace the whole cached reference. */
-    void install(int locationId, raster::Image lowRes);
-
     /**
-     * Apply a delta update: replace only the given tiles of the cached
-     * reference with the corresponding tiles of `newLowRes`.
+     * Apply a reference update: replace the given tiles of the cached
+     * reference with the corresponding tiles of `newLowRes` and take
+     * its capture day. An absent location is created first, so an
+     * all-tile mask installs `newLowRes` whole.
      *
-     * @param locationId Location to update (must exist).
+     * @param locationId Location to update.
      * @param newLowRes New low-resolution reference image.
      * @param tiles Tiles (full-resolution tile indices) to refresh.
      */
@@ -65,9 +64,6 @@ class OnboardCache
 
     /** Tile edge length in low-res pixels. */
     int lowResTileSize() const { return tileSizeLow_; }
-
-    /** Bytes used by all cached references (float storage). */
-    size_t storageBytes() const;
 
     /** Number of cached locations. */
     size_t size() const { return cache_.size(); }

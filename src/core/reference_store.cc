@@ -1,22 +1,20 @@
 #include "core/reference_store.hh"
 
-#include <limits>
-
 #include "util/logging.hh"
 
 namespace earthplus::core {
 
-ReferenceStore::ReferenceStore(double maxCloudFraction)
-    : maxCloudFraction_(maxCloudFraction)
+ReferenceStore::ReferenceStore(double cloudThreshold)
+    : cloudThreshold_(cloudThreshold)
 {
-    EP_ASSERT(maxCloudFraction >= 0.0 && maxCloudFraction <= 1.0,
-              "cloud threshold %f out of range", maxCloudFraction);
+    EP_ASSERT(cloudThreshold >= 0.0 && cloudThreshold <= 1.0,
+              "cloud threshold %f out of range", cloudThreshold);
 }
 
 bool
 ReferenceStore::offer(const raster::Image &img, double cloudFraction)
 {
-    if (cloudFraction > maxCloudFraction_)
+    if (cloudFraction > cloudThreshold_)
         return false;
     int loc = img.info().locationId;
     auto it = refs_.find(loc);
@@ -46,14 +44,6 @@ double
 ReferenceStore::referenceDay(int locationId) const
 {
     return reference(locationId).info().captureDay;
-}
-
-double
-ReferenceStore::ageAt(int locationId, double day) const
-{
-    if (!has(locationId))
-        return std::numeric_limits<double>::infinity();
-    return day - referenceDay(locationId);
 }
 
 } // namespace earthplus::core

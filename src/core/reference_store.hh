@@ -25,10 +25,10 @@ class ReferenceStore
 {
   public:
     /**
-     * @param maxCloudFraction Acceptance threshold for new references
+     * @param cloudThreshold Acceptance threshold for new references
      *        (paper uses < 1% cloud coverage).
      */
-    explicit ReferenceStore(double maxCloudFraction = 0.01);
+    explicit ReferenceStore(double cloudThreshold = 0.01);
 
     /**
      * Offer a downloaded (reconstructed) image as a reference
@@ -50,17 +50,11 @@ class ReferenceStore
     /** Capture day of the current reference (must exist). */
     double referenceDay(int locationId) const;
 
-    /** Reference age in days at `day` (infinite when absent). */
-    double ageAt(int locationId, double day) const;
-
     /** Number of locations with references. */
     size_t size() const { return refs_.size(); }
 
-    /** Acceptance threshold. */
-    double maxCloudFraction() const { return maxCloudFraction_; }
-
   private:
-    double maxCloudFraction_;
+    double cloudThreshold_;
     std::map<int, raster::Image> refs_;
 };
 

@@ -283,20 +283,17 @@ EarthPlusSystem::prepareCapture(int locationId, int satelliteId,
     if (plan.sent) {
         // Mirror the cache update at full resolution on the ground so
         // reconstruction uses exactly the content the satellite
-        // compared against.
-        auto key = std::make_pair(satelliteId, locationId);
+        // compared against: the same tiles, from the same reference.
         const raster::Image &full = ground_.reference(locationId);
-        auto it = groundMirror_.find(key);
-        if (plan.fullInstall || it == groundMirror_.end()) {
-            groundMirror_[key] = full;
-        } else {
-            raster::Image &mirror = it->second;
-            if (plan.updatedTiles.count() != 0)
-                for (int b = 0; b < mirror.bandCount(); ++b)
-                    raster::pasteTiles(mirror.band(b), full.band(b),
-                                       plan.updatedTiles, params_.tileSize);
-            mirror.info() = full.info();
-        }
+        raster::Image &mirror =
+            groundMirror_
+                .try_emplace(std::make_pair(satelliteId, locationId),
+                             full.width(), full.height(), full.bandCount())
+                .first->second;
+        for (int b = 0; b < mirror.bandCount(); ++b)
+            raster::pasteTiles(mirror.band(b), full.band(b),
+                               plan.updatedTiles, params_.tileSize);
+        mirror.info() = full.info();
     }
     return plan;
 }

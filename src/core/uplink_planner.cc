@@ -15,7 +15,7 @@ UplinkPlanner::UplinkPlanner(const Params &params)
 
 double
 UplinkPlanner::encodedBytes(const raster::Image &lowRes,
-                            const raster::TileMask *tiles,
+                            const raster::TileMask &tiles,
                             int tileSizeLow) const
 {
     std::vector<codec::BandEncode> bands(
@@ -25,7 +25,7 @@ UplinkPlanner::encodedBytes(const raster::Image &lowRes,
         bands[b].params.bitsPerPixel = params_.bitsPerPixel;
         bands[b].params.tileSize = tileSizeLow;
         bands[b].params.dwtLevels = 3;
-        bands[b].params.roi = tiles;
+        bands[b].params.roi = &tiles;
     }
     double total = 0.0;
     for (const codec::EncodedImage &enc : codec::encode(bands))
@@ -58,63 +58,38 @@ UplinkPlanner::planUpdate(const ReferenceStore &ground, OnboardCache &cache,
         lowRes.addBand(std::move(band));
     lowRes.info() = full.info();
 
-    double rawBytes = static_cast<double>(full.pixelBytes());
-    int tileLow = cache.lowResTileSize();
-
-    if (!cache.has(locationId)) {
-        // First contact with this location: install the whole low-res
-        // reference.
-        double bytes = encodedBytes(lowRes, nullptr, tileLow);
-        if (!budget.tryConsume(bytes)) {
-            plan.skippedForBudget = true;
-            return plan;
-        }
-        cache.install(locationId, std::move(lowRes));
-        plan.sent = true;
-        plan.fullInstall = true;
-        plan.bytes = bytes;
-        plan.updatedTileFraction = 1.0;
-        plan.compressionRatio = bytes > 0.0 ? rawBytes / bytes : 0.0;
-        return plan;
-    }
-
-    // Delta update: find low-res tiles that differ from the satellite's
+    // The update is the low-res tiles that differ from the satellite's
     // cached copy (the ground mirrors the cache content exactly, since
-    // every applied update is deterministic).
-    const raster::Image &cached = cache.reference(locationId);
+    // every applied update is deterministic). First contact is a delta
+    // against an empty cache: every tile counts as changed.
+    int tileLow = cache.lowResTileSize();
     raster::TileGrid grid(lowRes.width(), lowRes.height(), tileLow);
-    raster::TileMask changed(grid);
-    for (int b = 0; b < lowRes.bandCount(); ++b) {
-        auto diffs = change::tileMeanAbsDiff(lowRes.band(b),
-                                             cached.band(b), tileLow);
-        for (int t = 0; t < grid.tileCount(); ++t) {
-            if (diffs[static_cast<size_t>(t)] > params_.deltaThreshold)
-                changed.set(t, true);
+    raster::TileMask changed(grid, !cache.has(locationId));
+    if (cache.has(locationId)) {
+        const raster::Image &cached = cache.reference(locationId);
+        for (int b = 0; b < lowRes.bandCount(); ++b) {
+            auto diffs = change::tileMeanAbsDiff(lowRes.band(b),
+                                                 cached.band(b), tileLow);
+            for (int t = 0; t < grid.tileCount(); ++t) {
+                if (diffs[static_cast<size_t>(t)] > params_.deltaThreshold)
+                    changed.set(t, true);
+            }
         }
     }
-    if (changed.countSet() == 0) {
-        // Content identical; just refresh the timestamp so age
-        // accounting reflects the newer observation.
-        raster::Image refreshed = cached;
-        refreshed.info() = lowRes.info();
-        cache.install(locationId, std::move(refreshed));
-        plan.sent = true;
-        plan.bytes = 0.0;
-        plan.compressionRatio = 0.0;
-        return plan;
-    }
 
-    double bytes = encodedBytes(lowRes, &changed, tileLow);
+    // An unchanged reference costs nothing and only refreshes the day,
+    // so age accounting reflects the newer observation.
+    double bytes = changed.countSet() == 0
+                       ? 0.0
+                       : encodedBytes(lowRes, changed, tileLow);
     if (!budget.tryConsume(bytes)) {
         plan.skippedForBudget = true;
         return plan;
     }
-    plan.updatedTileFraction = changed.fractionSet();
     cache.updateTiles(locationId, lowRes, changed);
     plan.sent = true;
-    plan.updatedTiles = changed;
     plan.bytes = bytes;
-    plan.compressionRatio = bytes > 0.0 ? rawBytes / bytes : 0.0;
+    plan.updatedTiles = std::move(changed);
     return plan;
 }
 

@@ -7,7 +7,8 @@
  *  1. references are downsampled before upload,
  *  2. only low-res tiles that changed against the satellite's cached
  *     copy are uplinked (the ground mirrors the on-board cache, so it
- *     knows exactly what the satellite holds), and
+ *     knows exactly what the satellite holds; with nothing cached,
+ *     every tile has changed), and
  *  3. when the uplink budget is exhausted, updates are skipped and the
  *     satellite keeps using its older cached reference.
  */
@@ -23,26 +24,24 @@
 
 namespace earthplus::core {
 
-/** Result of one reference-update attempt. */
+/**
+ * Result of one reference-update attempt. An update is one low-res
+ * tile mask and its byte charge: the on-board cache, the ground mirror
+ * and the uplink budget all apply that same mask.
+ */
 struct UplinkPlan
 {
-    /** An update was transmitted. */
+    /** The update was applied (a zero-byte one refreshes the day). */
     bool sent = false;
     /** Update skipped because the budget ran out. */
     bool skippedForBudget = false;
-    /** First-time full install (vs. delta update). */
-    bool fullInstall = false;
     /** Bytes consumed on the uplink. */
     double bytes = 0.0;
-    /** Tiles refreshed in the cache (empty mask for full installs). */
-    raster::TileMask updatedTiles;
-    /** Fraction of low-res tiles carried by a delta update. */
-    double updatedTileFraction = 0.0;
     /**
-     * Compression ratio vs. the raw full-resolution reference
-     * (the Fig.-17 metric).
+     * Tiles refreshed in the cache and the mirror: every tile on first
+     * contact, the changed ones after. Empty unless `sent`.
      */
-    double compressionRatio = 0.0;
+    raster::TileMask updatedTiles;
 };
 
 /**
@@ -76,8 +75,9 @@ class UplinkPlanner
      * Attempt a reference update for one location before a capture.
      *
      * Compares the ground's freshest reference with the satellite's
-     * cached copy, encodes the difference, and applies it to the cache
-     * when the budget admits it.
+     * cached copy (an absent copy differs on every tile), charges the
+     * encoded changed tiles to the budget, and applies them to the
+     * cache when the budget admits them.
      *
      * @param ground Ground reference store.
      * @param cache On-board cache to update.
@@ -95,11 +95,11 @@ class UplinkPlanner
     Params params_;
 
     /**
-     * Wire size of a full or partial low-res reference upload coded in
+     * Wire size of the `tiles` of a low-res reference coded in
      * `tileSizeLow`-pixel tiles.
      */
     double encodedBytes(const raster::Image &lowRes,
-                        const raster::TileMask *tiles,
+                        const raster::TileMask &tiles,
                         int tileSizeLow) const;
 };
 

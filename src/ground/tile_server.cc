@@ -337,8 +337,10 @@ TileServer::serveFront(const TileQuery &query)
 
     if (result.ok() && options_.prefetch)
         maybePrefetch(query, place);
-    // A reduced-fidelity answer went out fast; refine in the
-    // background so the next identical query serves full quality.
+    // A reduced-fidelity answer went out fast; warm the full-fidelity
+    // tiles in the background so a later full-fidelity query is served
+    // from the cache. A repeated reduced query is not refined: it hits
+    // its own reduced-quality tiles, which are keyed apart.
     if (result.ok() && query.quality >= 0 && query.quality < 100) {
         TileQuery full = query;
         full.quality = -1;

@@ -140,8 +140,10 @@ struct TileQuery
      * percentage of its payload bytes (never below the cutter's
      * floor) — a fast low-fidelity first answer. A
      * reduced-quality serve schedules a background full-quality
-     * decode of the same records, so a repeated query refines from
-     * the cache.
+     * decode of the same records, which warms only the full-fidelity
+     * tiles: a later full-fidelity query is served from the cache,
+     * while a repeated reduced query gets its own cached reduced
+     * tiles back unrefined (the tile-table key includes the quality).
      */
     int quality = -1;
 

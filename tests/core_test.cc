@@ -70,7 +70,6 @@ TEST(ReferenceStoreTest, AcceptsOnlyCloudFreeAndFresher)
 {
     ReferenceStore store(0.01);
     EXPECT_FALSE(store.has(0));
-    EXPECT_TRUE(std::isinf(store.ageAt(0, 100.0)));
 
     EXPECT_FALSE(store.offer(makeImage(0, 10.0, 0.5f), 0.3)); // cloudy
     EXPECT_FALSE(store.has(0));
@@ -78,7 +77,6 @@ TEST(ReferenceStoreTest, AcceptsOnlyCloudFreeAndFresher)
     EXPECT_TRUE(store.offer(makeImage(0, 10.0, 0.5f), 0.005));
     ASSERT_TRUE(store.has(0));
     EXPECT_DOUBLE_EQ(store.referenceDay(0), 10.0);
-    EXPECT_DOUBLE_EQ(store.ageAt(0, 14.0), 4.0);
 
     // Older image does not replace a fresher reference.
     EXPECT_FALSE(store.offer(makeImage(0, 8.0, 0.1f), 0.0));
@@ -99,15 +97,17 @@ TEST(OnboardCacheTest, InstallAndDeltaUpdate)
     OnboardCache cache(16, 64);
     EXPECT_FALSE(cache.has(0));
 
-    // Low-res image: 8x8 pixels (128 / 16), tiles of 4 low-res px.
+    // Low-res image: 8x8 pixels (128 / 16), tiles of 4 low-res px. An
+    // all-tile update of an absent location installs it whole.
     raster::Image low(8, 8, 1);
     low.band(0).fill(0.3f);
     low.info().locationId = 0;
     low.info().captureDay = 5.0;
-    cache.install(0, low);
+    cache.updateTiles(0, low, raster::TileMask(2, 2, true));
     ASSERT_TRUE(cache.has(0));
     EXPECT_DOUBLE_EQ(cache.referenceDay(0), 5.0);
-    EXPECT_EQ(cache.storageBytes(), 8u * 8u * sizeof(float));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.reference(0).band(0).data(), low.band(0).data());
 
     // Delta update: change only tile 0 (top-left 4x4 low-res block).
     raster::Image low2(8, 8, 1);
@@ -135,14 +135,30 @@ TEST(UplinkPlannerTest, InstallThenNoopThenDelta)
     UplinkPlan p0 = planner.planUpdate(ground, cache, 0, budget);
     EXPECT_FALSE(p0.sent);
 
-    // First ground reference: full install.
+    // First ground reference: every low-res tile goes up, charged as
+    // one encode of the whole low-res image with no ROI.
     raster::Image ref1 = texturedImage(0, 10.0, 1);
     ASSERT_TRUE(ground.offer(ref1, 0.0));
     UplinkPlan p1 = planner.planUpdate(ground, cache, 0, budget);
     EXPECT_TRUE(p1.sent);
-    EXPECT_TRUE(p1.fullInstall);
     EXPECT_GT(p1.bytes, 0.0);
-    EXPECT_GT(p1.compressionRatio, 1.0);
+    EXPECT_EQ(p1.updatedTiles.countSet(), p1.updatedTiles.count());
+    EXPECT_EQ(p1.updatedTiles.count(), 4);
+    raster::Image low1;
+    for (int b = 0; b < ref1.bandCount(); ++b)
+        low1.addBand(raster::downsample(ref1.band(b), 16));
+    std::vector<codec::BandEncode> bands(
+        static_cast<size_t>(low1.bandCount()));
+    for (size_t b = 0; b < bands.size(); ++b) {
+        bands[b].img = &low1.band(static_cast<int>(b));
+        bands[b].params.bitsPerPixel = planner.params().bitsPerPixel;
+        bands[b].params.tileSize = cache.lowResTileSize();
+        bands[b].params.dwtLevels = 3;
+    }
+    double wholeBytes = 0.0;
+    for (const codec::EncodedImage &enc : codec::encode(bands))
+        wholeBytes += static_cast<double>(enc.totalBytes());
+    EXPECT_DOUBLE_EQ(p1.bytes, wholeBytes);
     ASSERT_TRUE(cache.has(0));
 
     // Same reference again: cache is fresh, nothing to send.
@@ -160,10 +176,9 @@ TEST(UplinkPlannerTest, InstallThenNoopThenDelta)
     ASSERT_TRUE(ground.offer(ref2, 0.0));
     UplinkPlan p3 = planner.planUpdate(ground, cache, 0, budget);
     EXPECT_TRUE(p3.sent);
-    EXPECT_FALSE(p3.fullInstall);
     EXPECT_GT(p3.bytes, 0.0);
     EXPECT_LT(p3.bytes, p1.bytes);
-    EXPECT_NEAR(p3.updatedTileFraction, 0.25, 0.01);
+    EXPECT_NEAR(p3.updatedTiles.fractionSet(), 0.25, 0.01);
     EXPECT_DOUBLE_EQ(cache.referenceDay(0), 20.0);
 }
 
@@ -194,8 +209,9 @@ TEST(UplinkPlannerTest, CompressionRatioReflectsDownsampling)
     OnboardCache cache(16, 64);
     UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e9);
-    ASSERT_TRUE(ground.offer(texturedImage(0, 10.0, 3, 256, 4), 0.0));
+    raster::Image full = texturedImage(0, 10.0, 3, 256, 4);
+    ASSERT_TRUE(ground.offer(full, 0.0));
     UplinkPlan p = planner.planUpdate(ground, cache, 0, budget);
     ASSERT_TRUE(p.sent);
-    EXPECT_GT(p.compressionRatio, 100.0);
+    EXPECT_GT(static_cast<double>(full.pixelBytes()) / p.bytes, 100.0);
 }

@@ -1243,6 +1243,15 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
     ASSERT_TRUE(warm.ok());
     EXPECT_EQ(warm.tilesDecoded, 0);
     EXPECT_EQ(warm.tilesFromCache, 4);
+
+    // The refine does not reach a repeated reduced query: tiles are
+    // keyed by quality, so it is served from its own cached reduced
+    // tiles, pixel for pixel the first reduced answer.
+    TileResult again = server.serve(reduced);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.tilesDecoded, 0);
+    EXPECT_EQ(again.tilesFromCache, 4);
+    EXPECT_EQ(again.pixels.data(), lo.pixels.data());
 }
 
 TEST(TileServer, ServeAsyncMatchesServeAndRunsCompletion)

@@ -12,6 +12,7 @@
 
 #include "core/systems.hh"
 #include "raster/metrics.hh"
+#include "raster/resample.hh"
 #include "synth/dataset.hh"
 
 using namespace earthplus;
@@ -172,6 +173,64 @@ runDecodeOracle(SystemsFixture &f, OnboardSystem &sys, Before &&before)
     return tally;
 }
 
+/** True when `a` and `b` hold the same bits inside `r`. */
+bool
+tileIdentical(const raster::Plane &a, const raster::Plane &b,
+              const raster::TileRect &r)
+{
+    for (int y = r.y0; y < r.y0 + r.height; ++y)
+        if (std::memcmp(a.row(y) + r.x0, b.row(y) + r.x0,
+                        static_cast<size_t>(r.width) * sizeof(float)) != 0)
+            return false;
+    return true;
+}
+
+/**
+ * Check that `plan` was applied to satellite 0's cache and ground mirror
+ * of location 0 as one tile mask: on every tile it names the cache
+ * holds the downsampled ground reference and the mirror the
+ * full-resolution one; every other tile (all of them for a skipped
+ * update) is as it was in `cacheBefore`/`mirrorBefore`.
+ */
+void
+expectOneMaskApplied(EarthPlusSystem &sys, const raster::Image &groundRef,
+                     const UplinkPlan &plan,
+                     const raster::Image &cacheBefore,
+                     const raster::Image &mirrorBefore,
+                     const SystemParams &params)
+{
+    const raster::Image &cache = sys.cacheFor(0).reference(0);
+    const raster::Image *mirror = sys.groundMirror(0, 0);
+    ASSERT_NE(mirror, nullptr);
+    int factor = params.refDownsample;
+    raster::TileGrid fullGrid(groundRef.width(), groundRef.height(),
+                              params.tileSize);
+    raster::TileGrid lowGrid(cache.width(), cache.height(),
+                             params.tileSize / factor);
+    ASSERT_EQ(lowGrid.tileCount(), fullGrid.tileCount());
+    if (plan.sent) {
+        ASSERT_EQ(plan.updatedTiles.count(), fullGrid.tileCount());
+    }
+    for (int b = 0; b < groundRef.bandCount(); ++b) {
+        raster::Plane low = raster::downsample(groundRef.band(b), factor);
+        for (int t = 0; t < fullGrid.tileCount(); ++t) {
+            SCOPED_TRACE(testing::Message() << "band " << b << " tile " << t);
+            bool updated = plan.sent && plan.updatedTiles.get(t);
+            EXPECT_TRUE(tileIdentical(
+                cache.band(b), updated ? low : cacheBefore.band(b),
+                lowGrid.rect(t)));
+            EXPECT_TRUE(tileIdentical(
+                mirror->band(b),
+                updated ? groundRef.band(b) : mirrorBefore.band(b),
+                fullGrid.rect(t)));
+        }
+    }
+    double day = plan.sent ? groundRef.info().captureDay
+                           : cacheBefore.info().captureDay;
+    EXPECT_DOUBLE_EQ(cache.info().captureDay, day);
+    EXPECT_DOUBLE_EQ(mirror->info().captureDay, day);
+}
+
 } // namespace
 
 TEST(EarthPlusSystemTest, BootstrapThenReferenceBasedEncoding)
@@ -251,12 +310,92 @@ TEST(EarthPlusSystemTest, RefDownsampleAloneSetsTheReferenceGeometry)
 
     double d2 = f.clearDay(d1 + 2.0);
     ASSERT_GE(d2, 0.0);
-    ASSERT_TRUE(sys.prepareCapture(0, 0, budget).fullInstall);
+    UplinkPlan install = sys.prepareCapture(0, 0, budget);
+    ASSERT_TRUE(install.sent);
+    EXPECT_EQ(install.updatedTiles.countSet(), install.updatedTiles.count());
     EXPECT_EQ(sys.cacheFor(0).reference(0).width(), 192 / 8);
     ProcessResult r2 = sys.process(f.sim->capture(d2, 0));
     EXPECT_FALSE(r2.fullDownload);
     EXPECT_LT(r2.downloadedTileFraction, 0.7);
     EXPECT_NEAR(r2.referenceAgeDays, d2 - d1, 0.5);
+}
+
+TEST(EarthPlusSystemTest, CacheAndMirrorApplyOneTileMask)
+{
+    // One (satellite, location) through first contact, a delta, a
+    // zero-byte refresh and a budget-starved skip: each step's mask
+    // lands identically in the low-res cache and the full-res mirror.
+    SystemsFixture f;
+    ReferenceStore ground(0.01);
+    EarthPlusSystem sys(f.config.bands, f.params, {}, ground);
+    orbit::DailyByteBudget rich(1e12);
+
+    double d1 = f.clearDay(0.0);
+    ASSERT_GE(d1, 0.0);
+    raster::Image ref = f.sim->capture(d1, 0).image;
+    ref.info().captureDay = 10.0;
+    auto paint = [](raster::Image &img, int x0, int y0, float delta) {
+        for (int b = 0; b < img.bandCount(); ++b)
+            for (int y = y0; y < y0 + 64; ++y)
+                for (int x = x0; x < x0 + 64; ++x)
+                    img.band(b).at(x, y) += delta;
+    };
+
+    // First contact: a delta against an empty cache, every tile.
+    ASSERT_TRUE(ground.offer(ref, 0.0));
+    UplinkPlan install = sys.prepareCapture(0, 0, rich);
+    ASSERT_TRUE(install.sent);
+    EXPECT_GT(install.bytes, 0.0);
+    EXPECT_EQ(install.updatedTiles.countSet(), install.updatedTiles.count());
+    expectOneMaskApplied(sys, ref, install, raster::Image(),
+                         raster::Image(), f.params);
+
+    // A delta: tile 0 changes by far more than the delta threshold,
+    // tile 8 by far less, so the ground reference now differs from
+    // the cache and mirror on an unsent tile.
+    raster::Image cacheBefore = sys.cacheFor(0).reference(0);
+    raster::Image mirrorBefore = *sys.groundMirror(0, 0);
+    paint(ref, 0, 0, 0.2f);
+    paint(ref, 128, 128, 0.0005f);
+    ref.info().captureDay = 20.0;
+    ASSERT_TRUE(ground.offer(ref, 0.0));
+    UplinkPlan delta = sys.prepareCapture(0, 0, rich);
+    ASSERT_TRUE(delta.sent);
+    EXPECT_GT(delta.bytes, 0.0);
+    EXPECT_LT(delta.bytes, install.bytes);
+    EXPECT_TRUE(delta.updatedTiles.get(0));
+    EXPECT_FALSE(delta.updatedTiles.get(8));
+    expectOneMaskApplied(sys, ref, delta, cacheBefore, mirrorBefore,
+                         f.params);
+
+    // Identical pixels, newer day: an empty mask, zero bytes, the day
+    // moves and no pixel does.
+    cacheBefore = sys.cacheFor(0).reference(0);
+    mirrorBefore = *sys.groundMirror(0, 0);
+    ref.info().captureDay = 30.0;
+    ASSERT_TRUE(ground.offer(ref, 0.0));
+    double before = rich.remaining();
+    UplinkPlan refresh = sys.prepareCapture(0, 0, rich);
+    ASSERT_TRUE(refresh.sent);
+    EXPECT_DOUBLE_EQ(refresh.bytes, 0.0);
+    EXPECT_DOUBLE_EQ(rich.remaining(), before);
+    EXPECT_EQ(refresh.updatedTiles.countSet(), 0);
+    expectOneMaskApplied(sys, ref, refresh, cacheBefore, mirrorBefore,
+                         f.params);
+
+    // A real change the budget cannot carry: neither copy moves.
+    cacheBefore = sys.cacheFor(0).reference(0);
+    mirrorBefore = *sys.groundMirror(0, 0);
+    paint(ref, 64, 64, 0.2f);
+    ref.info().captureDay = 40.0;
+    ASSERT_TRUE(ground.offer(ref, 0.0));
+    orbit::DailyByteBudget starved(1.0);
+    UplinkPlan skip = sys.prepareCapture(0, 0, starved);
+    EXPECT_FALSE(skip.sent);
+    EXPECT_TRUE(skip.skippedForBudget);
+    EXPECT_DOUBLE_EQ(starved.remaining(), 1.0);
+    expectOneMaskApplied(sys, ref, skip, cacheBefore, mirrorBefore,
+                         f.params);
 }
 
 TEST(EarthPlusSystemTest, GuaranteedDownloadAfterPeriod)
@@ -301,10 +440,10 @@ TEST(EarthPlusSystemTest, PerSatelliteCachesAreIndependent)
     UplinkPlan planSat3 = sys.prepareCapture(0, 3, budget);
     EXPECT_TRUE(sys.cacheFor(3).has(0));
     EXPECT_FALSE(sys.cacheFor(7).has(0));
-    // Satellite 7's first prepare installs the full reference.
+    // Satellite 7's first prepare sends every tile of the reference.
     UplinkPlan planSat7 = sys.prepareCapture(0, 7, budget);
     EXPECT_TRUE(planSat7.sent);
-    EXPECT_TRUE(planSat7.fullInstall);
+    EXPECT_EQ(planSat7.updatedTiles.countSet(), planSat7.updatedTiles.count());
     (void)planSat3;
 }
 
