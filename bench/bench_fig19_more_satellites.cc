@@ -72,7 +72,7 @@ main()
                   Table::pct(frac.mean()), Table::num(ratio, 1) + "x"});
     }
     t.print(std::cout);
-    std::cout << "batch of " << jobs.size() << " simulations in "
+    std::cerr << "batch of " << jobs.size() << " simulations in "
               << Table::num(batchSec, 1) << " s on "
               << util::ThreadPool::global().threadCount()
               << " thread(s) (EARTHPLUS_THREADS)\n";

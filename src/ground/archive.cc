@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 
 #include "ground/archive_io.hh"
 #include "ground/crc32.hh"
@@ -516,17 +515,6 @@ Archive::openShards(int shardCount)
         }
         for (const std::string &p : creationDebris)
             archive_io::removeFile(p);
-    } else {
-        // An interrupted compact() can leave staged shard
-        // rewrites behind; they were never renamed into place, so
-        // they are dead weight, never data.
-        for (const auto &entry : fs::directory_iterator(path_)) {
-            std::string name = entry.path().filename().string();
-            if (name.rfind("shard-", 0) == 0 &&
-                name.size() > 9 &&
-                name.substr(name.size() - 9) == ".epar.tmp")
-                archive_io::removeFile(entry.path().string());
-        }
     }
     if (fs::exists(manifestPath)) {
         manifestExisted = true;
@@ -643,8 +631,7 @@ Archive::openShards(int shardCount)
         ScanResult scan = scanContainerFile(shard.path, entries);
         if (scan.error != OpenErrorKind::None)
             return openFail(scan.error, std::move(scan.detail));
-        shard.scan = scan.report;
-        shard.appendOffset = shard.scan.validBytes;
+        shard.appendOffset = scan.report.validBytes;
         shard.mapping = std::move(scan.mapping);
         for (const RecordEntry &entry : entries) {
             uint32_t local = static_cast<uint32_t>(shard.records.size());
@@ -654,51 +641,48 @@ Archive::openShards(int shardCount)
             shard.index[{entry.meta.locationId, entry.meta.band}]
                 .push_back(gid);
         }
-        scanReport_.recordCount += shard.scan.recordCount;
-        scanReport_.validBytes += shard.scan.validBytes;
-        scanReport_.truncatedTail |= shard.scan.truncatedTail;
+        scanReport_.recordCount += scan.report.recordCount;
+        scanReport_.validBytes += scan.report.validBytes;
+        scanReport_.truncatedTail |= scan.report.truncatedTail;
     }
     return true;
 }
 
 RecordEntry
 Archive::writeRecordLocked(Shard &shard, const RecordMeta &meta,
-                           const std::vector<uint8_t> &payload,
-                           bool persist)
+                           const std::vector<uint8_t> &payload)
 {
     RecordEntry entry;
     entry.meta = meta;
     entry.meta.payloadBytes = payload.size();
     entry.payloadCrc = crc32(payload.data(), payload.size());
     entry.payloadOffset = shard.appendOffset + kRecordHeaderBytes;
-    if (persist) {
-        if (!appendRecordToFile(shard.path, shard.appendOffset,
-                                entry.meta, entry.payloadCrc, payload))
-            fatal("append to archive shard '%s' failed (disk full, "
-                  "I/O error, or injected fault)", shard.path.c_str());
-        shard.bytesSinceSync += kRecordHeaderBytes + payload.size();
-        // The durability contract: Always fdatasyncs before the
-        // append acknowledges (fsync failure here is fail-stop — a
-        // success return would promise durability we do not have);
-        // Interval amortizes the fsync over syncIntervalBytes.
-        bool wantSync =
-            options_.syncPolicy == SyncPolicy::Always ||
-            (options_.syncPolicy == SyncPolicy::Interval &&
-             shard.bytesSinceSync >= options_.syncIntervalBytes);
-        if (wantSync) {
-            if (archive_io::syncFile(shard.path)) {
-                archiveMetrics().syncs.add();
-                shard.bytesSinceSync = 0;
-            } else {
-                archiveMetrics().fsyncFailures.add();
-                if (options_.syncPolicy == SyncPolicy::Always)
-                    fatal("archive shard '%s': fdatasync failed under "
-                          "SyncPolicy::Always — cannot acknowledge "
-                          "the append", shard.path.c_str());
-                warn("archive shard '%s': fdatasync failed; retrying "
-                     "at the next interval", shard.path.c_str());
-                shard.bytesSinceSync = 0;
-            }
+    if (!appendRecordToFile(shard.path, shard.appendOffset, entry.meta,
+                            entry.payloadCrc, payload))
+        fatal("append to archive shard '%s' failed (disk full, I/O "
+              "error, or injected fault)", shard.path.c_str());
+    shard.bytesSinceSync += kRecordHeaderBytes + payload.size();
+    // The durability contract: Always fdatasyncs before the append
+    // acknowledges (fsync failure here is fail-stop — a success return
+    // would promise durability we do not have); Interval amortizes the
+    // fsync over syncIntervalBytes.
+    bool wantSync =
+        options_.syncPolicy == SyncPolicy::Always ||
+        (options_.syncPolicy == SyncPolicy::Interval &&
+         shard.bytesSinceSync >= options_.syncIntervalBytes);
+    if (wantSync) {
+        if (archive_io::syncFile(shard.path)) {
+            archiveMetrics().syncs.add();
+            shard.bytesSinceSync = 0;
+        } else {
+            archiveMetrics().fsyncFailures.add();
+            if (options_.syncPolicy == SyncPolicy::Always)
+                fatal("archive shard '%s': fdatasync failed under "
+                      "SyncPolicy::Always — cannot acknowledge the "
+                      "append", shard.path.c_str());
+            warn("archive shard '%s': fdatasync failed; retrying at "
+                 "the next interval", shard.path.c_str());
+            shard.bytesSinceSync = 0;
         }
     }
     shard.appendOffset += kRecordHeaderBytes + payload.size();
@@ -730,8 +714,8 @@ Archive::append(const RecordMeta &meta, const std::vector<uint8_t> &payload)
     std::unique_lock<std::mutex> lock = lockShardTimed(shard.mutex);
     uint32_t local = static_cast<uint32_t>(shard.records.size());
     writeRecordLocked(shard, meta, payload);
-    // Shard -> global is the one nesting order everywhere (see
-    // compact()), so the global table lock cannot deadlock.
+    // Shard -> global is the one nesting order everywhere, so the
+    // global table lock cannot deadlock.
     std::unique_lock<std::shared_mutex> g(globalMutex_);
     return indexRecordLocked(shardIdx, local, meta);
 }
@@ -757,16 +741,6 @@ Archive::record(size_t idx) const
     Shard &shard = *shards_[ref.shard];
     std::lock_guard<std::mutex> lock(shard.mutex);
     return shard.records[ref.local];
-}
-
-std::vector<size_t>
-Archive::chain(int locationId, int band) const
-{
-    const Shard &shard =
-        *shards_[static_cast<size_t>(shardForLocation(locationId))];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find({locationId, band});
-    return it == shard.index.end() ? std::vector<size_t>() : it->second;
 }
 
 std::vector<std::pair<size_t, RecordMeta>>
@@ -820,26 +794,6 @@ Archive::mappingCovering(Shard &shard, uint64_t end) const
 }
 
 PayloadView
-Archive::readPayloadLocked(Shard &shard, size_t gid, uint32_t local,
-                           std::unique_lock<std::mutex> *release) const
-{
-    const RecordEntry entry = shard.records[local];
-    size_t size = static_cast<size_t>(entry.meta.payloadBytes);
-    std::shared_ptr<const Mapping> mapping =
-        mappingCovering(shard, entry.payloadOffset + size);
-    // The view co-owns the mapping and a written record's bytes never
-    // change, so nothing from here on needs the shard lock.
-    if (release)
-        release->unlock();
-    const uint8_t *data = mapping->data() + entry.payloadOffset;
-    PayloadView view(std::move(mapping), data, size);
-    if (crc32(view.data(), view.size()) != entry.payloadCrc)
-        fatal("archive '%s': record %zu payload CRC mismatch",
-              path_.c_str(), gid);
-    return view;
-}
-
-PayloadView
 Archive::payloadView(size_t idx) const
 {
     telemetry::TraceSpan span("archive.payload_view", "archive");
@@ -854,163 +808,26 @@ Archive::payloadView(size_t idx) const
     }
     Shard &shard = *shards_[ref.shard];
     std::unique_lock<std::mutex> lock = lockShardTimed(shard.mutex);
-    return readPayloadLocked(shard, idx, ref.local, &lock);
+    const RecordEntry entry = shard.records[ref.local];
+    size_t size = static_cast<size_t>(entry.meta.payloadBytes);
+    std::shared_ptr<const Mapping> mapping =
+        mappingCovering(shard, entry.payloadOffset + size);
+    // The view co-owns the mapping and a written record's bytes never
+    // change, so the CRC pass runs without the shard lock: a cold read
+    // of a hot shard does not stall that shard's appends.
+    lock.unlock();
+    const uint8_t *data = mapping->data() + entry.payloadOffset;
+    PayloadView view(std::move(mapping), data, size);
+    if (crc32(view.data(), view.size()) != entry.payloadCrc)
+        fatal("archive '%s': record %zu payload CRC mismatch",
+              path_.c_str(), idx);
+    return view;
 }
 
 std::vector<uint8_t>
 Archive::loadPayload(size_t idx) const
 {
     return payloadView(idx).toVector();
-}
-
-uint64_t
-Archive::compact()
-{
-    // Exclusive over the whole archive: shards in index order, then
-    // the global table — the same nesting order append() uses.
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(shards_.size());
-    for (auto &shard : shards_)
-        locks.emplace_back(shard->mutex);
-    std::unique_lock<std::shared_mutex> g(globalMutex_);
-
-    // Keep, per (location, band), everything captured at or after the
-    // latest full download. "Latest" is by capture day, not append
-    // order: ARQ can complete downloads out of capture order, so a
-    // small delta captured after a big full download may sit *before*
-    // it in the file.
-    size_t n = globalRecords_.size();
-    std::vector<uint8_t> keep(n, 1);
-    auto entryOf = [&](size_t gid) -> const RecordEntry & {
-        const GlobalRef &ref = globalRecords_[gid];
-        return shards_[ref.shard]->records[ref.local];
-    };
-    for (const auto &shardPtr : shards_) {
-        for (const auto &[key, gids] : shardPtr->index) {
-            double lastFullDay =
-                -std::numeric_limits<double>::infinity();
-            for (size_t gid : gids)
-                if (entryOf(gid).meta.fullDownload)
-                    lastFullDay = std::max(lastFullDay,
-                                           entryOf(gid).meta.captureDay);
-            for (size_t gid : gids)
-                if (entryOf(gid).meta.captureDay < lastFullDay)
-                    keep[gid] = 0;
-        }
-    }
-
-    uint64_t before = 0;
-    for (const auto &shardPtr : shards_)
-        before += shardPtr->appendOffset;
-
-    // Pull surviving payloads into memory before the rewrite,
-    // verifying each against its stored CRC: a compact must never
-    // re-bless rotten bytes with a freshly computed checksum.
-    std::vector<std::pair<RecordMeta, std::vector<uint8_t>>> survivors;
-    for (size_t gid = 0; gid < n; ++gid) {
-        if (!keep[gid])
-            continue;
-        const GlobalRef &ref = globalRecords_[gid];
-        Shard &shard = *shards_[ref.shard];
-        survivors.emplace_back(
-            shard.records[ref.local].meta,
-            readPayloadLocked(shard, gid, ref.local, nullptr).toVector());
-    }
-
-    uint64_t after = rewriteAllShardsLocked(survivors);
-    return before - after;
-}
-
-uint64_t
-Archive::rewriteAllShardsLocked(
-    std::vector<std::pair<RecordMeta, std::vector<uint8_t>>> &records)
-{
-    // Crash-safe rewrite: each shard's records go to a staged
-    // 'shard-NNN.epar.tmp' first, the staged file is fsynced, then
-    // renamed over the live shard. A crash anywhere leaves every
-    // shard either fully old or fully new — both valid containers —
-    // and per-shard independence makes a partially renamed rewrite a
-    // legal archive state (chains never span shards). Stray .tmp
-    // files are swept on the next open.
-    std::vector<uint64_t> tmpOffsets(shards_.size(),
-                                     kFileHeaderBytes);
-    auto tmpPathOf = [](const Shard &shard) {
-        return shard.path + ".tmp";
-    };
-    for (auto &shardPtr : shards_) {
-        if (!writeContainerHeader(tmpPathOf(*shardPtr)))
-            fatal("rewrite: cannot stage rewrite of shard '%s'",
-                  shardPtr->path.c_str());
-    }
-    for (const auto &[meta, payload] : records) {
-        size_t shardIdx =
-            static_cast<size_t>(shardForLocation(meta.locationId));
-        Shard &shard = *shards_[shardIdx];
-        RecordMeta stamped = meta;
-        stamped.payloadBytes = payload.size();
-        if (!appendRecordToFile(tmpPathOf(shard),
-                                tmpOffsets[shardIdx], stamped,
-                                crc32(payload.data(),
-                                      payload.size()),
-                                payload))
-            fatal("rewrite: staged write to '%s' failed",
-                  tmpPathOf(shard).c_str());
-        tmpOffsets[shardIdx] +=
-            kRecordHeaderBytes + payload.size();
-    }
-    for (auto &shardPtr : shards_) {
-        std::string tmp = tmpPathOf(*shardPtr);
-        if (!archive_io::syncFile(tmp)) {
-            archiveMetrics().fsyncFailures.add();
-            warn("rewrite: cannot fsync staged shard '%s'",
-                 tmp.c_str());
-        } else {
-            archiveMetrics().syncs.add();
-        }
-        if (!archive_io::renameFile(tmp, shardPtr->path))
-            fatal("rewrite: cannot move staged shard over '%s' — "
-                  "already-renamed shards are rewritten, the rest "
-                  "are untouched (every shard is still a valid "
-                  "container)", shardPtr->path.c_str());
-    }
-    archive_io::syncDir(path_);
-
-    // Reset every shard. The renamed-over file lives on only through
-    // the views still mapping it, and its blocks are freed when the
-    // last of them drops; the next read maps the new file.
-    globalRecords_.clear();
-    uint64_t after = 0;
-    for (auto &shardPtr : shards_) {
-        Shard &shard = *shardPtr;
-        shard.records.clear();
-        shard.index.clear();
-        shard.appendOffset = kFileHeaderBytes;
-        shard.bytesSinceSync = 0;
-        shard.mapping.reset();
-    }
-
-    // Replay the records in their original global order to rebuild
-    // the in-memory records and indexes. The bytes are already on
-    // disk (staged + renamed above), so the replay is memory-only.
-    for (auto &[meta, payload] : records) {
-        size_t shardIdx =
-            static_cast<size_t>(shardForLocation(meta.locationId));
-        Shard &shard = *shards_[shardIdx];
-        uint32_t local = static_cast<uint32_t>(shard.records.size());
-        writeRecordLocked(shard, meta, payload, false);
-        indexRecordLocked(shardIdx, local, meta);
-    }
-
-    scanReport_.recordCount = globalRecords_.size();
-    scanReport_.validBytes = 0;
-    // Every shard was just rewritten cleanly, so an open-time
-    // truncated tail no longer describes the on-disk state.
-    scanReport_.truncatedTail = false;
-    for (const auto &shardPtr : shards_) {
-        after += shardPtr->appendOffset;
-        scanReport_.validBytes += shardPtr->appendOffset;
-    }
-    return after;
 }
 
 bool

@@ -43,12 +43,12 @@
  * zero-copy and the codec parses the stream straight out of the page
  * cache. A view co-owns the mapping it points into, which is unmapped
  * when the shard and the last view into it let go — so a view stays
- * valid across appends, across compact() and after the archive is
- * destroyed, and a rewritten shard's old file frees its blocks once
- * its last view drops. compact() drops records captured before the
- * latest full download of their (location, band) — queries for the
- * pruned days stop resolving, which is the storage/history trade-off
- * compaction exists to make.
+ * valid across appends and after the archive is destroyed.
+ *
+ * The archive only ever appends: reconstruction reads a day's latest
+ * full download plus every delta after it, so no record is rewritten,
+ * pruned or renumbered, and a record's index is fixed for the life of
+ * the Archive object.
  */
 
 #ifndef EARTHPLUS_GROUND_ARCHIVE_HH
@@ -75,10 +75,9 @@ enum class SyncPolicy
     /**
      * Never fdatasync on the append path: an acknowledged append can
      * be lost to power failure (never to a process crash — the write
-     * itself completes before the acknowledgement). Metadata
-     * operations (manifest creation and compaction renames) still get
-     * the full temp-fsync-rename-dirsync choreography under every
-     * policy.
+     * itself completes before the acknowledgement). Manifest
+     * creation still gets the full temp-fsync-rename-dirsync
+     * choreography under every policy.
      */
     None,
     /** fdatasync a shard once every syncIntervalBytes appended to it:
@@ -179,7 +178,7 @@ class Mapping;
  * zero-copy: the pointer aims straight into the read-only mapping of
  * the record's shard file, and the view co-owns that mapping. The
  * bytes therefore stay valid for the view's own lifetime — across
- * later appends, across compact() and after the Archive is destroyed.
+ * later appends and after the Archive is destroyed.
  */
 class PayloadView
 {
@@ -216,11 +215,11 @@ class PayloadView
  * Sharded append-only archive of encoded downloads with in-memory
  * per-shard indexes.
  *
- * Thread-safe: append(), the read accessors and payload loads may all
- * race freely (per-shard mutexes plus a global record table under a
- * shared mutex). compact() is the one exception — it rewrites every
- * shard and reassigns record indices, so it must not run concurrently
- * with anything (see its doc comment).
+ * Thread-safe with no exception: append(), the read accessors and
+ * payload loads may all race freely (per-shard mutexes plus a global
+ * record table under a shared mutex; no operation takes every shard
+ * lock at once). A record's index never changes once append()
+ * returns it.
  */
 class Archive
 {
@@ -292,17 +291,11 @@ class Archive
     RecordEntry record(size_t idx) const;
 
     /**
-     * Indices of records for one (location, band), in append order.
-     * Append order is download-completion order — ARQ retransmission
-     * can complete captures out of capture order, so consumers that
-     * need day order (the tile server) sort by RecordMeta::captureDay.
-     */
-    std::vector<size_t> chain(int locationId, int band) const;
-
-    /**
-     * The chain's (global id, metadata) pairs in append order,
-     * snapshotted under one shard lock — the serving hot path uses
-     * this instead of a record() round trip per chain element.
+     * The (global id, metadata) pairs of one (location, band) chain in
+     * append order, snapshotted under one shard lock. Append order is
+     * download-completion order — ARQ retransmission can complete
+     * captures out of capture order, so consumers that need day order
+     * (the tile server) sort by RecordMeta::captureDay.
      */
     std::vector<std::pair<size_t, RecordMeta>>
     chainEntries(int locationId, int band) const;
@@ -321,32 +314,16 @@ class Archive
     std::vector<uint8_t> loadPayload(size_t idx) const;
 
     /**
-     * View the payload of record `idx`, CRC-verified, without copying.
-     * The view co-owns the shard mapping it points into, so its bytes
-     * outlive later appends, compact() and this archive itself.
-     * compact() reassigns record indices but never changes a
-     * payload's bytes. fatal()s when the stored bytes no longer match
-     * their CRC, or when the shard file no longer holds the record.
+     * View the payload of record `idx`, CRC-verified, without copying:
+     * the one place a payload is checked after open(). The view
+     * co-owns the shard mapping it points into, so its bytes outlive
+     * later appends and this archive itself. The shard lock is
+     * dropped before the CRC pass, so a cold read of a hot shard does
+     * not stall that shard's appends. fatal()s when the stored bytes
+     * no longer match their CRC, or when the shard file no longer
+     * holds the record.
      */
     PayloadView payloadView(size_t idx) const;
-
-    /**
-     * Rewrite every shard keeping, for each (location, band), only
-     * the records captured at or after its latest full download
-     * ("latest" by capture day — append order can differ under ARQ).
-     *
-     * This intentionally prunes history: queries for days before a
-     * chain's latest full download stop resolving after a compact.
-     * Record indices are reassigned, so anything holding indices
-     * into this archive (a TileServer and its caches in particular)
-     * must be discarded and rebuilt — do not compact while serving or
-     * appending. Outstanding PayloadViews keep reading the bytes they
-     * were taken from (the replaced file's blocks are freed when the
-     * last of them drops).
-     *
-     * @return Bytes reclaimed across all shards.
-     */
-    uint64_t compact();
 
     /** Total bytes across shard files (headers + payloads). */
     uint64_t fileBytes() const;
@@ -382,8 +359,6 @@ class Archive
         /** Read-only mapping of the shard file's first bytes, or
          *  null; views into it co-own it. */
         std::shared_ptr<const Mapping> mapping;
-        /** Scan outcome for this shard. */
-        ScanReport scan;
         /** Bytes appended since the last fdatasync (Interval policy). */
         uint64_t bytesSinceSync = 0;
     };
@@ -407,13 +382,10 @@ class Archive
     /**
      * Append one record to `shard`'s file and push it onto the
      * shard's record list. Requires shard.mutex held; follow with
-     * indexRecordLocked() to assign its global id. `persist` false
-     * skips the file write (the rewrite's replay, after the shard
-     * file was already rewritten via temp + rename).
+     * indexRecordLocked() to assign its global id.
      */
     RecordEntry writeRecordLocked(Shard &shard, const RecordMeta &meta,
-                                  const std::vector<uint8_t> &payload,
-                                  bool persist = true);
+                                  const std::vector<uint8_t> &payload);
     /**
      * Assign the next global id to (shardIdx, local) and add it to
      * the shard's (location, band) index. Requires shard.mutex and a
@@ -429,30 +401,6 @@ class Archive
      */
     std::shared_ptr<const Mapping> mappingCovering(Shard &shard,
                                                    uint64_t end) const;
-    /**
-     * Read-and-verify, the one place a payload is checked after
-     * open(): record `gid` (shard-local index `local`) read through
-     * the shard's mapping, and fatal() unless it matches its stored
-     * CRC. Requires shard.mutex held; a non-null `release` is
-     * unlocked before the CRC pass, so a cold read of a hot shard
-     * does not stall that shard's appends.
-     */
-    PayloadView readPayloadLocked(Shard &shard, size_t gid,
-                                  uint32_t local,
-                                  std::unique_lock<std::mutex> *release)
-        const;
-    /**
-     * Replace the archive's contents with `records` (in global-id
-     * order): stage each shard's share to 'shard-NNN.epar.tmp', fsync,
-     * rename over the live shard, fsync the directory, then rebuild
-     * the in-memory records and indexes by replay: compact()'s
-     * crash-consistent rewrite. Requires every shard mutex and a
-     * unique lock on globalMutex_ held. Returns total shard-file
-     * bytes after the rewrite.
-     */
-    uint64_t rewriteAllShardsLocked(
-        std::vector<std::pair<RecordMeta, std::vector<uint8_t>>>
-            &records);
 
     std::string path_;
     ArchiveOptions options_;

@@ -383,9 +383,8 @@ class TileServer
     /**
      * @param archive Archive to serve from (must outlive the server).
      *        The server memoizes stream geometry and decoded tiles by
-     *        record index; concurrent appends are fine (new indices),
-     *        but Archive::compact() reassigns indices — discard the
-     *        server and build a fresh one after compacting.
+     *        record index, which the archive never reassigns, so
+     *        concurrent appends are fine (they add new indices).
      * @param options Cache budget and prefetch switch.
      */
     explicit TileServer(const Archive &archive,

@@ -150,36 +150,4 @@ EmpiricalDistribution::sorted() const
     return samples_;
 }
 
-Histogram::Histogram(double lo, double hi, int bins)
-    : lo_(lo), hi_(hi), counts_(static_cast<size_t>(bins), 0), total_(0)
-{
-    EP_ASSERT(hi > lo, "histogram range [%f, %f) is empty", lo, hi);
-    EP_ASSERT(bins >= 1, "histogram needs at least one bin");
-}
-
-void
-Histogram::add(double x)
-{
-    double t = (x - lo_) / (hi_ - lo_);
-    int bin = static_cast<int>(t * static_cast<double>(counts_.size()));
-    bin = std::clamp(bin, 0, static_cast<int>(counts_.size()) - 1);
-    ++counts_[static_cast<size_t>(bin)];
-    ++total_;
-}
-
-size_t
-Histogram::binCount(int i) const
-{
-    EP_ASSERT(i >= 0 && i < bins(), "bin %d out of range", i);
-    return counts_[static_cast<size_t>(i)];
-}
-
-double
-Histogram::binCenter(int i) const
-{
-    EP_ASSERT(i >= 0 && i < bins(), "bin %d out of range", i);
-    double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + (static_cast<double>(i) + 0.5) * w;
-}
-
 } // namespace earthplus

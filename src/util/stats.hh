@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming statistics, histograms and empirical CDFs.
+ * Streaming statistics and empirical CDFs.
  *
  * Used by the evaluation harness to aggregate per-capture measurements
  * (percentage of downloaded tiles, PSNR, reference age, ...) into the
@@ -106,41 +106,6 @@ class EmpiricalDistribution
     mutable bool sorted_ = true;
 
     void ensureSorted() const;
-};
-
-/**
- * Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
- * first/last bin.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo Lower edge of the first bin.
-     * @param hi Upper edge of the last bin (must exceed lo).
-     * @param bins Number of bins (>= 1).
-     */
-    Histogram(double lo, double hi, int bins);
-
-    /** Add one sample. */
-    void add(double x);
-
-    /** Count in bin i. */
-    size_t binCount(int i) const;
-
-    /** Center value of bin i. */
-    double binCenter(int i) const;
-
-    /** Number of bins. */
-    int bins() const { return static_cast<int>(counts_.size()); }
-
-    /** Total number of samples added. */
-    size_t total() const { return total_; }
-
-  private:
-    double lo_, hi_;
-    std::vector<size_t> counts_;
-    size_t total_;
 };
 
 } // namespace earthplus

@@ -3,7 +3,7 @@
  * Crash-consistency sweep for the sharded archive.
  *
  * The harness simulates a process kill at EVERY injected write
- * boundary of an append / compact / append workload, reopens the
+ * boundary of an append / sync() / append workload, reopens the
  * archive from whatever the "dead" process left on disk, and asserts
  * the durability contract from docs/RELIABILITY.md:
  *
@@ -90,10 +90,9 @@ struct AckedRecord
 };
 
 /**
- * The append / compact / append workload. Stops (like a dead process)
+ * The append / sync() / append workload. Stops (like a dead process)
  * at the first observed crash; returns only the records acknowledged
- * while still alive. All records are unique full downloads, so
- * compact() preserves every one of them.
+ * while still alive.
  */
 std::vector<AckedRecord>
 runWorkload(const std::string &dir, SyncPolicy policy)
@@ -123,7 +122,7 @@ runWorkload(const std::string &dir, SyncPolicy policy)
     for (int i = 0; i < 6; ++i)
         if (!appendOne(i, 1.0 + i, 77 + i, 160 + i * 23))
             return acked;
-    archive->compact();
+    archive->sync();
     if (archive_io::crashed())
         return acked;
     for (int i = 0; i < 3; ++i)
@@ -173,9 +172,9 @@ verifyRecovery(const std::string &dir,
         << label << ": reopen after crash failed: " << err.detail;
     for (const AckedRecord &rec : acked) {
         bool found = false;
-        for (size_t idx : archive->chain(rec.locationId, 0)) {
-            RecordEntry entry = archive->record(idx);
-            if (entry.meta.captureDay == rec.day &&
+        for (const auto &[idx, meta] :
+             archive->chainEntries(rec.locationId, 0)) {
+            if (meta.captureDay == rec.day &&
                 archive->loadPayload(idx) == rec.payload) {
                 found = true;
                 break;

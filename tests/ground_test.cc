@@ -319,8 +319,11 @@ TEST(Archive, AppendScanReopen)
     EXPECT_DOUBLE_EQ(r0.meta.referenceDay, 10.0);
     EXPECT_TRUE(r0.meta.fullDownload);
     EXPECT_EQ(reopened.loadPayload(0), payload);
-    EXPECT_EQ(reopened.chain(3, 2), (std::vector<size_t>{0, 1}));
-    EXPECT_TRUE(reopened.chain(3, 0).empty());
+    auto entries = reopened.chainEntries(3, 2);
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(entries[0].first, 0u);
+    EXPECT_EQ(entries[1].first, 1u);
+    EXPECT_TRUE(reopened.chainEntries(3, 0).empty());
 }
 
 TEST(Archive, ShardingSpreadsLocationsAndPinsTheMapping)
@@ -347,10 +350,10 @@ TEST(Archive, ShardingSpreadsLocationsAndPinsTheMapping)
     EXPECT_EQ(reopened.shardCount(), 4);
     ASSERT_EQ(reopened.recordCount(), 32u);
     for (int loc = 0; loc < 32; ++loc) {
-        auto ids = reopened.chain(loc, 0);
-        ASSERT_EQ(ids.size(), 1u) << "location " << loc;
-        EXPECT_EQ(reopened.record(ids[0]).meta.locationId, loc);
-        EXPECT_EQ(reopened.loadPayload(ids[0]),
+        auto entries = reopened.chainEntries(loc, 0);
+        ASSERT_EQ(entries.size(), 1u) << "location " << loc;
+        EXPECT_EQ(reopened.record(entries[0].first).meta.locationId, loc);
+        EXPECT_EQ(reopened.loadPayload(entries[0].first),
                   randomPayload(200, 90 + loc));
     }
 }
@@ -394,12 +397,12 @@ TEST(Archive, TruncatedShardTailIsRecoveredIndependently)
     EXPECT_TRUE(recovered.scanReport().truncatedTail);
     // locA's shard lost its tail record; locB's shard is untouched.
     ASSERT_EQ(recovered.recordCount(), 2u);
-    ASSERT_EQ(recovered.chain(locA, 0).size(), 1u);
-    ASSERT_EQ(recovered.chain(locB, 0).size(), 1u);
-    EXPECT_EQ(recovered.loadPayload(recovered.chain(locA, 0)[0]),
-              payloadA);
-    EXPECT_EQ(recovered.loadPayload(recovered.chain(locB, 0)[0]),
-              payloadB);
+    auto entriesA = recovered.chainEntries(locA, 0);
+    auto entriesB = recovered.chainEntries(locB, 0);
+    ASSERT_EQ(entriesA.size(), 1u);
+    ASSERT_EQ(entriesB.size(), 1u);
+    EXPECT_EQ(recovered.loadPayload(entriesA[0].first), payloadA);
+    EXPECT_EQ(recovered.loadPayload(entriesB[0].first), payloadB);
 
     // The damaged shard stays appendable after recovery.
     RecordMeta meta;
@@ -410,9 +413,9 @@ TEST(Archive, TruncatedShardTailIsRecoveredIndependently)
     Archive again(path.str());
     ASSERT_EQ(again.recordCount(), 3u);
     EXPECT_FALSE(again.scanReport().truncatedTail);
-    auto chainA = again.chain(locA, 0);
+    auto chainA = again.chainEntries(locA, 0);
     ASSERT_EQ(chainA.size(), 2u);
-    EXPECT_EQ(again.loadPayload(chainA[1]), fresh);
+    EXPECT_EQ(again.loadPayload(chainA[1].first), fresh);
 }
 
 TEST(Archive, CorruptShardPayloadTailDiscarded)
@@ -441,47 +444,6 @@ TEST(Archive, CorruptShardPayloadTailDiscarded)
     Archive recovered(path.str());
     EXPECT_TRUE(recovered.scanReport().truncatedTail);
     EXPECT_EQ(recovered.recordCount(), 0u);
-}
-
-TEST(Archive, CrossShardCompact)
-{
-    TempPath path("archive_xshard_compact.epar");
-    Archive archive(path.str(), 4);
-    auto [locA, locB] = twoLocationsInDifferentShards(archive);
-    auto add = [&](int loc, double day, bool full, uint64_t seed) {
-        RecordMeta m;
-        m.locationId = loc;
-        m.captureDay = day;
-        m.fullDownload = full;
-        archive.append(m, randomPayload(400, seed));
-    };
-    // locA: superseded history; locB: everything still live.
-    add(locA, 1.0, true, 30);
-    add(locB, 1.0, true, 31);
-    add(locA, 2.0, false, 32);
-    add(locA, 3.0, true, 33); // supersedes locA days 1-2
-    add(locB, 2.0, false, 34);
-    auto keptA = randomPayload(400, 33);
-    auto keptB0 = randomPayload(400, 31);
-    auto keptB1 = randomPayload(400, 34);
-
-    uint64_t reclaimed = archive.compact();
-    EXPECT_GT(reclaimed, 0u);
-    ASSERT_EQ(archive.recordCount(), 3u);
-    auto chainA = archive.chain(locA, 0);
-    auto chainB = archive.chain(locB, 0);
-    ASSERT_EQ(chainA.size(), 1u);
-    ASSERT_EQ(chainB.size(), 2u);
-    EXPECT_EQ(archive.loadPayload(chainA[0]), keptA);
-    EXPECT_EQ(archive.loadPayload(chainB[0]), keptB0);
-    EXPECT_EQ(archive.loadPayload(chainB[1]), keptB1);
-    EXPECT_DOUBLE_EQ(archive.record(chainA[0]).meta.captureDay, 3.0);
-
-    // The rewritten shards survive a reopen.
-    Archive reopened(path.str());
-    ASSERT_EQ(reopened.recordCount(), 3u);
-    EXPECT_FALSE(reopened.scanReport().truncatedTail);
-    EXPECT_EQ(reopened.loadPayload(reopened.chain(locA, 0)[0]), keptA);
 }
 
 TEST(Archive, PayloadViewIsStableAcrossGrowth)
@@ -525,132 +487,6 @@ TEST(Archive, PayloadViewOutlivesItsArchive)
     }
     std::filesystem::remove_all(path.str());
     EXPECT_EQ(view.toVector(), payload);
-}
-
-TEST(Archive, PayloadViewTakenBeforeCompactReadsTheOldBytes)
-{
-    TempPath path("archive_view_compact.epar");
-    Archive archive(path.str(), 2);
-    auto superseded = randomPayload(700, 48);
-    auto kept = randomPayload(600, 49);
-    RecordMeta meta;
-    meta.locationId = 1;
-    meta.captureDay = 1.0;
-    meta.fullDownload = true;
-    archive.append(meta, superseded);
-    meta.captureDay = 2.0;
-    archive.append(meta, kept); // supersedes day 1
-    PayloadView dropped = archive.payloadView(0);
-    PayloadView survivor = archive.payloadView(1);
-
-    archive.compact();
-    ASSERT_EQ(archive.recordCount(), 1u);
-    EXPECT_EQ(archive.loadPayload(0), kept);
-    // Both views still read the file they were taken from, although
-    // it was renamed over and its record indices reassigned.
-    EXPECT_EQ(dropped.toVector(), superseded);
-    EXPECT_EQ(survivor.toVector(), kept);
-}
-
-#if defined(__linux__)
-namespace {
-
-/** Mappings of deleted files under `dir` in /proc/self/maps. */
-size_t
-deletedMappingsUnder(const std::string &dir)
-{
-    std::ifstream maps("/proc/self/maps");
-    size_t found = 0;
-    for (std::string line; std::getline(maps, line);)
-        if (line.find(dir) != std::string::npos &&
-            line.find("(deleted)") != std::string::npos)
-            ++found;
-    return found;
-}
-
-} // anonymous namespace
-
-TEST(Archive, RewrittenShardFilesAreUnmappedOnceTheirViewsDrop)
-{
-    // compact() renames a staged file over every shard. A replaced
-    // file stays mapped only while a view into it lives, so the disk a
-    // rewrite reclaims is freed while the archive stays open.
-    TempPath path("archive_rewrite_unmaps.epar");
-    Archive archive(path.str(), 2);
-    for (int loc = 0; loc < 4; ++loc) {
-        RecordMeta meta;
-        meta.locationId = loc;
-        meta.captureDay = 1.0;
-        meta.fullDownload = true;
-        codec::EncodeParams ep;
-        ep.bitsPerPixel = 4.0;
-        archive.append(meta,
-                       codec::encode(testPlane(128, 96, 70 + loc), ep)
-                           .serialize());
-    }
-    std::string dir = std::filesystem::canonical(path.str()).string();
-    {
-        PayloadView held = archive.payloadView(0);
-        archive.compact();
-        EXPECT_GE(deletedMappingsUnder(dir), 1u)
-            << "the held view must keep its replaced shard mapped";
-    }
-    EXPECT_EQ(deletedMappingsUnder(dir), 0u) << "after compact()";
-}
-#endif
-
-TEST(Archive, CompactDropsSupersededRecords)
-{
-    TempPath dir("compact_superseded");
-    Archive archive(dir.str());
-    RecordMeta meta;
-    meta.locationId = 1;
-    meta.band = 0;
-    auto mk = [&](double day, bool full, uint64_t seed) {
-        RecordMeta m = meta;
-        m.captureDay = day;
-        m.fullDownload = full;
-        archive.append(m, randomPayload(300, seed));
-    };
-    mk(1.0, true, 20);
-    mk(2.0, false, 21);
-    mk(3.0, true, 22); // supersedes records 0 and 1
-    mk(4.0, false, 23);
-    auto tail = randomPayload(300, 23);
-
-    uint64_t reclaimed = archive.compact();
-    EXPECT_GT(reclaimed, 0u);
-    ASSERT_EQ(archive.recordCount(), 2u);
-    EXPECT_DOUBLE_EQ(archive.record(0).meta.captureDay, 3.0);
-    EXPECT_TRUE(archive.record(0).meta.fullDownload);
-    EXPECT_DOUBLE_EQ(archive.record(1).meta.captureDay, 4.0);
-    EXPECT_EQ(archive.loadPayload(1), tail);
-}
-
-TEST(Archive, CompactUsesCaptureDayNotAppendOrder)
-{
-    // ARQ can land records out of capture order: here an old full
-    // download (day 1) completes *after* the day-3 full and the day-4
-    // delta. Compaction must keep everything from the latest-by-day
-    // full (day 3) and drop only the day-1 record, despite it being
-    // the newest append.
-    TempPath dir("compact_capture_day");
-    Archive archive(dir.str());
-    RecordMeta meta;
-    meta.locationId = 7;
-    auto add = [&](double day, bool full, uint64_t seed) {
-        RecordMeta m = meta;
-        m.captureDay = day;
-        m.fullDownload = full;
-        archive.append(m, randomPayload(200, seed));
-    };
-    add(3.0, true, 70);
-    add(4.0, false, 71);
-    add(1.0, true, 72); // late-completing stale download
-    archive.compact();
-    ASSERT_EQ(archive.recordCount(), 2u);
-    EXPECT_DOUBLE_EQ(archive.record(0).meta.captureDay, 3.0);
-    EXPECT_DOUBLE_EQ(archive.record(1).meta.captureDay, 4.0);
 }
 
 // -------------------------------------------------- typed open failures
@@ -861,7 +697,7 @@ TEST(ArchiveDeath, PayloadCorruptedAfterOpenIsFatal)
 {
     // One byte of a payload rots on disk after open() scanned it clean.
     // Every read path re-verifies the stored CRC and fail-stops rather
-    // than serving the bytes or re-blessing them in a compaction.
+    // than serving the bytes.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     TempPath dir("archive_payload_rot");
     Archive archive(dir.str());
@@ -898,8 +734,6 @@ TEST(ArchiveDeath, PayloadCorruptedAfterOpenIsFatal)
     EXPECT_DEATH(dieReading([&] { archive.payloadView(rotten); }),
                  "payload CRC mismatch");
     EXPECT_DEATH(dieReading([&] { archive.loadPayload(rotten); }),
-                 "payload CRC mismatch");
-    EXPECT_DEATH(dieReading([&] { archive.compact(); }),
                  "payload CRC mismatch");
 }
 

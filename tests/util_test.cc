@@ -241,20 +241,6 @@ TEST(EmpiricalDistribution, CdfSeriesIsMonotone)
     EXPECT_DOUBLE_EQ(series.back().second, 1.0);
 }
 
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-5.0);  // clamps to first bin
-    h.add(100.0); // clamps to last bin
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.binCenter(9), 9.5);
-}
-
 TEST(Units, LinkConversions)
 {
     EXPECT_DOUBLE_EQ(units::kbpsToBytesPerSec(250.0), 31250.0);

@@ -106,7 +106,7 @@ probeFsyncFailure(const std::string &dir)
     append(*archive, 2, 3.0, 13);
     failpoint::disarmAll();
     // The record itself must be intact despite the failed sync.
-    if (archive->chain(2, 0).size() != 1) {
+    if (archive->chainEntries(2, 0).size() != 1) {
         std::fprintf(stderr, "append lost under failed fsync\n");
         return 1;
     }
