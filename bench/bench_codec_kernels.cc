@@ -1,11 +1,13 @@
 /**
  * @file
- * Per-kernel throughput of the vectorized codec hot paths, measured at
- * every dispatch level available on this machine.
+ * Per-kernel throughput of the vectorized codec hot paths and of the
+ * dispatched CRC-32 (util/crc32.hh), measured at every dispatch level
+ * available on this machine.
  *
  * Prints one row per (kernel, level) with median wall-ms and MB/s plus
  * the speedup over the scalar table (the `crc32` row's scalar level is
- * the slicing-by-8 twin, its AVX2 level the PCLMULQDQ fold), and with `--json <path>` emits
+ * slicing-by-8, its AVX2 level the PCLMULQDQ fold), and with
+ * `--json <path>` emits
  * the machine-readable BENCH_codec_kernels.json that ci/perf_gate.py
  * diffs against the checked-in baseline.
  *
@@ -23,6 +25,7 @@
 #include "bench_common.hh"
 #include "codec/dwt.hh"
 #include "codec/kernels.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
 
@@ -37,7 +40,6 @@ struct Workload
     int edge = 1024;
     std::vector<float> pixels;    ///< [0,1) pixel-like values
     std::vector<float> fcoeffs;   ///< centered float coefficients
-    std::vector<int32_t> icoeffs; ///< integer coefficients
     std::vector<uint32_t> mag;
     std::vector<uint8_t> sign;
     std::vector<uint8_t> low;
@@ -57,7 +59,6 @@ makeWorkload(int edge)
     size_t n = static_cast<size_t>(edge) * static_cast<size_t>(edge);
     w.pixels.resize(n);
     w.fcoeffs.resize(n);
-    w.icoeffs.resize(n);
     w.mag.resize(n);
     w.sign.resize(n);
     w.low.resize(n);
@@ -65,7 +66,6 @@ makeWorkload(int edge)
     for (size_t i = 0; i < n; ++i) {
         w.pixels[i] = static_cast<float>(rng.uniform());
         w.fcoeffs[i] = static_cast<float>(rng.normal(0.0, 0.2));
-        w.icoeffs[i] = static_cast<int32_t>(rng.uniformInt(-8000, 8000));
         w.mag[i] = rng.uniformInt(0, 3) == 0
             ? 0u
             : static_cast<uint32_t>(rng.uniformInt(1, 1 << 16));
@@ -132,7 +132,6 @@ main(int argc, char **argv)
 
     // Scratch copies so in-place transforms do not accumulate.
     std::vector<float> fbuf(n);
-    std::vector<int32_t> ibuf(n);
     std::vector<uint32_t> magOut(n);
     std::vector<uint8_t> signOut(n);
 
@@ -141,8 +140,6 @@ main(int argc, char **argv)
     // of an un-reset buffer would compound magnitudes without limit).
     std::vector<float> fwd97 = w.fcoeffs;
     forwardDwt97(fwd97, edge, edge, dwtLevels);
-    std::vector<int32_t> fwd53 = w.icoeffs;
-    forwardDwt53(fwd53, edge, edge, dwtLevels);
 
     std::function<void()> noSetup = []() {};
     std::vector<KernelCase> cases;
@@ -154,14 +151,6 @@ main(int argc, char **argv)
                      [&](const kernels::KernelTable &) {
         inverseDwt97(fbuf, w.edge, w.edge, dwtLevels);
     }});
-    cases.push_back({"dwt53_fwd", n * 4, [&]() { ibuf = w.icoeffs; },
-                     [&](const kernels::KernelTable &) {
-        forwardDwt53(ibuf, w.edge, w.edge, dwtLevels);
-    }});
-    cases.push_back({"dwt53_inv", n * 4, [&]() { ibuf = fwd53; },
-                     [&](const kernels::KernelTable &) {
-        inverseDwt53(ibuf, w.edge, w.edge, dwtLevels);
-    }});
     cases.push_back({"quant_f32", n * 4, noSetup,
                      [&](const kernels::KernelTable &k) {
         k.quantF32(w.fcoeffs.data(), n, 512.0f, magOut.data(),
@@ -172,11 +161,6 @@ main(int argc, char **argv)
         k.dequant97(w.mag.data(), w.sign.data(), w.low.data(), n,
                     1.0f / 512.0f, fbuf.data());
     }});
-    cases.push_back({"dequant_53", n * 4, noSetup,
-                     [&](const kernels::KernelTable &k) {
-        k.dequant53(w.mag.data(), w.sign.data(), w.low.data(), n,
-                    ibuf.data());
-    }});
     cases.push_back({"center_f", n * 4, noSetup,
                      [&](const kernels::KernelTable &k) {
         k.centerF(w.pixels.data(), n, fbuf.data());
@@ -185,22 +169,14 @@ main(int argc, char **argv)
                      [&](const kernels::KernelTable &k) {
         k.uncenterClampF(w.fcoeffs.data(), n, 0.0f, 1.0f, fbuf.data());
     }});
-    cases.push_back({"pixels_to_i32", n * 4, noSetup,
-                     [&](const kernels::KernelTable &k) {
-        k.pixelsToI32(w.pixels.data(), n, 255.0f, 128, ibuf.data());
-    }});
-    cases.push_back({"i32_to_pixels", n * 4, noSetup,
-                     [&](const kernels::KernelTable &k) {
-        k.i32ToPixels(w.icoeffs.data(), n, 127.5f, 1.0f / 255.0f,
-                      fbuf.data());
-    }});
     // CRC-32 over the magnitude buffer's bytes (any bytes will do:
-    // the kernel's cost does not depend on their values).
+    // the kernel's cost does not depend on their values), through the
+    // same active-level dispatch its callers use.
     volatile uint32_t crcSink = 0;
     cases.push_back({"crc32", n * 4, noSetup,
-                     [&](const kernels::KernelTable &k) {
-        crcSink = k.crc32(0, reinterpret_cast<const uint8_t *>(w.mag.data()),
-                          n * 4);
+                     [&](const kernels::KernelTable &) {
+        crcSink = util::crc32(
+            reinterpret_cast<const uint8_t *>(w.mag.data()), n * 4);
     }});
 
     Table table("codec kernel throughput per dispatch level");

@@ -3,12 +3,11 @@
  * End-to-end tile-coder throughput: full `encodeTile` /
  * `decodeTile` jobs (DWT + quantization + bitplane passes +
  * range coding, EPC4 framing) measured at every SIMD dispatch level,
- * for the three workloads that bracket Earth+'s operating points:
+ * for the two workloads that bracket Earth+'s operating points:
  *
  *   dense        natural-image-like content, every subband busy
  *   sparse_delta mostly mid-gray change-delta tiles with a few change
  *                clusters — the common case for Earth+'s delta encoding
- *   lossless     8-bit content through the reversible 5/3 path
  *
  * Prints one row per (direction, workload, level) with median wall-ms
  * and MB/s (pixel bytes per second), and with `--json <path>` emits
@@ -49,6 +48,9 @@ using namespace earthplus::codec;
 using util::simd::Level;
 
 namespace {
+
+/** DWT levels of every tile job: EncodeParams' default. */
+constexpr int kDwtLevels = 4;
 
 /** Natural-image-like tile content, libm-free and fully deterministic. */
 raster::Plane
@@ -122,8 +124,7 @@ struct WorkloadCase
 {
     const char *name;
     std::vector<raster::Plane> tiles;
-    TileCoderParams params;
-    size_t byteBudget; ///< Per tile; ignored in lossless mode.
+    size_t byteBudget; ///< Per tile.
 };
 
 /**
@@ -250,19 +251,6 @@ main(int argc, char **argv)
             sparse.tiles.push_back(
                 sparseDeltaTile(edge, edge, 200 + static_cast<uint64_t>(t)));
         cases.push_back(std::move(sparse));
-
-        WorkloadCase lossless;
-        lossless.name = "lossless";
-        lossless.byteBudget = 0; // ignored: lossless codes every plane
-        lossless.params.lossless = true;
-        for (int t = 0; t < tilesPerRep; ++t) {
-            raster::Plane p =
-                denseTile(edge, edge, 300 + static_cast<uint64_t>(t));
-            for (auto &v : p.data())
-                v = std::round(v * 255.0f) / 255.0f;
-            lossless.tiles.push_back(std::move(p));
-        }
-        cases.push_back(std::move(lossless));
     }
 
     Table table("tile coder end-to-end throughput per dispatch level");
@@ -282,16 +270,16 @@ main(int argc, char **argv)
             // Encode: full tile jobs, sub-chunks thrown away.
             double encMs = medianMs(reps, [&]() {
                 for (const raster::Plane &t : c.tiles)
-                    encodeTile(t, c.params, c.byteBudget);
+                    encodeTile(t, kDwtLevels, c.byteBudget);
             });
 
             // Decode: pre-encode once outside the timed region.
             std::vector<std::vector<uint8_t>> subs;
             for (const raster::Plane &t : c.tiles)
-                subs.push_back(encodeTile(t, c.params, c.byteBudget));
+                subs.push_back(encodeTile(t, kDwtLevels, c.byteBudget));
             double decMs = medianMs(reps, [&]() {
                 for (const auto &sub : subs)
-                    decodeTile(edge, edge, c.params,
+                    decodeTile(edge, edge, kDwtLevels,
                                {sub.data(), sub.size()});
             });
 

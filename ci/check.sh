@@ -81,7 +81,7 @@ run_benches() {
     "$BUILD_DIR/bench_ground_serving" --net \
         --json "$ARTIFACTS_DIR/BENCH_ground_net.json"
 
-    # Smoke the end-to-end tile coder (dense / sparse-delta / lossless
+    # Smoke the end-to-end tile coder (dense / sparse-delta
     # at every dispatch level). The gated run lives in perf mode; this
     # one just records the trajectory from the default build type, and
     # the metrics snapshot of its per-stage codec histograms.

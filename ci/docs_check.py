@@ -33,6 +33,12 @@ installed, full parse) and on minimal dev containers (no doxygen):
    bullets must be registered that way — an inventory entry whose
    metric is gone sends readers after a name no snapshot holds.
 
+4. Always check the codec layering: no file under src/ground or
+   src/net includes a `codec/` header, except the tile server
+   (`tile_server.*`), whose `quality` hint is the one stream consumer
+   outside the codec. The archive, the downlink and the wire carry
+   opaque bytes; their integrity check is util/crc32.hh.
+
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 """
 
@@ -63,6 +69,12 @@ INVENTORY_RE = re.compile(
 # A backticked metric name inside a bullet; the other backticked words
 # there (`quality`, `ServeError::Shed`, ...) are not dotted lowercase.
 DOC_METRIC_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)`")
+
+# Directories whose files may not include codec/ headers, and the one
+# file stem there that may.
+CODEC_FREE_SCOPE = ["src/ground", "src/net"]
+CODEC_CONSUMER = "tile_server"
+CODEC_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*["<]codec/', re.M)
 
 DECL_RE = re.compile(r"^(class|struct|enum)\s+[A-Za-z_]")
 FORWARD_DECL_RE = re.compile(r"^(class|struct)\s+\w+;\s*$")
@@ -210,6 +222,26 @@ def run_metric_inventory():
     return findings
 
 
+def run_codec_layering():
+    findings = []
+    for scope in CODEC_FREE_SCOPE:
+        for root, _dirs, files in os.walk(os.path.join(REPO, scope)):
+            for name in sorted(files):
+                if (not name.endswith((".cc", ".hh")) or
+                        name.split(".")[0] == CODEC_CONSUMER):
+                    continue
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as f:
+                    text = f.read()
+                rel = os.path.relpath(path, REPO)
+                for m in CODEC_INCLUDE_RE.finditer(text):
+                    line = text.count("\n", 0, m.start()) + 1
+                    findings.append(
+                        f"{rel}:{line}: includes a codec/ header; only "
+                        f"{CODEC_CONSUMER}.* may outside src/codec")
+    return findings
+
+
 def run_doxygen():
     doxygen = shutil.which("doxygen")
     if not doxygen:
@@ -237,6 +269,7 @@ def main():
     failures = run_doxygen()
     failures += run_lint()
     failures += run_metric_inventory()
+    failures += run_codec_layering()
     if failures:
         print("docs_check: FAILED")
         for f in failures:

@@ -1,12 +1,13 @@
 /**
  * @file
  * Codec playground: the wavelet codec on its own — rate sweep, cutting
- * one stream to smaller budgets, region-of-interest coding and
- * lossless mode. Writes PGM snapshots next to the binary so results
- * can be eyeballed.
+ * one stream to smaller budgets, region-of-interest coding, and an ROI
+ * stream cut and decoded tile by tile the way the ground tile server
+ * serves a quality hint. Writes PGM snapshots next to the binary so
+ * results can be eyeballed.
  */
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -88,25 +89,32 @@ main()
                 roi.countSet(), grid.tileCount(), renc.totalBytes(),
                 codec::encode(img, codec::EncodeParams{}).totalBytes());
 
-    // Lossless mode.
-    raster::Plane snapped = img;
-    for (auto &v : snapped.data())
-        v = std::round(v * 255.0f) / 255.0f;
-    codec::EncodeParams llp;
-    llp.lossless = true;
-    codec::EncodedImage lossless = codec::encode(snapped, llp);
-    raster::Plane back = codec::decode(lossless);
-    std::printf("lossless: %zu bytes (%.2f bpp), max error %.2g\n",
-                lossless.totalBytes(),
-                8.0 * lossless.totalBytes() / (256.0 * 256.0),
-                [&] {
-                    double m = 0.0;
-                    for (size_t i = 0; i < back.data().size(); ++i)
-                        m = std::max(m, std::abs(
-                            static_cast<double>(back.data()[i]) -
-                            snapped.data()[i]));
-                    return m;
-                }());
+    // ROI and cut together, as the tile server answers a quality
+    // hint: the ROI stream cut to half its bytes keeps every coded tile
+    // down to a common plane, and only the ROI tiles are decoded.
+    std::vector<uint8_t> roiStream = renc.serialize();
+    std::vector<uint8_t> roiCut = codec::truncateStream(
+        roiStream,
+        std::max(codec::streamHeaderFloor(roiStream), roiStream.size() / 2));
+    std::vector<int> roiTiles;
+    for (int t = 0; t < grid.tileCount(); ++t)
+        if (roi.get(t))
+            roiTiles.push_back(t);
+    std::vector<raster::Plane> whole = codec::decodeTiles(renc, roiTiles);
+    std::vector<raster::Plane> half = codec::decodeTiles(
+        codec::EncodedImage::deserialize(roiCut), roiTiles);
+    Table roiCuts("ROI tiles: whole stream (" +
+                  std::to_string(roiStream.size()) + " B) vs cut (" +
+                  std::to_string(roiCut.size()) + " B)");
+    roiCuts.setHeader({"Tile", "PSNR whole (dB)", "PSNR cut (dB)"});
+    for (size_t i = 0; i < roiTiles.size(); ++i) {
+        raster::TileRect r = grid.rect(roiTiles[i]);
+        raster::Plane src = img.crop(r.x0, r.y0, r.width, r.height);
+        roiCuts.addRow({std::to_string(roiTiles[i]),
+                        Table::num(raster::psnr(src, whole[i]), 2),
+                        Table::num(raster::psnr(src, half[i]), 2)});
+    }
+    roiCuts.print(std::cout);
     std::printf("wrote codec_original.pgm, codec_lossy_0.5bpp.pgm, "
                 "codec_roi.pgm\n");
     return 0;

@@ -44,12 +44,12 @@ codecMetrics()
 constexpr uint32_t kMagic = 0x34435045;
 
 /**
- * The two valid header flags words, one per mode: bit 0 marks the 5/3
- * transform, bit 1 lossless coding, and bits 8..15 hold
- * kLosslessDepth in both modes.
+ * The one valid header flags word, a fixed literal. Its value is
+ * historical: bits 8..15 once held the pixel bit depth of a retired
+ * reversible 5/3 mode, which also set bits 0 and 1. Parsing rejects
+ * every other word.
  */
-constexpr uint32_t kFlagsLossy = static_cast<uint32_t>(kLosslessDepth) << 8;
-constexpr uint32_t kFlagsLossless = kFlagsLossy | 3u;
+constexpr uint32_t kFlags = 0x800;
 
 /** Fixed serialized header size in bytes. */
 constexpr size_t kFixedHeader =
@@ -133,7 +133,7 @@ EncodedImage::serialize() const
     appendPod(out, static_cast<uint32_t>(tileSize));
     appendPod(out, static_cast<uint32_t>(dwtLevels));
     appendPod(out, static_cast<uint32_t>(1)); // layers
-    appendPod(out, lossless ? kFlagsLossless : kFlagsLossy);
+    appendPod(out, kFlags);
     appendPod(out, kQuantStep);
     appendPod(out, static_cast<uint32_t>(kMaxTileSize)); // chunk height
     appendPod(out, static_cast<uint32_t>(tileCoded.size()));
@@ -230,11 +230,10 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
     uint32_t flags = 0;
     if (!tryReadPod(data, len, pos, flags))
         return cut();
-    if (flags != kFlagsLossy && flags != kFlagsLossless) {
+    if (flags != kFlags) {
         msg = formatError("encoded image has invalid flags 0x%x", flags);
         return StreamError::Corrupt;
     }
-    e.lossless = flags == kFlagsLossless;
     double quantStep = 0.0;
     if (!tryReadPod(data, len, pos, quantStep))
         return cut();
@@ -609,8 +608,7 @@ encode(const std::vector<BandEncode> &bands)
         EP_ASSERT(params.tileSize > 0 && params.tileSize <= kMaxTileSize,
                   "EPC4 tiles are 1 to %d pixels on an edge, not %d",
                   kMaxTileSize, params.tileSize);
-        EP_ASSERT(params.bitsPerPixel > 0.0 || params.lossless,
-                  "non-positive bit budget");
+        EP_ASSERT(params.bitsPerPixel > 0.0, "non-positive bit budget");
         raster::TileGrid grid(img.width(), img.height(), params.tileSize);
         if (params.roi) {
             EP_ASSERT(params.roi->tilesX() == grid.tilesX() &&
@@ -625,7 +623,6 @@ encode(const std::vector<BandEncode> &bands)
         e.height = img.height();
         e.tileSize = params.tileSize;
         e.dwtLevels = params.dwtLevels;
-        e.lossless = params.lossless;
         e.tileCoded.assign(static_cast<size_t>(grid.tileCount()), 0);
 
         for (int t = 0; t < grid.tileCount(); ++t) {
@@ -633,13 +630,10 @@ encode(const std::vector<BandEncode> &bands)
                 continue;
             e.tileCoded[static_cast<size_t>(t)] = 1;
             raster::TileRect r = grid.rect(t);
-            // Lossless coding ignores the budget: it codes every plane.
             size_t pixels = static_cast<size_t>(r.width) *
                             static_cast<size_t>(r.height);
-            size_t budget = params.lossless
-                ? 0
-                : static_cast<size_t>(params.bitsPerPixel *
-                                      static_cast<double>(pixels) / 8.0);
+            size_t budget = static_cast<size_t>(
+                params.bitsPerPixel * static_cast<double>(pixels) / 8.0);
             jobs.push_back({b, r, budget});
         }
     }
@@ -665,14 +659,11 @@ encode(const std::vector<BandEncode> &bands)
             const Job &job = jobs[i];
             const BandEncode &band = bands[job.band];
             const raster::TileRect &r = job.rect;
-            TileCoderParams tp;
-            tp.dwtLevels = band.params.dwtLevels;
-            tp.lossless = band.params.lossless;
             raster::Plane tile =
                 band.img->crop(r.x0, r.y0, r.width, r.height);
             raster::Plane decoded;
             std::vector<uint8_t> sub =
-                encodeTile(tile, tp, job.budget,
+                encodeTile(tile, band.params.dwtLevels, job.budget,
                            band.reconstruction ? &decoded : nullptr);
             if (band.reconstruction)
                 band.reconstruction->paste(decoded, r.x0, r.y0);
@@ -699,7 +690,6 @@ namespace {
 /** Per-tile sub-chunk spans of a stream. */
 struct SlicedStream
 {
-    TileCoderParams tp;
     /** Flat indices of coded tiles, ascending. */
     std::vector<int> codedTiles;
     /** tile index -> slot in codedTiles/spans, or -1 when not coded. */
@@ -719,9 +709,6 @@ sliceStream(const EncodedImage &e, const raster::TileGrid &grid)
               "coded-tile flags (%zu) do not match grid (%d)",
               e.tileCoded.size(), grid.tileCount());
     SlicedStream s;
-    s.tp.dwtLevels = e.dwtLevels;
-    s.tp.lossless = e.lossless;
-
     s.slotOfTile.assign(static_cast<size_t>(grid.tileCount()), -1);
     for (int t = 0; t < grid.tileCount(); ++t) {
         if (!e.tileCoded[static_cast<size_t>(t)])
@@ -756,7 +743,7 @@ decode(const EncodedImage &e)
             codecMetrics().tilesDecoded.add();
             raster::TileRect r =
                 grid.rect(s.codedTiles[static_cast<size_t>(slot)]);
-            out.paste(decodeTile(r.width, r.height, s.tp,
+            out.paste(decodeTile(r.width, r.height, e.dwtLevels,
                                  s.spans[static_cast<size_t>(slot)]),
                       r.x0, r.y0);
         });
@@ -782,7 +769,7 @@ decodeTiles(const EncodedImage &e, const std::vector<int> &tiles)
             return raster::Plane(r.width, r.height, 0.0f);
         telemetry::ScopedTimer timer(codecMetrics().decodeTileNs);
         codecMetrics().tilesDecoded.add();
-        return decodeTile(r.width, r.height, s.tp,
+        return decodeTile(r.width, r.height, e.dwtLevels,
                           s.spans[static_cast<size_t>(slot)]);
     });
 }

@@ -9,14 +9,15 @@
  * truncateStream() cuts to any byte budget after encoding (downlink
  * bandwidth adaptation, §5 "Handling bandwidth fluctuation").
  *
- * There is one stream format, "EPC4" (docs/ARCHITECTURE.md). Every
- * stream this module writes or reads is complete and well framed; a
- * cut is a smaller complete stream, never a prefix. The header's
- * flags word, quantizer step and chunk height take fixed values: flags
- * 0x800 (lossy CDF 9/7) or 0x803 (lossless LeGall 5/3), step
- * kQuantStep and chunk height kMaxTileSize. Tiles are at most
- * kMaxTileSize on an edge, so every tile is one entropy chunk. Parsing
- * rejects any other value as StreamError::Corrupt.
+ * There is one stream format, "EPC4" (docs/ARCHITECTURE.md), and one
+ * coding mode: the CDF 9/7 transform and the kQuantStep deadzone
+ * quantizer, coded to a byte budget. Every stream this module writes or
+ * reads is complete and well framed; a cut is a smaller complete
+ * stream, never a prefix. The header's flags word, quantizer step and
+ * chunk height take fixed values: flags 0x800, step kQuantStep and
+ * chunk height kMaxTileSize. Tiles are at most kMaxTileSize on an
+ * edge, so every tile is one entropy chunk. Parsing rejects any other
+ * value as StreamError::Corrupt.
  */
 
 #ifndef EARTHPLUS_CODEC_CODEC_HH
@@ -63,12 +64,6 @@ struct EncodeParams
     double bitsPerPixel = 2.0;
     /** Dyadic DWT levels per tile. */
     int dwtLevels = 4;
-    /**
-     * The one mode switch (see TileCoderParams::lossless): false codes
-     * CDF 9/7 to the bit budget, true codes LeGall 5/3 exactly, with
-     * every bitplane.
-     */
-    bool lossless = false;
     /** Tile edge length in pixels, in [1, kMaxTileSize]. */
     int tileSize = raster::kDefaultTileSize;
     /** Optional region of interest; null encodes every tile. */
@@ -86,8 +81,6 @@ struct EncodedImage
     int height = 0;
     int tileSize = raster::kDefaultTileSize;
     int dwtLevels = 4;
-    /** Lossless (LeGall 5/3) or lossy (CDF 9/7) stream. */
-    bool lossless = false;
     /** Per-tile coded flag, flat tile index order. */
     std::vector<uint8_t> tileCoded;
     /**

@@ -10,37 +10,18 @@ namespace earthplus::codec {
 namespace {
 
 /**
- * Multi-level driver. Each decomposition level is one kernel-table
- * call that transforms the active top-left rectangle in place; the
- * kernels run rows then columns forward (columns in vector-width
- * batches) and the exact mirror on the inverse, because the integer
- * 5/3 lifting steps contain floors and do not commute across axes.
+ * The per-level sizes a multi-level transform visits: each level is
+ * one kernel-table call that transforms the active top-left rectangle
+ * in place, rows then columns forward (columns in vector-width
+ * batches) and the exact mirror on the inverse.
  */
-template <typename T, typename LevelFn>
-void
-forwardMulti(std::vector<T> &data, int width, int height, int levels,
-             LevelFn level)
+std::vector<std::pair<int, int>>
+levelSizes(const std::vector<float> &data, int width, int height,
+           int levels)
 {
     EP_ASSERT(static_cast<size_t>(width) * static_cast<size_t>(height) ==
               data.size(), "dwt buffer size mismatch");
     EP_ASSERT(levels >= 0, "negative dwt levels");
-    int w = width, h = height;
-    for (int l = 0; l < levels && (w > 1 || h > 1); ++l) {
-        level(data.data(), width, w, h);
-        w = (w + 1) / 2;
-        h = (h + 1) / 2;
-    }
-}
-
-template <typename T, typename LevelFn>
-void
-inverseMulti(std::vector<T> &data, int width, int height, int levels,
-             LevelFn level)
-{
-    EP_ASSERT(static_cast<size_t>(width) * static_cast<size_t>(height) ==
-              data.size(), "dwt buffer size mismatch");
-    // Recompute the per-level sizes the forward pass visited, then undo
-    // them in reverse order.
     std::vector<std::pair<int, int>> sizes;
     int w = width, h = height;
     for (int l = 0; l < levels && (w > 1 || h > 1); ++l) {
@@ -48,8 +29,7 @@ inverseMulti(std::vector<T> &data, int width, int height, int levels,
         w = (w + 1) / 2;
         h = (h + 1) / 2;
     }
-    for (auto it = sizes.rbegin(); it != sizes.rend(); ++it)
-        level(data.data(), width, it->first, it->second);
+    return sizes;
 }
 
 } // anonymous namespace
@@ -58,28 +38,17 @@ void
 forwardDwt97(std::vector<float> &data, int width, int height, int levels)
 {
     const kernels::KernelTable &k = kernels::active();
-    forwardMulti(data, width, height, levels, k.fwd97);
+    for (const auto &[w, h] : levelSizes(data, width, height, levels))
+        k.fwd97(data.data(), width, w, h);
 }
 
 void
 inverseDwt97(std::vector<float> &data, int width, int height, int levels)
 {
     const kernels::KernelTable &k = kernels::active();
-    inverseMulti(data, width, height, levels, k.inv97);
-}
-
-void
-forwardDwt53(std::vector<int32_t> &data, int width, int height, int levels)
-{
-    const kernels::KernelTable &k = kernels::active();
-    forwardMulti(data, width, height, levels, k.fwd53);
-}
-
-void
-inverseDwt53(std::vector<int32_t> &data, int width, int height, int levels)
-{
-    const kernels::KernelTable &k = kernels::active();
-    inverseMulti(data, width, height, levels, k.inv53);
+    const auto sizes = levelSizes(data, width, height, levels);
+    for (auto it = sizes.rbegin(); it != sizes.rend(); ++it)
+        k.inv97(data.data(), width, it->first, it->second);
 }
 
 std::vector<uint8_t>

@@ -1,13 +1,11 @@
 /**
  * @file
- * 2D discrete wavelet transforms via lifting.
+ * 2D discrete wavelet transform via lifting.
  *
- * Implements the two JPEG-2000 wavelets: the lossy CDF 9/7 (float) and
- * the reversible LeGall 5/3 (integer), both with whole-sample symmetric
- * boundary extension, arbitrary signal lengths, and in-place Mallat
- * subband layout (LL recursion in the top-left corner). The codec has
- * one transform per mode: lossy tiles use 9/7, lossless tiles 5/3
- * (TileCoderParams::lossless).
+ * Implements the codec's one transform, JPEG 2000's lossy CDF 9/7
+ * wavelet in single precision, with whole-sample symmetric boundary
+ * extension, arbitrary signal lengths, and in-place Mallat subband
+ * layout (LL recursion in the top-left corner).
  */
 
 #ifndef EARTHPLUS_CODEC_DWT_HH
@@ -33,17 +31,6 @@ void forwardDwt97(std::vector<float> &data, int width, int height,
 
 /** Inverse of forwardDwt97(). */
 void inverseDwt97(std::vector<float> &data, int width, int height,
-                  int levels);
-
-/**
- * Forward 2D LeGall 5/3 transform on integers, in place. Exactly
- * reversible by inverseDwt53().
- */
-void forwardDwt53(std::vector<int32_t> &data, int width, int height,
-                  int levels);
-
-/** Inverse of forwardDwt53(). */
-void inverseDwt53(std::vector<int32_t> &data, int width, int height,
                   int levels);
 
 /**

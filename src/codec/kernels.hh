@@ -10,18 +10,11 @@
  * fusion), this makes encoded streams byte-identical across dispatch
  * levels — the golden guarantee the codec tests assert.
  *
- * The tables cover the per-tile hot paths: the 9/7 lifting passes and
- * deadzone quantizer of the lossy path, the 5/3 lifting passes and
- * sign/magnitude split/combine of the lossless path (columns processed
- * in vector-width batches instead of strided single lanes), the
- * midpoint dequantizer of each, and the pixel<->coefficient
- * conversion loops.
- *
- * The table also carries the one CRC-32 kernel behind every integrity
- * check of the ground segment (ground/crc32.hh): slicing-by-8 at the
- * scalar, SSE2 and NEON levels, a PCLMULQDQ fold at AVX2. It is an
- * integer function of the bytes, so every level returns the same
- * value by construction.
+ * The tables cover the per-tile hot paths of the one codec mode: the
+ * CDF 9/7 lifting passes (columns processed in vector-width batches
+ * instead of strided single lanes), the deadzone quantizer and its
+ * midpoint dequantizer, the bitplane masks of the entropy coder and
+ * the pixel<->coefficient conversion loops.
  */
 
 #ifndef EARTHPLUS_CODEC_KERNELS_HH
@@ -55,21 +48,11 @@ struct KernelTable
     void (*fwd97)(float *data, int fullWidth, int w, int h);
     /** Inverse CDF 9/7: columns then rows. */
     void (*inv97)(float *data, int fullWidth, int w, int h);
-    /** Forward LeGall 5/3 (reversible integer). */
-    void (*fwd53)(int32_t *data, int fullWidth, int w, int h);
-    /** Inverse LeGall 5/3. */
-    void (*inv53)(int32_t *data, int fullWidth, int w, int h);
 
-    // --- quantize / dequantize / sign-magnitude ---
+    // --- quantize / dequantize ---
     /** mag = trunc(|c| * inv), sign = (c < 0). */
     void (*quantF32)(const float *coeffs, size_t n, float inv,
                      uint32_t *mag, uint8_t *sign);
-    /** Lossless split: mag = |c|, sign = (c < 0). */
-    void (*splitI32)(const int32_t *coeffs, size_t n, uint32_t *mag,
-                     uint8_t *sign);
-    /** Lossless combine: c = sign ? -mag : mag. */
-    void (*combineI32)(const uint32_t *mag, const uint8_t *sign, size_t n,
-                       int32_t *coeffs);
     /**
      * Midpoint dequantizer to float: 0 when mag == 0, else
      * +/-(mag + 2^(low-1)) * step.
@@ -77,12 +60,6 @@ struct KernelTable
     void (*dequant97)(const uint32_t *mag, const uint8_t *sign,
                       const uint8_t *low, size_t n, float step,
                       float *coeffs);
-    /**
-     * Midpoint dequantizer for integer (lossless 5/3) coefficients: 0
-     * when mag == 0, else +/-roundNearestEven(mag + 2^(low-1)).
-     */
-    void (*dequant53)(const uint32_t *mag, const uint8_t *sign,
-                      const uint8_t *low, size_t n, int32_t *coeffs);
     /** Maximum magnitude (0 for empty input). */
     uint32_t (*maxU32)(const uint32_t *mag, size_t n);
 
@@ -98,31 +75,11 @@ struct KernelTable
                          uint64_t *out);
 
     // --- pixel <-> coefficient conversions ---
-    /** out = in - 0.5 (center pixels for the 9/7 path). */
+    /** out = in - 0.5 (center pixels before the transform). */
     void (*centerF)(const float *in, size_t n, float *out);
     /** out = clamp(in + 0.5, lo, hi). */
     void (*uncenterClampF)(const float *in, size_t n, float lo, float hi,
                            float *out);
-    /**
-     * out = roundNearestEven(clamp(in, 0, 1) * mul) - off. Integer
-     * pixel mapping for the lossless 5/3 path.
-     */
-    void (*pixelsToI32)(const float *in, size_t n, float mul, int32_t off,
-                        int32_t *out);
-    /** out = clamp((in + off) * invScale, 0, 1). */
-    void (*i32ToPixels)(const int32_t *in, size_t n, float off,
-                        float invScale, float *out);
-
-    // --- integrity ---
-    /**
-     * CRC-32/IEEE 802.3 (reflected polynomial 0xEDB88320, initial and
-     * final XOR 0xFFFFFFFF) of `n` bytes, continuing from `prev`, the
-     * CRC of the bytes before `data` (0 for none), so
-     * crc32(crc32(0, a), b) == crc32(0, a ++ b). Never CRC-32C: the
-     * SSE4.2 `crc32` instruction computes the Castagnoli polynomial
-     * and is not used.
-     */
-    uint32_t (*crc32)(uint32_t prev, const uint8_t *data, size_t n);
 };
 
 /** Table for the currently active dispatch level (util::simd). */

@@ -50,9 +50,8 @@ bitcastF(uint32_t v)
     return f;
 }
 
-// Two's-complement wrapping int32 add/sub: what every vector lane
-// computes, without the scalar UB on overflow. Valid streams never
-// overflow, so this only pins what hostile coefficients decode to.
+// Two's-complement wrapping int32 add: what every vector lane
+// computes, without the scalar UB on overflow.
 inline int32_t
 wrapAdd(int32_t a, int32_t b)
 {
@@ -60,18 +59,11 @@ wrapAdd(int32_t a, int32_t b)
                                 static_cast<uint32_t>(b));
 }
 
-inline int32_t
-wrapSub(int32_t a, int32_t b)
-{
-    return static_cast<int32_t>(static_cast<uint32_t>(a) -
-                                static_cast<uint32_t>(b));
-}
-
-// Overflow-safe float->int32 conversions mirroring the x86
-// cvttps/cvtps sentinel (0x80000000 for out-of-range and NaN) instead
-// of invoking UB; no float lies strictly between 2^31-128 and 2^31,
-// so the range test cannot disagree with the hardware's post-rounding
-// check. Used by every scalar-ops tail and by the scalar traits.
+// Overflow-safe float->int32 truncation mirroring the x86 cvttps
+// sentinel (0x80000000 for out-of-range and NaN) instead of invoking
+// UB; no float lies strictly between 2^31-128 and 2^31, so the range
+// test cannot disagree with the hardware's check. Used by the
+// quantizer's scalar tail and by the scalar traits.
 inline bool
 fitsI32(float v)
 {
@@ -83,24 +75,6 @@ truncToI32(float v)
 {
     return fitsI32(v) ? static_cast<int32_t>(v) : INT32_MIN;
 }
-
-inline int32_t
-roundToI32(float v)
-{
-    return fitsI32(v) ? static_cast<int32_t>(std::lrint(v)) : INT32_MIN;
-}
-
-/**
- * Slicing-by-8 CRC-32/IEEE over the working register (the CRC with
- * its 0xFFFFFFFF pre/post inversion stripped): eight table lookups per
- * eight bytes, then bytewise for the tail. Defined once, in the
- * scalar translation unit built for the baseline ISA, so the vector
- * levels may call it for their short inputs and tails.
- */
-uint32_t crc32Slice8(uint32_t reg, const uint8_t *data, size_t n);
-
-/** KernelTable::crc32 of the scalar, SSE2 and NEON levels. */
-uint32_t crc32Scalar(uint32_t prev, const uint8_t *data, size_t n);
 
 template <class T>
 struct Kernels
@@ -114,16 +88,6 @@ struct Kernels
     fscratch(size_t n)
     {
         thread_local std::vector<float> buf;
-        if (buf.size() < n)
-            buf.resize(n);
-        return buf.data();
-    }
-
-    /** Per-thread int scratch. */
-    static int32_t *
-    iscratch(size_t n)
-    {
-        thread_local std::vector<int32_t> buf;
         if (buf.size() < n)
             buf.resize(n);
         return buf.data();
@@ -145,36 +109,6 @@ struct Kernels
             dst[j] = static_cast<uint8_t>((bits >> j) & 1u);
     }
 
-    /**
-     * Quantizer core shared by quantF32/splitI32: yields
-     * (magnitude lanes, sign-mask lanes) per block of K inputs, and
-     * writes sign bytes in packed 4-vector groups (one narrow store
-     * per 4K elements instead of K scalar byte writes).
-     */
-    template <typename LoadFn>
-    static void
-    quantLoop(size_t n, uint32_t *mag, uint8_t *sign, const LoadFn &block)
-    {
-        size_t i = 0;
-        for (; i + 4 * K <= n; i += 4 * K) {
-            I s0, s1, s2, s3;
-            T::istore(reinterpret_cast<int32_t *>(mag + i),
-                      block(i, s0));
-            T::istore(reinterpret_cast<int32_t *>(mag + i + K),
-                      block(i + K, s1));
-            T::istore(reinterpret_cast<int32_t *>(mag + i + 2 * K),
-                      block(i + 2 * K, s2));
-            T::istore(reinterpret_cast<int32_t *>(mag + i + 3 * K),
-                      block(i + 3 * K, s3));
-            T::storeMasks01(sign + i, s0, s1, s2, s3);
-        }
-        for (; i + K <= n; i += K) {
-            I s;
-            T::istore(reinterpret_cast<int32_t *>(mag + i), block(i, s));
-            storeMaskBytes(sign + i, s);
-        }
-    }
-
     // ------------------------------------------------ 1D lifting steps
 
     /** dst[i] += coef * (src[i+o0] + src[i+o1]) over contiguous rows. */
@@ -192,28 +126,6 @@ struct Kernels
             dst[i] += coef * (src[i + o0] + src[i + o1]);
     }
 
-    /** Integer lifting step: dst[i] -+= (src[i+o0]+src[i+o1]+bias)>>sh. */
-    static void
-    stepRowI(int32_t *dst, int m, const int32_t *src, int o0, int o1,
-             int32_t bias, int sh, bool subtract)
-    {
-        I b = T::iset(bias);
-        int i = 0;
-        for (; i + K <= m; i += K) {
-            I sum = T::iadd(
-                T::iadd(T::iload(src + i + o0), T::iload(src + i + o1)), b);
-            I upd = T::isra(sum, sh);
-            I cur = T::iload(dst + i);
-            T::istore(dst + i,
-                      subtract ? T::isub(cur, upd) : T::iadd(cur, upd));
-        }
-        for (; i < m; ++i) {
-            int32_t upd =
-                wrapAdd(wrapAdd(src[i + o0], src[i + o1]), bias) >> sh;
-            dst[i] = subtract ? wrapSub(dst[i], upd) : wrapAdd(dst[i], upd);
-        }
-    }
-
     /** Lane-batched lifting step: arrays have row stride K. */
     static void
     stepColF(float *dst, int m, const float *src, int o0, int o1,
@@ -225,24 +137,6 @@ struct Kernels
                             T::fload(src + static_cast<ptrdiff_t>(i + o1) * K));
             float *out = dst + static_cast<ptrdiff_t>(i) * K;
             T::fstore(out, T::fadd(T::fload(out), T::fmul(c, sum)));
-        }
-    }
-
-    /** Lane-batched integer lifting step. */
-    static void
-    stepColI(int32_t *dst, int m, const int32_t *src, int o0, int o1,
-             int32_t bias, int sh, bool subtract)
-    {
-        I b = T::iset(bias);
-        for (int i = 0; i < m; ++i) {
-            I sum = T::iadd(
-                T::iadd(T::iload(src + static_cast<ptrdiff_t>(i + o0) * K),
-                        T::iload(src + static_cast<ptrdiff_t>(i + o1) * K)),
-                b);
-            I upd = T::isra(sum, sh);
-            int32_t *out = dst + static_cast<ptrdiff_t>(i) * K;
-            I cur = T::iload(out);
-            T::istore(out, subtract ? T::isub(cur, upd) : T::iadd(cur, upd));
         }
     }
 
@@ -306,45 +200,6 @@ struct Kernels
             T::fstore(out + i, T::fmul(T::fload(in + i), c));
         for (; i < m; ++i)
             out[i] = in[i] * coef;
-    }
-
-    // ---------------------------------------------------- 5/3 row pass
-
-    static void
-    row53(int32_t *x, int n, bool forward)
-    {
-        if (n < 2)
-            return;
-        int ns = (n + 1) / 2;
-        int nd = n / 2;
-        int32_t *base = iscratch(static_cast<size_t>(n) + 4);
-        int32_t *s = base + 1;
-        int32_t *d = base + ns + 3;
-        if (forward) {
-            for (int i = 0; i < ns; ++i)
-                s[i] = x[2 * i];
-            for (int i = 0; i < nd; ++i)
-                d[i] = x[2 * i + 1];
-            s[ns] = s[ns - 1];
-            stepRowI(d, nd, s, 0, 1, 0, 1, true);
-            d[-1] = d[0];
-            d[nd] = d[nd - 1];
-            stepRowI(s, ns, d, -1, 0, 2, 2, false);
-            std::memcpy(x, s, static_cast<size_t>(ns) * sizeof(int32_t));
-            std::memcpy(x + ns, d, static_cast<size_t>(nd) * sizeof(int32_t));
-        } else {
-            std::memcpy(s, x, static_cast<size_t>(ns) * sizeof(int32_t));
-            std::memcpy(d, x + ns, static_cast<size_t>(nd) * sizeof(int32_t));
-            d[-1] = d[0];
-            d[nd] = d[nd - 1];
-            stepRowI(s, ns, d, -1, 0, 2, 2, true);
-            s[ns] = s[ns - 1];
-            stepRowI(d, nd, s, 0, 1, 0, 1, false);
-            for (int i = 0; i < ns; ++i)
-                x[2 * i] = s[i];
-            for (int i = 0; i < nd; ++i)
-                x[2 * i + 1] = d[i];
-        }
     }
 
     // ----------------------------------------------- 9/7 column passes
@@ -443,83 +298,6 @@ struct Kernels
             col97One(data, fullWidth, x0, h, forward);
     }
 
-    // ----------------------------------------------- 5/3 column passes
-
-    static void
-    cols53Batch(int32_t *data, int fullWidth, int x0, int h, bool forward)
-    {
-        int ns = (h + 1) / 2;
-        int nd = h / 2;
-        int32_t *base = iscratch(static_cast<size_t>(h + 4) * K);
-        int32_t *s = base + K;
-        int32_t *d = base + static_cast<size_t>(ns + 2) * K + K;
-        auto srow = [&](int i) { return s + static_cast<ptrdiff_t>(i) * K; };
-        auto drow = [&](int i) { return d + static_cast<ptrdiff_t>(i) * K; };
-        auto img = [&](int y) {
-            return data + static_cast<size_t>(y) * fullWidth + x0;
-        };
-        auto copyRow = [&](int32_t *dst, const int32_t *src) {
-            T::istore(dst, T::iload(src));
-        };
-        if (forward) {
-            for (int i = 0; i < ns; ++i)
-                copyRow(srow(i), img(2 * i));
-            for (int i = 0; i < nd; ++i)
-                copyRow(drow(i), img(2 * i + 1));
-            copyRow(srow(ns), srow(ns - 1));
-            stepColI(d, nd, s, 0, 1, 0, 1, true);
-            copyRow(drow(-1), drow(0));
-            copyRow(drow(nd), drow(nd - 1));
-            stepColI(s, ns, d, -1, 0, 2, 2, false);
-            for (int i = 0; i < ns; ++i)
-                copyRow(img(i), srow(i));
-            for (int i = 0; i < nd; ++i)
-                copyRow(img(ns + i), drow(i));
-        } else {
-            for (int i = 0; i < ns; ++i)
-                copyRow(srow(i), img(i));
-            for (int i = 0; i < nd; ++i)
-                copyRow(drow(i), img(ns + i));
-            copyRow(drow(-1), drow(0));
-            copyRow(drow(nd), drow(nd - 1));
-            stepColI(s, ns, d, -1, 0, 2, 2, true);
-            copyRow(srow(ns), srow(ns - 1));
-            stepColI(d, nd, s, 0, 1, 0, 1, false);
-            for (int i = 0; i < ns; ++i)
-                copyRow(img(2 * i), srow(i));
-            for (int i = 0; i < nd; ++i)
-                copyRow(img(2 * i + 1), drow(i));
-        }
-    }
-
-    /** See col97One: gather, reuse the row pass, scatter back. */
-    static void
-    col53One(int32_t *data, int fullWidth, int x, int h, bool forward)
-    {
-        thread_local std::vector<int32_t> col;
-        if (col.size() < static_cast<size_t>(h))
-            col.resize(static_cast<size_t>(h));
-        for (int y = 0; y < h; ++y)
-            col[static_cast<size_t>(y)] =
-                data[static_cast<size_t>(y) * fullWidth + x];
-        row53(col.data(), h, forward);
-        for (int y = 0; y < h; ++y)
-            data[static_cast<size_t>(y) * fullWidth + x] =
-                col[static_cast<size_t>(y)];
-    }
-
-    static void
-    cols53(int32_t *data, int fullWidth, int w, int h, bool forward)
-    {
-        if (h < 2)
-            return;
-        int x0 = 0;
-        for (; x0 + K <= w; x0 += K)
-            cols53Batch(data, fullWidth, x0, h, forward);
-        for (; x0 < w; ++x0)
-            col53One(data, fullWidth, x0, h, forward);
-    }
-
     // --------------------------------------------- table entry points
 
     static void
@@ -538,67 +316,44 @@ struct Kernels
             row97(data + static_cast<size_t>(y) * fullWidth, w, false);
     }
 
-    static void
-    fwd53(int32_t *data, int fullWidth, int w, int h)
-    {
-        for (int y = 0; y < h; ++y)
-            row53(data + static_cast<size_t>(y) * fullWidth, w, true);
-        cols53(data, fullWidth, w, h, true);
-    }
-
-    static void
-    inv53(int32_t *data, int fullWidth, int w, int h)
-    {
-        cols53(data, fullWidth, w, h, false);
-        for (int y = 0; y < h; ++y)
-            row53(data + static_cast<size_t>(y) * fullWidth, w, false);
-    }
-
+    /**
+     * Deadzone quantizer. Each block of K inputs yields magnitude lanes
+     * and sign-mask lanes; sign bytes are written in packed 4-vector
+     * groups (one narrow store per 4K elements instead of K scalar byte
+     * writes).
+     */
     static void
     quantF32(const float *coeffs, size_t n, float inv, uint32_t *mag,
              uint8_t *sign)
     {
         F vinv = T::fset(inv);
-        quantLoop(n, mag, sign, [&](size_t i, I &signMask) {
+        auto block = [&](size_t i, I &signMask) {
             F v = T::fload(coeffs + i);
             signMask = T::flt0(v);
             return T::ftoi_trunc(T::fmul(T::fabs_(v), vinv));
-        });
-        for (size_t i = n - n % K; i < n; ++i) {
+        };
+        size_t i = 0;
+        for (; i + 4 * K <= n; i += 4 * K) {
+            I s0, s1, s2, s3;
+            T::istore(reinterpret_cast<int32_t *>(mag + i),
+                      block(i, s0));
+            T::istore(reinterpret_cast<int32_t *>(mag + i + K),
+                      block(i + K, s1));
+            T::istore(reinterpret_cast<int32_t *>(mag + i + 2 * K),
+                      block(i + 2 * K, s2));
+            T::istore(reinterpret_cast<int32_t *>(mag + i + 3 * K),
+                      block(i + 3 * K, s3));
+            T::storeMasks01(sign + i, s0, s1, s2, s3);
+        }
+        for (; i + K <= n; i += K) {
+            I s;
+            T::istore(reinterpret_cast<int32_t *>(mag + i), block(i, s));
+            storeMaskBytes(sign + i, s);
+        }
+        for (; i < n; ++i) {
             float v = coeffs[i];
             sign[i] = v < 0.0f ? 1 : 0;
             mag[i] = static_cast<uint32_t>(truncToI32(std::fabs(v) * inv));
-        }
-    }
-
-    static void
-    splitI32(const int32_t *coeffs, size_t n, uint32_t *mag, uint8_t *sign)
-    {
-        quantLoop(n, mag, sign, [&](size_t i, I &signMask) {
-            I v = T::iload(coeffs + i);
-            signMask = T::isra(v, 31);
-            return T::isub(T::ixor(v, signMask), signMask);
-        });
-        for (size_t i = n - n % K; i < n; ++i) {
-            int32_t v = coeffs[i];
-            sign[i] = v < 0 ? 1 : 0;
-            mag[i] = static_cast<uint32_t>(v < 0 ? -v : v);
-        }
-    }
-
-    static void
-    combineI32(const uint32_t *mag, const uint8_t *sign, size_t n,
-               int32_t *coeffs)
-    {
-        size_t i = 0;
-        for (; i + K <= n; i += K) {
-            I m = T::iload(reinterpret_cast<const int32_t *>(mag + i));
-            I sm = T::isub(T::izero(), loadU8(sign + i));
-            T::istore(coeffs + i, T::isub(T::ixor(m, sm), sm));
-        }
-        for (; i < n; ++i) {
-            int32_t m = static_cast<int32_t>(mag[i]);
-            coeffs[i] = sign[i] ? -m : m;
         }
     }
 
@@ -626,33 +381,6 @@ struct Kernels
             float half = bitcastF(static_cast<uint32_t>(126 + low[i]) << 23);
             float v = (static_cast<float>(m) + half) * step;
             coeffs[i] = sign[i] ? -v : v;
-        }
-    }
-
-    static void
-    dequant53(const uint32_t *mag, const uint8_t *sign, const uint8_t *low,
-              size_t n, int32_t *coeffs)
-    {
-        I bias = T::iset(126);
-        size_t i = 0;
-        for (; i + K <= n; i += K) {
-            I m = T::iload(reinterpret_cast<const int32_t *>(mag + i));
-            I zeroMask = T::icmpeq0(m);
-            F half = T::icastF(T::ishl(T::iadd(loadU8(low + i), bias), 23));
-            I r = T::ftoi_round(T::fadd(T::itof(m), half));
-            I sm = T::isub(T::izero(), loadU8(sign + i));
-            r = T::isub(T::ixor(r, sm), sm);
-            T::istore(coeffs + i, T::iandnot(zeroMask, r));
-        }
-        for (; i < n; ++i) {
-            int32_t m = static_cast<int32_t>(mag[i]);
-            if (m == 0) {
-                coeffs[i] = 0;
-                continue;
-            }
-            float half = bitcastF(static_cast<uint32_t>(126 + low[i]) << 23);
-            int32_t r = roundToI32(static_cast<float>(m) + half);
-            coeffs[i] = sign[i] ? wrapSub(0, r) : r;
         }
     }
 
@@ -734,68 +462,18 @@ struct Kernels
         }
     }
 
-    static void
-    pixelsToI32(const float *in, size_t n, float mul, int32_t off,
-                int32_t *out)
-    {
-        F vlo = T::fset(0.0f);
-        F vhi = T::fset(1.0f);
-        F vmul = T::fset(mul);
-        I voff = T::iset(off);
-        size_t i = 0;
-        for (; i + K <= n; i += K) {
-            F v = T::fload(in + i);
-            v = T::fmin_(T::fmax_(v, vlo), vhi);
-            I r = T::ftoi_round(T::fmul(v, vmul));
-            T::istore(out + i, T::isub(r, voff));
-        }
-        for (; i < n; ++i) {
-            float v = in[i];
-            v = v > 0.0f ? v : 0.0f;
-            v = v < 1.0f ? v : 1.0f;
-            out[i] = roundToI32(v * mul) - off;
-        }
-    }
-
-    static void
-    i32ToPixels(const int32_t *in, size_t n, float off, float invScale,
-                float *out)
-    {
-        F voff = T::fset(off);
-        F vinv = T::fset(invScale);
-        F vlo = T::fset(0.0f);
-        F vhi = T::fset(1.0f);
-        size_t i = 0;
-        for (; i + K <= n; i += K) {
-            F v = T::fmul(T::fadd(T::itof(T::iload(in + i)), voff), vinv);
-            T::fstore(out + i, T::fmin_(T::fmax_(v, vlo), vhi));
-        }
-        for (; i < n; ++i) {
-            float v = (static_cast<float>(in[i]) + off) * invScale;
-            v = v > 0.0f ? v : 0.0f;
-            out[i] = v < 1.0f ? v : 1.0f;
-        }
-    }
 };
 
-/**
- * Assemble the function table for one traits instantiation; `crc32`
- * is the level's CRC kernel (crc32Scalar unless the level has a
- * faster one).
- */
+/** Assemble the function table for one traits instantiation. */
 template <class T>
 const KernelTable *
-makeTable(util::simd::Level level,
-          uint32_t (*crc32)(uint32_t, const uint8_t *, size_t))
+makeTable(util::simd::Level level)
 {
     using KT = Kernels<T>;
     static const KernelTable table = {
-        level,         T::kWidth,      &KT::fwd97,       &KT::inv97,
-        &KT::fwd53,    &KT::inv53,     &KT::quantF32,
-        &KT::splitI32, &KT::combineI32, &KT::dequant97,  &KT::dequant53,
-        &KT::maxU32,   &KT::bitplaneMask,
-        &KT::centerF,  &KT::uncenterClampF,
-        &KT::pixelsToI32, &KT::i32ToPixels, crc32,
+        level,           T::kWidth,     &KT::fwd97,        &KT::inv97,
+        &KT::quantF32,   &KT::dequant97, &KT::maxU32,      &KT::bitplaneMask,
+        &KT::centerF,    &KT::uncenterClampF,
     };
     return &table;
 }

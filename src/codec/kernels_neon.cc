@@ -52,17 +52,13 @@ struct NeonTraits
         return vreinterpretq_s32_u32(vcltq_f32(v, vdupq_n_f32(0.0f)));
     }
     static I ftoi_trunc(F v) { return vcvtq_s32_f32(v); }
-    static I ftoi_round(F v) { return vcvtnq_s32_f32(v); }
     static F itof(I v) { return vcvtq_f32_s32(v); }
     static F icastF(I v) { return vreinterpretq_f32_s32(v); }
 
     static I iload(const int32_t *p) { return vld1q_s32(p); }
     static void istore(int32_t *p, I v) { vst1q_s32(p, v); }
     static I iset(int32_t v) { return vdupq_n_s32(v); }
-    static I izero() { return vdupq_n_s32(0); }
     static I iadd(I a, I b) { return vaddq_s32(a, b); }
-    static I isub(I a, I b) { return vsubq_s32(a, b); }
-    static I iandnot(I mask, I v) { return vbicq_s32(v, mask); }
     static I ixor(I a, I b) { return veorq_s32(a, b); }
     static I ishl(I v, int k) { return vshlq_s32(v, vdupq_n_s32(k)); }
     static I isra(I v, int k) { return vshlq_s32(v, vdupq_n_s32(-k)); }
@@ -108,7 +104,7 @@ struct NeonTraits
 const KernelTable *
 neonTable()
 {
-    return makeTable<NeonTraits>(util::simd::Level::NEON, &crc32Scalar);
+    return makeTable<NeonTraits>(util::simd::Level::NEON);
 }
 
 } // namespace earthplus::codec::kernels::detail

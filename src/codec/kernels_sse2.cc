@@ -46,7 +46,6 @@ struct Sse2Traits
         return _mm_castps_si128(_mm_cmplt_ps(v, _mm_setzero_ps()));
     }
     static I ftoi_trunc(F v) { return _mm_cvttps_epi32(v); }
-    static I ftoi_round(F v) { return _mm_cvtps_epi32(v); }
     static F itof(I v) { return _mm_cvtepi32_ps(v); }
     static F icastF(I v) { return _mm_castsi128_ps(v); }
 
@@ -61,10 +60,7 @@ struct Sse2Traits
         _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
     }
     static I iset(int32_t v) { return _mm_set1_epi32(v); }
-    static I izero() { return _mm_setzero_si128(); }
     static I iadd(I a, I b) { return _mm_add_epi32(a, b); }
-    static I isub(I a, I b) { return _mm_sub_epi32(a, b); }
-    static I iandnot(I mask, I v) { return _mm_andnot_si128(mask, v); }
     static I ixor(I a, I b) { return _mm_xor_si128(a, b); }
     static I ishl(I v, int k) { return _mm_slli_epi32(v, k); }
     static I isra(I v, int k) { return _mm_srai_epi32(v, k); }
@@ -114,7 +110,7 @@ struct Sse2Traits
 const KernelTable *
 sse2Table()
 {
-    return makeTable<Sse2Traits>(util::simd::Level::SSE2, &crc32Scalar);
+    return makeTable<Sse2Traits>(util::simd::Level::SSE2);
 }
 
 } // namespace earthplus::codec::kernels::detail

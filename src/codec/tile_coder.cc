@@ -377,11 +377,10 @@ TileGeometry::of(int width, int height, int levels)
 }
 
 TileCoefficients
-transformTile(const raster::Plane &tile, const TileCoderParams &params)
+transformTile(const raster::Plane &tile, int dwtLevels)
 {
     TileCoefficients out;
-    out.geometry =
-        TileGeometry::of(tile.width(), tile.height(), params.dwtLevels);
+    out.geometry = TileGeometry::of(tile.width(), tile.height(), dwtLevels);
     const int width = tile.width();
     const int height = tile.height();
     size_t n = static_cast<size_t>(width) * static_cast<size_t>(height);
@@ -393,24 +392,13 @@ transformTile(const raster::Plane &tile, const TileCoderParams &params)
     // scalar single-precision dataflow, so the quantized coefficients
     // (and therefore the encoded stream) do not depend on the level.
     const kernels::KernelTable &K = kernels::active();
-    const float *pixels = tile.row(0);
-    if (params.lossless) {
-        float scale = static_cast<float>((1 << kLosslessDepth) - 1);
-        int32_t offset = 1 << (kLosslessDepth - 1);
-        std::vector<int32_t> coeffs(n);
-        K.pixelsToI32(pixels, n, scale, offset, coeffs.data());
-        forwardDwt53(coeffs, width, height, params.dwtLevels);
-        K.splitI32(coeffs.data(), n, out.magnitude.data(),
-                   out.sign.data());
-    } else {
-        std::vector<float> coeffs(n);
-        K.centerF(pixels, n, coeffs.data());
-        forwardDwt97(coeffs, width, height, params.dwtLevels);
-        // Deadzone scalar quantizer.
-        float inv = static_cast<float>(1.0 / kQuantStep);
-        K.quantF32(coeffs.data(), n, inv, out.magnitude.data(),
-                   out.sign.data());
-    }
+    std::vector<float> coeffs(n);
+    K.centerF(tile.row(0), n, coeffs.data());
+    forwardDwt97(coeffs, width, height, dwtLevels);
+    // Deadzone scalar quantizer.
+    float inv = static_cast<float>(1.0 / kQuantStep);
+    K.quantF32(coeffs.data(), n, inv, out.magnitude.data(),
+               out.sign.data());
     return out;
 }
 
@@ -711,7 +699,7 @@ TileDecoder::finish()
 }
 
 raster::Plane
-reconstructTile(int width, int height, const TileCoderParams &params,
+reconstructTile(int width, int height, int dwtLevels,
                 const uint32_t *magnitude, const uint8_t *sign,
                 const uint8_t *lowPlane)
 {
@@ -721,36 +709,12 @@ reconstructTile(int width, int height, const TileCoderParams &params,
 
     // Midpoint reconstruction: for coefficient i the bits above
     // lowPlane[i] are exact, so |c| lies in [m, m + 2^lowPlane[i])
-    // quantizer steps; the dequant kernels add half of that
-    // uncertainty when significant (and decode zero otherwise).
-
-    if (params.lossless) {
-        // Lossless coefficients are integers: one whose plane 0 was
-        // decoded is exact, and only the rest take the midpoint. A
-        // tile decoded to the end is therefore exact throughout, and
-        // skips the midpoint pass.
-        std::vector<int32_t> coeffs(n);
-        K.combineI32(magnitude, sign, n, coeffs.data());
-        if (std::any_of(lowPlane, lowPlane + n,
-                        [](uint8_t p) { return p != 0; })) {
-            std::vector<int32_t> midpoint(n);
-            K.dequant53(magnitude, sign, lowPlane, n, midpoint.data());
-            for (size_t i = 0; i < n; ++i)
-                if (lowPlane[i] != 0)
-                    coeffs[i] = midpoint[i];
-        }
-        inverseDwt53(coeffs, width, height, params.dwtLevels);
-        float invScale =
-            static_cast<float>(1.0 / ((1 << kLosslessDepth) - 1));
-        float offset = static_cast<float>(1 << (kLosslessDepth - 1));
-        K.i32ToPixels(coeffs.data(), n, offset, invScale, out.row(0));
-        return out;
-    }
-
+    // quantizer steps; the dequantizer adds half of that uncertainty
+    // when significant (and decodes zero otherwise).
     std::vector<float> coeffs(n);
     K.dequant97(magnitude, sign, lowPlane, n,
                 static_cast<float>(kQuantStep), coeffs.data());
-    inverseDwt97(coeffs, width, height, params.dwtLevels);
+    inverseDwt97(coeffs, width, height, dwtLevels);
     K.uncenterClampF(coeffs.data(), n, 0.0f, 1.0f, out.row(0));
     return out;
 }
@@ -765,29 +729,28 @@ DecodedTile::DecodedTile(int width, int height)
 }
 
 raster::Plane
-DecodedTile::reconstruct(const TileCoderParams &params) const
+DecodedTile::reconstruct(int dwtLevels) const
 {
-    return reconstructTile(width, height, params, magnitude.data(),
+    return reconstructTile(width, height, dwtLevels, magnitude.data(),
                            sign.data(), lowPlane.data());
 }
 
 std::vector<uint8_t>
-encodeTile(const raster::Plane &tile, const TileCoderParams &params,
-           size_t byteBudget, raster::Plane *reconstruction)
+encodeTile(const raster::Plane &tile, int dwtLevels, size_t byteBudget,
+           raster::Plane *reconstruction)
 {
     TileCoefficients coeffs;
     {
         telemetry::TraceSpan span("codec.transform", "codec");
         telemetry::ScopedTimer timer(stageMetrics().transformNs);
-        coeffs = transformTile(tile, params);
+        coeffs = transformTile(tile, dwtLevels);
     }
     // The chunk is coded in place behind its u32 length word, so the
     // limit on the sub-chunk is the payload budget plus the word,
     // saturated. Everything the chunk writes counts against it: the
     // header byte, every segment's framing word and its flushed body.
-    // Lossless has no limit: it codes every plane.
     constexpr size_t kWord = sizeof(uint32_t);
-    const size_t limit = params.lossless || byteBudget > SIZE_MAX - kWord
+    const size_t limit = byteBudget > SIZE_MAX - kWord
         ? SIZE_MAX
         : byteBudget + kWord;
     std::vector<uint8_t> sub(kWord + 1);
@@ -808,21 +771,20 @@ encodeTile(const raster::Plane &tile, const TileCoderParams &params,
     std::memcpy(sub.data(), &ecLen, kWord);
     if (reconstruction) {
         telemetry::TraceSpan span("codec.reconstruct_tile", "codec");
-        *reconstruction = decoded.reconstruct(params);
+        *reconstruction = decoded.reconstruct(dwtLevels);
     }
     return sub;
 }
 
 raster::Plane
-decodeTile(int width, int height, const TileCoderParams &params,
-           ChunkSpan sub)
+decodeTile(int width, int height, int dwtLevels, ChunkSpan sub)
 {
     ChunkSpan chunk;
     forEachFramed(sub.data, sub.size, 1,
                   [&](size_t, ChunkSpan span) { chunk = span; });
 
     const std::shared_ptr<const TileGeometry> geom =
-        TileGeometry::of(width, height, params.dwtLevels);
+        TileGeometry::of(width, height, dwtLevels);
     DecodedTile state(width, height);
     TileDecoder dec(*geom, state.magnitude.data(), state.sign.data(),
                     state.lowPlane.data());
@@ -837,7 +799,7 @@ decodeTile(int width, int height, const TileCoderParams &params,
                        });
     }
     dec.finish();
-    return state.reconstruct(params);
+    return state.reconstruct(dwtLevels);
 }
 
 } // namespace earthplus::codec

@@ -2,14 +2,16 @@
  * @file
  * Embedded bitplane coder for one image tile.
  *
- * Quantized wavelet coefficients are coded magnitude-bitplane by
- * magnitude-bitplane (MSB first) with context-adaptive binary range
- * coding, so a prefix of the coded planes is a lower-quality version of
- * the tile. This provides the two codec properties Earth+ relies on:
- * bit-budget rate control (stop emitting planes when the tile budget is
- * exhausted) and cutting a coded stream to a smaller budget after
- * encoding by dropping each tile's lowest planes
- * (codec::truncateStream(); §5, "Handling bandwidth fluctuation").
+ * The codec's one mode: transformTile() runs the CDF 9/7 wavelet and
+ * the kQuantStep deadzone quantizer, and the quantized coefficients
+ * are coded magnitude-bitplane by magnitude-bitplane (MSB first) with
+ * context-adaptive binary range coding, so a prefix of the coded
+ * planes is a lower-quality version of the tile. This provides the two
+ * codec properties Earth+ relies on: bit-budget rate control (stop
+ * emitting planes when the tile budget is exhausted) and cutting a
+ * coded stream to a smaller budget after encoding by dropping each
+ * tile's lowest planes (codec::truncateStream(); §5, "Handling
+ * bandwidth fluctuation").
  *
  * The coding passes are bitset-driven: significance, visited and
  * refinable state live in word-packed `uint64_t` planes (one fresh run
@@ -74,31 +76,10 @@
 namespace earthplus::codec {
 
 /**
- * Deadzone quantizer step of the lossy (CDF 9/7) path, in pixel units.
+ * Deadzone quantizer step of the CDF 9/7 coefficients, in pixel units.
  * Fixed: every EPC4 stream records it, and parsing rejects any other.
  */
 constexpr double kQuantStep = 1.0 / 512.0;
-
-/**
- * Bit depth of the lossless path's integer pixel mapping: pixels in
- * [0, 1] become integers in [-2^(depth-1), 2^(depth-1)).
- */
-constexpr int kLosslessDepth = 8;
-
-/** Tunables shared by the tile encoder and decoder. */
-struct TileCoderParams
-{
-    /** Dyadic decomposition levels. */
-    int dwtLevels = 4;
-    /**
-     * The codec mode, and with it the transform. False: the CDF 9/7
-     * float transform and the kQuantStep deadzone quantizer, coded to
-     * a byte budget. True, for exact reconstruction: pixels are mapped
-     * to kLosslessDepth-bit integers, transformed with the reversible
-     * LeGall 5/3 filter, and every bitplane is coded.
-     */
-    bool lossless = false;
-};
 
 /**
  * Context model set shared by encoder and decoder.
@@ -196,13 +177,13 @@ struct TileCoefficients
 };
 
 /**
- * DWT + quantization of one tile (values in [0, 1]) into
- * sign/magnitude coefficients. Pure function of (pixels, params);
+ * CDF 9/7 DWT at `dwtLevels` dyadic levels + kQuantStep deadzone
+ * quantization of one tile (values in [0, 1]) into sign/magnitude
+ * coefficients. Pure function of (pixels, dwtLevels);
  * runs through the dispatched kernel table but every SIMD level
  * shares the scalar dataflow, so the result is level-independent.
  */
-TileCoefficients transformTile(const raster::Plane &tile,
-                               const TileCoderParams &params);
+TileCoefficients transformTile(const raster::Plane &tile, int dwtLevels);
 
 /**
  * Encoder for the entropy chunk of a transformed tile.
@@ -346,12 +327,9 @@ class TileDecoder
 /**
  * Dequantize + inverse DWT a full tile's decoded coefficients into
  * pixel space: each coefficient takes the midpoint of the planes below
- * its `lowPlane`, except that a lossless coefficient whose plane 0 was
- * decoded is an exact integer, so a lossless tile decoded to the end
- * reconstructs exactly.
+ * its `lowPlane`.
  */
-raster::Plane reconstructTile(int width, int height,
-                              const TileCoderParams &params,
+raster::Plane reconstructTile(int width, int height, int dwtLevels,
                               const uint32_t *magnitude,
                               const uint8_t *sign, const uint8_t *lowPlane);
 
@@ -375,7 +353,7 @@ struct DecodedTile
     std::vector<uint8_t> lowPlane;
 
     /** reconstructTile() of this state. */
-    raster::Plane reconstruct(const TileCoderParams &params) const;
+    raster::Plane reconstruct(int dwtLevels) const;
 };
 
 /** A read-only byte window into a larger entropy-coded chunk. */
@@ -458,26 +436,25 @@ forEachSegment(const uint8_t *data, size_t size, Fn &&fn)
  * matching trace span for each.
  *
  * @param tile Pixel data, values in [0, 1].
- * @param params Coder configuration.
+ * @param dwtLevels Dyadic DWT levels.
  * @param byteBudget Byte budget of the chunk payload, checked before
- *        every pass as TileEncoder::encodePlanes() does. Ignored when
- *        params.lossless, which codes every plane.
+ *        every pass as TileEncoder::encodePlanes() does.
  * @param reconstruction When non-null, receives the tile exactly as
  *        decodeTile() would decode the returned sub-chunk, rebuilt
  *        from the encoder's coefficient state.
  * @return The tile's sub-chunk.
  */
 std::vector<uint8_t>
-encodeTile(const raster::Plane &tile, const TileCoderParams &params,
-           size_t byteBudget, raster::Plane *reconstruction = nullptr);
+encodeTile(const raster::Plane &tile, int dwtLevels, size_t byteBudget,
+           raster::Plane *reconstruction = nullptr);
 
 /**
  * Decode one tile from its sub-chunk — as encodeTile() wrote it, or as
  * codec::truncateStream() cut it: the chunk decodes the segments it
  * holds. An empty sub-chunk or chunk decodes to zeros.
  */
-raster::Plane decodeTile(int width, int height,
-                         const TileCoderParams &params, ChunkSpan sub);
+raster::Plane decodeTile(int width, int height, int dwtLevels,
+                         ChunkSpan sub);
 
 } // namespace earthplus::codec
 

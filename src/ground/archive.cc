@@ -5,8 +5,8 @@
 #include <filesystem>
 
 #include "ground/archive_io.hh"
-#include "ground/crc32.hh"
 #include "util/bytes.hh"
+#include "util/crc32.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
@@ -134,7 +134,7 @@ recordHeaderBytes(const RecordMeta &meta, uint32_t payloadCrc)
     std::vector<uint8_t> out;
     out.reserve(kRecordHeaderBytes);
     appendPod(out, kRecordMagic);
-    appendPod(out, crc32(body.data(), body.size()));
+    appendPod(out, util::crc32(body.data(), body.size()));
     out.insert(out.end(), body.begin(), body.end());
     return out;
 }
@@ -146,7 +146,7 @@ parseRecordHeader(const uint8_t *buf, RecordEntry &entry)
     if (readPodAt<uint32_t>(buf, 0) != kRecordMagic)
         return false;
     uint32_t headerCrc = readPodAt<uint32_t>(buf, 4);
-    if (crc32(buf + 8, kRecordHeaderBytes - 8) != headerCrc)
+    if (util::crc32(buf + 8, kRecordHeaderBytes - 8) != headerCrc)
         return false;
     RecordMeta m;
     m.locationId = static_cast<int>(readPodAt<uint32_t>(buf, 8));
@@ -304,7 +304,7 @@ scanContainerFile(const std::string &path, std::vector<RecordEntry> &out)
         // checked against the bytes left before anything is read, so
         // a header claiming more than the file holds is a torn tail.
         if (entry.meta.payloadBytes > left - kRecordHeaderBytes ||
-            crc32(bytes + entry.payloadOffset,
+            util::crc32(bytes + entry.payloadOffset,
                   static_cast<size_t>(entry.meta.payloadBytes)) !=
                 entry.payloadCrc) {
             report.truncatedTail = true;
@@ -636,10 +636,7 @@ Archive::openShards(int shardCount)
         for (const RecordEntry &entry : entries) {
             uint32_t local = static_cast<uint32_t>(shard.records.size());
             shard.records.push_back(entry);
-            size_t gid = globalRecords_.size();
-            globalRecords_.push_back({static_cast<uint32_t>(s), local});
-            shard.index[{entry.meta.locationId, entry.meta.band}]
-                .push_back(gid);
+            indexRecordLocked(static_cast<size_t>(s), local, entry.meta);
         }
         scanReport_.recordCount += scan.report.recordCount;
         scanReport_.validBytes += scan.report.validBytes;
@@ -648,14 +645,14 @@ Archive::openShards(int shardCount)
     return true;
 }
 
-RecordEntry
+void
 Archive::writeRecordLocked(Shard &shard, const RecordMeta &meta,
                            const std::vector<uint8_t> &payload)
 {
     RecordEntry entry;
     entry.meta = meta;
     entry.meta.payloadBytes = payload.size();
-    entry.payloadCrc = crc32(payload.data(), payload.size());
+    entry.payloadCrc = util::crc32(payload.data(), payload.size());
     entry.payloadOffset = shard.appendOffset + kRecordHeaderBytes;
     if (!appendRecordToFile(shard.path, shard.appendOffset, entry.meta,
                             entry.payloadCrc, payload))
@@ -687,7 +684,6 @@ Archive::writeRecordLocked(Shard &shard, const RecordMeta &meta,
     }
     shard.appendOffset += kRecordHeaderBytes + payload.size();
     shard.records.push_back(entry);
-    return entry;
 }
 
 size_t
@@ -818,7 +814,7 @@ Archive::payloadView(size_t idx) const
     lock.unlock();
     const uint8_t *data = mapping->data() + entry.payloadOffset;
     PayloadView view(std::move(mapping), data, size);
-    if (crc32(view.data(), view.size()) != entry.payloadCrc)
+    if (util::crc32(view.data(), view.size()) != entry.payloadCrc)
         fatal("archive '%s': record %zu payload CRC mismatch",
               path_.c_str(), idx);
     return view;

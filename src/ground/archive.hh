@@ -384,12 +384,14 @@ class Archive
      * shard's record list. Requires shard.mutex held; follow with
      * indexRecordLocked() to assign its global id.
      */
-    RecordEntry writeRecordLocked(Shard &shard, const RecordMeta &meta,
-                                  const std::vector<uint8_t> &payload);
+    void writeRecordLocked(Shard &shard, const RecordMeta &meta,
+                           const std::vector<uint8_t> &payload);
     /**
      * Assign the next global id to (shardIdx, local) and add it to
-     * the shard's (location, band) index. Requires shard.mutex and a
-     * unique lock on globalMutex_ held.
+     * the shard's (location, band) index: the one place records are
+     * numbered, by append() and by the open scan. Requires shard.mutex
+     * and a unique lock on globalMutex_ held, or the archive still
+     * being opened (one thread, no other reference yet).
      */
     size_t indexRecordLocked(size_t shardIdx, uint32_t local,
                              const RecordMeta &meta);

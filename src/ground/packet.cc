@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
-#include "ground/crc32.hh"
 #include "util/bytes.hh"
+#include "util/crc32.hh"
 #include "util/logging.hh"
 
 namespace earthplus::ground {
@@ -45,10 +45,11 @@ packetize(uint32_t streamId, const std::vector<uint8_t> &payload,
         appendPod(pkt, static_cast<uint32_t>(seq));
         appendPod(pkt, static_cast<uint32_t>(total));
         appendPod(pkt, static_cast<uint32_t>(len));
-        appendPod(pkt, len ? crc32(payload.data() + off, len) : crc32(nullptr, 0));
+        appendPod(pkt, len ? util::crc32(payload.data() + off, len)
+                           : util::crc32(nullptr, 0));
         // Header CRC over everything before it, so a corrupted header
         // is rejected instead of mis-routing the payload.
-        appendPod(pkt, crc32(pkt.data(), pkt.size()));
+        appendPod(pkt, util::crc32(pkt.data(), pkt.size()));
         if (len)
             pkt.insert(pkt.end(), payload.begin() + static_cast<ptrdiff_t>(off),
                        payload.begin() + static_cast<ptrdiff_t>(off + len));
@@ -65,7 +66,7 @@ parsePacketHeader(const std::vector<uint8_t> &packet)
     if (readPodAt<uint32_t>(packet.data(), 0) != kPacketMagic)
         return std::nullopt;
     uint32_t headerCrc = readPodAt<uint32_t>(packet.data(), 24);
-    if (crc32(packet.data(), 24) != headerCrc)
+    if (util::crc32(packet.data(), 24) != headerCrc)
         return std::nullopt;
     PacketHeader h;
     h.streamId = readPodAt<uint32_t>(packet.data(), 4);
@@ -101,7 +102,7 @@ StreamReassembler::accept(const std::vector<uint8_t> &packet)
         return PacketVerdict::Inconsistent;
     }
     const uint8_t *payload = packet.data() + kPacketHeaderBytes;
-    if (crc32(payload, header->payloadLen) != header->payloadCrc)
+    if (util::crc32(payload, header->payloadLen) != header->payloadCrc)
         return PacketVerdict::BadPayloadCrc;
     if (have_[header->seq])
         return PacketVerdict::Duplicate;

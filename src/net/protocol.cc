@@ -2,8 +2,8 @@
 
 #include <cstring>
 
-#include "ground/crc32.hh"
 #include "util/bytes.hh"
+#include "util/crc32.hh"
 
 namespace earthplus::net {
 
@@ -17,7 +17,7 @@ appendHeader(std::vector<uint8_t> &out, uint32_t magic, uint32_t version,
     util::appendPod(out, magic);
     util::appendPod(out, version);
     util::appendPod(out, static_cast<uint32_t>(bodyLen));
-    util::appendPod(out, ground::crc32(body, bodyLen));
+    util::appendPod(out, util::crc32(body, bodyLen));
 }
 
 bool
@@ -62,7 +62,7 @@ FrameReader::next(Frame &out)
     if (buffered() < kFrameHeaderBytes + bodyLen)
         return false;
     const uint8_t *body = p + kFrameHeaderBytes;
-    if (ground::crc32(body, bodyLen) != bodyCrc) {
+    if (util::crc32(body, bodyLen) != bodyCrc) {
         error_ = FrameError::BadCrc;
         return false;
     }

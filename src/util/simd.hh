@@ -2,10 +2,10 @@
  * @file
  * Runtime CPU-feature detection and SIMD dispatch-level selection.
  *
- * The codec's hot kernels are compiled once per instruction set (see
- * codec/kernels.hh); this header owns the question "which level may
- * run on this machine, and which level is active right now". The
- * active level defaults to the best supported one and can be
+ * The codec's hot kernels and the CRC-32 are compiled once per
+ * instruction set (see codec/kernels.hh and util/crc32.hh); this
+ * header owns the question "which level may run on this machine, and
+ * which level is active right now". The active level defaults to the best supported one and can be
  * overridden either programmatically (tests, benchmarks) or with the
  * `EARTHPLUS_SIMD` environment variable (`scalar`, `sse2`, `avx2`,
  * `neon` or `best`), read once on first use.
@@ -39,7 +39,7 @@ bool cpuSupports(Level level);
 Level bestSupported();
 
 /**
- * Level the codec kernels currently dispatch to. Initialized from
+ * Level the codec kernels and the CRC-32 currently dispatch to. Initialized from
  * `EARTHPLUS_SIMD` (falling back to bestSupported()) on first call.
  */
 Level activeLevel();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the image codec front-end: rate control,
- * ROI coding, lossless mode and serialization.
+ * ROI coding and serialization.
  */
 
 #include <gtest/gtest.h>
@@ -107,24 +107,6 @@ TEST(Codec, MeasuredRateTracksBudget)
     }
 }
 
-TEST(Codec, LosslessIsExactFor8BitContent)
-{
-    raster::Plane img = testImage(96, 96, 4);
-    // Snap to the 8-bit grid the lossless mode codes.
-    for (auto &v : img.data())
-        v = std::round(v * 255.0f) / 255.0f;
-    EncodeParams p;
-    p.lossless = true;
-    EncodedImage enc = encode(img, p);
-    raster::Plane dec = decode(enc);
-    for (size_t i = 0; i < img.data().size(); ++i)
-        ASSERT_NEAR(img.data()[i], dec.data()[i], 1e-6) << "pixel " << i;
-    // Lossless on noisy 8-bit content costs several bpp but not 8.
-    double bppActual = 8.0 * static_cast<double>(enc.totalBytes()) /
-                       (96.0 * 96.0);
-    EXPECT_LT(bppActual, 7.0);
-}
-
 TEST(Codec, RoiOnlyCodesSelectedTiles)
 {
     raster::Plane img = testImage(256, 256, 6);
@@ -202,7 +184,16 @@ TEST(Codec, SerializeDeserializeIdentity)
     auto bytes = enc.serialize();
     EXPECT_EQ(bytes.size(), enc.totalBytes());
     EncodedImage back = EncodedImage::deserialize(bytes);
+    EXPECT_EQ(back.serialize(), bytes);
+    // The flags word (offset 24) is always 0x800, and the chunk-height
+    // word (offset 36) always kMaxTileSize.
+    EXPECT_EQ(util::readPodAt<uint32_t>(bytes.data(), 24), 0x800u);
+    EXPECT_EQ(util::readPodAt<uint32_t>(bytes.data(), 36),
+              static_cast<uint32_t>(kMaxTileSize));
     EXPECT_EQ(back.width, enc.width);
+    EXPECT_EQ(back.height, enc.height);
+    EXPECT_EQ(back.tileSize, enc.tileSize);
+    EXPECT_EQ(back.dwtLevels, enc.dwtLevels);
     EXPECT_EQ(back.tileCoded, enc.tileCoded);
     EXPECT_EQ(back.payload, enc.payload);
 
@@ -211,44 +202,14 @@ TEST(Codec, SerializeDeserializeIdentity)
     EXPECT_EQ(a.data(), b.data());
 }
 
-TEST(Codec, SerializeRoundTripAcrossModes)
-{
-    raster::Plane img = testImage(160, 96, 20);
-    for (bool lossless : {false, true}) {
-        EncodeParams p;
-        p.bitsPerPixel = 1.0;
-        p.lossless = lossless;
-        EncodedImage enc = encode(img, p);
-        const std::vector<uint8_t> bytes = enc.serialize();
-        EncodedImage back = EncodedImage::deserialize(bytes);
-        EXPECT_EQ(back.serialize(), bytes);
-        uint32_t flags = 0;
-        std::memcpy(&flags, bytes.data() + 24, 4);
-        EXPECT_EQ(flags, lossless ? 0x803u : 0x800u);
-        // The chunk-height word (offset 36) is always kMaxTileSize.
-        EXPECT_EQ(util::readPodAt<uint32_t>(bytes.data(), 36),
-                  static_cast<uint32_t>(kMaxTileSize));
-        EXPECT_EQ(back.width, enc.width);
-        EXPECT_EQ(back.height, enc.height);
-        EXPECT_EQ(back.tileSize, enc.tileSize);
-        EXPECT_EQ(back.dwtLevels, enc.dwtLevels);
-        EXPECT_EQ(back.lossless, enc.lossless);
-        EXPECT_EQ(back.tileCoded, enc.tileCoded);
-        EXPECT_EQ(back.payload, enc.payload);
-        EXPECT_EQ(decode(back).data(), decode(enc).data());
-    }
-}
-
 TEST(CodecDeath, DeserializeRejectsTruncatedStreams)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     // Every stream is complete: any prefix of one is a typed
     // Truncated from tryDeserialize and fatal from deserialize.
     raster::Plane img = testImage(150, 110, 32);
-    for (auto &v : img.data())
-        v = std::round(v * 255.0f) / 255.0f;
     EncodeParams p;
-    p.lossless = true;
+    p.bitsPerPixel = 8.0;
     p.tileSize = 96;
     std::vector<uint8_t> bytes = encode(img, p).serialize();
     const size_t headerEnd = 45; // 44-byte fixed header + 1 bitmap byte
@@ -311,17 +272,17 @@ TEST(CodecDeath, DeserializeRejectsCorruptHeaderFields)
     EXPECT_EQ(EncodedImage::tryDeserialize(layered.data(), layered.size(),
                                            e),
               StreamError::Corrupt);
-    // One transform per mode: the flags word (offset 24) is 0x800 for
-    // lossy 9/7 and 0x803 for lossless 5/3, and the quantizer step
-    // (offset 28) is always kQuantStep. Any other value is corrupt,
-    // lossy 5/3 (0x801) included.
+    // One transform and one quantizer: the flags word (offset 24) is
+    // always 0x800 and the quantizer step (offset 28) always
+    // kQuantStep. Any other value is corrupt, the retired 5/3 words
+    // (0x801 lossy, 0x803 lossless) included.
     uint32_t flags = 0;
     double step = 0.0;
     std::memcpy(&flags, bytes.data() + 24, 4);
     std::memcpy(&step, bytes.data() + 28, 8);
     EXPECT_EQ(flags, 0x800u);
     EXPECT_EQ(step, kQuantStep);
-    for (uint32_t badFlags : {0x801u, 0x802u, 0x903u, 0x003u}) {
+    for (uint32_t badFlags : {0x801u, 0x802u, 0x803u, 0x903u, 0x003u}) {
         std::vector<uint8_t> bad = corrupt(24, badFlags);
         EXPECT_EQ(EncodedImage::tryDeserialize(bad.data(), bad.size(), e),
                   StreamError::Corrupt)
@@ -398,8 +359,8 @@ TEST(Codec, ParallelEncodeIsByteIdenticalToSerial)
 TEST(Codec, ScalarAndSimdStreamsAreByteIdentical)
 {
     // The golden dispatch guarantee: every available SIMD level must
-    // produce the exact bytes the scalar kernels produce, for every
-    // coding mode, including image/tile sizes that leave vector-width
+    // produce the exact bytes the scalar kernels produce, at low and
+    // high budgets, including image/tile sizes that leave vector-width
     // tails in both row and column passes, and 96-px tiles whose
     // maxPlane scans and bitplane masks span two words per row.
     raster::Plane img = testImage(203, 131, 24);
@@ -412,9 +373,9 @@ TEST(Codec, ScalarAndSimdStreamsAreByteIdentical)
     modes[0].name = "cdf97";
     modes[0].params.bitsPerPixel = 1.5;
     modes[0].params.tileSize = 61;
-    modes[1].name = "lossless";
+    modes[1].name = "cdf97/8bpp";
+    modes[1].params.bitsPerPixel = 8.0;
     modes[1].params.tileSize = 61;
-    modes[1].params.lossless = true;
     modes[2].name = "cdf97/96";
     modes[2].params.bitsPerPixel = 1.5;
     modes[2].params.tileSize = 96;
@@ -465,14 +426,13 @@ TEST(Codec, DecodeTilesSinglePixelImage)
 {
     raster::Plane img(1, 1, 0.75f);
     EncodeParams p;
-    p.lossless = true;
+    p.bitsPerPixel = 1024.0; // 128 bytes: every plane of the one pixel
     EncodedImage enc = encode(img, p);
     auto tiles = decodeTiles(enc, {0});
     ASSERT_EQ(tiles.size(), 1u);
     ASSERT_EQ(tiles[0].width(), 1);
     ASSERT_EQ(tiles[0].height(), 1);
-    EXPECT_NEAR(tiles[0].at(0, 0), std::round(0.75f * 255.0f) / 255.0f,
-                1e-6);
+    EXPECT_NEAR(tiles[0].at(0, 0), 0.75f, kQuantStep);
 }
 
 TEST(Codec, DecodeTilesFullImageSingleTile)
@@ -747,20 +707,15 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     // The decoder-equivalent state rule (docs/ARCHITECTURE.md): the
     // reconstruction encode() builds from its own coefficient state is
     // bit-identical to decoding the stream it wrote, in memory and
-    // after a serialize round trip — over both codec modes and tile
-    // sizes, on ragged images, ROI subsets and budgets starved enough
-    // to stop mid-plane. The sweep runs on one lane and on four.
-    struct Mode
-    {
-        bool lossless;
-        double bpp;
-    };
+    // after a serialize round trip — over budgets and tile sizes, on
+    // ragged images, ROI subsets and budgets starved enough to stop
+    // mid-plane. The sweep runs on one lane and on four.
+    //
     // 0.02 and 0.25 bpp are the starved budgets: at 0.02 bpp a tile
     // spends its bytes in the cleanup pass of its first planes and so
     // stops on a plane boundary; at 0.25 bpp tiles also stop after
     // pass 0 or pass 1 of a plane.
-    const Mode modes[] = {
-        {false, 0.02}, {false, 0.25}, {false, 1.0}, {true, 2.0}};
+    const double budgets[] = {0.02, 0.25, 1.0};
     const std::pair<int, int> shapes[] = {{150, 110}, {97, 201}};
 
     int compared = 0;
@@ -775,17 +730,15 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
                 raster::TileMask subset(grid);
                 for (int t = 0; t < grid.tileCount(); ++t)
                     subset.set(t, t % 3 != 1);
-                for (const Mode &m : modes) {
+                for (double bpp : budgets) {
                     for (const raster::TileMask *roi : {&all, &subset}) {
                         SCOPED_TRACE(testing::Message()
                                      << "threads=" << threads << " " << w
                                      << "x" << h << " tile=" << tileSize
-                                     << " lossless=" << m.lossless
-                                     << " bpp=" << m.bpp << " roi="
+                                     << " bpp=" << bpp << " roi="
                                      << (roi == &all ? "all" : "subset"));
                         EncodeParams p;
-                        p.lossless = m.lossless;
-                        p.bitsPerPixel = m.bpp;
+                        p.bitsPerPixel = bpp;
                         p.tileSize = tileSize;
                         p.roi = roi;
                         raster::Plane recon;
@@ -795,7 +748,7 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
                             recon, decode(EncodedImage::deserialize(
                                        e.serialize()))));
                         compared += 2;
-                        if (m.bpp < 0.5)
+                        if (bpp < 0.5)
                             for (int stop : chunkStops(e))
                                 ++starvedStops[stop];
                     }
@@ -805,7 +758,7 @@ TEST(Codec, EncoderReconstructionMatchesDecode)
     }
     util::ThreadPool::setGlobalThreads(
         util::ThreadPool::defaultThreadCount());
-    EXPECT_EQ(compared, 2 * 2 * 3 * 4 * 2 * 2);
+    EXPECT_EQ(compared, 2 * 2 * 3 * 3 * 2 * 2);
     // The starved budgets really do stop tiles after pass 0 and after
     // pass 1 of a plane, the two states in which only part of the
     // plane's coefficients carry their plane bit.
@@ -833,7 +786,7 @@ TEST(Codec, BandListEncodeMatchesPerBandEncode)
     // exactly what its own single-plane encode gives: on one lane, on
     // four, and from inside a parallelMap item, where the tile loop
     // runs inline. Four bands with ROIs of 64, 15, 1 and 0 tiles, each
-    // at its own budget; all lossy, all lossless and alternating.
+    // at its own budget.
     const int kSide = 256;
     const int kRoiTiles[] = {64, 15, 1, 0};
     raster::TileGrid grid(kSide, kSide, 32);
@@ -850,54 +803,48 @@ TEST(Codec, BandListEncodeMatchesPerBandEncode)
         rois.push_back(roi);
     }
 
-    const char *modes[] = {"lossy", "lossless", "alternating"};
-    for (int mode = 0; mode < 3; ++mode) {
-        for (bool withRecon : {false, true}) {
-            SCOPED_TRACE(testing::Message() << modes[mode] << " recon="
-                                            << withRecon);
-            std::vector<BandEncode> bands(4);
-            std::vector<raster::Plane> recons(4);
-            for (size_t b = 0; b < 4; ++b) {
-                bands[b].img = &imgs[b];
-                bands[b].params.tileSize = 32;
-                bands[b].params.bitsPerPixel = 0.5 + static_cast<double>(b);
-                bands[b].params.lossless =
-                    mode == 1 || (mode == 2 && b % 2 == 1);
-                bands[b].params.roi = &rois[b];
-                bands[b].reconstruction = withRecon ? &recons[b] : nullptr;
-            }
-
-            util::ThreadPool::setGlobalThreads(1);
-            std::vector<std::vector<uint8_t>> want(4);
-            std::vector<raster::Plane> wantRecon(4);
-            for (size_t b = 0; b < 4; ++b)
-                want[b] = encode(imgs[b], bands[b].params,
-                                 withRecon ? &wantRecon[b] : nullptr)
-                              .serialize();
-
-            auto expectMatches = [&](const std::vector<EncodedImage> &got,
-                                     const char *path) {
-                SCOPED_TRACE(path);
-                ASSERT_EQ(got.size(), 4u);
-                for (size_t b = 0; b < 4; ++b) {
-                    EXPECT_EQ(got[b].serialize(), want[b]) << "band " << b;
-                    if (withRecon) {
-                        EXPECT_TRUE(bitIdentical(recons[b], wantRecon[b]))
-                            << "band " << b;
-                    }
-                    recons[b] = raster::Plane();
-                }
-            };
-            for (int threads : {1, 4}) {
-                util::ThreadPool::setGlobalThreads(threads);
-                expectMatches(encode(bands),
-                              threads == 1 ? "1 lane" : "4 lanes");
-            }
-            auto nested = util::parallelMap(2, [&](size_t i) {
-                return i == 0 ? encode(bands) : std::vector<EncodedImage>();
-            });
-            expectMatches(nested[0], "inside a parallelMap item");
+    for (bool withRecon : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "recon=" << withRecon);
+        std::vector<BandEncode> bands(4);
+        std::vector<raster::Plane> recons(4);
+        for (size_t b = 0; b < 4; ++b) {
+            bands[b].img = &imgs[b];
+            bands[b].params.tileSize = 32;
+            bands[b].params.bitsPerPixel = 0.5 + static_cast<double>(b);
+            bands[b].params.roi = &rois[b];
+            bands[b].reconstruction = withRecon ? &recons[b] : nullptr;
         }
+
+        util::ThreadPool::setGlobalThreads(1);
+        std::vector<std::vector<uint8_t>> want(4);
+        std::vector<raster::Plane> wantRecon(4);
+        for (size_t b = 0; b < 4; ++b)
+            want[b] = encode(imgs[b], bands[b].params,
+                             withRecon ? &wantRecon[b] : nullptr)
+                          .serialize();
+
+        auto expectMatches = [&](const std::vector<EncodedImage> &got,
+                                 const char *path) {
+            SCOPED_TRACE(path);
+            ASSERT_EQ(got.size(), 4u);
+            for (size_t b = 0; b < 4; ++b) {
+                EXPECT_EQ(got[b].serialize(), want[b]) << "band " << b;
+                if (withRecon) {
+                    EXPECT_TRUE(bitIdentical(recons[b], wantRecon[b]))
+                        << "band " << b;
+                }
+                recons[b] = raster::Plane();
+            }
+        };
+        for (int threads : {1, 4}) {
+            util::ThreadPool::setGlobalThreads(threads);
+            expectMatches(encode(bands),
+                          threads == 1 ? "1 lane" : "4 lanes");
+        }
+        auto nested = util::parallelMap(2, [&](size_t i) {
+            return i == 0 ? encode(bands) : std::vector<EncodedImage>();
+        });
+        expectMatches(nested[0], "inside a parallelMap item");
     }
     util::ThreadPool::setGlobalThreads(
         util::ThreadPool::defaultThreadCount());
@@ -913,14 +860,9 @@ TEST(Codec, OddGeometrySweepDecodesToEncoderState)
     // kGoldenV3 tiles). The cleanup pass's zero runs stop at bit 63, at
     // the partial last word's end and at orientation edges in all of
     // these. Sparse content makes long runs, dense content short ones;
-    // 0.25 bpp and 2 bpp stop tiles mid-plane, lossless codes every
-    // plane.
-    struct Mode
-    {
-        bool lossless;
-        double bpp;
-    };
-    const Mode modes[] = {{false, 0.25}, {false, 2.0}, {true, 2.0}};
+    // 0.25 bpp and 2 bpp stop tiles mid-plane, 8 bpp codes low planes
+    // too.
+    const double budgets[] = {0.25, 2.0, 8.0};
     int stops[4] = {0, 0, 0, 0};
     for (int w : {1, 2, 63, 64, 65, 127, 128, 129}) {
         for (int h : {1, 5, 64}) {
@@ -936,14 +878,12 @@ TEST(Codec, OddGeometrySweepDecodesToEncoderState)
                                 (x % 61 == 7 && y % 11 < 2))
                                 img.at(x, y) = 0.8f;
                 }
-                for (const Mode &m : modes) {
+                for (double bpp : budgets) {
                     SCOPED_TRACE(testing::Message()
                                  << w << "x" << h << " sparse=" << sparse
-                                 << " lossless=" << m.lossless
-                                 << " bpp=" << m.bpp);
+                                 << " bpp=" << bpp);
                     EncodeParams p;
-                    p.lossless = m.lossless;
-                    p.bitsPerPixel = m.bpp;
+                    p.bitsPerPixel = bpp;
                     p.tileSize = kMaxTileSize;
                     raster::Plane recon;
                     EncodedImage e = encode(img, p, &recon);
@@ -1021,7 +961,7 @@ TEST(Codec, SharedGeometryAcrossShapesAndThreads)
     // Every coder of one (width, height, levels) reads the one shared
     // TileGeometry. Interleave shapes — one short word, thin strips,
     // a lone pixel, the 130-wide three-word rows of the golden shape
-    // and the largest tile — at levels 0-5 in both modes, encoding and
+    // and the largest tile — at levels 0-5 and two budgets, encoding and
     // decoding on 4 pool lanes at once: every stream and pixel must
     // equal the job's own run on one thread, and the shared geometry
     // must still equal a freshly built one. Run under TSan via
@@ -1036,7 +976,7 @@ TEST(Codec, SharedGeometryAcrossShapesAndThreads)
     struct Job
     {
         raster::Plane tile;
-        TileCoderParams params;
+        int levels;
         size_t budget;
         std::vector<uint8_t> stream;
         raster::Plane pixels;
@@ -1044,23 +984,24 @@ TEST(Codec, SharedGeometryAcrossShapesAndThreads)
     std::vector<Job> jobs;
     for (int levels = 0; levels <= 5; ++levels) {
         for (const Shape &s : shapes) {
-            for (bool lossless : {false, true}) {
+            // 4 and 1 pixels per byte: 2 and 8 bpp.
+            for (size_t pixelsPerByte : {4, 1}) {
                 Job j;
                 j.tile = testImage(s.w, s.h,
                                    900u + static_cast<uint64_t>(
                                               jobs.size()));
-                j.params.dwtLevels = levels;
-                j.params.lossless = lossless;
-                j.budget = static_cast<size_t>(s.w * s.h) / 4 + 8;
+                j.levels = levels;
+                j.budget =
+                    static_cast<size_t>(s.w * s.h) / pixelsPerByte + 8;
                 jobs.push_back(std::move(j));
             }
         }
     }
     auto run = [](const Job &j) {
         std::vector<uint8_t> stream =
-            encodeTile(j.tile, j.params, j.budget);
+            encodeTile(j.tile, j.levels, j.budget);
         raster::Plane pixels =
-            decodeTile(j.tile.width(), j.tile.height(), j.params,
+            decodeTile(j.tile.width(), j.tile.height(), j.levels,
                        ChunkSpan{stream.data(), stream.size()});
         return std::make_pair(std::move(stream), std::move(pixels));
     };
@@ -1081,8 +1022,8 @@ TEST(Codec, SharedGeometryAcrossShapesAndThreads)
             const Job &j = jobs[order(i)];
             SCOPED_TRACE(testing::Message()
                          << j.tile.width() << "x" << j.tile.height()
-                         << " levels=" << j.params.dwtLevels
-                         << " lossless=" << j.params.lossless);
+                         << " levels=" << j.levels
+                         << " budget=" << j.budget);
             ASSERT_EQ(got[i].first, j.stream);
             ASSERT_TRUE(bitIdentical(got[i].second, j.pixels));
         }

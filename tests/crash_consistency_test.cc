@@ -44,8 +44,8 @@
 
 #include "ground/archive.hh"
 #include "ground/archive_io.hh"
-#include "ground/crc32.hh"
 #include "util/bytes.hh"
+#include "util/crc32.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
 
@@ -294,7 +294,8 @@ recordHeaders(const std::vector<uint8_t> &file)
 void
 resealHeader(std::vector<uint8_t> &file, size_t pos)
 {
-    uint32_t crc = crc32(file.data() + pos + 8, kRecordHeaderBytes - 8);
+    uint32_t crc =
+        util::crc32(file.data() + pos + 8, kRecordHeaderBytes - 8);
     std::memcpy(file.data() + pos + 4, &crc, sizeof(crc));
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit and property tests for the lifting DWTs.
+ * Unit and property tests for the lifting CDF 9/7 DWT.
  */
 
 #include <gtest/gtest.h>
@@ -23,16 +23,6 @@ randomSignal(int w, int h, uint64_t seed)
     Rng rng(seed);
     for (auto &x : v)
         x = static_cast<float>(rng.uniform(-0.5, 0.5));
-    return v;
-}
-
-std::vector<int32_t>
-randomIntSignal(int w, int h, uint64_t seed)
-{
-    std::vector<int32_t> v(static_cast<size_t>(w) * h);
-    Rng rng(seed);
-    for (auto &x : v)
-        x = static_cast<int32_t>(rng.uniformInt(-255, 255));
     return v;
 }
 
@@ -61,16 +51,6 @@ TEST_P(DwtRoundtrip, Cdf97IsNearPerfect)
         maxErr = std::max(maxErr,
                           std::abs(static_cast<double>(data[i]) - orig[i]));
     EXPECT_LT(maxErr, 1e-4) << w << "x" << h << " levels=" << levels;
-}
-
-TEST_P(DwtRoundtrip, LeGall53IsExact)
-{
-    auto [w, h, levels] = GetParam();
-    auto data = randomIntSignal(w, h, 13);
-    auto orig = data;
-    forwardDwt53(data, w, h, levels);
-    inverseDwt53(data, w, h, levels);
-    EXPECT_EQ(data, orig) << w << "x" << h << " levels=" << levels;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -142,21 +122,24 @@ TEST(Dwt, OrientationMapPartitionsCorrectly)
 TEST(Dwt, ExcessLevelsDegradeGracefully)
 {
     // More levels than log2(size) must still roundtrip.
-    auto data = randomIntSignal(8, 8, 19);
+    auto data = randomSignal(8, 8, 19);
     auto orig = data;
-    forwardDwt53(data, 8, 8, 10);
-    inverseDwt53(data, 8, 8, 10);
-    EXPECT_EQ(data, orig);
+    forwardDwt97(data, 8, 8, 10);
+    inverseDwt97(data, 8, 8, 10);
+    for (size_t i = 0; i < data.size(); ++i)
+        EXPECT_NEAR(data[i], orig[i], 1e-4) << "sample " << i;
 }
 
 TEST(Dwt, ConstantSignalStaysConstantInDetail)
 {
-    std::vector<int32_t> data(64 * 64, 100);
-    forwardDwt53(data, 64, 64, 4);
+    // The highpass filter sums to zero, so a constant leaves only
+    // rounding error outside LL.
+    std::vector<float> data(64 * 64, 0.4f);
+    forwardDwt97(data, 64, 64, 4);
     auto orient = subbandOrientation(64, 64, 4);
     for (size_t i = 0; i < data.size(); ++i) {
         if (orient[i] != 0) {
-            EXPECT_EQ(data[i], 0) << "detail coefficient " << i;
+            EXPECT_NEAR(data[i], 0.0f, 1e-5) << "detail coefficient " << i;
         }
     }
 }

@@ -6,14 +6,12 @@
  * persists it and the downlink replays it, so any change to the coder
  * must either be byte-identical or come with an explicit format
  * migration. These tests pin the one stream format, EPC4, over fixed
- * synthetic tiles across its two modes {lossy CDF 9/7, lossless 5/3} x
- * odd/even tile sizes, at every SIMD dispatch level and thread-pool
- * width, as data rather than as a second implementation:
+ * synthetic tiles of its one mode (CDF 9/7 at 2 bpp) x odd/even tile
+ * sizes, at every SIMD dispatch level and thread-pool width, as data
+ * rather than as a second implementation:
  *
  *  - kGoldenV3 pins the bytes the encoder writes;
  *  - kDecodedV3 pins the pixels the decoder reconstructs from them;
- *  - the lossless rows must decode to the source tile and to the
- *    pixels recorded for the retired v2 decoder (kDecodedV2);
  *  - kGoldenCut pins the bytes codec::truncateStream() cuts whole
  *    streams to, which the tile server decodes for a quality hint.
  *
@@ -24,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,8 +32,8 @@
 #include "codec/codec.hh"
 #include "codec/kernels.hh"
 #include "codec/tile_coder.hh"
-#include "ground/crc32.hh"
 #include "raster/plane.hh"
+#include "util/crc32.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
@@ -94,7 +91,7 @@ struct GoldenFixture
 {
     const char *content; ///< "textured" or "sparse".
     int w, h;
-    const char *mode; ///< "cdf97" or "lossless".
+    const char *mode; ///< "cdf97", the one mode.
     size_t bytes;     ///< Encoded sub-chunk size.
     uint32_t crc;     ///< CRC32 of the sub-chunk.
 };
@@ -115,24 +112,19 @@ struct GoldenFixture
  * chunks were retired (one chunk per tile) each row was re-recorded
  * with the tile as its one chunk, by the last encoder and decoder that
  * still coded sub-tile chunks, so the reference does not depend on the
- * deletion. Of the decoded pixels only the three textured cdf97 rows
- * moved; the lossless and sparse rows decode as before. See the worked
- * examples in docs/ARCHITECTURE.md. Regenerate by running this binary
- * with EARTHPLUS_PRINT_GOLDEN=1 and pasting the printed rows.
+ * deletion. Of the decoded pixels only the three textured rows moved.
+ * When lossless 5/3 was retired its six rows went with it; no cdf97
+ * row moved. See the worked examples in docs/ARCHITECTURE.md.
+ * Regenerate by running this binary with EARTHPLUS_PRINT_GOLDEN=1 and
+ * pasting the printed rows.
  */
 const GoldenFixture kGoldenV3[] = {
     {"textured", 64, 64, "cdf97", 1153u, 0xE9286F16u},
-    {"textured", 64, 64, "lossless", 2953u, 0x4191FC4Bu},
     {"textured", 61, 47, "cdf97", 748u, 0x7524AB80u},
-    {"textured", 61, 47, "lossless", 2132u, 0xC86A847Eu},
     {"textured", 130, 70, "cdf97", 2555u, 0x9E147BFBu},
-    {"textured", 130, 70, "lossless", 6474u, 0x3964AB8Eu},
     {"sparse", 64, 64, "cdf97", 584u, 0x2374C3D6u},
-    {"sparse", 64, 64, "lossless", 358u, 0x957850F8u},
     {"sparse", 61, 47, "cdf97", 519u, 0xB391AC0Cu},
-    {"sparse", 61, 47, "lossless", 349u, 0x24D143E4u},
     {"sparse", 130, 70, "cdf97", 846u, 0x46EDB84Cu},
-    {"sparse", 130, 70, "lossless", 565u, 0x2E7CF042u},
 };
 
 /**
@@ -141,26 +133,15 @@ const GoldenFixture kGoldenV3[] = {
  * here without a change in kGoldenV3 is a decoder change.
  */
 const uint32_t kDecodedV3[] = {
-    0x2353B43Eu, 0x58A1F0D2u, 0x3F6FD8CEu, 0x50319440u,
-    0x227BE1C5u, 0xBBA68888u, 0x8227BB1Au, 0x217D5E30u,
-    0x08377752u, 0xE388AF9Fu, 0xE10E9CA9u, 0x8F01FC25u,
+    0x2353B43Eu, 0x3F6FD8CEu, 0x227BE1C5u,
+    0x8227BB1Au, 0x08377752u, 0xE10E9CA9u,
 };
 static_assert(std::size(kDecodedV3) == std::size(kGoldenV3));
-
-/**
- * CRC32 of the pixels the retired v2 decoder reconstructed from the
- * lossless kGoldenV3 rows, in table order, recorded with its streams.
- * Lossless coding is never budget-bound, so these still match.
- */
-const uint32_t kDecodedV2[] = {
-    0x58A1F0D2u, 0x50319440u, 0xBBA68888u,
-    0x217D5E30u, 0xE388AF9Fu, 0x8F01FC25u,
-};
 
 /** One whole-stream fixture for kGoldenCut. */
 struct CutFixture
 {
-    const char *mode; ///< "cdf97" or "lossless".
+    const char *mode; ///< "cdf97", the one mode.
     int tileSize;
     /** CRC32 of the cut at 10, 25, 50 and 75% of the stream length. */
     uint32_t crc[4];
@@ -171,68 +152,60 @@ constexpr int kCutPercents[] = {10, 25, 50, 75};
 
 /**
  * Tile-fair cuts of whole 130x70 textured streams (codec::encode at
- * 2 bpp, or lossless): a grid of tiles, some ragged, one chunk each.
- * The cut bytes are what the tile server decodes for a quality hint,
- * so they are pinned like the encoder's. The 48-px cdf97 and 64-px
- * lossless rows were coded in 16- and 32-row chunks until sub-tile
- * chunks were retired, and were then re-recorded one chunk per tile by
- * the last code that still coded sub-tile chunks; the 32-px row was
- * one chunk per tile all along and did not change. Printed by
+ * 2 bpp): a grid of tiles, some ragged, one chunk each. The cut bytes
+ * are what the tile server decodes for a quality hint, so they are
+ * pinned like the encoder's. The 48-px row was coded in 16-row chunks
+ * until sub-tile chunks were retired, and was then re-recorded one
+ * chunk per tile by the last code that still coded sub-tile chunks;
+ * the 32-px row was one chunk per tile all along and did not change.
+ * A 64-px lossless row was retired with the lossless mode. Printed by
  * EARTHPLUS_PRINT_GOLDEN=1.
  */
 const CutFixture kGoldenCut[] = {
     {"cdf97", 32, {0x801540EBu, 0xCD49226Du, 0xB90B20BCu, 0x23A7F6EEu}},
     {"cdf97", 48, {0x6286C767u, 0x36A84396u, 0xAE368A91u, 0x8FA85B7Du}},
-    {"lossless", 64, {0x8776AC3Bu, 0x4169EFC4u, 0x34CFF6A4u, 0x56E5C670u}},
 };
 
-/** The fixture's exact tile content and coder configuration. */
-void
-buildGolden(const GoldenFixture &f, raster::Plane &tile,
-            TileCoderParams &params, size_t &budget)
+/** DWT levels of every fixture (EncodeParams' default). */
+constexpr int kGoldenLevels = 4;
+
+/** The fixture's exact tile content. */
+raster::Plane
+goldenTile(const GoldenFixture &f)
 {
-    params = TileCoderParams();
-    params.lossless = std::string(f.mode) == "lossless";
     uint64_t seed = 7000 + static_cast<uint64_t>(f.w) * 13 +
                     static_cast<uint64_t>(f.h) * 7;
-    tile = std::string(f.content) == "textured"
+    return std::string(f.content) == "textured"
         ? texturedTile(f.w, f.h, seed)
         : sparseDeltaTile(f.w, f.h, seed);
-    if (params.lossless)
-        for (auto &v : tile.data())
-            v = std::round(v * 255.0f) / 255.0f;
-    // 2 bpp; lossless ignores it and codes every bitplane, so the
-    // fixture truly round-trips.
-    budget = static_cast<size_t>(f.w) * static_cast<size_t>(f.h) * 2 / 8;
+}
+
+/** The fixture's chunk budget: 2 bpp. */
+size_t
+goldenBudget(const GoldenFixture &f)
+{
+    return static_cast<size_t>(f.w) * static_cast<size_t>(f.h) * 2 / 8;
 }
 
 /** CRC32 of a byte vector. */
 uint32_t
 bytesCrc(const std::vector<uint8_t> &bytes)
 {
-    return ground::crc32(bytes.data(), bytes.size());
+    return util::crc32(bytes.data(), bytes.size());
 }
 
 /** Encode one fixture. */
 std::vector<uint8_t>
 encodeGolden(const GoldenFixture &f)
 {
-    raster::Plane tile(1, 1);
-    TileCoderParams params;
-    size_t budget = 0;
-    buildGolden(f, tile, params, budget);
-    return encodeTile(tile, params, budget);
+    return encodeTile(goldenTile(f), kGoldenLevels, goldenBudget(f));
 }
 
 /** Decode one fixture's sub-chunk. */
 raster::Plane
 decodeGolden(const GoldenFixture &f, const std::vector<uint8_t> &sub)
 {
-    raster::Plane tile(1, 1);
-    TileCoderParams params;
-    size_t budget = 0;
-    buildGolden(f, tile, params, budget);
-    return decodeTile(f.w, f.h, params, {sub.data(), sub.size()});
+    return decodeTile(f.w, f.h, kGoldenLevels, {sub.data(), sub.size()});
 }
 
 std::string
@@ -247,14 +220,9 @@ std::vector<uint8_t>
 encodeCutFixture(const CutFixture &f)
 {
     GoldenFixture source{"textured", 130, 70, f.mode, 0, 0};
-    raster::Plane img(1, 1);
-    TileCoderParams params;
-    size_t budget = 0;
-    buildGolden(source, img, params, budget);
     EncodeParams ep;
-    ep.lossless = params.lossless;
     ep.tileSize = f.tileSize;
-    return encode(img, ep).serialize();
+    return encode(goldenTile(source), ep).serialize();
 }
 
 /** CRC32 of `stream` cut to each of kCutPercents. */
@@ -271,23 +239,9 @@ cutCrcs(const std::vector<uint8_t> &stream)
 uint32_t
 pixelCrc(const raster::Plane &p)
 {
-    return ground::crc32(
+    return util::crc32(
         reinterpret_cast<const uint8_t *>(p.data().data()),
         p.data().size() * sizeof(float));
-}
-
-/** Expect `dec` to reproduce the fixture tile exactly. */
-void
-expectLossless(const GoldenFixture &f, const raster::Plane &dec)
-{
-    raster::Plane tile(1, 1);
-    TileCoderParams params;
-    size_t budget = 0;
-    buildGolden(f, tile, params, budget);
-    bool exact = dec.data().size() == tile.data().size();
-    for (size_t i = 0; exact && i < tile.data().size(); ++i)
-        exact = std::fabs(tile.data()[i] - dec.data()[i]) < 1e-6f;
-    EXPECT_TRUE(exact) << fixtureName(f);
 }
 
 /**
@@ -363,55 +317,21 @@ TEST(GoldenStream, V3StreamsDecodeAsRecorded)
             raster::Plane dec = decodeGolden(f, streams[i]);
             EXPECT_EQ(pixelCrc(dec), kDecodedV3[i])
                 << fixtureName(f) << " " << where;
-            if (std::string(f.mode) == "lossless")
-                expectLossless(f, dec);
         }
     });
 }
 
-TEST(GoldenStream, LosslessFixturesDecodeToRecordedV2Pixels)
+TEST(GoldenStream, SizeMaxBudgetCodesEveryPlane)
 {
-    // Lossless coding is never budget-bound, so EPC4 codes every plane
-    // the retired v2 encoder did and reconstructs exactly the pixels
-    // its decoder recorded. Lossy EPC4 stops on its own payload bytes,
-    // so its pixels differ from v2's by design.
-    size_t compared = 0;
-    for (size_t i = 0; i < std::size(kGoldenV3); ++i) {
-        const GoldenFixture &f = kGoldenV3[i];
-        if (std::string(f.mode) != "lossless")
-            continue;
-        ASSERT_LT(compared, std::size(kDecodedV2));
-        raster::Plane dec = decodeGolden(f, encodeGolden(f));
-        EXPECT_EQ(pixelCrc(dec), kDecodedV2[compared]) << fixtureName(f);
-        EXPECT_EQ(kDecodedV3[i], kDecodedV2[compared]) << fixtureName(f);
-        expectLossless(f, dec);
-        ++compared;
-    }
-    EXPECT_EQ(compared, std::size(kDecodedV2));
-}
-
-TEST(GoldenStream, LosslessCodesEveryPlaneWhateverTheBudget)
-{
-    // Lossless coding ignores the budget, so a zero budget gives the
-    // recorded bytes and an exact round trip. A lossy SIZE_MAX budget
-    // must not wrap when the chunk's length word is added to it: it
-    // codes every plane, like any budget the tile never reaches.
+    // A SIZE_MAX budget must not wrap when the chunk's length word is
+    // added to it: it codes every plane, like any budget the tile never
+    // reaches.
     for (const GoldenFixture &f : kGoldenV3) {
-        raster::Plane tile(1, 1);
-        TileCoderParams params;
-        size_t budget = 0;
-        buildGolden(f, tile, params, budget);
-        if (params.lossless) {
-            std::vector<uint8_t> sub = encodeTile(tile, params, 0);
-            EXPECT_EQ(sub.size(), f.bytes) << fixtureName(f);
-            EXPECT_EQ(bytesCrc(sub), f.crc) << fixtureName(f);
-            expectLossless(f, decodeGolden(f, sub));
-        } else {
-            const size_t roomy = tile.data().size() * sizeof(float) * 8;
-            EXPECT_EQ(encodeTile(tile, params, SIZE_MAX),
-                      encodeTile(tile, params, roomy))
-                << fixtureName(f);
-        }
+        raster::Plane tile = goldenTile(f);
+        const size_t roomy = tile.data().size() * sizeof(float) * 8;
+        EXPECT_EQ(encodeTile(tile, kGoldenLevels, SIZE_MAX),
+                  encodeTile(tile, kGoldenLevels, roomy))
+            << fixtureName(f);
     }
 }
 

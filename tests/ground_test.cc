@@ -27,13 +27,13 @@
 #include "codec/codec.hh"
 #include "core/simulation.hh"
 #include "ground/archive.hh"
-#include "ground/crc32.hh"
 #include "ground/packet.hh"
 #include "ground/station.hh"
 #include "ground/tile_server.hh"
 #include "raster/metrics.hh"
 #include "synth/dataset.hh"
 #include "util/bytes.hh"
+#include "util/crc32.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
 #include "util/telemetry.hh"
@@ -111,15 +111,16 @@ TEST(Crc32, KnownVector)
 {
     // The canonical IEEE 802.3 check value.
     const char *s = "123456789";
-    EXPECT_EQ(crc32(reinterpret_cast<const uint8_t *>(s), 9), 0xCBF43926u);
+    EXPECT_EQ(util::crc32(reinterpret_cast<const uint8_t *>(s), 9),
+              0xCBF43926u);
 }
 
 TEST(Crc32, IncrementalMatchesOneShot)
 {
     auto payload = randomPayload(1000, 7);
-    uint32_t oneShot = crc32(payload.data(), payload.size());
-    uint32_t inc = crc32(payload.data(), 400);
-    inc = crc32Update(inc, payload.data() + 400, 600);
+    uint32_t oneShot = util::crc32(payload.data(), payload.size());
+    uint32_t inc = util::crc32(payload.data(), 400);
+    inc = util::crc32Update(inc, payload.data() + 400, 600);
     EXPECT_EQ(inc, oneShot);
 }
 
@@ -526,7 +527,7 @@ sealedHeaderClaiming(uint64_t payloadBytes)
     util::appendPod(body, uint32_t{0}); // payloadCrc
     std::vector<uint8_t> header;
     util::appendPod(header, uint32_t{0x43525045}); // "EPRC"
-    util::appendPod(header, crc32(body.data(), body.size()));
+    util::appendPod(header, util::crc32(body.data(), body.size()));
     header.insert(header.end(), body.begin(), body.end());
     return header;
 }

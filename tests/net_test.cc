@@ -31,13 +31,13 @@
 
 #include "codec/codec.hh"
 #include "ground/archive.hh"
-#include "ground/crc32.hh"
 #include "ground/tile_server.hh"
 #include "net/client.hh"
 #include "net/protocol.hh"
 #include "net/server.hh"
 #include "raster/tile.hh"
 #include "util/bytes.hh"
+#include "util/crc32.hh"
 #include "util/failpoint.hh"
 #include "util/rng.hh"
 #include "util/telemetry.hh"
@@ -441,7 +441,7 @@ mutateFrame(std::vector<uint8_t> frame, Rng &rng)
     uint32_t len = bodyLenOf(frame);
     if (rng.bernoulli(0.5) && kFrameHeaderBytes + len <= frame.size())
         putU32(frame, kBodyCrcField,
-               crc32(frame.data() + kFrameHeaderBytes, len));
+               util::crc32(frame.data() + kFrameHeaderBytes, len));
     if (rng.bernoulli(0.25))
         frame.resize(static_cast<size_t>(
             rng.uniformInt(0, static_cast<int64_t>(frame.size()) - 1)));
@@ -730,7 +730,7 @@ TEST(NetServer, Version2PeersAreRefusedAndCounted)
     util::appendPod(v2Query, kQueryMagic);
     util::appendPod(v2Query, static_cast<uint32_t>(2));
     util::appendPod(v2Query, static_cast<uint32_t>(body.size()));
-    util::appendPod(v2Query, crc32(body.data(), body.size()));
+    util::appendPod(v2Query, util::crc32(body.data(), body.size()));
     v2Query.insert(v2Query.end(), body.begin(), body.end());
 
     const bool wasEnabled = telemetry::metricsEnabled();

@@ -1,6 +1,7 @@
 /**
  * @file
- * Dispatch-level equivalence tests for the vectorized codec kernels.
+ * Dispatch-level equivalence tests for the vectorized codec kernels and
+ * the CRC-32.
  *
  * The contract under test is strict: every kernel at every available
  * dispatch level must produce BITWISE-identical output to the scalar
@@ -17,7 +18,7 @@
 
 #include "codec/dwt.hh"
 #include "codec/kernels.hh"
-#include "ground/crc32.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
 
@@ -48,16 +49,6 @@ randomFloats(size_t n, uint64_t seed, float scale)
     return v;
 }
 
-std::vector<int32_t>
-randomInts(size_t n, uint64_t seed, int32_t lo, int32_t hi)
-{
-    Rng rng(seed);
-    std::vector<int32_t> v(n);
-    for (auto &x : v)
-        x = static_cast<int32_t>(rng.uniformInt(lo, hi));
-    return v;
-}
-
 template <typename T>
 ::testing::AssertionResult
 bitwiseEqual(const std::vector<T> &a, const std::vector<T> &b)
@@ -72,6 +63,17 @@ bitwiseEqual(const std::vector<T> &a, const std::vector<T> &b)
                        << " vs " << b[i];
     }
     return ::testing::AssertionSuccess();
+}
+
+/** Every level with a CRC-32 kernel on this machine. */
+std::vector<Level>
+crcLevels()
+{
+    std::vector<Level> out;
+    for (Level l : {Level::Scalar, Level::SSE2, Level::AVX2, Level::NEON})
+        if (util::crc32ForLevel(l))
+            out.push_back(l);
+    return out;
 }
 
 /**
@@ -170,31 +172,6 @@ TEST(Simd, Dwt97BitwiseMatchesScalarOnOddSizes)
     }
 }
 
-TEST(Simd, Dwt53BitwiseMatchesScalarAndStaysReversible)
-{
-    const kernels::KernelTable *scalar = kernels::forLevel(Level::Scalar);
-    for (Level l : vectorLevels()) {
-        const kernels::KernelTable *vec = kernels::forLevel(l);
-        for (int w : kEdgeSizes) {
-            for (int h : {2, 9, 31, 64}) {
-                size_t n = static_cast<size_t>(w) * h;
-                auto orig = randomInts(n, 2000 + w * 17 + h, -255, 255);
-                auto ref = orig;
-                auto got = orig;
-                scalar->fwd53(ref.data(), w, w, h);
-                vec->fwd53(got.data(), w, w, h);
-                ASSERT_TRUE(bitwiseEqual(ref, got))
-                    << util::simd::levelName(l) << " fwd53 " << w << "x"
-                    << h;
-                vec->inv53(got.data(), w, w, h);
-                ASSERT_TRUE(bitwiseEqual(orig, got))
-                    << util::simd::levelName(l) << " 5/3 roundtrip " << w
-                    << "x" << h;
-            }
-        }
-    }
-}
-
 TEST(Simd, MultiLevelDwtMatchesScalarThroughDispatch)
 {
     // Drive the public dwt entry points (several decomposition levels,
@@ -238,19 +215,6 @@ TEST(Simd, QuantizeKernelsMatchScalar)
                           signB.data());
             ASSERT_TRUE(bitwiseEqual(magA, magB)) << "quantF32 " << size;
             ASSERT_TRUE(bitwiseEqual(signA, signB)) << "quantF32 " << size;
-
-            auto icoeffs = randomInts(n, 4000 + size, -40000, 40000);
-            scalar->splitI32(icoeffs.data(), n, magA.data(), signA.data());
-            vec->splitI32(icoeffs.data(), n, magB.data(), signB.data());
-            ASSERT_TRUE(bitwiseEqual(magA, magB)) << "splitI32 " << size;
-            ASSERT_TRUE(bitwiseEqual(signA, signB)) << "splitI32 " << size;
-
-            // combine inverts split exactly at every level.
-            std::vector<int32_t> backA(n), backB(n);
-            scalar->combineI32(magA.data(), signA.data(), n, backA.data());
-            vec->combineI32(magA.data(), signA.data(), n, backB.data());
-            ASSERT_TRUE(bitwiseEqual(icoeffs, backA)) << "combine " << size;
-            ASSERT_TRUE(bitwiseEqual(backA, backB)) << "combine " << size;
 
             EXPECT_EQ(scalar->maxU32(magA.data(), n),
                       vec->maxU32(magA.data(), n));
@@ -301,13 +265,6 @@ TEST(Simd, DequantizeKernelsMatchScalar)
             vec->dequant97(mag.data(), sign.data(), low.data(), n,
                            1.0f / 512.0f, fb.data());
             ASSERT_TRUE(bitwiseEqual(fa, fb)) << "dequant97 " << size;
-
-            std::vector<int32_t> ia(n), ib(n);
-            scalar->dequant53(mag.data(), sign.data(), low.data(), n,
-                              ia.data());
-            vec->dequant53(mag.data(), sign.data(), low.data(), n,
-                           ib.data());
-            ASSERT_TRUE(bitwiseEqual(ia, ib)) << "dequant53 " << size;
         }
     }
 }
@@ -328,18 +285,6 @@ TEST(Simd, PixelConversionKernelsMatchScalar)
             scalar->uncenterClampF(pix.data(), n, 0.0f, 1.0f, fa.data());
             vec->uncenterClampF(pix.data(), n, 0.0f, 1.0f, fb.data());
             ASSERT_TRUE(bitwiseEqual(fa, fb)) << "uncenterClamp " << size;
-
-            std::vector<int32_t> ia(n), ib(n);
-            scalar->pixelsToI32(pix.data(), n, 255.0f, 128, ia.data());
-            vec->pixelsToI32(pix.data(), n, 255.0f, 128, ib.data());
-            ASSERT_TRUE(bitwiseEqual(ia, ib)) << "pixelsToI32 " << size;
-
-            auto ints = randomInts(n, 7000 + size, -300, 300);
-            scalar->i32ToPixels(ints.data(), n, 127.5f, 1.0f / 255.0f,
-                                fa.data());
-            vec->i32ToPixels(ints.data(), n, 127.5f, 1.0f / 255.0f,
-                             fb.data());
-            ASSERT_TRUE(bitwiseEqual(fa, fb)) << "i32ToPixels " << size;
         }
     }
 }
@@ -403,8 +348,8 @@ TEST(Simd, Crc32MatchesBitwiseDefinitionAtEveryLengthAndAlignment)
             uint8_t *data = block.get() + mis;
             if (len > 0)
                 std::memcpy(data, src.data(), len);
-            for (Level l : kernels::availableLevels()) {
-                uint32_t got = kernels::forLevel(l)->crc32(0, data, len);
+            for (Level l : crcLevels()) {
+                uint32_t got = util::crc32ForLevel(l)(0, data, len);
                 ASSERT_EQ(got, expect[len])
                     << "len=" << len << " misalignment=" << mis
                     << " level=" << util::simd::levelName(l);
@@ -417,31 +362,29 @@ TEST(Simd, Crc32MatchesBitwiseDefinitionOnOneMebibyte)
 {
     std::vector<uint8_t> buf = randomBytes(size_t{1} << 20, 9301);
     uint32_t expect = ~crcBitwise(0xFFFFFFFFu, buf.data(), buf.size());
-    for (Level l : kernels::availableLevels())
-        EXPECT_EQ(kernels::forLevel(l)->crc32(0, buf.data(), buf.size()),
-                  expect)
+    for (Level l : crcLevels())
+        EXPECT_EQ(util::crc32ForLevel(l)(0, buf.data(), buf.size()), expect)
             << "level=" << util::simd::levelName(l);
 }
 
 TEST(Simd, Crc32UpdateChainsAtEverySplitThroughDispatch)
 {
-    // ground::crc32/crc32Update route through the active table: check
-    // the check value and that chaining at any split is the one-shot
-    // CRC, at every level.
+    // util::crc32/crc32Update route through the active level: check the
+    // check value and that chaining at any split is the one-shot CRC,
+    // at every level.
     std::vector<uint8_t> buf = randomBytes(257, 9302);
     const char *check = "123456789";
     Level prev = util::simd::activeLevel();
-    for (Level l : kernels::availableLevels()) {
+    for (Level l : crcLevels()) {
         ASSERT_EQ(util::simd::setActiveLevel(l), l);
-        EXPECT_EQ(ground::crc32(reinterpret_cast<const uint8_t *>(check),
-                                9),
+        EXPECT_EQ(util::crc32(reinterpret_cast<const uint8_t *>(check), 9),
                   0xCBF43926u);
-        uint32_t oneShot = ground::crc32(buf.data(), buf.size());
+        uint32_t oneShot = util::crc32(buf.data(), buf.size());
         EXPECT_EQ(oneShot, ~crcBitwise(0xFFFFFFFFu, buf.data(), buf.size()));
         for (size_t split = 0; split <= buf.size(); ++split) {
-            uint32_t head = ground::crc32(buf.data(), split);
-            EXPECT_EQ(ground::crc32Update(head, buf.data() + split,
-                                          buf.size() - split),
+            uint32_t head = util::crc32(buf.data(), split);
+            EXPECT_EQ(util::crc32Update(head, buf.data() + split,
+                                        buf.size() - split),
                       oneShot)
                 << "split=" << split << " level=" << util::simd::levelName(l);
         }

@@ -3,7 +3,7 @@
  * Seeded mutation fuzz of the stream container walker behind
  * codec::EncodedImage::tryDeserialize() and of the decoder behind it.
  *
- * Inputs are fresh EPC4 encodes covering lossy and lossless coding,
+ * Inputs are fresh EPC4 encodes covering low and high (8 bpp) budgets,
  * several tile sizes, and an ROI subset. Each mutant
  * rewrites one of the container's length words — the payload chunkLen,
  * a tile subLen, an entropy-chunk ecLen or a segWord — and/or flips
@@ -251,16 +251,7 @@ edgyImage(int w, int h, uint64_t seed)
     return p;
 }
 
-/** Round every pixel to 8 bits, as lossless inputs are. */
-raster::Plane
-eightBit(raster::Plane p)
-{
-    for (auto &v : p.data())
-        v = std::round(v * 255.0f) / 255.0f;
-    return p;
-}
-
-/** Fresh EPC4 streams: 96- and 64-px tiles, lossy and lossless. */
+/** Fresh EPC4 streams: 96- and 64-px tiles, at 1.5 and 8 bpp. */
 std::vector<std::vector<uint8_t>>
 freshEpc4Streams()
 {
@@ -278,13 +269,13 @@ freshEpc4Streams()
     out.push_back(encode(img, p).serialize());
     p.tileSize = 64;
     out.push_back(encode(img, p).serialize());
-    p.lossless = true;
-    out.push_back(encode(eightBit(img), p).serialize());
+    p.bitsPerPixel = 8.0;
+    out.push_back(encode(img, p).serialize());
     return out;
 }
 
 /**
- * The six progressive_test matrix cases, a lossless 150x110 image in
+ * The six progressive_test matrix cases, a 150x110 image at 8 bpp in
  * 96-px tiles, and a 128x128 image at 4 bpp in the default 64-px
  * tiles.
  */
@@ -293,32 +284,26 @@ matrixStreams()
 {
     struct Case
     {
-        bool lossless;
+        double bitsPerPixel;
         int tileSize;
         bool edgy;
     };
-    const Case cases[] = {{false, 96, false}, {false, 64, false},
-                          {false, 96, true},  {false, 48, false},
-                          {true, 96, false},  {true, 64, true}};
+    const Case cases[] = {{1.5, 96, false}, {1.5, 64, false},
+                          {1.5, 96, true},  {1.5, 48, false},
+                          {8.0, 96, false}, {8.0, 64, true}};
     std::vector<std::vector<uint8_t>> out;
     for (const Case &c : cases) {
         raster::Plane img = c.edgy ? edgyImage(150, 110, 91)
                                    : smoothImage(150, 110, 90);
         EncodeParams p;
         p.tileSize = c.tileSize;
-        if (c.lossless) {
-            p.lossless = true;
-            img = eightBit(img);
-        } else {
-            p.bitsPerPixel = 1.5;
-        }
+        p.bitsPerPixel = c.bitsPerPixel;
         out.push_back(encode(img, p).serialize());
     }
-    EncodeParams lossless;
-    lossless.lossless = true;
-    lossless.tileSize = 96;
-    out.push_back(
-        encode(eightBit(smoothImage(150, 110, 32)), lossless).serialize());
+    EncodeParams rich;
+    rich.bitsPerPixel = 8.0;
+    rich.tileSize = 96;
+    out.push_back(encode(smoothImage(150, 110, 32), rich).serialize());
     EncodeParams dense;
     dense.bitsPerPixel = 4.0;
     out.push_back(encode(smoothImage(128, 128, 63), dense).serialize());
