@@ -39,6 +39,11 @@ installed, full parse) and on minimal dev containers (no doxygen):
    outside the codec. The archive, the downlink and the wire carry
    opaque bytes; their integrity check is util/crc32.hh.
 
+5. Always check that no file under src/ outside src/codec names
+   `truncateStream` or `streamHeaderFloor`: the cutter builds a new
+   stream, and the serving path decodes at a byte budget
+   (codec::decodeTiles) instead of building a cut record to serve.
+
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 """
 
@@ -75,6 +80,10 @@ DOC_METRIC_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)`")
 CODEC_FREE_SCOPE = ["src/ground", "src/net"]
 CODEC_CONSUMER = "tile_server"
 CODEC_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*["<]codec/', re.M)
+
+# The cutter's API, which only src/codec may name.
+CUT_SCOPE = "src/codec"
+CUT_API_RE = re.compile(r"\b(truncateStream|streamHeaderFloor)\b")
 
 DECL_RE = re.compile(r"^(class|struct|enum)\s+[A-Za-z_]")
 FORWARD_DECL_RE = re.compile(r"^(class|struct)\s+\w+;\s*$")
@@ -242,6 +251,27 @@ def run_codec_layering():
     return findings
 
 
+def run_cut_scope():
+    findings = []
+    for root, _dirs, files in os.walk(os.path.join(REPO, "src")):
+        rel_root = os.path.relpath(root, REPO)
+        if rel_root == CUT_SCOPE or rel_root.startswith(CUT_SCOPE + os.sep):
+            continue
+        for name in sorted(files):
+            if not name.endswith((".cc", ".hh")):
+                continue
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            rel = os.path.relpath(path, REPO)
+            for m in CUT_API_RE.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                findings.append(
+                    f"{rel}:{line}: names codec::{m.group(1)}; outside "
+                    f"{CUT_SCOPE} decode at a budget instead of cutting")
+    return findings
+
+
 def run_doxygen():
     doxygen = shutil.which("doxygen")
     if not doxygen:
@@ -270,6 +300,7 @@ def main():
     failures += run_lint()
     failures += run_metric_inventory()
     failures += run_codec_layering()
+    failures += run_cut_scope()
     if failures:
         print("docs_check: FAILED")
         for f in failures:

@@ -279,18 +279,17 @@ parseHeader(const uint8_t *data, size_t len, EncodedImage &e,
     return StreamError::None;
 }
 
-/** How walkStream() ended. */
+/** How a walk of the stream grammar ended. */
 enum class WalkEnd
 {
-    Complete, ///< The payload is present and well framed.
+    Complete, ///< The walked structure is present and well framed.
     Short,    ///< The bytes ran out inside the framing.
     Corrupt,  ///< A length word overruns its enclosing structure.
 };
 
 /**
- * Where a stream's entropy chunks and segments sit — what
- * truncateStream() needs to cut and re-frame a stream without entropy
- * work.
+ * Where a stream's entropy chunks and segments sit — what the cutter
+ * re-frames and what every decode reads.
  */
 struct StreamLayout
 {
@@ -306,14 +305,124 @@ struct StreamLayout
     struct Segment
     {
         int plane;    ///< Bitplane coded: maxPlane - (index in chunk).
+        int passes;   ///< Coding passes it holds (1..3).
         size_t end;   ///< Offset just past its body.
         size_t bytes; ///< segWord + body.
     };
-    /** Offset just past the coded-tile bitmap. */
+    /** Offset just past the coded-tile bitmap (whole streams only). */
     size_t headerEnd = 0;
     std::vector<Chunk> chunks;
     std::vector<Segment> segments;
 };
+
+/**
+ * A bounded cursor over `len` bytes and the framing steps of the
+ * grammar: every length word must fit inside the structure that
+ * encloses it. A step that fails records how the walk ended in `end`
+ * and returns false, leaving `pos` where the walk stopped.
+ */
+struct Cursor
+{
+    const uint8_t *data;
+    size_t len;
+    size_t pos = 0;
+    WalkEnd end = WalkEnd::Complete;
+
+    bool
+    stop(WalkEnd why)
+    {
+        end = why;
+        return false;
+    }
+
+    /** `n` more bytes inside a structure that ends at `limit`. */
+    bool
+    need(size_t n, size_t limit)
+    {
+        if (n > limit - pos)
+            return stop(WalkEnd::Corrupt);
+        return n <= len - pos || stop(WalkEnd::Short);
+    }
+
+    /**
+     * A u32 length word framing `word >> shift` bytes inside `limit`;
+     * `bodyEnd` receives the end of the framed body.
+     */
+    bool
+    frame(size_t limit, int shift, size_t &bodyEnd)
+    {
+        if (!need(4, limit))
+            return false;
+        size_t n = util::readPodAt<uint32_t>(data, pos) >> shift;
+        pos += 4;
+        bodyEnd = pos + n;
+        return n <= limit - pos || stop(WalkEnd::Corrupt);
+    }
+};
+
+/**
+ * The per-chunk half of the one walker of the stream grammar
+ * (docs/ARCHITECTURE.md): one `u32 ecLen | chunk` entropy chunk at
+ * `c.pos` that must fill the structure ending at `limit`, and its
+ * segments. When `layout` is non-null it receives the chunk and every
+ * complete segment walked, at offsets into `c.data`. True when the
+ * whole chunk was walked.
+ */
+bool
+walkChunk(Cursor &c, size_t limit, StreamLayout *layout)
+{
+    size_t chunkEnd = 0;
+    if (!c.frame(limit, 0, chunkEnd))
+        return false;
+    if (chunkEnd != limit)
+        return c.stop(WalkEnd::Corrupt);
+    // The chunk leads with its raw maxPlane + 1 byte.
+    int maxPlane = -1;
+    size_t headBytes = 0;
+    if (c.pos < chunkEnd) {
+        if (!c.need(1, chunkEnd))
+            return false;
+        maxPlane = static_cast<int>(c.data[c.pos]) - 1;
+        headBytes = 1;
+    }
+    if (layout)
+        layout->chunks.push_back(
+            {c.pos, headBytes, layout->segments.size(), 0});
+    c.pos += headBytes;
+    // Each segment is `u32 segWord | body`, segWord = body length << 2
+    // | (passes - 1).
+    for (int plane = maxPlane; c.pos < chunkEnd; --plane) {
+        const size_t segStart = c.pos;
+        size_t segEnd = 0;
+        if (!c.frame(chunkEnd, 2, segEnd) || !c.need(segEnd - c.pos, segEnd))
+            return false;
+        c.pos = segEnd;
+        if (layout) {
+            const int passes = static_cast<int>(
+                util::readPodAt<uint32_t>(c.data, segStart) & 3u) + 1;
+            layout->segments.push_back(
+                {plane, passes, segEnd, segEnd - segStart});
+            ++layout->chunks.back().segmentCount;
+        }
+    }
+    return true;
+}
+
+/**
+ * Walk `count` tile sub-chunks from `c.pos`, inside a structure ending
+ * at `limit`: each is `u32 subLen` around exactly one entropy chunk
+ * (walkChunk()). True when all `count` were walked.
+ */
+bool
+walkTiles(Cursor &c, size_t limit, size_t count, StreamLayout *layout)
+{
+    for (size_t t = 0; t < count; ++t) {
+        size_t subEnd = 0;
+        if (!c.frame(limit, 0, subEnd) || !walkChunk(c, subEnd, layout))
+            return false;
+    }
+    return true;
+}
 
 /** What walkStream() found. */
 struct StreamWalk
@@ -328,14 +437,15 @@ struct StreamWalk
 };
 
 /**
- * The one walker of the stream container grammar (docs/ARCHITECTURE.md)
- * behind parseStream(), streamHeaderFloor() and truncateStream(). It
- * walks the header, then payload -> tile sub-chunk -> entropy chunk ->
- * segment, as far as the bytes allow. Every length word must fit
- * inside the structure that encloses it, and a sub-chunk must hold
- * exactly one entropy chunk, so a walk that ends Complete leaves the
- * stream framed consistently down to the segment level. When `layout`
- * is non-null it receives every entropy chunk and segment.
+ * The one walker of the stream container grammar, behind
+ * parseStream(), streamHeaderFloor() and truncateStream(); every
+ * decode walks a parsed payload with its tile half, walkTiles(), and
+ * decodeTile() a lone sub-chunk with its per-chunk half, walkChunk().
+ * It walks the header, then payload -> tile sub-chunk -> entropy chunk
+ * -> segment, as far as the bytes allow, so a walk that ends Complete
+ * leaves the stream framed consistently down to the segment level.
+ * When `layout` is non-null it receives every entropy chunk and
+ * segment.
  */
 StreamWalk
 walkStream(const uint8_t *data, size_t len, EncodedImage &head,
@@ -349,75 +459,15 @@ walkStream(const uint8_t *data, size_t len, EncodedImage &head,
         return w;
     if (layout)
         layout->headerEnd = floor;
-    size_t pos = floor;
-    auto finish = [&](WalkEnd end) {
-        w.end = end;
-        w.at = pos;
-        return false;
-    };
-    // `n` more bytes inside a structure that ends at `end`.
-    auto need = [&](size_t n, size_t end) {
-        if (n > end - pos)
-            return finish(WalkEnd::Corrupt);
-        return n <= len - pos || finish(WalkEnd::Short);
-    };
-    // A u32 length word framing `word >> shift` bytes inside `end`;
-    // `bodyEnd` receives the end of the framed body.
-    auto frame = [&](size_t end, int shift, size_t &bodyEnd) {
-        if (!need(4, end))
-            return false;
-        size_t n = util::readPodAt<uint32_t>(data, pos) >> shift;
-        pos += 4;
-        bodyEnd = pos + n;
-        return n <= end - pos || finish(WalkEnd::Corrupt);
-    };
-
+    Cursor c{data, len, floor};
     size_t payloadEnd = 0;
-    if (!frame(SIZE_MAX, 0, payloadEnd))
-        return w;
-    const size_t payloadStart = pos;
-    for (size_t t = 0; t < nCoded; ++t) {
-        // A tile sub-chunk is exactly one entropy chunk.
-        size_t subEnd = 0;
-        size_t chunkEnd = 0;
-        if (!frame(payloadEnd, 0, subEnd) || !frame(subEnd, 0, chunkEnd))
-            return w;
-        if (chunkEnd != subEnd) {
-            finish(WalkEnd::Corrupt);
-            return w;
-        }
-        // The chunk leads with its raw maxPlane + 1 byte.
-        int maxPlane = -1;
-        size_t headBytes = 0;
-        if (pos < chunkEnd) {
-            if (!need(1, chunkEnd))
-                return w;
-            maxPlane = static_cast<int>(data[pos]) - 1;
-            headBytes = 1;
-        }
-        if (layout)
-            layout->chunks.push_back(
-                {pos, headBytes, layout->segments.size(), 0});
-        pos += headBytes;
-        for (int plane = maxPlane; pos < chunkEnd; --plane) {
-            const size_t segStart = pos;
-            size_t segEnd = 0;
-            if (!frame(chunkEnd, 2, segEnd) || !need(segEnd - pos, segEnd))
-                return w;
-            pos = segEnd;
-            if (layout) {
-                layout->segments.push_back(
-                    {plane, segEnd, segEnd - segStart});
-                ++layout->chunks.back().segmentCount;
-            }
-        }
-    }
-    if (pos != payloadEnd) {
-        finish(WalkEnd::Corrupt);
-        return w;
-    }
-    w.at = pos;
-    w.payload = {data + payloadStart, payloadEnd - payloadStart};
+    if (c.frame(SIZE_MAX, 0, payloadEnd) &&
+        walkTiles(c, payloadEnd, nCoded, layout) && c.pos != payloadEnd)
+        c.stop(WalkEnd::Corrupt);
+    w.end = c.end;
+    w.at = c.pos;
+    if (w.end == WalkEnd::Complete)
+        w.payload = {data + floor + 4, payloadEnd - floor - 4};
     return w;
 }
 
@@ -443,6 +493,16 @@ parseStream(const uint8_t *data, size_t len, EncodedImage &e,
     return StreamError::None;
 }
 
+/** Bytes of every segment of `layout`: all that a cut can drop. */
+size_t
+segmentBytes(const StreamLayout &layout)
+{
+    size_t bytes = 0;
+    for (const StreamLayout::Segment &seg : layout.segments)
+        bytes += seg.bytes;
+    return bytes;
+}
+
 /**
  * Lay out a stream that parses for streamHeaderFloor() and
  * truncateStream(), and return the cutter's floor: the stream's framed
@@ -459,10 +519,97 @@ layoutStream(const uint8_t *data, size_t len, StreamLayout &layout)
         fatal("%s", msg.c_str());
     if (w.end != WalkEnd::Complete)
         fatal("corrupt encoded-image stream at offset %zu", w.at);
-    size_t segmentBytes = 0;
-    for (const StreamLayout::Segment &seg : layout.segments)
-        segmentBytes += seg.bytes;
-    return w.at - segmentBytes;
+    return w.at - segmentBytes(layout);
+}
+
+/**
+ * The one keep rule of a cut: how many leading segments each chunk of
+ * `layout` keeps when a stream whose floor is `floor` bytes is cut to
+ * `budget` bytes. Whole planes are kept, highest first, while they
+ * fit; the first plane that does not fit (T - 1) admits its segments
+ * smallest first (ties in stream order), up to the first one that does
+ * not fit. The kept segments of a chunk are therefore a leading run. A
+ * budget below the floor keeps no segment; one the whole stream fits
+ * keeps every segment.
+ */
+std::vector<size_t>
+keptSegments(const StreamLayout &layout, size_t floor, size_t budget)
+{
+    const std::vector<StreamLayout::Chunk> &chunks = layout.chunks;
+    const std::vector<StreamLayout::Segment> &segs = layout.segments;
+    std::vector<size_t> kept(chunks.size(), 0);
+    if (budget >= floor && budget - floor >= segmentBytes(layout)) {
+        for (size_t c = 0; c < chunks.size(); ++c)
+            kept[c] = chunks[c].segmentCount;
+        return kept;
+    }
+
+    // Segments by plane, highest first, each plane in stream order.
+    std::vector<size_t> order(segs.size());
+    std::iota(order.begin(), order.end(), size_t(0));
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return segs[a].plane > segs[b].plane;
+    });
+    std::vector<uint8_t> keep(segs.size(), 0);
+    size_t size = floor;
+    for (size_t i = 0; i < order.size();) {
+        size_t j = i;
+        size_t planeBytes = 0;
+        for (; j < order.size() && segs[order[j]].plane == segs[order[i]].plane;
+             ++j)
+            planeBytes += segs[order[j]].bytes;
+        if (size + planeBytes > budget) {
+            std::sort(order.begin() + static_cast<ptrdiff_t>(i),
+                      order.begin() + static_cast<ptrdiff_t>(j),
+                      [&](size_t a, size_t b) {
+                          return segs[a].bytes != segs[b].bytes
+                              ? segs[a].bytes < segs[b].bytes
+                              : a < b;
+                      });
+            for (; i < j && size + segs[order[i]].bytes <= budget; ++i) {
+                keep[order[i]] = 1;
+                size += segs[order[i]].bytes;
+            }
+            break;
+        }
+        for (; i < j; ++i)
+            keep[order[i]] = 1;
+        size += planeBytes;
+    }
+    for (size_t c = 0; c < chunks.size(); ++c)
+        while (kept[c] < chunks[c].segmentCount &&
+               keep[chunks[c].firstSegment + kept[c]])
+            ++kept[c];
+    return kept;
+}
+
+/**
+ * Decode one chunk of `layout` (offsets into `data`) from its first
+ * `segments` segments. A chunk without a plane byte codes no plane and
+ * reconstructs as zeros.
+ */
+raster::Plane
+decodeChunk(int width, int height, int dwtLevels, const uint8_t *data,
+            const StreamLayout &layout, const StreamLayout::Chunk &chunk,
+            size_t segments)
+{
+    const std::shared_ptr<const TileGeometry> geom =
+        TileGeometry::of(width, height, dwtLevels);
+    DecodedTile state(width, height);
+    TileDecoder dec(*geom, state.magnitude.data(), state.sign.data(),
+                    state.lowPlane.data());
+    if (chunk.head != 0) {
+        dec.decodeHeaderByte(data[chunk.body]);
+        for (size_t k = 0; k < segments; ++k) {
+            const StreamLayout::Segment &seg =
+                layout.segments[chunk.firstSegment + k];
+            const size_t body = seg.bytes - sizeof(uint32_t);
+            RangeDecoder rd(data + seg.end - body, body);
+            dec.decodePassRun(rd, seg.passes);
+        }
+    }
+    dec.finish();
+    return state.reconstruct(dwtLevels);
 }
 
 } // anonymous namespace
@@ -513,61 +660,23 @@ truncateStream(const uint8_t *data, size_t len, size_t budget)
         return std::vector<uint8_t>(data, data + len);
     EP_ASSERT(budget >= floor, "budget %zu below the stream floor %zu",
               budget, floor);
+    const std::vector<size_t> kept = keptSegments(layout, floor, budget);
 
-    // Segments by plane, highest first, each plane in stream order.
-    const std::vector<StreamLayout::Segment> &segs = layout.segments;
-    std::vector<size_t> order(segs.size());
-    std::iota(order.begin(), order.end(), size_t(0));
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return segs[a].plane > segs[b].plane;
-    });
-    // Keep whole planes while they fit; the first plane that does not
-    // fit (T - 1) admits its segments smallest first, up to the first
-    // one that does not fit.
-    std::vector<uint8_t> keep(segs.size(), 0);
-    size_t size = floor;
-    for (size_t i = 0; i < order.size();) {
-        size_t j = i;
-        size_t planeBytes = 0;
-        for (; j < order.size() && segs[order[j]].plane == segs[order[i]].plane;
-             ++j)
-            planeBytes += segs[order[j]].bytes;
-        if (size + planeBytes > budget) {
-            std::sort(order.begin() + static_cast<ptrdiff_t>(i),
-                      order.begin() + static_cast<ptrdiff_t>(j),
-                      [&](size_t a, size_t b) {
-                          return segs[a].bytes != segs[b].bytes
-                              ? segs[a].bytes < segs[b].bytes
-                              : a < b;
-                      });
-            for (; i < j && size + segs[order[i]].bytes <= budget; ++i) {
-                keep[order[i]] = 1;
-                size += segs[order[i]].bytes;
-            }
-            break;
-        }
-        for (; i < j; ++i)
-            keep[order[i]] = 1;
-        size += planeBytes;
-    }
-
-    // The kept segments of a chunk are a leading run, so each chunk
-    // keeps one contiguous byte range; re-frame bottom-up.
+    // Each chunk keeps one contiguous byte range, its plane byte and
+    // its kept segments; re-frame bottom-up.
     std::vector<size_t> ecLen(layout.chunks.size());
     size_t chunkLen = 0;
     for (size_t c = 0; c < layout.chunks.size(); ++c) {
         const StreamLayout::Chunk &chunk = layout.chunks[c];
-        size_t end = chunk.body + chunk.head;
-        for (size_t k = 0; k < chunk.segmentCount &&
-                           keep[chunk.firstSegment + k];
-             ++k)
-            end = segs[chunk.firstSegment + k].end;
+        const size_t end = kept[c] == 0
+            ? chunk.body + chunk.head
+            : layout.segments[chunk.firstSegment + kept[c] - 1].end;
         ecLen[c] = end - chunk.body;
         chunkLen += 8 + ecLen[c];
     }
 
     std::vector<uint8_t> out;
-    out.reserve(size);
+    out.reserve(layout.headerEnd + 4 + chunkLen);
     out.insert(out.end(), data, data + layout.headerEnd);
     appendPod(out, static_cast<uint32_t>(chunkLen));
     for (size_t c = 0; c < layout.chunks.size(); ++c) {
@@ -685,93 +794,80 @@ encode(const raster::Plane &img, const EncodeParams &params,
     return std::move(encode({{&img, params, reconstruction}}).front());
 }
 
-namespace {
-
-/** Per-tile sub-chunk spans of a stream. */
-struct SlicedStream
-{
-    /** Flat indices of coded tiles, ascending. */
-    std::vector<int> codedTiles;
-    /** tile index -> slot in codedTiles/spans, or -1 when not coded. */
-    std::vector<int> slotOfTile;
-    /** spans[slot]: the tile's sub-chunk. */
-    std::vector<ChunkSpan> spans;
-};
-
-/**
- * Slice the payload into per-tile sub-chunk spans. The spans point
- * into `e`'s payload, so the stream must outlive the returned view.
- */
-SlicedStream
-sliceStream(const EncodedImage &e, const raster::TileGrid &grid)
-{
-    EP_ASSERT(static_cast<int>(e.tileCoded.size()) == grid.tileCount(),
-              "coded-tile flags (%zu) do not match grid (%d)",
-              e.tileCoded.size(), grid.tileCount());
-    SlicedStream s;
-    s.slotOfTile.assign(static_cast<size_t>(grid.tileCount()), -1);
-    for (int t = 0; t < grid.tileCount(); ++t) {
-        if (!e.tileCoded[static_cast<size_t>(t)])
-            continue;
-        s.slotOfTile[static_cast<size_t>(t)] =
-            static_cast<int>(s.codedTiles.size());
-        s.codedTiles.push_back(t);
-    }
-
-    s.spans.resize(s.codedTiles.size());
-    forEachFramed(e.payload.data(), e.payload.size(), s.codedTiles.size(),
-                  [&](size_t slot, ChunkSpan span) { s.spans[slot] = span; });
-    return s;
-}
-
-} // anonymous namespace
-
 raster::Plane
 decode(const EncodedImage &e)
 {
     telemetry::TraceSpan decodeSpan("codec.decode", "codec");
+    std::vector<int> coded;
+    for (size_t t = 0; t < e.tileCoded.size(); ++t)
+        if (e.tileCoded[t])
+            coded.push_back(static_cast<int>(t));
+    std::vector<raster::Plane> tiles = decodeTiles(e, coded);
+    // Tile rectangles are disjoint, so pasting never overlaps.
     raster::TileGrid grid(e.width, e.height, e.tileSize);
-    SlicedStream s = sliceStream(e, grid);
-
-    // Tiles decode in parallel: their pixel rectangles are disjoint,
-    // so concurrent pastes never touch the same pixel.
     raster::Plane out(e.width, e.height, 0.0f);
-    util::ThreadPool::global().parallelFor(
-        0, static_cast<int64_t>(s.codedTiles.size()), [&](int64_t slot) {
-            telemetry::TraceSpan span("codec.decode_tile", "codec");
-            telemetry::ScopedTimer timer(codecMetrics().decodeTileNs);
-            codecMetrics().tilesDecoded.add();
-            raster::TileRect r =
-                grid.rect(s.codedTiles[static_cast<size_t>(slot)]);
-            out.paste(decodeTile(r.width, r.height, e.dwtLevels,
-                                 s.spans[static_cast<size_t>(slot)]),
-                      r.x0, r.y0);
-        });
+    for (size_t i = 0; i < coded.size(); ++i) {
+        raster::TileRect r = grid.rect(coded[i]);
+        out.paste(tiles[i], r.x0, r.y0);
+    }
     return out;
 }
 
 std::vector<raster::Plane>
-decodeTiles(const EncodedImage &e, const std::vector<int> &tiles)
+decodeTiles(const EncodedImage &e, const std::vector<int> &tiles,
+            size_t budget)
 {
     raster::TileGrid grid(e.width, e.height, e.tileSize);
+    EP_ASSERT(static_cast<int>(e.tileCoded.size()) == grid.tileCount(),
+              "coded-tile flags (%zu) do not match grid (%d)",
+              e.tileCoded.size(), grid.tileCount());
     for (int t : tiles)
         EP_ASSERT(t >= 0 && t < grid.tileCount(),
                   "tile index %d outside grid of %d tiles", t,
                   grid.tileCount());
-    SlicedStream s = sliceStream(e, grid);
+    // Tile index -> its chunk, or -1 when not coded.
+    std::vector<int> chunkOf(e.tileCoded.size(), -1);
+    size_t nCoded = 0;
+    for (size_t t = 0; t < e.tileCoded.size(); ++t)
+        if (e.tileCoded[t])
+            chunkOf[t] = static_cast<int>(nCoded++);
+    // Every parsed or encoded image frames its coded tiles exactly.
+    StreamLayout layout;
+    Cursor c{e.payload.data(), e.payload.size()};
+    EP_ASSERT(walkTiles(c, c.len, nCoded, &layout) && c.pos == c.len,
+              "encoded image payload is mis-framed at byte %zu", c.pos);
+    // The segments truncateStream(e.serialize(), budget) would keep.
+    const std::vector<size_t> kept = keptSegments(
+        layout, e.totalBytes() - segmentBytes(layout), budget);
 
     return util::parallelMap(tiles.size(), [&](size_t i) {
         telemetry::TraceSpan span("codec.decode_tile", "codec");
         int t = tiles[i];
         raster::TileRect r = grid.rect(t);
-        int slot = s.slotOfTile[static_cast<size_t>(t)];
-        if (slot < 0)
+        int chunk = chunkOf[static_cast<size_t>(t)];
+        if (chunk < 0)
             return raster::Plane(r.width, r.height, 0.0f);
         telemetry::ScopedTimer timer(codecMetrics().decodeTileNs);
         codecMetrics().tilesDecoded.add();
-        return decodeTile(r.width, r.height, e.dwtLevels,
-                          s.spans[static_cast<size_t>(slot)]);
+        return decodeChunk(r.width, r.height, e.dwtLevels,
+                           e.payload.data(), layout,
+                           layout.chunks[static_cast<size_t>(chunk)],
+                           kept[static_cast<size_t>(chunk)]);
     });
+}
+
+raster::Plane
+decodeTile(int width, int height, int dwtLevels, ChunkSpan sub)
+{
+    // An empty sub-chunk holds no chunk; one that ends early decodes
+    // the segments walked before its end.
+    StreamLayout layout;
+    Cursor c{sub.data, sub.size};
+    walkChunk(c, sub.size, &layout);
+    const StreamLayout::Chunk chunk =
+        layout.chunks.empty() ? StreamLayout::Chunk{} : layout.chunks[0];
+    return decodeChunk(width, height, dwtLevels, sub.data, layout, chunk,
+                       chunk.segmentCount);
 }
 
 } // namespace earthplus::codec

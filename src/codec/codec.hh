@@ -7,7 +7,8 @@
  * region-of-interest mask (only ROI tiles are coded, as in Earth+'s
  * changed-tile encoding), and a bitplane-progressive stream that
  * truncateStream() cuts to any byte budget after encoding (downlink
- * bandwidth adaptation, §5 "Handling bandwidth fluctuation").
+ * bandwidth adaptation, §5 "Handling bandwidth fluctuation") and that
+ * decodeTiles() decodes at any byte budget, as it would decode the cut.
  *
  * There is one stream format, "EPC4" (docs/ARCHITECTURE.md), and one
  * coding mode: the CDF 9/7 transform and the kQuantStep deadzone
@@ -152,7 +153,9 @@ size_t streamHeaderFloor(const std::vector<uint8_t> &bytes);
  * not fit. Every tile therefore keeps its planes down to one common
  * plane (or all it has, when it was coded to fewer), give or take the
  * one plane the budget splits, instead of the stream's last tiles
- * losing everything.
+ * losing everything. decodeTiles() applies the same keep rule at
+ * decode time, so a reader that only wants pixels never builds the
+ * cut.
  *
  * The result is a complete EPC4 stream with `size() <= budget`;
  * budgets at or above the stream length return the stream unchanged.
@@ -206,7 +209,8 @@ EncodedImage encode(const raster::Plane &img, const EncodeParams &params,
                     raster::Plane *reconstruction = nullptr);
 
 /**
- * Decode an encoded plane.
+ * Decode an encoded plane: decodeTiles() of every coded tile, pasted
+ * into one plane.
  *
  * Tiles outside the encoded ROI are filled with zeros — Earth+ overlays
  * decoded changed tiles onto the ground's reference copy. Decoding a
@@ -216,7 +220,8 @@ EncodedImage encode(const raster::Plane &img, const EncodeParams &params,
 raster::Plane decode(const EncodedImage &enc);
 
 /**
- * Decode only the requested tiles (flat tile indices).
+ * Decode only the requested tiles (flat tile indices), at a byte
+ * budget.
  *
  * The ground tile server answers rectangle queries without paying for
  * a full-plane decode: tiles are self-contained sub-chunks, so a
@@ -224,11 +229,36 @@ raster::Plane decode(const EncodedImage &enc);
  * request order; tiles outside the encoded ROI come back as zero
  * planes of the tile's rectangle (same fill decode() would produce).
  * Each requested coded tile records one `codec.decode_tile_ns` sample.
+ * Every decode reads the segments the stream walker laid out; a
+ * stream that parsed never fatal()s.
  *
  * @param tiles Flat tile indices within the image's tile grid.
+ * @param budget Bytes of the serialized stream to decode: each tile
+ *        decodes the leading segments that truncateStream() keeps at
+ *        this budget, so the pixels equal those of decoding the cut.
+ *        A budget below streamHeaderFloor() decodes as the floor,
+ *        with no segment; SIZE_MAX decodes every segment.
  */
 std::vector<raster::Plane> decodeTiles(const EncodedImage &enc,
-                                       const std::vector<int> &tiles);
+                                       const std::vector<int> &tiles,
+                                       size_t budget = SIZE_MAX);
+
+/** A read-only byte window into a larger buffer. */
+struct ChunkSpan
+{
+    const uint8_t *data = nullptr;
+    size_t size = 0;
+};
+
+/**
+ * Decode one tile from its sub-chunk, as encodeTile() wrote it or as a
+ * stream carries it: the same chunk walker that parses streams lays it
+ * out, and every segment it holds is decoded. An empty sub-chunk or
+ * chunk decodes to zeros; a sub-chunk that ends early decodes the
+ * segments before its end.
+ */
+raster::Plane decodeTile(int width, int height, int dwtLevels,
+                         ChunkSpan sub);
 
 } // namespace earthplus::codec
 

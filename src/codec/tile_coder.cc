@@ -776,30 +776,4 @@ encodeTile(const raster::Plane &tile, int dwtLevels, size_t byteBudget,
     return sub;
 }
 
-raster::Plane
-decodeTile(int width, int height, int dwtLevels, ChunkSpan sub)
-{
-    ChunkSpan chunk;
-    forEachFramed(sub.data, sub.size, 1,
-                  [&](size_t, ChunkSpan span) { chunk = span; });
-
-    const std::shared_ptr<const TileGeometry> geom =
-        TileGeometry::of(width, height, dwtLevels);
-    DecodedTile state(width, height);
-    TileDecoder dec(*geom, state.magnitude.data(), state.sign.data(),
-                    state.lowPlane.data());
-    // The payload leads with the raw maxPlane + 1 byte; an empty chunk
-    // codes no plane and reconstructs as zeros.
-    if (chunk.size != 0) {
-        dec.decodeHeaderByte(chunk.data[0]);
-        forEachSegment(chunk.data + 1, chunk.size - 1,
-                       [&](const SegmentView &seg) {
-                           RangeDecoder rd(seg.data, seg.size);
-                           dec.decodePassRun(rd, seg.passes);
-                       });
-    }
-    dec.finish();
-    return state.reconstruct(dwtLevels);
-}
-
 } // namespace earthplus::codec

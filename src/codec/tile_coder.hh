@@ -56,8 +56,13 @@
  *
  * The chunk payload is the EPC4 segment layout: a raw `maxPlane + 1`
  * byte, then one independently flushed range-coded segment per plane,
- * behind a framing word (see forEachSegment()), so segment k codes
- * plane `maxPlane - k`.
+ * each `u32 segWord | body` with
+ * `segWord = byteLen << 2 | (passCount - 1)`, so segment k codes plane
+ * `maxPlane - k` and a cut can drop a chunk's trailing segments
+ * without entropy work. The codec's stream walker (codec.cc) is the
+ * one reader of that framing: it lays out every segment, and
+ * codec::decodeTile() and codec::decodeTiles() feed the laid-out
+ * segments to a TileDecoder.
  */
 
 #ifndef EARTHPLUS_CODEC_TILE_CODER_HH
@@ -70,8 +75,6 @@
 
 #include "codec/rangecoder.hh"
 #include "raster/plane.hh"
-#include "util/bytes.hh"
-#include "util/logging.hh"
 
 namespace earthplus::codec {
 
@@ -102,7 +105,7 @@ struct TileContexts
  * subband-orientation map and the orientation edges of a `width` x
  * `height` tile at `levels` DWT levels. of() builds it once per shape;
  * after that it is only read — by transformTile(), TileEncoder,
- * TileDecoder and decodeTile(), on any thread.
+ * TileDecoder and the codec's decoders, on any thread.
  */
 struct TileGeometry
 {
@@ -201,8 +204,8 @@ class TileEncoder
 
     /**
      * Emit the next passes framed into independently flushed per-plane
-     * segments appended to `payload` (see forEachSegment() for the
-     * framing). Before every pass the encoder compares the bytes the
+     * segments appended to `payload` (the segment framing of the file
+     * comment). Before every pass the encoder compares the bytes the
      * payload would hold if the open segment ended now — the segments
      * already emitted, the open segment's framing word and the bytes
      * its coder has written — with `byteLimit`, and stops once they
@@ -336,7 +339,7 @@ raster::Plane reconstructTile(int width, int height, int dwtLevels,
 /**
  * The coefficient state one tile decodes to, ahead of
  * reconstructTile(): per-coefficient magnitude bits, signs and lowest
- * decoded plane. decodeTile() fills it from the stream; encodeTile()
+ * decoded plane. Decoding fills it from the stream; encodeTile()
  * fills it from the encoder's own state (TileEncoder::decoderState()),
  * which for the stream the encoder returns is the same state bit for
  * bit.
@@ -356,75 +359,6 @@ struct DecodedTile
     raster::Plane reconstruct(int dwtLevels) const;
 };
 
-/** A read-only byte window into a larger entropy-coded chunk. */
-struct ChunkSpan
-{
-    const uint8_t *data = nullptr;
-    size_t size = 0;
-};
-
-/**
- * The decoder's one slicing rule for a run of well-framed
- * `u32 length | bytes` records — the payload's tile sub-chunks, or a
- * sub-chunk's one entropy chunk: invokes `fn(index, span)` for each of
- * the first `count` records, in order. The stream walker has already
- * checked that every record of a parsed stream fits; a run of fewer
- * records leaves the rest unvisited.
- */
-template <typename Fn>
-inline void
-forEachFramed(const uint8_t *data, size_t size, size_t count, Fn &&fn)
-{
-    size_t pos = 0;
-    for (size_t i = 0; i < count && pos < size; ++i) {
-        EP_ASSERT(size - pos >= 4 &&
-                      util::readPodAt<uint32_t>(data, pos) <= size - pos - 4,
-                  "record %zu overruns its %zu-byte run", i, size);
-        const uint32_t len = util::readPodAt<uint32_t>(data, pos);
-        pos += 4;
-        fn(i, ChunkSpan{data + pos, len});
-        pos += len;
-    }
-}
-
-/** One parsed segment of a chunk payload. */
-struct SegmentView
-{
-    const uint8_t *data = nullptr; ///< Flushed range-coded bytes.
-    size_t size = 0;               ///< Segment body length.
-    int passes = 0;                ///< Coding passes contained (1..3).
-};
-
-/**
- * Walk the segments of a chunk payload (the header byte must already
- * be stripped by the caller). Each segment is framed as
- * `u32 segWord | body` with
- * `segWord = byteLen << 2 | (passCount - 1)`; this inline framing is
- * what lets codec::truncateStream() drop a chunk's trailing segments
- * without entropy work. Invokes
- * `fn(SegmentView)` for every complete segment, in order. Returns
- * true when the payload is a whole number of segments; false when it
- * ends inside a segment word or segment body (leading complete
- * segments are still visited).
- */
-template <typename Fn>
-inline bool
-forEachSegment(const uint8_t *data, size_t size, Fn &&fn)
-{
-    size_t pos = 0;
-    while (size - pos >= 4) {
-        uint32_t word = util::readPodAt<uint32_t>(data, pos);
-        size_t len = word >> 2;
-        int passes = static_cast<int>(word & 3u) + 1;
-        pos += 4;
-        if (len > size - pos)
-            return false;
-        fn(SegmentView{data + pos, len, passes});
-        pos += len;
-    }
-    return pos == size;
-}
-
 /**
  * Encode one tile completely, as a single self-contained job.
  *
@@ -440,21 +374,13 @@ forEachSegment(const uint8_t *data, size_t size, Fn &&fn)
  * @param byteBudget Byte budget of the chunk payload, checked before
  *        every pass as TileEncoder::encodePlanes() does.
  * @param reconstruction When non-null, receives the tile exactly as
- *        decodeTile() would decode the returned sub-chunk, rebuilt
- *        from the encoder's coefficient state.
+ *        codec::decodeTile() would decode the returned sub-chunk,
+ *        rebuilt from the encoder's coefficient state.
  * @return The tile's sub-chunk.
  */
 std::vector<uint8_t>
 encodeTile(const raster::Plane &tile, int dwtLevels, size_t byteBudget,
            raster::Plane *reconstruction = nullptr);
-
-/**
- * Decode one tile from its sub-chunk — as encodeTile() wrote it, or as
- * codec::truncateStream() cut it: the chunk decodes the segments it
- * holds. An empty sub-chunk or chunk decodes to zeros.
- */
-raster::Plane decodeTile(int width, int height, int dwtLevels,
-                         ChunkSpan sub);
 
 } // namespace earthplus::codec
 

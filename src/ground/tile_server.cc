@@ -351,24 +351,12 @@ TileServer::serveFront(const TileQuery &query)
 }
 
 codec::EncodedImage
-TileServer::parseRecord(size_t recordIdx, int quality) const
+TileServer::parseRecord(size_t recordIdx) const
 {
     telemetry::TraceSpan parseSpan("ground.payload_parse", "ground");
     telemetry::ScopedTimer timer(serveMetrics().payloadParseNs);
     PayloadView view = archive_.payloadView(recordIdx);
-    const uint8_t *data = view.data();
-    size_t size = view.size();
-    if (quality >= 0) {
-        // Serve the record's tile-fair cut to quality% of its payload
-        // bytes (never below the cutter's floor).
-        size_t budget = std::max(
-            codec::streamHeaderFloor(data, size),
-            static_cast<size_t>(static_cast<double>(size) *
-                                static_cast<double>(quality) / 100.0));
-        return codec::EncodedImage::deserialize(
-            codec::truncateStream(data, size, budget));
-    }
-    return codec::EncodedImage::deserialize(data, size);
+    return codec::EncodedImage::deserialize(view.data(), view.size());
 }
 
 TileResult
@@ -411,10 +399,8 @@ TileServer::serveImpl(TileQuery query, ChainPlace *chainOut)
         // the same record both parse, the second insert is a no-op.
         // The payload view aims into the shard's file mapping, so
         // parsing copies only the entropy chunks, never the whole
-        // serialized payload. The quality hint applies here too: a
-        // reduced-fidelity parse reads the cut stream, and its
-        // geometry (all in the header) is identical.
-        codec::EncodedImage stream = parseRecord(idx, query.quality);
+        // serialized payload.
+        codec::EncodedImage stream = parseRecord(idx);
         infos.push_back(&rememberInfo(idx, stream));
         parsedThisQuery.emplace(idx, std::move(stream));
     }
@@ -504,7 +490,7 @@ TileServer::serveImpl(TileQuery query, ChainPlace *chainOut)
                 if (itParsed != parsedThisQuery.end()) {
                     stream = &itParsed->second;
                 } else {
-                    local = parseRecord(recordIdx, query.quality);
+                    local = parseRecord(recordIdx);
                     stream = &local;
                 }
                 serveMetrics().coalesceClaims.add(claimed.size());
@@ -518,7 +504,15 @@ TileServer::serveImpl(TileQuery query, ChainPlace *chainOut)
                 // is what makes this fan-out deadlock-free.
                 telemetry::TraceSpan decodeSpan("ground.decode",
                                                 "ground");
-                auto decoded = codec::decodeTiles(*stream, claimed);
+                // A quality hint decodes at quality% of the record's
+                // payload bytes (its payload view's size); decodeTiles()
+                // decodes a budget below the stream's floor as the floor.
+                const size_t budget = query.quality < 0
+                    ? SIZE_MAX
+                    : static_cast<size_t>(
+                          static_cast<double>(relevant[s].second.payloadBytes) *
+                          query.quality / 100.0);
+                auto decoded = codec::decodeTiles(*stream, claimed, budget);
                 for (size_t i = 0; i < claimed.size(); ++i) {
                     auto tile = std::make_shared<const raster::Plane>(
                         std::move(decoded[i]));

@@ -34,8 +34,10 @@
  *
  * The server is the one ground layer that reads the stream format:
  * the archive and the downlink carry payloads as opaque bytes, and
- * parseRecord() is where a payload becomes an EncodedImage (cut first
- * for a quality hint).
+ * parseRecord() is where a payload becomes an EncodedImage. A quality
+ * hint is a byte budget handed to codec::decodeTiles(), which decodes
+ * each tile as the record's tile-fair cut would; no cut record is
+ * ever built.
  *
  * Every outcome is reported through one TileResult carrying a typed
  * ServeError — the same enum the network protocol's EPTR status byte
@@ -136,9 +138,10 @@ struct TileQuery
     /**
      * Byte-budget fidelity hint: -1 and 100 serve full fidelity (the
      * serve folds 100 into -1, so both share decoded tiles); 0..99
-     * decodes each record from its codec::truncateStream() cut to that
-     * percentage of its payload bytes (never below the cutter's
-     * floor) — a fast low-fidelity first answer. A
+     * decodes each record at that percentage of its payload bytes
+     * (codec::decodeTiles()' budget: the pixels of the record's
+     * tile-fair cut, never below the cutter's floor) — a fast
+     * low-fidelity first answer. A
      * reduced-quality serve schedules a background full-quality
      * decode of the same records, which warms only the full-fidelity
      * tiles: a later full-fidelity query is served from the cache,
@@ -526,13 +529,11 @@ class TileServer
                           telemetry::Counter &dropped);
 
     /**
-     * Parse record `recordIdx`'s payload honoring the quality hint:
-     * with quality in [0, 100) it parses the payload's
-     * codec::truncateStream() cut to that percentage of its bytes
-     * (never below the cutter's floor); at -1 it parses in full.
+     * Parse record `recordIdx`'s whole payload, straight out of the
+     * archive's file mapping. Every quality parses the same stream;
+     * the hint only sets the budget the decode runs at.
      */
-    codec::EncodedImage parseRecord(size_t recordIdx,
-                                    int quality) const;
+    codec::EncodedImage parseRecord(size_t recordIdx) const;
 
     const Archive &archive_;
     TileTable table_;

@@ -690,10 +690,16 @@ chunkStops(const EncodedImage &e)
         const uint32_t len = util::readPodAt<uint32_t>(data, pos + 4);
         pos += 8;
         const int planes = data[pos];
+        // Segments are `u32 segWord | body`, with
+        // segWord = body length << 2 | (passes - 1).
         int passes = 0;
-        EXPECT_TRUE(forEachSegment(
-            data + pos + 1, len - 1,
-            [&](const SegmentView &seg) { passes += seg.passes; }));
+        size_t seg = pos + 1;
+        while (seg < pos + len) {
+            const uint32_t word = util::readPodAt<uint32_t>(data, seg);
+            passes += static_cast<int>(word & 3u) + 1;
+            seg += 4 + (word >> 2);
+        }
+        EXPECT_EQ(seg, pos + len);
         stops.push_back(passes == 3 * planes ? 3 : passes % 3);
         pos += len;
     }

@@ -13,7 +13,9 @@
  *  - kGoldenV3 pins the bytes the encoder writes;
  *  - kDecodedV3 pins the pixels the decoder reconstructs from them;
  *  - kGoldenCut pins the bytes codec::truncateStream() cuts whole
- *    streams to, which the tile server decodes for a quality hint.
+ *    streams to; codec::decodeTiles() at the same budgets, which is how
+ *    the tile server serves a quality hint, must decode the cuts'
+ *    pixels bit for bit.
  *
  * Fixture content is generated from Rng only (integer-based
  * xoshiro256**) with no libm calls, so the tiles — and therefore the
@@ -26,7 +28,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/codec.hh"
@@ -91,8 +95,7 @@ struct GoldenFixture
 {
     const char *content; ///< "textured" or "sparse".
     int w, h;
-    const char *mode; ///< "cdf97", the one mode.
-    size_t bytes;     ///< Encoded sub-chunk size.
+    size_t bytes; ///< Encoded sub-chunk size.
     uint32_t crc;     ///< CRC32 of the sub-chunk.
 };
 
@@ -114,17 +117,19 @@ struct GoldenFixture
  * still coded sub-tile chunks, so the reference does not depend on the
  * deletion. Of the decoded pixels only the three textured rows moved.
  * When lossless 5/3 was retired its six rows went with it; no cdf97
- * row moved. See the worked examples in docs/ARCHITECTURE.md.
+ * row moved. The mode column, constant once one mode was left, was
+ * dropped later without re-recording any value. See the worked
+ * examples in docs/ARCHITECTURE.md.
  * Regenerate by running this binary with EARTHPLUS_PRINT_GOLDEN=1 and
  * pasting the printed rows.
  */
 const GoldenFixture kGoldenV3[] = {
-    {"textured", 64, 64, "cdf97", 1153u, 0xE9286F16u},
-    {"textured", 61, 47, "cdf97", 748u, 0x7524AB80u},
-    {"textured", 130, 70, "cdf97", 2555u, 0x9E147BFBu},
-    {"sparse", 64, 64, "cdf97", 584u, 0x2374C3D6u},
-    {"sparse", 61, 47, "cdf97", 519u, 0xB391AC0Cu},
-    {"sparse", 130, 70, "cdf97", 846u, 0x46EDB84Cu},
+    {"textured", 64, 64, 1153u, 0xE9286F16u},
+    {"textured", 61, 47, 748u, 0x7524AB80u},
+    {"textured", 130, 70, 2555u, 0x9E147BFBu},
+    {"sparse", 64, 64, 584u, 0x2374C3D6u},
+    {"sparse", 61, 47, 519u, 0xB391AC0Cu},
+    {"sparse", 130, 70, 846u, 0x46EDB84Cu},
 };
 
 /**
@@ -141,7 +146,6 @@ static_assert(std::size(kDecodedV3) == std::size(kGoldenV3));
 /** One whole-stream fixture for kGoldenCut. */
 struct CutFixture
 {
-    const char *mode; ///< "cdf97", the one mode.
     int tileSize;
     /** CRC32 of the cut at 10, 25, 50 and 75% of the stream length. */
     uint32_t crc[4];
@@ -153,17 +157,20 @@ constexpr int kCutPercents[] = {10, 25, 50, 75};
 /**
  * Tile-fair cuts of whole 130x70 textured streams (codec::encode at
  * 2 bpp): a grid of tiles, some ragged, one chunk each. The cut bytes
- * are what the tile server decodes for a quality hint, so they are
- * pinned like the encoder's. The 48-px row was coded in 16-row chunks
+ * are the §5 cutter's output, so they are pinned like the encoder's;
+ * a decode at each budget must reproduce the decode of its cut, which
+ * is what the tile server serves for a quality hint without building
+ * the cut. The 48-px row was coded in 16-row chunks
  * until sub-tile chunks were retired, and was then re-recorded one
  * chunk per tile by the last code that still coded sub-tile chunks;
  * the 32-px row was one chunk per tile all along and did not change.
- * A 64-px lossless row was retired with the lossless mode. Printed by
+ * A 64-px lossless row was retired with the lossless mode, and the
+ * constant mode column later, with no value re-recorded. Printed by
  * EARTHPLUS_PRINT_GOLDEN=1.
  */
 const CutFixture kGoldenCut[] = {
-    {"cdf97", 32, {0x801540EBu, 0xCD49226Du, 0xB90B20BCu, 0x23A7F6EEu}},
-    {"cdf97", 48, {0x6286C767u, 0x36A84396u, 0xAE368A91u, 0x8FA85B7Du}},
+    {32, {0x801540EBu, 0xCD49226Du, 0xB90B20BCu, 0x23A7F6EEu}},
+    {48, {0x6286C767u, 0x36A84396u, 0xAE368A91u, 0x8FA85B7Du}},
 };
 
 /** DWT levels of every fixture (EncodeParams' default). */
@@ -212,14 +219,14 @@ std::string
 fixtureName(const GoldenFixture &f)
 {
     return std::string(f.content) + "/" + std::to_string(f.w) + "x" +
-           std::to_string(f.h) + "/" + f.mode;
+           std::to_string(f.h);
 }
 
 /** The whole stream a kGoldenCut row cuts. */
 std::vector<uint8_t>
 encodeCutFixture(const CutFixture &f)
 {
-    GoldenFixture source{"textured", 130, 70, f.mode, 0, 0};
+    GoldenFixture source{"textured", 130, 70, 0, 0};
     EncodeParams ep;
     ep.tileSize = f.tileSize;
     return encode(goldenTile(source), ep).serialize();
@@ -275,19 +282,16 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
         // then the kDecodedV3 entries.
         for (const GoldenFixture &f : kGoldenV3) {
             std::vector<uint8_t> sub = encodeGolden(f);
-            std::printf("    {\"%s\", %d, %d, \"%s\", %zuu, 0x%08Xu},\n",
-                        f.content, f.w, f.h, f.mode, sub.size(),
-                        bytesCrc(sub));
+            std::printf("    {\"%s\", %d, %d, %zuu, 0x%08Xu},\n",
+                        f.content, f.w, f.h, sub.size(), bytesCrc(sub));
         }
         for (const GoldenFixture &f : kGoldenV3)
             std::printf("    0x%08Xu,\n",
                         pixelCrc(decodeGolden(f, encodeGolden(f))));
         for (const CutFixture &f : kGoldenCut) {
             std::vector<uint32_t> crcs = cutCrcs(encodeCutFixture(f));
-            std::printf("    {\"%s\", %d, {0x%08Xu, 0x%08Xu, 0x%08Xu, "
-                        "0x%08Xu}},\n",
-                        f.mode, f.tileSize, crcs[0], crcs[1], crcs[2],
-                        crcs[3]);
+            std::printf("    {%d, {0x%08Xu, 0x%08Xu, 0x%08Xu, 0x%08Xu}},\n",
+                        f.tileSize, crcs[0], crcs[1], crcs[2], crcs[3]);
         }
     }
     // Streams are storage/wire format (the archive persists them,
@@ -339,20 +343,49 @@ TEST(GoldenStream, TileFairCutsMatchRecordedBytes)
 {
     // Cuts do no entropy work, so their bytes follow from the stream's
     // and are pinned the same way: at every SIMD level and pool width.
+    // A decode at a budget keeps the segments the cut keeps, so its
+    // pixels must be bit-equal to decoding the cut, at every cut
+    // budget, at the floor, one byte below it (decoded as the floor)
+    // and at SIZE_MAX.
     atEveryLevelAndWidth([](const std::string &where) {
         for (const CutFixture &f : kGoldenCut) {
-            const std::string name =
-                std::string(f.mode) + "/" + std::to_string(f.tileSize);
+            const std::string name = std::to_string(f.tileSize) + "-px";
             std::vector<uint8_t> stream = encodeCutFixture(f);
-            ASSERT_LE(streamHeaderFloor(stream),
-                      stream.size() * static_cast<size_t>(kCutPercents[0]) /
-                          100)
+            const size_t floor = streamHeaderFloor(stream);
+            ASSERT_LE(floor, stream.size() *
+                                 static_cast<size_t>(kCutPercents[0]) / 100)
                 << name;
             std::vector<uint32_t> crcs = cutCrcs(stream);
             for (size_t i = 0; i < crcs.size(); ++i)
                 EXPECT_EQ(crcs[i], f.crc[i])
                     << name << " cut to " << kCutPercents[i] << "% "
                     << where;
+
+            const EncodedImage whole = EncodedImage::deserialize(stream);
+            std::vector<int> tiles(whole.tileCoded.size());
+            std::iota(tiles.begin(), tiles.end(), 0);
+            // (decode budget, the cut it must decode like)
+            std::vector<std::pair<size_t, size_t>> budgets;
+            for (int pct : kCutPercents) {
+                const size_t b =
+                    stream.size() * static_cast<size_t>(pct) / 100;
+                budgets.emplace_back(b, b);
+            }
+            budgets.emplace_back(floor, floor);
+            budgets.emplace_back(floor - 1, floor);
+            budgets.emplace_back(SIZE_MAX, SIZE_MAX);
+            for (const auto &[budget, cutAt] : budgets) {
+                std::vector<raster::Plane> atBudget =
+                    decodeTiles(whole, tiles, budget);
+                std::vector<raster::Plane> ofCut = decodeTiles(
+                    EncodedImage::deserialize(truncateStream(stream, cutAt)),
+                    tiles);
+                ASSERT_EQ(atBudget.size(), ofCut.size());
+                for (size_t i = 0; i < tiles.size(); ++i)
+                    EXPECT_EQ(pixelCrc(atBudget[i]), pixelCrc(ofCut[i]))
+                        << name << " tile " << i << " at budget " << budget
+                        << " " << where;
+            }
         }
     });
 }

@@ -1059,6 +1059,17 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
     EXPECT_LT(loPsnr, hiPsnr);
     EXPECT_GT(loPsnr, 15.0);
 
+    // Pixel for pixel, the reduced answer is the decode of the day-1
+    // record's tile-fair cut to 10% of its bytes (never below the
+    // cutter's floor), cropped to the query.
+    std::vector<uint8_t> record = archive.loadPayload(0);
+    size_t budget = std::max(codec::streamHeaderFloor(record),
+                             record.size() * 10 / 100);
+    raster::Plane cutPixels = codec::decode(codec::EncodedImage::deserialize(
+        codec::truncateStream(record, budget)));
+    EXPECT_EQ(lo.pixels.data(),
+              cutPixels.crop(q.x0, q.y0, q.width, q.height).data());
+
     // quality == 100 is full fidelity, pixel-identical to no hint.
     TileQuery qFull = q;
     qFull.quality = 100;

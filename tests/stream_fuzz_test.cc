@@ -10,7 +10,8 @@
  * bytes, and may be cut short. Every mutant must come back as a parsed
  * image or a typed StreamError; every parsed image must decode, whole
  * and tile by tile, and be cut by codec::truncateStream() at three
- * budgets into streams that parse and decode, without dying; the asan
+ * budgets into streams that parse and decode, without dying, to the
+ * pixels codec::decodeTiles() decodes at those budgets; the asan
  * and chaos
  * legs of ci/check.sh run this suite under ASan+UBSan, so an
  * out-of-bounds access or undefined arithmetic fails it.
@@ -164,7 +165,8 @@ mutate(const std::vector<uint8_t> &base, const LengthWords &words,
  * are internally consistent, and every accepted stream decodes — the
  * whole plane, and its first and last tiles on their own — and cuts,
  * at the cutter's floor, halfway up and one byte short, into streams
- * that parse and decode the same way. Both outcomes must occur.
+ * that parse and decode the same way, and like the whole stream
+ * decoded at each budget. Both outcomes must occur.
  */
 void
 fuzzStreams(const std::vector<std::vector<uint8_t>> &inputs,
@@ -204,6 +206,16 @@ fuzzStreams(const std::vector<std::vector<uint8_t>> &inputs,
                               StreamError::None)
                         << "cut to " << budget << " of " << m.size();
                     expectDecodes(c);
+                    // Decoding at the budget is decoding the cut.
+                    const int last = static_cast<int>(e.tileCoded.size()) - 1;
+                    std::vector<raster::Plane> atBudget =
+                        decodeTiles(e, {0, last}, budget);
+                    std::vector<raster::Plane> ofCut =
+                        decodeTiles(c, {0, last});
+                    for (size_t t = 0; t < 2; ++t)
+                        EXPECT_EQ(atBudget[t].data(), ofCut[t].data())
+                            << "tile " << t << " at budget " << budget
+                            << " of " << m.size();
                 }
             } else {
                 ++rejected;
