@@ -21,7 +21,8 @@
 #           baseline (ci/coverage_gate.py)
 #   docs    API-doc check (Doxygen when installed + doc-comment lint +
 #           docs/OBSERVABILITY.md's metric inventory matched against
-#           the metrics registered under src/, both ways)
+#           the metrics registered under src/, both ways, and the
+#           EARTHPLUS_* switches src/ reads matched against the docs)
 #   all     everything above, in that order (default)
 #
 # Environment:

@@ -44,6 +44,14 @@ installed, full parse) and on minimal dev containers (no doxygen):
    stream, and the serving path decodes at a byte budget
    (codec::decodeTiles) instead of building a cut record to serve.
 
+6. Always check the environment switches in both directions: every
+   `EARTHPLUS_*` name a file under src/ reads through `getenv` or
+   `envFlag` must be named in docs/*.md or README.md — a switch nobody
+   documented is one nobody can find — and every `EARTHPLUS_*` row of
+   the Switches table in docs/OBSERVABILITY.md must be read that way
+   under src/ — a documented switch the program never reads does
+   nothing.
+
 Exit status: 0 clean, 1 findings, 2 usage/config error.
 """
 
@@ -84,6 +92,17 @@ CODEC_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*["<]codec/', re.M)
 # The cutter's API, which only src/codec may name.
 CUT_SCOPE = "src/codec"
 CUT_API_RE = re.compile(r"\b(truncateStream|streamHeaderFloor)\b")
+
+# An environment read by literal name: std::getenv("...") or
+# telemetry's envFlag("...", default).
+ENV_READ_RE = re.compile(
+    r"\b(?:std::)?(?:getenv|envFlag)\(\s*\"(EARTHPLUS_[A-Z0-9_]+)\"")
+# The docs an environment switch may be named in.
+ENV_DOC_FILES = ["README.md"]
+ENV_DOC_DIR = "docs"
+# The Switches table of METRIC_DOC, and one of its EARTHPLUS_* rows.
+SWITCHES_RE = re.compile(r"^## Switches\n(.*?)(?=^## )", re.M | re.S)
+SWITCH_ROW_RE = re.compile(r"^\| `(EARTHPLUS_[A-Z0-9_]+)", re.M)
 
 DECL_RE = re.compile(r"^(class|struct|enum)\s+[A-Za-z_]")
 FORWARD_DECL_RE = re.compile(r"^(class|struct)\s+\w+;\s*$")
@@ -272,6 +291,52 @@ def run_cut_scope():
     return findings
 
 
+def env_reads():
+    """(name, "path:line") of every literal EARTHPLUS_* read in src/."""
+    found = []
+    for root, _dirs, files in os.walk(os.path.join(REPO, "src")):
+        for name in sorted(files):
+            if not name.endswith((".cc", ".hh")):
+                continue
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            rel = os.path.relpath(path, REPO)
+            for m in ENV_READ_RE.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                found.append((m.group(1), f"{rel}:{line}"))
+    return sorted(found)
+
+
+def run_env_switches():
+    docs = ENV_DOC_FILES + sorted(
+        os.path.join(ENV_DOC_DIR, name)
+        for name in os.listdir(os.path.join(REPO, ENV_DOC_DIR))
+        if name.endswith(".md"))
+    text = ""
+    for rel in docs:
+        with open(os.path.join(REPO, rel), encoding="utf-8") as f:
+            text += f.read()
+    reads = env_reads()
+    findings = [f"{where}: reads {name}, which no doc in "
+                f"{ENV_DOC_DIR}/*.md or README.md names"
+                for name, where in reads
+                if not re.search(rf"\b{name}\b", text)]
+    read_names = {name for name, _where in reads}
+    with open(os.path.join(REPO, METRIC_DOC), encoding="utf-8") as f:
+        doc = f.read()
+    table = SWITCHES_RE.search(doc)
+    if not table:
+        return findings + [f"{METRIC_DOC}: no '## Switches' section"]
+    for m in SWITCH_ROW_RE.finditer(table.group(1)):
+        if m.group(1) not in read_names:
+            line = doc.count("\n", 0, table.start(1) + m.start()) + 1
+            findings.append(
+                f"{METRIC_DOC}:{line}: Switches row {m.group(1)} is "
+                f"not read through getenv/envFlag under src/")
+    return findings
+
+
 def run_doxygen():
     doxygen = shutil.which("doxygen")
     if not doxygen:
@@ -301,6 +366,7 @@ def main():
     failures += run_metric_inventory()
     failures += run_codec_layering()
     failures += run_cut_scope()
+    failures += run_env_switches()
     if failures:
         print("docs_check: FAILED")
         for f in failures:

@@ -8,13 +8,6 @@
 
 namespace earthplus::cloud {
 
-CheapCloudDetector::CheapCloudDetector() = default;
-
-CheapCloudDetector::CheapCloudDetector(const Params &params)
-    : params_(params)
-{
-}
-
 CloudDetection
 CheapCloudDetector::detect(const raster::Image &img,
                            const std::vector<synth::BandSpec> &bands,
@@ -31,7 +24,7 @@ CheapCloudDetector::detect(const raster::Image &img,
     // (§5) and keeps the on-board cost low. The low-res signals are
     // built straight from the bands, with no full-resolution mean
     // planes.
-    int f = std::max(params_.analysisFactor, 1);
+    constexpr int f = kAnalysisFactor;
     raster::Plane visLow = bandMeanDownsample(img, roles.visible, f);
     raster::Plane irLow =
         hasIr ? bandMeanDownsample(img, roles.infrared, f) : raster::Plane();
@@ -56,12 +49,10 @@ CheapCloudDetector::detect(const raster::Image &img,
                     // Bright AND much brighter than IR: heavy cold
                     // cloud; a second branch admits very bright
                     // moderate clouds.
-                    cloudy = (vis > params_.minVisible &&
-                              ratio > params_.minRatio) ||
-                             (vis > params_.midVisible &&
-                              ratio > params_.midRatio);
+                    cloudy = (vis > kMinVisible && ratio > kMinRatio) ||
+                             (vis > kMidVisible && ratio > kMidRatio);
                 } else {
-                    cloudy = vis > params_.minVisibleNoIr;
+                    cloudy = vis > kMinVisibleNoIr;
                 }
                 std::fill(first + lx * f, first + std::min((lx + 1) * f, w),
                           static_cast<uint8_t>(cloudy));
@@ -71,15 +62,8 @@ CheapCloudDetector::detect(const raster::Image &img,
         });
     det.coverage = det.pixelMask.fractionSet();
     det.tileMask = raster::tileMaskFromBitmap(det.pixelMask, grid,
-                                              params_.tileCloudFraction);
+                                              kTileCloudFraction);
     return det;
-}
-
-AccurateCloudDetector::AccurateCloudDetector() = default;
-
-AccurateCloudDetector::AccurateCloudDetector(const Params &params)
-    : params_(params)
-{
 }
 
 CloudDetection
@@ -138,8 +122,8 @@ AccurateCloudDetector::detect(const raster::Image &img,
     // wash out. (This is the deliberately compute-heavy stage standing
     // in for the paper's tens-of-layers neural detector [74].)
     raster::Plane ctx = score;
-    for (int layer = 0; layer < params_.convLayers; ++layer) {
-        ctx = boxBlur(ctx, params_.kernelRadius);
+    for (int layer = 0; layer < kConvLayers; ++layer) {
+        ctx = boxBlur(ctx, kKernelRadius);
         util::ThreadPool::global().parallelFor(
             0, static_cast<int64_t>(ctx.data().size()),
             [&](int64_t i) {
@@ -162,15 +146,15 @@ AccurateCloudDetector::detect(const raster::Image &img,
         for (int x = 0; x < w; ++x) {
             bool cloudy =
                 ctx.at(x, static_cast<int>(y)) >
-                    static_cast<float>(params_.scoreThreshold) &&
+                    static_cast<float>(kScoreThreshold) &&
                 texture.at(x, static_cast<int>(y)) <
-                    static_cast<float>(params_.textureVeto);
+                    static_cast<float>(kTextureVeto);
             det.pixelMask.set(x, static_cast<int>(y), cloudy);
         }
     });
     det.coverage = det.pixelMask.fractionSet();
     det.tileMask = raster::tileMaskFromBitmap(det.pixelMask, grid,
-                                              params_.tileCloudFraction);
+                                              kTileCloudFraction);
     return det;
 }
 

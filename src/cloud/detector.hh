@@ -47,32 +47,22 @@ struct CloudDetection
 class CheapCloudDetector
 {
   public:
-    /** Decision-tree thresholds. */
-    struct Params
-    {
-        /** Minimum brightness of a cloud core. */
-        double minVisible = 0.55;
-        /** Minimum visible/IR ratio (clouds are cold: high ratio). */
-        double minRatio = 3.2;
-        /**
-         * Second branch for moderate clouds: brighter pixels qualify
-         * at a lower ratio (still above snow's ~2.3).
-         */
-        double midVisible = 0.70;
-        double midRatio = 2.6;
-        /** Brightness that is cloud regardless of ratio (no-IR mode). */
-        double minVisibleNoIr = 0.80;
-        /** Analysis downsampling factor (paper uses tile-level 64x). */
-        int analysisFactor = 8;
-        /** Tile flagged cloudy above this cloud fraction. */
-        double tileCloudFraction = 0.5;
-    };
-
-    /** Construct with default thresholds. */
-    CheapCloudDetector();
-
-    /** Construct with explicit thresholds. */
-    explicit CheapCloudDetector(const Params &params);
+    /** Minimum brightness of a cloud core. */
+    static constexpr double kMinVisible = 0.55;
+    /** Minimum visible/IR ratio (clouds are cold: high ratio). */
+    static constexpr double kMinRatio = 3.2;
+    /**
+     * Second branch for moderate clouds: brighter pixels qualify at a
+     * lower ratio (still above snow's ~2.3).
+     */
+    static constexpr double kMidVisible = 0.70;
+    static constexpr double kMidRatio = 2.6;
+    /** Brightness that is cloud regardless of ratio (no-IR mode). */
+    static constexpr double kMinVisibleNoIr = 0.80;
+    /** Analysis downsampling factor (paper uses tile-level 64x). */
+    static constexpr int kAnalysisFactor = 8;
+    /** Tile flagged cloudy above this cloud fraction. */
+    static constexpr double kTileCloudFraction = 0.5;
 
     /**
      * Run detection.
@@ -84,11 +74,6 @@ class CheapCloudDetector
     CloudDetection detect(const raster::Image &img,
                           const std::vector<synth::BandSpec> &bands,
                           const raster::TileGrid &grid) const;
-
-    const Params &params() const { return params_; }
-
-  private:
-    Params params_;
 };
 
 /**
@@ -100,35 +85,21 @@ class CheapCloudDetector
 class AccurateCloudDetector
 {
   public:
-    struct Params
-    {
-        /** Number of convolution layers ("tens of layers", §4.3). */
-        int convLayers = 12;
-        /** Blur radius per layer. */
-        int kernelRadius = 2;
-        /** Opacity-score threshold for the final mask. */
-        double scoreThreshold = 0.12;
-        /** Texture veto: local stddev above this is terrain, not cloud. */
-        double textureVeto = 0.035;
-        /** Tile flagged cloudy above this cloud fraction. */
-        double tileCloudFraction = 0.4;
-    };
-
-    /** Construct with default parameters. */
-    AccurateCloudDetector();
-
-    /** Construct with explicit parameters. */
-    explicit AccurateCloudDetector(const Params &params);
+    /** Number of convolution layers ("tens of layers", §4.3). */
+    static constexpr int kConvLayers = 12;
+    /** Blur radius per layer. */
+    static constexpr int kKernelRadius = 2;
+    /** Opacity-score threshold for the final mask. */
+    static constexpr double kScoreThreshold = 0.12;
+    /** Texture veto: local stddev above this is terrain, not cloud. */
+    static constexpr double kTextureVeto = 0.035;
+    /** Tile flagged cloudy above this cloud fraction. */
+    static constexpr double kTileCloudFraction = 0.4;
 
     /** Run detection (see CheapCloudDetector::detect). */
     CloudDetection detect(const raster::Image &img,
                           const std::vector<synth::BandSpec> &bands,
                           const raster::TileGrid &grid) const;
-
-    const Params &params() const { return params_; }
-
-  private:
-    Params params_;
 };
 
 /**

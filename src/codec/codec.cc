@@ -110,18 +110,6 @@ EncodedImage::totalBytes() const
     return headerBytes() + payloadBytes();
 }
 
-double
-EncodedImage::codedTileFraction() const
-{
-    if (tileCoded.empty())
-        return 0.0;
-    size_t set = 0;
-    for (uint8_t f : tileCoded)
-        set += f;
-    return static_cast<double>(set) /
-           static_cast<double>(tileCoded.size());
-}
-
 std::vector<uint8_t>
 EncodedImage::serialize() const
 {
@@ -489,6 +477,11 @@ parseStream(const uint8_t *data, size_t len, EncodedImage &e,
                           len);
         return StreamError::Truncated;
     }
+    if (w.at != len) {
+        msg = formatError("encoded image stream is followed by %zu "
+                          "trailing bytes", len - w.at);
+        return StreamError::Corrupt;
+    }
     e.payload.assign(w.payload.data, w.payload.data + w.payload.size);
     return StreamError::None;
 }
@@ -507,7 +500,7 @@ segmentBytes(const StreamLayout &layout)
  * Lay out a stream that parses for streamHeaderFloor() and
  * truncateStream(), and return the cutter's floor: the stream's framed
  * size with every segment removed. fatal() on a stream that does not
- * parse.
+ * parse, trailing bytes included.
  */
 size_t
 layoutStream(const uint8_t *data, size_t len, StreamLayout &layout)
@@ -519,6 +512,9 @@ layoutStream(const uint8_t *data, size_t len, StreamLayout &layout)
         fatal("%s", msg.c_str());
     if (w.end != WalkEnd::Complete)
         fatal("corrupt encoded-image stream at offset %zu", w.at);
+    if (w.at != len)
+        fatal("encoded-image stream is followed by %zu trailing bytes",
+              len - w.at);
     return w.at - segmentBytes(layout);
 }
 

@@ -45,7 +45,7 @@ constexpr int kMaxTileSize = 128;
  *
  * `Truncated` means the bytes end before the stream's framing does
  * (a short read, or a prefix of a stream); `Corrupt` means a field
- * failed validation outright.
+ * failed validation outright, or bytes follow the stream's end.
  */
 enum class StreamError
 {
@@ -102,9 +102,6 @@ struct EncodedImage
 
     /** Total wire size (what a downlink must carry). */
     size_t totalBytes() const;
-
-    /** Fraction of tiles that were coded. */
-    double codedTileFraction() const;
 
     /** Serialize to a self-describing byte stream. */
     std::vector<uint8_t> serialize() const;

@@ -9,6 +9,13 @@
 
 namespace earthplus::core {
 
+namespace {
+
+/** Cloud threshold for accepting ground references (§4.2). */
+constexpr double kMaxCloudForReference = 0.01;
+
+} // anonymous namespace
+
 const char *
 systemName(SystemKind kind)
 {
@@ -65,7 +72,7 @@ LocationSimulation::LocationSimulation(const synth::DatasetSpec &spec,
     captureSim_ = std::make_unique<synth::CaptureSimulator>(
         *scene_, *weather_, sp);
 
-    ground_ = std::make_unique<ReferenceStore>(params.maxCloudForReference);
+    ground_ = std::make_unique<ReferenceStore>(kMaxCloudForReference);
 
     if (params.groundSegment.enabled) {
         // Route downloads through the packetized downlink: references

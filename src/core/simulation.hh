@@ -50,8 +50,6 @@ struct SimParams
      * uplink). Large by default; Fig. 18 sweeps it.
      */
     double uplinkBytesPerDay = 1e12;
-    /** Cloud threshold for accepting ground references (§4.2). */
-    double maxCloudForReference = 0.01;
     /** Cap on captures processed (0 = all) for quick runs. */
     int maxCaptures = 0;
     /**

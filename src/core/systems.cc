@@ -14,6 +14,9 @@ namespace earthplus::core {
 
 namespace {
 
+/** Drop captures with more on-board-detected cloud than this. */
+constexpr double kDropCloudFraction = 0.5;
+
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
 {
@@ -171,7 +174,7 @@ OnboardSystem::process(const synth::Capture &capture)
         cd = screen_(img, bands_, grid);
         res.cloudDetectSec = secondsSince(t0);
         res.measuredCloudCoverage = cd.coverage;
-        if (cd.coverage > params_.dropCloudFraction) {
+        if (cd.coverage > kDropCloudFraction) {
             res.dropped = true;
             return res;
         }

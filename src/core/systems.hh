@@ -3,7 +3,7 @@
  * On-board compression systems: Earth+ and the paper's baselines.
  *
  * Every system runs the one capture path, OnboardSystem::process():
- * cloud screen -> drop if more than `dropCloudFraction` is cloudy ->
+ * cloud screen -> drop if more than half the capture is cloudy ->
  * tile selection -> ROI encoding of the selected tiles at a constant
  * per-tile bit budget gamma -> ground reconstruction -> PSNR ->
  * guaranteed-download bookkeeping. All systems share the same codec
@@ -56,8 +56,6 @@ struct SystemParams
     int tileSize = raster::kDefaultTileSize;
     /** Guaranteed full download period in days (§5). */
     double guaranteedPeriodDays = 30.0;
-    /** Drop captures with more on-board-detected cloud than this. */
-    double dropCloudFraction = 0.5;
     /**
      * Ground ingestion happens outside the system (the ground-segment
      * downlink feeds the ReferenceStore when a download *completes*

@@ -102,8 +102,6 @@ archiveMetrics()
 std::unique_lock<std::mutex>
 lockShardTimed(std::mutex &mutex)
 {
-    if (!telemetry::metricsEnabled())
-        return std::unique_lock<std::mutex>(mutex);
     uint64_t t0 = telemetry::nowNanos();
     std::unique_lock<std::mutex> lock(mutex);
     archiveMetrics().shardLockWaitNs.record(telemetry::nowNanos() -

@@ -109,9 +109,6 @@ class StreamReassembler
     /** Stream id this reassembler accepts. */
     uint32_t streamId() const { return streamId_; }
 
-    /** Packets accepted so far (excluding duplicates). */
-    uint32_t receivedCount() const { return received_; }
-
   private:
     uint32_t streamId_;
     /** 0 until the first accepted packet. */

@@ -9,7 +9,7 @@ namespace earthplus::ground {
 GroundStation::GroundStation(const GroundSegmentParams &params,
                              CompletionFn onComplete)
     : params_(params), onComplete_(std::move(onComplete)),
-      contacts_(params.contactsPerDay, params.contactPhaseDays),
+      contacts_(params.contactsPerDay),
       channel_(params.channel), archive_(params.archivePath),
       lastAdvanceDay_(-std::numeric_limits<double>::infinity())
 {

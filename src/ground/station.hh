@@ -41,8 +41,6 @@ struct GroundSegmentParams
     ChannelParams channel;
     /** Ground contacts per day (paper §6.1: 7). */
     int contactsPerDay = 7;
-    /** Phase of the first daily contact. */
-    double contactPhaseDays = 0.0;
     /**
      * Archive directory path; required when `enabled` (an empty path
      * is fatal). Each GroundStation owns its directory exclusively —

@@ -326,8 +326,7 @@ TileServer::serveFront(const TileQuery &query)
     ChainPlace place;
     TileResult result = serveImpl(query, &place);
     result.serveNs = telemetry::nowNanos() - t0;
-    if (telemetry::metricsEnabled())
-        latencyHist_->record(result.serveNs);
+    latencyHist_->record(result.serveNs);
 
     ServeMetrics &m = serveMetrics();
     m.queries.add();

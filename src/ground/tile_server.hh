@@ -242,8 +242,7 @@ struct StatsView
      * process-wide "ground.serve.latency_ns" histogram windowed to
      * the same baseline: exact counts, log-bucketed values (error
      * bounded by telemetry::Histogram::kMaxRelativeError), covering
-     * *every* query in the window rather than a recent ring. Zero
-     * when telemetry metrics are disabled.
+     * *every* query in the window rather than a recent ring.
      */
     double latencyP50Ms = 0.0;
     /** 99th-percentile foreground serve() latency in milliseconds. */

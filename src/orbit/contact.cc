@@ -6,8 +6,8 @@
 
 namespace earthplus::orbit {
 
-ContactSchedule::ContactSchedule(int contactsPerDay, double phaseDays)
-    : contactsPerDay_(contactsPerDay), phaseDays_(phaseDays)
+ContactSchedule::ContactSchedule(int contactsPerDay)
+    : contactsPerDay_(contactsPerDay)
 {
     EP_ASSERT(contactsPerDay >= 1, "need at least one contact per day");
     intervalDays_ = 1.0 / static_cast<double>(contactsPerDay);
@@ -16,30 +16,8 @@ ContactSchedule::ContactSchedule(int contactsPerDay, double phaseDays)
 double
 ContactSchedule::nextContactAtOrAfter(double day) const
 {
-    double k = std::ceil((day - phaseDays_) / intervalDays_ - 1e-12);
-    return phaseDays_ + k * intervalDays_;
-}
-
-double
-ContactSchedule::lastContactBefore(double day) const
-{
-    double k = std::ceil((day - phaseDays_) / intervalDays_ - 1e-12) - 1.0;
-    return phaseDays_ + k * intervalDays_;
-}
-
-std::vector<double>
-ContactSchedule::contactsBetween(double fromDay, double toDay) const
-{
-    // Enumerate by integer index to avoid accumulated rounding drift.
-    std::vector<double> out;
-    double k0 = std::ceil((fromDay - phaseDays_) / intervalDays_ - 1e-12);
-    for (int64_t k = static_cast<int64_t>(k0);; ++k) {
-        double t = phaseDays_ + static_cast<double>(k) * intervalDays_;
-        if (t >= toDay - 1e-12)
-            break;
-        out.push_back(t);
-    }
-    return out;
+    double k = std::ceil(day / intervalDays_ - 1e-12);
+    return k * intervalDays_;
 }
 
 } // namespace earthplus::orbit

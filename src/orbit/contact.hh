@@ -12,37 +12,26 @@
 #ifndef EARTHPLUS_ORBIT_CONTACT_HH
 #define EARTHPLUS_ORBIT_CONTACT_HH
 
-#include <vector>
-
 namespace earthplus::orbit {
 
 /**
- * Evenly spaced daily contact windows for one satellite.
+ * Evenly spaced daily contact windows for one satellite, the first at
+ * the start of each day.
  */
 class ContactSchedule
 {
   public:
-    /**
-     * @param contactsPerDay Contacts per day (> 0).
-     * @param phaseDays Offset of this satellite's first daily contact.
-     */
-    explicit ContactSchedule(int contactsPerDay, double phaseDays = 0.0);
+    /** @param contactsPerDay Contacts per day (> 0). */
+    explicit ContactSchedule(int contactsPerDay);
 
     /** Time (days) of the first contact at or after `day`. */
     double nextContactAtOrAfter(double day) const;
-
-    /** Time (days) of the last contact strictly before `day`. */
-    double lastContactBefore(double day) const;
-
-    /** Contact times within [fromDay, toDay). */
-    std::vector<double> contactsBetween(double fromDay, double toDay) const;
 
     /** Contacts per day. */
     int contactsPerDay() const { return contactsPerDay_; }
 
   private:
     int contactsPerDay_;
-    double phaseDays_;
     double intervalDays_;
 };
 

@@ -1,7 +1,6 @@
 #include "orbit/links.hh"
 
 #include "util/logging.hh"
-#include "util/units.hh"
 
 namespace earthplus::orbit {
 
@@ -23,12 +22,6 @@ double
 LinkBudget::bytesPerDay() const
 {
     return bytesPerContact() * spec_.contactsPerDay;
-}
-
-double
-LinkBudget::requiredMbpsPerContact(double bytes) const
-{
-    return units::bytesOverSecondsToMbps(bytes, spec_.contactSeconds);
 }
 
 DailyByteBudget::DailyByteBudget(double bytesPerDay)

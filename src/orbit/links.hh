@@ -40,12 +40,6 @@ class LinkBudget
     /** Bytes transferable per day across all contacts. */
     double bytesPerDay() const;
 
-    /**
-     * Average link rate (Mbps) needed to move `bytes` within one
-     * contact — the paper's downlink-demand metric (§6.1).
-     */
-    double requiredMbpsPerContact(double bytes) const;
-
     const LinkSpec &spec() const { return spec_; }
 
   private:

@@ -5,20 +5,6 @@
 
 namespace earthplus::orbit {
 
-StorageModel::StorageModel(const StorageParams &params)
-    : params_(params)
-{
-    EP_ASSERT(params.mbPerKm2 > 0.0 && params.areaPerContactKm2 > 0.0,
-              "invalid storage constants");
-    EP_ASSERT(params.referenceCompression >= 1.0,
-              "reference compression below 1");
-}
-
-StorageModel::StorageModel()
-    : StorageModel(StorageParams{})
-{
-}
-
 StorageBreakdown
 StorageModel::earthPlus(double meanDownloadedFraction) const
 {
@@ -27,12 +13,10 @@ StorageModel::earthPlus(double meanDownloadedFraction) const
               "downloaded fraction %f out of range",
               meanDownloadedFraction);
     StorageBreakdown b;
-    double capturedMB = params_.contactsKept * params_.mbPerKm2 *
-                        params_.areaPerContactKm2 *
+    double capturedMB = kContactsKept * kMbPerKm2 * kAreaPerContactKm2 *
                         meanDownloadedFraction;
-    double referenceMB = params_.referenceAreaFactor *
-                         params_.areaPerContactKm2 * params_.mbPerKm2 /
-                         params_.referenceCompression;
+    double referenceMB = kReferenceAreaFactor * kAreaPerContactKm2 *
+                         kMbPerKm2 / kReferenceCompression;
     b.capturedBytes = units::mbToBytes(capturedMB);
     b.referenceBytes = units::mbToBytes(referenceMB);
     return b;
@@ -46,12 +30,10 @@ StorageModel::satRoI(double meanDownloadedFraction) const
               "downloaded fraction %f out of range",
               meanDownloadedFraction);
     StorageBreakdown b;
-    double capturedMB = params_.contactsKept * params_.mbPerKm2 *
-                        params_.areaPerContactKm2 *
+    double capturedMB = kContactsKept * kMbPerKm2 * kAreaPerContactKm2 *
                         meanDownloadedFraction;
     // One full-resolution reference image region kept on board.
-    double referenceMB = params_.areaPerContactKm2 * params_.mbPerKm2 *
-                         0.1;
+    double referenceMB = kAreaPerContactKm2 * kMbPerKm2 * 0.1;
     b.capturedBytes = units::mbToBytes(capturedMB);
     b.referenceBytes = units::mbToBytes(referenceMB);
     return b;
@@ -61,9 +43,8 @@ StorageBreakdown
 StorageModel::kodan() const
 {
     StorageBreakdown b;
-    double capturedMB = params_.contactsKept * params_.mbPerKm2 *
-                        params_.areaPerContactKm2 *
-                        params_.captureToDownloadRatio;
+    double capturedMB = kContactsKept * kMbPerKm2 * kAreaPerContactKm2 *
+                        kCaptureToDownloadRatio;
     b.capturedBytes = units::mbToBytes(capturedMB);
     b.referenceBytes = 0.0;
     return b;

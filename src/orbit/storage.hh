@@ -20,26 +20,6 @@
 
 namespace earthplus::orbit {
 
-/** Constants of the Appendix-A storage accounting. */
-struct StorageParams
-{
-    /** Megabytes to store 1 km^2 of imagery (Appendix A). */
-    double mbPerKm2 = 0.87;
-    /** Area downloadable during one ground contact (km^2). */
-    double areaPerContactKm2 = 17000.0;
-    /** Contacts of captured data kept on board. */
-    int contactsKept = 2;
-    /** Reference area cached relative to a (Appendix A: 160a). */
-    double referenceAreaFactor = 160.0;
-    /** Compression ratio of cached reference images (51^2 = 2601). */
-    double referenceCompression = 2601.0;
-    /**
-     * Ratio of captured to downloadable data for schemes that must
-     * buffer all captures (Kodan): ~1/0.12 (§2.2 footnote 3).
-     */
-    double captureToDownloadRatio = 8.3;
-};
-
 /** Storage bytes split by purpose (Fig. 15's two bar segments). */
 struct StorageBreakdown
 {
@@ -57,10 +37,21 @@ struct StorageBreakdown
 class StorageModel
 {
   public:
-    explicit StorageModel(const StorageParams &params);
-
-    /** Construct with the paper's default constants. */
-    StorageModel();
+    /** Megabytes to store 1 km^2 of imagery (Appendix A). */
+    static constexpr double kMbPerKm2 = 0.87;
+    /** Area downloadable during one ground contact (km^2). */
+    static constexpr double kAreaPerContactKm2 = 17000.0;
+    /** Contacts of captured data kept on board. */
+    static constexpr int kContactsKept = 2;
+    /** Reference area cached relative to a (Appendix A: 160a). */
+    static constexpr double kReferenceAreaFactor = 160.0;
+    /** Compression ratio of cached reference images (51^2 = 2601). */
+    static constexpr double kReferenceCompression = 2601.0;
+    /**
+     * Ratio of captured to downloadable data for schemes that must
+     * buffer all captures (Kodan): ~1/0.12 (§2.2 footnote 3).
+     */
+    static constexpr double kCaptureToDownloadRatio = 8.3;
 
     /**
      * Earth+: stores only changed tiles plus the downsampled reference
@@ -83,11 +74,6 @@ class StorageModel
 
     /** Kodan: buffers all captures between contacts, no references. */
     StorageBreakdown kodan() const;
-
-    const StorageParams &params() const { return params_; }
-
-  private:
-    StorageParams params_;
 };
 
 } // namespace earthplus::orbit

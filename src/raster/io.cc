@@ -2,95 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
-
-#include "util/logging.hh"
+#include <vector>
 
 namespace earthplus::raster {
-
-namespace {
-
-constexpr uint32_t kMagic = 0x4d495045; // "EPIM" little-endian
-constexpr uint32_t kVersion = 1;
-
-template <typename T>
-void
-writePod(std::ofstream &os, const T &v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-readPod(std::ifstream &is, T &v)
-{
-    is.read(reinterpret_cast<char *>(&v), sizeof(T));
-    return static_cast<bool>(is);
-}
-
-} // anonymous namespace
-
-bool
-saveImage(const Image &img, const std::string &path)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        return false;
-    writePod(os, kMagic);
-    writePod(os, kVersion);
-    writePod(os, static_cast<uint32_t>(img.width()));
-    writePod(os, static_cast<uint32_t>(img.height()));
-    writePod(os, static_cast<uint32_t>(img.bandCount()));
-    writePod(os, static_cast<int32_t>(img.info().locationId));
-    writePod(os, static_cast<int32_t>(img.info().satelliteId));
-    writePod(os, img.info().captureDay);
-    for (int b = 0; b < img.bandCount(); ++b) {
-        const auto &data = img.band(b).data();
-        os.write(reinterpret_cast<const char *>(data.data()),
-                 static_cast<std::streamsize>(data.size() * sizeof(float)));
-    }
-    return static_cast<bool>(os);
-}
-
-Image
-loadImage(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        warn("cannot open image file '%s'", path.c_str());
-        return Image();
-    }
-    uint32_t magic = 0, version = 0, width = 0, height = 0, bands = 0;
-    int32_t location = 0, satellite = 0;
-    double day = 0.0;
-    if (!readPod(is, magic) || magic != kMagic)
-        fatal("'%s' is not an .epi image (bad magic)", path.c_str());
-    if (!readPod(is, version) || version != kVersion)
-        fatal("'%s' has unsupported version %u", path.c_str(), version);
-    if (!readPod(is, width) || !readPod(is, height) || !readPod(is, bands))
-        fatal("'%s' has a truncated header", path.c_str());
-    if (width > 1u << 20 || height > 1u << 20 || bands > 1024)
-        fatal("'%s' header is implausible (%ux%ux%u)", path.c_str(),
-              width, height, bands);
-    readPod(is, location);
-    readPod(is, satellite);
-    readPod(is, day);
-
-    Image img(static_cast<int>(width), static_cast<int>(height),
-              static_cast<int>(bands));
-    img.info().locationId = location;
-    img.info().satelliteId = satellite;
-    img.info().captureDay = day;
-    for (uint32_t b = 0; b < bands; ++b) {
-        auto &data = img.band(static_cast<int>(b)).data();
-        is.read(reinterpret_cast<char *>(data.data()),
-                static_cast<std::streamsize>(data.size() * sizeof(float)));
-        if (!is)
-            fatal("'%s' is truncated in band %u", path.c_str(), b);
-    }
-    return img;
-}
 
 bool
 savePgm(const Plane &plane, const std::string &path)

@@ -1,7 +1,6 @@
 /**
  * @file
- * Image serialization: a compact binary container (.epi) plus PGM export
- * for eyeballing single bands.
+ * PGM export for eyeballing single bands.
  */
 
 #ifndef EARTHPLUS_RASTER_IO_HH
@@ -12,24 +11,6 @@
 #include "raster/image.hh"
 
 namespace earthplus::raster {
-
-/**
- * Write a multi-band image to the .epi binary container.
- *
- * Layout: magic "EPIM", u32 version, u32 width/height/bands, capture
- * metadata, then row-major float32 pixels per band.
- *
- * @return true on success.
- */
-bool saveImage(const Image &img, const std::string &path);
-
-/**
- * Read an image previously written by saveImage().
- *
- * Calls fatal() on malformed containers; returns an empty image when the
- * file cannot be opened.
- */
-Image loadImage(const std::string &path);
 
 /**
  * Export one plane as an 8-bit binary PGM, mapping [0,1] to [0,255].

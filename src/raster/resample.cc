@@ -1,7 +1,6 @@
 #include "raster/resample.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hh"
 
@@ -40,42 +39,6 @@ downsample(const Plane &src, int factor)
             }
             int n = (y1 - y0) * (x1 - x0);
             out.at(ox, oy) = n ? static_cast<float>(sum / n) : 0.0f;
-        }
-    }
-    return out;
-}
-
-Plane
-upsampleBilinear(const Plane &src, int width, int height)
-{
-    EP_ASSERT(width >= 0 && height >= 0, "invalid upsample size %dx%d",
-              width, height);
-    Plane out(width, height);
-    if (src.empty() || width == 0 || height == 0)
-        return out;
-    double sx = static_cast<double>(src.width()) / std::max(width, 1);
-    double sy = static_cast<double>(src.height()) / std::max(height, 1);
-    for (int y = 0; y < height; ++y) {
-        // Sample at block centers so that the grid aligns with the
-        // box-filtered downsample.
-        double fy = (y + 0.5) * sy - 0.5;
-        int y0 = static_cast<int>(std::floor(fy));
-        double wy = fy - y0;
-        int y0c = std::clamp(y0, 0, src.height() - 1);
-        int y1c = std::clamp(y0 + 1, 0, src.height() - 1);
-        for (int x = 0; x < width; ++x) {
-            double fx = (x + 0.5) * sx - 0.5;
-            int x0 = static_cast<int>(std::floor(fx));
-            double wx = fx - x0;
-            int x0c = std::clamp(x0, 0, src.width() - 1);
-            int x1c = std::clamp(x0 + 1, 0, src.width() - 1);
-            double v00 = src.at(x0c, y0c);
-            double v10 = src.at(x1c, y0c);
-            double v01 = src.at(x0c, y1c);
-            double v11 = src.at(x1c, y1c);
-            double v = v00 * (1 - wx) * (1 - wy) + v10 * wx * (1 - wy) +
-                       v01 * (1 - wx) * wy + v11 * wx * wy;
-            out.at(x, y) = static_cast<float>(v);
         }
     }
     return out;

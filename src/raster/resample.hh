@@ -28,16 +28,6 @@ namespace earthplus::raster {
 Plane downsample(const Plane &src, int factor);
 
 /**
- * Bilinear upsample by an integer factor (inverse companion of
- * downsample(); exact sizes are recovered by passing the target size).
- *
- * @param src Low-resolution source.
- * @param width Target width.
- * @param height Target height.
- */
-Plane upsampleBilinear(const Plane &src, int width, int height);
-
-/**
  * Downsample a per-pixel mask into a per-low-res-pixel coverage
  * fraction plane (each output pixel = fraction of set input pixels in
  * its block).

@@ -31,8 +31,6 @@ struct BandSpec
     double detailScale = 0.15;
     /** Weight of the smooth atmospheric component. */
     double atmosphere = 0.0;
-    /** Additive Gaussian sensor noise sigma. */
-    double noiseSigma = 0.004;
     /** Apparent reflectance of cloud in this band. */
     double cloudValue = 0.85;
     /**

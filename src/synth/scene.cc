@@ -20,6 +20,8 @@ constexpr double kSnowPeakDoy = 15.0;
  * what lets cloud detectors separate the two.
  */
 constexpr double kSnowSwirValue = 0.35;
+/** Amplitude of one discrete change event's texture delta. */
+constexpr double kChangeMagnitude = 0.14;
 
 double
 seasonPhase(double day)
@@ -85,7 +87,6 @@ SceneModel::SceneModel(const LocationProfile &profile,
             }
         }
         rate = n ? rate / n : 0.0;
-        rate *= config_.changeRateScale;
         Rng tileRng = sceneRng.fork(static_cast<uint64_t>(t));
         double day = config_.historyStartDay;
         auto &events = eventTimes_[static_cast<size_t>(t)];
@@ -109,7 +110,7 @@ SceneModel::eventTexture(int tileIdx, int eventIdx, int w, int h) const
     // alone, then scale to the configured magnitude.
     double mean = tex.mean();
     for (auto &v : tex.data())
-        v = static_cast<float>((v - mean) * 2.0 * config_.changeMagnitude);
+        v = static_cast<float>((v - mean) * 2.0 * kChangeMagnitude);
     return tex;
 }
 

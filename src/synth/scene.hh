@@ -42,10 +42,6 @@ struct SceneConfig
     double historyStartDay = -120.0;
     /** Latest day change events are generated for. */
     double horizonDays = 480.0;
-    /** Amplitude of one discrete change event's texture delta. */
-    double changeMagnitude = 0.14;
-    /** Global multiplier on land-cover change rates. */
-    double changeRateScale = 1.0;
 };
 
 /**

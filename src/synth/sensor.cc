@@ -13,6 +13,19 @@ namespace {
 
 /** Opacity above which a pixel counts as cloud in the ground truth. */
 constexpr float kCloudTruthOpacity = 0.1f;
+/**
+ * Std-dev of the illumination gain around 1. Sun-synchronous orbits
+ * revisit at the same local time (§2.1 fn. 2), so gain variation
+ * between captures is modest — but still large enough that unaligned
+ * differencing misfires (Fig. 9).
+ */
+constexpr double kGainSigma = 0.025;
+/** Std-dev of the illumination bias around 0. */
+constexpr double kBiasSigma = 0.008;
+/** Cloud-field base spatial frequency (cycles per pixel). */
+constexpr double kCloudFrequency = 1.0 / 56.0;
+/** Additive Gaussian sensor noise sigma, every band. */
+constexpr double kNoiseSigma = 0.004;
 
 uint64_t
 captureSalt(int locationId, double day, int satelliteId)
@@ -49,7 +62,7 @@ CaptureSimulator::cloudOpacity(double day) const
                     (static_cast<uint64_t>(static_cast<uint32_t>(
                          scene_.profile().locationId)) << 32) ^
                     static_cast<uint64_t>(static_cast<uint32_t>(dayIdx));
-    raster::Plane field = fbmPlane(w, h, params_.cloudFrequency, 4, seed);
+    raster::Plane field = fbmPlane(w, h, kCloudFrequency, 4, seed);
 
     // Pick the threshold as the (1 - coverage) quantile of the field so
     // the realized pixel coverage matches the drawn coverage.
@@ -87,9 +100,9 @@ CaptureSimulator::annotate(Capture &cap, const raster::Plane &opacity,
 
     Rng rng = Rng(params_.seed).fork(
         captureSalt(scene_.profile().locationId, day, satelliteId));
-    cap.illumGain = std::clamp(rng.normal(1.0, params_.gainSigma),
+    cap.illumGain = std::clamp(rng.normal(1.0, kGainSigma),
                                0.8, 1.2);
-    cap.illumBias = std::clamp(rng.normal(0.0, params_.biasSigma),
+    cap.illumBias = std::clamp(rng.normal(0.0, kBiasSigma),
                                -0.06, 0.06);
     cap.image.info().locationId = scene_.profile().locationId;
     cap.image.info().satelliteId = satelliteId;
@@ -113,7 +126,7 @@ CaptureSimulator::renderBand(Capture &cap, const raster::Plane &opacity,
     float cloudVal = static_cast<float>(band.cloudValue);
     float gain = static_cast<float>(cap.illumGain);
     float bias = static_cast<float>(cap.illumBias);
-    float sigma = static_cast<float>(band.noiseSigma);
+    float sigma = static_cast<float>(kNoiseSigma);
     for (int y = 0; y < h; ++y) {
         float *row = ground.row(y);
         const float *op = opacity.row(y);

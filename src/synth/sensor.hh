@@ -40,17 +40,6 @@ struct Capture
 /** Capture nuisance-process configuration. */
 struct SensorParams
 {
-    /**
-     * Std-dev of the illumination gain around 1. Sun-synchronous
-     * orbits revisit at the same local time (§2.1 fn. 2), so gain
-     * variation between captures is modest — but still large enough
-     * that unaligned differencing misfires (Fig. 9).
-     */
-    double gainSigma = 0.025;
-    /** Std-dev of the illumination bias around 0. */
-    double biasSigma = 0.008;
-    /** Cloud-field base spatial frequency (cycles per pixel). */
-    double cloudFrequency = 1.0 / 56.0;
     /** Master seed for all per-capture draws. */
     uint64_t seed = 0xcab1e5;
 };

@@ -2,17 +2,24 @@
 
 #include <cmath>
 
-#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace earthplus::synth {
 
+namespace {
+
+/** Mean P(clear day: coverage ~ U[0, 0.01)). */
+constexpr double kPClear = 0.20;
+/** Mean P(partly cloudy: coverage ~ U[0.01, 0.5)). */
+constexpr double kPPartial = 0.22;
+/** Remaining probability: overcast, coverage ~ U[kOvercastLo, 1). */
+constexpr double kOvercastLo = 0.62;
+
+} // anonymous namespace
+
 WeatherProcess::WeatherProcess(const WeatherParams &params)
     : params_(params)
 {
-    EP_ASSERT(params.pClear >= 0.0 && params.pPartial >= 0.0 &&
-              params.pClear + params.pPartial <= 1.0,
-              "invalid weather mixture");
 }
 
 double
@@ -24,20 +31,21 @@ WeatherProcess::coverage(int locationId, int day) const
     Rng rng = Rng(params_.seed).fork(salt);
 
     // Seasonal weight: 1 at mid-summer (day ~196), 0 at mid-winter.
+    // Clear days cluster in summer, overcast in winter (mid-latitude
+    // climate): ~6x more clear days in summer than winter.
     double doy = std::fmod(std::fmod(static_cast<double>(day), 365.0) +
                            365.0, 365.0);
     double w = 0.5 * (1.0 + std::cos(2.0 * M_PI * (doy - 196.0) / 365.0));
-    double s = params_.seasonality;
     // Modulate around the mean so the yearly averages stay put.
-    double pc = params_.pClear * (1.0 + s * (2.0 * w - 1.0) * 0.85);
-    double pp = params_.pPartial * (1.0 + s * (2.0 * w - 1.0) * 0.5);
+    double pc = kPClear * (1.0 + (2.0 * w - 1.0) * 0.85);
+    double pp = kPPartial * (1.0 + (2.0 * w - 1.0) * 0.5);
 
     double u = rng.uniform();
     if (u < pc)
         return rng.uniform(0.0, 0.01);
     if (u < pc + pp)
         return rng.uniform(0.01, 0.5);
-    return rng.uniform(params_.overcastLo, 1.0);
+    return rng.uniform(kOvercastLo, 1.0);
 }
 
 double

@@ -19,22 +19,9 @@
 
 namespace earthplus::synth {
 
-/** Mixture parameters of the daily coverage distribution. */
+/** Configuration of the daily coverage process. */
 struct WeatherParams
 {
-    /** Mean P(clear day: coverage ~ U[0, 0.01)). */
-    double pClear = 0.20;
-    /** Mean P(partly cloudy: coverage ~ U[0.01, 0.5)). */
-    double pPartial = 0.22;
-    /** Remaining probability: overcast, coverage ~ U[overcastLo, 1). */
-    double overcastLo = 0.62;
-    /**
-     * Seasonal modulation of the clear/partial probabilities: clear
-     * days cluster in summer, overcast in winter (mid-latitude
-     * climate). 0 disables seasonality; 1 gives ~6x more clear days in
-     * summer than winter while preserving the yearly means.
-     */
-    double seasonality = 1.0;
     /** Process seed. */
     uint64_t seed = 0x5eedc10dULL;
 };
@@ -55,8 +42,6 @@ class WeatherProcess
 
     /** Mean coverage over a day range (for calibration checks). */
     double meanCoverage(int locationId, int fromDay, int toDay) const;
-
-    const WeatherParams &params() const { return params_; }
 
   private:
     WeatherParams params_;

@@ -99,10 +99,8 @@ ThreadPool::enqueue(std::function<void()> job)
 {
     Job entry;
     entry.fn = std::move(job);
-    if (telemetry::metricsEnabled()) {
-        entry.enqueueNs = telemetry::nowNanos();
-        poolMetrics().queueDepth.add(1);
-    }
+    entry.enqueueNs = telemetry::nowNanos();
+    poolMetrics().queueDepth.add(1);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         queue_.push_back(std::move(entry));
@@ -124,12 +122,10 @@ ThreadPool::workerLoop()
             job = std::move(queue_.front());
             queue_.pop_front();
         }
-        if (job.enqueueNs != 0 && telemetry::metricsEnabled()) {
-            PoolMetrics &m = poolMetrics();
-            m.queueDepth.add(-1);
-            m.taskWaitNs.record(telemetry::nowNanos() - job.enqueueNs);
-            m.tasks.add();
-        }
+        PoolMetrics &m = poolMetrics();
+        m.queueDepth.add(-1);
+        m.taskWaitNs.record(telemetry::nowNanos() - job.enqueueNs);
+        m.tasks.add();
         telemetry::TraceSpan span("pool.task", "pool");
         job.fn();
     }

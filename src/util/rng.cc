@@ -96,27 +96,6 @@ Rng::bernoulli(double p)
     return uniform() < p;
 }
 
-int
-Rng::poisson(double mean)
-{
-    if (mean <= 0.0)
-        return 0;
-    if (mean < 30.0) {
-        // Knuth's multiplicative method.
-        double limit = std::exp(-mean);
-        double prod = uniform();
-        int n = 0;
-        while (prod > limit) {
-            prod *= uniform();
-            ++n;
-        }
-        return n;
-    }
-    // Normal approximation with continuity correction for large means.
-    double v = normal(mean, std::sqrt(mean));
-    return v < 0.0 ? 0 : static_cast<int>(v + 0.5);
-}
-
 double
 Rng::exponential(double rate)
 {

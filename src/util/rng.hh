@@ -47,10 +47,6 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool bernoulli(double p);
 
-    /** Poisson deviate with the given mean (Knuth for small, PTRS-free
-     *  normal approximation for large means). */
-    int poisson(double mean);
-
     /** Exponential deviate with the given rate (mean 1/rate). */
     double exponential(double rate);
 

@@ -47,12 +47,6 @@ RunningStats::stddev() const
 }
 
 double
-RunningStats::stderror() const
-{
-    return count_ ? stddev() / std::sqrt(static_cast<double>(count_)) : 0.0;
-}
-
-double
 RunningStats::min() const
 {
     return count_ ? min_ : 0.0;
@@ -123,24 +117,6 @@ EmpiricalDistribution::cdf(double x) const
     auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
     return static_cast<double>(it - samples_.begin()) /
            static_cast<double>(samples_.size());
-}
-
-std::vector<std::pair<double, double>>
-EmpiricalDistribution::cdfSeries(int n) const
-{
-    std::vector<std::pair<double, double>> out;
-    if (samples_.empty() || n < 2)
-        return out;
-    ensureSorted();
-    double lo = samples_.front();
-    double hi = samples_.back();
-    out.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        double x = lo + (hi - lo) * static_cast<double>(i) /
-                   static_cast<double>(n - 1);
-        out.emplace_back(x, cdf(x));
-    }
-    return out;
 }
 
 const std::vector<double> &

@@ -38,9 +38,6 @@ class RunningStats
     /** Sample standard deviation. */
     double stddev() const;
 
-    /** Standard deviation of the mean (stddev / sqrt(n)). */
-    double stderror() const;
-
     /** Smallest sample seen (0 when empty). */
     double min() const;
 
@@ -89,14 +86,6 @@ class EmpiricalDistribution
 
     /** Fraction of samples <= x. */
     double cdf(double x) const;
-
-    /**
-     * Evaluate the CDF on an evenly spaced grid of points between the
-     * sample min and max.
-     *
-     * @return Vector of (x, P(X <= x)) pairs, n points.
-     */
-    std::vector<std::pair<double, double>> cdfSeries(int n) const;
 
     /** Sorted copy of the samples. */
     const std::vector<double> &sorted() const;

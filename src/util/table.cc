@@ -81,21 +81,4 @@ Table::print(std::ostream &os) const
     os << "\n";
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                os << ",";
-            os << row[i];
-        }
-        os << "\n";
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 } // namespace earthplus

@@ -40,9 +40,6 @@ class Table
     /** Render with aligned columns to the stream. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (comma-separated, header first). */
-    void printCsv(std::ostream &os) const;
-
   private:
     std::string title_;
     std::vector<std::string> header_;

@@ -26,7 +26,6 @@ envFlag(const char *name, bool dflt)
 
 } // anonymous namespace
 
-std::atomic<bool> metricsOn{envFlag("EARTHPLUS_METRICS", true)};
 std::atomic<bool> tracingOn{envFlag("EARTHPLUS_TRACE", false)};
 
 uint32_t
@@ -39,12 +38,6 @@ threadSlot()
 }
 
 } // namespace detail
-
-void
-setMetricsEnabled(bool enabled)
-{
-    detail::metricsOn.store(enabled, std::memory_order_relaxed);
-}
 
 // ----------------------------------------------------------- histogram
 

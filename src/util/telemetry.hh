@@ -13,13 +13,11 @@
  *
  * Design constraints, in order:
  *
- *  1. **Near-zero cost when disabled.** Every record path starts with
- *     one relaxed atomic load and a branch; a TraceSpan whose tracing
- *     flag is off touches nothing else. The perf gates run with
- *     metrics enabled, so the enabled cost is bounded too: counters
- *     and gauges are one relaxed fetch_add on a thread-sharded,
+ *  1. **Bounded record cost.** Metrics always record: counters and
+ *     gauges are one relaxed fetch_add on a thread-sharded,
  *     cache-line-padded cell; histograms add one steady_clock read
- *     (paid by the caller) plus bucket math on integers.
+ *     (paid by the caller) plus bucket math on integers. A TraceSpan
+ *     whose tracing flag is off costs one relaxed load and a branch.
  *  2. **Exact totals.** Counter/gauge/histogram updates never drop or
  *     approximate: concurrent adds sum exactly (tests pin this).
  *     Histograms log-bucket the *distribution* (16 sub-buckets per
@@ -29,9 +27,8 @@
  *     need a window (the tile server's StatsView since resetStats)
  *     subtract a baseline snapshot instead of clearing.
  *
- * Environment: EARTHPLUS_METRICS=0 starts with metrics disabled,
- * EARTHPLUS_TRACE=1 starts with tracing enabled (both default to
- * metrics on / tracing off and can be toggled programmatically).
+ * Environment: EARTHPLUS_TRACE=1 starts with tracing enabled (default
+ * off; setTracing() toggles it at run time).
  */
 
 #ifndef EARTHPLUS_UTIL_TELEMETRY_HH
@@ -46,9 +43,6 @@
 namespace earthplus::telemetry {
 
 namespace detail {
-
-/** Master metrics switch; relaxed-checked on every record path. */
-extern std::atomic<bool> metricsOn;
 
 /** Master tracing switch; relaxed-checked by every TraceSpan. */
 extern std::atomic<bool> tracingOn;
@@ -72,16 +66,6 @@ void emitSpan(const char *name, const char *cat, uint64_t startNs,
               uint64_t endNs);
 
 } // namespace detail
-
-/** True when metric recording is enabled (the default). */
-inline bool
-metricsEnabled()
-{
-    return detail::metricsOn.load(std::memory_order_relaxed);
-}
-
-/** Toggle metric recording process-wide. */
-void setMetricsEnabled(bool enabled);
 
 /** True when span tracing is enabled (default off). */
 inline bool
@@ -121,12 +105,10 @@ class Counter
     /** Number of thread-sharded cells (power of two). */
     static constexpr uint32_t kCells = 16;
 
-    /** Add `n` events (no-op while metrics are disabled). */
+    /** Add `n` events. */
     void
     add(uint64_t n = 1)
     {
-        if (!metricsEnabled())
-            return;
         cells_[detail::threadSlot() & (kCells - 1)].v.fetch_add(
             static_cast<int64_t>(n), std::memory_order_relaxed);
     }
@@ -154,12 +136,10 @@ class Counter
 class Gauge
 {
   public:
-    /** Apply a delta (no-op while metrics are disabled). */
+    /** Apply a delta. */
     void
     add(int64_t delta)
     {
-        if (!metricsEnabled())
-            return;
         cells_[detail::threadSlot() & (Counter::kCells - 1)].v.fetch_add(
             delta, std::memory_order_relaxed);
     }
@@ -266,12 +246,10 @@ class Histogram
     /** Midpoint value of bucket `b` (its representative). */
     static double midpoint(uint32_t b);
 
-    /** Record one sample (no-op while metrics are disabled). */
+    /** Record one sample. */
     void
     record(uint64_t v)
     {
-        if (!metricsEnabled())
-            return;
         Shard &shard =
             shards_[detail::threadSlot() & (kShards - 1)];
         shard.buckets[bucketIndex(v)].fetch_add(
@@ -377,32 +355,26 @@ class TraceSpan
 
 /**
  * RAII latency sampler: records the scope's wall time in nanoseconds
- * into `hist` on destruction. The clock is only read while metrics
- * are enabled (checked once, at construction).
+ * into `hist` on destruction.
  */
 class ScopedTimer
 {
   public:
     /** Start timing into `hist` (histogram of nanoseconds). */
-    explicit ScopedTimer(Histogram &hist) : hist_(&hist)
+    explicit ScopedTimer(Histogram &hist)
+        : hist_(&hist), startNs_(nowNanos())
     {
-        if (metricsEnabled())
-            startNs_ = nowNanos();
     }
 
-    /** Stop and record (no-op when started disabled). */
-    ~ScopedTimer()
-    {
-        if (startNs_)
-            hist_->record(nowNanos() - startNs_);
-    }
+    /** Stop and record. */
+    ~ScopedTimer() { hist_->record(nowNanos() - startNs_); }
 
     ScopedTimer(const ScopedTimer &) = delete;
     ScopedTimer &operator=(const ScopedTimer &) = delete;
 
   private:
     Histogram *hist_;
-    uint64_t startNs_ = 0;
+    uint64_t startNs_;
 };
 
 /**

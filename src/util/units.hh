@@ -12,9 +12,7 @@
 
 namespace earthplus::units {
 
-/** Bits in a kilobit (decimal, link-rate convention). */
-constexpr double kBitsPerKbit = 1e3;
-/** Bits in a megabit. */
+/** Bits in a megabit (decimal, link-rate convention). */
 constexpr double kBitsPerMbit = 1e6;
 /** Bytes in a megabyte (decimal, matches the paper's 150 MB images). */
 constexpr double kBytesPerMB = 1e6;
@@ -26,20 +24,6 @@ constexpr double kSecondsPerMinute = 60.0;
 constexpr double kMinutesPerDay = 24.0 * 60.0;
 /** Seconds in a day. */
 constexpr double kSecondsPerDay = 86400.0;
-
-/** Convert kilobits/s to bytes/s. */
-constexpr double
-kbpsToBytesPerSec(double kbps)
-{
-    return kbps * kBitsPerKbit / 8.0;
-}
-
-/** Convert megabits/s to bytes/s. */
-constexpr double
-mbpsToBytesPerSec(double mbps)
-{
-    return mbps * kBitsPerMbit / 8.0;
-}
 
 /** Convert bytes to megabits. */
 constexpr double

@@ -88,14 +88,14 @@ sameBits(const raster::Plane &a, const raster::Plane &b)
  * pixel. CheapCloudDetector::detect must give exactly this.
  */
 CloudDetection
-cheapByFullResolutionParts(const CheapCloudDetector::Params &p,
-                           const raster::Image &img,
+cheapByFullResolutionParts(const raster::Image &img,
                            const std::vector<synth::BandSpec> &bands,
                            const raster::TileGrid &grid)
 {
+    using D = CheapCloudDetector;
     BandRoles roles = rolesFor(bands);
     bool hasIr = !roles.infrared.empty();
-    int f = std::max(p.analysisFactor, 1);
+    int f = D::kAnalysisFactor;
     raster::Plane visLow = raster::downsample(bandMean(img, roles.visible), f);
     raster::Plane irLow = raster::downsample(bandMean(img, roles.infrared), f);
     CloudDetection det;
@@ -106,17 +106,17 @@ cheapByFullResolutionParts(const CheapCloudDetector::Params &p,
             bool cloudy;
             if (hasIr) {
                 float ratio = vis / std::max(irLow.at(x / f, y / f), 1e-3f);
-                cloudy = (vis > p.minVisible && ratio > p.minRatio) ||
-                         (vis > p.midVisible && ratio > p.midRatio);
+                cloudy = (vis > D::kMinVisible && ratio > D::kMinRatio) ||
+                         (vis > D::kMidVisible && ratio > D::kMidRatio);
             } else {
-                cloudy = vis > p.minVisibleNoIr;
+                cloudy = vis > D::kMinVisibleNoIr;
             }
             det.pixelMask.set(x, y, cloudy);
         }
     }
     det.coverage = det.pixelMask.fractionSet();
     det.tileMask =
-        raster::tileMaskFromBitmap(det.pixelMask, grid, p.tileCloudFraction);
+        raster::tileMaskFromBitmap(det.pixelMask, grid, D::kTileCloudFraction);
     return det;
 }
 
@@ -307,8 +307,8 @@ TEST(CheapDetector, MatchesFullResolutionComposition)
                              << ", day " << day);
                 synth::Capture cap = sim.capture(day, 0);
                 CloudDetection got = det.detect(cap.image, bands, grid);
-                CloudDetection want = cheapByFullResolutionParts(
-                    det.params(), cap.image, bands, grid);
+                CloudDetection want =
+                    cheapByFullResolutionParts(cap.image, bands, grid);
                 EXPECT_EQ(got.pixelMask.data(), want.pixelMask.data());
                 EXPECT_EQ(got.coverage, want.coverage);
                 for (int t = 0; t < grid.tileCount(); ++t)

@@ -119,7 +119,10 @@ TEST(Codec, RoiOnlyCodesSelectedTiles)
     p.bitsPerPixel = 2.0;
     p.roi = &roi;
     EncodedImage enc = encode(img, p);
-    EXPECT_NEAR(enc.codedTileFraction(), 2.0 / 16.0, 1e-9);
+    std::vector<uint8_t> wantCoded(16, 0);
+    wantCoded[0] = 1;
+    wantCoded[5] = 1;
+    EXPECT_EQ(enc.tileCoded, wantCoded);
 
     raster::Plane dec = decode(enc);
     // Non-ROI tiles decode to zero.
@@ -236,6 +239,39 @@ TEST(CodecDeath, DeserializeRejectsTruncatedStreams)
         EXPECT_EXIT(EncodedImage::deserialize(trunc),
                     ::testing::ExitedWithCode(1), "truncated")
             << "cut at " << cut;
+    }
+}
+
+TEST(CodecDeath, DeserializeRejectsTrailingBytes)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A stream ends where its payload does: bytes after it are a
+    // typed Corrupt from tryDeserialize and fatal from deserialize,
+    // and the cutter refuses the stream too.
+    raster::Plane img = testImage(150, 110, 33);
+    EncodeParams p;
+    p.bitsPerPixel = 2.0;
+    p.tileSize = 96;
+    const std::vector<uint8_t> bytes = encode(img, p).serialize();
+    for (size_t extra : {1, 4, 8}) {
+        std::vector<uint8_t> tailed = bytes;
+        tailed.resize(bytes.size() + extra, 0);
+        const std::string want =
+            "followed by " + std::to_string(extra) + " trailing bytes";
+        EncodedImage e;
+        std::string msg;
+        EXPECT_EQ(EncodedImage::tryDeserialize(tailed.data(), tailed.size(),
+                                               e, &msg),
+                  StreamError::Corrupt)
+            << extra << " extra bytes";
+        EXPECT_NE(msg.find(want), std::string::npos) << msg;
+        EXPECT_EXIT(EncodedImage::deserialize(tailed),
+                    ::testing::ExitedWithCode(1), want)
+            << extra << " extra bytes";
+        EXPECT_EXIT(streamHeaderFloor(tailed), ::testing::ExitedWithCode(1),
+                    want);
+        EXPECT_EXIT(truncateStream(tailed, bytes.size() / 2),
+                    ::testing::ExitedWithCode(1), want);
     }
 }
 

@@ -169,7 +169,9 @@ TEST(Packet, CorruptPayloadIsDropped)
     packets[2][kPacketHeaderBytes + 10] ^= 0xFF;
     StreamReassembler rx(9);
     EXPECT_EQ(rx.accept(packets[2]), PacketVerdict::BadPayloadCrc);
-    EXPECT_EQ(rx.receivedCount(), 0u);
+    // The corrupt slice was not stored: every sequence is still missing.
+    ASSERT_EQ(packets.size(), 4u);
+    EXPECT_EQ(rx.missingSeqs(), (std::vector<uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(Packet, CorruptHeaderIsRejected)
@@ -1567,7 +1569,6 @@ TEST(TileServer, LatencyPercentilesTrackQueries)
 
 TEST(TileServer, LatencyPercentilesMatchSortedReference)
 {
-    telemetry::setMetricsEnabled(true);
     TempPath dir("serve_latency_ref");
     Archive archive(dir.str());
     raster::Plane base = testPlane(128, 128, 64);

@@ -733,8 +733,6 @@ TEST(NetServer, Version2PeersAreRefusedAndCounted)
     util::appendPod(v2Query, util::crc32(body.data(), body.size()));
     v2Query.insert(v2Query.end(), body.begin(), body.end());
 
-    const bool wasEnabled = telemetry::metricsEnabled();
-    telemetry::setMetricsEnabled(true);
     const uint64_t errorsBefore =
         telemetry::counter("net.protocol_errors").value();
     LoopbackServer fx;
@@ -790,7 +788,6 @@ TEST(NetServer, Version2PeersAreRefusedAndCounted)
     EXPECT_EQ(telemetry::counter("net.protocol_errors").value() -
                   errorsBefore,
               2u);
-    telemetry::setMetricsEnabled(wasEnabled);
 }
 
 TEST(NetServer, QueriesBeforeHandshakeDropTheConnection)
@@ -888,25 +885,11 @@ TEST(NetServer, StopWithOpenConnectionsIsClean)
 
 namespace {
 
-/**
- * Enables metrics (the retry/timeout counters under test are gated on
- * it) and guarantees no failpoint leaks out of the test.
- */
+/** Guarantees no failpoint leaks into or out of the test. */
 struct FaultGuard
 {
-    FaultGuard() : wasEnabled_(telemetry::metricsEnabled())
-    {
-        telemetry::setMetricsEnabled(true);
-        failpoint::disarmAll();
-    }
-
-    ~FaultGuard()
-    {
-        failpoint::disarmAll();
-        telemetry::setMetricsEnabled(wasEnabled_);
-    }
-
-    bool wasEnabled_;
+    FaultGuard() { failpoint::disarmAll(); }
+    ~FaultGuard() { failpoint::disarmAll(); }
 };
 
 uint64_t

@@ -257,27 +257,6 @@ TEST(ResampleTest, DownsampleHandlesRemainders)
     EXPECT_FLOAT_EQ(d.at(2, 2), 1.0f);
 }
 
-TEST(ResampleTest, UpsamplePreservesConstants)
-{
-    Plane p(4, 4, 0.7f);
-    Plane u = upsampleBilinear(p, 16, 16);
-    ASSERT_EQ(u.width(), 16);
-    for (int y = 0; y < 16; ++y)
-        for (int x = 0; x < 16; ++x)
-            EXPECT_NEAR(u.at(x, y), 0.7f, 1e-6);
-}
-
-TEST(ResampleTest, DownThenUpApproximatesSmoothData)
-{
-    Plane p(32, 32);
-    for (int y = 0; y < 32; ++y)
-        for (int x = 0; x < 32; ++x)
-            p.at(x, y) = 0.5f + 0.4f * std::sin(x * 0.1f) *
-                         std::cos(y * 0.1f);
-    Plane u = upsampleBilinear(downsample(p, 4), 32, 32);
-    EXPECT_LT(meanAbsDiff(p, u), 0.02);
-}
-
 TEST(ResampleTest, FractionAndAnyPolicies)
 {
     Bitmap b(4, 4, false);
@@ -313,36 +292,6 @@ TEST(MetricsTest, MaskRestrictsSupport)
     EXPECT_DOUBLE_EQ(mse(a, b, &valid), 0.0);
     valid.set(1, 0, true);
     EXPECT_DOUBLE_EQ(mse(a, b, &valid), 0.5);
-}
-
-TEST(IoTest, ImageRoundtrip)
-{
-    Image img(16, 12, 2);
-    Rng rng(5);
-    for (int b = 0; b < 2; ++b)
-        for (auto &v : img.band(b).data())
-            v = static_cast<float>(rng.uniform());
-    img.info().locationId = 3;
-    img.info().satelliteId = 9;
-    img.info().captureDay = 42.25;
-
-    std::string path = "/tmp/ep_raster_io_test.epi";
-    ASSERT_TRUE(saveImage(img, path));
-    Image back = loadImage(path);
-    ASSERT_EQ(back.width(), 16);
-    ASSERT_EQ(back.bandCount(), 2);
-    EXPECT_EQ(back.info().locationId, 3);
-    EXPECT_EQ(back.info().satelliteId, 9);
-    EXPECT_DOUBLE_EQ(back.info().captureDay, 42.25);
-    for (int b = 0; b < 2; ++b)
-        EXPECT_EQ(back.band(b).data(), img.band(b).data());
-    std::remove(path.c_str());
-}
-
-TEST(IoTest, MissingFileReturnsEmpty)
-{
-    Image img = loadImage("/tmp/ep_does_not_exist_12345.epi");
-    EXPECT_EQ(img.bandCount(), 0);
 }
 
 TEST(IoTest, PgmExport)

@@ -7,8 +7,9 @@
  * several tile sizes, and an ROI subset. Each mutant
  * rewrites one of the container's length words — the payload chunkLen,
  * a tile subLen, an entropy-chunk ecLen or a segWord — and/or flips
- * bytes, and may be cut short. Every mutant must come back as a parsed
- * image or a typed StreamError; every parsed image must decode, whole
+ * bytes, and may be cut short or have 1-8 bytes appended. Every mutant
+ * must come back as a parsed image of exactly its own length or a
+ * typed StreamError; every parsed image must decode, whole
  * and tile by tile, and be cut by codec::truncateStream() at three
  * budgets into streams that parse and decode, without dying, to the
  * pixels codec::decodeTiles() decodes at those budgets; the asan
@@ -131,7 +132,10 @@ hostileLength(uint32_t old, size_t at, size_t len, Rng &rng)
     }
 }
 
-/** One mutant of `base`: length-word rewrite, byte flips and/or a cut. */
+/**
+ * One mutant of `base`: length-word rewrite, byte flips and/or a cut
+ * or 1-8 appended bytes.
+ */
 std::vector<uint8_t>
 mutate(const std::vector<uint8_t> &base, const LengthWords &words,
        Rng &rng)
@@ -157,6 +161,9 @@ mutate(const std::vector<uint8_t> &base, const LengthWords &words,
     if (rng.uniformInt(0, 3) == 0)
         m.resize(static_cast<size_t>(
             rng.uniformInt(0, static_cast<int64_t>(m.size()))));
+    else if (rng.uniformInt(0, 3) == 0)
+        for (int64_t extra = rng.uniformInt(1, 8); extra > 0; --extra)
+            m.push_back(static_cast<uint8_t>(rng.uniformInt(0, 255)));
     return m;
 }
 
@@ -189,7 +196,7 @@ fuzzStreams(const std::vector<std::vector<uint8_t>> &inputs,
                 EncodedImage::tryDeserialize(m.data(), m.size(), e, &msg);
             if (err == StreamError::None) {
                 ++accepted;
-                EXPECT_LE(e.totalBytes(), m.size());
+                EXPECT_EQ(e.totalBytes(), m.size());
                 LengthWords seen;
                 EXPECT_TRUE(walkGrammar(m, e, seen))
                     << "accepted a mis-framed stream";

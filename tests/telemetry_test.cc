@@ -1,6 +1,6 @@
 // Telemetry layer: exact concurrent aggregation, log-bucket quantile
 // accuracy against a sorted reference, span nesting and thread
-// attribution in exported traces, and enabled/disabled toggling.
+// attribution in exported traces, and tracing on/off toggling.
 
 #include <gtest/gtest.h>
 
@@ -18,16 +18,11 @@ using namespace earthplus::telemetry;
 
 namespace {
 
-/** Restores the metrics/tracing switches on scope exit. */
+/** Restores the tracing switch on scope exit. */
 struct ToggleGuard
 {
-    bool metrics = metricsEnabled();
     bool tracing = tracingEnabled();
-    ~ToggleGuard()
-    {
-        setMetricsEnabled(metrics);
-        setTracing(tracing);
-    }
+    ~ToggleGuard() { setTracing(tracing); }
 };
 
 /** Nearest-rank order statistic of a sorted sample. */
@@ -186,26 +181,6 @@ TEST(Histogram, SnapshotDeltaWindows)
     // at the 1000 the full histogram is dominated by.
     EXPECT_NEAR(delta.quantile(0.5), 2000000.0, 2000000.0 / 16.0);
     EXPECT_NEAR(h.quantile(0.5), 1000.0, 1000.0 / 16.0 + 1.0);
-}
-
-TEST(Telemetry, DisabledMetricsRecordNothing)
-{
-    ToggleGuard guard;
-    Counter &c = counter("test.counter.toggle");
-    Histogram &h = histogram("test.hist.toggle");
-    setMetricsEnabled(true);
-    c.add(5);
-    h.record(42);
-    uint64_t cBefore = c.value();
-    uint64_t hBefore = h.count();
-    setMetricsEnabled(false);
-    c.add(100);
-    h.record(42);
-    EXPECT_EQ(c.value(), cBefore);
-    EXPECT_EQ(h.count(), hBefore);
-    setMetricsEnabled(true);
-    c.add(1);
-    EXPECT_EQ(c.value(), cBefore + 1);
 }
 
 TEST(Telemetry, SnapshotJsonContainsRegisteredMetrics)

@@ -142,18 +142,6 @@ TEST(Rng, NormalMomentsMatch)
     EXPECT_NEAR(s.stddev(), 3.0, 0.1);
 }
 
-TEST(Rng, PoissonMeanMatchesSmallAndLarge)
-{
-    Rng rng(13);
-    for (double mean : {0.5, 4.0, 60.0}) {
-        double sum = 0.0;
-        const int n = 20000;
-        for (int i = 0; i < n; ++i)
-            sum += rng.poisson(mean);
-        EXPECT_NEAR(sum / n, mean, mean * 0.08 + 0.05) << "mean=" << mean;
-    }
-}
-
 TEST(Rng, ExponentialMeanMatches)
 {
     Rng rng(17);
@@ -209,7 +197,6 @@ TEST(RunningStats, EmptyIsZero)
     EXPECT_EQ(s.count(), 0u);
     EXPECT_EQ(s.mean(), 0.0);
     EXPECT_EQ(s.variance(), 0.0);
-    EXPECT_EQ(s.stderror(), 0.0);
 }
 
 TEST(EmpiricalDistribution, QuantilesAndCdf)
@@ -226,25 +213,8 @@ TEST(EmpiricalDistribution, QuantilesAndCdf)
     EXPECT_NEAR(d.mean(), 50.5, 1e-9);
 }
 
-TEST(EmpiricalDistribution, CdfSeriesIsMonotone)
-{
-    EmpiricalDistribution d;
-    Rng rng(3);
-    for (int i = 0; i < 500; ++i)
-        d.add(rng.normal(0.0, 1.0));
-    auto series = d.cdfSeries(32);
-    ASSERT_EQ(series.size(), 32u);
-    for (size_t i = 1; i < series.size(); ++i) {
-        EXPECT_LE(series[i - 1].first, series[i].first);
-        EXPECT_LE(series[i - 1].second, series[i].second);
-    }
-    EXPECT_DOUBLE_EQ(series.back().second, 1.0);
-}
-
 TEST(Units, LinkConversions)
 {
-    EXPECT_DOUBLE_EQ(units::kbpsToBytesPerSec(250.0), 31250.0);
-    EXPECT_DOUBLE_EQ(units::mbpsToBytesPerSec(200.0), 25e6);
     EXPECT_DOUBLE_EQ(units::bytesToMbits(1e6), 8.0);
     EXPECT_NEAR(units::bytesOverSecondsToMbps(15e9, 600.0), 200.0, 1e-9);
     EXPECT_DOUBLE_EQ(units::bytesToGB(2.5e9), 2.5);
@@ -264,9 +234,4 @@ TEST(TablePrinting, AlignsAndFormats)
     EXPECT_NE(s.find("long-cell"), std::string::npos);
     EXPECT_EQ(Table::num(3.14159, 2), "3.14");
     EXPECT_EQ(Table::pct(0.1234, 1), "12.3%");
-
-    std::ostringstream csv;
-    t.printCsv(csv);
-    EXPECT_NE(csv.str().find("a,b"), std::string::npos);
-    EXPECT_NE(csv.str().find("1,2"), std::string::npos);
 }

@@ -124,7 +124,6 @@ main(int argc, char **argv)
             metricsPath = argv[++i];
     }
 
-    telemetry::setMetricsEnabled(true);
     std::string dir = std::filesystem::temp_directory_path() /
                       "earthplus_chaos_probe.epar";
     std::filesystem::remove_all(dir);
