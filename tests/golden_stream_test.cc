@@ -12,6 +12,8 @@
  *
  *  - kGoldenV3 pins the bytes the encoder writes;
  *  - kDecodedV3 pins the pixels the decoder reconstructs from them;
+ *  - kDecodedFullDepth pins the pixels of every fixture coded to its
+ *    last plane, which no stream-format change may move;
  *  - kGoldenCut pins the bytes codec::truncateStream() cuts whole
  *    streams to; codec::decodeTiles() at the same budgets, which is how
  *    the tile server serves a quality hint, must decode the cuts'
@@ -143,6 +145,20 @@ const uint32_t kDecodedV3[] = {
 };
 static_assert(std::size(kDecodedV3) == std::size(kGoldenV3));
 
+/**
+ * CRC32 of the decoded float pixels of every kGoldenV3 tile encoded at
+ * a SIZE_MAX budget, in table order. Every plane is coded, so each
+ * coefficient decodes to its exact quantized value whatever the
+ * stream grammar: these rows hold across format changes, and a change
+ * here is a transform, quantizer or coefficient-coding fault. Recorded
+ * with the EPC4 coder; printed by EARTHPLUS_PRINT_GOLDEN=1.
+ */
+const uint32_t kDecodedFullDepth[] = {
+    0x3199881Fu, 0x28787E4Au, 0x6ABE9332u,
+    0x8227BB1Au, 0x08377752u, 0xE10E9CA9u,
+};
+static_assert(std::size(kDecodedFullDepth) == std::size(kGoldenV3));
+
 /** One whole-stream fixture for kGoldenCut. */
 struct CutFixture
 {
@@ -206,6 +222,13 @@ std::vector<uint8_t>
 encodeGolden(const GoldenFixture &f)
 {
     return encodeTile(goldenTile(f), kGoldenLevels, goldenBudget(f));
+}
+
+/** Encode one fixture with every plane coded. */
+std::vector<uint8_t>
+encodeGoldenFullDepth(const GoldenFixture &f)
+{
+    return encodeTile(goldenTile(f), kGoldenLevels, SIZE_MAX);
 }
 
 /** Decode one fixture's sub-chunk. */
@@ -279,7 +302,7 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
 {
     if (std::getenv("EARTHPLUS_PRINT_GOLDEN") != nullptr) {
         // Regeneration mode: print the rows to paste into kGoldenV3,
-        // then the kDecodedV3 entries.
+        // then the kDecodedV3 and kDecodedFullDepth entries.
         for (const GoldenFixture &f : kGoldenV3) {
             std::vector<uint8_t> sub = encodeGolden(f);
             std::printf("    {\"%s\", %d, %d, %zuu, 0x%08Xu},\n",
@@ -288,6 +311,9 @@ TEST(GoldenStream, V3ProgressiveStreamsMatchRecordedFormat)
         for (const GoldenFixture &f : kGoldenV3)
             std::printf("    0x%08Xu,\n",
                         pixelCrc(decodeGolden(f, encodeGolden(f))));
+        for (const GoldenFixture &f : kGoldenV3)
+            std::printf("    0x%08Xu,\n",
+                        pixelCrc(decodeGolden(f, encodeGoldenFullDepth(f))));
         for (const CutFixture &f : kGoldenCut) {
             std::vector<uint32_t> crcs = cutCrcs(encodeCutFixture(f));
             std::printf("    {%d, {0x%08Xu, 0x%08Xu, 0x%08Xu, 0x%08Xu}},\n",
@@ -321,6 +347,23 @@ TEST(GoldenStream, V3StreamsDecodeAsRecorded)
             raster::Plane dec = decodeGolden(f, streams[i]);
             EXPECT_EQ(pixelCrc(dec), kDecodedV3[i])
                 << fixtureName(f) << " " << where;
+        }
+    });
+}
+
+TEST(GoldenStream, FullDepthStreamsDecodeAsRecorded)
+{
+    std::vector<std::vector<uint8_t>> streams;
+    for (const GoldenFixture &f : kGoldenV3)
+        streams.push_back(encodeGoldenFullDepth(f));
+    atEveryLevelAndWidth([&](const std::string &where) {
+        for (size_t i = 0; i < std::size(kGoldenV3); ++i) {
+            const GoldenFixture &f = kGoldenV3[i];
+            EXPECT_EQ(encodeGoldenFullDepth(f), streams[i])
+                << fixtureName(f) << " " << where;
+            raster::Plane dec = decodeGolden(f, streams[i]);
+            EXPECT_EQ(pixelCrc(dec), kDecodedFullDepth[i])
+                << fixtureName(f) << " full depth " << where;
         }
     });
 }
