@@ -2,7 +2,7 @@
  * @file
  * End-to-end tile-coder throughput: full `encodeTile` /
  * `decodeTile` jobs (DWT + quantization + bitplane passes +
- * range coding, EPC4 framing) measured at every SIMD dispatch level,
+ * range coding, EPC5 framing) measured at every SIMD dispatch level,
  * for the two workloads that bracket Earth+'s operating points:
  *
  *   dense        natural-image-like content, every subband busy
@@ -150,7 +150,7 @@ runProgressiveMode(int reps, const std::string &jsonPath)
     const Params shape = {{"image", std::to_string(size)},
                           {"tile", std::to_string(tile)}};
 
-    Table table("progressive (EPC4) rate-distortion: PSNR vs budget");
+    Table table("progressive (EPC5) rate-distortion: PSNR vs budget");
     table.setHeader({"row", "budget_pct", "bytes", "psnr_db",
                      "worst_band_db", "decode_ms"});
     epbench::JsonReporter json("tile_coder_progressive");

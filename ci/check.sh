@@ -226,7 +226,7 @@ run_chaos() {
     # each seed damages shard files with its own byte flips, length-
     # word rewrites, truncations and foreign tails, and open() must
     # fail typed or hand back only payloads that verify.
-    # The stream-prefix fuzz rides along too: each seed cuts EPC4 streams
+    # The stream-prefix fuzz rides along too: each seed cuts EPC5 streams
     # short at a different set of offsets and asserts every prefix
     # fails with a typed error instead of a crash — and so does the
     # stream mutation fuzz, whose seed picks the length-word rewrites
@@ -297,8 +297,8 @@ run_asan() {
     # packets, archive file format, codec streams, EPT wire frames)
     # and the SIMD kernels
     # must be sanitizer-clean on both their happy paths and their
-    # corruption-recovery paths. The range decoder's zero-run path
-    # reads the byte stream directly, so its own suite runs here too.
+    # corruption-recovery paths. The range coder's own suite runs here
+    # too.
     # Scoped to the suites that exercise those parsers so CI time
     # stays bounded.
     # shellcheck disable=SC2086

@@ -36,12 +36,12 @@ codecMetrics()
     return m;
 }
 
-// The stream magic, "EPC4" (docs/ARCHITECTURE.md): one entropy chunk
+// The stream magic, "EPC5" (docs/ARCHITECTURE.md): one entropy chunk
 // per tile, whose payload is a raw maxPlane byte and a run of
 // independently flushed per-plane segments, so truncateStream() can
-// drop trailing segments and re-frame. A future layout gets a new
-// magic.
-constexpr uint32_t kMagic = 0x34435045;
+// drop trailing segments and re-frame; cleanup zero runs code one
+// decision each. A future layout or grammar gets a new magic.
+constexpr uint32_t kMagic = 0x35435045;
 
 /**
  * The one valid header flags word, a fixed literal. Its value is
@@ -711,7 +711,7 @@ encode(const std::vector<BandEncode> &bands)
         const raster::Plane &img = *bands[b].img;
         const EncodeParams &params = bands[b].params;
         EP_ASSERT(params.tileSize > 0 && params.tileSize <= kMaxTileSize,
-                  "EPC4 tiles are 1 to %d pixels on an edge, not %d",
+                  "EPC5 tiles are 1 to %d pixels on an edge, not %d",
                   kMaxTileSize, params.tileSize);
         EP_ASSERT(params.bitsPerPixel > 0.0, "non-positive bit budget");
         raster::TileGrid grid(img.width(), img.height(), params.tileSize);

@@ -10,7 +10,7 @@
  * bandwidth adaptation, §5 "Handling bandwidth fluctuation") and that
  * decodeTiles() decodes at any byte budget, as it would decode the cut.
  *
- * There is one stream format, "EPC4" (docs/ARCHITECTURE.md), and one
+ * There is one stream format, "EPC5" (docs/ARCHITECTURE.md), and one
  * coding mode: the CDF 9/7 transform and the kQuantStep deadzone
  * quantizer, coded to a byte budget. Every stream this module writes or
  * reads is complete and well framed; a cut is a smaller complete
@@ -18,7 +18,9 @@
  * chunk height take fixed values: flags 0x800, step kQuantStep and
  * chunk height kMaxTileSize. Tiles are at most kMaxTileSize on an
  * edge, so every tile is one entropy chunk. Parsing rejects any other
- * value as StreamError::Corrupt.
+ * value as StreamError::Corrupt, and so is any other magic, the retired
+ * EPC4's included: EPC5 changed how cleanup zero runs are coded, and
+ * no EPC4 bytes existed outside the tests.
  */
 
 #ifndef EARTHPLUS_CODEC_CODEC_HH
@@ -35,7 +37,7 @@
 namespace earthplus::codec {
 
 /**
- * Largest tile edge an EPC4 stream codes. The header's chunk-height
+ * Largest tile edge an EPC5 stream codes. The header's chunk-height
  * word always holds it, so every tile is exactly one entropy chunk.
  */
 constexpr int kMaxTileSize = 128;
@@ -73,7 +75,7 @@ struct EncodeParams
 
 /**
  * An encoded plane: container header, coded-tile flags and one payload
- * chunk, in the EPC4 layout, whose inline per-plane segment framing
+ * chunk, in the EPC5 layout, whose inline per-plane segment framing
  * lets truncateStream() cut a stream to any byte budget after encoding.
  */
 struct EncodedImage
@@ -154,7 +156,7 @@ size_t streamHeaderFloor(const std::vector<uint8_t> &bytes);
  * decode time, so a reader that only wants pixels never builds the
  * cut.
  *
- * The result is a complete EPC4 stream with `size() <= budget`;
+ * The result is a complete EPC5 stream with `size() <= budget`;
  * budgets at or above the stream length return the stream unchanged.
  * Cuts nest: cutting a cut gives the same bytes as cutting the whole
  * stream to the smaller budget. fatal() when `budget` is below

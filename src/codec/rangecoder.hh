@@ -7,14 +7,14 @@
  * together they play the role JPEG-2000's MQ-coder plays for Kakadu in
  * the paper.
  *
- * The per-bit paths live in this header so the bitplane pass loops
- * inline them and keep the coder state (low/range/code and the stream
- * pointer) in registers; they are written branch-light — the bit
- * decision folds into masks, the probability update into a
- * conditional-move — and bytes move through a grow-amortized raw
- * pointer into the output vector instead of per-byte push_back. The
- * byte stream produced is bit-for-bit the one the original branchy
- * coder produced; `tests/golden_stream_test.cc` pins that.
+ * Two decisions exist: an adaptive bit under a BitModel and a raw bit
+ * at probability 1/2. The per-bit paths live in this header so the
+ * bitplane pass loops inline them and keep the coder state (low/range/
+ * code and the stream pointer) in registers; they are written
+ * branch-light — the bit decision folds into masks, the probability
+ * update into a conditional-move — and bytes move through a
+ * grow-amortized raw pointer into the output vector instead of
+ * per-byte push_back. `tests/golden_stream_test.cc` pins the bytes.
  */
 
 #ifndef EARTHPLUS_CODEC_RANGECODER_HH
@@ -43,19 +43,9 @@ class BitModel
     /** Probability numerator (out of 2^11) that the next bit is 0. */
     uint16_t prob() const { return prob_; }
 
-    /** Move probability toward "bit was 0". */
-    void
-    update0()
-    {
-        prob_ += static_cast<uint16_t>((kOne - prob_) >> kMoveBits);
-    }
-
-    /** Move probability toward "bit was 1". */
-    void update1() { prob_ -= static_cast<uint16_t>(prob_ >> kMoveBits); }
-
     /**
-     * Combined update, exactly update0()/update1() for `bit` 0/1, with
-     * both deltas computed up front and selected by mask: a ternary
+     * Move the probability toward the coded `bit` (0 or 1). Both
+     * deltas are computed up front and selected by mask: a ternary
      * select here is compiled into a branch on the bit, which the
      * predictor misses about as often as the bit is random.
      */
@@ -112,30 +102,6 @@ class RangeEncoder
         model.update(b);
         if (range_ < kRangeTop)
             normalize();
-    }
-
-    /**
-     * Encode `n` zero bits under one adaptive model: exactly `n`
-     * encodeBit(model, 0) calls, with the range and the model's
-     * probability held in registers between renormalizations. A zero
-     * leaves `low` untouched, so only a renormalization reaches memory.
-     */
-    void
-    encodeZeros(BitModel &model, int n)
-    {
-        BitModel m = model;
-        uint32_t range = range_;
-        for (int i = 0; i < n; ++i) {
-            range = (range >> BitModel::kModelBits) * m.prob();
-            m.update0();
-            if (__builtin_expect(range < kRangeTop, 0)) {
-                range_ = range;
-                normalize();
-                range = range_;
-            }
-        }
-        range_ = range;
-        model = m;
     }
 
     /** Encode one bit with fixed probability 1/2 (no model). */
@@ -241,52 +207,6 @@ class RangeDecoder
         if (range_ < kRangeTop)
             normalize();
         return static_cast<int>(mask & 1u);
-    }
-
-    /**
-     * Decode up to `n` bits under one adaptive model, stopping after
-     * the first 1: exactly the decodeBit(model) calls of that loop,
-     * with the range, the code register, the read position and the
-     * model's probability held in registers throughout.
-     *
-     * @return The number of zeros decoded before the first 1, or `n`
-     *         when all `n` bits decode as 0.
-     */
-    int
-    decodeUntilOne(BitModel &model, int n)
-    {
-        BitModel m = model;
-        uint32_t range = range_;
-        uint32_t code = code_;
-        const uint8_t *p = ptr_;
-        auto refill = [&] {
-            do {
-                range <<= 8;
-                code = (code << 8) | (p != end_ ? *p++ : 0u);
-            } while (range < kRangeTop);
-        };
-        int i = 0;
-        for (; i < n; ++i) {
-            const uint32_t bound =
-                (range >> BitModel::kModelBits) * m.prob();
-            if (__builtin_expect(code >= bound, 0)) {
-                code -= bound;
-                range -= bound;
-                m.update1();
-                if (range < kRangeTop)
-                    refill();
-                break;
-            }
-            range = bound;
-            m.update0();
-            if (__builtin_expect(range < kRangeTop, 0))
-                refill();
-        }
-        range_ = range;
-        code_ = code;
-        ptr_ = p;
-        model = m;
-        return i;
     }
 
     /** Decode one raw (probability 1/2) bit. */

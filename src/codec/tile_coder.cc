@@ -164,6 +164,23 @@ struct NeighborWords
     }
 };
 
+/** The run model of a zero run of `n` candidates, 1 <= n <= 64. */
+int
+runBucket(int n)
+{
+    return util::bitWidth(static_cast<uint32_t>(n)) - 1;
+}
+
+/**
+ * Raw bits that name one of `n` run candidates: ceil(log2 n), so a
+ * one-candidate run codes none.
+ */
+int
+positionBits(int n)
+{
+    return util::bitWidth(static_cast<uint32_t>(n - 1));
+}
+
 /** The packed per-pixel state one significance scan works over. */
 struct ScanGrid
 {
@@ -185,9 +202,9 @@ struct ScanGrid
  *        Code the significance bit of coefficient i under `model`
  *        and return it.
  *   int  codeRun(int y, int w, uint64_t run, BitModel &model);
- *        Code the significance bits of the candidates in `run` (bits
- *        of word w of row y), in ascending order, all under `model`,
- *        up to and including the first that is 1; return that one's
+ *        Code whether the candidates in `run` (bits of word w of row
+ *        y) hold a 1, under `model`, and if so the position of the
+ *        first 1 among them (the run grammar below); return that one's
  *        bit index, or -1 when every one is 0.
  *   void significant(size_t i);
  *        Coefficient i just turned significant: handle its sign (and,
@@ -212,13 +229,14 @@ struct ScanGrid
  * instead of the candidate set.
  *
  * Pass 2 codes its ungated candidates as zero runs: an ungated
- * candidate and the candidates after it in its word share one model
- * (the zero-neighbor context of their orientation) until the next
- * gated candidate, the next orientation edge, the word end or the
- * first coefficient that codes as 1 — whose new significance gates
- * its right neighbor, so the run would have ended there anyway.
- * codeRun() performs the same per-bit arithmetic in the same model
- * order as a code() call per candidate, so the bytes are identical.
+ * candidate and the candidates after it in its word form one run until
+ * the next gated candidate, the next orientation edge, the word end or
+ * the first coefficient that codes as 1 — whose new significance gates
+ * its right neighbor, so the run would have ended there anyway. A run
+ * of n candidates, n known to both sides from the bitsets, codes one
+ * "holds a 1" decision under TileContexts::run[orient][runBucket(n)]
+ * and, when it does, the index of the first 1 among the candidates in
+ * positionBits(n) raw bits, most significant first.
  */
 template <bool kCleanup, typename Coder>
 Coder
@@ -259,8 +277,9 @@ runSigScan(ScanGrid g, Coder coder)
                         ((m & nbW) | edgeW) & (~1ull << b);
                     const uint64_t run =
                         stops != 0 ? m & ((stops & (0 - stops)) - 1) : m;
-                    b = coder.codeRun(y, w, run,
-                                      g.ctx->significance[orient][0]);
+                    b = coder.codeRun(
+                        y, w, run,
+                        g.ctx->run[orient][runBucket(util::popCount(run))]);
                     if (b < 0) {
                         m &= ~run;
                         continue;
@@ -272,9 +291,12 @@ runSigScan(ScanGrid g, Coder coder)
                     int nn = nw.count(b);
                     if (!kCleanup)
                         vis |= 1ull << b;
+                    // A candidate coded here has a significant
+                    // neighbor: pass 0's come from the dilation, and
+                    // pass 2 gives the isolated ones to codeRun().
                     BitModel &model =
                         g.ctx->significance[orient][static_cast<size_t>(
-                            nn < 3 ? nn : 3)];
+                            (nn < 3 ? nn : 3) - 1)];
                     bit = coder.code(
                         rowBase + static_cast<size_t>((w << 6) + b), y, w,
                         b, model);
@@ -321,11 +343,15 @@ struct DecoderScan
     int
     codeRun(int, int, uint64_t run, BitModel &model)
     {
-        const int n = util::popCount(run);
-        int zeros = dec.decodeUntilOne(model, n);
-        if (zeros == n)
+        if (!dec.decodeBit(model))
             return -1;
-        for (; zeros > 0; --zeros)
+        const int n = util::popCount(run);
+        int k = 0;
+        for (int i = positionBits(n); i > 0; --i)
+            k = (k << 1) | dec.decodeBitRaw();
+        // Only a corrupt segment names a k past the run; clamp it to
+        // the run's last candidate.
+        for (k = std::min(k, n - 1); k > 0; --k)
             run &= run - 1;
         return util::countTrailingZeros(run);
     }
@@ -424,13 +450,13 @@ struct TileEncoder::EncoderScan
     {
         const uint64_t ones =
             planeBits[static_cast<size_t>(y) * words + w] & run;
-        if (ones == 0) {
-            enc.encodeZeros(model, util::popCount(run));
+        enc.encodeBit(model, ones != 0);
+        if (ones == 0)
             return -1;
-        }
         const int b = util::countTrailingZeros(ones);
-        enc.encodeZeros(model, util::popCount(run & ((1ull << b) - 1)));
-        enc.encodeBit(model, 1);
+        const int k = util::popCount(run & ((1ull << b) - 1));
+        for (int i = positionBits(util::popCount(run)) - 1; i >= 0; --i)
+            enc.encodeBitRaw((k >> i) & 1);
         return b;
     }
 

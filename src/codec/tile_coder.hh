@@ -23,20 +23,16 @@
  * change-delta tiles (the common case in Earth+'s delta encoding)
  * cheap. The candidate evolution reproduces the per-pixel raster scan
  * exactly — including mid-pass significance propagating to the right
- * neighbor — so encoded streams are byte-identical to the original
- * per-pixel coder; `tests/golden_stream_test.cc` pins that.
+ * neighbor — and `tests/golden_stream_test.cc` pins the bytes.
  *
- * Zero runs: most cleanup (pass 2) decisions are isolated coefficients
- * that take the zero-neighbor context and code as 0. An ungated
- * candidate and the candidates after it in its word form one run
- * under one model, which stops at the next gated candidate, the next
- * subband-orientation edge, the word end or the first 1. The encoder
- * finds that 1 in the plane-bit mask with one count-trailing-zeros
- * and codes the zeros before it with RangeEncoder::encodeZeros(); the
- * decoder finds it with RangeDecoder::decodeUntilOne(). Both perform
- * the same arithmetic per decision, with the same model updates in the
- * same order, as one encodeBit()/decodeBit() per candidate, so the
- * bytes do not change — only the coder state stays in registers.
+ * Zero runs: most cleanup (pass 2) candidates are isolated
+ * coefficients, nearly all 0. An ungated candidate and the candidates
+ * after it in its word form one run, which stops at the next gated
+ * candidate, the next subband-orientation edge, the word end or the
+ * first 1. A run of n candidates codes one "holds a 1" decision under
+ * TileContexts::run and, when it does, the index of its first 1 in
+ * ceil(log2 n) raw bits; the encoder finds that 1 in the plane-bit
+ * mask with one count-trailing-zeros.
  *
  * Geometry is per shape: the orientation map and the orientation-edge
  * masks depend only on (width, height, levels), so one immutable
@@ -54,7 +50,7 @@
  * into one entropy chunk, and its sub-chunk is that chunk behind a u32
  * length word. Tiles are the unit of parallelism (codec::encode()).
  *
- * The chunk payload is the EPC4 segment layout: a raw `maxPlane + 1`
+ * The chunk payload is the EPC5 segment layout: a raw `maxPlane + 1`
  * byte, then one independently flushed range-coded segment per plane,
  * each `u32 segWord | body` with
  * `segWord = byteLen << 2 | (passCount - 1)`, so segment k codes plane
@@ -80,7 +76,7 @@ namespace earthplus::codec {
 
 /**
  * Deadzone quantizer step of the CDF 9/7 coefficients, in pixel units.
- * Fixed: every EPC4 stream records it, and parsing rejects any other.
+ * Fixed: every EPC5 stream records it, and parsing rejects any other.
  */
 constexpr double kQuantStep = 1.0 / 512.0;
 
@@ -88,14 +84,23 @@ constexpr double kQuantStep = 1.0 / 512.0;
  * Context model set shared by encoder and decoder.
  *
  * Significance contexts are selected by subband orientation and the
- * number of already-significant 4-neighbors; refinement bits use a
- * single model. Models persist across segments, mirroring the decoder
+ * number of already-significant 4-neighbors, cleanup zero-run contexts
+ * by orientation and run length; refinement bits use a single model. Models persist across segments, mirroring the decoder
  * exactly. Each tile owns a private set.
  */
 struct TileContexts
 {
-    /** [orientation 0..3][min(#significant neighbors,3)]. */
-    std::array<std::array<BitModel, 4>, 4> significance;
+    /**
+     * [orientation 0..3][min(#significant neighbors,3) - 1]: a
+     * candidate without a significant neighbor is coded in a run.
+     */
+    std::array<std::array<BitModel, 3>, 4> significance;
+    /**
+     * Cleanup zero runs' "holds a 1" decision, by
+     * [orientation 0..3][floor(log2 run length)]; runs never cross a
+     * 64-bit word, so the bucket is at most 6.
+     */
+    std::array<std::array<BitModel, 7>, 4> run;
     /** Magnitude refinement bits. */
     BitModel refinement;
 };

@@ -19,6 +19,11 @@ namespace {
 /** Prefetch tasks queued before new hints are dropped. */
 constexpr size_t kPrefetchQueueDepth = 16;
 
+/** A record payload tryDeserialize() refused (TileServer::parseRecord). */
+struct CorruptRecord : std::exception
+{
+};
+
 /**
  * Tile-server metrics, resolved once per process. Registry entries
  * are leaked, so the references outlive every TileServer. These are
@@ -51,6 +56,7 @@ struct ServeMetrics
         telemetry::histogram("ground.chain_resolve_ns");
     telemetry::Histogram &payloadParseNs =
         telemetry::histogram("ground.payload_parse_ns");
+    telemetry::Counter &corrupt = telemetry::counter("ground.serve.corrupt");
 };
 
 ServeMetrics &
@@ -119,6 +125,8 @@ serveErrorName(ServeError error)
         return "shed";
     case ServeError::BadQuery:
         return "bad_query";
+    case ServeError::Corrupt:
+        return "corrupt";
     }
     return "unknown";
 }
@@ -333,6 +341,8 @@ TileServer::serveFront(const TileQuery &query)
     m.tilesDecoded.add(static_cast<uint64_t>(result.tilesDecoded));
     m.tilesFromCache.add(static_cast<uint64_t>(result.tilesFromCache));
     m.tilesCoalesced.add(static_cast<uint64_t>(result.tilesCoalesced));
+    if (result.error == ServeError::Corrupt)
+        m.corrupt.add();
 
     if (result.ok() && options_.prefetch)
         maybePrefetch(query, place);
@@ -355,11 +365,30 @@ TileServer::parseRecord(size_t recordIdx) const
     telemetry::TraceSpan parseSpan("ground.payload_parse", "ground");
     telemetry::ScopedTimer timer(serveMetrics().payloadParseNs);
     PayloadView view = archive_.payloadView(recordIdx);
-    return codec::EncodedImage::deserialize(view.data(), view.size());
+    codec::EncodedImage stream;
+    if (codec::EncodedImage::tryDeserialize(view.data(), view.size(),
+                                            stream) !=
+        codec::StreamError::None)
+        throw CorruptRecord();
+    return stream;
 }
 
 TileResult
 TileServer::serveImpl(TileQuery query, ChainPlace *chainOut)
+{
+    // A claim held when a parse throws is failed by serveChain() with
+    // the same exception, so a query that joined it lands here too.
+    try {
+        return serveChain(query, chainOut);
+    } catch (const CorruptRecord &) {
+        TileResult result;
+        result.error = ServeError::Corrupt;
+        return result;
+    }
+}
+
+TileResult
+TileServer::serveChain(TileQuery query, ChainPlace *chainOut)
 {
     TileResult result;
     if (query.validate() != ServeError::None) {

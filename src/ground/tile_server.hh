@@ -97,6 +97,12 @@ enum class ServeError : uint8_t
     /** Malformed query (non-positive extent, rect outside the image,
      *  bad layer count, negative ids, non-finite day). */
     BadQuery = 4,
+    /**
+     * A record the query needed holds a payload that does not parse as
+     * a stream of this build's format (say, one an older build wrote).
+     * No pixels; other (location, band)s keep serving.
+     */
+    Corrupt = 5,
 };
 
 /** Short stable name of a ServeError ("ok", "not_found", ...). */
@@ -177,7 +183,7 @@ struct TileResult
     /**
      * Outcome of the serve. A default-constructed result reports
      * NotFound; the serve pipeline upgrades it to None/Truncated
-     * (payload valid) or BadQuery. Network fronts add Shed.
+     * (payload valid), BadQuery or Corrupt. Network fronts add Shed.
      */
     ServeError error = ServeError::NotFound;
     /** Requested pixels (clipped rectangle, zero-filled where no
@@ -506,9 +512,13 @@ class TileServer
      * out of the foreground statistics. When `chainOut` is non-null it
      * receives the query's place in its chain — the chain is already
      * being scanned here, so the prefetcher gets it without a second
-     * locked pass.
+     * locked pass. A record that does not parse ends the serve as
+     * ServeError::Corrupt, with any tile claims the query held failed.
      */
     TileResult serveImpl(TileQuery query, ChainPlace *chainOut = nullptr);
+
+    /** serveImpl() up to a record that does not parse, which throws. */
+    TileResult serveChain(TileQuery query, ChainPlace *chainOut);
 
     /**
      * Schedule a warmup of `place.nextDay`'s chain when this query took
@@ -530,7 +540,8 @@ class TileServer
     /**
      * Parse record `recordIdx`'s whole payload, straight out of the
      * archive's file mapping. Every quality parses the same stream;
-     * the hint only sets the budget the decode runs at.
+     * the hint only sets the budget the decode runs at. A payload
+     * tryDeserialize() refuses throws, for serveImpl() to report.
      */
     codec::EncodedImage parseRecord(size_t recordIdx) const;
 

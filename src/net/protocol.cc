@@ -185,7 +185,7 @@ decodeResult(const Frame &frame, uint64_t &requestId,
     const uint8_t *p = frame.body.data();
     requestId = util::readPodAt<uint64_t>(p, 0);
     uint8_t status = util::readPodAt<uint8_t>(p, 8);
-    if (status > static_cast<uint8_t>(ground::ServeError::BadQuery))
+    if (status > static_cast<uint8_t>(ground::ServeError::Corrupt))
         return false;
     result = ground::TileResult{};
     result.error = static_cast<ground::ServeError>(status);

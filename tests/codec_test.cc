@@ -17,6 +17,8 @@
 
 #include "codec/codec.hh"
 #include "codec/kernels.hh"
+#include "codec/rangecoder.hh"
+#include "codec/tile_coder.hh"
 #include "raster/metrics.hh"
 #include "util/bytes.hh"
 #include "util/parallel.hh"
@@ -302,9 +304,17 @@ TEST(CodecDeath, DeserializeRejectsCorruptHeaderFields)
                 ::testing::ExitedWithCode(1), "DWT");
     EXPECT_EXIT(EncodedImage::deserialize(corrupt(20, 0)),
                 ::testing::ExitedWithCode(1), "layer count");
+    // The one magic is "EPC5"; the retired "EPC4" layout, whose cleanup
+    // runs coded a decision per candidate, is a bad magic like any
+    // other.
+    EXPECT_EQ(std::memcmp(bytes.data(), "EPC5", 4), 0);
+    std::vector<uint8_t> epc4 = bytes;
+    std::memcpy(epc4.data(), "EPC4", 4);
+    EncodedImage e;
+    EXPECT_EQ(EncodedImage::tryDeserialize(epc4.data(), epc4.size(), e),
+              StreamError::Corrupt);
     // The layers word is always 1: a multi-layer header is corrupt.
     std::vector<uint8_t> layered = corrupt(20, 3);
-    EncodedImage e;
     EXPECT_EQ(EncodedImage::tryDeserialize(layered.data(), layered.size(),
                                            e),
               StreamError::Corrupt);
@@ -348,13 +358,13 @@ TEST(CodecDeath, DeserializeRejectsCorruptHeaderFields)
 TEST(CodecDeath, EncodeRejectsTilesOffTheOneChunkGrid)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    // Every EPC4 tile is one entropy chunk of at most kMaxTileSize
+    // Every EPC5 tile is one entropy chunk of at most kMaxTileSize
     // rows, so larger (or empty) tiles are a caller error.
     raster::Plane img = testImage(300, 40, 44);
     EncodeParams p;
     for (int tileSize : {0, kMaxTileSize + 1, 256}) {
         p.tileSize = tileSize;
-        EXPECT_DEATH(encode(img, p), "EPC4 tiles are 1 to 128 pixels")
+        EXPECT_DEATH(encode(img, p), "EPC5 tiles are 1 to 128 pixels")
             << tileSize;
     }
     p.tileSize = kMaxTileSize;
@@ -432,6 +442,72 @@ TEST(Codec, ScalarAndSimdStreamsAreByteIdentical)
             EXPECT_EQ(dec.data(), goldenDec.data())
                 << mode.name << " at " << util::simd::levelName(l);
         }
+    }
+    util::simd::setActiveLevel(prev);
+}
+
+TEST(Codec, RunPositionPastTheRunIsClamped)
+{
+    // A cleanup zero run of n candidates names its first 1 in
+    // ceil(log2 n) raw bits, so when n is not a power of two the bits
+    // can name a k >= n, which only a corrupt segment holds. Craft one:
+    // the top plane's cleanup pass starts with the run from row 0's
+    // first coefficient to its first orientation edge, coded as "holds
+    // a 1" under a fresh model and position bits all 1. The decoder
+    // must clamp k to the run's last candidate, never index past it.
+    constexpr int kSize = 48;
+    constexpr int kLevels = 4;
+    constexpr int kPlane = 5;
+    const auto geom = TileGeometry::of(kSize, kSize, kLevels);
+    const int n = geom->edges[0] != 0
+        ? util::countTrailingZeros(geom->edges[0])
+        : kSize;
+    ASSERT_NE(n & (n - 1), 0) << "a run of " << n << " cannot overflow";
+    const int bits = util::bitWidth(static_cast<uint32_t>(n - 1));
+    ASSERT_GE((1 << bits) - 1, n);
+
+    std::vector<uint8_t> body;
+    {
+        RangeEncoder enc(body);
+        BitModel fresh;
+        enc.encodeBit(fresh, 1);
+        for (int i = 0; i < bits; ++i)
+            enc.encodeBitRaw(1);
+        enc.encodeBitRaw(0); // the sign of the new significant one
+        enc.flush();
+    }
+    // Sub-chunk: u32 chunk length | maxPlane + 1 | one segment of the
+    // plane's three passes, `u32 len << 2 | (passes - 1) | body`.
+    std::vector<uint8_t> chunk{static_cast<uint8_t>(kPlane + 1)};
+    util::appendPod(chunk, static_cast<uint32_t>(body.size() << 2 | 2u));
+    chunk.insert(chunk.end(), body.begin(), body.end());
+    std::vector<uint8_t> sub;
+    util::appendPod(sub, static_cast<uint32_t>(chunk.size()));
+    sub.insert(sub.end(), chunk.begin(), chunk.end());
+
+    const size_t pixels = static_cast<size_t>(kSize) * kSize;
+    std::vector<uint32_t> magnitude(pixels, 0);
+    std::vector<uint8_t> sign(pixels, 0), lowPlane(pixels, 0);
+    TileDecoder dec(*geom, magnitude.data(), sign.data(), lowPlane.data());
+    dec.decodeHeaderByte(kPlane + 1);
+    RangeDecoder rd(body.data(), body.size());
+    dec.decodePassRun(rd, 3);
+    dec.finish();
+    for (int x = 0; x + 1 < n; ++x)
+        EXPECT_EQ(magnitude[static_cast<size_t>(x)], 0u) << x;
+    EXPECT_EQ(magnitude[static_cast<size_t>(n - 1)], 1u << kPlane);
+
+    util::simd::Level prev = util::simd::activeLevel();
+    util::simd::setActiveLevel(util::simd::Level::Scalar);
+    const raster::Plane ref =
+        decodeTile(kSize, kSize, kLevels, {sub.data(), sub.size()});
+    for (util::simd::Level l : kernels::availableLevels()) {
+        util::simd::setActiveLevel(l);
+        EXPECT_EQ(
+            decodeTile(kSize, kSize, kLevels, {sub.data(), sub.size()})
+                .data(),
+            ref.data())
+            << util::simd::levelName(l);
     }
     util::simd::setActiveLevel(prev);
 }
@@ -707,7 +783,7 @@ bitIdentical(const raster::Plane &a, const raster::Plane &b)
 }
 
 /**
- * Where every tile's entropy chunk in an EPC4 stream stopped: the
+ * Where every tile's entropy chunk in an EPC5 stream stopped: the
  * number of passes coded into its last, unfinished plane (0..2), or 3
  * once the chunk coded every plane. Read from the stream's own framing
  * — each `subLen | ecLen | chunk` sub-chunk's maxPlane + 1 byte and its

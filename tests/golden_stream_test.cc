@@ -5,7 +5,7 @@
  * The encoded byte stream is a wire/storage format: the ground archive
  * persists it and the downlink replays it, so any change to the coder
  * must either be byte-identical or come with an explicit format
- * migration. These tests pin the one stream format, EPC4, over fixed
+ * migration. These tests pin the one stream format, EPC5, over fixed
  * synthetic tiles of its one mode (CDF 9/7 at 2 bpp) x odd/even tile
  * sizes, at every SIMD dispatch level and thread-pool width, as data
  * rather than as a second implementation:
@@ -102,7 +102,7 @@ struct GoldenFixture
 };
 
 /**
- * EPC4 fixtures, one entropy chunk per tile, pinning the segment
+ * EPC5 fixtures, one entropy chunk per tile, pinning the segment
  * words, per-segment coder flushes and the encoder's stop on real
  * payload bytes. 130 wide = 3 packed words per row with a 2-bit ragged
  * tail, which pins the cross-word paths (bit-63 recruitment into the
@@ -120,18 +120,22 @@ struct GoldenFixture
  * deletion. Of the decoded pixels only the three textured rows moved.
  * When lossless 5/3 was retired its six rows went with it; no cdf97
  * row moved. The mode column, constant once one mode was left, was
- * dropped later without re-recording any value. See the worked
- * examples in docs/ARCHITECTURE.md.
+ * dropped later without re-recording any value. Every row was
+ * re-recorded when EPC5 replaced EPC4 — a cleanup zero run codes one
+ * decision and the position of its first 1 instead of a decision per
+ * candidate, so every chunk's bytes moved — while kDecodedV3 stayed as
+ * recorded and kDecodedFullDepth, recorded by the EPC4 coder, still
+ * holds. See the worked examples in docs/ARCHITECTURE.md.
  * Regenerate by running this binary with EARTHPLUS_PRINT_GOLDEN=1 and
  * pasting the printed rows.
  */
 const GoldenFixture kGoldenV3[] = {
-    {"textured", 64, 64, 1153u, 0xE9286F16u},
-    {"textured", 61, 47, 748u, 0x7524AB80u},
-    {"textured", 130, 70, 2555u, 0x9E147BFBu},
-    {"sparse", 64, 64, 584u, 0x2374C3D6u},
-    {"sparse", 61, 47, 519u, 0xB391AC0Cu},
-    {"sparse", 130, 70, 846u, 0x46EDB84Cu},
+    {"textured", 64, 64, 1160u, 0x49922CFCu},
+    {"textured", 61, 47, 745u, 0x5FD09BFCu},
+    {"textured", 130, 70, 2552u, 0xFCACAFFAu},
+    {"sparse", 64, 64, 538u, 0x56174589u},
+    {"sparse", 61, 47, 497u, 0x35C24F9Du},
+    {"sparse", 130, 70, 711u, 0xCCD12976u},
 };
 
 /**
@@ -181,12 +185,13 @@ constexpr int kCutPercents[] = {10, 25, 50, 75};
  * chunk per tile by the last code that still coded sub-tile chunks;
  * the 32-px row was one chunk per tile all along and did not change.
  * A 64-px lossless row was retired with the lossless mode, and the
- * constant mode column later, with no value re-recorded. Printed by
- * EARTHPLUS_PRINT_GOLDEN=1.
+ * constant mode column later, with no value re-recorded. Both rows
+ * were re-recorded when EPC5 replaced EPC4, whose chunk bytes they
+ * cut. Printed by EARTHPLUS_PRINT_GOLDEN=1.
  */
 const CutFixture kGoldenCut[] = {
-    {32, {0x801540EBu, 0xCD49226Du, 0xB90B20BCu, 0x23A7F6EEu}},
-    {48, {0x6286C767u, 0x36A84396u, 0xAE368A91u, 0x8FA85B7Du}},
+    {32, {0x08968CF7u, 0x65E3E091u, 0xEA029A88u, 0xA100251Cu}},
+    {48, {0x037D17F7u, 0xB4CB6994u, 0x902C5137u, 0x1E262E43u}},
 };
 
 /** DWT levels of every fixture (EncodeParams' default). */

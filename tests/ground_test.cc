@@ -1036,7 +1036,7 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
     TempPath dir("serve_quality_hint");
     Archive archive(dir.str());
     raster::Plane img = testPlane(128, 128, 90);
-    // Every record is an EPC4 stream, so the quality path can cut
+    // Every record is an EPC5 stream, so the quality path can cut
     // both.
     buildChain(archive, img, img, 64);
 

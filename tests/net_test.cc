@@ -211,6 +211,21 @@ TEST(NetProtocol, ErrorResultsCarryNoPixels)
     EXPECT_EQ(back.retryAfterMs, 75u);
     EXPECT_TRUE(back.pixels.empty());
     EXPECT_FALSE(back.ok());
+
+    // Corrupt (5) is the last status a result frame may carry.
+    TileResult corrupt;
+    corrupt.error = ServeError::Corrupt;
+    std::vector<uint8_t> corruptBytes = encodeResult(8, corrupt);
+    Frame corruptFrame;
+    corruptFrame.magic = kResultMagic;
+    corruptFrame.body.assign(corruptBytes.begin() + kFrameHeaderBytes,
+                             corruptBytes.end());
+    for (uint8_t status : {uint8_t{5}, uint8_t{6}}) {
+        corruptFrame.body[8] = status; // after the u64 request id
+        EXPECT_EQ(decodeResult(corruptFrame, id, back), status == 5)
+            << static_cast<int>(status);
+    }
+    EXPECT_EQ(back.error, ServeError::Corrupt);
 }
 
 TEST(NetProtocol, HelloCarriesVersionInHeader)
@@ -631,6 +646,69 @@ TEST(NetServer, LoopbackRoundTripMatchesInProcessServe)
     ASSERT_TRUE(client.query(over, remote));
     EXPECT_EQ(remote.error, ServeError::Truncated);
     EXPECT_EQ(remote.pixels.data(), localOver.pixels.data());
+}
+
+TEST(NetServer, RecordOfAnOlderFormatServesCorrupt)
+{
+    // An archive an older build wrote holds payloads of a retired
+    // stream format. Location 2 band 0 is one record whose payload
+    // carries the EPC4 magic: a query that needs it is answered
+    // Corrupt, in process and over EPT, and the daemon keeps serving
+    // every other (location, band), including location 2's band 1.
+    TempPath dir("net_corrupt_record");
+    Archive archive(dir.str());
+    const raster::Plane base = testPlane(128, 128, 9);
+    buildChain(archive, base, 64);
+    codec::EncodeParams ep;
+    ep.tileSize = 64;
+    RecordMeta meta;
+    meta.locationId = 2;
+    meta.captureDay = 1.0;
+    meta.fullDownload = true;
+    std::vector<uint8_t> old = codec::encode(base, ep).serialize();
+    std::memcpy(old.data(), "EPC4", 4);
+    archive.append(meta, old);
+    meta.band = 1;
+    archive.append(meta, codec::encode(base, ep).serialize());
+
+    TileServer tiles(archive);
+    Server server(tiles);
+    ASSERT_TRUE(server.start());
+    TileClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+
+    telemetry::Counter &corrupt =
+        telemetry::counter("ground.serve.corrupt");
+    const uint64_t before = corrupt.value();
+    TileQuery bad = fullQuery();
+    bad.locationId = 2;
+    // Twice each way: a failed parse leaves no claim or geometry
+    // behind that could wedge or poison a later query.
+    for (int round = 0; round < 2; ++round) {
+        TileResult local = tiles.serve(bad);
+        EXPECT_EQ(local.error, ServeError::Corrupt);
+        EXPECT_FALSE(local.ok());
+        EXPECT_TRUE(local.pixels.empty());
+        TileResult remote;
+        ASSERT_TRUE(client.query(bad, remote));
+        EXPECT_EQ(remote.error, ServeError::Corrupt);
+        EXPECT_TRUE(remote.pixels.empty());
+    }
+    EXPECT_EQ(corrupt.value() - before, 4u);
+    EXPECT_STREQ(serveErrorName(ServeError::Corrupt), "corrupt");
+
+    TileQuery otherBand = bad;
+    otherBand.band = 1;
+    for (const TileQuery &q : {fullQuery(), otherBand}) {
+        TileResult local = tiles.serve(q);
+        EXPECT_EQ(local.error, ServeError::None);
+        TileResult remote;
+        ASSERT_TRUE(client.query(q, remote));
+        EXPECT_EQ(remote.error, ServeError::None);
+        EXPECT_EQ(remote.pixels.data(), local.pixels.data());
+    }
+    EXPECT_EQ(corrupt.value() - before, 4u);
+    server.stop();
 }
 
 TEST(NetServer, OverflowingQueryRectIsATypedBadQuery)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Property tests for post-encode rate control on the EPC4 stream
+ * Property tests for post-encode rate control on the EPC5 stream
  * format: the tile-fair cutter (codec::truncateStream) over a ladder
  * of budgets — under budget, nested, complete, monotone in PSNR and
  * fair to every row band — the encoder's real-byte rate control and a

@@ -3,7 +3,7 @@
  * Seeded mutation fuzz of the stream container walker behind
  * codec::EncodedImage::tryDeserialize() and of the decoder behind it.
  *
- * Inputs are fresh EPC4 encodes covering low and high (8 bpp) budgets,
+ * Inputs are fresh EPC5 encodes covering low and high (8 bpp) budgets,
  * several tile sizes, and an ROI subset. Each mutant
  * rewrites one of the container's length words — the payload chunkLen,
  * a tile subLen, an entropy-chunk ecLen or a segWord — and/or flips
@@ -40,7 +40,7 @@ using namespace earthplus::codec;
 
 namespace {
 
-/** Fixed EPC4 header bytes, ahead of the coded-tile bitmap. */
+/** Fixed EPC5 header bytes, ahead of the coded-tile bitmap. */
 constexpr size_t kHeaderBytes = 44;
 
 /** Offsets of every length word in a well-formed stream, by kind. */
@@ -270,7 +270,7 @@ edgyImage(int w, int h, uint64_t seed)
     return p;
 }
 
-/** Fresh EPC4 streams: 96- and 64-px tiles, at 1.5 and 8 bpp. */
+/** Fresh EPC5 streams: 96- and 64-px tiles, at 1.5 and 8 bpp. */
 std::vector<std::vector<uint8_t>>
 freshEpc4Streams()
 {
